@@ -275,8 +275,7 @@ void ShardedSimulationCore::OracleTick() {
 void ShardedSimulationCore::RebindLiveViews() {
   const std::uint64_t generation = arena_ptrs_.front()->generation();
   for (std::size_t c = 0; c < column_owner_.size(); ++c) {
-    *slots_[column_owner_[c]]->filters =
-        FilterBank(arena_ptrs_, c, values_.size(), generation);
+    slots_[column_owner_[c]]->filters->Retag(c, generation);
   }
 }
 
@@ -295,6 +294,8 @@ void ShardedSimulationCore::InstallSlot(std::size_t index, SimTime at) {
   column_owner_.push_back(index);
   ASF_CHECK(column_owner_.size() == arena_ptrs_.front()->live());
   slot.live = true;
+  *slot.filters = FilterBank(arena_ptrs_, column, values_.size(),
+                             arena_ptrs_.front()->generation());
   RebindLiveViews();
   peak_live_ = std::max(peak_live_, column_owner_.size());
 
@@ -307,8 +308,9 @@ void ShardedSimulationCore::InstallSlot(std::size_t index, SimTime at) {
   slot.stats.messages.set_phase(MessagePhase::kInit);
   slot.protocol->Initialize(at);
   slot.stats.messages.set_phase(MessagePhase::kMaintenance);
-  slot.stats.fp_filters_installed = slot.filters->CountFalsePositiveFilters();
-  slot.stats.fn_filters_installed = slot.filters->CountFalseNegativeFilters();
+  const FilterBank::SilentCounts silent = slot.filters->CountSilentFilters();
+  slot.stats.fp_filters_installed = silent.false_positive;
+  slot.stats.fn_filters_installed = silent.false_negative;
   slot.answer_cur_size = static_cast<double>(slot.protocol->answer().size());
   if (options_.base.oracle.check_every_update) RunOracle(slot);
 }

@@ -186,7 +186,7 @@ void SimulationCore::RunOracle(Slot& slot) {
 
 void SimulationCore::RebindLiveViews() {
   for (std::size_t c = 0; c < arena_.live(); ++c) {
-    *slots_[column_owner_[c]]->filters = arena_.View(c);
+    slots_[column_owner_[c]]->filters->Retag(c, arena_.generation());
   }
 }
 
@@ -195,19 +195,16 @@ void SimulationCore::InstallSlot(std::size_t index) {
   ASF_CHECK(!slot.live);
   WireSlot(index);
 
-  // Take a column in the shared arena. Growth invalidates every live view
-  // (the storage reallocates), so rebind them all; otherwise only the new
-  // column needs a view.
+  // Take a column in the shared arena and bind the new query's view.
+  // Growth invalidates every other live view (the storage reallocates),
+  // so retag them all.
   const std::uint64_t generation_before = arena_.generation();
   slot.column = arena_.Acquire();
   column_owner_.push_back(index);
   ASF_CHECK(column_owner_.size() == arena_.live());
   slot.live = true;
-  if (arena_.generation() != generation_before) {
-    RebindLiveViews();
-  } else {
-    *slot.filters = arena_.View(slot.column);
-  }
+  *slot.filters = arena_.View(slot.column);
+  if (arena_.generation() != generation_before) RebindLiveViews();
   peak_live_ = std::max(peak_live_, arena_.live());
 
   // The query's sample stream opens now: it sees only updates generated
@@ -221,8 +218,9 @@ void SimulationCore::InstallSlot(std::size_t index) {
   slot.stats.messages.set_phase(MessagePhase::kInit);
   slot.protocol->Initialize(scheduler_.now());
   slot.stats.messages.set_phase(MessagePhase::kMaintenance);
-  slot.stats.fp_filters_installed = slot.filters->CountFalsePositiveFilters();
-  slot.stats.fn_filters_installed = slot.filters->CountFalseNegativeFilters();
+  const FilterBank::SilentCounts silent = slot.filters->CountSilentFilters();
+  slot.stats.fp_filters_installed = silent.false_positive;
+  slot.stats.fn_filters_installed = silent.false_negative;
   slot.answer_cur_size = static_cast<double>(slot.protocol->answer().size());
   if (options_.oracle.check_every_update) RunOracle(slot);
 }

@@ -252,9 +252,9 @@ class SimulationCore {
   /// live-prefix compaction.
   void RetireSlot(std::size_t index);
 
-  /// Rebinds the strided FilterBank views of every live slot after an
-  /// arena layout change (growth or compaction), tagging them with the
-  /// new generation.
+  /// Retags the arena-routed FilterBank views of every live slot in place
+  /// after an arena layout change (growth or compaction): each view gets
+  /// its tenant's current column and the new generation.
   void RebindLiveViews();
 
   /// Periodic correctness sampling; reschedules itself every

@@ -28,6 +28,11 @@ class Filter {
   /// Constructs with no filter installed: every update is reported.
   Filter() = default;
 
+  /// Rebuilds a filter from stored state: `constraint` installed with
+  /// membership reference `reference_inside` (FilterArena::cell).
+  Filter(const FilterConstraint& constraint, bool reference_inside)
+      : constraint_(constraint), ref_inside_(reference_inside) {}
+
   /// Installs a constraint, resetting the membership reference to the
   /// stream's current value.
   void Deploy(const FilterConstraint& constraint, Value current_value) {
@@ -60,10 +65,7 @@ class Filter {
   const FilterConstraint& constraint() const { return constraint_; }
 
   /// The membership reference state (last reported side of the
-  /// constraint). Meaningful only when a filter is installed. For cells
-  /// stored in a FilterArena, the arena's SoA reference bit is the
-  /// canonical copy once kernel evaluations run — see
-  /// FilterArena::ReferenceInside.
+  /// constraint). Meaningful only when a filter is installed.
   bool reference_inside() const { return ref_inside_; }
 
  private:

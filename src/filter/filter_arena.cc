@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "common/simd.h"
@@ -26,87 +27,62 @@ FilterArena::FilterArena(std::size_t num_streams)
 
 FilterArena::~FilterArena() = default;
 
-void FilterArena::RefreshCell(StreamId id, std::size_t column) {
-  const Filter& f = storage_[id * capacity_ + column];
-  const std::size_t lane = id * stride_ + column;
-  if (f.constraint().has_filter()) {
-    // The interval's canonical degenerate forms vectorize for free: the
-    // empty [inf, inf] can contain no finite value, [-inf, inf] contains
-    // every finite value — both exactly Interval::Contains for the finite
-    // stream values the kernel contract requires.
-    lower_[lane] = f.constraint().interval().lo();
-    upper_[lane] = f.constraint().interval().hi();
-    SetBit(always_bits_, id, column, false);
-  } else {
-    // No filter installed: every update reports. The bounds are sentinel
-    // so the inside mask stays 0 and the reference bit is preserved
-    // verbatim by the kernel's blend, mirroring how OnValueChange leaves
-    // the reference untouched on the no-filter path.
-    lower_[lane] = kSentinelLower;
-    upper_[lane] = kSentinelUpper;
-    SetBit(always_bits_, id, column, true);
+Filter FilterArena::cell(StreamId id, std::size_t column) const {
+  ASF_DCHECK(id < num_streams_ && column < live_);
+  const bool ref = Bit(ref_bits_, id, column);
+  if (Bit(always_bits_, id, column)) {
+    return Filter(FilterConstraint::NoFilter(), ref);
   }
-  SetBit(ref_bits_, id, column, f.reference_inside());
-}
-
-void FilterArena::SentinelCell(StreamId id, std::size_t column) {
+  // Sentinel bounds (lower > upper) are the empty interval's encoding;
+  // every other pair is the deployed interval verbatim.
   const std::size_t lane = id * stride_ + column;
-  lower_[lane] = kSentinelLower;
-  upper_[lane] = kSentinelUpper;
-  SetBit(always_bits_, id, column, false);
-  SetBit(ref_bits_, id, column, false);
+  const double lo = lower_[lane];
+  const double hi = upper_[lane];
+  return Filter(
+      FilterConstraint::Range(lo > hi ? Interval::Never() : Interval(lo, hi)),
+      ref);
 }
 
-void FilterArena::RebuildMirrors() {
+void FilterArena::Widen() {
+  const std::size_t old_stride = stride_;
   const std::size_t old_words = words_;
-  const std::vector<std::uint64_t> old_ref = std::move(ref_bits_);
-  const std::vector<std::uint64_t> old_touched = std::move(touched_bits_);
   stride_ = PaddedStride(capacity_);
   words_ = stride_ / 64;
-  lower_.assign(num_streams_ * stride_, kSentinelLower);
-  upper_.assign(num_streams_ * stride_, kSentinelUpper);
-  ref_bits_.assign(num_streams_ * words_, 0);
-  always_bits_.assign(num_streams_ * words_, 0);
-  fired_.assign(words_, 0);
-  if (tracking_) touched_bits_.assign(num_streams_ * words_, 0);
-  for (StreamId id = 0; id < num_streams_; ++id) {
-    // Bounds and always-bits re-derive from the canonical constraints;
-    // the reference bits are themselves canonical (the kernel advances
-    // them without touching the AoS cells) and must be carried over.
-    for (std::size_t c = 0; c < live_; ++c) RefreshCell(id, c);
-    for (std::size_t w = 0; w < old_words; ++w) {
-      ref_bits_[id * words_ + w] = old_ref[id * old_words + w];
-      if (tracking_ && !old_touched.empty()) {
-        touched_bits_[id * words_ + w] = old_touched[id * old_words + w];
-      }
+  // Live columns keep their indices; only the row stride changes, so each
+  // strip is copied row by row into the wider layout.
+  const auto widen = [&](auto& rows, std::size_t old_row,
+                         std::size_t new_row, auto fill) {
+    std::remove_reference_t<decltype(rows)> grown(num_streams_ * new_row,
+                                                  fill);
+    for (std::size_t s = 0; s < num_streams_ && old_row != 0; ++s) {
+      std::copy_n(rows.begin() + s * old_row, old_row,
+                  grown.begin() + s * new_row);
     }
-  }
+    rows = std::move(grown);
+  };
+  widen(lower_, old_stride, stride_, kSentinelLower);
+  widen(upper_, old_stride, stride_, kSentinelUpper);
+  widen(ref_bits_, old_words, words_, std::uint64_t{0});
+  widen(always_bits_, old_words, words_, std::uint64_t{0});
+  if (tracking_) widen(touched_bits_, old_words, words_, std::uint64_t{0});
+  fired_.assign(words_, 0);
 }
 
 std::size_t FilterArena::Acquire() {
   if (live_ == capacity_) {
-    // Grow by doubling. Live columns keep their indices; only the row
-    // stride changes, so copy row by row into the wider layout.
-    const std::size_t new_capacity = capacity_ == 0 ? 1 : capacity_ * 2;
-    std::vector<Filter> grown(num_streams_ * new_capacity);
-    for (std::size_t s = 0; s < num_streams_; ++s) {
-      for (std::size_t c = 0; c < live_; ++c) {
-        grown[s * new_capacity + c] = storage_[s * capacity_ + c];
-      }
-    }
-    storage_ = std::move(grown);
-    capacity_ = new_capacity;
+    capacity_ = capacity_ == 0 ? 1 : capacity_ * 2;  // grow by doubling
     ++generation_;  // every outstanding view now points at stale layout
-    if (PaddedStride(capacity_) != stride_) {
-      RebuildMirrors();  // the mirror stride only widens at 64-column steps
-    }
+    if (PaddedStride(capacity_) != stride_) Widen();  // 64-column steps
   }
   const std::size_t column = live_++;
-  // Recycled columns must come up pristine: a retiring tenant leaves its
-  // last filter states behind.
+  // The new column comes up with no filter installed. Its lanes are
+  // already sentinel (vacated by Release, or fresh from growth); only
+  // the always bit and a cleared reference are written.
+  const std::size_t w = column / 64;
+  const std::uint64_t mask = std::uint64_t{1} << (column % 64);
   for (std::size_t s = 0; s < num_streams_; ++s) {
-    storage_[s * capacity_ + column] = Filter();
-    RefreshCell(s, column);
+    always_bits_[s * words_ + w] |= mask;
+    ref_bits_[s * words_ + w] &= ~mask;
   }
   // A re-acquired column may shadow stale snapshot entries in the index.
   if (index_) index_->OnAcquire(column);
@@ -116,47 +92,52 @@ std::size_t FilterArena::Acquire() {
 std::size_t FilterArena::Release(std::size_t column) {
   ASF_CHECK(column < live_);
   const std::size_t last = live_ - 1;
-  if (column != last) {
-    // Keep the live prefix dense: the last tenant moves into the hole,
-    // canonical cells and mirror lanes alike.
-    for (std::size_t s = 0; s < num_streams_; ++s) {
-      storage_[s * capacity_ + column] = storage_[s * capacity_ + last];
-      lower_[s * stride_ + column] = lower_[s * stride_ + last];
-      upper_[s * stride_ + column] = upper_[s * stride_ + last];
-      SetBit(ref_bits_, s, column,
-             (ref_bits_[s * words_ + last / 64] >> (last % 64)) & 1u);
-      SetBit(always_bits_, s, column,
-             (always_bits_[s * words_ + last / 64] >> (last % 64)) & 1u);
-      if (tracking_) {
-        const bool moved_touched =
-            (touched_bits_[s * words_ + last / 64] >> (last % 64)) & 1u;
-        SetBit(touched_bits_, s, column, moved_touched);
-        if (moved_touched) {
-          // The moved tenant's touched mark now answers at the hole; the
-          // per-stream list must learn the new position (the old entry at
-          // `last` goes stale and is compacted away lazily).
-          touched_cols_[s].push_back(static_cast<std::uint32_t>(column));
-          touched_cols_stale_[s] = 1;
-        }
-      }
+  const bool move = column != last;
+  // One walk down the strips: the last tenant moves into the hole (keeping
+  // the live prefix dense) and its vacated column turns sentinel, so it
+  // never fires until re-acquired.
+  const std::size_t hole_w = column / 64;
+  const std::size_t last_w = last / 64;
+  const std::uint64_t hole_mask = std::uint64_t{1} << (column % 64);
+  const std::uint64_t last_mask = std::uint64_t{1} << (last % 64);
+  const auto move_bit = [&](std::uint64_t* row) {
+    if (move) {
+      row[hole_w] = (row[last_w] & last_mask) != 0 ? row[hole_w] | hole_mask
+                                                   : row[hole_w] & ~hole_mask;
     }
-    if (index_) index_->OnRelease(column, last);
-  }
-  --live_;
-  // The vacated last column must never fire again until re-acquired.
+    row[last_w] &= ~last_mask;
+  };
   for (std::size_t s = 0; s < num_streams_; ++s) {
-    SentinelCell(s, last);
-    if (tracking_) SetBit(touched_bits_, s, last, false);
+    double* lower = lower_.data() + s * stride_;
+    double* upper = upper_.data() + s * stride_;
+    lower[column] = lower[last];
+    upper[column] = upper[last];
+    lower[last] = kSentinelLower;
+    upper[last] = kSentinelUpper;
+    move_bit(ref_bits_.data() + s * words_);
+    move_bit(always_bits_.data() + s * words_);
+    if (tracking_) {
+      std::uint64_t* touched = touched_bits_.data() + s * words_;
+      if (move && (touched[last_w] & last_mask) != 0) {
+        // The moved tenant's touched mark now answers at the hole; the
+        // per-stream list must learn the new position (the old entry at
+        // `last` goes stale and is compacted away lazily).
+        touched_cols_[s].push_back(static_cast<std::uint32_t>(column));
+      }
+      move_bit(touched);
+    }
   }
+  if (move && index_) index_->OnRelease(column, last);
+  --live_;
   if (tracking_) {
-    // Cleared `last` bits may leave stale list entries behind.
+    // Moves and cleared `last` bits may leave stale list entries behind.
     std::fill(touched_cols_stale_.begin(), touched_cols_stale_.end(),
               std::uint8_t{1});
   }
   // The released column's views (and, after a move, the last column's) are
   // stale either way.
   ++generation_;
-  if (column != last && relocate_) relocate_(last, column);
+  if (move && relocate_) relocate_(last, column);
   return last;
 }
 
@@ -164,8 +145,23 @@ void FilterArena::Deploy(StreamId id, std::size_t column,
                          const FilterConstraint& constraint,
                          Value current_value) {
   ASF_DCHECK(id < num_streams_ && column < live_);
-  storage_[id * capacity_ + column].Deploy(constraint, current_value);
-  RefreshCell(id, column);
+  const std::size_t lane = id * stride_ + column;
+  const bool filtered = constraint.has_filter();
+  const Interval& interval = constraint.interval();
+  if (filtered && !interval.empty()) {
+    // [-inf, inf] vectorizes for free: it contains every finite value,
+    // exactly Interval::Contains for the finite values the kernel takes.
+    lower_[lane] = interval.lo();
+    upper_[lane] = interval.hi();
+  } else {
+    // No filter installed (every update reports; the always bit fires it
+    // and the kernel's blend leaves the reference alone, as OnValueChange
+    // does) or the empty interval (never inside): sentinel bounds.
+    lower_[lane] = kSentinelLower;
+    upper_[lane] = kSentinelUpper;
+  }
+  SetBit(always_bits_, id, column, !filtered);
+  SetBit(ref_bits_, id, column, filtered && LaneContains(lane, current_value));
   if (tracking_) MarkTouched(id, column);
   if (index_) index_->OnDeploy(id, column);
 }
@@ -173,9 +169,10 @@ void FilterArena::Deploy(StreamId id, std::size_t column,
 void FilterArena::SyncReference(StreamId id, std::size_t column,
                                 Value current_value) {
   ASF_DCHECK(id < num_streams_ && column < live_);
-  Filter& f = storage_[id * capacity_ + column];
-  f.SyncReference(current_value);
-  SetBit(ref_bits_, id, column, f.reference_inside());
+  if (!Bit(always_bits_, id, column)) {
+    SetBit(ref_bits_, id, column,
+           LaneContains(id * stride_ + column, current_value));
+  }
   // No index dirty-mark: a reference sync changes no bounds, and the
   // serial engine only syncs at dispatch-coherent values; the sharded
   // replay's syncs land on cells the epoch already dirty-marked via
@@ -208,12 +205,9 @@ const std::uint64_t* FilterArena::EvaluateUpdate(StreamId id, Value v) {
 
 bool FilterArena::EvaluateColumn(StreamId id, std::size_t column, Value v) {
   ASF_DCHECK(id < num_streams_ && column < live_);
-  const Filter& f = storage_[id * capacity_ + column];
-  // Filter::OnValueChange over the canonical state: constraint from the
-  // AoS record, membership reference from the SoA bit.
-  if (!f.constraint().has_filter()) return true;
-  const bool inside = f.constraint().interval().Contains(v);
-  if (inside == ReferenceInside(id, column)) return false;
+  if (Bit(always_bits_, id, column)) return true;  // no filter installed
+  const bool inside = LaneContains(id * stride_ + column, v);
+  if (inside == Bit(ref_bits_, id, column)) return false;
   SetBit(ref_bits_, id, column, inside);
   return true;
 }

@@ -24,18 +24,18 @@
 /// tests exactly the live filters of the updated stream no matter how many
 /// queries have come and gone.
 ///
-/// Storage is two-level (DESIGN.md §8):
-///
-///  * The *constraint record*: one `Filter` per (stream, column) cell in
-///    array-of-structs order, the canonical home of each cell's deployed
-///    constraint — what counts, views, and redeploys read.
-///  * Hot SoA state: per stream strip, the interval bounds as dense
-///    `lower[]` / `upper[]` double lanes plus two bitmask words per 64
-///    columns — `ref` (the *canonical* membership reference; the AoS
-///    copy is not maintained by the kernel) and `always`
-///    (no-filter-installed columns, which report every update). The strip
-///    stride is padded to a multiple of 64 columns; lanes at or beyond
-///    live() hold sentinel bounds (+inf / -inf) so they can never fire.
+/// Each (stream, column) cell is stored exactly once, as structure-of-
+/// arrays state (DESIGN.md §8): per stream strip, the interval bounds as
+/// dense `lower[]` / `upper[]` double lanes plus two bitmask words per 64
+/// columns — `ref` (the membership reference) and `always`
+/// (no-filter-installed columns, which report every update). The strip
+/// stride is padded to a multiple of 64 columns. Lanes of no-filter
+/// columns, of the empty interval [∞, ∞] and of columns at or beyond
+/// live() hold the sentinel bounds (+inf, -inf), which no value lies
+/// between, so they never fire on a crossing. There is no `Filter` object
+/// per cell: cell() rebuilds one by value from the lanes and bits, and
+/// the sentinel keeps that rebuild exact (a non-empty [∞, ∞] keeps its
+/// own bounds and stays distinct from the empty interval).
 ///
 /// EvaluateUpdate() is the branch-free crossing kernel over that state:
 /// one SIMD sweep computes the inside mask, one word op each derives the
@@ -50,11 +50,12 @@
 /// free column (always the current live count, keeping live columns dense
 /// at 0..live-1); a retiring query Releases its column, and the *last*
 /// live column is swap-moved into the hole so the strip stays contiguous.
+/// Both are one pass down the strips.
 ///
 /// Every layout change that can invalidate an outstanding view — growth
 /// and compaction — bumps `generation()`. FilterBank views carry the
 /// generation they were bound at, so the engine can assert view freshness
-/// (and knows to rebind all live views) after any lifecycle event.
+/// (and knows to retag all live views) after any lifecycle event.
 ///
 /// For the sharded engine's speculative epochs the arena can additionally
 /// track which cells a mutation touched (EnableCellTracking): the merge
@@ -114,40 +115,27 @@ class FilterArena {
     relocate_ = std::move(callback);
   }
 
-  /// The contiguous constraint strip of stream `id`'s filters; columns
-  /// 0..live()-1 are the live ones. Read-only outside the arena: direct
-  /// mutation would desync the SoA state — use Deploy/SyncReference. The
-  /// membership reference fields are only authoritative for cells no
-  /// kernel evaluation has touched since their last Deploy/SyncReference;
-  /// ReferenceInside() reads the canonical bit. Valid until the next
-  /// Acquire/Release.
-  const Filter* Strip(StreamId id) const {
-    ASF_DCHECK(id < num_streams_);
-    return storage_.data() + id * capacity_;
-  }
+  /// Cell (id, column) (column must be live) rebuilt by value: the
+  /// deployed constraint and the current membership reference, exactly
+  /// as a Filter receiving the same Deploy / SyncReference / evaluation
+  /// sequence would hold them.
+  Filter cell(StreamId id, std::size_t column) const;
 
-  /// One constraint cell (column must be live; see Strip() for the
-  /// reference-field caveat).
-  const Filter& cell(StreamId id, std::size_t column) const {
-    ASF_DCHECK(id < num_streams_ && column < live_);
-    return storage_[id * capacity_ + column];
-  }
-
-  /// The canonical membership reference of cell (id, column) — the SoA
-  /// bit the kernel advances. Meaningful only while a filter is
-  /// installed, like Filter::reference_inside().
+  /// The membership reference of cell (id, column) — the bit the kernel
+  /// advances. Meaningful only while a filter is installed, like
+  /// Filter::reference_inside().
   bool ReferenceInside(StreamId id, std::size_t column) const {
     ASF_DCHECK(id < num_streams_ && column < live_);
-    return (ref_bits_[id * words_ + column / 64] >> (column % 64)) & 1u;
+    return Bit(ref_bits_, id, column);
   }
 
   /// Installs a constraint at cell (id, column) against the stream's
-  /// current value, refreshing the cell's mirror lanes.
+  /// current value (Filter::Deploy).
   void Deploy(StreamId id, std::size_t column,
               const FilterConstraint& constraint, Value current_value);
 
   /// Syncs cell (id, column)'s membership reference to the stream's
-  /// current (probed) value, refreshing the mirror reference bit.
+  /// current (probed) value (Filter::SyncReference).
   void SyncReference(StreamId id, std::size_t column, Value current_value);
 
   /// The crossing kernel: evaluates value `v` of stream `id` against all
@@ -164,8 +152,8 @@ class FilterArena {
   std::size_t fired_words() const { return (live_ + 63) / 64; }
 
   /// Scalar single-cell evaluation (the sharded merge replay's dirty-cell
-  /// path): runs Filter::OnValueChange on the canonical cell and keeps the
-  /// mirror reference bit in sync. Returns whether the filter fired.
+  /// path): Filter::OnValueChange on one cell. Returns whether the filter
+  /// fired.
   bool EvaluateColumn(StreamId id, std::size_t column, Value v);
 
   /// Batched counterpart of EvaluateColumn for the sharded merge replay:
@@ -253,16 +241,21 @@ class FilterArena {
     return (capacity + 63) & ~std::size_t{63};
   }
 
-  /// Recomputes cell (id, column)'s mirror lanes and bits from the
-  /// canonical Filter.
-  void RefreshCell(StreamId id, std::size_t column);
+  /// Re-lays every strip out at the stride of the grown capacity_; the
+  /// new lanes are sentinel and the new bits clear.
+  void Widen();
 
-  /// Writes the never-fires sentinel into cell (id, column)'s mirror.
-  void SentinelCell(StreamId id, std::size_t column);
+  /// Closed-interval membership of `v` in cell `lane`'s bounds —
+  /// Interval::Contains over the lane encoding (sentinel lanes contain
+  /// nothing).
+  bool LaneContains(std::size_t lane, Value v) const {
+    return lower_[lane] <= v && v <= upper_[lane];
+  }
 
-  /// Rebuilds the whole mirror arrays for the (possibly new) stride:
-  /// live cells refreshed from the canonical record, the rest sentinel.
-  void RebuildMirrors();
+  bool Bit(const std::vector<std::uint64_t>& bits, StreamId id,
+           std::size_t column) const {
+    return (bits[id * words_ + column / 64] >> (column % 64)) & 1u;
+  }
 
   void SetBit(std::vector<std::uint64_t>& bits, StreamId id,
               std::size_t column, bool value) {
@@ -275,10 +268,8 @@ class FilterArena {
   std::size_t capacity_ = 0;
   std::size_t live_ = 0;
   std::uint64_t generation_ = 0;
-  /// Canonical cells: storage_[stream * capacity_ + column].
-  std::vector<Filter> storage_;
 
-  /// SoA mirrors, stride_ = PaddedStride(capacity_) lanes per stream,
+  /// The cells, stride_ = PaddedStride(capacity_) lanes per stream,
   /// words_ = stride_ / 64 mask words per stream.
   std::size_t stride_ = 0;
   std::size_t words_ = 0;

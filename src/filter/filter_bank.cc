@@ -4,13 +4,10 @@
 
 namespace asf {
 
-Filter& FilterBank::ArenaCell(StreamId id) {
-  const std::size_t shard = id % arenas_.size();
-  const std::size_t row = id / arenas_.size();
-  // cell() returns const (outside writers must go through the arena's
-  // mutation entry points); the bank itself routes its mutations there,
-  // so handing the caller read access through the same path is safe.
-  return const_cast<Filter&>(arenas_[shard]->cell(row, column_));
+Filter FilterBank::at(StreamId id) const {
+  ASF_DCHECK(id < size_);
+  if (arenas_.empty()) return base_[id * stride_];
+  return arenas_[id % arenas_.size()]->cell(id / arenas_.size(), column_);
 }
 
 void FilterBank::Deploy(StreamId id, const FilterConstraint& constraint,
@@ -32,20 +29,14 @@ void FilterBank::SyncReference(StreamId id, Value current_value) {
   at(id).SyncReference(current_value);
 }
 
-std::size_t FilterBank::CountFalsePositiveFilters() const {
-  std::size_t n = 0;
+FilterBank::SilentCounts FilterBank::CountSilentFilters() const {
+  SilentCounts counts;
   for (StreamId id = 0; id < size_; ++id) {
-    if (at(id).constraint().IsFalsePositiveFilter()) ++n;
+    const FilterConstraint constraint = at(id).constraint();
+    if (constraint.IsFalsePositiveFilter()) ++counts.false_positive;
+    if (constraint.IsFalseNegativeFilter()) ++counts.false_negative;
   }
-  return n;
-}
-
-std::size_t FilterBank::CountFalseNegativeFilters() const {
-  std::size_t n = 0;
-  for (StreamId id = 0; id < size_; ++id) {
-    if (at(id).constraint().IsFalseNegativeFilter()) ++n;
-  }
-  return n;
+  return counts;
 }
 
 std::size_t FilterBank::CountInstalled() const {

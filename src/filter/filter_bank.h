@@ -25,11 +25,10 @@
 ///    stream-major layout; with S arenas the filters are sharded
 ///    round-robin — stream id lives in arena id % S at row id / S — which
 ///    is how a query spans the sharded engine's per-shard strips.
-///    Mutations (Deploy / SyncReference) route through the arena so its
-///    SoA mirrors stay coherent; mutate arena-backed cells only through
-///    those entry points, never through at().
+///    The arena holds no Filter objects, so such a view mutates only
+///    through Deploy / SyncReference and reads cells by value.
 ///
-/// Views are rebound as queries come and go (see filter/filter_arena.h
+/// Views are retagged as queries come and go (see filter/filter_arena.h
 /// and SimulationCore::InstallSlot / RebindLiveViews).
 
 namespace asf {
@@ -83,21 +82,24 @@ class FilterBank {
   /// catch use of a view that survived a rebind.
   std::uint64_t bound_generation() const { return generation_; }
 
-  /// Read access to stream `id`'s filter. Mutable access is only valid
-  /// for owning and raw strided banks — arena cells must be mutated via
-  /// Deploy / SyncReference so the arena mirrors stay in sync.
+  /// Re-points an arena-routed view at `column`, bound at storage
+  /// generation `generation` — the in-place rebind after growth or
+  /// compaction.
+  void Retag(std::size_t column, std::uint64_t generation) {
+    ASF_DCHECK(!arenas_.empty());
+    column_ = column;
+    generation_ = generation;
+  }
+
+  /// Mutable access to stream `id`'s filter; owning and raw strided banks
+  /// only.
   Filter& at(StreamId id) {
-    ASF_DCHECK(id < size_);
-    if (!arenas_.empty()) return ArenaCell(id);
+    ASF_DCHECK(id < size_ && arenas_.empty());
     return base_[id * stride_];
   }
-  const Filter& at(StreamId id) const {
-    ASF_DCHECK(id < size_);
-    if (!arenas_.empty()) {
-      return const_cast<FilterBank*>(this)->ArenaCell(id);
-    }
-    return base_[id * stride_];
-  }
+
+  /// Stream `id`'s filter by value, for every kind of bank.
+  Filter at(StreamId id) const;
 
   /// Installs a constraint on one stream given its current value.
   void Deploy(StreamId id, const FilterConstraint& constraint,
@@ -107,19 +109,27 @@ class FilterBank {
   /// value: the probed value becomes the last-reported one.
   void SyncReference(StreamId id, Value current_value);
 
+  /// Filters currently in the two silent states, counted in one walk.
+  struct SilentCounts {
+    std::size_t false_positive = 0;  ///< [−∞, ∞]
+    std::size_t false_negative = 0;  ///< [∞, ∞]
+  };
+  SilentCounts CountSilentFilters() const;
+
   /// Number of filters currently in the [−∞, ∞] (false positive) state.
-  std::size_t CountFalsePositiveFilters() const;
+  std::size_t CountFalsePositiveFilters() const {
+    return CountSilentFilters().false_positive;
+  }
 
   /// Number of filters currently in the [∞, ∞] (false negative) state.
-  std::size_t CountFalseNegativeFilters() const;
+  std::size_t CountFalseNegativeFilters() const {
+    return CountSilentFilters().false_negative;
+  }
 
   /// Number of streams with any interval filter installed.
   std::size_t CountInstalled() const;
 
  private:
-  /// The canonical cell of stream `id` in the owning arena (routed mode).
-  Filter& ArenaCell(StreamId id);
-
   std::vector<Filter> owned_;  ///< empty for views
   Filter* base_;
   std::size_t stride_;

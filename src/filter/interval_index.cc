@@ -201,7 +201,7 @@ void IntervalIndex::Dispatch(StreamId id, Value prev, Value v,
     }
     fired->push_back(col);
   }
-  // The dirty overlay: evaluate scalar against the canonical cells,
+  // The dirty overlay: evaluate scalar against the current cells,
   // which advances their references exactly like the kernel.
   for (const std::uint32_t col : state.dirty_cols) {
     if (col >= live) continue;

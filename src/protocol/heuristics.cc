@@ -1,6 +1,7 @@
 #include "protocol/heuristics.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -30,25 +31,33 @@ std::vector<StreamId> SelectFilterHolders(
     const std::vector<StreamId>& candidates, std::size_t count,
     SelectionHeuristic heuristic,
     const std::function<double(StreamId)>& priority, Rng* rng) {
-  std::vector<StreamId> picked = candidates;
-  const std::size_t take = std::min(count, picked.size());
+  const std::size_t take = std::min(count, candidates.size());
+  std::vector<StreamId> picked;
   switch (heuristic) {
     case SelectionHeuristic::kRandom:
       ASF_CHECK(rng != nullptr);
-      rng->Shuffle(&picked);
+      picked = candidates;
+      rng->Shuffle(&picked);  // the whole list: the RNG stream depends on it
+      picked.resize(take);
       break;
-    case SelectionHeuristic::kBoundaryNearest:
+    case SelectionHeuristic::kBoundaryNearest: {
       ASF_CHECK(priority != nullptr);
-      std::sort(picked.begin(), picked.end(),
-                [&priority](StreamId a, StreamId b) {
-                  const double pa = priority(a);
-                  const double pb = priority(b);
-                  if (pa != pb) return pa < pb;
-                  return a < b;
-                });
+      // One priority evaluation per candidate; only the `take` winners are
+      // ordered. (priority, id) is a strict total order, so these are
+      // exactly the first `take` of a full sort, in the same order.
+      std::vector<std::pair<double, StreamId>> keyed;
+      keyed.reserve(candidates.size());
+      for (const StreamId id : candidates) keyed.emplace_back(priority(id), id);
+      std::partial_sort(keyed.begin(), keyed.begin() + take, keyed.end(),
+                        [](const auto& a, const auto& b) {
+                          if (a.first != b.first) return a.first < b.first;
+                          return a.second < b.second;
+                        });
+      picked.reserve(take);
+      for (std::size_t i = 0; i < take; ++i) picked.push_back(keyed[i].second);
       break;
+    }
   }
-  picked.resize(take);
   return picked;
 }
 

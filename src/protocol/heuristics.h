@@ -19,7 +19,8 @@ namespace asf {
 /// * kRandom: a uniform random subset (order randomized).
 /// * kBoundaryNearest: the `count` candidates with the smallest `priority`
 ///   value, ascending (ties by id). Callers pass the distance from the
-///   stream's cached value to the range boundary as the priority.
+///   stream's cached value to the range boundary as the priority; it is
+///   evaluated once per candidate.
 ///
 /// The returned order is meaningful: later protocols consume the list
 /// back-to-front when Fix_Error retires filters, so the front holds the

@@ -7,17 +7,19 @@
 
 namespace asf {
 
-FractionCounts Oracle::CountFractions(const std::vector<bool>& satisfies,
-                                      const AnswerSet& answer) {
+namespace {
+
+/// E+/E− of `answer` over `n` streams, `satisfied_total` of which truly
+/// satisfy the query; `satisfies(id)` judges one answer member.
+template <typename Satisfies>
+FractionCounts CountAgainst(std::size_t n, std::size_t satisfied_total,
+                            const AnswerSet& answer, Satisfies satisfies) {
+  (void)n;
   FractionCounts counts;
   counts.answer_size = answer.size();
   for (StreamId id : answer) {
-    ASF_DCHECK(id < satisfies.size());
-    if (!satisfies[id]) ++counts.false_positives;
-  }
-  std::size_t satisfied_total = 0;
-  for (bool s : satisfies) {
-    if (s) ++satisfied_total;
+    ASF_DCHECK(id < n);
+    if (!satisfies(id)) ++counts.false_positives;
   }
   // E- = streams satisfying the query but absent from the answer
   //    = satisfied_total - (answer members that satisfy).
@@ -28,17 +30,28 @@ FractionCounts Oracle::CountFractions(const std::vector<bool>& satisfies,
   return counts;
 }
 
+}  // namespace
+
+FractionCounts Oracle::CountFractions(const std::vector<bool>& satisfies,
+                                      const AnswerSet& answer) {
+  const std::size_t satisfied_total = static_cast<std::size_t>(
+      std::count(satisfies.begin(), satisfies.end(), true));
+  return CountAgainst(satisfies.size(), satisfied_total, answer,
+                      [&satisfies](StreamId id) { return satisfies[id]; });
+}
+
 OracleCheck Oracle::CheckRangeFraction(const std::vector<Value>& truth,
                                        const RangeQuery& query,
                                        const AnswerSet& answer,
                                        const FractionTolerance& tol) {
-  std::vector<bool> satisfies(truth.size());
-  std::size_t satisfying = 0;
-  for (StreamId id = 0; id < truth.size(); ++id) {
-    satisfies[id] = query.Matches(truth[id]);
-    if (satisfies[id]) ++satisfying;
-  }
-  const FractionCounts counts = CountFractions(satisfies, answer);
+  // One pass over the streams counts the satisfying ones; answer members
+  // are judged on their values directly, with no per-stream vector.
+  const std::size_t satisfying = static_cast<std::size_t>(
+      std::count_if(truth.begin(), truth.end(),
+                    [&query](Value v) { return query.Matches(v); }));
+  const FractionCounts counts = CountAgainst(
+      truth.size(), satisfying, answer,
+      [&](StreamId id) { return query.Matches(truth[id]); });
   OracleCheck check;
   check.f_plus = counts.FPlus();
   check.f_minus = counts.FMinus();

@@ -71,7 +71,7 @@ TEST(FilterArenaTest, GrowthPreservesFilterState) {
   // membership reference across both reallocations.
   arena.Acquire();
   arena.Acquire();
-  FilterBank rebound = arena.View(c0);
+  const FilterBank rebound = arena.View(c0);  // arena cells read by value
   for (StreamId id = 0; id < 3; ++id) {
     EXPECT_EQ(rebound.at(id).constraint(),
               RangeConstraint(10 * id, 10 * id + 5));
@@ -103,11 +103,11 @@ TEST(FilterArenaTest, ReleaseCompactsLastColumnIntoHole) {
   // Releasing the middle column moves the last column into it.
   EXPECT_EQ(arena.Release(b), c);
   EXPECT_EQ(arena.live(), 2u);
-  FilterBank moved = arena.View(b);
+  const FilterBank moved = arena.View(b);
   EXPECT_EQ(moved.at(0).constraint(), RangeConstraint(4, 5));
   EXPECT_TRUE(moved.at(0).reference_inside());  // state moved, not reset
   // Column a untouched.
-  EXPECT_EQ(arena.View(a).at(0).constraint(), RangeConstraint(0, 1));
+  EXPECT_EQ(arena.cell(0, a).constraint(), RangeConstraint(0, 1));
 }
 
 TEST(FilterArenaTest, RecycledColumnComesUpPristine) {
@@ -118,7 +118,7 @@ TEST(FilterArenaTest, RecycledColumnComesUpPristine) {
   const std::size_t again = arena.Acquire();
   EXPECT_EQ(again, a);
   // The new tenant must not inherit the old tenant's filters.
-  EXPECT_FALSE(arena.View(again).at(0).constraint().has_filter());
+  EXPECT_FALSE(arena.cell(0, again).constraint().has_filter());
 }
 
 TEST(FilterArenaTest, RelocationCallbackReportsCompactionMoves) {
@@ -152,19 +152,135 @@ TEST(FilterArenaTest, RelocationCallbackReportsCompactionMoves) {
   EXPECT_EQ(moves.size(), 1u);
 }
 
-TEST(FilterArenaTest, StripScansLivePrefix) {
-  FilterArena arena(1);
-  for (int i = 0; i < 5; ++i) arena.Acquire();
-  for (std::size_t c = 0; c < 5; ++c) {
-    arena.View(c).Deploy(0, RangeConstraint(100.0 * c, 100.0 * c + 50), 0.0);
+/// One of every constraint kind a cell can hold, by `kind` (0..5).
+FilterConstraint KindConstraint(int kind, Rng& rng) {
+  switch (kind) {
+    case 0: {
+      const double lo = rng.Uniform(0, 900);
+      return RangeConstraint(lo, lo + rng.Uniform(1, 100));
+    }
+    case 1: {
+      const double x = rng.Uniform(0, 1000);
+      return RangeConstraint(x, x);  // a point
+    }
+    case 2:
+      return FilterConstraint::FalsePositive();
+    case 3:
+      return FilterConstraint::FalseNegative();
+    case 4:
+      // Non-empty yet containing no finite value: must stay distinct
+      // from the empty interval through the rebuild.
+      return RangeConstraint(kInf, kInf);
+    default:
+      return FilterConstraint::NoFilter();
   }
-  arena.Release(1);  // column 4 moves into 1; live = {0, 4, 2, 3}
-  const Filter* strip = arena.Strip(0);
-  EXPECT_EQ(arena.live(), 4u);
-  EXPECT_EQ(strip[0].constraint(), RangeConstraint(0, 50));
-  EXPECT_EQ(strip[1].constraint(), RangeConstraint(400, 450));
-  EXPECT_EQ(strip[2].constraint(), RangeConstraint(200, 250));
-  EXPECT_EQ(strip[3].constraint(), RangeConstraint(300, 350));
+}
+
+// cell() rebuilds exactly the deployed constraint and the current
+// reference of every kind, through kernel evaluations, reference syncs,
+// growth past 64 and 128 columns, and swap-move compaction.
+TEST(FilterArenaTest, CellRoundTripsEveryConstraintKind) {
+  constexpr std::size_t kStreams = 3;
+  FilterArena arena(kStreams);
+  Rng rng(5);
+  std::vector<std::vector<Filter>> reference;  // [column][stream]
+
+  const auto expect_round_trip = [&](int tag) {
+    ASSERT_EQ(arena.live(), reference.size());
+    for (std::size_t c = 0; c < reference.size(); ++c) {
+      for (StreamId id = 0; id < kStreams; ++id) {
+        const Filter cell = arena.cell(id, c);
+        const Filter& expect = reference[c][id];
+        ASSERT_EQ(cell.constraint(), expect.constraint())
+            << "tag " << tag << " column " << c << " stream " << id << ": "
+            << cell.constraint().ToString() << " vs "
+            << expect.constraint().ToString();
+        ASSERT_EQ(cell.reference_inside(), expect.reference_inside())
+            << "tag " << tag << " column " << c << " stream " << id;
+      }
+    }
+  };
+  const auto churn_values = [&] {
+    for (int step = 0; step < 30; ++step) {
+      const StreamId id = static_cast<StreamId>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kStreams) - 1));
+      const Value v = rng.Uniform(-50, 1050);
+      if (step % 5 == 0) {
+        const std::size_t c = static_cast<std::size_t>(rng.UniformInt(
+            0, static_cast<std::int64_t>(reference.size()) - 1));
+        arena.SyncReference(id, c, v);
+        reference[c][id].SyncReference(v);
+        continue;
+      }
+      arena.EvaluateUpdate(id, v);
+      for (std::vector<Filter>& column : reference) {
+        column[id].OnValueChange(v);
+      }
+    }
+  };
+
+  for (int i = 0; i < 140; ++i) {
+    const std::size_t c = arena.Acquire();
+    reference.emplace_back(kStreams);
+    for (StreamId id = 0; id < kStreams; ++id) {
+      const FilterConstraint constraint =
+          KindConstraint(static_cast<int>((c + id) % 6), rng);
+      const Value current = rng.Uniform(0, 1000);
+      arena.Deploy(id, c, constraint, current);
+      reference[c][id].Deploy(constraint, current);
+    }
+    if (i % 10 == 0) {
+      churn_values();
+      expect_round_trip(i);
+    }
+  }
+  ASSERT_GT(arena.capacity(), 128u);
+  churn_values();
+  expect_round_trip(1000);
+
+  for (int i = 0; i < 100; ++i) {
+    const std::size_t hole = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(arena.live()) - 1));
+    arena.Release(hole);
+    if (hole + 1 != reference.size()) {
+      reference[hole] = std::move(reference.back());
+    }
+    reference.pop_back();
+    if (i % 9 == 0) {
+      churn_values();
+      expect_round_trip(2000 + i);
+    }
+  }
+  expect_round_trip(3000);
+}
+
+// Arena-routed views count exactly what an owning bank holding the same
+// filters counts.
+TEST(FilterArenaTest, ViewCountsMatchAnOwningBank) {
+  constexpr std::size_t kStreams = 50;
+  FilterArena arena(kStreams);
+  arena.Acquire();
+  const std::size_t column = arena.Acquire();
+  FilterBank view = arena.View(column);
+  FilterBank owning(kStreams);
+  Rng rng(17);
+  for (int round = 0; round < 8; ++round) {
+    for (StreamId id = 0; id < kStreams; ++id) {
+      const FilterConstraint constraint =
+          KindConstraint(static_cast<int>(rng.UniformInt(0, 5)), rng);
+      const Value current = rng.Uniform(0, 1000);
+      view.Deploy(id, constraint, current);
+      owning.Deploy(id, constraint, current);
+    }
+    EXPECT_EQ(view.CountFalsePositiveFilters(),
+              owning.CountFalsePositiveFilters());
+    EXPECT_EQ(view.CountFalseNegativeFilters(),
+              owning.CountFalseNegativeFilters());
+    EXPECT_EQ(view.CountInstalled(), owning.CountInstalled());
+    const FilterBank::SilentCounts silent = view.CountSilentFilters();
+    EXPECT_EQ(silent.false_positive, owning.CountFalsePositiveFilters());
+    EXPECT_EQ(silent.false_negative, owning.CountFalseNegativeFilters());
+  }
 }
 
 TEST(FilterArenaTest, ViewsCarryTheGenerationTag) {
@@ -310,7 +426,7 @@ TEST(FilterArenaKernelTest, GrowthAndCompactionRegenerateTheMirrors) {
 
   // Grow far past the 64-column SoA stride so the bit-stride widens with
   // advanced references in flight; evaluate between growth steps so the
-  // kernel's reference bits diverge from the stale AoS record.
+  // widening carries references the kernel has advanced.
   for (int i = 0; i < 130; ++i) {
     const std::size_t c = arena.Acquire();
     ASSERT_EQ(c, reference.size());
@@ -327,8 +443,7 @@ TEST(FilterArenaKernelTest, GrowthAndCompactionRegenerateTheMirrors) {
   evaluate_all(1000);
 
   // Release half the columns from the middle: swap-move compaction must
-  // move constraint cells and SoA lanes (including advanced reference
-  // bits) together.
+  // move bounds, always bits and advanced reference bits together.
   for (int i = 0; i < 60; ++i) {
     arena.Release(17);
     reference[17] = std::move(reference.back());

@@ -82,6 +82,61 @@ TEST(HeuristicsTest, EmptyCandidates) {
                   .empty());
 }
 
+// Boundary-nearest selection on random candidate sets with many tied
+// priorities equals, element by element, the first `take` of a full sort
+// under (priority, id), for every take from empty to beyond the set.
+TEST(HeuristicsTest, BoundaryNearestMatchesFullSortReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n =
+        static_cast<std::size_t>(rng.UniformInt(0, 60));
+    std::vector<StreamId> candidates;
+    for (StreamId id = 0; id < 2 * n; ++id) candidates.push_back(id);
+    rng.Shuffle(&candidates);
+    candidates.resize(n);
+    // Few distinct priorities, so most comparisons are ties.
+    std::vector<double> priority(2 * n + 1);
+    for (double& p : priority) p = static_cast<double>(rng.UniformInt(0, 3));
+    const auto key = [&priority](StreamId id) { return priority[id]; };
+
+    std::vector<StreamId> reference = candidates;
+    std::sort(reference.begin(), reference.end(),
+              [&key](StreamId a, StreamId b) {
+                if (key(a) != key(b)) return key(a) < key(b);
+                return a < b;
+              });
+    for (const std::size_t take : {std::size_t{0}, std::size_t{1}, n / 2, n,
+                                   n + 5}) {
+      const std::vector<StreamId> expect(
+          reference.begin(),
+          reference.begin() + static_cast<std::ptrdiff_t>(std::min(take, n)));
+      EXPECT_EQ(SelectFilterHolders(candidates, take,
+                                    SelectionHeuristic::kBoundaryNearest, key,
+                                    nullptr),
+                expect)
+          << "trial " << trial << " take " << take;
+    }
+  }
+}
+
+// The random heuristic shuffles the whole candidate list whatever the take,
+// so it draws the RNG exactly like a plain Shuffle and returns its prefix.
+TEST(HeuristicsTest, RandomConsumesTheRngLikeAFullShuffle) {
+  const std::vector<StreamId> candidates{3, 1, 4, 15, 9, 26, 5, 35};
+  for (const std::size_t take : {0, 1, 4, 8, 13}) {
+    Rng picked_rng(99);
+    Rng reference_rng(99);
+    const auto picked = SelectFilterHolders(
+        candidates, take, SelectionHeuristic::kRandom, nullptr, &picked_rng);
+    std::vector<StreamId> reference = candidates;
+    reference_rng.Shuffle(&reference);
+    reference.resize(std::min(take, reference.size()));
+    EXPECT_EQ(picked, reference) << "take " << take;
+    EXPECT_EQ(picked_rng.NextSeed(), reference_rng.NextSeed())
+        << "take " << take;
+  }
+}
+
 TEST(HeuristicsTest, Names) {
   EXPECT_EQ(SelectionHeuristicName(SelectionHeuristic::kRandom), "random");
   EXPECT_EQ(SelectionHeuristicName(SelectionHeuristic::kBoundaryNearest),
