@@ -49,6 +49,18 @@ void IntervalIndex::OnRelease(std::size_t hole, std::size_t vacated_last) {
   for (StreamState& state : streams_) MarkDirty(state, hole);
 }
 
+void IntervalIndex::SeatFinger(StreamState& state, Value v) {
+  state.finger = v;
+  state.lower_pos = static_cast<std::size_t>(
+      std::upper_bound(state.lower_bounds.begin(), state.lower_bounds.end(),
+                       v) -
+      state.lower_bounds.begin());
+  state.upper_pos = static_cast<std::size_t>(
+      std::lower_bound(state.upper_bounds.begin(), state.upper_bounds.end(),
+                       v) -
+      state.upper_bounds.begin());
+}
+
 void IntervalIndex::RebuildAndDispatch(StreamId id, StreamState& state,
                                        Value v,
                                        std::vector<std::uint32_t>* fired) {
@@ -101,6 +113,7 @@ void IntervalIndex::RebuildAndDispatch(StreamId id, StreamState& state,
     state.upper_bounds.push_back(bound);
     state.upper_cols.push_back(col);
   }
+  SeatFinger(state, v);
 
   state.dirty_bits.assign(arena_->words_, 0);
   state.dirty_cols.clear();
@@ -129,8 +142,7 @@ void IntervalIndex::Dispatch(StreamId id, Value prev, Value v,
   }
   state.pending += state.dirty_cols.size();
 
-  const double a = prev < v ? prev : v;
-  const double b = prev < v ? v : prev;
+  if (state.finger != prev) SeatFinger(state, prev);
   const std::size_t words = arena_->words_;
   if (toggle_words_.size() < words) {
     toggle_words_.resize(words, 0);
@@ -158,23 +170,33 @@ void IntervalIndex::Dispatch(StreamId id, Value prev, Value v,
     toggle_words_[w] ^= std::uint64_t{1} << (col % 64);
   };
 
-  // Membership flips iff (lower ∈ (a, b]) XOR (upper ∈ [a, b)) — see the
-  // header derivation; the half-open forms reproduce Interval::Contains'
-  // closed-interval ties in both travel directions.
-  {
-    const auto begin = state.lower_bounds.begin();
-    const auto end = state.lower_bounds.end();
-    const std::size_t first = std::upper_bound(begin, end, a) - begin;
-    const std::size_t last = std::upper_bound(begin, end, b) - begin;
-    for (std::size_t i = first; i < last; ++i) toggle(state.lower_cols[i]);
+  // Membership flips iff (lower ∈ (a, b]) XOR (upper ∈ [a, b)) with
+  // a = min(prev, v), b = max(prev, v) — see the header derivation; the
+  // half-open forms reproduce Interval::Contains' closed-interval ties in
+  // both travel directions. The finger sits at prev, so each range is the
+  // run of entries between it and v's position: walk there, toggling.
+  const std::vector<double>& lower = state.lower_bounds;
+  const std::vector<double>& upper = state.upper_bounds;
+  std::size_t lo = state.lower_pos;
+  std::size_t up = state.upper_pos;
+  if (v > prev) {
+    for (; lo < lower.size() && lower[lo] <= v; ++lo) {
+      toggle(state.lower_cols[lo]);
+    }
+    for (; up < upper.size() && upper[up] < v; ++up) {
+      toggle(state.upper_cols[up]);
+    }
+  } else {
+    for (; lo > 0 && lower[lo - 1] > v; --lo) {
+      toggle(state.lower_cols[lo - 1]);
+    }
+    for (; up > 0 && upper[up - 1] >= v; --up) {
+      toggle(state.upper_cols[up - 1]);
+    }
   }
-  {
-    const auto begin = state.upper_bounds.begin();
-    const auto end = state.upper_bounds.end();
-    const std::size_t first = std::lower_bound(begin, end, a) - begin;
-    const std::size_t last = std::lower_bound(begin, end, b) - begin;
-    for (std::size_t i = first; i < last; ++i) toggle(state.upper_cols[i]);
-  }
+  state.finger = v;
+  state.lower_pos = lo;
+  state.upper_pos = up;
 
   // Clean toggled columns fire, and their advanced reference is one XOR:
   // ref == inside(prev) for clean columns, so ref ^ toggle == inside(v) —

@@ -26,10 +26,15 @@
 /// The index keeps, per stream strip, a *snapshot* of the live columns at
 /// the last rebuild: the lower and upper bounds as two sorted endpoint
 /// arrays (bound + column id, SoA), plus the no-filter columns (which
-/// report every update) as a sorted list. Both endpoint ranges are then
-/// two binary searches each, and the crossing set falls out as an XOR
-/// over a word-granular toggle scratch — O(log live + candidates) per
-/// dispatch with no O(live) term.
+/// report every update) as a sorted list. Each snapshot also keeps a
+/// *finger*: the value of the last dispatch it served and that value's
+/// positions in both endpoint arrays. A dispatch walks each array from
+/// the finger toward `v`, toggling every endpoint it passes, and leaves
+/// the finger at `v` — the crossing set falls out as an XOR over a
+/// word-granular toggle scratch in O(crossed endpoints + 1) per dispatch,
+/// with no O(live) or O(log live) term. When the finger's value is not
+/// the stream's `prev` (under DispatchPolicy::kAuto a scan dispatch ran
+/// in between), one binary search per array re-seats it first.
 ///
 /// Mutations (protocol bound tightening via Deploy, churn compaction via
 /// Release, deploy growth via Acquire) do not patch the sorted arrays.
@@ -116,6 +121,12 @@ class IntervalIndex {
     std::vector<std::uint32_t> lower_cols;
     std::vector<double> upper_bounds;
     std::vector<std::uint32_t> upper_cols;
+    /// The finger: the value of the last dispatch served from this
+    /// snapshot, and its positions — lower_pos = #{lower bounds ≤ finger},
+    /// upper_pos = #{upper bounds < finger}.
+    double finger = 0;
+    std::size_t lower_pos = 0;
+    std::size_t upper_pos = 0;
     /// No-filter columns at rebuild time, ascending: fire on every update.
     std::vector<std::uint32_t> always_cols;
     /// The dirty overlay: columns whose snapshot entry is stale. The
@@ -130,6 +141,9 @@ class IntervalIndex {
   };
 
   void MarkDirty(StreamState& state, std::size_t column);
+
+  /// Points the finger at `v` with one binary search per endpoint array.
+  static void SeatFinger(StreamState& state, Value v);
 
   /// Serves one dispatch with the full SIMD kernel and rebuilds the
   /// stream's snapshot from the post-sweep arena state.

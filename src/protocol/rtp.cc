@@ -29,10 +29,10 @@ void Rtp::FullRefresh(SimTime t) {
   const std::vector<ScoredStream> ranked = RankAll(query_, ctx_->cache());
   const std::size_t eps = max_rank();
   answer_.Clear();
-  x_.clear();
+  x_.Clear();
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     if (i < query_.k()) answer_.Insert(ranked[i].id);
-    if (i < eps) x_.insert(ranked[i].id);
+    if (i < eps) x_.Insert(ranked[i].id);
   }
   stale_scores_.resize(ranked.size());
   for (std::size_t i = 0; i < ranked.size(); ++i) {
@@ -66,10 +66,10 @@ void Rtp::OnUpdate(StreamId id, Value v, SimTime t) {
     // server already tracks — the cache refresh (HandleUpdate) is then
     // the whole effect, and X must not double-count the entrant
     // (DESIGN.md §9).
-    ASF_DCHECK(!x_.contains(id) || ctx_->delayed_delivery());
-    if (x_.contains(id)) return;
+    ASF_DCHECK(!x_.Contains(id) || ctx_->delayed_delivery());
+    if (x_.Contains(id)) return;
     if (x_.size() < max_rank()) {
-      x_.insert(id);  // Figure 5 step 6: |X| stays ≤ ε
+      x_.Insert(id);  // Figure 5 step 6: |X| stays ≤ ε
     } else {
       ReevaluateBound(id, t);  // step 7
     }
@@ -81,12 +81,12 @@ void Rtp::OnUpdate(StreamId id, Value v, SimTime t) {
     // server never tracked can only arise from a score tie exactly on the
     // deployed boundary (the bound midpoint coincides with a stream's
     // score); ignoring it keeps the server's belief consistent.
-    x_.erase(id);
+    x_.Erase(id);
     return;
   }
   // Case 2: an answer member left R.
   answer_.Erase(id);
-  x_.erase(id);
+  x_.Erase(id);
   const StreamId spare = BestSpare();
   if (spare != kInvalidStream) {
     // Step 3: promote the best-ranked spare; any stream inside R has true
@@ -104,7 +104,7 @@ void Rtp::ExpandSearch(SimTime t) {
   const std::size_t n = ctx_->num_streams();
   // Streams that responded to some region probe this round (their cache
   // entries are fresh and inside the latest region R').
-  std::unordered_set<StreamId> responded;
+  AnswerSet responded;
 
   for (std::size_t j = eps + 1; j <= n; ++j) {
     // d' = score of the j-th ranked stream at the last full refresh
@@ -115,25 +115,25 @@ void Rtp::ExpandSearch(SimTime t) {
     // responder to a previous (smaller) region is inside this one too.
     std::vector<StreamId> targets;
     for (StreamId s = 0; s < n; ++s) {
-      if (answer_.Contains(s) || responded.contains(s)) continue;
+      if (answer_.Contains(s) || responded.Contains(s)) continue;
       targets.push_back(s);
     }
     for (StreamId s : ctx_->RegionProbeGroup(targets, r_prime, t)) {
-      responded.insert(s);
+      responded.Insert(s);
     }
     if (responded.size() < 2) continue;  // Figure 5 step 4(I)(iv)
 
     // Rank the candidate pool U by fresh scores.
-    std::vector<StreamId> u_ids(responded.begin(), responded.end());
+    const std::vector<StreamId> u_ids = responded.ToSortedVector();
     const std::vector<ScoredStream> ranked_u =
         RankSubset(query_, ctx_->cache(), u_ids);
     // (iv)(a): the nearest candidate completes A back to k members.
     answer_.Insert(ranked_u[0].id);
     // (iv)(b): X = A plus the (r+1) nearest candidates.
-    x_.clear();
-    for (StreamId a : answer_) x_.insert(a);
+    x_.Clear();
+    for (StreamId a : answer_) x_.Insert(a);
     const std::size_t extra = std::min(r_ + 1, ranked_u.size());
-    for (std::size_t i = 0; i < extra; ++i) x_.insert(ranked_u[i].id);
+    for (std::size_t i = 0; i < extra; ++i) x_.Insert(ranked_u[i].id);
     ASF_DCHECK(x_.size() <= eps);
 
     // New bound: halfway between the worst candidate kept in X and the
@@ -168,8 +168,9 @@ void Rtp::ExpandSearch(SimTime t) {
 
 void Rtp::ReevaluateBound(StreamId entrant, SimTime t) {
   // Figure 5 step 7: refresh exactly the streams inside R (the entrant's
-  // value just arrived with its report), then keep the best ε.
-  std::vector<StreamId> candidates(x_.begin(), x_.end());
+  // value just arrived with its report), probing in ascending id order,
+  // then keep the best ε.
+  std::vector<StreamId> candidates = x_.ToSortedVector();
   for (StreamId id : candidates) ctx_->Probe(id, t);
   candidates.push_back(entrant);
   const std::vector<ScoredStream> ranked =
@@ -186,10 +187,10 @@ void Rtp::ReevaluateBound(StreamId entrant, SimTime t) {
   }
 
   answer_.Clear();
-  x_.clear();
+  x_.Clear();
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     if (i < query_.k()) answer_.Insert(ranked[i].id);
-    if (i < eps) x_.insert(ranked[i].id);
+    if (i < eps) x_.Insert(ranked[i].id);
   }
   radius_ = (ranked[eps - 1].score + ranked[eps].score) / 2.0;
   bound_ = query_.ScoreBall(radius_);

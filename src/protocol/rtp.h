@@ -2,7 +2,6 @@
 #define ASF_PROTOCOL_RTP_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "protocol/protocol.h"
@@ -54,7 +53,7 @@ class Rtp : public Protocol {
   const Interval& bound() const { return bound_; }
 
   /// Streams the server knows to be inside R.
-  const std::unordered_set<StreamId>& inside_set() const { return x_; }
+  const AnswerSet& inside_set() const { return x_; }
 
   /// Number of Case-2 search-region expansions executed.
   std::uint64_t expansions() const { return expansions_; }
@@ -92,7 +91,7 @@ class Rtp : public Protocol {
   std::size_t r_;
 
   AnswerSet answer_;                  // A(t), |A| = k
-  std::unordered_set<StreamId> x_;    // X(t) ⊇ A(t), |X| ≤ k + r
+  AnswerSet x_;                       // X(t) ⊇ A(t), |X| ≤ k + r
   Interval bound_ = Interval::Always();
   double radius_ = 0;                 // score-space radius of bound_
 

@@ -67,7 +67,9 @@ Result<std::vector<std::uint8_t>> PagedRecordStore::Read(
     PageId next = kNoPage;
     std::memcpy(&next, page, sizeof(PageId));
     const std::size_t n = std::min(chunk, out.size() - offset);
-    std::memcpy(out.data() + offset, page + sizeof(PageId), n);
+    // A zero-length record has an empty `out` whose data() may be null,
+    // and memcpy's pointers must be valid even for a zero-byte copy.
+    if (n > 0) std::memcpy(out.data() + offset, page + sizeof(PageId), n);
     pool_->Unpin(id, /*dirty=*/false);
     offset += n;
     id = next;

@@ -1,5 +1,6 @@
 #include "filter/interval_index.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -269,6 +270,120 @@ TEST(IntervalIndexTest, OverlayAbsorbsTighteningWithoutRebuildThrash) {
   EXPECT_LT(stats.index_rebuilds, 40u);
   EXPECT_GT(stats.index_rebuilds, 2u);
   twin.ExpectSameReferences();
+}
+
+// --- The finger walk: each dispatch walks the endpoint arrays from the
+// stream's previous value to the new one ---
+
+TEST(IntervalIndexTest, FingerWalksThroughSharedIntegerBounds) {
+  // Many columns share the bound 500 as their lower end, their upper end,
+  // or both, so integer-snapped walks land exactly on runs of equal
+  // endpoints from either side: the finger must stop on the correct side
+  // of a whole tie run in both travel directions.
+  Twin twin(2, DispatchPolicy::kIndex);
+  for (int i = 0; i < 90; ++i) twin.Acquire();
+  for (StreamId id = 0; id < 2; ++id) {
+    twin.Dispatch(id, 500.0);  // establish a diff base before deploying
+    for (std::size_t c = 0; c < 90; ++c) {
+      const double width = static_cast<double>(c % 7);
+      switch (c % 3) {
+        case 0:
+          twin.Deploy(id, c, RangeConstraint(500.0, 500.0 + width));
+          break;
+        case 1:
+          twin.Deploy(id, c, RangeConstraint(500.0 - width, 500.0));
+          break;
+        default:
+          twin.Deploy(id, c, RangeConstraint(500.0, 500.0));
+          break;
+      }
+    }
+  }
+  Rng rng(0xA5F0005);
+  std::vector<double> walk(2, 500.0);
+  for (int step = 0; step < 3000; ++step) {
+    const StreamId id = static_cast<StreamId>(rng.UniformInt(0, 1));
+    walk[id] = std::clamp(
+        walk[id] + static_cast<double>(rng.UniformInt(-3, 3)), 490.0, 510.0);
+    if (rng.UniformInt(0, 9) == 0) walk[id] = 500.0;
+    twin.Dispatch(id, walk[id]);
+    if (step % 101 == 0) twin.ExpectSameReferences();
+  }
+  twin.ExpectSameReferences();
+}
+
+TEST(IntervalIndexTest, FingerSurvivesFullRangeJumps) {
+  // Jumps across the whole domain (0 <-> 1000) cross every endpoint and
+  // leave the finger at an array end; repeated values and tiny steps
+  // between them must then walk from that end, not from a stale spot.
+  Twin twin(1, DispatchPolicy::kIndex);
+  for (int i = 0; i < 120; ++i) twin.Acquire();
+  Rng rng(0xA5F0006);
+  twin.Dispatch(0, 500.0);
+  for (std::size_t c = 0; c < 120; ++c) {
+    twin.Deploy(0, c, RandomConstraint(rng, rng.Uniform(0.0, 1000.0)));
+  }
+  double v = 500.0;
+  for (int step = 0; step < 2000; ++step) {
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        v = v < 500.0 ? 1000.0 : 0.0;  // full-range jump
+        break;
+      case 1:
+        break;  // repeated value
+      case 2:
+        v = std::clamp(v + rng.Uniform(-0.5, 0.5), 0.0, 1000.0);
+        break;
+      default:
+        v = std::clamp(std::round(v) + static_cast<double>(
+                                           rng.UniformInt(-1, 1)),
+                       0.0, 1000.0);
+        break;
+    }
+    twin.Dispatch(0, v);
+  }
+  twin.ExpectSameReferences();
+}
+
+TEST(IntervalIndexTest, FingerReseatsAfterAutoServedScans) {
+  // Moving the auto crossover just above or at live() flips the policy
+  // every few dispatches without touching any column, so the snapshot
+  // stays clean and each index dispatch after a scan run starts from a
+  // finger left at an older value — it must re-seat, then walk.
+  constexpr std::size_t kLive = 64;
+  Twin twin(3, DispatchPolicy::kAuto, /*crossover=*/kLive);
+  for (std::size_t i = 0; i < kLive; ++i) twin.Acquire();
+  Rng rng(0xA5F0007);
+  std::vector<double> walk(3, 500.0);
+  for (StreamId id = 0; id < 3; ++id) {
+    twin.Dispatch(id, walk[id]);
+    for (std::size_t c = 0; c < kLive; ++c) {
+      twin.Deploy(id, c, RandomConstraint(rng, walk[id]));
+    }
+  }
+  for (int step = 0; step < 3000; ++step) {
+    if (step % 4 == 0) {
+      const bool index = rng.UniformInt(0, 1) == 0;
+      twin.probe().SetDispatchPolicy(DispatchPolicy::kAuto,
+                                     index ? kLive : kLive + 1);
+    }
+    if (step % 250 == 0) {
+      // An occasional redeploy keeps the dirty overlay in play too.
+      const StreamId id = static_cast<StreamId>(rng.UniformInt(0, 2));
+      twin.Deploy(id,
+                  static_cast<std::size_t>(rng.UniformInt(0, kLive - 1)),
+                  RandomConstraint(rng, walk[id]));
+    }
+    const StreamId id = static_cast<StreamId>(rng.UniformInt(0, 2));
+    walk[id] = std::clamp(walk[id] + rng.Uniform(-30.0, 30.0), 0.0, 1000.0);
+    if (rng.UniformInt(0, 3) == 0) walk[id] = std::round(walk[id]);
+    twin.Dispatch(id, walk[id]);
+    if (step % 97 == 0) twin.ExpectSameReferences();
+  }
+  twin.ExpectSameReferences();
+  const DispatchStats stats = twin.probe().dispatch_stats();
+  EXPECT_GT(stats.scan_dispatches, 500u);
+  EXPECT_GT(stats.index_dispatches, 500u);
 }
 
 TEST(IntervalIndexTest, StatsReportPolicyAttribution) {

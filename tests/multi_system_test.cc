@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "engine/system.h"
+#include "result_equality.h"
 #include "trace/tcp_synth.h"
 
 namespace asf {
@@ -298,6 +300,67 @@ TEST(MultiSystemTest, TenQueriesScale) {
   EXPECT_GT(result->physical_updates, 0u);
   EXPECT_LE(result->physical_updates, result->LogicalUpdates());
   EXPECT_LE(result->physical_updates, result->updates_generated);
+}
+
+TEST(MultiSystemTest, DispatchPoliciesAgreeAcrossAutoCrossover) {
+  // 400 overlapping FT-NRP ranges (ε = 0.2) over 100 walks. 200 are live
+  // from the start; a wave of 120 arrives and 80 of it retire again, then
+  // a second wave of 80 arrives. The live population climbs past auto's
+  // 256-column crossover, falls back below it and climbs again, so the
+  // second index stretch starts from snapshots whose fingers the scan
+  // stretch left behind. Arrivals, retirements and Fix_Error redeploys
+  // keep dirtying the index overlay throughout. Scan, index and auto must
+  // agree field by field.
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 100;
+  walk.seed = 19;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 1500;
+  config.seed = 19;
+  config.oracle.sample_interval = 150;
+  for (int i = 0; i < 400; ++i) {
+    const double lo = 100.0 + 1.2 * i;
+    QueryDeployment dep =
+        RangeDep("q" + std::to_string(i), lo, lo + 300.0, 0.2);
+    if (i >= 320) {
+      dep.start = 1000.0 + 2.0 * (i - 320);
+    } else if (i >= 200) {
+      dep.start = 100.0 + 2.0 * (i - 200);
+      if (i % 3 != 0) dep.end = 600.0 + 2.0 * (i - 200);
+    }
+    config.queries.push_back(dep);
+  }
+
+  config.dispatch = DispatchPolicy::kScan;
+  auto scan = RunMultiQuerySystem(config);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->peak_live_queries, 320u);  // 200 + 120, then 240 + 80
+  std::uint64_t maintenance_probes = 0;
+  for (const auto& q : scan->queries) {
+    EXPECT_EQ(q.oracle_violations, 0u) << q.name;
+    maintenance_probes += q.messages.count(MessagePhase::kMaintenance,
+                                           MessageType::kProbeRequest);
+  }
+  EXPECT_GT(maintenance_probes, 0u);  // Fix_Error ran and redeployed
+
+  for (const DispatchPolicy policy :
+       {DispatchPolicy::kIndex, DispatchPolicy::kAuto}) {
+    config.dispatch = policy;
+    auto run = RunMultiQuerySystem(config);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectSameResult(*scan, *run,
+                     "dispatch=" + std::string(DispatchPolicyName(policy)));
+    if (run->dispatch_policy == DispatchPolicy::kAuto) {
+      // Unless ASF_DISPATCH overrides auto, both paths served updates.
+      EXPECT_GT(run->dispatch.scan_dispatches, 0u);
+      EXPECT_GT(run->dispatch.index_dispatches, 0u);
+    }
+    if (policy == DispatchPolicy::kIndex) {
+      EXPECT_GT(run->dispatch.index_rebuilds, 0u);
+      EXPECT_LT(run->dispatch.index_rebuilds, run->dispatch.index_dispatches);
+    }
+  }
 }
 
 }  // namespace

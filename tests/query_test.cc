@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "query/answer_set.h"
@@ -176,6 +179,73 @@ TEST(AnswerSetTest, Clear) {
   a.Insert(1);
   a.Clear();
   EXPECT_TRUE(a.empty());
+}
+
+TEST(AnswerSetTest, MatchesOrderedSetReference) {
+  // Seeded random Insert/Erase/Clear over ids 0..1500, so the set grows
+  // well past its first word; after every step the bitset must agree with
+  // a std::set on return values, membership, size and ascending order.
+  Rng rng(0xA5E7);
+  AnswerSet a;
+  std::set<StreamId> ref;
+  std::size_t clears = 0;
+  std::size_t max_size = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const StreamId id = static_cast<StreamId>(rng.UniformInt(0, 1500));
+    const std::int64_t op = rng.UniformInt(0, 499);
+    if (op < 275) {
+      ASSERT_EQ(a.Insert(id), ref.insert(id).second) << "step " << step;
+    } else if (op < 498) {
+      ASSERT_EQ(a.Erase(id), ref.erase(id) > 0) << "step " << step;
+    } else {
+      a.Clear();
+      ref.clear();
+      ++clears;
+    }
+    max_size = std::max(max_size, a.size());
+    ASSERT_EQ(a.Contains(id), ref.contains(id)) << "step " << step;
+    ASSERT_EQ(a.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(a.empty(), ref.empty()) << "step " << step;
+    const std::vector<StreamId> iterated(a.begin(), a.end());
+    ASSERT_EQ(iterated, std::vector<StreamId>(ref.begin(), ref.end()))
+        << "step " << step;
+    ASSERT_EQ(a.ToSortedVector(), iterated) << "step " << step;
+  }
+  EXPECT_GT(clears, 0u);
+  EXPECT_GT(max_size, 64u);  // more members than one word holds
+}
+
+TEST(AnswerSetTest, EqualityIgnoresHistory) {
+  AnswerSet forward;
+  AnswerSet backward;
+  for (StreamId id = 0; id <= 1200; id += 7) forward.Insert(id);
+  for (StreamId id = 1200 + 1; id-- > 0;) {
+    if (id % 7 == 0) backward.Insert(id);
+  }
+  EXPECT_EQ(forward, backward);
+
+  // Grown to 1000 then emptied (its words stay allocated) versus fresh;
+  // and a wide set versus a narrow one holding the same members.
+  AnswerSet grown;
+  grown.Insert(1000);
+  grown.Erase(1000);
+  const AnswerSet fresh;
+  EXPECT_EQ(grown, fresh);
+  EXPECT_EQ(fresh, grown);
+  grown.Insert(3);
+  AnswerSet narrow;
+  narrow.Insert(3);
+  EXPECT_EQ(grown, narrow);
+  EXPECT_EQ(narrow, grown);
+  // Equal common words, but a member past the narrow set's last word.
+  grown.Insert(900);
+  EXPECT_FALSE(grown == narrow);
+  EXPECT_FALSE(narrow == grown);
+
+  AnswerSet cleared = forward;
+  cleared.Clear();
+  EXPECT_EQ(cleared, fresh);
+  EXPECT_TRUE(cleared.begin() == cleared.end());
 }
 
 }  // namespace

@@ -29,8 +29,8 @@ TEST(RtpTest, InitializationBuildsAXAndBound) {
 
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 1}));
   EXPECT_EQ(proto.inside_set().size(), 4u);  // eps = k + r = 4
-  EXPECT_TRUE(proto.inside_set().contains(2));
-  EXPECT_TRUE(proto.inside_set().contains(3));
+  EXPECT_TRUE(proto.inside_set().Contains(2));
+  EXPECT_TRUE(proto.inside_set().Contains(3));
   // R halfway between the 4th (d=30) and 5th (d=70) objects: [450, 550].
   EXPECT_EQ(proto.bound(), Interval(450, 550));
   // probe-all (12) + deploy-all (6).
@@ -59,7 +59,7 @@ TEST(RtpTest, Case1SpareLeavesShrinksX) {
   sys.Initialize(&proto);
   EXPECT_TRUE(sys.SetValue(&proto, 2, 600, 1.0));  // X-A member leaves
   EXPECT_EQ(proto.inside_set().size(), 3u);
-  EXPECT_FALSE(proto.inside_set().contains(2));
+  EXPECT_FALSE(proto.inside_set().Contains(2));
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 1}));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 1u);  // the update only
   ExpectRankCorrect(sys, proto, query, 2, "case 1");
@@ -73,7 +73,7 @@ TEST(RtpTest, Case3EntrantAbsorbedWhileXBelowCapacity) {
   sys.SetValue(&proto, 2, 600, 1.0);               // make room: |X| = 3
   EXPECT_TRUE(sys.SetValue(&proto, 4, 540, 2.0));  // enters R
   EXPECT_EQ(proto.inside_set().size(), 4u);
-  EXPECT_TRUE(proto.inside_set().contains(4));
+  EXPECT_TRUE(proto.inside_set().Contains(4));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 2u);  // two updates, no deploys
   ExpectRankCorrect(sys, proto, query, 2, "case 3 absorb");
 }
@@ -91,7 +91,7 @@ TEST(RtpTest, Case3FullXShrinksBoundWithLocalProbesOnly) {
   // New ranking: 0(5) 1(10) 2(20) 3(30) 5(45); eps-th=30, next=45.
   EXPECT_EQ(proto.bound(), Interval(500 - 37.5, 500 + 37.5));
   EXPECT_EQ(proto.inside_set().size(), 4u);
-  EXPECT_FALSE(proto.inside_set().contains(5));  // squeezed back out
+  EXPECT_FALSE(proto.inside_set().Contains(5));  // squeezed back out
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 1}));
   ExpectRankCorrect(sys, proto, query, 2, "case 3 reevaluate");
 }

@@ -7,7 +7,7 @@
 
 #include "engine/churn.h"
 #include "engine/multi_system.h"
-#include "net/message.h"
+#include "result_equality.h"
 
 // Sharded-vs-serial equivalence: ShardedSimulationCore must produce
 // byte-identical results to the serial SimulationCore for any shard count,
@@ -17,50 +17,6 @@
 
 namespace asf {
 namespace {
-
-void ExpectSameStats(const MultiQueryResult::PerQuery& a,
-                     const MultiQueryResult::PerQuery& b,
-                     const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.name, b.name);
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)),
-                b.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)))
-          << "phase " << p << " type " << t;
-    }
-  }
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
-  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
-  EXPECT_EQ(a.answer_size.min(), b.answer_size.min());
-  EXPECT_EQ(a.answer_size.max(), b.answer_size.max());
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
-  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
-  EXPECT_EQ(a.max_worst_rank, b.max_worst_rank);
-  EXPECT_EQ(a.deployed_at, b.deployed_at);
-  EXPECT_EQ(a.retired_at, b.retired_at);
-}
-
-void ExpectSameResult(const MultiQueryResult& serial,
-                      const MultiQueryResult& sharded,
-                      const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(serial.queries.size(), sharded.queries.size());
-  for (std::size_t i = 0; i < serial.queries.size(); ++i) {
-    ExpectSameStats(serial.queries[i], sharded.queries[i],
-                    label + " query " + std::to_string(i));
-  }
-  EXPECT_EQ(serial.updates_generated, sharded.updates_generated);
-  EXPECT_EQ(serial.physical_updates, sharded.physical_updates);
-  EXPECT_EQ(serial.peak_live_queries, sharded.peak_live_queries);
-}
 
 /// A mixed three-query deployment of one protocol: one static query, one
 /// late arrival, one that retires mid-run — so the equivalence covers
