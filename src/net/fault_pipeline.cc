@@ -66,11 +66,20 @@ bool FaultPipeline::LossDraw(std::vector<GeChain>* chains, StreamId id) {
   return drop;
 }
 
-SimTime FaultPipeline::CtlDelay() {
-  if (config_.kind != NetConfig::Kind::kFixedLatency) return 0;
-  SimTime d = config_.latency;
-  if (config_.jitter > 0) d += rng_.Uniform(0, config_.jitter);
-  return d;
+FaultPipeline::Channel& FaultPipeline::ChannelAt(std::size_t slot,
+                                                 StreamId id) {
+  if (slot >= channels_.size()) channels_.resize(slot + 1);
+  std::vector<Channel>& row = channels_[slot];
+  if (id >= row.size()) row.resize(id + 1);
+  return row[id];
+}
+
+void FaultPipeline::ScheduleCtl(SimTime now, EventCallback fn) {
+  const bool delayed = config_.kind == NetConfig::Kind::kFixedLatency;
+  const SimTime latency = delayed ? config_.latency : 0;
+  SimTime d = latency;
+  if (delayed && config_.jitter > 0) d += rng_.Uniform(0, config_.jitter);
+  ScheduleDelivery(now + d, latency, std::move(fn));
 }
 
 void FaultPipeline::SendUpdate(StreamId id, Value v,
@@ -149,7 +158,7 @@ void FaultPipeline::DeliverStashed(StreamId id, Held& held, SimTime at) {
 void FaultPipeline::SendDeploy(std::size_t slot, StreamId id,
                                const FilterConstraint& constraint,
                                SimTime now) {
-  Channel& ch = channels_[ChannelKey(slot, id)];
+  Channel& ch = ChannelAt(slot, id);
   ch.slot = slot;
   ch.id = id;
   if (ch.timer_armed) {
@@ -174,19 +183,18 @@ void FaultPipeline::Transmit(Channel& ch, SimTime now, bool reliable) {
   if (!wire_ok) {
     ++s.deploy_dropped;
   } else {
-    const SimTime at = now + CtlDelay();
     ++pending_ctl_wire_;
-    const std::size_t slot = ch.slot;
-    const StreamId id = ch.id;
-    const std::uint64_t seq = ch.seq;
-    const FilterConstraint constraint = ch.constraint;
-    const bool want_ack = !reliable;
-    scheduler_->ScheduleAt(at,
-                           [this, slot, id, seq, constraint, at, want_ack] {
-                             --pending_ctl_wire_;
-                             OnDeployArrival(slot, id, seq, constraint, at,
-                                             want_ack);
-                           });
+    const Interval& iv = ch.constraint.interval();
+    const DeployCopy copy{ch.seq, iv.lo(), iv.hi(), ch.slot, ch.id,
+                          ch.constraint.has_filter(), iv.empty(),
+                          /*want_ack=*/!reliable};
+    auto arrive = [this, copy] {
+      --pending_ctl_wire_;
+      OnDeployArrival(copy);
+    };
+    static_assert(sizeof(arrive) <= EventCallback::kInlineSize,
+                  "a deploy arrival must not allocate");
+    ScheduleCtl(now, std::move(arrive));
   }
   if (reliable) {
     // The reconnect handshake is transactional: the replayed install is
@@ -218,20 +226,21 @@ void FaultPipeline::ArmTimer(Channel& ch, SimTime now) {
   ch.timer_armed = true;
 }
 
-void FaultPipeline::OnDeployArrival(std::size_t slot, StreamId id,
-                                    std::uint64_t seq,
-                                    const FilterConstraint& constraint,
-                                    SimTime at, bool want_ack) {
-  Channel& ch = channels_[ChannelKey(slot, id)];
+void FaultPipeline::OnDeployArrival(const DeployCopy& copy) {
+  const std::size_t slot = copy.slot;
+  const StreamId id = copy.id;
+  const std::uint64_t seq = copy.seq;
+  const SimTime at = scheduler_->now();
   NetStats& s = stats();
+  Channel& ch = ChannelAt(slot, id);
   if (seq > ch.applied_seq) {
     ch.applied_seq = seq;
     ++s.deploy_messages;
-    deploy_sink_(slot, id, constraint, at);
+    deploy_sink_(slot, id, copy.constraint(), at);
   } else {
     ++s.deploy_dup_suppressed;
   }
-  if (!want_ack) return;
+  if (!copy.want_ack) return;
   // The ack rides the uplink and draws the same fault processes. It is
   // sent even when the install was a suppressed duplicate (or the query
   // has retired): the server must stop retransmitting either way.
@@ -239,9 +248,8 @@ void FaultPipeline::OnDeployArrival(std::size_t slot, StreamId id,
     ++s.deploy_dropped;
     return;
   }
-  const SimTime ack_at = at + CtlDelay();
   ++pending_ctl_wire_;
-  scheduler_->ScheduleAt(ack_at, [this, slot, id, seq] {
+  ScheduleCtl(at, [this, slot, id, seq] {
     --pending_ctl_wire_;
     OnDeployAck(slot, id, seq);
   });
@@ -249,7 +257,7 @@ void FaultPipeline::OnDeployArrival(std::size_t slot, StreamId id,
 
 void FaultPipeline::OnDeployAck(std::size_t slot, StreamId id,
                                 std::uint64_t seq) {
-  Channel& ch = channels_[ChannelKey(slot, id)];
+  Channel& ch = ChannelAt(slot, id);
   NetStats& s = stats();
   if (ch.pending && seq == ch.seq) {
     // Karn's rule: only an exchange whose current seq was never
@@ -273,7 +281,7 @@ void FaultPipeline::OnDeployAck(std::size_t slot, StreamId id,
 }
 
 void FaultPipeline::OnDeployTimeout(std::size_t slot, StreamId id) {
-  Channel& ch = channels_[ChannelKey(slot, id)];
+  Channel& ch = ChannelAt(slot, id);
   ch.timer_armed = false;
   if (!ch.pending) return;
   ++stats().deploy_retransmits;
@@ -318,14 +326,16 @@ void FaultPipeline::OnReconnect(SimTime t) {
   // Snapshot the channels that were pending before the exchange: installs
   // the engine issues *during* reconciliation are fresh traffic on a live
   // link and keep their ordinary retransmit path.
-  std::vector<std::uint64_t> pending_keys;
-  for (const auto& [key, ch] : channels_) {
-    if (ch.pending) pending_keys.push_back(key);
+  std::vector<std::pair<std::size_t, StreamId>> pending;
+  for (const std::vector<Channel>& row : channels_) {
+    for (const Channel& ch : row) {
+      if (ch.pending) pending.emplace_back(ch.slot, ch.id);
+    }
   }
   if (reconcile_sink_) reconcile_sink_(t);
   NetStats& s = stats();
-  for (const std::uint64_t key : pending_keys) {
-    Channel& ch = channels_[key];
+  for (const auto& [slot, id] : pending) {
+    Channel& ch = ChannelAt(slot, id);
     if (!ch.pending) continue;
     if (ch.timer_armed) {
       scheduler_->Cancel(ch.timer);
@@ -347,9 +357,10 @@ void FaultPipeline::Finalize(SimTime horizon) {
   NetStats& s = stats();
   s.in_flight_at_end += stash_msgs_ + pending_ctl_wire_;
   s.in_flight_crossings_at_end += stash_crossings_;
-  for (const auto& [key, ch] : channels_) {
-    (void)key;
-    if (ch.pending) ++s.deploy_unacked_at_end;
+  for (const std::vector<Channel>& row : channels_) {
+    for (const Channel& ch : row) {
+      if (ch.pending) ++s.deploy_unacked_at_end;
+    }
   }
 }
 

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -156,23 +155,41 @@ class FaultPipeline final : public NetworkModel {
     bool retransmitted = false;
   };
 
-  static std::uint64_t ChannelKey(std::size_t slot, StreamId id) {
-    return (static_cast<std::uint64_t>(slot) << 32) |
-           static_cast<std::uint64_t>(id);
-  }
+  /// One deploy copy on the wire. The constraint travels as its interval
+  /// bounds plus flag bits, so the arrival event's capture (`this` and
+  /// one copy) fits EventCallback's inline buffer: no allocation per copy.
+  struct DeployCopy {
+    std::uint64_t seq = 0;
+    Value lo = 0;
+    Value hi = 0;
+    std::size_t slot = 0;
+    StreamId id = 0;
+    bool has_filter = false;
+    bool empty = false;
+    bool want_ack = false;
+
+    FilterConstraint constraint() const {
+      if (!has_filter) return FilterConstraint::NoFilter();
+      return FilterConstraint::Range(empty ? Interval::Never()
+                                           : Interval(lo, hi));
+    }
+  };
+
+  /// The channel of (slot, id), growing the table on first use. Growth
+  /// moves channels: hold the reference only until the next call.
+  Channel& ChannelAt(std::size_t slot, StreamId id);
 
   EgressAction OnUpdateEgress(StreamId id, std::vector<Payload>& payloads,
                               SimTime at);
   void DeliverStashed(StreamId id, Held& held, SimTime at);
   bool LossDraw(std::vector<GeChain>* chains, StreamId id);
-  /// One-way control-plane transit time on the base model (0 unless the
-  /// base is latency:<d>[:<j>]; jitter draws come from the pipeline RNG).
-  SimTime CtlDelay();
+  /// Schedules `fn` one control-plane transit after `now`: the base's
+  /// latency (0 unless it is latency:<d>[:<j>]) plus a jitter draw from
+  /// the pipeline RNG.
+  void ScheduleCtl(SimTime now, EventCallback fn);
   void Transmit(Channel& ch, SimTime now, bool reliable);
   void ArmTimer(Channel& ch, SimTime now);
-  void OnDeployArrival(std::size_t slot, StreamId id, std::uint64_t seq,
-                       const FilterConstraint& constraint, SimTime at,
-                       bool want_ack);
+  void OnDeployArrival(const DeployCopy& copy);
   void OnDeployAck(std::size_t slot, StreamId id, std::uint64_t seq);
   void OnDeployTimeout(std::size_t slot, StreamId id);
   void OnReconnect(SimTime t);
@@ -200,8 +217,11 @@ class FaultPipeline final : public NetworkModel {
   std::uint64_t stash_crossings_ = 0;
   /// Deploy/ack wire copies currently in transit.
   std::uint64_t pending_ctl_wire_ = 0;
-  /// Ordered so reconnect replay iterates deterministically.
-  std::map<std::uint64_t, Channel> channels_;
+  /// Deploy channels indexed [slot][stream id], rows grown on first use
+  /// (every refresh deploys to all streams, so rows fill densely). Reconnect
+  /// replay and the end-of-run count walk them in ascending (slot, id)
+  /// order.
+  std::vector<std::vector<Channel>> channels_;
   ReconcileSink reconcile_sink_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "net/fault_pipeline.h"
@@ -457,16 +458,17 @@ class InlineDeliveryBase : public NetworkModel {
   }
 
   /// Enqueues one wire message of `payloads` from stream `id` for
-  /// delivery at `at` — the single copy of the delayed-delivery
+  /// delivery at `at`, which the model computed as `delay` after the send
+  /// (ScheduleDelivery) — the single copy of the delayed-delivery
   /// accounting (in-flight tracking, wire/payload/delay stats, sink
   /// call) shared by every delaying model.
   void ScheduleWireMessage(StreamId id, std::vector<Payload> payloads,
-                           SimTime at) {
+                           SimTime at, SimTime delay) {
     for (const Payload& p : payloads) AddInFlight(p.slot);
     ++pending_wire_;
     pending_crossings_ += payloads.size();
-    scheduler_->ScheduleAt(
-        at, [this, id, at, payloads = std::move(payloads)]() mutable {
+    ScheduleDelivery(
+        at, delay, [this, id, at, payloads = std::move(payloads)]() mutable {
           --pending_wire_;
           OnWireDelivered(id);
           for (const Payload& p : payloads) {
@@ -524,7 +526,7 @@ class FixedLatencyNet final : public InlineDeliveryBase {
       payloads.push_back(Payload{slot, v, now, 1, 0});
     }
     ScheduleWireMessage(id, std::move(payloads),
-                        NextDelivery(&uplink_last_, id, now));
+                        NextDelivery(&uplink_last_, id, now), latency_);
   }
 
   void SendDeploy(std::size_t slot, StreamId id,
@@ -535,11 +537,18 @@ class FixedLatencyNet final : public InlineDeliveryBase {
     }
     const SimTime at = NextDelivery(&downlink_last_, id, now);
     ++pending_wire_;
-    scheduler_->ScheduleAt(at, [this, slot, id, constraint, at] {
+    // The arrival time is the event's own time, read back from now(), and
+    // the slot travels narrowed so the capture stays inline.
+    ASF_CHECK(slot <= std::numeric_limits<std::uint32_t>::max());
+    const auto slot32 = static_cast<std::uint32_t>(slot);
+    auto deliver = [this, slot32, id, constraint] {
       --pending_wire_;
       ++stats_.deploy_messages;
-      deploy_sink_(slot, id, constraint, at);
-    });
+      deploy_sink_(slot32, id, constraint, scheduler_->now());
+    };
+    static_assert(sizeof(deliver) <= EventCallback::kInlineSize,
+                  "a deploy delivery must not allocate");
+    ScheduleDelivery(at, latency_, std::move(deliver));
   }
 
  private:
@@ -668,7 +677,7 @@ class BoundedBandwidthNet final : public InlineDeliveryBase {
     }
     const SimTime at = std::max(now, next_free_[id]) + service_time_;
     next_free_[id] = at;
-    ScheduleWireMessage(id, std::move(payloads), at);
+    ScheduleWireMessage(id, std::move(payloads), at, service_time_);
   }
 
   void SendDeploy(std::size_t slot, StreamId id,

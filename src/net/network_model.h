@@ -399,6 +399,19 @@ class NetworkModel {
     AccountAndDeliver(id, payloads, at, sample_delay);
   }
 
+  /// Schedules `fn` at `at`, a delivery the model computed as `delay`
+  /// after its send time. When `at` is exactly `delay` past the
+  /// scheduler's clock — a jitter-free send at the current time — the
+  /// event goes through ScheduleAfter(delay), same key, and rides the
+  /// scheduler's FIFO lane for that delay (DESIGN.md §5). Any other `at`
+  /// (jitter, queueing, the sharded replay's own clock) keeps the heap.
+  EventId ScheduleDelivery(SimTime at, SimTime delay, EventCallback fn) {
+    if (at == scheduler_->now() + delay) {
+      return scheduler_->ScheduleAfter(delay, std::move(fn));
+    }
+    return scheduler_->ScheduleAt(at, std::move(fn));
+  }
+
   void AddInFlight(std::size_t slot, std::uint64_t n = 1) {
     if (slot >= in_flight_.size()) in_flight_.resize(slot + 1, 0);
     in_flight_[slot] += n;

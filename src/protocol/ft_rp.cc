@@ -20,16 +20,15 @@ FtRp::FtRp(ServerContext* ctx, const RankQuery& query,
 
 void FtRp::Refresh(SimTime t) {
   ctx_->ProbeAll(t);
-  const std::vector<ScoredStream> ranked = RankAll(query_, ctx_->cache());
   Interval bound;
-  if (ranked.size() <= query_.k()) {
+  if (ctx_->cache().size() <= query_.k()) {
     bound = Interval::Always();
   } else {
     // The tightest deployable bound enclosing the k-th nearest neighbor:
     // halfway to the (k+1)-st (§5.2.1).
-    const double radius =
-        (ranked[query_.k() - 1].score + ranked[query_.k()].score) / 2.0;
-    bound = query_.ScoreBall(radius);
+    const KthScores scores =
+        KthAndNextScores(query_, ctx_->cache(), query_.k(), &rank_scratch_);
+    bound = query_.ScoreBall((scores.kth + scores.next) / 2.0);
   }
   // kρ+ false-positive and kρ− false-negative filters (§5.2.2; floors keep
   // the integer counts within the real-valued budgets).

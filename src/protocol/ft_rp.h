@@ -73,6 +73,7 @@ class FtRp : public Protocol {
   RhoPair rho_;
   KnnAnswerBounds bounds_;
   FractionFilterCore core_;
+  std::vector<ScoredStream> rank_scratch_;  ///< Refresh's selection buffer
 };
 
 }  // namespace asf

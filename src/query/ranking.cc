@@ -17,6 +17,21 @@ std::vector<ScoredStream> RankAll(const RankQuery& query,
   return out;
 }
 
+KthScores KthAndNextScores(const RankQuery& query,
+                           const std::vector<Value>& values, std::size_t k,
+                           std::vector<ScoredStream>* scratch) {
+  ASF_CHECK(k >= 1 && k < values.size());
+  scratch->clear();
+  for (StreamId id = 0; id < values.size(); ++id) {
+    scratch->push_back({query.Score(values[id]), id});
+  }
+  const auto next = scratch->begin() + static_cast<std::ptrdiff_t>(k);
+  std::nth_element(scratch->begin(), next, scratch->end());
+  // Everything before `next` ranks ahead of it; the k-th is their maximum.
+  const ScoredStream kth = *std::max_element(scratch->begin(), next);
+  return {kth.score, next->score};
+}
+
 std::vector<ScoredStream> RankSubset(const RankQuery& query,
                                      const std::vector<Value>& values,
                                      const std::vector<StreamId>& candidates) {

@@ -43,6 +43,18 @@ std::vector<ScoredStream> RankSubset(const RankQuery& query,
                                      const std::vector<Value>& values,
                                      const std::vector<StreamId>& candidates);
 
+/// The scores of the k-th and (k+1)-th best-ranked streams — entries k−1
+/// and k of RankAll — found by selection instead of a full sort: the
+/// (score, id) order is strict, so they are exactly RankAll's. Requires
+/// 1 <= k < values.size(); `scratch` is reused across calls.
+struct KthScores {
+  double kth;
+  double next;
+};
+KthScores KthAndNextScores(const RankQuery& query,
+                           const std::vector<Value>& values, std::size_t k,
+                           std::vector<ScoredStream>* scratch);
+
 /// The ids of the k best-ranked streams (ties broken by id). k may exceed
 /// the population, in which case all ids are returned.
 std::vector<StreamId> TopKIds(const RankQuery& query,

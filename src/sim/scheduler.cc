@@ -86,10 +86,59 @@ void Scheduler::HeapPopRoot() {
   heap_[i] = node;
 }
 
-EventId Scheduler::ScheduleAt(SimTime t, Callback fn) {
+void Scheduler::Lane::Push(HeapNode node) {
+  const std::size_t mask = ring.size() - 1;
+  ASF_DCHECK(size == 0 || Before(ring[(head + size - 1) & mask], node));
+  if (size == ring.size()) {
+    std::vector<HeapNode> bigger(ring.empty() ? kChunkSize : 2 * ring.size());
+    for (std::size_t i = 0; i < size; ++i) {
+      bigger[i] = ring[(head + i) & mask];
+    }
+    ring.swap(bigger);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = node;
+  ++size;
+}
+
+Scheduler::Lane* Scheduler::LaneFor(SimTime delay) {
+  for (std::size_t i = 0; i < num_lanes_; ++i) {
+    if (lanes_[i].delay == delay) return &lanes_[i];
+  }
+  if (num_lanes_ == kMaxLanes) return nullptr;
+  lanes_[num_lanes_].delay = delay;
+  return &lanes_[num_lanes_++];
+}
+
+std::uint64_t Scheduler::NextSeq() {
   ASF_CHECK_MSG(next_seq_ < (1ULL << (64 - kSlotBits)),
                 "event sequence space exhausted");
-  return ScheduleAtReserved(t, next_seq_++, std::move(fn));
+  return next_seq_++;
+}
+
+std::uint32_t Scheduler::Arm(std::uint64_t seq, Callback fn) {
+  ASF_CHECK(static_cast<bool>(fn));
+  const std::uint32_t index = AcquireSlot();
+  Slot& s = slot(index);
+  s.fn = std::move(fn);
+  s.seq = seq;
+  s.armed = true;
+  ++live_;
+  return index;
+}
+
+EventId Scheduler::ScheduleAt(SimTime t, Callback fn) {
+  return ScheduleAtReserved(t, NextSeq(), std::move(fn));
+}
+
+EventId Scheduler::ScheduleAfter(SimTime delay, Callback fn) {
+  ASF_CHECK(delay >= 0);
+  Lane* lane = LaneFor(delay);
+  if (lane == nullptr) return ScheduleAt(now_ + delay, std::move(fn));
+  const std::uint64_t seq = NextSeq();
+  const std::uint32_t index = Arm(seq, std::move(fn));
+  lane->Push(MakeNode(now_ + delay, seq, index));
+  return IdOf(index);
 }
 
 std::uint64_t Scheduler::ReserveSeqs(std::uint64_t count) {
@@ -103,17 +152,10 @@ std::uint64_t Scheduler::ReserveSeqs(std::uint64_t count) {
 EventId Scheduler::ScheduleAtReserved(SimTime t, std::uint64_t seq,
                                       Callback fn) {
   ASF_CHECK_MSG(t >= now_, "cannot schedule into the past");
-  ASF_CHECK(static_cast<bool>(fn));
   ASF_CHECK_MSG(seq < next_seq_, "sequence number was never reserved");
-  const std::uint32_t index = AcquireSlot();
-  Slot& s = slot(index);
-  s.fn = std::move(fn);
-  s.seq = seq;
-  s.armed = true;
-  ++live_;
-  HeapPush(MakeNode(t, s.seq, index));
-  return (static_cast<EventId>(s.generation) << 32) |
-         static_cast<EventId>(index);
+  const std::uint32_t index = Arm(seq, std::move(fn));
+  HeapPush(MakeNode(t, seq, index));
+  return IdOf(index);
 }
 
 bool Scheduler::Cancel(EventId id) {
@@ -127,17 +169,34 @@ bool Scheduler::Cancel(EventId id) {
 }
 
 const Scheduler::HeapNode* Scheduler::PeekLive() {
-  while (!heap_.empty()) {
-    // With no cancelled events in flight every heap node is live; skip the
-    // slab validation entirely (the common case on the hot path).
-    if (tombstones_ == 0) return &heap_[0];
-    const HeapNode& top = heap_[0];
-    const Slot& s = slot(NodeSlot(top));
-    if (s.armed && s.seq == NodeSeq(top)) return &top;
-    HeapPopRoot();  // tombstone of a cancelled (possibly recycled) event
+  for (;;) {
+    const HeapNode* best = heap_.empty() ? nullptr : &heap_[0];
+    std::size_t source = kHeapSource;
+    for (std::size_t i = 0; i < num_lanes_; ++i) {
+      const Lane& lane = lanes_[i];
+      if (lane.size != 0 && (best == nullptr || Before(lane.front(), *best))) {
+        best = &lane.front();
+        source = i;
+      }
+    }
+    if (best == nullptr) return nullptr;
+    peek_source_ = source;
+    // With no cancelled events in flight every queued node is live; skip
+    // the slab validation entirely (the common case on the hot path).
+    if (tombstones_ == 0) return best;
+    const Slot& s = slot(NodeSlot(*best));
+    if (s.armed && s.seq == NodeSeq(*best)) return best;
+    PopPeeked();  // tombstone of a cancelled (possibly recycled) event
     --tombstones_;
   }
-  return nullptr;
+}
+
+void Scheduler::PopPeeked() {
+  if (peek_source_ == kHeapSource) {
+    HeapPopRoot();
+  } else {
+    lanes_[peek_source_].Pop();
+  }
 }
 
 SimTime Scheduler::NextEventTime() {
@@ -146,11 +205,9 @@ SimTime Scheduler::NextEventTime() {
                          : std::numeric_limits<SimTime>::infinity();
 }
 
-bool Scheduler::Step() {
-  const HeapNode* next = PeekLive();
-  if (next == nullptr) return false;
+void Scheduler::DispatchPeeked(const HeapNode* next) {
   const HeapNode node = *next;
-  HeapPopRoot();
+  PopPeeked();
   ASF_DCHECK(node.time() >= now_);
   // Dispatch in place: the slot stays occupied (so a nested ScheduleAt
   // cannot reuse it) but its generation is bumped first, so the running
@@ -167,6 +224,12 @@ bool Scheduler::Step() {
   s.fn = EventCallback();
   s.armed = false;
   free_.push_back(index);
+}
+
+bool Scheduler::Step() {
+  const HeapNode* next = PeekLive();
+  if (next == nullptr) return false;
+  DispatchPeeked(next);
   return true;
 }
 
@@ -174,7 +237,7 @@ std::size_t Scheduler::RunBefore(SimTime t) {
   std::size_t n = 0;
   while (const HeapNode* next = PeekLive()) {
     if (next->time() >= t) break;
-    Step();
+    DispatchPeeked(next);
     ++n;
   }
   return n;
@@ -185,7 +248,7 @@ std::size_t Scheduler::RunUntil(SimTime t) {
   std::size_t n = 0;
   while (const HeapNode* next = PeekLive()) {
     if (next->time() > t) break;
-    Step();
+    DispatchPeeked(next);
     ++n;
   }
   now_ = t;

@@ -1,6 +1,7 @@
 #ifndef ASF_SIM_SCHEDULER_H_
 #define ASF_SIM_SCHEDULER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdlib>
 #include <cstdint>
@@ -33,6 +34,17 @@
 /// EventCallback::kInlineSize bytes are stored inline (no heap
 /// allocation), and cancellation uses generation-tagged tombstones — no
 /// hash sets anywhere on the hot path.
+///
+/// Fixed-delay lanes: the events ScheduleAfter places with one delay d
+/// arrive in increasing (time, seq) order, because now() never decreases
+/// and seq always grows. The first kMaxLanes (4) distinct delays a
+/// scheduler sees therefore each get a FIFO lane with O(1) push and pop —
+/// the network's constant link latency and the oracle's sampling period
+/// are such delays. Further delays, and every ScheduleAt /
+/// ScheduleAtReserved, keep using the heap. The next event is the smaller
+/// key of the heap top and the lane heads, so the dispatch order is
+/// exactly the one a single heap over the same keys gives; Cancel leaves
+/// a tombstone in whichever queue holds the node.
 
 namespace asf {
 
@@ -162,11 +174,10 @@ class Scheduler {
   /// handle that can be cancelled.
   EventId ScheduleAt(SimTime t, Callback fn);
 
-  /// Schedules `fn` after `delay` (must be >= 0) from now().
-  EventId ScheduleAfter(SimTime delay, Callback fn) {
-    ASF_CHECK(delay >= 0);
-    return ScheduleAt(now_ + delay, std::move(fn));
-  }
+  /// Schedules `fn` after `delay` (must be >= 0) from now(). Dispatches
+  /// exactly like ScheduleAt(now() + delay, fn); the event rides the
+  /// delay's FIFO lane when it has one (file comment).
+  EventId ScheduleAfter(SimTime delay, Callback fn);
 
   /// Reserves `count` consecutive sequence numbers and returns the first.
   /// Dispatch order is (time, seq) no matter when an event is inserted,
@@ -184,9 +195,10 @@ class Scheduler {
   EventId ScheduleAtReserved(SimTime t, std::uint64_t seq, Callback fn);
 
   /// Cancels a pending event in O(1): the slab slot is released for reuse
-  /// immediately and the heap key becomes a generation-mismatched
-  /// tombstone, discarded lazily when it reaches the top. Returns false if
-  /// the event already ran, was already cancelled, or never existed.
+  /// immediately and the queued key (heap or lane) becomes a
+  /// generation-mismatched tombstone, discarded lazily when it comes next.
+  /// Returns false if the event already ran, was already cancelled, or
+  /// never existed.
   bool Cancel(EventId id);
 
   /// Runs the single next event. Returns false if the queue is empty.
@@ -291,13 +303,33 @@ class Scheduler {
   /// empty. Chunks are stable in memory: growing never moves live slots.
   std::uint32_t AcquireSlot();
 
+  /// Claims the next sequence number.
+  std::uint64_t NextSeq();
+
+  /// Stores `fn` in a fresh slot armed under `seq`; returns the slot index.
+  std::uint32_t Arm(std::uint64_t seq, Callback fn);
+
+  /// The public handle of the event armed in slot `index`.
+  EventId IdOf(std::uint32_t index) {
+    return (static_cast<EventId>(slot(index).generation) << 32) |
+           static_cast<EventId>(index);
+  }
+
   /// Destroys the slot's callback and recycles it. Bumps the generation so
   /// every outstanding heap key / EventId referring to it goes stale.
   void ReleaseSlot(std::uint32_t index);
 
-  /// Discards tombstones at the heap top, then returns the next live node
-  /// (nullptr if none). The single place the tombstone skip logic lives.
+  /// Returns the live node with the smallest key across the heap top and
+  /// the lane heads (nullptr if none), discarding the tombstones it meets
+  /// on the way, and records its queue in peek_source_. The single place
+  /// the tombstone skip logic lives.
   const HeapNode* PeekLive();
+
+  /// Removes the node PeekLive last returned from its queue.
+  void PopPeeked();
+
+  /// Pops the node PeekLive just returned and runs its event.
+  void DispatchPeeked(const HeapNode* next);
 
   void HeapPush(HeapNode node);
   void HeapPopRoot();
@@ -323,11 +355,39 @@ class Scheduler {
     bool empty() const { return size == 0; }
   };
 
+  /// FIFO of the pending nodes ScheduleAfter placed with one delay. Keys
+  /// arrive in increasing order (file comment), so the head is the lane's
+  /// minimum. Stored as a power-of-two ring that only grows.
+  struct Lane {
+    SimTime delay = 0;
+    std::vector<HeapNode> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    const HeapNode& front() const { return ring[head]; }
+    void Push(HeapNode node);
+    void Pop() {
+      head = (head + 1) & (ring.size() - 1);
+      --size;
+    }
+  };
+
+  static constexpr std::size_t kMaxLanes = 4;
+  /// peek_source_ value naming the heap rather than a lane.
+  static constexpr std::size_t kHeapSource = kMaxLanes;
+
+  /// The lane for `delay`, opening one while fewer than kMaxLanes exist;
+  /// nullptr when the delay has no lane (the event goes to the heap).
+  Lane* LaneFor(SimTime delay);
+
   AlignedHeap heap_;
+  std::array<Lane, kMaxLanes> lanes_;
+  std::size_t num_lanes_ = 0;
+  std::size_t peek_source_ = kHeapSource;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;
   std::size_t live_ = 0;
-  std::size_t tombstones_ = 0;  ///< cancelled events still in the heap
+  std::size_t tombstones_ = 0;  ///< cancelled events still queued
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;

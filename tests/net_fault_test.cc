@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -298,6 +299,7 @@ TEST(NetFaultShardedTest, SerialMatchesShardedUnderFaults) {
       "latency:4+loss:0.05:3",
       "batch:15+loss:0.1",
       "latency:2:3+loss:0.05+reorder:2+partition:150,260",
+      "latency:4:2+loss:0.05:3+reorder:2+partition:300.5,500.5",
   };
   for (const char* spec : kSpecs) {
     auto net = ParseNetSpec(spec);
@@ -610,6 +612,38 @@ TEST(NetReconcileTest, UpEdgeExchangesRunUnlessDisabled) {
   EXPECT_EQ(bare->net.reconcile_exchanges, 0u);
   EXPECT_EQ(bare->net.reconcile_deploys, 0u);
   ExpectConservation(bare->net, "norecon");
+}
+
+/// The up-edge replays every still-unacked install in ascending
+/// (slot, id) order, whatever order the deploys were issued in — the
+/// deploy channel table's iteration order.
+TEST(NetReconcileTest, UpEdgeReplaysUnackedInstallsInSlotIdOrder) {
+  auto net = ParseNetSpec("latency:2+partition:0,50");
+  ASSERT_TRUE(net.ok());
+  FaultRig rig(*net);
+  rig.net->StartRun(/*horizon=*/100);
+
+  const FilterConstraint c = FilterConstraint::Range(Interval(400, 600));
+  const std::pair<std::size_t, StreamId> kIssued[] = {
+      {2, 5}, {0, 7}, {2, 1}, {1, 3}};
+  for (const auto& [slot, id] : kIssued) rig.net->SendDeploy(slot, id, c, 0);
+  rig.scheduler.RunUntil(100);
+  rig.net->Finalize(100);
+
+  // Every copy sent inside the window was lost; the four replays arrive
+  // one latency after the up-edge, in channel order.
+  const std::pair<std::size_t, StreamId> kReplayed[] = {
+      {0, 7}, {1, 3}, {2, 1}, {2, 5}};
+  ASSERT_EQ(rig.deploys.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(rig.deploys[i].slot, kReplayed[i].first) << i;
+    EXPECT_EQ(rig.deploys[i].id, kReplayed[i].second) << i;
+    EXPECT_DOUBLE_EQ(rig.deploys[i].at, 52.0) << i;
+  }
+  const NetStats& stats = rig.net->stats();
+  EXPECT_EQ(stats.reconcile_deploys, 4u);
+  EXPECT_EQ(stats.deploy_unacked_at_end, 0u);
+  EXPECT_EQ(stats.in_flight_at_end, 0u);
 }
 
 // ------------------------------------------------ staleness compensation

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace asf {
 namespace {
 
@@ -62,6 +67,33 @@ TEST(RankingTest, ScoredStreamOrdering) {
   EXPECT_LT((ScoredStream{1.0, 5}), (ScoredStream{2.0, 1}));
   EXPECT_LT((ScoredStream{1.0, 1}), (ScoredStream{1.0, 2}));  // tie by id
   EXPECT_EQ((ScoredStream{1.0, 1}), (ScoredStream{1.0, 1}));
+}
+
+TEST(RankingTest, KthAndNextScoresMatchRankAll) {
+  // Integer values in a narrow band around the query point: equal values
+  // and mirror images about 500 tie on score all over the ranking, so the
+  // selection must reproduce RankAll's (score, id) order, not just a
+  // score order.
+  Rng rng(20261017);
+  const std::size_t n = 101;
+  std::vector<Value> values(n);
+  for (Value& v : values) v = static_cast<Value>(rng.UniformInt(490, 510));
+  std::vector<ScoredStream> scratch;  // shared by every call below
+  const RankQuery queries[] = {RankQuery::NearestNeighbors(1, 500),
+                               RankQuery::TopK(1), RankQuery::BottomK(1)};
+  for (const RankQuery& q : queries) {
+    const auto ranked = RankAll(q, values);
+    std::size_t tied = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      tied += ranked[i].score == ranked[i - 1].score;
+    }
+    EXPECT_GT(tied, n / 2);
+    for (const std::size_t k : {std::size_t{1}, n / 2, n - 1}) {
+      const KthScores scores = KthAndNextScores(q, values, k, &scratch);
+      EXPECT_EQ(scores.kth, ranked[k - 1].score) << "k=" << k;
+      EXPECT_EQ(scores.next, ranked[k].score) << "k=" << k;
+    }
+  }
 }
 
 TEST(RankingTest, KnnRanksAroundQueryPoint) {

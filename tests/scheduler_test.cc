@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 namespace asf {
@@ -221,14 +225,32 @@ TEST(SchedulerTest, CancelFromInsideOwnCallbackIsNoop) {
   EXPECT_EQ(s.dispatched(), 1u);
 }
 
+/// The event mix a stress run draws from.
+struct StressMix {
+  const char* name;
+  /// Delays most ScheduleAfter calls use, claimed first so each gets a
+  /// FIFO lane; ScheduleAt calls land on them too, tying heap events
+  /// with lane events. Empty: every delay comes from the 64-step grid,
+  /// split evenly between ScheduleAt and ScheduleAfter.
+  std::vector<SimTime> hot;
+};
+
+void PrintTo(const StressMix& mix, std::ostream* os) { *os << mix.name; }
+
+class SchedulerStressTest : public ::testing::TestWithParam<StressMix> {};
+
 /// Naive reference kernel: a flat list scanned for the (time, insertion
-/// seq) minimum. Cross-checks the 4-ary heap + slab + tombstone machinery
-/// under a deterministic interleaving of ScheduleAt / ScheduleAfter /
-/// Cancel (including cancel-after-fire and duplicate cancel).
-TEST(SchedulerStressTest, MatchesNaiveReference) {
+/// seq) minimum. Cross-checks the 4-ary heap + fixed-delay lanes + slab +
+/// tombstone machinery under a deterministic interleaving of ScheduleAt /
+/// ScheduleAfter / Cancel (including cancel-after-fire and duplicate
+/// cancel), advanced by RunUntil and RunBefore, with NextEventTime and
+/// pending() checked before every advance.
+TEST_P(SchedulerStressTest, MatchesNaiveReference) {
+  const StressMix& mix = GetParam();
   struct RefEvent {
     SimTime time;
     int tag;
+    bool lane;  ///< ScheduleAfter with a hot delay: rides a lane
     bool cancelled = false;
     bool fired = false;
   };
@@ -238,81 +260,134 @@ TEST(SchedulerStressTest, MatchesNaiveReference) {
   std::vector<int> real_order;
   std::vector<int> ref_order;
   SimTime ref_now = 0;
+  std::size_t lane_cancels = 0;  // successful cancels of lane events
+  std::size_t mixed_ties = 0;    // a lane and a heap event fired at one time
 
   std::uint64_t rng = 20260730;
   const auto next = [&rng] {
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
     return rng >> 33;
   };
-  const auto ref_run_until = [&](SimTime horizon) {
+  const auto schedule = [&](bool after, SimTime dt, bool lane) {
+    const int tag = static_cast<int>(ref.size());
+    const auto fn = [&real_order, tag] { real_order.push_back(tag); };
+    handles.push_back(after ? s.ScheduleAfter(dt, fn)
+                            : s.ScheduleAt(s.now() + dt, fn));
+    ref.push_back(RefEvent{ref_now + dt, tag, lane});
+  };
+  // Fires the reference's live events with time <= horizon (< when
+  // `strict`), moving its clock like RunUntil / RunBefore move theirs.
+  const auto ref_run = [&](SimTime horizon, bool strict) {
     for (;;) {
       std::size_t best = ref.size();
       for (std::size_t i = 0; i < ref.size(); ++i) {
-        if (ref[i].cancelled || ref[i].fired || ref[i].time > horizon) {
+        if (ref[i].cancelled || ref[i].fired) continue;
+        if (strict ? ref[i].time >= horizon : ref[i].time > horizon) {
           continue;
         }
         if (best == ref.size() || ref[i].time < ref[best].time) best = i;
         // Ties keep the lowest index: FIFO at equal timestamps.
       }
       if (best == ref.size()) break;
+      if (!ref_order.empty()) {
+        const RefEvent& last = ref[static_cast<std::size_t>(ref_order.back())];
+        mixed_ties += last.time == ref[best].time && last.lane != ref[best].lane;
+      }
       ref[best].fired = true;
       ref_order.push_back(ref[best].tag);
+      ref_now = ref[best].time;
     }
-    ref_now = horizon;
+    if (!strict) ref_now = horizon;
   };
+  const auto ref_next_time = [&] {
+    SimTime t = std::numeric_limits<SimTime>::infinity();
+    for (const RefEvent& e : ref) {
+      if (!e.cancelled && !e.fired && e.time < t) t = e.time;
+    }
+    return t;
+  };
+  const auto ref_pending = [&] {
+    std::size_t n = 0;
+    for (const RefEvent& e : ref) n += !e.cancelled && !e.fired;
+    return n;
+  };
+
+  // The hot delays claim their lanes before any grid delay can.
+  for (const SimTime d : mix.hot) schedule(/*after=*/true, d, /*lane=*/true);
 
   for (int round = 0; round < 300; ++round) {
     // A burst of schedules, mixing absolute and relative forms and
     // clustering times so equal timestamps are common.
     const std::size_t burst = 1 + next() % 8;
     for (std::size_t b = 0; b < burst; ++b) {
-      const SimTime dt = static_cast<double>(next() % 64) / 4.0;
-      const int tag = static_cast<int>(ref.size());
-      EventId id;
-      if (next() % 2 == 0) {
-        id = s.ScheduleAt(s.now() + dt, [&real_order, tag] {
-          real_order.push_back(tag);
-        });
+      const SimTime grid = static_cast<double>(next() % 64) / 4.0;
+      const bool after = next() % 2 == 0;
+      if (mix.hot.empty()) {
+        schedule(after, grid, /*lane=*/false);
+      } else if (after && next() % 4 == 0) {
+        schedule(after, grid, /*lane=*/false);  // beyond the lane cap
       } else {
-        id = s.ScheduleAfter(dt, [&real_order, tag] {
-          real_order.push_back(tag);
-        });
+        schedule(after, mix.hot[next() % mix.hot.size()], /*lane=*/after);
       }
-      handles.push_back(id);
-      ref.push_back(RefEvent{ref_now + dt, tag});
     }
 
     // A few cancels aimed at arbitrary handles, old and new: some hit
     // pending events, some events that already fired, some repeat a
-    // previous cancel. The kernel must agree with the reference on every
-    // return value.
+    // previous cancel. Half aim at the 16 newest, which are mostly still
+    // pending. The kernel must agree with the reference on every return
+    // value.
     const std::size_t cancels = next() % 4;
     for (std::size_t c = 0; c < cancels; ++c) {
-      const std::size_t victim = next() % handles.size();
+      const std::size_t recent = std::min<std::size_t>(handles.size(), 16);
+      const std::size_t victim =
+          next() % 2 == 0 ? next() % handles.size()
+                          : handles.size() - 1 - next() % recent;
       const bool expect =
           !ref[victim].cancelled && !ref[victim].fired;
       EXPECT_EQ(s.Cancel(handles[victim]), expect) << "victim " << victim;
+      lane_cancels += expect && ref[victim].lane;
       ref[victim].cancelled = true;  // idempotent in the reference
     }
 
     // Advance both kernels through a shared horizon.
+    ASSERT_EQ(s.NextEventTime(), ref_next_time()) << "round " << round;
+    ASSERT_EQ(s.pending(), ref_pending()) << "round " << round;
     const SimTime horizon = s.now() + static_cast<double>(next() % 40);
-    s.RunUntil(horizon);
-    ref_run_until(horizon);
+    const bool strict = next() % 2 == 0;
+    if (strict) {
+      s.RunBefore(horizon);
+    } else {
+      s.RunUntil(horizon);
+    }
+    ref_run(horizon, strict);
     ASSERT_EQ(real_order.size(), ref_order.size()) << "round " << round;
+    ASSERT_EQ(s.now(), ref_now) << "round " << round;
   }
 
   // Drain everything left.
   s.RunAll();
-  ref_run_until(1e18);
+  ref_run(1e18, /*strict=*/false);
   EXPECT_EQ(real_order, ref_order);
   EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.NextEventTime(), std::numeric_limits<SimTime>::infinity());
   // Sanity: the schedule actually exercised all paths.
   EXPECT_GT(real_order.size(), 500u);
   std::size_t cancelled = 0;
   for (const RefEvent& e : ref) cancelled += e.cancelled && !e.fired;
   EXPECT_GT(cancelled, 10u);
+  if (!mix.hot.empty()) {
+    EXPECT_GT(lane_cancels, 10u);
+    EXPECT_GT(mixed_ties, 10u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Mixes, SchedulerStressTest,
+    ::testing::Values(StressMix{"UniformGrid", {}},
+                      StressMix{"FixedDelays", {0.0, 2.0, 5.5}}),
+    [](const ::testing::TestParamInfo<StressMix>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(SchedulerDeathTest, SchedulingIntoThePastAborts) {
   Scheduler s;
