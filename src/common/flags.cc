@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -90,6 +91,15 @@ std::vector<std::string> Flags::Names() const {
   names.reserve(values_.size());
   for (const auto& [key, value] : values_) names.push_back(key);
   return names;
+}
+
+Status Flags::RejectUnknown(const std::vector<std::string>& known) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + key);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace asf

@@ -44,6 +44,11 @@ class Flags {
   /// The set of flag names seen (for unknown-flag checks).
   std::vector<std::string> Names() const;
 
+  /// Fails with "unknown flag --NAME" on the first flag (in name order)
+  /// that is not in `known`, so a mistyped flag cannot silently fall back
+  /// to its default.
+  Status RejectUnknown(const std::vector<std::string>& known) const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

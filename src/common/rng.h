@@ -24,8 +24,8 @@ namespace asf {
 /// Derives a well-decorrelated child seed from a base seed and an entity
 /// index (splitmix64 finalizer). Used wherever one configured seed must
 /// fan out into many independent per-entity generators — most importantly
-/// the per-stream walk RNGs, whose independence is what lets a shard
-/// reproduce exactly its subset of streams (stream/random_walk.h).
+/// the per-stream walk RNGs, which make a stream's trajectory independent
+/// of the rest of the population (stream/random_walk.h).
 inline std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t index) {
   std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (index + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -118,51 +118,19 @@ Status SystemConfig::Validate() const {
   if (protocol == ProtocolKind::kFtNrp || protocol == ProtocolKind::kFtRp) {
     ASF_RETURN_IF_ERROR(fraction.Validate());
   }
-  ASF_RETURN_IF_ERROR(ValidateSharding(shards, source));
   ASF_RETURN_IF_ERROR(net.Validate());
   ASF_RETURN_IF_ERROR(spill.Validate());
   return Status::OK();
 }
 
-Status ValidateSharding(std::size_t shards, const SourceSpec& source) {
-  if (shards == 0) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  if (shards == 1) return Status::OK();
-  if (source.type == SourceSpec::Type::kCustom) {
-    return Status::InvalidArgument(
-        "custom stream sources cannot be partitioned across shards");
-  }
-  if (source.type == SourceSpec::Type::kTrace && source.trace != nullptr) {
-    // The sharded merge orders same-timestamp updates from *different*
-    // shards by stream id, but the serial engine replays them in trace
-    // order — the byte-identical contract would silently break. Reject
-    // the ambiguous case up front: records at one timestamp must all
-    // live in one shard (same-shard ties keep their trace order in the
-    // shard log). Continuous-time sources cannot tie (DESIGN.md §8).
-    const std::vector<TraceRecord>& records = source.trace->records;
-    for (std::size_t i = 1; i < records.size(); ++i) {
-      if (records[i].time == records[i - 1].time &&
-          records[i].stream % shards != records[i - 1].stream % shards) {
-        return Status::InvalidArgument(
-            "trace has same-timestamp records on streams in different "
-            "shards; the sharded merge order would diverge from the "
-            "serial replay order — use shards=1 for this trace");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-std::unique_ptr<StreamSet> MakeStreams(const SourceSpec& source,
-                                       StreamPartition partition) {
+std::unique_ptr<StreamSet> MakeStreams(const SourceSpec& source) {
   switch (source.type) {
     case SourceSpec::Type::kRandomWalk:
-      return std::make_unique<RandomWalkStreams>(source.walk, partition);
+      return std::make_unique<RandomWalkStreams>(source.walk);
     case SourceSpec::Type::kTrace:
-      return std::make_unique<TraceStreams>(source.trace, partition);
+      return std::make_unique<TraceStreams>(source.trace);
     case SourceSpec::Type::kCustom:
-      return nullptr;  // borrowed, not replicable (see SourceSpec::Custom)
+      return nullptr;  // borrowed, not built (see SourceSpec::Custom)
   }
   return nullptr;
 }

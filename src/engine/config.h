@@ -169,20 +169,6 @@ struct SystemConfig {
 
   OracleOptions oracle;
 
-  /// Worker shards the stream population is partitioned across (id % S).
-  /// 1 runs the classic serial engine; >= 2 runs ShardedSimulationCore,
-  /// whose results are byte-identical to the serial engine for any shard
-  /// count (DESIGN.md §8). Requires a partitionable source (walk/trace).
-  std::size_t shards = 1;
-  /// Sharded mode's speculation epoch length; <= 0 picks a default.
-  SimTime shard_epoch = 0;
-  /// Sharded mode's replay executor count (DESIGN.md §12): 0 picks
-  /// min(shards, hardware); clamped to shards; fault configs run serial
-  /// replay regardless. Byte-identical output at every setting.
-  std::size_t replay_workers = 0;
-  /// Pin the sharded engine's threads to cores (Linux; no-op elsewhere).
-  bool pin_threads = false;
-
   /// How messages travel between server and sources (DESIGN.md §9). The
   /// default instant model reproduces the paper's zero-delay semantics
   /// byte-identically; delayed models turn message savings into
@@ -210,16 +196,9 @@ struct SystemConfig {
   Status Validate() const;
 };
 
-/// Shared shard-count validation for SystemConfig / MultiQueryConfig.
-Status ValidateSharding(std::size_t shards, const SourceSpec& source);
-
-/// Builds the stream set `source` describes, driving only the streams
-/// `partition` owns (sources guarantee identical per-stream trajectories
-/// under any partition — see StreamPartition). Custom sources cannot be
-/// replicated and yield nullptr; callers requiring partitioning must
-/// validate against them first.
-std::unique_ptr<StreamSet> MakeStreams(const SourceSpec& source,
-                                       StreamPartition partition = {});
+/// Builds the stream set `source` describes. Custom sources are borrowed,
+/// not built, and yield nullptr.
+std::unique_ptr<StreamSet> MakeStreams(const SourceSpec& source);
 
 }  // namespace asf
 

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "engine/protocol_factory.h"
-#include "engine/sharded_core.h"
 
 namespace asf {
 
@@ -50,7 +49,6 @@ Status MultiQueryConfig::Validate() const {
                                            dep.fraction,
                                            source.NumStreams()));
   }
-  ASF_RETURN_IF_ERROR(ValidateSharding(shards, source));
   ASF_RETURN_IF_ERROR(net.Validate());
   ASF_RETURN_IF_ERROR(spill.Validate());
   return Status::OK();
@@ -80,13 +78,20 @@ std::uint64_t MultiQueryResult::LogicalMaintenanceTotal() const {
   return total;
 }
 
-namespace {
+Result<MultiQueryResult> RunMultiQuerySystem(const MultiQueryConfig& config) {
+  ASF_RETURN_IF_ERROR(config.Validate());
 
-/// Deploys every query, runs the core, and flattens the outcome — shared
-/// verbatim between the serial and sharded engines so their results can
-/// only differ if the cores themselves do.
-template <typename Core>
-MultiQueryResult RunAndFlatten(Core& core, const MultiQueryConfig& config) {
+  SimulationCore::Options options;
+  options.source = config.source;
+  options.duration = config.duration;
+  options.query_start = config.query_start;
+  options.seed = config.seed;
+  options.oracle = config.oracle;
+  options.net = config.net;
+  options.dispatch = config.dispatch;
+  options.spill = config.spill;
+  options.obs = config.obs;
+  SimulationCore core(options);
   for (const QueryDeployment& dep : config.queries) core.AddQuery(dep);
   core.Run();
 
@@ -117,42 +122,10 @@ MultiQueryResult RunAndFlatten(Core& core, const MultiQueryConfig& config) {
   result.dispatch_policy = core.dispatch_policy();
   result.dispatch = core.dispatch_stats();
   result.wall_seconds = core.wall_seconds();
-  result.replay_seconds = core.replay_seconds();
-  result.replay_workers = core.replay_workers();
-  result.pinned = core.pinned();
   // Snapshot after flattening so the telemetry includes the faults the
   // per-query loop above just triggered.
   result.spill = core.spill_telemetry();
   return result;
-}
-
-}  // namespace
-
-Result<MultiQueryResult> RunMultiQuerySystem(const MultiQueryConfig& config) {
-  ASF_RETURN_IF_ERROR(config.Validate());
-
-  SimulationCore::Options options;
-  options.source = config.source;
-  options.duration = config.duration;
-  options.query_start = config.query_start;
-  options.seed = config.seed;
-  options.oracle = config.oracle;
-  options.net = config.net;
-  options.dispatch = config.dispatch;
-  options.spill = config.spill;
-  options.obs = config.obs;
-  if (config.shards > 1) {
-    ShardedSimulationCore::Options sharded;
-    sharded.base = options;
-    sharded.shards = config.shards;
-    sharded.epoch = config.shard_epoch;
-    sharded.replay_workers = config.replay_workers;
-    sharded.pin_threads = config.pin_threads;
-    ShardedSimulationCore core(sharded);
-    return RunAndFlatten(core, config);
-  }
-  SimulationCore core(options);
-  return RunAndFlatten(core, config);
 }
 
 }  // namespace asf

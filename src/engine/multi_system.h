@@ -49,19 +49,6 @@ struct MultiQueryConfig {
   std::uint64_t seed = 1;
   OracleOptions oracle;
 
-  /// Worker shards the stream population is partitioned across (id % S).
-  /// 1 runs the classic serial engine; >= 2 runs ShardedSimulationCore,
-  /// byte-identical to serial for any shard count (DESIGN.md §8).
-  std::size_t shards = 1;
-  /// Sharded mode's speculation epoch length; <= 0 picks a default.
-  SimTime shard_epoch = 0;
-  /// Sharded mode's replay executor count (DESIGN.md §12): 0 picks
-  /// min(shards, hardware); clamped to shards; fault configs run serial
-  /// replay regardless. Byte-identical output at every setting.
-  std::size_t replay_workers = 0;
-  /// Pin the sharded engine's threads to cores (Linux; no-op elsewhere).
-  bool pin_threads = false;
-
   /// Message delivery model (DESIGN.md §9); instant by default.
   NetConfig net;
 
@@ -135,12 +122,6 @@ struct MultiQueryResult {
   std::uint64_t LogicalMaintenanceTotal() const;
 
   double wall_seconds = 0.0;
-  /// Sharded runs: wall seconds spent in the replay stage (the serial
-  /// fraction of the Amdahl curve), the resolved replay executor count,
-  /// and whether thread pinning took effect. Serial runs: 0 / 1 / false.
-  double replay_seconds = 0.0;
-  std::size_t replay_workers = 1;
-  bool pinned = false;
 
   /// Out-of-core spill accounting (DESIGN.md §13); all zero when
   /// config.spill is off. Performance telemetry only — the results above

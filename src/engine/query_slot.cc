@@ -60,11 +60,69 @@ void DeliverUpdateToSlot(QuerySlot& slot, StreamId id, Value v, SimTime t,
   }
 }
 
+bool DeliverWireMessage(std::vector<std::unique_ptr<QuerySlot>>& slots,
+                        NetworkModel& net, bool net_delayed,
+                        std::uint64_t updates_generated,
+                        std::uint64_t& physical_updates, StreamId id,
+                        const NetworkModel::Payload* payloads,
+                        std::size_t count, SimTime at) {
+  // One invocation = one physical wire message: it serves every query
+  // whose filter fired (each still accounts a logical update so
+  // per-query costs remain comparable to a single-query run), and under
+  // batching a payload may stand for several coalesced crossings.
+  ++physical_updates;
+  bool delivered = false;
+  for (std::size_t i = 0; i < count; ++i) {
+    const NetworkModel::Payload& p = payloads[i];
+    QuerySlot& slot = *slots[p.slot];
+    if (!slot.live) {
+      // The query retired while the message was in flight; its books are
+      // closed and its arena column is gone (DESIGN.md §9).
+      net.stats().dropped_retired += p.crossings;
+      continue;
+    }
+    net.stats().delivered_crossings += p.crossings;
+    if (p.seq != 0) {
+      // A reordering link stamped wire seqnos: suppress anything an
+      // overtaker already obsoleted for this (query, stream) pair.
+      if (slot.update_seq_floor.size() <= id) {
+        slot.update_seq_floor.resize(id + 1, 0);
+      }
+      if (p.seq <= slot.update_seq_floor[id]) {
+        net.stats().suppressed_stale += p.crossings;
+        continue;
+      }
+      slot.update_seq_floor[id] = p.seq;
+    }
+    DeliverUpdateToSlot(slot, id, p.value, at, updates_generated);
+    if (net_delayed) slot.stats.update_delay.Add(at - p.crossed_at);
+    delivered = true;
+  }
+  return delivered;
+}
+
 void FlushAnswerSamples(QuerySlot& slot, std::uint64_t upto) {
   if (upto > slot.answer_sampled_upto) {
     slot.stats.answer_size.AddRepeated(slot.answer_cur_size,
                                        upto - slot.answer_sampled_upto);
     slot.answer_sampled_upto = upto;
+  }
+}
+
+void ReconcileSlots(std::vector<std::unique_ptr<QuerySlot>>& slots,
+                    const std::vector<Value>& values, NetworkModel& net,
+                    std::uint64_t updates_generated, SimTime at) {
+  net.stats().reconcile_exchanges += values.size();
+  for (auto& slot_ptr : slots) {
+    QuerySlot& slot = *slot_ptr;
+    if (!slot.live) continue;
+    for (StreamId id = 0; id < values.size(); ++id) {
+      const Value v = values[id];
+      slot.filters->SyncReference(id, v);
+      if (slot.ctx->cached(id) != v) {
+        DeliverUpdateToSlot(slot, id, v, at, updates_generated);
+      }
+    }
   }
 }
 

@@ -11,17 +11,12 @@
 #include "storage/record_store.h"
 
 /// \file
-/// The per-query server runtime shared by the serial and sharded engines.
-///
-/// Both engines deploy queries the same way — a detached filter view, a
-/// ServerContext over engine-built transport wires, a protocol RNG seeded
-/// from the run seed, a protocol instance — and account them the same way
-/// (oracle judgments, run-length answer-size samples). Keeping that in
-/// one place is load-bearing: the sharded engine's byte-identical
-/// contract (DESIGN.md §8) means any accounting drift between the two is
-/// a correctness bug, so the shared parts live here and the engines keep
-/// only what genuinely differs (how values are read and when events run).
-/// Internal to src/engine; not part of the public API.
+/// The engine's per-query server runtime: how a deployment is wired — a
+/// detached filter view, a ServerContext over engine-built transport
+/// wires, a protocol RNG seeded from the run seed, a protocol instance —
+/// and how its updates, oracle judgments and run-length answer-size
+/// samples are accounted. Internal to src/engine; not part of the public
+/// API.
 
 namespace asf {
 namespace engine_internal {
@@ -87,112 +82,41 @@ void JudgeSlot(QuerySlot& slot, const std::vector<Value>& values);
 /// counts the logical kValueUpdate, closes the run of unchanged
 /// answer-size samples, runs the protocol's Maintenance reaction, and
 /// samples the new answer size. This is the single accounting sink every
-/// engine and every NetworkModel delivery path funnels through — update
-/// accounting cannot drift between the serial engine, the sharded replay
-/// stage, and delayed delivery, because there is only one copy of it.
-/// `updates_generated` is the engine's global update counter at delivery
-/// time (the answer-size sample clock).
+/// NetworkModel delivery path and the reconnect reconciliation funnel
+/// through. `updates_generated` is the engine's global update counter at
+/// delivery time (the answer-size sample clock).
 void DeliverUpdateToSlot(QuerySlot& slot, StreamId id, Value v, SimTime t,
                          std::uint64_t updates_generated);
 
-/// The per-payload server-arrival gate: retired-query drop accounting and
-/// reorder seq-floor suppression, in one place. Returns true when the
-/// payload must be delivered to the slot. Shared by DeliverWireMessage and
-/// the sharded engine's parallel replay prepass (which admits every
-/// payload serially, in payload order, before fanning the reactions out),
-/// so admission bookkeeping cannot drift between the two paths.
-inline bool AdmitPayload(QuerySlot& slot, NetworkModel& net, StreamId id,
-                         const NetworkModel::Payload& p) {
-  if (!slot.live) {
-    // The query retired while the message was in flight; its books are
-    // closed and its arena column is gone (DESIGN.md §9).
-    net.stats().dropped_retired += p.crossings;
-    return false;
-  }
-  net.stats().delivered_crossings += p.crossings;
-  if (p.seq != 0) {
-    // A reordering link stamped wire seqnos: suppress anything an
-    // overtaker already obsoleted for this (query, stream) pair.
-    if (slot.update_seq_floor.size() <= id) {
-      slot.update_seq_floor.resize(id + 1, 0);
-    }
-    if (p.seq <= slot.update_seq_floor[id]) {
-      net.stats().suppressed_stale += p.crossings;
-      return false;
-    }
-    slot.update_seq_floor[id] = p.seq;
-  }
-  return true;
-}
-
-/// The wire-message arrival sink both engines bind as
-/// NetworkModel::UpdateSink (their OnNetUpdate): one physical message,
-/// per-payload delivery through DeliverUpdateToSlot, retired-query drop
-/// accounting, staleness samples, and — under delayed delivery with
-/// every-update auditing — the arrival-time re-audit via
-/// `judge_live_slots` (the engine's oracle loop; engines differ only in
-/// where true values are read). One copy, like DeliverUpdateToSlot: the
-/// byte-identical contract cannot survive the two engines drifting here.
-template <typename SlotPtrVec, typename JudgeLiveSlots>
-void DeliverWireMessage(SlotPtrVec& slots, NetworkModel& net,
-                        bool net_delayed, bool audit_every_update,
+/// The wire-message arrival sink of the engine's NetworkModel::UpdateSink
+/// (SimulationCore::OnNetUpdate): one physical message whose payloads
+/// each pass the server-arrival gate — retired-query drop accounting and
+/// reorder seq-floor suppression — and are delivered through
+/// DeliverUpdateToSlot, with a staleness sample under delayed delivery.
+/// Returns whether any payload reached a live query.
+bool DeliverWireMessage(std::vector<std::unique_ptr<QuerySlot>>& slots,
+                        NetworkModel& net, bool net_delayed,
                         std::uint64_t updates_generated,
                         std::uint64_t& physical_updates, StreamId id,
                         const NetworkModel::Payload* payloads,
-                        std::size_t count, SimTime at,
-                        JudgeLiveSlots&& judge_live_slots) {
-  // One invocation = one physical wire message: it serves every query
-  // whose filter fired (each still accounts a logical update so
-  // per-query costs remain comparable to a single-query run), and under
-  // batching a payload may stand for several coalesced crossings.
-  ++physical_updates;
-  bool delivered = false;
-  for (std::size_t i = 0; i < count; ++i) {
-    const NetworkModel::Payload& p = payloads[i];
-    QuerySlot& slot = *slots[p.slot];
-    if (!AdmitPayload(slot, net, id, p)) continue;
-    DeliverUpdateToSlot(slot, id, p.value, at, updates_generated);
-    if (net_delayed) slot.stats.update_delay.Add(at - p.crossed_at);
-    delivered = true;
-  }
-  // Under delayed delivery the per-update audit must also judge at
-  // arrival instants — the answer just changed between generated
-  // updates. (Inline deliveries are already covered by the audit in the
-  // engine's update handler.)
-  if (net_delayed && delivered && audit_every_update) judge_live_slots();
-}
+                        std::size_t count, SimTime at);
 
 /// Appends the slot's pending run of unchanged answer-size samples (one
 /// per generated update, up to update number `upto`) in O(1).
 void FlushAnswerSamples(QuerySlot& slot, std::uint64_t upto);
 
-/// The partition-reconnect summary-vector exchange both engines bind as
+/// The partition-reconnect summary-vector exchange the engine binds as
 /// NetworkModel::ReconcileSink (DESIGN.md §11). Each reconnecting source
-/// reports the data half of its summary vector — its current value — and
-/// the server applies the entries its per-query view missed: the filter
-/// reference re-syncs for every live query, and values the cache is stale
-/// on are delivered as ordinary (charged) reports so the protocol repairs
-/// its answer. The deploy half (still-unacked constraint installs) is
-/// replayed by the fault pipeline itself over the same handshake. One
-/// copy for both engines, like DeliverWireMessage: reconciliation must
-/// not drift between serial and sharded replay.
-template <typename SlotPtrVec, typename Values>
-void ReconcileSlots(SlotPtrVec& slots, const Values& values,
-                    NetworkModel& net, std::uint64_t updates_generated,
-                    SimTime at) {
-  net.stats().reconcile_exchanges += values.size();
-  for (auto& slot_ptr : slots) {
-    QuerySlot& slot = *slot_ptr;
-    if (!slot.live) continue;
-    for (StreamId id = 0; id < values.size(); ++id) {
-      const Value v = values[id];
-      slot.filters->SyncReference(id, v);
-      if (slot.ctx->cached(id) != v) {
-        DeliverUpdateToSlot(slot, id, v, at, updates_generated);
-      }
-    }
-  }
-}
+/// reports the data half of its summary vector — its current value in
+/// `values` — and the server applies the entries its per-query view
+/// missed: the filter reference re-syncs for every live query, and values
+/// the cache is stale on are delivered as ordinary (charged) reports so
+/// the protocol repairs its answer. The deploy half (still-unacked
+/// constraint installs) is replayed by the fault pipeline itself over the
+/// same handshake.
+void ReconcileSlots(std::vector<std::unique_ptr<QuerySlot>>& slots,
+                    const std::vector<Value>& values, NetworkModel& net,
+                    std::uint64_t updates_generated, SimTime at);
 
 }  // namespace engine_internal
 }  // namespace asf

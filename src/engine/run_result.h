@@ -64,12 +64,6 @@ struct RunResult {
 
   /// Host wall-clock seconds consumed by the run.
   double wall_seconds = 0.0;
-  /// Sharded runs: wall seconds spent in the replay stage (the serial
-  /// fraction of the Amdahl curve), the resolved replay executor count,
-  /// and whether thread pinning took effect. Serial runs: 0 / 1 / false.
-  double replay_seconds = 0.0;
-  std::size_t replay_workers = 1;
-  bool pinned = false;
 
   /// Out-of-core spill accounting (DESIGN.md §13); all zero when
   /// config.spill is off. Telemetry only — results are byte-identical

@@ -24,11 +24,6 @@ inline void AssertViewFresh(const FilterBank& bank, const FilterArena& arena) {
 }
 }  // namespace
 
-/// Server-side runtime of one deployed query — the shared per-query
-/// runtime (engine/query_slot.h), which the sharded engine uses too so
-/// the two cannot drift apart in wiring or accounting.
-struct SimulationCore::Slot : engine_internal::QuerySlot {};
-
 SimulationCore::SimulationCore(const Options& options)
     : options_(options), arena_(options.source.NumStreams()),
       wall_start_(std::chrono::steady_clock::now()) {
@@ -42,8 +37,7 @@ SimulationCore::SimulationCore(const Options& options)
   ASF_CHECK(streams_->size() == arena_.num_streams());
 
   if (options_.spill.enabled()) {
-    spiller_ =
-        engine_internal::QueryStateSpiller::Create(options_.spill, "serial");
+    spiller_ = engine_internal::QueryStateSpiller::Create(options_.spill);
   }
 
   arena_.SetDispatchPolicy(ResolveDispatchPolicy(options_.dispatch));
@@ -70,20 +64,19 @@ SimulationCore::SimulationCore(const Options& options)
              SimTime at) { OnNetDeploy(slot, id, constraint, at); });
   net_->BindReconcile([this](SimTime at) { OnNetReconcile(at); });
 
-  // Observability attachment (DESIGN.md §14). The serial engine is one
-  // thread: everything writes trace ring 0. All hooks are inert — they
-  // record quantities the run already computed and never schedule,
-  // draw randomness, or block.
+  // Observability attachment (DESIGN.md §14). The engine is one thread:
+  // everything writes trace ring 0. All hooks are inert — they record
+  // quantities the run already computed and never schedule, draw
+  // randomness, or block.
   if (options_.obs.tracer != nullptr) options_.obs.tracer->EnsureRings(1);
   if (options_.obs.tracer != nullptr || options_.obs.metrics != nullptr) {
     net_->set_obs(options_.obs.metrics != nullptr
                       ? options_.obs.metrics->net_sink()
                       : nullptr,
-                  options_.obs.tracer, 0);
+                  options_.obs.tracer);
   }
   if (spiller_) {
-    spiller_->set_obs(options_.obs.tracer, 0, options_.obs.profiler,
-                      &scheduler_);
+    spiller_->set_obs(options_.obs.tracer, options_.obs.profiler, &scheduler_);
   }
   arena_.set_profiler(options_.obs.profiler);
 }
@@ -301,14 +294,18 @@ void SimulationCore::OnNetUpdate(StreamId id,
   obs::ScopedPhase obs_phase(options_.obs.profiler, obs::Phase::kNetFlush);
   ASF_TRACE_EVENT(options_.obs.tracer, 0, obs::TraceEventType::kWireDeliver,
                   at, id, count != 0 ? payloads[count - 1].value : 0, count);
-  engine_internal::DeliverWireMessage(
-      slots_, *net_, net_delayed_, options_.oracle.check_every_update,
-      updates_generated_, physical_updates_, id, payloads, count, at,
-      [this] {
-        for (auto& slot : slots_) {
-          if (slot->live) RunOracle(*slot);
-        }
-      });
+  const bool delivered = engine_internal::DeliverWireMessage(
+      slots_, *net_, net_delayed_, updates_generated_, physical_updates_, id,
+      payloads, count, at);
+  // Under delayed delivery the per-update audit must also judge at
+  // arrival instants — the answer just changed between generated
+  // updates. (Inline deliveries are already covered by the audit in the
+  // update handler.)
+  if (net_delayed_ && delivered && options_.oracle.check_every_update) {
+    for (auto& slot : slots_) {
+      if (slot->live) RunOracle(*slot);
+    }
+  }
 }
 
 void SimulationCore::OnNetDeploy(std::size_t slot_index, StreamId id,
@@ -387,7 +384,6 @@ void SimulationCore::Run() {
                  ? static_cast<double>(spiller_->Telemetry().pool_resident_bytes)
                  : 0.0;
     });
-    obs_reg->RegisterGauge("replay_fraction", [] { return 0.0; });
   }
 
   streams_->set_update_handler([this](StreamId id, Value v, SimTime t) {
@@ -403,7 +399,7 @@ void SimulationCore::Run() {
     // membership references (retired queries cost nothing here).
     // Per-query isolation makes the batch evaluation exact: a fired
     // column's protocol reaction can only touch its own filters, never
-    // another column's crossing decision for this update (DESIGN.md §8).
+    // another column's crossing decision for this update.
 #if ASF_OBS_TRACE_COMPILED
     const bool obs_want_index =
         options_.obs.tracer != nullptr &&
@@ -498,8 +494,8 @@ void SimulationCore::Run() {
   }
 
   // Model-owned timers (partition reconnect exchanges) are scheduled
-  // last, after lifecycle and oracle events, so FIFO seniority at equal
-  // timestamps matches the sharded engine.
+  // last, after lifecycle and oracle events: that fixes their FIFO
+  // seniority at equal timestamps.
   net_->StartRun(options_.duration);
 
   streams_->Start(&scheduler_, options_.duration);

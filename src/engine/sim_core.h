@@ -48,6 +48,7 @@
 namespace asf {
 
 namespace engine_internal {
+struct QuerySlot;          // engine/query_slot.h
 class QueryStateSpiller;  // engine/spill.h
 }  // namespace engine_internal
 
@@ -56,9 +57,7 @@ inline constexpr SimTime kNeverRetire =
     std::numeric_limits<SimTime>::infinity();
 
 /// Seed of query slot `index`'s protocol RNG, derived from the run seed
-/// (golden-ratio decorrelation). One definition shared by every engine so
-/// a query's protocol randomness is identical no matter which engine —
-/// serial or sharded — executes the deployment.
+/// (golden-ratio decorrelation).
 inline std::uint64_t QuerySlotSeed(std::uint64_t run_seed,
                                    std::size_t index) {
   return run_seed ^ (0x9e3779b97f4a7c15ULL + index);
@@ -221,16 +220,8 @@ class SimulationCore {
   /// Host wall-clock seconds from construction to the end of Run().
   double wall_seconds() const { return wall_seconds_; }
 
-  /// Serial engine: every reaction runs inline in the one event loop, so
-  /// there is no replay stage to time, one implicit executor, and no
-  /// pinning. Mirrors ShardedSimulationCore so result flattening
-  /// (system.cc / multi_system.cc) stays engine-agnostic.
-  double replay_seconds() const { return 0.0; }
-  std::size_t replay_workers() const { return 1; }
-  bool pinned() const { return false; }
-
  private:
-  struct Slot;
+  using Slot = engine_internal::QuerySlot;
 
   /// Judges slot `i`'s current answer against the true stream values.
   void RunOracle(Slot& slot);

@@ -121,11 +121,11 @@ QueryStateSpiller::QueryStateSpiller(const SpillConfig& config,
 }
 
 std::unique_ptr<QueryStateSpiller> QueryStateSpiller::Create(
-    const SpillConfig& config, const std::string& tag) {
+    const SpillConfig& config) {
   ASF_CHECK_MSG(config.enabled(), "spiller created with spilling disabled");
   static std::atomic<std::uint64_t> counter{0};
   const std::string path =
-      config.dir + "/asf-spill-" + tag + "-" +
+      config.dir + "/asf-spill-" +
       std::to_string(static_cast<long>(getpid())) + "-" +
       std::to_string(counter.fetch_add(1)) + ".pages";
   auto store = storage::PageStore::Create(path, config.page_size);
@@ -149,7 +149,7 @@ storage::RecordRef QueryStateSpiller::Spill(const QueryRunStats& stats) {
   ASF_CHECK_MSG(ref.ok(), ref.status().ToString().c_str());
   ++records_spilled_;
   spilled_bytes_ += bytes.size();
-  ASF_TRACE_EVENT(obs_tracer_, obs_ring_, obs::TraceEventType::kSpillEvict,
+  ASF_TRACE_EVENT(obs_tracer_, 0, obs::TraceEventType::kSpillEvict,
                   obs_clock_ != nullptr ? obs_clock_->now() : 0.0,
                   static_cast<std::uint32_t>(records_spilled_), 0,
                   bytes.size());
@@ -162,7 +162,7 @@ QueryRunStats QueryStateSpiller::Fault(const storage::RecordRef& ref) {
   ASF_CHECK_MSG(bytes.ok(), bytes.status().ToString().c_str());
   ++records_faulted_;
   faulted_bytes_ += bytes->size();
-  ASF_TRACE_EVENT(obs_tracer_, obs_ring_, obs::TraceEventType::kSpillFault,
+  ASF_TRACE_EVENT(obs_tracer_, 0, obs::TraceEventType::kSpillFault,
                   obs_clock_ != nullptr ? obs_clock_->now() : 0.0,
                   static_cast<std::uint32_t>(records_faulted_), 0,
                   bytes->size());

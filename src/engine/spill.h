@@ -39,11 +39,9 @@ QueryRunStats DecodeQueryRecord(const std::vector<std::uint8_t>& bytes);
 /// config must already be validated — construction CHECKs.
 class QueryStateSpiller {
  public:
-  /// `tag` distinguishes scratch files of concurrent runs in one dir
-  /// (e.g. "serial"/"sharded"); the file name also carries the pid and a
-  /// process-wide counter.
-  static std::unique_ptr<QueryStateSpiller> Create(const SpillConfig& config,
-                                                   const std::string& tag);
+  /// The scratch file name carries the pid and a process-wide counter, so
+  /// concurrent runs can share one dir.
+  static std::unique_ptr<QueryStateSpiller> Create(const SpillConfig& config);
 
   /// Removes the scratch page file.
   ~QueryStateSpiller();
@@ -64,13 +62,12 @@ class QueryStateSpiller {
   storage::BufferPool& pool() { return *pool_; }
 
   /// Observability attachment (DESIGN.md §14): spill/fault trace events
-  /// on ring `ring` stamped with `clock->now()`, and kSpillIo profiler
-  /// scopes around the page I/O. All-null (the default) = off. The clock
-  /// is read-only — tracing never schedules anything.
-  void set_obs(obs::Tracer* tracer, std::uint16_t ring,
-               obs::Profiler* profiler, const Scheduler* clock) {
+  /// on ring 0 stamped with `clock->now()`, and kSpillIo profiler scopes
+  /// around the page I/O. All-null (the default) = off. The clock is
+  /// read-only — tracing never schedules anything.
+  void set_obs(obs::Tracer* tracer, obs::Profiler* profiler,
+               const Scheduler* clock) {
     obs_tracer_ = tracer;
-    obs_ring_ = ring;
     obs_profiler_ = profiler;
     obs_clock_ = clock;
   }
@@ -89,7 +86,6 @@ class QueryStateSpiller {
   std::uint64_t faulted_bytes_ = 0;
 
   obs::Tracer* obs_tracer_ = nullptr;
-  std::uint16_t obs_ring_ = 0;
   obs::Profiler* obs_profiler_ = nullptr;
   const Scheduler* obs_clock_ = nullptr;
 };

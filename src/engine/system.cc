@@ -1,47 +1,8 @@
 #include "engine/system.h"
 
-#include "engine/sharded_core.h"
 #include "engine/sim_core.h"
 
 namespace asf {
-
-namespace {
-
-/// Deploys the one query, runs the core, and flattens into RunResult —
-/// shared verbatim between the serial and sharded engines.
-template <typename Core>
-RunResult RunAndFlatten(Core& core, const QueryDeployment& deployment) {
-  core.AddQuery(deployment);
-  core.Run();
-
-  const QueryRunStats& stats = core.query_stats(0);
-  RunResult result;
-  result.messages = stats.messages;
-  result.updates_generated = core.updates_generated();
-  result.updates_reported = stats.updates_reported;
-  result.reinits = stats.reinits;
-  result.fp_filters_installed = stats.fp_filters_installed;
-  result.fn_filters_installed = stats.fn_filters_installed;
-  result.answer_size = stats.answer_size;
-  result.oracle_checks = stats.oracle_checks;
-  result.oracle_violations = stats.oracle_violations;
-  result.max_f_plus = stats.max_f_plus;
-  result.max_f_minus = stats.max_f_minus;
-  result.max_worst_rank = stats.max_worst_rank;
-  result.oracle_violations_in_flight = stats.oracle_violations_in_flight;
-  result.update_delay = stats.update_delay;
-  result.net = core.net_stats();
-  result.dispatch_policy = core.dispatch_policy();
-  result.dispatch = core.dispatch_stats();
-  result.wall_seconds = core.wall_seconds();
-  result.replay_seconds = core.replay_seconds();
-  result.replay_workers = core.replay_workers();
-  result.pinned = core.pinned();
-  result.spill = core.spill_telemetry();
-  return result;
-}
-
-}  // namespace
 
 Result<RunResult> RunSystem(const SystemConfig& config) {
   ASF_RETURN_IF_ERROR(config.Validate());
@@ -66,18 +27,32 @@ Result<RunResult> RunSystem(const SystemConfig& config) {
   deployment.broadcast = config.broadcast_counts_as_one
                              ? BroadcastCostModel::kSingleMessage
                              : BroadcastCostModel::kPerRecipient;
-  if (config.shards > 1) {
-    ShardedSimulationCore::Options sharded;
-    sharded.base = options;
-    sharded.shards = config.shards;
-    sharded.epoch = config.shard_epoch;
-    sharded.replay_workers = config.replay_workers;
-    sharded.pin_threads = config.pin_threads;
-    ShardedSimulationCore core(sharded);
-    return RunAndFlatten(core, deployment);
-  }
   SimulationCore core(options);
-  return RunAndFlatten(core, deployment);
+  core.AddQuery(deployment);
+  core.Run();
+
+  const QueryRunStats& stats = core.query_stats(0);
+  RunResult result;
+  result.messages = stats.messages;
+  result.updates_generated = core.updates_generated();
+  result.updates_reported = stats.updates_reported;
+  result.reinits = stats.reinits;
+  result.fp_filters_installed = stats.fp_filters_installed;
+  result.fn_filters_installed = stats.fn_filters_installed;
+  result.answer_size = stats.answer_size;
+  result.oracle_checks = stats.oracle_checks;
+  result.oracle_violations = stats.oracle_violations;
+  result.max_f_plus = stats.max_f_plus;
+  result.max_f_minus = stats.max_f_minus;
+  result.max_worst_rank = stats.max_worst_rank;
+  result.oracle_violations_in_flight = stats.oracle_violations_in_flight;
+  result.update_delay = stats.update_delay;
+  result.net = core.net_stats();
+  result.dispatch_policy = core.dispatch_policy();
+  result.dispatch = core.dispatch_stats();
+  result.wall_seconds = core.wall_seconds();
+  result.spill = core.spill_telemetry();
+  return result;
 }
 
 }  // namespace asf

@@ -79,8 +79,7 @@ inline DispatchPolicy ResolveDispatchPolicy(DispatchPolicy configured) {
   return configured;
 }
 
-/// Dispatch-path accounting of one arena (or one engine, summed over its
-/// shard arenas).
+/// Dispatch-path accounting of one arena.
 struct DispatchStats {
   std::uint64_t scan_dispatches = 0;   ///< updates served by the kernel scan
   std::uint64_t index_dispatches = 0;  ///< updates served by the index
@@ -88,16 +87,6 @@ struct DispatchStats {
   /// Highest rebuild count any single stream accumulated — the thrash
   /// indicator per-stream amortization must keep bounded.
   std::uint64_t max_stream_rebuilds = 0;
-
-  DispatchStats& operator+=(const DispatchStats& other) {
-    scan_dispatches += other.scan_dispatches;
-    index_dispatches += other.index_dispatches;
-    index_rebuilds += other.index_rebuilds;
-    if (other.max_stream_rebuilds > max_stream_rebuilds) {
-      max_stream_rebuilds = other.max_stream_rebuilds;
-    }
-    return *this;
-  }
 };
 
 }  // namespace asf

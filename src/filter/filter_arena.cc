@@ -1,9 +1,7 @@
 #include "filter/filter_arena.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <type_traits>
 #include <utility>
@@ -64,7 +62,6 @@ void FilterArena::Widen() {
   widen(upper_, old_stride, stride_, kSentinelUpper);
   widen(ref_bits_, old_words, words_, std::uint64_t{0});
   widen(always_bits_, old_words, words_, std::uint64_t{0});
-  if (tracking_) widen(touched_bits_, old_words, words_, std::uint64_t{0});
   fired_.assign(words_, 0);
 }
 
@@ -116,24 +113,9 @@ std::size_t FilterArena::Release(std::size_t column) {
     upper[last] = kSentinelUpper;
     move_bit(ref_bits_.data() + s * words_);
     move_bit(always_bits_.data() + s * words_);
-    if (tracking_) {
-      std::uint64_t* touched = touched_bits_.data() + s * words_;
-      if (move && (touched[last_w] & last_mask) != 0) {
-        // The moved tenant's touched mark now answers at the hole; the
-        // per-stream list must learn the new position (the old entry at
-        // `last` goes stale and is compacted away lazily).
-        touched_cols_[s].push_back(static_cast<std::uint32_t>(column));
-      }
-      move_bit(touched);
-    }
   }
   if (move && index_) index_->OnRelease(column, last);
   --live_;
-  if (tracking_) {
-    // Moves and cleared `last` bits may leave stale list entries behind.
-    std::fill(touched_cols_stale_.begin(), touched_cols_stale_.end(),
-              std::uint8_t{1});
-  }
   // The released column's views (and, after a move, the last column's) are
   // stale either way.
   ++generation_;
@@ -162,7 +144,6 @@ void FilterArena::Deploy(StreamId id, std::size_t column,
   }
   SetBit(always_bits_, id, column, !filtered);
   SetBit(ref_bits_, id, column, filtered && LaneContains(lane, current_value));
-  if (tracking_) MarkTouched(id, column);
   if (index_) index_->OnDeploy(id, column);
 }
 
@@ -174,10 +155,7 @@ void FilterArena::SyncReference(StreamId id, std::size_t column,
            LaneContains(id * stride_ + column, current_value));
   }
   // No index dirty-mark: a reference sync changes no bounds, and the
-  // serial engine only syncs at dispatch-coherent values; the sharded
-  // replay's syncs land on cells the epoch already dirty-marked via
-  // Deploy or that the merge evaluates scalar anyway (DESIGN.md §10).
-  if (tracking_) MarkTouched(id, column);
+  // engine only syncs at dispatch-coherent values (DESIGN.md §10).
 }
 
 const std::uint64_t* FilterArena::EvaluateUpdate(StreamId id, Value v) {
@@ -210,109 +188,6 @@ bool FilterArena::EvaluateColumn(StreamId id, std::size_t column, Value v) {
   if (inside == Bit(ref_bits_, id, column)) return false;
   SetBit(ref_bits_, id, column, inside);
   return true;
-}
-
-void FilterArena::EvaluateTouched(StreamId id, Value v,
-                                  const std::vector<std::uint32_t>& columns,
-                                  std::vector<std::uint32_t>* fired) {
-  ASF_DCHECK(id < num_streams_);
-  ASF_DCHECK(std::isfinite(v));
-  fired->clear();
-  if (columns.empty()) return;
-  // Below this run length the per-column scalar path beats a 64-lane
-  // inside-mask sweep of the word (scalar builds sweep all 64 lanes).
-  constexpr std::size_t kMinWordRun = 4;
-  const double* lower = lower_.data() + id * stride_;
-  const double* upper = upper_.data() + id * stride_;
-  std::uint64_t* ref = ref_bits_.data() + id * words_;
-  const std::uint64_t* always = always_bits_.data() + id * words_;
-  std::size_t i = 0;
-  while (i < columns.size()) {
-    const std::size_t w = columns[i] / 64;
-    std::size_t run_end = i + 1;
-    std::uint64_t m = std::uint64_t{1} << (columns[i] % 64);
-    while (run_end < columns.size() && columns[run_end] / 64 == w) {
-      m |= std::uint64_t{1} << (columns[run_end] % 64);
-      ++run_end;
-    }
-    if (run_end - i < kMinWordRun) {
-      for (; i < run_end; ++i) {
-        ASF_DCHECK(columns[i] < live_);
-        if (EvaluateColumn(id, columns[i], v)) fired->push_back(columns[i]);
-      }
-      continue;
-    }
-    ASF_DCHECK(columns[run_end - 1] < live_);
-    const std::uint64_t inside =
-        simd::InsideMask64(v, lower + w * 64, upper + w * 64);
-    // EvaluateUpdate's word formulas masked to the touched columns: fire
-    // on a membership flip or a no-filter column, advance the reference
-    // for touched filtered columns only.
-    std::uint64_t fired_w = ((inside ^ ref[w]) | always[w]) & m;
-    const std::uint64_t filt = m & ~always[w];
-    ref[w] = (ref[w] & ~filt) | (inside & filt);
-    while (fired_w != 0) {
-      const unsigned b = static_cast<unsigned>(std::countr_zero(fired_w));
-      fired->push_back(static_cast<std::uint32_t>(w * 64 + b));
-      fired_w &= fired_w - 1;
-    }
-    i = run_end;
-  }
-}
-
-void FilterArena::EnableCellTracking(bool enabled) {
-  tracking_ = enabled;
-  if (enabled) {
-    touched_bits_.assign(num_streams_ * words_, 0);
-    touched_cols_.assign(num_streams_, {});
-    touched_cols_stale_.assign(num_streams_, 0);
-  } else {
-    touched_bits_.clear();
-    touched_bits_.shrink_to_fit();
-    touched_cols_.clear();
-    touched_cols_stale_.clear();
-  }
-}
-
-void FilterArena::ClearTouched() {
-  ASF_DCHECK(tracking_);
-  for (std::vector<std::uint32_t>& cols : touched_cols_) cols.clear();
-  std::fill(touched_cols_stale_.begin(), touched_cols_stale_.end(),
-            std::uint8_t{0});
-  if (touched_bits_.empty()) return;  // nothing tracked yet (no columns)
-  std::memset(touched_bits_.data(), 0,
-              touched_bits_.size() * sizeof(std::uint64_t));
-}
-
-void FilterArena::MarkTouched(StreamId id, std::size_t column) {
-  std::uint64_t& word = touched_bits_[id * words_ + column / 64];
-  const std::uint64_t mask = std::uint64_t{1} << (column % 64);
-  if ((word & mask) != 0) return;  // already listed (possibly stale-dup)
-  word |= mask;
-  touched_cols_[id].push_back(static_cast<std::uint32_t>(column));
-  touched_cols_stale_[id] = 1;
-}
-
-const std::vector<std::uint32_t>& FilterArena::TouchedColumns(StreamId id) {
-  ASF_DCHECK(tracking_ && id < num_streams_);
-  std::vector<std::uint32_t>& cols = touched_cols_[id];
-  if (touched_cols_stale_[id]) {
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-    // Drop entries whose bit is gone (vacated columns) or that fell
-    // outside the live prefix.
-    cols.erase(std::remove_if(
-                   cols.begin(), cols.end(),
-                   [&](std::uint32_t c) {
-                     return c >= live_ ||
-                            ((touched_bits_[id * words_ + c / 64] >>
-                              (c % 64)) &
-                             1u) == 0;
-                   }),
-               cols.end());
-    touched_cols_stale_[id] = 0;
-  }
-  return cols;
 }
 
 void FilterArena::SetDispatchPolicy(DispatchPolicy policy,

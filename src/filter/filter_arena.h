@@ -56,11 +56,6 @@
 /// and compaction — bumps `generation()`. FilterBank views carry the
 /// generation they were bound at, so the engine can assert view freshness
 /// (and knows to retag all live views) after any lifecycle event.
-///
-/// For the sharded engine's speculative epochs the arena can additionally
-/// track which cells a mutation touched (EnableCellTracking): the merge
-/// replay re-evaluates exactly those cells scalar while trusting the
-/// speculated fired bits everywhere else (DESIGN.md §8).
 
 namespace asf {
 
@@ -151,22 +146,9 @@ class FilterArena {
   /// Words of the fired mask covering the live columns.
   std::size_t fired_words() const { return (live_ + 63) / 64; }
 
-  /// Scalar single-cell evaluation (the sharded merge replay's dirty-cell
-  /// path): Filter::OnValueChange on one cell. Returns whether the filter
-  /// fired.
+  /// Scalar single-cell evaluation (the index's dirty-cell path):
+  /// Filter::OnValueChange on one cell. Returns whether the filter fired.
   bool EvaluateColumn(StreamId id, std::size_t column, Value v);
-
-  /// Batched counterpart of EvaluateColumn for the sharded merge replay:
-  /// evaluates `v` against exactly the live columns in `columns`
-  /// (ascending, deduplicated — TouchedColumns' form), advancing each
-  /// filtered column's membership reference like OnValueChange, and fills
-  /// `*fired` with the subset that fired, ascending. Columns sharing a
-  /// 64-column mask word are evaluated with one SIMD inside-mask and
-  /// three word ops; short word runs fall back to the scalar path so
-  /// sparse touches never pay a full-word sweep.
-  void EvaluateTouched(StreamId id, Value v,
-                       const std::vector<std::uint32_t>& columns,
-                       std::vector<std::uint32_t>* fired);
 
   // --- Policy-aware dispatch (DESIGN.md §10) ---
 
@@ -178,7 +160,7 @@ class FilterArena {
                          std::size_t auto_crossover = kDefaultAutoCrossover);
   DispatchPolicy dispatch_policy() const { return policy_; }
 
-  /// The engines' per-update entry point: evaluates value `v` of stream
+  /// The engine's per-update entry point: evaluates value `v` of stream
   /// `id` against all live columns under the configured policy, advancing
   /// references exactly like EvaluateUpdate, and fills `*fired` with the
   /// fired columns in ascending order. Also records `v` as the stream's
@@ -203,37 +185,8 @@ class FilterArena {
   /// with the current generation.
   FilterBank View(std::size_t column) {
     ASF_CHECK(column < live_);
-    return FilterBank({this}, column, num_streams_, generation_);
+    return FilterBank(this, column, num_streams_, generation_);
   }
-
-  // --- Cell mutation tracking (sharded speculative epochs) ---
-
-  /// Starts (true) or stops (false) recording which cells Deploy /
-  /// SyncReference touch. Stopping clears the recorded set.
-  void EnableCellTracking(bool enabled);
-
-  /// Word `w` of the touched-cell mask of stream `id`'s strip (tracking
-  /// mode only).
-  std::uint64_t TouchedWord(StreamId id, std::size_t w) const {
-    ASF_DCHECK(tracking_ && id < num_streams_ && w < words_);
-    return touched_bits_[id * words_ + w];
-  }
-
-  /// True if cell (id, column) was touched since tracking started / was
-  /// last cleared.
-  bool CellTouched(StreamId id, std::size_t column) const {
-    return (TouchedWord(id, column / 64) >> (column % 64)) & 1u;
-  }
-
-  /// Clears the touched-cell set (start of a new epoch).
-  void ClearTouched();
-
-  /// The touched cells of stream `id`'s strip as a sorted, deduplicated
-  /// column list (tracking mode only) — the list form the sharded merge
-  /// replay walks so its per-update cost is O(spec + touched), not
-  /// O(strip words). Lazily compacted; the reference is valid until the
-  /// next mutation or ClearTouched.
-  const std::vector<std::uint32_t>& TouchedColumns(StreamId id);
 
  private:
   friend class IntervalIndex;
@@ -278,18 +231,6 @@ class FilterArena {
   std::vector<std::uint64_t> ref_bits_;     ///< [stream * words_ + w]
   std::vector<std::uint64_t> always_bits_;  ///< [stream * words_ + w]
   std::vector<std::uint64_t> fired_;        ///< scratch, words_ words
-
-  /// Sets the touched bit of cell (id, column), recording the column in
-  /// the stream's touched list on the 0→1 transition.
-  void MarkTouched(StreamId id, std::size_t column);
-
-  bool tracking_ = false;
-  std::vector<std::uint64_t> touched_bits_;  ///< [stream * words_ + w]
-  /// Per-stream touched columns, unsorted with possibly-stale entries
-  /// (compaction relocations append; ClearTouched resets); TouchedColumns
-  /// compacts lazily against the bitmask.
-  std::vector<std::vector<std::uint32_t>> touched_cols_;
-  std::vector<std::uint8_t> touched_cols_stale_;  ///< per stream
 
   // --- Dispatch policy state (DESIGN.md §10) ---
   DispatchPolicy policy_ = DispatchPolicy::kScan;

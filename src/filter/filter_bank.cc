@@ -6,24 +6,22 @@ namespace asf {
 
 Filter FilterBank::at(StreamId id) const {
   ASF_DCHECK(id < size_);
-  if (arenas_.empty()) return base_[id * stride_];
-  return arenas_[id % arenas_.size()]->cell(id / arenas_.size(), column_);
+  if (arena_ == nullptr) return base_[id * stride_];
+  return arena_->cell(id, column_);
 }
 
 void FilterBank::Deploy(StreamId id, const FilterConstraint& constraint,
                         Value current_value) {
-  if (!arenas_.empty()) {
-    arenas_[id % arenas_.size()]->Deploy(id / arenas_.size(), column_,
-                                         constraint, current_value);
+  if (arena_ != nullptr) {
+    arena_->Deploy(id, column_, constraint, current_value);
     return;
   }
   at(id).Deploy(constraint, current_value);
 }
 
 void FilterBank::SyncReference(StreamId id, Value current_value) {
-  if (!arenas_.empty()) {
-    arenas_[id % arenas_.size()]->SyncReference(id / arenas_.size(), column_,
-                                                current_value);
+  if (arena_ != nullptr) {
+    arena_->SyncReference(id, column_, current_value);
     return;
   }
   at(id).SyncReference(current_value);

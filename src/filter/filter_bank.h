@@ -20,13 +20,10 @@
 ///  * *owning* — its own dense array, stride 1 (standalone tests/tools);
 ///  * a *raw strided view* into caller-managed storage (legacy layout
 ///    experiments);
-///  * an *arena-routed view*: one query's column across one or more
-///    FilterArenas. With a single arena this is the serial engine's
-///    stream-major layout; with S arenas the filters are sharded
-///    round-robin — stream id lives in arena id % S at row id / S — which
-///    is how a query spans the sharded engine's per-shard strips.
-///    The arena holds no Filter objects, so such a view mutates only
-///    through Deploy / SyncReference and reads cells by value.
+///  * an *arena-routed view*: one query's column of the engine's
+///    stream-major FilterArena. The arena holds no Filter objects, so
+///    such a view mutates only through Deploy / SyncReference and reads
+///    cells by value.
 ///
 /// Views are retagged as queries come and go (see filter/filter_arena.h
 /// and SimulationCore::InstallSlot / RebindLiveViews).
@@ -59,17 +56,15 @@ class FilterBank {
     ASF_CHECK(stride >= 1);
   }
 
-  /// Arena-routed view of one query's `column` across `arenas` (stream id
-  /// -> arena id % S, row id / S). The arenas outlive the view; the
-  /// caller may tag the view with the storage generation it was bound at
-  /// (see FilterArena) so stale views are detectable after a rebind.
-  FilterBank(std::vector<FilterArena*> arenas, std::size_t column,
-             std::size_t num_streams, std::uint64_t generation = 0)
+  /// Arena-routed view of one query's `column` of `arena`. The arena
+  /// outlives the view; the caller may tag the view with the storage
+  /// generation it was bound at (see FilterArena) so stale views are
+  /// detectable after a rebind.
+  FilterBank(FilterArena* arena, std::size_t column, std::size_t num_streams,
+             std::uint64_t generation = 0)
       : base_(nullptr), stride_(1), size_(num_streams),
-        generation_(generation), arenas_(std::move(arenas)),
-        column_(column) {
-    ASF_CHECK(!arenas_.empty());
-    for (const FilterArena* arena : arenas_) ASF_CHECK(arena != nullptr);
+        generation_(generation), arena_(arena), column_(column) {
+    ASF_CHECK(arena != nullptr);
   }
 
   FilterBank(FilterBank&&) = default;
@@ -86,7 +81,7 @@ class FilterBank {
   /// generation `generation` — the in-place rebind after growth or
   /// compaction.
   void Retag(std::size_t column, std::uint64_t generation) {
-    ASF_DCHECK(!arenas_.empty());
+    ASF_DCHECK(arena_ != nullptr);
     column_ = column;
     generation_ = generation;
   }
@@ -94,7 +89,7 @@ class FilterBank {
   /// Mutable access to stream `id`'s filter; owning and raw strided banks
   /// only.
   Filter& at(StreamId id) {
-    ASF_DCHECK(id < size_ && arenas_.empty());
+    ASF_DCHECK(id < size_ && arena_ == nullptr);
     return base_[id * stride_];
   }
 
@@ -135,7 +130,7 @@ class FilterBank {
   std::size_t stride_;
   std::size_t size_;
   std::uint64_t generation_ = 0;
-  std::vector<FilterArena*> arenas_;  ///< non-empty for arena-routed views
+  FilterArena* arena_ = nullptr;  ///< set for arena-routed views
   std::size_t column_ = 0;
 };
 

@@ -97,13 +97,13 @@ NetworkModel::EgressAction FaultPipeline::OnUpdateEgress(
   NetStats& s = stats();
   if (!LinkUp(at)) {
     s.dropped_partition += crossings;
-    ASF_TRACE_EVENT(obs_tracer_, obs_ring_, obs::TraceEventType::kWireDrop,
+    ASF_TRACE_EVENT(obs_tracer_, 0, obs::TraceEventType::kWireDrop,
                     at, id, 0, crossings);
     return EgressAction::kConsumed;
   }
   if (LossDraw(&up_, id)) {
     s.dropped_loss += crossings;
-    ASF_TRACE_EVENT(obs_tracer_, obs_ring_, obs::TraceEventType::kWireDrop,
+    ASF_TRACE_EVENT(obs_tracer_, 0, obs::TraceEventType::kWireDrop,
                     at, id, 0, crossings);
     return EgressAction::kConsumed;
   }
@@ -314,7 +314,7 @@ void FaultPipeline::StartRun(SimTime horizon) {
   if (!config_.reconcile) return;
   // Up-edges are the odd-indexed partition boundaries. Scheduling them
   // here — after the engine's lifecycle events, before the first stream
-  // event — gives them the same FIFO seniority in both engines.
+  // event — fixes their FIFO seniority at equal timestamps.
   for (std::size_t i = 1; i < config_.partition.size(); i += 2) {
     const SimTime up = config_.partition[i];
     if (up > horizon) break;

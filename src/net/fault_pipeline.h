@@ -36,9 +36,8 @@
 ///    still-unacked constraint installs over the reliable handshake.
 ///
 /// Every random decision comes from one decorrelated RNG substream whose
-/// draw sites occur in replayed-event order, so a (config, seed) pair
-/// fully determines the fault schedule and the serial and sharded engines
-/// stay byte-identical under any composite configuration.
+/// draw sites occur in event order, so a (config, seed) pair fully
+/// determines the fault schedule under any composite configuration.
 namespace asf {
 
 /// RFC 6298 round-trip-time estimator for one control-plane link:
@@ -102,10 +101,9 @@ class FaultPipeline final : public NetworkModel {
 
   /// Forwards to the wrapped base model too, so staleness samples taken
   /// at the base's egress land in the same sink.
-  void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer,
-               std::uint16_t ring) override {
-    NetworkModel::set_obs(sink, tracer, ring);
-    base_->set_obs(sink, tracer, ring);
+  void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer) override {
+    NetworkModel::set_obs(sink, tracer);
+    base_->set_obs(sink, tracer);
   }
 
   /// True when the partition schedule has every link up at `t` (links are

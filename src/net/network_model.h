@@ -24,7 +24,7 @@
 /// The paper assumes messages arrive instantaneously inside the event that
 /// produced them (DESIGN.md §1); this subsystem makes delivery a
 /// first-class, pluggable model so message savings become observable
-/// latency/staleness trade-offs. The engines route every source→server
+/// latency/staleness trade-offs. The engine routes every source→server
 /// update message and every server→source constraint deployment through a
 /// NetworkModel, which decides *when* (and, for batching, *how coalesced*)
 /// the message reaches the other end — inline for zero-delay models,
@@ -123,7 +123,7 @@ struct NetConfig {
 
   Status Validate() const;
 
-  /// True when any fault stage is active (the engines then wrap the base
+  /// True when any fault stage is active (the engine then wraps the base
   /// model in a FaultPipeline).
   bool HasFaults() const {
     return loss > 0 || reorder > 0 || !partition.empty();
@@ -293,10 +293,9 @@ class NetworkModel {
   NetworkModel(const NetworkModel&) = delete;
   NetworkModel& operator=(const NetworkModel&) = delete;
 
-  /// Wires the model into an engine. `scheduler` is where delayed
-  /// deliveries are scheduled (the serial engine's event loop, or the
-  /// sharded coordinator's delivery queue). Must be called exactly once,
-  /// before any Send*.
+  /// Wires the model into an engine. `scheduler` is the engine's event
+  /// loop, where delayed deliveries are scheduled. Must be called exactly
+  /// once, before any Send*.
   void Bind(Scheduler* scheduler, UpdateSink on_update, DeploySink on_deploy);
 
   /// Binds the engine's reconnect-reconciliation handler. Only fault
@@ -307,8 +306,8 @@ class NetworkModel {
   /// Run-start hook, called by the engine once per run after its
   /// lifecycle events are scheduled and before the first stream event:
   /// models schedule their deterministic timers here (partition
-  /// reconnect exchanges), so event FIFO seniority at equal timestamps
-  /// matches between the serial and sharded engines.
+  /// reconnect exchanges), which fixes their FIFO seniority at equal
+  /// timestamps.
   virtual void StartRun(SimTime horizon) { (void)horizon; }
 
   /// Data plane: stream `id` changed to `v` at `now`, crossing the filter
@@ -359,16 +358,13 @@ class NetworkModel {
   void set_update_egress(UpdateEgress egress) { egress_ = std::move(egress); }
 
   /// Observability endpoints (DESIGN.md §14): histogram sink for
-  /// staleness / queue depth / RTO samples, and the tracer ring wire
-  /// drops are recorded on. Null (the default) = off; one branch per
-  /// feed site. Engines set this before Run; FaultPipeline overrides to
-  /// forward to its wrapped base model as well. All feed sites run on
-  /// the model's owning (scheduler) thread.
-  virtual void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer,
-                       std::uint16_t ring) {
+  /// staleness / queue depth / RTO samples, and the tracer wire drops are
+  /// recorded on (ring 0). Null (the default) = off; one branch per feed
+  /// site. The engine sets this before Run; FaultPipeline overrides to
+  /// forward to its wrapped base model as well.
+  virtual void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer) {
     obs_sink_ = sink;
     obs_tracer_ = tracer;
-    obs_ring_ = ring;
   }
 
   /// Pipeline-only: accounts and delivers a wire message the egress hook
@@ -404,7 +400,7 @@ class NetworkModel {
   /// scheduler's clock — a jitter-free send at the current time — the
   /// event goes through ScheduleAfter(delay), same key, and rides the
   /// scheduler's FIFO lane for that delay (DESIGN.md §5). Any other `at`
-  /// (jitter, queueing, the sharded replay's own clock) keeps the heap.
+  /// (a jittered delay, a bandwidth queue's wait) keeps the heap.
   EventId ScheduleDelivery(SimTime at, SimTime delay, EventCallback fn) {
     if (at == scheduler_->now() + delay) {
       return scheduler_->ScheduleAfter(delay, std::move(fn));
@@ -428,7 +424,6 @@ class NetworkModel {
   /// Observability endpoints (see set_obs); null = off.
   obs::NetMetricsSink* obs_sink_ = nullptr;
   obs::Tracer* obs_tracer_ = nullptr;
-  std::uint16_t obs_ring_ = 0;
   /// Wire messages enqueued but not yet delivered (any direction).
   std::uint64_t pending_wire_ = 0;
   /// Update crossings enqueued but not yet delivered.

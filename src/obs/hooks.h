@@ -7,16 +7,14 @@
 /// The observability attachment point (DESIGN.md §14): a bundle of
 /// non-owning pointers a run driver (asf_run, a bench, a test) threads
 /// through SystemConfig / MultiQueryConfig / SimulationCore::Options
-/// into both engines and the network layer. Null pointers (the default)
+/// into the engine and the network layer. Null pointers (the default)
 /// disable each facility independently at the cost of one branch per
 /// instrumentation point.
 ///
 /// Ownership and lifetime: the driver owns the Tracer / MetricsRegistry
 /// / Profiler objects and must keep them alive for the whole run. One
 /// bundle serves one run at a time — the objects are not synchronized
-/// for concurrent runs (within one sharded run the engine partitions
-/// tracer rings per shard and merges profiler state at barriers, so a
-/// single run is safe at any shard count).
+/// for concurrent runs.
 
 namespace asf {
 namespace obs {
@@ -31,9 +29,8 @@ struct ObsHooks {
   /// Gauge/histogram registry (obs/metrics.h); null = off.
   MetricsRegistry* metrics = nullptr;
   /// Sim-time snapshot period for the registry's gauges; <= 0 disables
-  /// periodic snapshots (histograms still fill). The serial engine
-  /// samples exactly on the grid between scheduler events; the sharded
-  /// engine samples due grid points at each epoch barrier.
+  /// periodic snapshots (histograms still fill). The engine samples
+  /// exactly on the grid between scheduler events.
   SimTime metrics_every = 0;
   /// Wall-clock phase profiler (obs/profiler.h); null = off.
   Profiler* profiler = nullptr;

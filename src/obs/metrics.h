@@ -22,9 +22,8 @@
 /// driving thread, so a snapshot never observes a half-applied update —
 /// and never perturbs one (the registry is read-only on engine state).
 ///
-/// Threading contract: single-threaded, owned by the run driver. The
-/// sharded engine samples only at epoch barriers (workers quiescent);
-/// histogram feed sites all run on the coordinator / net thread.
+/// Threading contract: single-threaded, owned by the run driver; every
+/// gauge sample and histogram feed runs on the engine's thread.
 
 namespace asf {
 namespace obs {
@@ -33,8 +32,8 @@ namespace obs {
 /// below `min_value`, including zero and negatives); the last bucket
 /// collects overflow. Bucket i (0 < i < buckets-1) covers
 /// [min_value * 2^(i-1), min_value * 2^i). Merge is elementwise and
-/// therefore associative and commutative — shard-local histograms can be
-/// combined in any order with identical results.
+/// therefore associative and commutative — histograms can be combined in
+/// any order with identical results.
 class LogHistogram {
  public:
   explicit LogHistogram(double min_value = 1e-6, std::size_t buckets = 64)
@@ -117,7 +116,8 @@ struct MetricsRow {
 };
 
 /// The per-run registry: owns the histograms, the gauge closures, and
-/// the sampled series. Engines receive it through ObsHooks (null = off).
+/// the sampled series. The engine receives it through ObsHooks (null =
+/// off).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -125,7 +125,7 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Registers a pull gauge. The closure must stay valid until
-  /// ClearGauges() — engines register at Run start and clear before
+  /// ClearGauges() — the engine registers at Run start and clears before
   /// returning, because the closures capture engine internals.
   void RegisterGauge(const std::string& name, std::function<double()> fn) {
     gauge_names_.push_back(name);

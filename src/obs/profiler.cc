@@ -27,14 +27,8 @@ const char* PhaseName(Phase phase) {
       return "other";
     case Phase::kDispatch:
       return "dispatch";
-    case Phase::kSweep:
-      return "simd_sweep";
     case Phase::kIndexRebuild:
       return "index_rebuild";
-    case Phase::kSpeculate:
-      return "speculate";
-    case Phase::kReplay:
-      return "replay";
     case Phase::kNetFlush:
       return "net_flush";
     case Phase::kSpillIo:

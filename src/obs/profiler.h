@@ -11,13 +11,13 @@
 
 /// \file
 /// Phase profiler (DESIGN.md §14): RAII wall-clock scopes around the
-/// engine's coarse phases (dispatch, SIMD sweep, index rebuild,
-/// speculate, replay, net flush, spill I/O), accumulated in per-thread
-/// state and merged into one exclusive-time report at the end of a run.
+/// engine's coarse phases (dispatch, index rebuild, net flush, spill
+/// I/O), accumulated in per-thread state and merged into one
+/// exclusive-time report at the end of a run.
 ///
 /// Attribution is *exclusive*: entering a nested scope stops the clock
 /// on the parent, so the per-phase seconds sum to the profiled wall time
-/// (not more). Engines open a kOther root scope around the whole Run so
+/// (not more). The engine opens a kOther root scope around the whole Run so
 /// un-annotated time is visible rather than missing — the ≥90% coverage
 /// criterion in ISSUE 10 falls out of that by construction.
 ///
@@ -31,11 +31,8 @@ namespace obs {
 
 enum class Phase : std::uint8_t {
   kOther = 0,     ///< root scope: everything not otherwise annotated
-  kDispatch,      ///< filter dispatch (serial update handler / replay)
-  kSweep,         ///< sharded speculation: SIMD crossing sweep on workers
+  kDispatch,      ///< filter dispatch in the update handler
   kIndexRebuild,  ///< interval-index rebuild inside dispatch
-  kSpeculate,     ///< coordinator: waiting on the speculation barrier
-  kReplay,        ///< sharded merge/replay stage
   kNetFlush,      ///< network delivery callbacks draining into the engine
   kSpillIo,       ///< spill write-out / fault-back page I/O
   kNumPhases,

@@ -13,8 +13,8 @@
 #include "common/types.h"
 
 /// \file
-/// Sim-time event tracer (DESIGN.md §14): lock-free per-shard ring
-/// buffers of fixed-size POD records, flushed once to a binary file at
+/// Sim-time event tracer (DESIGN.md §14): lock-free ring buffers of
+/// fixed-size POD records, flushed once to a binary file at
 /// the end of a run and converted offline to Chrome trace_event JSON by
 /// tools/asf_trace.
 ///
@@ -26,10 +26,10 @@
 /// but runtime-disabled it is one null-pointer branch on the hot path.
 ///
 /// Threading contract: rings are partitioned, not shared. Ring r is
-/// written by exactly one thread at a time (the sharded engine gives
-/// shard s ring s and the coordinator ring S; the serial engine uses
-/// ring 0 only). EnsureRings and WriteBinary are setup/teardown-time
-/// calls on the owning thread.
+/// written by exactly one thread at a time; the engine writes ring 0
+/// only. The file format keeps the ring count and each record's ring so
+/// multi-ring dumps from earlier versions still read. EnsureRings and
+/// WriteBinary are setup/teardown-time calls on the owning thread.
 
 namespace asf {
 namespace obs {
@@ -43,7 +43,7 @@ enum class TraceEventType : std::uint16_t {
   kWireDrop,         ///< message lost (partition/loss/retired slot)
   kDeploy,           ///< query slot installed; id = slot
   kRetire,           ///< query slot retired; id = slot
-  kEpochBarrier,     ///< sharded epoch boundary; aux = epoch sequence
+  kEpochBarrier,     ///< epoch boundary, in dumps from earlier versions
   kIndexRebuild,     ///< interval-index rebuild; aux = rebuild count
   kSpillEvict,       ///< query state spilled out; id = slot, aux = bytes
   kSpillFault,       ///< query state faulted back; id = slot, aux = bytes
@@ -100,9 +100,9 @@ Result<std::uint32_t> ParseCategoryMask(const std::string& csv);
 struct TraceRecord {
   double time = 0;         ///< sim-time of the event
   std::uint16_t type = 0;  ///< TraceEventType
-  std::uint16_t ring = 0;  ///< originating ring (shard) index
+  std::uint16_t ring = 0;  ///< originating ring index
   std::uint32_t id = 0;    ///< stream / column / slot id (type-dependent)
-  std::uint64_t aux = 0;   ///< type-dependent extra (count, bytes, epoch)
+  std::uint64_t aux = 0;   ///< type-dependent extra (count, bytes)
   double value = 0;        ///< type-dependent value (stream value, etc.)
 };
 static_assert(sizeof(TraceRecord) == 32, "trace record layout is the ABI");
@@ -138,7 +138,7 @@ class TraceRing {
 };
 
 /// The per-run tracer: owns the rings, the category mask, and the binary
-/// flush. Engines receive a `Tracer*` through ObsHooks (null = off).
+/// flush. The engine receives a `Tracer*` through ObsHooks (null = off).
 class Tracer {
  public:
   explicit Tracer(std::uint32_t category_mask = kCatAll,

@@ -47,8 +47,8 @@ Result<TraceFileData> ReadTraceBinary(const std::string& path);
 /// {"traceEvents": [...]} with one instant event (ph "i", scope "t") per
 /// record. Sim-time maps to the `ts` microsecond axis via `ts_scale`
 /// (default: 1 sim-time unit = 1 second = 1e6 µs); each ring becomes a
-/// named thread (tid = ring index) so per-shard timelines render as
-/// separate tracks.
+/// named thread (tid = ring index) so each ring's timeline renders as a
+/// separate track.
 std::string ChromeTraceJson(const TraceFileData& data, double ts_scale = 1e6);
 
 /// Convenience: ReadTraceBinary + ChromeTraceJson + write to `out_path`.

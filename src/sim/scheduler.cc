@@ -233,16 +233,6 @@ bool Scheduler::Step() {
   return true;
 }
 
-std::size_t Scheduler::RunBefore(SimTime t) {
-  std::size_t n = 0;
-  while (const HeapNode* next = PeekLive()) {
-    if (next->time() >= t) break;
-    DispatchPeeked(next);
-    ++n;
-  }
-  return n;
-}
-
 std::size_t Scheduler::RunUntil(SimTime t) {
   ASF_CHECK(t >= now_);
   std::size_t n = 0;

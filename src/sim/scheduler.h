@@ -212,12 +212,6 @@ class Scheduler {
   /// `t`. Returns the number of events dispatched.
   std::size_t RunUntil(SimTime t);
 
-  /// Runs all events with time strictly < `t` and leaves the clock at the
-  /// last dispatched event (events at exactly `t` stay pending). The
-  /// sharded engine's epoch driver: each shard advances through
-  /// [T, T') while events at the boundary itself belong to the next epoch.
-  std::size_t RunBefore(SimTime t);
-
   /// Runs until the queue is empty. Returns the number of events
   /// dispatched.
   std::size_t RunAll();

@@ -26,8 +26,8 @@
 /// session and verify on read (ASF_DCHECK), catching offset bugs and
 /// torn in-process writes without spending on-disk format bytes.
 ///
-/// Not thread-safe: the engines drive it from the coordinator thread
-/// only (retirement and result assembly are serial by contract).
+/// Not thread-safe: the engine drives it from its one thread
+/// (retirement and result assembly are serial by contract).
 
 namespace asf {
 namespace storage {

@@ -11,7 +11,7 @@
 /// \file
 /// Variable-length records on top of the BufferPool. A record is a chain
 /// of pages, each laid out as [u32 next_page][payload]; RecordRef is the
-/// (head page, byte length) handle the engines keep per spilled query.
+/// (head page, byte length) handle the engine keeps per spilled query.
 /// Write allocates the chain through the pool, Read faults it back one
 /// page at a time (so a single-frame pool suffices for any record size),
 /// Free returns the chain to the store's free list.

@@ -18,15 +18,11 @@ Status RandomWalkConfig::Validate() const {
   return Status::OK();
 }
 
-RandomWalkStreams::RandomWalkStreams(const RandomWalkConfig& config,
-                                     StreamPartition partition)
-    : StreamSet(config.num_streams), config_(config), partition_(partition) {
+RandomWalkStreams::RandomWalkStreams(const RandomWalkConfig& config)
+    : StreamSet(config.num_streams), config_(config) {
   ASF_CHECK_MSG(config.Validate().ok(), "invalid RandomWalkConfig");
-  ASF_CHECK(partition_.count >= 1 && partition_.index < partition_.count);
-  rngs_.reserve((config_.num_streams + partition_.count - 1) /
-                partition_.count);
-  for (StreamId id = partition_.index; id < config_.num_streams;
-       id += partition_.count) {
+  rngs_.reserve(config_.num_streams);
+  for (StreamId id = 0; id < config_.num_streams; ++id) {
     // The initial value is the substream's first draw, so it too is a
     // function of (seed, id) alone.
     rngs_.emplace_back(MixSeed(config_.seed, id));
@@ -48,7 +44,7 @@ Value RandomWalkStreams::Reflect(Value v) const {
 
 void RandomWalkStreams::StepStream(Scheduler* scheduler, StreamId id,
                                    SimTime horizon) {
-  Rng& rng = StreamRng(id);
+  Rng& rng = rngs_[id];
   Value next = value(id) + rng.Normal(0.0, config_.sigma);
   if (config_.reflect) next = Reflect(next);
   ApplyUpdate(id, next, scheduler->now());
@@ -64,10 +60,9 @@ void RandomWalkStreams::StepStream(Scheduler* scheduler, StreamId id,
 
 void RandomWalkStreams::Start(Scheduler* scheduler, SimTime horizon) {
   ASF_CHECK(scheduler != nullptr);
-  for (StreamId id = partition_.index; id < config_.num_streams;
-       id += partition_.count) {
+  for (StreamId id = 0; id < config_.num_streams; ++id) {
     const SimTime first =
-        scheduler->now() + StreamRng(id).Exponential(config_.mean_interarrival);
+        scheduler->now() + rngs_[id].Exponential(config_.mean_interarrival);
     if (first <= horizon) {
       scheduler->ScheduleAt(first, [this, scheduler, id, horizon] {
         StepStream(scheduler, id, horizon);

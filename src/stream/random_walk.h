@@ -26,9 +26,7 @@
 /// inter-arrival gaps from its own RNG substream seeded MixSeed(seed, i).
 /// A stream's whole (time, value) trajectory is therefore a function of
 /// (config, i) alone — independent of how many other streams exist or how
-/// their events interleave — so a StreamPartition slice of the population
-/// replays exactly the trajectories the full set would produce. The
-/// sharded engine depends on this for byte-identical results.
+/// their events interleave.
 
 namespace asf {
 
@@ -49,21 +47,13 @@ struct RandomWalkConfig {
 /// walks with exponential update inter-arrival times.
 class RandomWalkStreams : public StreamSet {
  public:
-  /// Builds the population, driving only the streams `partition` owns.
-  /// Initial values are set for owned streams; foreign streams stay 0 and
-  /// must not be read (the sharded engine reads foreign values from its
-  /// own merged view, never from a shard's set).
-  explicit RandomWalkStreams(const RandomWalkConfig& config,
-                             StreamPartition partition = {});
+  explicit RandomWalkStreams(const RandomWalkConfig& config);
 
   void Start(Scheduler* scheduler, SimTime horizon) override;
 
   const RandomWalkConfig& config() const { return config_; }
 
  private:
-  /// The RNG substream of owned stream `id`.
-  Rng& StreamRng(StreamId id) { return rngs_[id / partition_.count]; }
-
   /// Applies one step to stream `id` and schedules its next update.
   void StepStream(Scheduler* scheduler, StreamId id, SimTime horizon);
 
@@ -71,8 +61,7 @@ class RandomWalkStreams : public StreamSet {
   Value Reflect(Value v) const;
 
   RandomWalkConfig config_;
-  StreamPartition partition_;
-  /// One RNG per owned stream, indexed by id / partition.count.
+  /// One RNG substream per stream, indexed by id.
   std::vector<Rng> rngs_;
 };
 

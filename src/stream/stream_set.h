@@ -17,21 +17,6 @@
 
 namespace asf {
 
-/// Which slice of a stream population a StreamSet instance drives. Streams
-/// are dealt round-robin: instance `index` of `count` owns every stream
-/// with `id % count == index`. The default {0, 1} owns all streams (the
-/// serial engine); the sharded engine gives each shard its own slice.
-/// Sources that support partitioning guarantee each stream's update
-/// trajectory is identical no matter which partition drives it (per-stream
-/// RNG substreams / record filtering), which is what makes a sharded run
-/// reproducible against the serial one.
-struct StreamPartition {
-  std::size_t index = 0;
-  std::size_t count = 1;
-
-  bool Owns(StreamId id) const { return id % count == index; }
-};
-
 /// Base class for a collection of value-producing streams.
 class StreamSet {
  public:

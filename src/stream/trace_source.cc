@@ -1,5 +1,7 @@
 #include "stream/trace_source.h"
 
+#include <cmath>
+
 namespace asf {
 
 Status TraceData::Validate() const {
@@ -10,38 +12,45 @@ Status TraceData::Validate() const {
     return Status::InvalidArgument(
         "initial_values must be empty or one per stream");
   }
+  // One pass: a NaN time fails the ordering test, non-finite values are
+  // OR-accumulated and reported after the loop, and an infinite time can
+  // only sort last, so checking the final time covers it.
+  bool non_finite = false;
+  for (const Value v : initial_values) non_finite |= !std::isfinite(v);
   SimTime last = 0;
   for (const TraceRecord& rec : records) {
     if (rec.stream >= num_streams) {
       return Status::OutOfRange("trace record references unknown stream");
     }
-    if (rec.time < last) {
+    if (!(rec.time >= last)) {
+      if (std::isnan(rec.time)) {
+        return Status::InvalidArgument("trace record time must not be NaN");
+      }
+      if (rec.time < 0) {
+        return Status::InvalidArgument("trace record time must be >= 0");
+      }
       return Status::InvalidArgument("trace records must be time-sorted");
     }
-    if (rec.time < 0) {
-      return Status::InvalidArgument("trace record time must be >= 0");
-    }
+    non_finite |= !std::isfinite(rec.value);
     last = rec.time;
+  }
+  if (non_finite) {
+    return Status::InvalidArgument("trace values must be finite");
+  }
+  if (std::isinf(last)) {
+    return Status::InvalidArgument("trace record times must be finite");
   }
   return Status::OK();
 }
 
-TraceStreams::TraceStreams(const TraceData* trace, StreamPartition partition)
-    : StreamSet(trace->num_streams), trace_(trace), partition_(partition) {
+TraceStreams::TraceStreams(const TraceData* trace)
+    : StreamSet(trace->num_streams), trace_(trace) {
   ASF_CHECK(trace != nullptr);
   ASF_CHECK_MSG(trace->Validate().ok(), "invalid TraceData");
-  ASF_CHECK(partition_.count >= 1 && partition_.index < partition_.count);
   if (!trace_->initial_values.empty()) {
     for (StreamId id = 0; id < trace_->num_streams; ++id) {
-      if (partition_.Owns(id)) SetInitialValue(id, trace_->initial_values[id]);
+      SetInitialValue(id, trace_->initial_values[id]);
     }
-  }
-}
-
-void TraceStreams::SkipForeign() {
-  while (next_ < trace_->records.size() &&
-         !partition_.Owns(trace_->records[next_].stream)) {
-    ++next_;
   }
 }
 
@@ -50,7 +59,6 @@ void TraceStreams::ReplayNext(Scheduler* scheduler, SimTime horizon) {
   const TraceRecord& rec = trace_->records[next_];
   ++next_;
   ApplyUpdate(rec.stream, rec.value, rec.time);
-  SkipForeign();
   if (next_ < trace_->records.size()) {
     const SimTime t = trace_->records[next_].time;
     if (t <= horizon) {
@@ -63,8 +71,7 @@ void TraceStreams::ReplayNext(Scheduler* scheduler, SimTime horizon) {
 void TraceStreams::Start(Scheduler* scheduler, SimTime horizon) {
   ASF_CHECK(scheduler != nullptr);
   next_ = 0;
-  SkipForeign();
-  if (next_ >= trace_->records.size()) return;
+  if (trace_->records.empty()) return;
   const SimTime t = trace_->records[next_].time;
   if (t > horizon) return;
   scheduler->ScheduleAt(

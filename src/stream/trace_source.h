@@ -35,6 +35,9 @@ struct TraceData {
   /// Update records; must be sorted by time (ties in record order).
   std::vector<TraceRecord> records;
 
+  /// Checks that every record names a known stream, that record times are
+  /// non-negative and sorted, and that every time, value and initial value
+  /// is finite.
   Status Validate() const;
 
   /// Latest record time (0 if empty).
@@ -44,12 +47,10 @@ struct TraceData {
 };
 
 /// Streams that replay a TraceData. The trace is borrowed and must outlive
-/// the stream set. A StreamPartition slice applies only the records of the
-/// streams it owns (in trace order), so a shard replays exactly the
-/// sub-trace of its streams.
+/// the stream set.
 class TraceStreams : public StreamSet {
  public:
-  explicit TraceStreams(const TraceData* trace, StreamPartition partition = {});
+  explicit TraceStreams(const TraceData* trace);
 
   void Start(Scheduler* scheduler, SimTime horizon) override;
 
@@ -57,11 +58,7 @@ class TraceStreams : public StreamSet {
   /// Replays records[next_] and any further records at the same timestamp.
   void ReplayNext(Scheduler* scheduler, SimTime horizon);
 
-  /// Advances next_ past records of streams this partition does not own.
-  void SkipForeign();
-
   const TraceData* trace_;
-  StreamPartition partition_;
   std::size_t next_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -77,7 +78,13 @@ Result<TraceData> ReadTraceCsv(const std::string& path) {
     }
     double n = 0;
     ASF_RETURN_IF_ERROR(ParseDouble(fields[1], &n));
-    if (n < 1) return Status::Corruption("num_streams must be >= 1");
+    // Range-check before the cast: converting NaN, an infinity or an
+    // out-of-range double to an integer is undefined.
+    constexpr double kMaxStreams =
+        static_cast<double>(std::numeric_limits<StreamId>::max()) + 1;
+    if (!(n >= 1 && n <= kMaxStreams)) {
+      return Status::Corruption("num_streams must lie in [1, 2^32]");
+    }
     trace.num_streams = static_cast<std::size_t>(n);
   }
 
@@ -108,6 +115,9 @@ Result<TraceData> ReadTraceCsv(const std::string& path) {
     ASF_RETURN_IF_ERROR(ParseDouble(fields[2], &rec.value));
     if (stream < 0 || stream != std::floor(stream)) {
       return Status::Corruption("stream id must be a non-negative integer");
+    }
+    if (stream >= static_cast<double>(trace.num_streams)) {
+      return Status::OutOfRange("trace record references unknown stream");
     }
     rec.stream = static_cast<StreamId>(stream);
     trace.records.push_back(rec);

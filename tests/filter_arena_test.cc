@@ -453,36 +453,6 @@ TEST(FilterArenaKernelTest, GrowthAndCompactionRegenerateTheMirrors) {
   evaluate_all(3000);
 }
 
-TEST(FilterArenaKernelTest, TouchedCellTrackingFollowsMutations) {
-  FilterArena arena(3);
-  arena.EnableCellTracking(true);
-  const std::size_t a = arena.Acquire();
-  const std::size_t b = arena.Acquire();
-  EXPECT_FALSE(arena.CellTouched(0, a));
-
-  arena.Deploy(0, a, RangeConstraint(10, 20), 5.0);
-  EXPECT_TRUE(arena.CellTouched(0, a));
-  EXPECT_FALSE(arena.CellTouched(1, a));
-  EXPECT_FALSE(arena.CellTouched(0, b));
-
-  arena.SyncReference(1, b, 15.0);
-  EXPECT_TRUE(arena.CellTouched(1, b));
-
-  // Kernel evaluation is speculation, not mutation: it must not mark.
-  arena.EvaluateUpdate(0, 12.0);
-  EXPECT_FALSE(arena.CellTouched(0, b));
-
-  arena.ClearTouched();
-  EXPECT_FALSE(arena.CellTouched(0, a));
-  EXPECT_FALSE(arena.CellTouched(1, b));
-
-  // Compaction moves the touched bit with the moved column.
-  arena.Deploy(2, b, RangeConstraint(0, 1), 0.5);
-  ASSERT_TRUE(arena.CellTouched(2, b));
-  arena.Release(a);  // b moves into a's slot
-  EXPECT_TRUE(arena.CellTouched(2, a));
-}
-
 TEST(FilterArenaKernelTest, SimdBackendIsReported) {
   // The compiled backend is surfaced to benches and bench JSON; whatever
   // it is, its lane count must be consistent.

@@ -93,5 +93,20 @@ TEST(FlagsTest, NamesLists) {
   EXPECT_EQ(flags->Names(), (std::vector<std::string>{"a", "b"}));
 }
 
+TEST(FlagsTest, RejectUnknownNamesTheFirstStrayFlag) {
+  auto flags = ParseArgs({"--eps-plus=0.3", "--eps_minus=0.3", "--zz", "x"});
+  ASSERT_TRUE(flags.ok());
+  const Status status = flags->RejectUnknown({"eps-plus", "eps-minus"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("unknown flag --eps_minus"),
+            std::string::npos)
+      << status.ToString();
+  // Known flags and positional arguments pass; so does no flag at all.
+  EXPECT_TRUE(flags->RejectUnknown({"eps-plus", "eps_minus", "zz"}).ok());
+  auto empty = ParseArgs({});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->RejectUnknown({}).ok());
+}
+
 }  // namespace
 }  // namespace asf

@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "engine/churn.h"
 #include "engine/system.h"
 #include "result_equality.h"
 #include "trace/tcp_synth.h"
@@ -361,6 +362,122 @@ TEST(MultiSystemTest, DispatchPoliciesAgreeAcrossAutoCrossover) {
       EXPECT_LT(run->dispatch.index_rebuilds, run->dispatch.index_dispatches);
     }
   }
+}
+
+// --- Dispatch-policy equivalence (DESIGN.md §10) ---
+//
+// The scan / index / auto dispatch policies are a pure performance trade:
+// every observable result must be byte-identical for every protocol,
+// under churn, and under delayed (batched) delivery.
+
+/// A mixed three-query deployment of one protocol: one static query, one
+/// late arrival, one that retires mid-run — so the equivalence covers
+/// lifecycle events, not just the static batch.
+MultiQueryConfig ProtocolConfig(ProtocolKind protocol) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 90;
+  walk.seed = 11;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 600;
+  config.seed = 23;
+  config.oracle.sample_interval = 85;
+
+  const bool rank = protocol == ProtocolKind::kRtp ||
+                    protocol == ProtocolKind::kZtRp ||
+                    protocol == ProtocolKind::kFtRp;
+  for (int i = 0; i < 3; ++i) {
+    QueryDeployment dep;
+    dep.name = "q" + std::to_string(i);
+    if (rank) {
+      dep.query = QuerySpec::Knn(4 + i, 300.0 + 150.0 * i);
+    } else {
+      dep.query = QuerySpec::Range(250.0 + 100.0 * i, 470.0 + 100.0 * i);
+    }
+    dep.protocol = protocol;
+    dep.rank_r = 2;
+    dep.fraction.eps_plus = 0.25;
+    dep.fraction.eps_minus = 0.25;
+    if (i == 1) dep.start = 123.5;   // late arrival
+    if (i == 2) dep.end = 431.25;    // mid-run retirement
+    config.queries.push_back(dep);
+  }
+  return config;
+}
+
+TEST(MultiSystemTest, DispatchPoliciesByteIdenticalAcrossProtocols) {
+  const ProtocolKind protocols[] = {
+      ProtocolKind::kNoFilter, ProtocolKind::kZtNrp, ProtocolKind::kFtNrp,
+      ProtocolKind::kRtp,      ProtocolKind::kZtRp,  ProtocolKind::kFtRp};
+  for (ProtocolKind protocol : protocols) {
+    MultiQueryConfig config = ProtocolConfig(protocol);
+    config.dispatch = DispatchPolicy::kScan;
+    auto scan = RunMultiQuerySystem(config);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    for (DispatchPolicy policy :
+         {DispatchPolicy::kIndex, DispatchPolicy::kAuto}) {
+      config.dispatch = policy;
+      auto run = RunMultiQuerySystem(config);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ExpectSameResult(*scan, *run,
+                       std::string(ProtocolKindName(protocol)) +
+                           " dispatch=" +
+                           std::string(DispatchPolicyName(policy)));
+      if (policy == DispatchPolicy::kIndex) {
+        // An explicit index config wins outright (no env override) and
+        // serves every generated update through the index path.
+        EXPECT_EQ(run->dispatch_policy, DispatchPolicy::kIndex);
+        EXPECT_EQ(run->dispatch.scan_dispatches, 0u);
+        EXPECT_EQ(run->dispatch.index_dispatches, run->updates_generated);
+      }
+    }
+  }
+}
+
+TEST(MultiSystemTest, IndexDispatchByteIdenticalOnChurnSchedule) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 70;
+  walk.seed = 5;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 900;
+  config.seed = 7;
+  config.oracle.sample_interval = 120;
+
+  ChurnSpec spec;
+  spec.arrival_rate = 0.05;
+  spec.mean_lifetime = 220;
+  spec.seed = 31;
+  auto deployments = ExpandChurn(spec, config.duration);
+  ASSERT_TRUE(deployments.ok());
+  config.queries = std::move(deployments).value();
+
+  config.dispatch = DispatchPolicy::kScan;
+  auto scan = RunMultiQuerySystem(config);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  config.dispatch = DispatchPolicy::kIndex;
+  auto index = RunMultiQuerySystem(config);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ExpectSameResult(*scan, *index, "churn index");
+  // The churn schedule's acquire/release/deploy mix must actually hit the
+  // incremental maintenance paths, not rebuild every dispatch.
+  EXPECT_GT(index->dispatch.index_dispatches, 0u);
+  EXPECT_GT(index->dispatch.index_rebuilds, 0u);
+  EXPECT_LT(index->dispatch.index_rebuilds, index->dispatch.index_dispatches);
+}
+
+TEST(MultiSystemTest, IndexDispatchByteIdenticalUnderBatchedDelivery) {
+  MultiQueryConfig config = ProtocolConfig(ProtocolKind::kFtNrp);
+  config.net.kind = NetConfig::Kind::kBatched;
+  config.net.delta = 7.5;
+
+  config.dispatch = DispatchPolicy::kScan;
+  auto scan = RunMultiQuerySystem(config);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  config.dispatch = DispatchPolicy::kIndex;
+  auto index = RunMultiQuerySystem(config);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ExpectSameResult(*scan, *index, "batched index");
 }
 
 }  // namespace

@@ -10,16 +10,17 @@
 #include "engine/system.h"
 #include "net/fault_pipeline.h"
 #include "net/network_model.h"
+#include "result_equality.h"
 #include "sim/scheduler.h"
 
 /// \file
 /// Fault injection and the disruption-tolerant control plane (DESIGN.md
 /// §11): the composable `--net=` stage grammar, the zero-rate ≡ instant
-/// contract, seed-determinism of the fault schedule (serial and sharded),
-/// the crossing conservation invariant, the deploy retransmission state
-/// machine (timeout, duplicate suppression, supersession, backoff cap),
-/// probe failover, bounded reordering, partition-reconnect reconciliation,
-/// and staleness compensation.
+/// contract, seed-determinism of the fault schedule, the crossing
+/// conservation invariant, the deploy retransmission state machine
+/// (timeout, duplicate suppression, supersession, backoff cap), probe
+/// failover, bounded reordering, partition-reconnect reconciliation, and
+/// staleness compensation.
 
 namespace asf {
 namespace {
@@ -171,54 +172,6 @@ const ProtoCase kAllProtocols[] = {
     {"ft-rp", ProtocolKind::kFtRp, QuerySpec::Knn(10, 500), 0.3, 0},
 };
 
-void ExpectSameRun(const RunResult& a, const RunResult& b,
-                   const char* label) {
-  for (int phase = 0; phase < kNumMessagePhases; ++phase) {
-    for (int type = 0; type < kNumMessageTypes; ++type) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)),
-                b.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)))
-          << label << " phase=" << phase << " type=" << type;
-    }
-  }
-  EXPECT_EQ(a.updates_generated, b.updates_generated) << label;
-  EXPECT_EQ(a.updates_reported, b.updates_reported) << label;
-  EXPECT_EQ(a.reinits, b.reinits) << label;
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count()) << label;
-  EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean()) << label;
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks) << label;
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_plus, b.max_f_plus) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_minus, b.max_f_minus) << label;
-}
-
-void ExpectSameNetStats(const NetStats& a, const NetStats& b,
-                        const char* label) {
-  EXPECT_EQ(a.crossings, b.crossings) << label;
-  EXPECT_EQ(a.update_messages, b.update_messages) << label;
-  EXPECT_EQ(a.update_payloads, b.update_payloads) << label;
-  EXPECT_EQ(a.delivered_crossings, b.delivered_crossings) << label;
-  EXPECT_EQ(a.dropped_loss, b.dropped_loss) << label;
-  EXPECT_EQ(a.dropped_partition, b.dropped_partition) << label;
-  EXPECT_EQ(a.dropped_retired, b.dropped_retired) << label;
-  EXPECT_EQ(a.suppressed_stale, b.suppressed_stale) << label;
-  EXPECT_EQ(a.deploy_attempts, b.deploy_attempts) << label;
-  EXPECT_EQ(a.deploy_retransmits, b.deploy_retransmits) << label;
-  EXPECT_EQ(a.deploy_dropped, b.deploy_dropped) << label;
-  EXPECT_EQ(a.deploy_acks, b.deploy_acks) << label;
-  EXPECT_EQ(a.deploy_dup_suppressed, b.deploy_dup_suppressed) << label;
-  EXPECT_EQ(a.deploy_stale_acks, b.deploy_stale_acks) << label;
-  EXPECT_EQ(a.deploy_unacked_at_end, b.deploy_unacked_at_end) << label;
-  EXPECT_EQ(a.probe_retransmits, b.probe_retransmits) << label;
-  EXPECT_EQ(a.probe_failovers, b.probe_failovers) << label;
-  EXPECT_EQ(a.reconcile_exchanges, b.reconcile_exchanges) << label;
-  EXPECT_EQ(a.reconcile_deploys, b.reconcile_deploys) << label;
-  EXPECT_EQ(a.in_flight_at_end, b.in_flight_at_end) << label;
-  EXPECT_EQ(a.in_flight_crossings_at_end, b.in_flight_crossings_at_end)
-      << label;
-}
-
 /// The crossing conservation invariant (DESIGN.md §11): every crossing the
 /// sources offered is delivered, dropped by a named cause, or still in
 /// flight at the horizon — nothing vanishes.
@@ -239,26 +192,21 @@ void ExpectConservation(const NetStats& net, const char* label) {
 
 /// `loss:0`, `reorder:0` and their composites with zero-delay bases are
 /// observably fault-free: they must take the inline delivery path and
-/// reproduce the instant run byte-identically for every protocol, serial
-/// and sharded.
+/// reproduce the instant run byte-identically for every protocol.
 TEST(NetFaultEquivalenceTest, ZeroRateFaultConfigsMatchInstant) {
   const char* kSpecs[] = {"loss:0", "reorder:0", "latency:0+loss:0+reorder:0"};
   for (const ProtoCase& c : kAllProtocols) {
     SystemConfig config = BaseConfig(c.protocol, c.query, c.eps, c.rank_r);
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-      config.shards = shards;
-      config.net = NetConfig{};  // instant
-      auto instant = RunSystem(config);
-      ASSERT_TRUE(instant.ok()) << c.label;
-      for (const char* spec : kSpecs) {
-        auto net = ParseNetSpec(spec);
-        ASSERT_TRUE(net.ok()) << spec;
-        ASSERT_FALSE(net->DelaysDelivery()) << spec;
-        config.net = *net;
-        auto run = RunSystem(config);
-        ASSERT_TRUE(run.ok()) << c.label << " " << spec;
-        ExpectSameRun(*instant, *run, c.label);
-      }
+    auto instant = RunSystem(config);
+    ASSERT_TRUE(instant.ok()) << c.label;
+    for (const char* spec : kSpecs) {
+      auto net = ParseNetSpec(spec);
+      ASSERT_TRUE(net.ok()) << spec;
+      ASSERT_FALSE(net->DelaysDelivery()) << spec;
+      config.net = *net;
+      auto run = RunSystem(config);
+      ASSERT_TRUE(run.ok()) << c.label << " " << spec;
+      ExpectSameResult(*instant, *run, std::string(c.label) + " " + spec);
     }
   }
 }
@@ -267,34 +215,27 @@ TEST(NetFaultEquivalenceTest, ZeroRateFaultConfigsMatchInstant) {
 
 /// The fault schedule is a pure function of (config, seed): a composite
 /// loss+reorder+partition run replays every observable — including every
-/// fault counter — exactly, serial and sharded alike.
+/// fault counter — exactly.
 TEST(NetFaultDeterminismTest, CompositeFaultsReplayExactly) {
   auto net = ParseNetSpec("latency:3:2+loss:0.08:3+reorder:2+partition:120,240");
   ASSERT_TRUE(net.ok());
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SystemConfig config =
-        BaseConfig(ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0);
-    config.shards = shards;
-    config.net = *net;
-    auto first = RunSystem(config);
-    auto second = RunSystem(config);
-    ASSERT_TRUE(first.ok());
-    ASSERT_TRUE(second.ok());
-    ExpectSameRun(*first, *second, "fault-replay");
-    ExpectSameNetStats(first->net, second->net, "fault-replay");
-    // The faults actually engaged.
-    EXPECT_GT(first->net.dropped_loss, 0u);
-    EXPECT_GT(first->net.dropped_partition, 0u);
-    ExpectConservation(first->net, "fault-replay");
-  }
+  SystemConfig config =
+      BaseConfig(ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0);
+  config.net = *net;
+  auto first = RunSystem(config);
+  auto second = RunSystem(config);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ExpectSameResult(*first, *second, "fault-replay");
+  // The faults actually engaged.
+  EXPECT_GT(first->net.dropped_loss, 0u);
+  EXPECT_GT(first->net.dropped_partition, 0u);
+  ExpectConservation(first->net, "fault-replay");
 }
 
-// ---------------------------------------------- serial ≡ sharded, faulty
-
-/// Under a lossy + delayed composite the sharded engine must reproduce the
-/// serial run for any shard count — fault draws happen in replay order on
-/// the coordinator, so the schedule cannot depend on the partitioning.
-TEST(NetFaultShardedTest, SerialMatchesShardedUnderFaults) {
+/// Every crossing of a lossy, delayed, batched, reordered or partitioned
+/// run is delivered, dropped by a named cause, or still in flight.
+TEST(NetFaultConservationTest, CompositeFaultsConserveCrossings) {
   const char* kSpecs[] = {
       "latency:4+loss:0.05:3",
       "batch:15+loss:0.1",
@@ -307,17 +248,9 @@ TEST(NetFaultShardedTest, SerialMatchesShardedUnderFaults) {
     SystemConfig config =
         BaseConfig(ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0);
     config.net = *net;
-    config.shards = 1;
-    auto serial = RunSystem(config);
-    ASSERT_TRUE(serial.ok()) << spec;
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-      config.shards = shards;
-      auto sharded = RunSystem(config);
-      ASSERT_TRUE(sharded.ok()) << spec;
-      ExpectSameRun(*serial, *sharded, spec);
-      ExpectSameNetStats(serial->net, sharded->net, spec);
-    }
-    ExpectConservation(serial->net, spec);
+    auto run = RunSystem(config);
+    ASSERT_TRUE(run.ok()) << spec;
+    ExpectConservation(run->net, spec);
   }
 }
 
@@ -693,7 +626,7 @@ TEST(NetCompensationTest, CompensatedRunsAreDeterministic) {
   auto second = RunSystem(config);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  ExpectSameRun(*first, *second, "comp-replay");
+  ExpectSameResult(*first, *second, "comp-replay");
 }
 
 // ------------------------------------------------------- adaptive RTO
@@ -859,37 +792,26 @@ TEST(NetAdaptiveRtoTest, InstantBaseAdaptiveMatchesFixedExactly) {
   config.net.rto_adaptive = false;
   auto fixed = RunSystem(config);
   ASSERT_TRUE(fixed.ok());
-  ExpectSameRun(*adaptive, *fixed, "instant-adaptive");
-  ExpectSameNetStats(adaptive->net, fixed->net, "instant-adaptive");
+  ExpectSameResult(*adaptive, *fixed, "instant-adaptive");
   EXPECT_GT(adaptive->net.deploy_retransmits, 0u);
 }
 
-/// Adaptive timers live on the coordinator's replayed-event order, so the
-/// serial and sharded engines agree under a delayed lossy composite with
-/// retransmissions actually happening, and runs replay exactly.
-TEST(NetAdaptiveRtoTest, SerialMatchesShardedWithAdaptiveRto) {
+/// Adaptive timers run on the engine's event order, so a delayed lossy
+/// composite with retransmissions actually happening replays exactly.
+TEST(NetAdaptiveRtoTest, AdaptiveRtoRunsReplayExactly) {
   auto net = ParseNetSpec("latency:4+loss:0.1:2");
   ASSERT_TRUE(net.ok());
   ASSERT_TRUE(net->rto_adaptive);
   SystemConfig config =
       BaseConfig(ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0);
   config.net = *net;
-  config.shards = 1;
-  auto serial = RunSystem(config);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_GT(serial->net.deploy_retransmits, 0u);
+  auto first = RunSystem(config);
+  ASSERT_TRUE(first.ok());
+  EXPECT_GT(first->net.deploy_retransmits, 0u);
   auto replay = RunSystem(config);
   ASSERT_TRUE(replay.ok());
-  ExpectSameRun(*serial, *replay, "adaptive-replay");
-  ExpectSameNetStats(serial->net, replay->net, "adaptive-replay");
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    config.shards = shards;
-    auto sharded = RunSystem(config);
-    ASSERT_TRUE(sharded.ok());
-    ExpectSameRun(*serial, *sharded, "adaptive-sharded");
-    ExpectSameNetStats(serial->net, sharded->net, "adaptive-sharded");
-  }
-  ExpectConservation(serial->net, "adaptive");
+  ExpectSameResult(*first, *replay, "adaptive-replay");
+  ExpectConservation(first->net, "adaptive");
 }
 
 }  // namespace

@@ -6,14 +6,15 @@
 
 #include "engine/multi_system.h"
 #include "engine/system.h"
+#include "result_equality.h"
 #include "sim/scheduler.h"
 
 /// \file
 /// Delivery-model semantics (DESIGN.md §9): spec parsing, the
-/// zero-parameter ≡ instant byte-identity contract across every protocol
-/// (serial and sharded), per-link FIFO ordering under jitter,
-/// deterministic replay under seed, batching coalescence, and staleness
-/// accounting validated against a hand-computed two-update scenario.
+/// zero-parameter ≡ instant byte-identity contract across every protocol,
+/// per-link FIFO ordering under jitter, deterministic replay under seed,
+/// batching coalescence, and staleness accounting validated against a
+/// hand-computed two-update scenario.
 
 namespace asf {
 namespace {
@@ -97,32 +98,9 @@ const ProtoCase kAllProtocols[] = {
     {"ft-rp", ProtocolKind::kFtRp, QuerySpec::Knn(10, 500), 0.3, 0},
 };
 
-void ExpectSameRun(const RunResult& a, const RunResult& b,
-                   const char* label) {
-  for (int phase = 0; phase < kNumMessagePhases; ++phase) {
-    for (int type = 0; type < kNumMessageTypes; ++type) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)),
-                b.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)))
-          << label << " phase=" << phase << " type=" << type;
-    }
-  }
-  EXPECT_EQ(a.updates_generated, b.updates_generated) << label;
-  EXPECT_EQ(a.updates_reported, b.updates_reported) << label;
-  EXPECT_EQ(a.reinits, b.reinits) << label;
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count()) << label;
-  EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean()) << label;
-  EXPECT_DOUBLE_EQ(a.answer_size.max(), b.answer_size.max()) << label;
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks) << label;
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_plus, b.max_f_plus) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_minus, b.max_f_minus) << label;
-}
-
 /// Zero-latency / zero-Δ / infinite-rate models must take the inline
 /// delivery path and reproduce InstantNet byte-identically, for every
-/// protocol, on the serial and the sharded engine.
+/// protocol.
 TEST(NetEquivalenceTest, ZeroParameterModelsMatchInstant) {
   NetConfig degenerate[3];
   degenerate[0].kind = NetConfig::Kind::kFixedLatency;  // latency:0
@@ -132,20 +110,17 @@ TEST(NetEquivalenceTest, ZeroParameterModelsMatchInstant) {
 
   for (const ProtoCase& c : kAllProtocols) {
     SystemConfig config = BaseConfig(c.protocol, c.query, c.eps, c.rank_r);
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-      config.shards = shards;
-      config.net = NetConfig{};  // instant
-      auto instant = RunSystem(config);
-      ASSERT_TRUE(instant.ok()) << c.label;
-      EXPECT_EQ(instant->update_delay.count(), 0u) << c.label;
-      EXPECT_EQ(instant->net.in_flight_at_end, 0u) << c.label;
-      for (const NetConfig& net : degenerate) {
-        ASSERT_FALSE(net.DelaysDelivery());
-        config.net = net;
-        auto run = RunSystem(config);
-        ASSERT_TRUE(run.ok()) << c.label;
-        ExpectSameRun(*instant, *run, c.label);
-      }
+    auto instant = RunSystem(config);
+    ASSERT_TRUE(instant.ok()) << c.label;
+    EXPECT_EQ(instant->update_delay.count(), 0u) << c.label;
+    EXPECT_EQ(instant->net.in_flight_at_end, 0u) << c.label;
+    for (const NetConfig& net : degenerate) {
+      ASSERT_FALSE(net.DelaysDelivery());
+      config.net = net;
+      auto run = RunSystem(config);
+      ASSERT_TRUE(run.ok()) << c.label;
+      ExpectSameResult(*instant, *run,
+                       std::string(c.label) + " " + net.ToString());
     }
   }
 }
@@ -153,30 +128,22 @@ TEST(NetEquivalenceTest, ZeroParameterModelsMatchInstant) {
 // ------------------------------------------------ determinism under seed
 
 /// A jittered-latency run is a pure function of (config, seed): replaying
-/// it must reproduce every observable, serial and sharded alike.
+/// it must reproduce every observable.
 TEST(NetDeterminismTest, JitteredLatencyReplaysExactly) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SystemConfig config =
-        BaseConfig(ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0);
-    config.shards = shards;
-    config.net.kind = NetConfig::Kind::kFixedLatency;
-    config.net.latency = 4;
-    config.net.jitter = 6;
-    auto first = RunSystem(config);
-    auto second = RunSystem(config);
-    ASSERT_TRUE(first.ok());
-    ASSERT_TRUE(second.ok());
-    ExpectSameRun(*first, *second, "jitter-replay");
-    EXPECT_EQ(first->update_delay.count(), second->update_delay.count());
-    EXPECT_DOUBLE_EQ(first->update_delay.mean(),
-                     second->update_delay.mean());
-    EXPECT_DOUBLE_EQ(first->update_delay.max(), second->update_delay.max());
-    EXPECT_EQ(first->net.update_messages, second->net.update_messages);
-    // The jitter actually engaged: staleness spreads beyond the base
-    // latency.
-    EXPECT_GE(first->update_delay.max(), 4.0);
-    EXPECT_GT(first->update_delay.max(), first->update_delay.min());
-  }
+  SystemConfig config =
+      BaseConfig(ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0);
+  config.net.kind = NetConfig::Kind::kFixedLatency;
+  config.net.latency = 4;
+  config.net.jitter = 6;
+  auto first = RunSystem(config);
+  auto second = RunSystem(config);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ExpectSameResult(*first, *second, "jitter-replay");
+  // The jitter actually engaged: staleness spreads beyond the base
+  // latency.
+  EXPECT_GE(first->update_delay.max(), 4.0);
+  EXPECT_GT(first->update_delay.max(), first->update_delay.min());
 }
 
 // ------------------------------------------------------- FIFO per link
@@ -316,66 +283,6 @@ TEST(NetStalenessTest, BandwidthQueueingDelaysBursts) {
   EXPECT_DOUBLE_EQ(result->update_delay.mean(), 19.0);
   EXPECT_EQ(result->net.update_messages, 3u);
   EXPECT_DOUBLE_EQ(result->net.queue_depth.max(), 2.0);
-}
-
-// ------------------------------------------- serial ≡ sharded, delayed
-
-/// Delayed deliveries must cross the sharded engine's epoch barriers
-/// deterministically: a continuous-time workload produces the same run
-/// for any shard count, delayed or not.
-TEST(NetShardedTest, DelayedDeliveryMatchesSerialAcrossShardCounts) {
-  const NetConfig nets[] = {
-      [] {
-        NetConfig n;
-        n.kind = NetConfig::Kind::kFixedLatency;
-        n.latency = 6;
-        n.jitter = 3;
-        return n;
-      }(),
-      [] {
-        NetConfig n;
-        n.kind = NetConfig::Kind::kBatched;
-        n.delta = 15;
-        return n;
-      }(),
-      // Δ a multiple of the oracle sample interval (25): every third
-      // sample shares its grid point with batch flushes, so the
-      // flush-vs-sample tie order is exercised on every epoch — FIFO
-      // seniority must match the serial scheduler (the coordinator keeps
-      // samples and deliveries in one event queue).
-      [] {
-        NetConfig n;
-        n.kind = NetConfig::Kind::kBatched;
-        n.delta = 75;
-        return n;
-      }(),
-      [] {
-        NetConfig n;
-        n.kind = NetConfig::Kind::kBoundedBandwidth;
-        n.rate = 0.2;
-        return n;
-      }(),
-  };
-  for (const NetConfig& net : nets) {
-    SystemConfig config =
-        BaseConfig(ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0);
-    config.net = net;
-    config.shards = 1;
-    auto serial = RunSystem(config);
-    ASSERT_TRUE(serial.ok());
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-      config.shards = shards;
-      auto sharded = RunSystem(config);
-      ASSERT_TRUE(sharded.ok());
-      ExpectSameRun(*serial, *sharded, net.ToString().c_str());
-      EXPECT_EQ(serial->update_delay.count(),
-                sharded->update_delay.count());
-      EXPECT_DOUBLE_EQ(serial->update_delay.mean(),
-                       sharded->update_delay.mean());
-      EXPECT_EQ(serial->net.update_messages, sharded->net.update_messages);
-      EXPECT_EQ(serial->net.crossings, sharded->net.crossings);
-    }
-  }
 }
 
 /// A query retiring with updates still in flight: the engine drops the

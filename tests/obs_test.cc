@@ -14,6 +14,7 @@
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace_convert.h"
+#include "result_equality.h"
 
 // Unified observability layer (DESIGN.md §14): tracer ring semantics,
 // binary <-> Chrome JSON round trip, histogram bucket math, profiler
@@ -260,7 +261,7 @@ TEST(TelemetryTest, NetBlockGatesOnDelayingModel) {
 
 // --- Inertness: the acceptance criterion ---
 
-SystemConfig ObsTestConfig(std::size_t shards) {
+SystemConfig ObsTestConfig() {
   SystemConfig config;
   RandomWalkConfig walk;
   walk.num_streams = 300;
@@ -268,7 +269,6 @@ SystemConfig ObsTestConfig(std::size_t shards) {
   config.source = SourceSpec::Walk(walk);
   config.duration = 400;
   config.seed = 5;
-  config.shards = shards;
   config.query = QuerySpec::Range(400, 600);
   config.protocol = ProtocolKind::kFtNrp;
   config.fraction.eps_plus = 0.2;
@@ -278,29 +278,14 @@ SystemConfig ObsTestConfig(std::size_t shards) {
   return config;
 }
 
-void ExpectIdenticalResults(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.MaintenanceMessages(), b.MaintenanceMessages());
-  EXPECT_EQ(a.messages.InitTotal(), b.messages.InitTotal());
-  EXPECT_EQ(a.updates_generated, b.updates_generated);
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_DOUBLE_EQ(a.update_delay.mean(), b.update_delay.mean());
-  EXPECT_EQ(a.net.update_messages, b.net.update_messages);
-  EXPECT_EQ(a.net.crossings, b.net.crossings);
-  EXPECT_EQ(a.net.update_payloads, b.net.update_payloads);
-}
-
-void RunInertnessCase(std::size_t shards) {
-  const auto baseline = RunSystem(ObsTestConfig(shards));
+TEST(ObsInertnessTest, SerialEngineResultsAreByteIdentical) {
+  const auto baseline = RunSystem(ObsTestConfig());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   obs::Tracer tracer;
   obs::MetricsRegistry registry;
   obs::Profiler profiler;
-  SystemConfig config = ObsTestConfig(shards);
+  SystemConfig config = ObsTestConfig();
   config.obs.tracer = &tracer;
   config.obs.metrics = &registry;
   config.obs.metrics_every = 25;
@@ -308,38 +293,28 @@ void RunInertnessCase(std::size_t shards) {
   const auto observed = RunSystem(config);
   ASSERT_TRUE(observed.ok()) << observed.status().ToString();
 
-  ExpectIdenticalResults(*baseline, *observed);
+  ExpectSameResult(*baseline, *observed, "obs on vs off");
   // The facilities actually ran: snapshots on the sim-time grid
   // (400 / 25 = 16) and, when compiled in, trace records.
   EXPECT_EQ(registry.series().size(), 16u);
 #if ASF_OBS_TRACE_COMPILED
   EXPECT_GT(tracer.total_records(), 0u);
-  // Per-ring sim-time ordering: each ring is written by one thread in
-  // dispatch order.
-  for (std::size_t r = 0; r < tracer.ring_count(); ++r) {
-    double last = -1e300;
-    std::uint64_t updates_in_ring = 0;
-    for (const obs::TraceRecord& record : tracer.ring(r).records()) {
-      if (record.type !=
-          static_cast<std::uint16_t>(obs::TraceEventType::kValueUpdate)) {
-        continue;
-      }
-      EXPECT_GE(record.time, last) << "ring " << r;
-      last = record.time;
-      ++updates_in_ring;
+  // The engine writes ring 0 only, in dispatch (sim-time) order.
+  ASSERT_EQ(tracer.ring_count(), 1u);
+  double last = -1e300;
+  std::uint64_t updates = 0;
+  for (const obs::TraceRecord& record : tracer.ring(0).records()) {
+    if (record.type !=
+        static_cast<std::uint16_t>(obs::TraceEventType::kValueUpdate)) {
+      continue;
     }
-    if (r < shards) EXPECT_GT(updates_in_ring, 0u) << "ring " << r;
+    EXPECT_GE(record.time, last);
+    last = record.time;
+    ++updates;
   }
+  EXPECT_GT(updates, 0u);
 #endif
   EXPECT_GT(profiler.Merged().total(), 0.0);
-}
-
-TEST(ObsInertnessTest, SerialEngineResultsAreByteIdentical) {
-  RunInertnessCase(1);
-}
-
-TEST(ObsInertnessTest, ShardedEngineResultsAreByteIdentical) {
-  RunInertnessCase(3);
 }
 
 }  // namespace

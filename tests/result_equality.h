@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,11 +18,11 @@
 /// \file
 /// The result fields of every engine output type, walked in one fixed
 /// order by one visitor per type (VisitFields). The golden digests
-/// (DigestOf) walk the same list the equality checks do. Floating-point
-/// fields are visited as doubles and digested by their raw IEEE bits: the
-/// contract is byte identity, not closeness. Performance telemetry (wall
-/// time, dispatch path accounting, spill accounting) is not a result and
-/// is not visited.
+/// (DigestOf) and the exact equality checks (ExpectSameResult) walk the
+/// same list. Floating-point fields are visited as doubles and compared
+/// and digested by their raw IEEE bits: the contract is byte identity, not
+/// closeness. Performance telemetry (wall time, dispatch path accounting,
+/// spill accounting) is not a result and is not visited.
 ///
 /// A visitor `f` is called as f(name, value), with value a std::uint64_t,
 /// a double or a std::string.
@@ -175,79 +176,65 @@ std::uint64_t DigestOf(const Result& result) {
   return digest.value();
 }
 
-/// Renders each visited value as text; doubles print exactly (%a).
-class FieldPrinter {
+/// Records each visited field as its name, its raw bits (doubles by IEEE
+/// bits) and its text; doubles print exactly (%a).
+class FieldRecorder {
  public:
+  struct Field {
+    std::string name;
+    std::uint64_t bits = 0;
+    std::string text;
+  };
+
   void operator()(const std::string& name, std::uint64_t v) {
-    Line(name, std::to_string(v));
+    fields_.push_back({name, v, std::to_string(v)});
   }
   void operator()(const std::string& name, double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g (%a)", v, v);
-    Line(name, buf);
+    fields_.push_back({name, bits, buf});
   }
   void operator()(const std::string& name, const std::string& v) {
-    Line(name, "\"" + v + "\"");
+    fields_.push_back({name, 0, "\"" + v + "\""});
   }
-  const std::string& text() const { return text_; }
+  const std::vector<Field>& fields() const { return fields_; }
 
  private:
-  void Line(const std::string& name, const std::string& value) {
-    text_ += name + " = " + value + "\n";
-  }
-  std::string text_;
+  std::vector<Field> fields_;
 };
 
 /// One "name = value" line per visited field, for diffing two runs.
 template <typename Result>
 std::string FieldDump(const Result& result) {
-  FieldPrinter printer;
-  VisitFields("", result, printer);
-  return printer.text();
+  FieldRecorder recorder;
+  VisitFields("", result, recorder);
+  std::string out;
+  for (const FieldRecorder::Field& f : recorder.fields()) {
+    out += f.name + " = " + f.text + "\n";
+  }
+  return out;
 }
 
-inline void ExpectSameStats(const MultiQueryResult::PerQuery& a,
-                            const MultiQueryResult::PerQuery& b,
-                            const std::string& label) {
+/// Expects `a` and `b` to agree on every visited field, bit for bit,
+/// reporting each field that differs by name.
+template <typename Result>
+void ExpectSameResult(const Result& a, const Result& b,
+                      const std::string& label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(a.name, b.name);
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)),
-                b.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)))
-          << "phase " << p << " type " << t;
-    }
+  FieldRecorder fa;
+  FieldRecorder fb;
+  VisitFields("", a, fa);
+  VisitFields("", b, fb);
+  ASSERT_EQ(fa.fields().size(), fb.fields().size())
+      << "the results differ in shape (query count)";
+  for (std::size_t i = 0; i < fa.fields().size(); ++i) {
+    const FieldRecorder::Field& x = fa.fields()[i];
+    const FieldRecorder::Field& y = fb.fields()[i];
+    EXPECT_TRUE(x.name == y.name && x.bits == y.bits && x.text == y.text)
+        << x.name << ": " << x.text << " vs " << y.text;
   }
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
-  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
-  EXPECT_EQ(a.answer_size.min(), b.answer_size.min());
-  EXPECT_EQ(a.answer_size.max(), b.answer_size.max());
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
-  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
-  EXPECT_EQ(a.max_worst_rank, b.max_worst_rank);
-  EXPECT_EQ(a.deployed_at, b.deployed_at);
-  EXPECT_EQ(a.retired_at, b.retired_at);
-}
-
-inline void ExpectSameResult(const MultiQueryResult& a,
-                             const MultiQueryResult& b,
-                             const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    ExpectSameStats(a.queries[i], b.queries[i],
-                    label + " query " + std::to_string(i));
-  }
-  EXPECT_EQ(a.updates_generated, b.updates_generated);
-  EXPECT_EQ(a.physical_updates, b.physical_updates);
-  EXPECT_EQ(a.peak_live_queries, b.peak_live_queries);
 }
 
 }  // namespace asf

@@ -243,8 +243,8 @@ class SchedulerStressTest : public ::testing::TestWithParam<StressMix> {};
 /// seq) minimum. Cross-checks the 4-ary heap + fixed-delay lanes + slab +
 /// tombstone machinery under a deterministic interleaving of ScheduleAt /
 /// ScheduleAfter / Cancel (including cancel-after-fire and duplicate
-/// cancel), advanced by RunUntil and RunBefore, with NextEventTime and
-/// pending() checked before every advance.
+/// cancel), advanced by RunUntil and by a Step loop, with NextEventTime
+/// and pending() checked before every advance.
 TEST_P(SchedulerStressTest, MatchesNaiveReference) {
   const StressMix& mix = GetParam();
   struct RefEvent {
@@ -276,7 +276,7 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
     ref.push_back(RefEvent{ref_now + dt, tag, lane});
   };
   // Fires the reference's live events with time <= horizon (< when
-  // `strict`), moving its clock like RunUntil / RunBefore move theirs.
+  // `strict`), moving its clock like RunUntil / the Step loop move theirs.
   const auto ref_run = [&](SimTime horizon, bool strict) {
     for (;;) {
       std::size_t best = ref.size();
@@ -355,7 +355,7 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
     const SimTime horizon = s.now() + static_cast<double>(next() % 40);
     const bool strict = next() % 2 == 0;
     if (strict) {
-      s.RunBefore(horizon);
+      while (s.NextEventTime() < horizon) s.Step();
     } else {
       s.RunUntil(horizon);
     }

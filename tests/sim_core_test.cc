@@ -4,6 +4,7 @@
 
 #include "engine/multi_system.h"
 #include "engine/system.h"
+#include "result_equality.h"
 
 namespace asf {
 namespace {
@@ -152,28 +153,6 @@ TEST(SimCoreTest, RunAccumulatesPerQueryStats) {
 
 // --- Query lifecycle (deploy/retire mid-run) ---
 
-/// Helper: compare every per-query outcome two runs produced for one slot.
-void ExpectSameQueryStats(const QueryRunStats& a, const QueryRunStats& b,
-                          const char* label) {
-  for (int phase = 0; phase < kNumMessagePhases; ++phase) {
-    for (int type = 0; type < kNumMessageTypes; ++type) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)),
-                b.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)))
-          << label << " phase=" << phase << " type=" << type;
-    }
-  }
-  EXPECT_EQ(a.updates_reported, b.updates_reported) << label;
-  EXPECT_EQ(a.reinits, b.reinits) << label;
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count()) << label;
-  EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean()) << label;
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks) << label;
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_plus, b.max_f_plus) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_minus, b.max_f_minus) << label;
-}
-
 /// The lifecycle refactor's load-bearing guarantee: a deployment carrying
 /// the explicit degenerate window (start = query_start, end = never) is
 /// the same run as the default static batch.
@@ -192,12 +171,8 @@ TEST(SimCoreLifecycleTest, ExplicitDegenerateWindowEqualsStaticBatch) {
   EXPECT_EQ(static_core.updates_generated(),
             explicit_core.updates_generated());
   EXPECT_EQ(static_core.physical_updates(), explicit_core.physical_updates());
-  ExpectSameQueryStats(static_core.query_stats(0),
-                       explicit_core.query_stats(0), "degenerate-window");
-  EXPECT_EQ(static_core.query_stats(0).deployed_at,
-            explicit_core.query_stats(0).deployed_at);
-  EXPECT_EQ(static_core.query_stats(0).retired_at,
-            explicit_core.query_stats(0).retired_at);
+  ExpectSameResult(static_core.query_stats(0), explicit_core.query_stats(0),
+                   "degenerate-window");
 }
 
 /// Per-query isolation across the lifecycle: a co-query churning in and
@@ -223,8 +198,7 @@ TEST(SimCoreLifecycleTest, RetiringCoQueryDoesNotPerturbSurvivor) {
 
   // The survivor's column moved 1 -> 0 when the churner retired; its
   // filter states, messages and answers must be exactly the single-run's.
-  ExpectSameQueryStats(alone.query_stats(0), shared.query_stats(1),
-                       "survivor");
+  ExpectSameResult(alone.query_stats(0), shared.query_stats(1), "survivor");
   EXPECT_EQ(shared.query_stats(0).retired_at, 170.0);
   EXPECT_EQ(shared.query_stats(0).deployed_at, 40.0);
 }
@@ -311,9 +285,7 @@ TEST(SimCoreLifecycleTest, DynamicScheduleIsDeterministic) {
   EXPECT_EQ(first, second);
   ASSERT_EQ(first_stats.size(), second_stats.size());
   for (std::size_t i = 0; i < first_stats.size(); ++i) {
-    ExpectSameQueryStats(first_stats[i], second_stats[i], "determinism");
-    EXPECT_EQ(first_stats[i].deployed_at, second_stats[i].deployed_at);
-    EXPECT_EQ(first_stats[i].retired_at, second_stats[i].retired_at);
+    ExpectSameResult(first_stats[i], second_stats[i], "determinism");
   }
 }
 

@@ -8,6 +8,7 @@
 #include "engine/churn.h"
 #include "engine/multi_system.h"
 #include "engine/system.h"
+#include "result_equality.h"
 
 // Out-of-core query state (DESIGN.md §13): the spilled-record codec must
 // be bit-exact, and a run that spills retired state through any buffer
@@ -75,38 +76,11 @@ QueryRunStats SampleStats() {
   return stats;
 }
 
+/// Every visited field bit for bit, plus the accounting phase the record
+/// also carries.
 void ExpectBitExact(const QueryRunStats& a, const QueryRunStats& b) {
-  EXPECT_EQ(a.name, b.name);
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)),
-                b.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)));
-    }
-  }
+  ExpectSameResult(a, b, a.name);
   EXPECT_EQ(a.messages.phase(), b.messages.phase());
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.fp_filters_installed, b.fp_filters_installed);
-  EXPECT_EQ(a.fn_filters_installed, b.fn_filters_installed);
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
-  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
-  EXPECT_EQ(a.answer_size.min(), b.answer_size.min());
-  EXPECT_EQ(a.answer_size.max(), b.answer_size.max());
-  EXPECT_EQ(a.answer_size.sum(), b.answer_size.sum());
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
-  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
-  EXPECT_EQ(a.max_worst_rank, b.max_worst_rank);
-  EXPECT_EQ(a.oracle_violations_in_flight, b.oracle_violations_in_flight);
-  EXPECT_EQ(a.update_delay.count(), b.update_delay.count());
-  EXPECT_EQ(a.update_delay.mean(), b.update_delay.mean());
-  EXPECT_EQ(a.update_delay.variance(), b.update_delay.variance());
-  EXPECT_EQ(a.deployed_at, b.deployed_at);
-  EXPECT_EQ(a.retired_at, b.retired_at);
 }
 
 TEST(SpillCodecTest, RoundTripIsBitExact) {
@@ -130,7 +104,7 @@ TEST(SpillerTest, SpillAndFaultManyRecords) {
   config.buffer_pages = 2;  // forces eviction traffic
   config.page_size = 256;
   ASSERT_TRUE(config.Validate().ok());
-  auto spiller = engine_internal::QueryStateSpiller::Create(config, "test");
+  auto spiller = engine_internal::QueryStateSpiller::Create(config);
 
   std::vector<storage::RecordRef> refs;
   std::vector<QueryRunStats> originals;
@@ -157,43 +131,6 @@ TEST(SpillerTest, SpillAndFaultManyRecords) {
 
 // --- Whole-run equivalence: spill vs in-memory, byte-identical ---
 
-void ExpectSameStats(const MultiQueryResult::PerQuery& a,
-                     const MultiQueryResult::PerQuery& b) {
-  EXPECT_EQ(a.name, b.name);
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)),
-                b.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)));
-    }
-  }
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
-  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
-  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
-  EXPECT_EQ(a.deployed_at, b.deployed_at);
-  EXPECT_EQ(a.retired_at, b.retired_at);
-}
-
-void ExpectSameResult(const MultiQueryResult& a, const MultiQueryResult& b,
-                      const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    SCOPED_TRACE("query " + std::to_string(i));
-    ExpectSameStats(a.queries[i], b.queries[i]);
-  }
-  EXPECT_EQ(a.updates_generated, b.updates_generated);
-  EXPECT_EQ(a.physical_updates, b.physical_updates);
-  EXPECT_EQ(a.peak_live_queries, b.peak_live_queries);
-}
-
 MultiQueryConfig ChurnConfig() {
   MultiQueryConfig config;
   RandomWalkConfig walk;
@@ -214,7 +151,7 @@ MultiQueryConfig ChurnConfig() {
   return config;
 }
 
-TEST(SpillEquivalenceTest, ChurnAcrossPoolSizesPoliciesAndShards) {
+TEST(SpillEquivalenceTest, ChurnAcrossPoolSizesAndPolicies) {
   const MultiQueryConfig base = ChurnConfig();
   auto in_memory = RunMultiQuerySystem(base);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
@@ -223,27 +160,23 @@ TEST(SpillEquivalenceTest, ChurnAcrossPoolSizesPoliciesAndShards) {
   for (const std::size_t buffer_pages : {std::size_t{2}, std::size_t{64}}) {
     for (const auto policy :
          {storage::ReplacementPolicy::kLru, storage::ReplacementPolicy::kFifo}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-        MultiQueryConfig config = base;
-        config.spill.dir = SpillDir();
-        config.spill.buffer_pages = buffer_pages;
-        config.spill.replacement = policy;
-        config.spill.page_size = 512;  // small pages force multi-page chains
-        config.shards = shards;
-        auto spilled = RunMultiQuerySystem(config);
-        ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-        ExpectSameResult(
-            *in_memory, *spilled,
-            "pages=" + std::to_string(buffer_pages) + " policy=" +
-                std::string(storage::ReplacementPolicyName(policy)) +
-                " shards=" + std::to_string(shards));
-        EXPECT_TRUE(spilled->spill.enabled);
-        EXPECT_GT(spilled->spill.records_spilled, 0u);
-        // Everything the result table shows was faulted back.
-        EXPECT_EQ(spilled->spill.records_faulted,
-                  spilled->spill.records_spilled);
-        EXPECT_EQ(spilled->spill.buffer_pages, buffer_pages);
-      }
+      MultiQueryConfig config = base;
+      config.spill.dir = SpillDir();
+      config.spill.buffer_pages = buffer_pages;
+      config.spill.replacement = policy;
+      config.spill.page_size = 512;  // small pages force multi-page chains
+      auto spilled = RunMultiQuerySystem(config);
+      ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+      ExpectSameResult(
+          *in_memory, *spilled,
+          "pages=" + std::to_string(buffer_pages) + " policy=" +
+              std::string(storage::ReplacementPolicyName(policy)));
+      EXPECT_TRUE(spilled->spill.enabled);
+      EXPECT_GT(spilled->spill.records_spilled, 0u);
+      // Everything the result table shows was faulted back.
+      EXPECT_EQ(spilled->spill.records_faulted,
+                spilled->spill.records_spilled);
+      EXPECT_EQ(spilled->spill.buffer_pages, buffer_pages);
     }
   }
 }
@@ -268,10 +201,7 @@ TEST(SpillEquivalenceTest, SingleQuerySystemRun) {
   auto spilled = RunSystem(config);
   ASSERT_TRUE(spilled.ok());
 
-  EXPECT_EQ(in_memory->MaintenanceMessages(), spilled->MaintenanceMessages());
-  EXPECT_EQ(in_memory->updates_reported, spilled->updates_reported);
-  EXPECT_EQ(in_memory->answer_size.mean(), spilled->answer_size.mean());
-  EXPECT_EQ(in_memory->answer_size.count(), spilled->answer_size.count());
+  ExpectSameResult(*in_memory, *spilled, "single query");
   EXPECT_TRUE(spilled->spill.enabled);
   // A static query is live until the horizon, so it never leaves the hot
   // set: only *retired* queries spill. The run must still accept (and

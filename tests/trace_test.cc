@@ -267,5 +267,50 @@ TEST_F(TraceIoTest, FractionalStreamIdRejected) {
   EXPECT_FALSE(ReadTraceCsv(path_.string()).ok());
 }
 
+/// Non-finite times, values and initial values are rejected where the
+/// trace is read: a NaN time slips past both ordering comparisons, and a
+/// NaN value reaches the filters and the oracle.
+TEST_F(TraceIoTest, NonFiniteFieldsRejected) {
+  const char* kTraces[] = {
+      "num_streams,2\n1.0,0,5\n2.0,1,nan\n",      // nan value
+      "num_streams,2\n1.0,0,5\nnan,1,6\n",        // nan time
+      "num_streams,2\nnan,0,5\n",                 // nan first time
+      "num_streams,2\n1.0,0,5\n2.0,1,inf\n",      // inf value
+      "num_streams,2\n1.0,0,5\ninf,1,6\n",        // inf time
+      "num_streams,2\ninitial,500,inf\n1.0,0,5\n",  // inf initial value
+  };
+  for (const char* text : kTraces) {
+    {
+      std::FILE* f = std::fopen(path_.c_str(), "w");
+      std::fputs(text, f);
+      std::fclose(f);
+    }
+    auto loaded = ReadTraceCsv(path_.string());
+    EXPECT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+/// The stream count and stream ids are range-checked before they are cast
+/// to integers, so non-finite or oversized ones fail as corrupt input.
+TEST_F(TraceIoTest, NonFiniteStreamFieldsRejected) {
+  const char* kTraces[] = {
+      "num_streams,nan\n1.0,0,5\n",
+      "num_streams,inf\n1.0,0,5\n",
+      "num_streams,1e300\n1.0,0,5\n",
+      "num_streams,2\n1.0,inf,5\n",
+      "num_streams,2\n1.0,nan,5\n",
+      "num_streams,2\n1.0,1e300,5\n",
+  };
+  for (const char* text : kTraces) {
+    {
+      std::FILE* f = std::fopen(path_.c_str(), "w");
+      std::fputs(text, f);
+      std::fclose(f);
+    }
+    EXPECT_FALSE(ReadTraceCsv(path_.string()).ok()) << text;
+  }
+}
+
 }  // namespace
 }  // namespace asf

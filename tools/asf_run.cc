@@ -67,16 +67,6 @@ Auditing:
   --oracle-interval=T     sample the correctness oracle every T time units
   --oracle-every-update   audit after every update (slow)
 
-Sharding (byte-identical to the serial engine for any shard count and
-any replay worker count):
-  --shards=S              partition streams across S worker shards  [1]
-  --epoch=T               speculation epoch length (0 = auto)       [0]
-  --replay-workers=W      executors the replay stage fans per-query
-                          reactions across (0 = one per core, capped
-                          at S; fault nets replay serially)         [0]
-  --pin                   pin the coordinator and shard threads to
-                          cores (Linux best-effort; no-op elsewhere)
-
 Dispatch (DESIGN.md #10; every policy produces byte-identical results,
 only wall time differs):
   --dispatch=scan         SIMD sweep of every live filter per update
@@ -148,6 +138,18 @@ Output:
                           type, SIMD backend)
 )";
 
+/// Every flag RunFromFlags reads; anything else is rejected, so a typo
+/// such as --eps_plus fails instead of running with the default.
+const std::vector<std::string> kKnownFlags = {
+    "help", "streams", "sigma", "interarrival", "replay", "duration",
+    "warmup", "seed", "query", "range", "k", "q", "protocol", "r",
+    "eps-plus", "eps-minus", "heuristic", "reinit", "rho",
+    "oracle-interval", "oracle-every-update", "dispatch", "net", "churn",
+    "churn-rate", "churn-lifetime", "churn-max", "churn-seed", "spill",
+    "buffer-pages", "replacement", "trace", "trace-cats", "metrics-every",
+    "profile", "bench-json",
+};
+
 /// Parses --spill / --buffer-pages / --replacement into `spill`.
 /// Validation proper (writable dir, minimum pool size) happens in
 /// SpillConfig::Validate via SystemConfig/MultiQueryConfig.
@@ -200,7 +202,7 @@ class ObsSession {
     return session;
   }
 
-  /// The non-owning bundle the engines receive via config.obs.
+  /// The non-owning bundle the engine receives via config.obs.
   obs::ObsHooks hooks() const {
     obs::ObsHooks hooks;
     hooks.tracer = tracer_.get();
@@ -326,10 +328,6 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   config.query_start = base.query_start;
   config.seed = base.seed;
   config.oracle = base.oracle;
-  config.shards = base.shards;
-  config.shard_epoch = base.shard_epoch;
-  config.replay_workers = base.replay_workers;
-  config.pin_threads = base.pin_threads;
   config.net = base.net;
   config.dispatch = base.dispatch;
   config.spill = base.spill;
@@ -343,11 +341,10 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
                        RunMultiQuerySystem(config));
 
   std::printf("churn of %s queries over %zu streams, duration %g "
-              "(rate %g, mean lifetime %g, %zu shard%s)\n\n",
+              "(rate %g, mean lifetime %g)\n\n",
               std::string(ProtocolKindName(base.protocol)).c_str(),
               config.source.NumStreams(), config.duration,
-              spec.arrival_rate, spec.mean_lifetime, config.shards,
-              config.shards == 1 ? "" : "s");
+              spec.arrival_rate, spec.mean_lifetime);
   TextTable per_query({"query", "deployed", "retired", "maint_messages",
                        "reported", "answer_mean", "oracle"});
   for (const MultiQueryResult::PerQuery& q : result.queries) {
@@ -378,17 +375,6 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   const obs::TelemetryBlock net_block =
       obs::NetTelemetryBlock(config.net, result.net, nullptr);
   net_block.AppendRows(&totals);
-  if (config.shards > 1) {
-    totals.AddRow(
-        {"replay seconds",
-         Fmt("%.3f (%.1f%% of wall)", result.replay_seconds,
-             result.wall_seconds > 0
-                 ? 100.0 * result.replay_seconds / result.wall_seconds
-                 : 0.0)});
-    totals.AddRow({"replay workers",
-                   Fmt("%zu%s", result.replay_workers,
-                       result.pinned ? " (pinned)" : "")});
-  }
   totals.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
   std::printf("%s", totals.ToString().c_str());
   const obs::TelemetryBlock spill_block = obs::SpillTelemetryBlock(result.spill);
@@ -398,7 +384,6 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   if (flags.Has("bench-json")) {
     std::vector<std::pair<std::string, double>> metrics = {
         {"queries", static_cast<double>(result.queries.size())},
-        {"shards", static_cast<double>(config.shards)},
         {"simd", static_cast<double>(simd::KernelLanes())},
         {"peak_live", static_cast<double>(result.peak_live_queries)},
         {"updates_generated",
@@ -417,13 +402,6 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
          static_cast<double>(result.dispatch.index_rebuilds)},
         {"dispatch_rebuilds_max_stream",
          static_cast<double>(result.dispatch.max_stream_rebuilds)},
-        {"replay_seconds", result.replay_seconds},
-        {"replay_fraction",
-         result.wall_seconds > 0
-            ? result.replay_seconds / result.wall_seconds
-            : 0.0},
-        {"replay_workers", static_cast<double>(result.replay_workers)},
-        {"pinned", result.pinned ? 1.0 : 0.0},
         {"wall_seconds", result.wall_seconds}};
     net_block.AppendMetrics(&metrics);
     spill_block.AppendMetrics(&metrics);
@@ -463,17 +441,6 @@ Status RunFromFlags(const Flags& flags) {
   ASF_ASSIGN_OR_RETURN(config.query_start, flags.GetDouble("warmup", 0));
   ASF_ASSIGN_OR_RETURN(const std::int64_t seed, flags.GetInt("seed", 1));
   config.seed = static_cast<std::uint64_t>(seed);
-  ASF_ASSIGN_OR_RETURN(const std::int64_t shards, flags.GetInt("shards", 1));
-  if (shards < 1) return Status::InvalidArgument("--shards must be >= 1");
-  config.shards = static_cast<std::size_t>(shards);
-  ASF_ASSIGN_OR_RETURN(config.shard_epoch, flags.GetDouble("epoch", 0));
-  ASF_ASSIGN_OR_RETURN(const std::int64_t replay_workers,
-                       flags.GetInt("replay-workers", 0));
-  if (replay_workers < 0) {
-    return Status::InvalidArgument("--replay-workers must be >= 0");
-  }
-  config.replay_workers = static_cast<std::size_t>(replay_workers);
-  ASF_ASSIGN_OR_RETURN(config.pin_threads, flags.GetBool("pin", false));
   if (flags.Has("net")) {
     ASF_ASSIGN_OR_RETURN(config.net, ParseNetSpec(flags.GetString("net")));
   }
@@ -526,7 +493,7 @@ Status RunFromFlags(const Flags& flags) {
                        flags.GetBool("oracle-every-update", false));
 
   // Observability. The session owns the tracer/registry/profiler; the
-  // engines see only the non-owning hooks bundle.
+  // engine sees only the non-owning hooks bundle.
   ASF_ASSIGN_OR_RETURN(const ObsSession obs_session,
                        ObsSession::FromFlags(flags));
   config.obs = obs_session.hooks();
@@ -535,12 +502,10 @@ Status RunFromFlags(const Flags& flags) {
 
   ASF_ASSIGN_OR_RETURN(const RunResult result, RunSystem(config));
 
-  std::printf("%s over %zu streams, duration %g (warmup %g, %zu "
-              "shard%s)\n\n",
+  std::printf("%s over %zu streams, duration %g (warmup %g)\n\n",
               std::string(ProtocolKindName(config.protocol)).c_str(),
               config.source.NumStreams(), config.duration,
-              config.query_start, config.shards,
-              config.shards == 1 ? "" : "s");
+              config.query_start);
   TextTable table({"metric", "value"});
   table.AddRow({"maintenance messages",
                 Fmt("%llu", (unsigned long long)result.MaintenanceMessages())});
@@ -578,17 +543,6 @@ Status RunFromFlags(const Flags& flags) {
   const obs::TelemetryBlock net_block =
       obs::NetTelemetryBlock(config.net, result.net, &net_extras);
   net_block.AppendRows(&table);
-  if (config.shards > 1) {
-    table.AddRow(
-        {"replay seconds",
-         Fmt("%.3f (%.1f%% of wall)", result.replay_seconds,
-             result.wall_seconds > 0
-                 ? 100.0 * result.replay_seconds / result.wall_seconds
-                 : 0.0)});
-    table.AddRow({"replay workers",
-                  Fmt("%zu%s", result.replay_workers,
-                      result.pinned ? " (pinned)" : "")});
-  }
   table.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
   std::printf("%s", table.ToString().c_str());
   // Spill stats print as standalone "spill "-prefixed lines AFTER the
@@ -604,7 +558,6 @@ Status RunFromFlags(const Flags& flags) {
   if (flags.Has("bench-json")) {
     std::vector<std::pair<std::string, double>> metrics = {
         {"maint_messages", static_cast<double>(result.MaintenanceMessages())},
-        {"shards", static_cast<double>(config.shards)},
         {"simd", static_cast<double>(simd::KernelLanes())},
         {"init_messages", static_cast<double>(result.messages.InitTotal())},
         {"updates_generated", static_cast<double>(result.updates_generated)},
@@ -623,12 +576,6 @@ Status RunFromFlags(const Flags& flags) {
          static_cast<double>(result.dispatch.index_rebuilds)},
         {"dispatch_rebuilds_max_stream",
          static_cast<double>(result.dispatch.max_stream_rebuilds)},
-        {"replay_seconds", result.replay_seconds},
-        {"replay_fraction", result.wall_seconds > 0
-                                ? result.replay_seconds / result.wall_seconds
-                                : 0.0},
-        {"replay_workers", static_cast<double>(result.replay_workers)},
-        {"pinned", result.pinned ? 1.0 : 0.0},
         {"wall_seconds", result.wall_seconds}};
     net_block.AppendMetrics(&metrics);
     spill_block.AppendMetrics(&metrics);
@@ -650,6 +597,11 @@ int main(int argc, char** argv) {
   auto flags = asf::Flags::Parse(argc, argv);
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 2;
+  }
+  if (const asf::Status known = flags->RejectUnknown(asf::kKnownFlags);
+      !known.ok()) {
+    std::fprintf(stderr, "%s\n(try --help)\n", known.ToString().c_str());
     return 2;
   }
   if (flags->Has("help")) {

@@ -25,8 +25,8 @@ constexpr const char* kHelp = R"(asf_trace -- binary event trace to Chrome trace
   --summary             print per-ring / per-type record counts
 
 At least one of --out / --summary is required. The JSON loads in
-chrome://tracing or Perfetto; each ring (shard) renders as its own
-thread track, sim-time mapped to the microsecond axis via --ts-scale.
+chrome://tracing or Perfetto; each ring renders as its own thread
+track, sim-time mapped to the microsecond axis via --ts-scale.
 )";
 
 Status RunFromFlags(const Flags& flags) {

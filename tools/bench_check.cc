@@ -2,8 +2,7 @@
 ///
 ///   bench_check --baseline=BENCH_micro_dispatch.json \
 ///               --current=build/BENCH_micro_dispatch.json \
-///               [--tolerance=0.25] [--keys=simd_speedup_q256,...] \
-///               [--min-cores=N]
+///               [--tolerance=0.25] [--keys=simd_speedup_q256,...]
 ///
 /// Compares every metric key present in both files (or only --keys, when
 /// given). Throughput-like metrics (higher is better) regress when
@@ -23,14 +22,8 @@
 /// these for quality floors (e.g. spill-pool hit rate) and resource
 /// ceilings (resident bytes) where a ratio tolerance is the wrong shape.
 ///
-/// `--min-cores=N` makes the whole comparison conditional on the host:
-/// when hardware_concurrency() < N the check is skipped with a logged
-/// reason and exit code 0. CI uses this for the shard-speedup gates
-/// (q*_speedup_s4), which measure parallelism a 1–2 core runner cannot
-/// express (EXPERIMENTS.md flags the 1-thread container baseline).
-///
-/// CI guards the *machine-stable ratio* metrics (SIMD speedup, shard
-/// speedup, batching messages-per-flush) this way: absolute updates/sec
+/// CI guards the *machine-stable ratio* metrics (SIMD speedup, batching
+/// messages-per-flush) this way: absolute updates/sec
 /// depend on the runner hardware, but in-process and simulation-currency
 /// ratios transfer — see EXPERIMENTS.md.
 
@@ -41,7 +34,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -161,23 +153,6 @@ int Run(const Flags& flags) {
     return 2;
   }
   const double tolerance = *tolerance_or;
-
-  auto min_cores_or = flags.GetInt("min-cores", 0);
-  if (!min_cores_or.ok() || *min_cores_or < 0) {
-    std::fprintf(stderr, "bench_check: bad --min-cores\n");
-    return 2;
-  }
-  if (*min_cores_or > 0) {
-    const unsigned cores = std::thread::hardware_concurrency();
-    if (cores < static_cast<unsigned>(*min_cores_or)) {
-      std::printf(
-          "bench_check: SKIPPED — host has %u hardware thread(s), gate "
-          "requires >= %lld (these metrics measure parallelism this "
-          "machine cannot express)\n",
-          cores, static_cast<long long>(*min_cores_or));
-      return 0;
-    }
-  }
 
   std::map<std::string, double> baseline;
   std::map<std::string, double> current;
