@@ -3,7 +3,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "common/check.h"
 #include "engine/sweep_runner.h"
 #include "engine/system.h"
-#include "metrics/bench_json.h"
 #include "metrics/table.h"
 
 /// \file
@@ -94,84 +92,6 @@ inline std::string OracleCell(const RunResult& result) {
   return Fmt("%llu/%llu",
              static_cast<unsigned long long>(result.oracle_violations),
              static_cast<unsigned long long>(result.oracle_checks));
-}
-
-/// Writes benchmark metrics as a flat JSON document:
-///
-///   {"bench": "<name>", "metrics": {"<key>": <value>, ...}}
-///
-/// This is the machine-readable counterpart of the text tables: every
-/// fig*/micro harness (and `asf_sweep --bench-json`) can emit a
-/// `BENCH_*.json` so perf numbers are diffable across commits.
-inline Status WriteJson(
-    const std::string& path, const std::string& bench,
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  return WriteBenchJson(path, bench, metrics);
-}
-
-/// If REPRO_BENCH_JSON_DIR is set, writes metrics to <dir>/BENCH_<name>.json
-/// via WriteJson; otherwise a no-op. The env-gated variant the fig*
-/// harnesses call so perf trajectories can be recorded without changing
-/// their stdout contract.
-inline void MaybeWriteBenchJson(
-    const char* name,
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  const char* dir = std::getenv("REPRO_BENCH_JSON_DIR");
-  if (dir == nullptr || dir[0] == '\0') return;
-  const std::string path =
-      std::string(dir) + "/BENCH_" + name + ".json";
-  const Status status = WriteJson(path, name, metrics);
-  if (status.ok()) {
-    std::printf("wrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "bench json export failed: %s\n",
-                 status.ToString().c_str());
-  }
-}
-
-/// Shared exit path of the self-timed micro benches: honors a
-/// `--json=PATH` argument (default `default_path`, empty disables),
-/// writes the metrics via WriteJson, and returns the process exit code.
-inline int FinishMicroBench(
-    int argc, char** argv, const char* default_path, const char* name,
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  std::string json_path = default_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-  if (json_path.empty()) return 0;
-  const Status status = WriteJson(json_path, name, metrics);
-  if (!status.ok()) {
-    std::fprintf(stderr, "json export failed: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
-}
-
-/// Run-batch summary variant of MaybeWriteBenchJson: records aggregate
-/// wall time and message volume of a harness's whole config grid, the
-/// numbers the perf trajectory tracks for the fig* reproductions.
-inline void MaybeWriteBenchJsonFromResults(
-    const char* name, const std::vector<RunResult>& results) {
-  double wall = 0.0;
-  double maint = 0.0;
-  double generated = 0.0;
-  double reported = 0.0;
-  for (const RunResult& r : results) {
-    wall += r.wall_seconds;
-    maint += static_cast<double>(r.MaintenanceMessages());
-    generated += static_cast<double>(r.updates_generated);
-    reported += static_cast<double>(r.updates_reported);
-  }
-  MaybeWriteBenchJson(
-      name, {{"runs", static_cast<double>(results.size())},
-             {"total_wall_seconds", wall},
-             {"total_maint_messages", maint},
-             {"total_updates_generated", generated},
-             {"total_updates_reported", reported},
-             {"updates_per_sec", wall > 0 ? generated / wall : 0.0}});
 }
 
 /// If REPRO_CSV_DIR is set, writes the table to <dir>/<name>.csv for

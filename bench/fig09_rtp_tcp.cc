@@ -79,7 +79,6 @@ void Run() {
   }
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "fig09");
-  bench::MaybeWriteBenchJsonFromResults("fig09", results);
 }
 
 }  // namespace

@@ -65,7 +65,6 @@ void Run() {
   }
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "fig10");
-  bench::MaybeWriteBenchJsonFromResults("fig10", results);
   std::printf("oracle violations: %llu/%llu sampled checks\n",
               static_cast<unsigned long long>(violations),
               static_cast<unsigned long long>(checks));

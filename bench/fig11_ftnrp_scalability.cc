@@ -71,7 +71,6 @@ void Run() {
   }
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "fig11");
-  bench::MaybeWriteBenchJsonFromResults("fig11", results);
 }
 
 }  // namespace

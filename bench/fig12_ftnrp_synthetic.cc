@@ -60,7 +60,6 @@ void Run() {
   }
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "fig12");
-  bench::MaybeWriteBenchJsonFromResults("fig12", results);
   std::printf("oracle violations: %llu/%llu sampled checks\n",
               static_cast<unsigned long long>(violations),
               static_cast<unsigned long long>(checks));

@@ -54,7 +54,6 @@ void Run() {
   }
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "fig13");
-  bench::MaybeWriteBenchJsonFromResults("fig13", results);
 }
 
 }  // namespace

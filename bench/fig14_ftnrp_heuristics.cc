@@ -81,7 +81,6 @@ void Run() {
   table.AddRow(gap);
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "fig14");
-  bench::MaybeWriteBenchJsonFromResults("fig14", results);
 }
 
 }  // namespace

@@ -66,7 +66,6 @@ void Run() {
   }
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "fig15");
-  bench::MaybeWriteBenchJsonFromResults("fig15", results);
   bench::MaybeWriteCsv(log_table, "fig15_log10");
   std::printf("log10 view (the paper's axis):\n%s\n",
               log_table.ToString().c_str());

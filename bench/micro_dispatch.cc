@@ -26,6 +26,7 @@
 #include <cstring>
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -34,6 +35,7 @@
 #include "engine/multi_system.h"
 #include "filter/dispatch.h"
 #include "filter/filter_arena.h"
+#include "metrics/bench_json.h"
 
 namespace asf {
 namespace {
@@ -208,6 +210,21 @@ double EngineUpdatesPerSec(std::size_t num_streams, std::size_t q_count,
          result->wall_seconds;
 }
 
+/// Writes `metrics` as BENCH json to `path` (empty disables); false on a
+/// failed write.
+bool WriteMetrics(const std::string& path, const char* bench,
+                  const std::vector<std::pair<std::string, double>>& metrics) {
+  if (path.empty()) return true;
+  const Status status = WriteBenchJson(path, bench, metrics);
+  if (!status.ok()) {
+    std::fprintf(stderr, "json export failed: %s\n",
+                 status.ToString().c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
 int Main(int argc, char** argv) {
   const double scale = bench::Scale();
 
@@ -289,33 +306,28 @@ int Main(int argc, char** argv) {
   xmetrics.emplace_back("auto_crossover_constant",
                         static_cast<double>(kDefaultAutoCrossover));
 
+  std::string path = "BENCH_micro_dispatch.json";
   std::string xpath = "BENCH_index_crossover.json";
   for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--json=", 7) == 0) path = argv[i] + 7;
     if (std::strncmp(argv[i], "--crossover-json=", 17) == 0) {
       xpath = argv[i] + 17;
     }
   }
-  if (!xpath.empty()) {
-    const Status status = bench::WriteJson(xpath, "index_crossover", xmetrics);
-    if (!status.ok()) {
-      std::fprintf(stderr, "json export failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", xpath.c_str());
-  }
-
-  return bench::FinishMicroBench(
-      argc, argv, "BENCH_micro_dispatch.json", "micro_dispatch",
-      {{"strip_scan_q64_updates_per_sec", scan64},
-       {"strip_scan_q256_updates_per_sec", scan256},
-       {"strip_scan_q1024_updates_per_sec", scan1024},
-       {"aos_scan_q256_updates_per_sec", aos256},
-       {"simd_speedup_q256", speedup256},
-       {"engine_q64_updates_per_sec", engine64},
-       {"index_speedup_q16k", index_speedup_q16k},
-       {"crossover_q", crossover_q},
-       {"simd_lanes", static_cast<double>(simd::KernelLanes())}});
+  const bool written =
+      WriteMetrics(xpath, "index_crossover", xmetrics) &&
+      WriteMetrics(
+          path, "micro_dispatch",
+          {{"strip_scan_q64_updates_per_sec", scan64},
+           {"strip_scan_q256_updates_per_sec", scan256},
+           {"strip_scan_q1024_updates_per_sec", scan1024},
+           {"aos_scan_q256_updates_per_sec", aos256},
+           {"simd_speedup_q256", speedup256},
+           {"engine_q64_updates_per_sec", engine64},
+           {"index_speedup_q16k", index_speedup_q16k},
+           {"crossover_q", crossover_q},
+           {"simd_lanes", static_cast<double>(simd::KernelLanes())}});
+  return written ? 0 : 1;
 }
 
 }  // namespace

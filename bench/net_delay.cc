@@ -12,13 +12,11 @@
 ///  * BoundedBandwidth (bw:R)    — queueing delay explodes as R falls
 ///    below the crossing rate (staleness ≫ service time under bursts).
 ///
-/// Message-count metrics are fully deterministic (simulation currency,
-/// not wall time), so CI gates the batching ratio `ftnrp_b20_per_flush`
-/// at a tight tolerance via tools/bench_check.
+/// Message counts are deterministic simulation currency, not wall time:
+/// tests/net_model_test.cc pins the batching points' crossings and wire
+/// messages exactly (NetStalenessTest.NetDelayBatchingPointsArePinned).
 
 #include <cstdio>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -41,7 +39,7 @@ struct NetCase {
   const char* spec;
 };
 
-int Main(int argc, char** argv) {
+int Main() {
   const double scale = bench::Scale();
   bench::PrintBanner(
       "net_delay: staleness & violation rate vs delivery model",
@@ -87,8 +85,6 @@ int Main(int argc, char** argv) {
   TextTable table({"protocol", "net", "maint_msgs", "wire_updates",
                    "per_flush", "stale_mean", "stale_max", "viol_rate",
                    "viol_in_flight"});
-  std::vector<std::pair<std::string, double>> metrics;
-  double total_wall = 0.0;
   std::size_t i = 0;
   for (const ProtoCase& p : protos) {
     for (const NetCase& n : nets) {
@@ -105,29 +101,14 @@ int Main(int argc, char** argv) {
            Fmt("%.2f", r.update_delay.mean()),
            Fmt("%.2f", r.update_delay.max()), Fmt("%.3f", viol_rate),
            Fmt("%llu", (unsigned long long)r.oracle_violations_in_flight)});
-      const std::string key = std::string(p.label) + "_" + n.label;
-      metrics.emplace_back(key + "_maint",
-                           static_cast<double>(r.MaintenanceMessages()));
-      metrics.emplace_back(key + "_wire",
-                           static_cast<double>(r.net.update_messages));
-      metrics.emplace_back(key + "_per_flush", r.net.MessagesPerFlush());
-      metrics.emplace_back(key + "_staleness_mean", r.update_delay.mean());
-      metrics.emplace_back(key + "_viol_rate", viol_rate);
-      metrics.emplace_back(
-          key + "_viol_in_flight",
-          static_cast<double>(r.oracle_violations_in_flight));
-      total_wall += r.wall_seconds;
     }
   }
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "net_delay");
-
-  metrics.emplace_back("total_wall_seconds", total_wall);
-  return bench::FinishMicroBench(argc, argv, "BENCH_net_delay.json",
-                                 "net_delay", metrics);
+  return 0;
 }
 
 }  // namespace
 }  // namespace asf
 
-int main(int argc, char** argv) { return asf::Main(argc, argv); }
+int main() { return asf::Main(); }

@@ -12,18 +12,15 @@
 ///
 /// The table sweeps pool sizes and replacement policies, reporting the
 /// pool hit rate, resident frame bytes (the fixed cold-state ceiling),
-/// and spill volume — and asserts that every spilled run reproduces the
-/// in-memory run exactly (the byte-identity contract).
-///
-/// Writes BENCH_ooc_churn.json by default (--json=PATH to override,
-/// --json= to disable). CI gates spill_identical and the large-pool hit
-/// rate as a floor (see .github/workflows/ci.yml).
+/// and spill volume. tests/spill_test.cc runs the same workload and pool
+/// points (SpillEquivalenceTest.OutOfCoreChurnIsPinned): every spilled
+/// run must reproduce the in-memory run field by field, and the
+/// population, peak and large-pool hit counts are pinned exactly.
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "bench_common.h"
 #include "engine/churn.h"
@@ -39,46 +36,12 @@ std::string ScratchDir() {
   return env != nullptr && env[0] != '\0' ? env : "/tmp";
 }
 
-/// Exact equality of everything the result reports per query — the same
-/// fields the spill_test equivalence suite checks.
-bool SameResults(const MultiQueryResult& a, const MultiQueryResult& b) {
-  if (a.queries.size() != b.queries.size()) return false;
-  if (a.updates_generated != b.updates_generated) return false;
-  if (a.physical_updates != b.physical_updates) return false;
-  if (a.peak_live_queries != b.peak_live_queries) return false;
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    const auto& qa = a.queries[i];
-    const auto& qb = b.queries[i];
-    if (qa.name != qb.name) return false;
-    for (int p = 0; p < kNumMessagePhases; ++p) {
-      for (int t = 0; t < kNumMessageTypes; ++t) {
-        if (qa.messages.count(static_cast<MessagePhase>(p),
-                              static_cast<MessageType>(t)) !=
-            qb.messages.count(static_cast<MessagePhase>(p),
-                              static_cast<MessageType>(t))) {
-          return false;
-        }
-      }
-    }
-    if (qa.updates_reported != qb.updates_reported) return false;
-    if (qa.reinits != qb.reinits) return false;
-    if (qa.answer_size.count() != qb.answer_size.count()) return false;
-    if (qa.answer_size.mean() != qb.answer_size.mean()) return false;
-    if (qa.answer_size.variance() != qb.answer_size.variance()) return false;
-    if (qa.oracle_checks != qb.oracle_checks) return false;
-    if (qa.oracle_violations != qb.oracle_violations) return false;
-    if (qa.deployed_at != qb.deployed_at) return false;
-    if (qa.retired_at != qb.retired_at) return false;
-  }
-  return true;
-}
-
 struct PoolPoint {
   std::size_t buffer_pages;
   storage::ReplacementPolicy policy;
 };
 
-int Main(int argc, char** argv) {
+int Main() {
   const double scale = bench::Scale();
   const SimTime duration = 6000 * scale;
 
@@ -86,9 +49,8 @@ int Main(int argc, char** argv) {
   std::printf("long-horizon churn: cumulative queries >> peak live; "
               "retired state spills to a page file through a buffer "
               "pool\n");
-  std::printf("expect: identical results for every pool size/policy; hit "
-              "rate rises with pool size; resident frame bytes = pool "
-              "size, independent of cumulative volume\n\n");
+  std::printf("expect: hit rate rises with pool size; resident frame "
+              "bytes = pool size, independent of cumulative volume\n\n");
 
   ChurnSpec spec;
   spec.arrival_rate = 0.25;
@@ -124,14 +86,7 @@ int Main(int argc, char** argv) {
   };
 
   TextTable table({"pool_pages", "policy", "hit_rate", "resident_bytes",
-                   "records", "spilled_bytes", "file_bytes", "identical",
-                   "wall_s"});
-  std::vector<std::pair<std::string, double>> metrics = {
-      {"cumulative_queries", static_cast<double>(cumulative)},
-      {"peak_live", static_cast<double>(peak)},
-      {"cumulative_over_peak", cumulative_over_peak},
-  };
-  bool all_identical = true;
+                   "records", "spilled_bytes", "file_bytes", "wall_s"});
   for (const PoolPoint& point : points) {
     MultiQueryConfig config = base;
     config.spill.dir = ScratchDir();
@@ -139,9 +94,6 @@ int Main(int argc, char** argv) {
     config.spill.replacement = point.policy;
     auto spilled = RunMultiQuerySystem(config);
     ASF_CHECK_MSG(spilled.ok(), spilled.status().ToString().c_str());
-
-    const bool identical = SameResults(*in_memory, *spilled);
-    all_identical = all_identical && identical;
     const SpillTelemetry& t = spilled->spill;
     table.AddRow({Fmt("%zu", point.buffer_pages),
                   std::string(storage::ReplacementPolicyName(point.policy)),
@@ -150,34 +102,14 @@ int Main(int argc, char** argv) {
                   Fmt("%llu", (unsigned long long)t.records_spilled),
                   Fmt("%llu", (unsigned long long)t.spilled_bytes),
                   Fmt("%llu", (unsigned long long)t.file_bytes),
-                  identical ? "yes" : "NO",
                   Fmt("%.3f", spilled->wall_seconds)});
-
-    const std::string prefix =
-        Fmt("bp%zu_%s", point.buffer_pages,
-            std::string(storage::ReplacementPolicyName(point.policy)).c_str());
-    metrics.emplace_back(prefix + "_hit_rate", t.PoolHitRate());
-    metrics.emplace_back(prefix + "_resident_bytes",
-                         static_cast<double>(t.pool_resident_bytes));
-    metrics.emplace_back(prefix + "_records",
-                         static_cast<double>(t.records_spilled));
-    metrics.emplace_back(prefix + "_spilled_bytes",
-                         static_cast<double>(t.spilled_bytes));
-    metrics.emplace_back(prefix + "_file_bytes",
-                         static_cast<double>(t.file_bytes));
-    metrics.emplace_back(prefix + "_wall_seconds", spilled->wall_seconds);
   }
-  metrics.emplace_back("spill_identical", all_identical ? 1.0 : 0.0);
   std::printf("%s", table.ToString().c_str());
-  std::printf("\nall spilled runs identical to in-memory: %s\n",
-              all_identical ? "yes" : "NO");
   bench::MaybeWriteCsv(table, "ooc_churn");
-
-  return bench::FinishMicroBench(argc, argv, "BENCH_ooc_churn.json",
-                                 "ooc_churn", metrics);
+  return 0;
 }
 
 }  // namespace
 }  // namespace asf
 
-int main(int argc, char** argv) { return asf::Main(argc, argv); }
+int main() { return asf::Main(); }

@@ -17,8 +17,8 @@
 /// lifetimes, a weighted protocol/tolerance mix — and expands, fully
 /// deterministically under its seed, into a concrete deployment schedule
 /// (QueryDeployments with start/end windows) that RunMultiQuerySystem and
-/// SimulationCore execute. `bench/churn_multiquery` and `asf_run --churn`
-/// build their workloads this way.
+/// SimulationCore execute. `asf_run --churn` and `bench/ooc_churn` build
+/// their workloads this way.
 
 namespace asf {
 

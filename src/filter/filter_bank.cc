@@ -6,7 +6,7 @@ namespace asf {
 
 Filter FilterBank::at(StreamId id) const {
   ASF_DCHECK(id < size_);
-  if (arena_ == nullptr) return base_[id * stride_];
+  if (arena_ == nullptr) return base_[id];
   return arena_->cell(id, column_);
 }
 

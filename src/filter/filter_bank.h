@@ -17,9 +17,7 @@
 /// touch them, preserving the distributed-system message discipline.
 ///
 /// A bank is one of:
-///  * *owning* — its own dense array, stride 1 (standalone tests/tools);
-///  * a *raw strided view* into caller-managed storage (legacy layout
-///    experiments);
+///  * *owning* — its own dense array (standalone tests/tools);
 ///  * an *arena-routed view*: one query's column of the engine's
 ///    stream-major FilterArena. The arena holds no Filter objects, so
 ///    such a view mutates only through Deploy / SyncReference and reads
@@ -32,29 +30,17 @@ namespace asf {
 
 class FilterArena;
 
-/// Dense, strided, or arena-routed array of per-stream filters.
+/// Dense or arena-routed array of per-stream filters.
 class FilterBank {
  public:
   /// Detached bank: no storage, size 0. The state of a dynamic query's
   /// bank before its filters are bound into the shared arena (and after
   /// they are released); any access trips the size check.
-  FilterBank() : base_(nullptr), stride_(1), size_(0) {}
+  FilterBank() : base_(nullptr), size_(0) {}
 
-  /// Owning bank: `num_streams` default-constructed filters, stride 1.
+  /// Owning bank: `num_streams` default-constructed filters.
   explicit FilterBank(std::size_t num_streams)
-      : owned_(num_streams), base_(owned_.data()), stride_(1),
-        size_(num_streams) {}
-
-  /// Non-owning raw strided view: the filter of stream `id` lives at
-  /// `base[id * stride]`. The caller keeps `base` alive and stable for
-  /// the lifetime of the view.
-  FilterBank(Filter* base, std::size_t stride, std::size_t num_streams,
-             std::uint64_t generation = 0)
-      : base_(base), stride_(stride), size_(num_streams),
-        generation_(generation) {
-    ASF_CHECK(base != nullptr);
-    ASF_CHECK(stride >= 1);
-  }
+      : owned_(num_streams), base_(owned_.data()), size_(num_streams) {}
 
   /// Arena-routed view of one query's `column` of `arena`. The arena
   /// outlives the view; the caller may tag the view with the storage
@@ -62,8 +48,8 @@ class FilterBank {
   /// detectable after a rebind.
   FilterBank(FilterArena* arena, std::size_t column, std::size_t num_streams,
              std::uint64_t generation = 0)
-      : base_(nullptr), stride_(1), size_(num_streams),
-        generation_(generation), arena_(arena), column_(column) {
+      : base_(nullptr), size_(num_streams), generation_(generation),
+        arena_(arena), column_(column) {
     ASF_CHECK(arena != nullptr);
   }
 
@@ -86,11 +72,10 @@ class FilterBank {
     generation_ = generation;
   }
 
-  /// Mutable access to stream `id`'s filter; owning and raw strided banks
-  /// only.
+  /// Mutable access to stream `id`'s filter; owning banks only.
   Filter& at(StreamId id) {
     ASF_DCHECK(id < size_ && arena_ == nullptr);
-    return base_[id * stride_];
+    return base_[id];
   }
 
   /// Stream `id`'s filter by value, for every kind of bank.
@@ -127,7 +112,6 @@ class FilterBank {
  private:
   std::vector<Filter> owned_;  ///< empty for views
   Filter* base_;
-  std::size_t stride_;
   std::size_t size_;
   std::uint64_t generation_ = 0;
   FilterArena* arena_ = nullptr;  ///< set for arena-routed views

@@ -52,8 +52,6 @@ void JsonWriter::AddBlock(const std::string& name, std::string json) {
 std::string JsonWriter::ToJson() const {
   std::string out = Fmt("{\n  \"bench\": \"%s\",\n", bench_.c_str());
   if (!provenance_.empty()) {
-    // Before "metrics": bench_check's flat parser scans numbers from the
-    // "metrics" key onward and must never see these strings.
     out += "  \"provenance\": {\n";
     for (std::size_t i = 0; i < provenance_.size(); ++i) {
       out += Fmt("    \"%s\": \"%s\"%s\n", provenance_[i].first.c_str(),

@@ -29,9 +29,6 @@ Status WriteBenchJson(
 ///
 ///   {"bench": "...", "provenance": {"git_sha": "...", ...},
 ///    "metrics": {...}}
-///
-/// The ordering matters: tools/bench_check scans flat numbers from the
-/// "metrics" key onward, so provenance strings must precede it.
 Status WriteBenchJson(
     const std::string& path, const std::string& bench,
     const std::vector<std::pair<std::string, double>>& metrics,
@@ -43,10 +40,8 @@ namespace metrics {
 /// builds its document through this writer, which pins the schema —
 /// "bench", then "provenance" (attached automatically from
 /// BuildProvenance(); SetProvenance overrides), then the flat "metrics"
-/// object bench_check gates on, then any named extra blocks
-/// (time-series, histograms, profile) AFTER the metrics object so
-/// bench_check's flat scan — which stops at the metrics object's closing
-/// brace — never sees them.
+/// object, then any named extra blocks (time-series, histograms,
+/// profile).
 class JsonWriter {
  public:
   explicit JsonWriter(std::string bench);

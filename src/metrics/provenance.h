@@ -11,8 +11,7 @@
 /// them: the git revision, the build type (Release numbers are not Debug
 /// numbers) and which SIMD backend the filter kernel compiled to.
 /// WriteBenchJson embeds these as a "provenance" object ahead of
-/// "metrics" so the flat metric parser in tools/bench_check never sees
-/// the strings.
+/// "metrics".
 
 namespace asf {
 

@@ -9,8 +9,10 @@ namespace asf {
 namespace obs {
 
 Result<TraceFileData> ReadTraceBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open trace file: " + path);
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0);
 
   char magic[8];
   if (!in.read(magic, sizeof(magic)) ||
@@ -35,6 +37,12 @@ Result<TraceFileData> ReadTraceBinary(const std::string& path) {
     if (!in.read(reinterpret_cast<char*>(&count), sizeof(count)) ||
         !in.read(reinterpret_cast<char*>(&dropped), sizeof(dropped))) {
       return Status::Corruption("truncated ring header in trace: " + path);
+    }
+    // A forged count must fail here, not size the allocation below.
+    const auto left = static_cast<std::uint64_t>(file_size - in.tellg());
+    if (count > left / sizeof(TraceRecord)) {
+      return Status::Corruption("record count exceeds the trace file: " +
+                                path);
     }
     TraceFileRing& ring = data.rings[r];
     ring.dropped = dropped;

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <vector>
-
 #include "filter/constraint.h"
 #include "filter/filter_bank.h"
 
@@ -181,97 +178,6 @@ TEST(FilterBankTest, PerStreamIndependence) {
   EXPECT_FALSE(bank.at(1).reference_inside());
   EXPECT_TRUE(bank.at(0).OnValueChange(20));
   EXPECT_FALSE(bank.at(1).OnValueChange(20));
-}
-
-// --- Stream-major SoA views (the engine's multi-query layout) ---
-
-/// Drives one owning (stride-1, the old layout) and one strided bank
-/// through the same deploy / update schedule and asserts every observable
-/// agrees — the parity guarantee the engine's stream-major flattening
-/// rests on.
-TEST(FilterBankSoaTest, StridedViewMatchesOwningLayout) {
-  constexpr std::size_t kStreams = 64;
-  constexpr std::size_t kQueries = 5;   // stride of the shared storage
-  constexpr std::size_t kViewQuery = 2; // the bank under test
-
-  std::vector<Filter> storage(kStreams * kQueries);
-  FilterBank view(&storage[kViewQuery], kQueries, kStreams);
-  FilterBank owning(kStreams);
-  ASSERT_EQ(view.size(), owning.size());
-
-  // Deterministic mixed schedule: ranges, both silent degenerate forms,
-  // and streams left with no filter at all.
-  std::uint64_t rng = 0x2545f4914f6cdd1dULL;
-  const auto next = [&rng] {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-  for (StreamId id = 0; id < kStreams; ++id) {
-    const std::uint64_t pick = next() % 4;
-    const Value current = static_cast<double>(next() % 1000);
-    FilterConstraint c;
-    switch (pick) {
-      case 0:
-        c = FilterConstraint::Range(Interval(200, 700));
-        break;
-      case 1:
-        c = FilterConstraint::FalsePositive();
-        break;
-      case 2:
-        c = FilterConstraint::FalseNegative();
-        break;
-      default:
-        continue;  // no filter installed
-    }
-    view.Deploy(id, c, current);
-    owning.Deploy(id, c, current);
-  }
-
-  EXPECT_EQ(view.CountInstalled(), owning.CountInstalled());
-  EXPECT_EQ(view.CountFalsePositiveFilters(),
-            owning.CountFalsePositiveFilters());
-  EXPECT_EQ(view.CountFalseNegativeFilters(),
-            owning.CountFalseNegativeFilters());
-
-  // A burst of updates must fire identically filter by filter.
-  for (int round = 0; round < 200; ++round) {
-    const StreamId id = static_cast<StreamId>(next() % kStreams);
-    const Value v = static_cast<double>(next() % 1000);
-    EXPECT_EQ(view.at(id).OnValueChange(v), owning.at(id).OnValueChange(v))
-        << "stream " << id << " round " << round;
-    EXPECT_EQ(view.at(id).reference_inside(),
-              owning.at(id).reference_inside());
-  }
-  EXPECT_EQ(view.CountFalsePositiveFilters(),
-            owning.CountFalsePositiveFilters());
-  EXPECT_EQ(view.CountFalseNegativeFilters(),
-            owning.CountFalseNegativeFilters());
-}
-
-/// Sibling views over the same storage must not alias each other's
-/// filters: the strip of stream i holds one slot per query.
-TEST(FilterBankSoaTest, SiblingViewsAreIsolated) {
-  constexpr std::size_t kStreams = 8;
-  constexpr std::size_t kQueries = 3;
-  std::vector<Filter> storage(kStreams * kQueries);
-  std::vector<FilterBank> banks;
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    banks.emplace_back(&storage[q], kQueries, kStreams);
-  }
-
-  banks[0].Deploy(4, FilterConstraint::FalsePositive(), 0.0);
-  banks[2].Deploy(4, FilterConstraint::FalseNegative(), 0.0);
-
-  EXPECT_EQ(banks[0].CountFalsePositiveFilters(), 1u);
-  EXPECT_EQ(banks[1].CountInstalled(), 0u);
-  EXPECT_EQ(banks[2].CountFalseNegativeFilters(), 1u);
-  // The un-deployed middle query still reports every update.
-  EXPECT_TRUE(banks[1].at(4).OnValueChange(123.0));
-  // ...while its silent neighbors never do.
-  EXPECT_FALSE(banks[0].at(4).OnValueChange(123.0));
-  EXPECT_FALSE(banks[2].at(4).OnValueChange(123.0));
 }
 
 }  // namespace

@@ -164,6 +164,34 @@ TEST(GoldenDigestTest, ChurnWithAndWithoutSpill) {
   ExpectGolden(config, kDigest, "churn spilled");
 }
 
+/// The schedule `asf_run --churn --churn-rate=0.2 --churn-lifetime=150
+/// --streams=400 --duration=800 --seed=5` builds from its defaults: ZT-NRP
+/// ranges with shapes drawn at random, ε = 0, an instant net, no oracle.
+TEST(GoldenDigestTest, AsfRunChurnDefaults) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 400;
+  walk.seed = 5;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 800;
+  config.seed = 5;
+  ChurnSpec spec;
+  spec.arrival_rate = 0.2;
+  spec.mean_lifetime = 150;
+  spec.seed = 5;
+  ChurnMixEntry entry;
+  entry.protocol = ProtocolKind::kZtNrp;
+  entry.eps_plus = 0;
+  entry.eps_minus = 0;
+  entry.rank_r = 0;
+  entry.k = 1;
+  spec.mix.push_back(entry);
+  auto queries = ExpandChurn(spec, config.duration);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  config.queries = std::move(queries).value();
+  ExpectGolden(config, 0x35d9cf2590e7b317, "asf_run churn");
+}
+
 TEST(GoldenDigestTest, FtNrpOnSyntheticTcpTrace) {
   TcpSynthConfig synth;
   synth.num_subnets = 100;

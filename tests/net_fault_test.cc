@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -251,6 +252,53 @@ TEST(NetFaultConservationTest, CompositeFaultsConserveCrossings) {
     auto run = RunSystem(config);
     ASSERT_TRUE(run.ok()) << spec;
     ExpectConservation(run->net, spec);
+  }
+}
+
+/// The loss points of bench/net_loss, pinned exactly: how many crossings
+/// the wire delivered, lost and still held at the horizon is simulation
+/// currency, so the counts repeat for the seed on any machine. The grid
+/// base is 400 walks seeded 17 for 2000 time units, the oracle judging
+/// every 20, behind `latency:2`.
+TEST(NetFaultConservationTest, NetLossPointsArePinned) {
+  const struct {
+    const char* label;
+    ProtocolKind protocol;
+    double eps;
+    const char* net;
+    std::uint64_t crossings;
+    std::uint64_t delivered;
+    std::uint64_t dropped_loss;
+    std::uint64_t in_flight;
+  } kCases[] = {
+      {"ft-nrp", ProtocolKind::kFtNrp, 0.2, "latency:2+loss:0.05", 1270,
+       1193, 76, 1},
+      {"zt-nrp", ProtocolKind::kZtNrp, 0, "latency:2+loss:0.1", 1412, 1268,
+       143, 1},
+      {"no-filter", ProtocolKind::kNoFilter, 0, "latency:2+loss:0.2", 40047,
+       32005, 7999, 43},
+  };
+  for (const auto& c : kCases) {
+    SystemConfig config =
+        BaseConfig(c.protocol, QuerySpec::Range(400, 600), c.eps, 0);
+    RandomWalkConfig walk;
+    walk.num_streams = 400;
+    walk.seed = 17;
+    config.source = SourceSpec::Walk(walk);
+    config.duration = 2000;
+    config.seed = 17;
+    config.oracle.sample_interval = 20;
+    auto net = ParseNetSpec(c.net);
+    ASSERT_TRUE(net.ok()) << c.net;
+    config.net = *net;
+    auto run = RunSystem(config);
+    ASSERT_TRUE(run.ok()) << c.label << " " << c.net;
+    const std::string label = std::string(c.label) + " " + c.net;
+    EXPECT_EQ(run->net.crossings, c.crossings) << label;
+    EXPECT_EQ(run->net.delivered_crossings, c.delivered) << label;
+    EXPECT_EQ(run->net.dropped_loss, c.dropped_loss) << label;
+    EXPECT_EQ(run->net.in_flight_crossings_at_end, c.in_flight) << label;
+    ExpectConservation(run->net, label.c_str());
   }
 }
 

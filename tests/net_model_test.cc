@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "engine/multi_system.h"
@@ -98,15 +99,18 @@ const ProtoCase kAllProtocols[] = {
     {"ft-rp", ProtocolKind::kFtRp, QuerySpec::Knn(10, 500), 0.3, 0},
 };
 
-/// Zero-latency / zero-Δ / infinite-rate models must take the inline
-/// delivery path and reproduce InstantNet byte-identically, for every
-/// protocol.
+/// An explicit `instant` spec and the zero-latency / zero-Δ /
+/// infinite-rate models must take the inline delivery path and reproduce
+/// the default net byte-identically, for every protocol.
 TEST(NetEquivalenceTest, ZeroParameterModelsMatchInstant) {
-  NetConfig degenerate[3];
+  NetConfig degenerate[4];
   degenerate[0].kind = NetConfig::Kind::kFixedLatency;  // latency:0
   degenerate[1].kind = NetConfig::Kind::kBatched;       // batch:0
   degenerate[2].kind = NetConfig::Kind::kBoundedBandwidth;  // bw:inf
   degenerate[2].rate = kInf;
+  auto instant_spec = ParseNetSpec("instant");
+  ASSERT_TRUE(instant_spec.ok());
+  degenerate[3] = *instant_spec;
 
   for (const ProtoCase& c : kAllProtocols) {
     SystemConfig config = BaseConfig(c.protocol, c.query, c.eps, c.rank_r);
@@ -254,6 +258,48 @@ TEST(NetStalenessTest, BatchingCoalescesAndCountsInFlight) {
   EXPECT_DOUBLE_EQ(result->update_delay.min(), 3.0);
   EXPECT_DOUBLE_EQ(result->update_delay.max(), 5.0);
   EXPECT_EQ(result->net.in_flight_at_end, 0u);
+}
+
+/// The batching points of bench/net_delay, pinned exactly: crossings per
+/// update message (messages per flush) is simulation currency, so the
+/// counts repeat for the seed on any machine. The grid base is 400 walks
+/// seeded 17 for 2000 time units, the oracle judging every 20.
+TEST(NetStalenessTest, NetDelayBatchingPointsArePinned) {
+  const struct {
+    const char* label;
+    ProtocolKind protocol;
+    QuerySpec query;
+    double eps;
+    std::size_t rank_r;
+    const char* net;
+    std::uint64_t crossings;
+    std::uint64_t update_messages;
+  } kCases[] = {
+      {"ft-nrp", ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0,
+       "batch:20", 1224, 1065},
+      {"ft-nrp", ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), 0.2, 0,
+       "batch:80", 1216, 791},
+      {"rtp", ProtocolKind::kRtp, QuerySpec::Knn(10, 500), 0, 5, "batch:20",
+       1228, 1037},
+  };
+  for (const auto& c : kCases) {
+    SystemConfig config = BaseConfig(c.protocol, c.query, c.eps, c.rank_r);
+    RandomWalkConfig walk;
+    walk.num_streams = 400;
+    walk.seed = 17;
+    config.source = SourceSpec::Walk(walk);
+    config.duration = 2000;
+    config.seed = 17;
+    config.oracle.sample_interval = 20;
+    auto net = ParseNetSpec(c.net);
+    ASSERT_TRUE(net.ok()) << c.net;
+    config.net = *net;
+    auto result = RunSystem(config);
+    ASSERT_TRUE(result.ok()) << c.label << " " << c.net;
+    EXPECT_EQ(result->net.crossings, c.crossings) << c.label << " " << c.net;
+    EXPECT_EQ(result->net.update_messages, c.update_messages)
+        << c.label << " " << c.net;
+  }
 }
 
 /// Bounded bandwidth queues: three back-to-back crossings on one link at

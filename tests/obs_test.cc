@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "engine/churn.h"
+#include "engine/multi_system.h"
 #include "engine/system.h"
 #include "metrics/bench_json.h"
 #include "net/network_model.h"
@@ -112,6 +115,70 @@ TEST(TraceConvertTest, RejectsGarbageFile) {
   std::fputs("not a trace", f);
   std::fclose(f);
   EXPECT_FALSE(obs::ReadTraceBinary(path).ok());
+}
+
+/// A dump whose one ring header claims `count` records and holds none.
+std::string ForgedDump(std::uint64_t count) {
+  const std::uint32_t ring_count = 1;
+  const std::uint32_t reserved = 0;
+  const std::uint64_t dropped = 0;
+  std::string bytes = "ASFTRC01";
+  bytes.append(reinterpret_cast<const char*>(&ring_count), sizeof ring_count);
+  bytes.append(reinterpret_cast<const char*>(&reserved), sizeof reserved);
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof count);
+  bytes.append(reinterpret_cast<const char*>(&dropped), sizeof dropped);
+  return bytes;
+}
+
+/// Hostile dumps fail with a Status, never by allocation or a crash: a
+/// forged record count (one beyond memory, one whose byte size overflows)
+/// and a real dump cut inside the file header, a ring header and the
+/// records.
+TEST(TraceConvertTest, RejectsForgedCountsAndTruncatedDumps) {
+  obs::Tracer tracer;
+  tracer.EnsureRings(2);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    tracer.Emit(i % 2, obs::TraceEventType::kValueUpdate, i, i, 0.5 * i);
+  }
+  const std::string path = ::testing::TempDir() + "/obs_hostile.trace";
+  ASSERT_TRUE(tracer.WriteBinary(path).ok());
+  ASSERT_TRUE(obs::ReadTraceBinary(path).ok());
+  std::string dump;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) dump.append(buf, n);
+    std::fclose(f);
+  }
+  ASSERT_GT(dump.size(), 1000u);
+
+  const struct {
+    std::string label;
+    std::string bytes;
+  } kCases[] = {
+      {"count 2^44", ForgedDump(std::uint64_t{1} << 44)},
+      {"count 2^60", ForgedDump(std::uint64_t{1} << 60)},
+      {"cut at 0", dump.substr(0, 0)},
+      {"cut at 7", dump.substr(0, 7)},
+      {"cut at 8", dump.substr(0, 8)},
+      {"cut at 16", dump.substr(0, 16)},
+      {"cut at 40", dump.substr(0, 40)},
+      {"cut at 100", dump.substr(0, 100)},
+      {"cut at 1000", dump.substr(0, 1000)},
+      {"one byte short", dump.substr(0, dump.size() - 1)},
+  };
+  for (const auto& c : kCases) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(c.bytes.data(), 1, c.bytes.size(), f),
+              c.bytes.size());
+    std::fclose(f);
+    const auto data = obs::ReadTraceBinary(path);
+    ASSERT_FALSE(data.ok()) << c.label;
+    EXPECT_EQ(data.status().code(), StatusCode::kCorruption) << c.label;
+  }
 }
 
 // --- Log-bucketed histogram ---
@@ -261,60 +328,124 @@ TEST(TelemetryTest, NetBlockGatesOnDelayingModel) {
 
 // --- Inertness: the acceptance criterion ---
 
-SystemConfig ObsTestConfig() {
-  SystemConfig config;
-  RandomWalkConfig walk;
-  walk.num_streams = 300;
-  walk.seed = 5;
-  config.source = SourceSpec::Walk(walk);
-  config.duration = 400;
-  config.seed = 5;
-  config.query = QuerySpec::Range(400, 600);
-  config.protocol = ProtocolKind::kFtNrp;
-  config.fraction.eps_plus = 0.2;
-  config.fraction.eps_minus = 0.2;
-  config.net = ParseNetSpec("batch:5").value();
-  config.oracle.sample_interval = 50;
-  return config;
-}
-
-TEST(ObsInertnessTest, SerialEngineResultsAreByteIdentical) {
-  const auto baseline = RunSystem(ObsTestConfig());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  obs::Tracer tracer;
+/// Every facility attached: a tracer on all categories, a metrics
+/// registry sampling every 100 time units, and a profiler.
+struct AllFacilities {
+  obs::Tracer tracer{obs::kCatAll};
   obs::MetricsRegistry registry;
   obs::Profiler profiler;
-  SystemConfig config = ObsTestConfig();
-  config.obs.tracer = &tracer;
-  config.obs.metrics = &registry;
-  config.obs.metrics_every = 25;
-  config.obs.profiler = &profiler;
-  const auto observed = RunSystem(config);
-  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
 
-  ExpectSameResult(*baseline, *observed, "obs on vs off");
-  // The facilities actually ran: snapshots on the sim-time grid
-  // (400 / 25 = 16) and, when compiled in, trace records.
-  EXPECT_EQ(registry.series().size(), 16u);
-#if ASF_OBS_TRACE_COMPILED
-  EXPECT_GT(tracer.total_records(), 0u);
-  // The engine writes ring 0 only, in dispatch (sim-time) order.
-  ASSERT_EQ(tracer.ring_count(), 1u);
-  double last = -1e300;
-  std::uint64_t updates = 0;
-  for (const obs::TraceRecord& record : tracer.ring(0).records()) {
-    if (record.type !=
-        static_cast<std::uint16_t>(obs::TraceEventType::kValueUpdate)) {
-      continue;
-    }
-    EXPECT_GE(record.time, last);
-    last = record.time;
-    ++updates;
+  obs::ObsHooks hooks() {
+    obs::ObsHooks hooks;
+    hooks.tracer = &tracer;
+    hooks.metrics = &registry;
+    hooks.metrics_every = 100;
+    hooks.profiler = &profiler;
+    return hooks;
   }
-  EXPECT_GT(updates, 0u);
+
+  /// The facilities actually ran: one snapshot per point of the sim-time
+  /// grid, trace records in dispatch (sim-time) order on the engine's one
+  /// ring when trace points are compiled in, and profiled time.
+  void ExpectEngaged(SimTime duration, const std::string& label) {
+    SCOPED_TRACE(label);
+    EXPECT_EQ(registry.series().size(),
+              static_cast<std::size_t>(duration / 100));
+#if ASF_OBS_TRACE_COMPILED
+    ASSERT_EQ(tracer.ring_count(), 1u);
+    double last = -1e300;
+    std::uint64_t updates = 0;
+    for (const obs::TraceRecord& record : tracer.ring(0).records()) {
+      if (record.type !=
+          static_cast<std::uint16_t>(obs::TraceEventType::kValueUpdate)) {
+        continue;
+      }
+      EXPECT_GE(record.time, last);
+      last = record.time;
+      ++updates;
+    }
+    EXPECT_GT(updates, 0u);
 #endif
-  EXPECT_GT(profiler.Merged().total(), 0.0);
+    EXPECT_GT(profiler.Merged().total(), 0.0);
+  }
+};
+
+/// Each protocol behind `batch:10` over 500 walks for 900 time units, the
+/// oracle judging every 120: the range protocols on [400, 600] with
+/// ε = 0.2, the rank protocols on a top-20 query with ε+ = 0.3 and r = 5.
+TEST(ObsInertnessTest, SixProtocolsAreByteIdentical) {
+  const struct {
+    ProtocolKind protocol;
+    QuerySpec query;
+    FractionTolerance fraction;
+    std::size_t rank_r;
+  } kCases[] = {
+      {ProtocolKind::kNoFilter, QuerySpec::Range(400, 600), {0.2, 0.2}, 0},
+      {ProtocolKind::kZtNrp, QuerySpec::Range(400, 600), {0.2, 0.2}, 0},
+      {ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), {0.2, 0.2}, 0},
+      {ProtocolKind::kRtp, QuerySpec::TopK(20), {0.3, 0}, 5},
+      {ProtocolKind::kZtRp, QuerySpec::TopK(20), {0.3, 0}, 5},
+      {ProtocolKind::kFtRp, QuerySpec::TopK(20), {0.3, 0}, 5},
+  };
+  for (const auto& c : kCases) {
+    const std::string label(ProtocolKindName(c.protocol));
+    SystemConfig config;
+    RandomWalkConfig walk;
+    walk.num_streams = 500;
+    config.source = SourceSpec::Walk(walk);
+    config.duration = 900;
+    config.query = c.query;
+    config.protocol = c.protocol;
+    config.fraction = c.fraction;
+    config.rank_r = c.rank_r;
+    config.net = ParseNetSpec("batch:10").value();
+    config.oracle.sample_interval = 120;
+    const auto baseline = RunSystem(config);
+    ASSERT_TRUE(baseline.ok())
+        << label << ": " << baseline.status().ToString();
+
+    AllFacilities facilities;
+    config.obs = facilities.hooks();
+    const auto observed = RunSystem(config);
+    ASSERT_TRUE(observed.ok())
+        << label << ": " << observed.status().ToString();
+    ExpectSameResult(*baseline, *observed, label + " obs on vs off");
+    facilities.ExpectEngaged(config.duration, label);
+  }
+}
+
+/// A churn schedule through the multi-query engine: ZT-NRP ranges drawn
+/// at random, arriving at rate 0.2 with mean lifetime 150, over 400 walks
+/// for 800 time units.
+TEST(ObsInertnessTest, ChurnIsByteIdentical) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 400;
+  walk.seed = 5;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 800;
+  config.seed = 5;
+  ChurnSpec spec;
+  spec.arrival_rate = 0.2;
+  spec.mean_lifetime = 150;
+  spec.seed = 5;
+  ChurnMixEntry entry;
+  entry.protocol = ProtocolKind::kZtNrp;
+  entry.eps_plus = 0;
+  entry.eps_minus = 0;
+  spec.mix.push_back(entry);
+  auto queries = ExpandChurn(spec, config.duration);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  config.queries = std::move(queries).value();
+  const auto baseline = RunMultiQuerySystem(config);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  AllFacilities facilities;
+  config.obs = facilities.hooks();
+  const auto observed = RunMultiQuerySystem(config);
+  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+  ExpectSameResult(*baseline, *observed, "churn obs on vs off");
+  facilities.ExpectEngaged(config.duration, "churn");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,21 @@ namespace {
 
 std::string SpillDir() {
   return ::testing::TempDir();  // scratch files are removed by the spiller
+}
+
+/// An empty scratch directory private to `name`, so a test can check that
+/// a run leaves nothing behind in it.
+std::string PrivateSpillDir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("asf_spill_" + name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+/// The spiller removes its page file when the run ends.
+void ExpectNoScratchLeft(const std::string& dir, const std::string& label) {
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << label << ": " << dir;
 }
 
 // --- SpillConfig validation ---
@@ -153,6 +169,7 @@ MultiQueryConfig ChurnConfig() {
 
 TEST(SpillEquivalenceTest, ChurnAcrossPoolSizesAndPolicies) {
   const MultiQueryConfig base = ChurnConfig();
+  const std::string dir = PrivateSpillDir("churn_pools");
   auto in_memory = RunMultiQuerySystem(base);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
   EXPECT_FALSE(in_memory->spill.enabled);
@@ -161,16 +178,17 @@ TEST(SpillEquivalenceTest, ChurnAcrossPoolSizesAndPolicies) {
     for (const auto policy :
          {storage::ReplacementPolicy::kLru, storage::ReplacementPolicy::kFifo}) {
       MultiQueryConfig config = base;
-      config.spill.dir = SpillDir();
+      config.spill.dir = dir;
       config.spill.buffer_pages = buffer_pages;
       config.spill.replacement = policy;
       config.spill.page_size = 512;  // small pages force multi-page chains
       auto spilled = RunMultiQuerySystem(config);
       ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-      ExpectSameResult(
-          *in_memory, *spilled,
+      const std::string label =
           "pages=" + std::to_string(buffer_pages) + " policy=" +
-              std::string(storage::ReplacementPolicyName(policy)));
+          std::string(storage::ReplacementPolicyName(policy));
+      ExpectSameResult(*in_memory, *spilled, label);
+      ExpectNoScratchLeft(dir, label);
       EXPECT_TRUE(spilled->spill.enabled);
       EXPECT_GT(spilled->spill.records_spilled, 0u);
       // Everything the result table shows was faulted back.
@@ -196,17 +214,75 @@ TEST(SpillEquivalenceTest, SingleQuerySystemRun) {
   auto in_memory = RunSystem(config);
   ASSERT_TRUE(in_memory.ok());
 
-  config.spill.dir = SpillDir();
+  config.spill.dir = PrivateSpillDir("single_query");
   config.spill.buffer_pages = 2;
   auto spilled = RunSystem(config);
   ASSERT_TRUE(spilled.ok());
 
   ExpectSameResult(*in_memory, *spilled, "single query");
+  ExpectNoScratchLeft(config.spill.dir, "single query");
   EXPECT_TRUE(spilled->spill.enabled);
   // A static query is live until the horizon, so it never leaves the hot
   // set: only *retired* queries spill. The run must still accept (and
   // validate) the spill configuration.
   EXPECT_EQ(spilled->spill.records_spilled, 0u);
+}
+
+/// bench/ooc_churn's workload, pinned exactly: a long-horizon churn
+/// schedule (rate 0.25, mean lifetime 60, seed 71) over 200 walks seeded
+/// 13 for 6000 time units. Cumulative deployments dwarf the peak live
+/// population; every pool point reproduces the in-memory run field by
+/// field; each retired record is written once and faulted once, so a pool
+/// that holds the whole file hits on exactly half its requests.
+TEST(SpillEquivalenceTest, OutOfCoreChurnIsPinned) {
+  MultiQueryConfig base;
+  RandomWalkConfig walk;
+  walk.num_streams = 200;
+  walk.seed = 13;
+  base.source = SourceSpec::Walk(walk);
+  base.duration = 6000;
+  base.seed = 13;
+  ChurnSpec spec;
+  spec.arrival_rate = 0.25;
+  spec.mean_lifetime = 60;
+  spec.seed = 71;
+  auto queries = ExpandChurn(spec, base.duration);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  base.queries = std::move(queries).value();
+
+  auto in_memory = RunMultiQuerySystem(base);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  EXPECT_EQ(in_memory->queries.size(), 1511u);
+  EXPECT_EQ(in_memory->peak_live_queries, 28u);
+
+  const std::string dir = PrivateSpillDir("ooc_churn");
+  const struct {
+    std::size_t buffer_pages;
+    storage::ReplacementPolicy policy;
+  } kPoints[] = {
+      {4, storage::ReplacementPolicy::kLru},
+      {32, storage::ReplacementPolicy::kLru},
+      {32, storage::ReplacementPolicy::kFifo},
+      {4096, storage::ReplacementPolicy::kLru},
+  };
+  for (const auto& point : kPoints) {
+    MultiQueryConfig config = base;
+    config.spill.dir = dir;
+    config.spill.buffer_pages = point.buffer_pages;
+    config.spill.replacement = point.policy;
+    auto spilled = RunMultiQuerySystem(config);
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    const std::string label =
+        "pages=" + std::to_string(point.buffer_pages) + " policy=" +
+        std::string(storage::ReplacementPolicyName(point.policy));
+    ExpectSameResult(*in_memory, *spilled, label);
+    ExpectNoScratchLeft(dir, label);
+    if (point.buffer_pages == 4096) {
+      EXPECT_EQ(spilled->spill.pool_hits, 1494u);
+      EXPECT_EQ(spilled->spill.pool_misses, 1494u);
+      EXPECT_EQ(spilled->spill.pool_resident_bytes, 16777216u);
+    }
+  }
 }
 
 }  // namespace
