@@ -86,8 +86,11 @@ Status ChurnSpec::Validate() const {
 Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
                                                  SimTime duration) {
   ASF_RETURN_IF_ERROR(spec.Validate());
-  if (duration <= 0) {
-    return Status::InvalidArgument("churn expansion needs duration > 0");
+  // The arrival loop runs until the clock passes the horizon, which a NaN
+  // or infinite duration never allows.
+  if (!(duration > 0 && std::isfinite(duration))) {
+    return Status::InvalidArgument(
+        "churn expansion needs a finite duration > 0");
   }
   if (spec.window_start >= duration) {
     return Status::InvalidArgument("churn window starts after the horizon");

@@ -6,7 +6,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "engine/sim_core.h"
+#include "engine/config.h"
 
 /// \file
 /// Query-churn workloads: the server as a long-lived service.
@@ -85,7 +85,7 @@ struct ChurnSpec {
 /// window, each arrival draws a mix entry by weight, a query shape from
 /// the spec's geometry, and an exponential lifetime. Deployments are
 /// returned in arrival order, named "churn<i>". Deterministic in
-/// (spec, duration).
+/// (spec, duration); `duration` must be finite and > 0.
 Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
                                                  SimTime duration);
 

@@ -1,5 +1,9 @@
 #include "engine/config.h"
 
+#include <cmath>
+
+#include "engine/protocol_factory.h"
+
 namespace asf {
 
 std::string_view ProtocolKindName(ProtocolKind kind) {
@@ -79,48 +83,42 @@ Status SourceSpec::Validate() const {
   return Status::InvalidArgument("unknown source type");
 }
 
-Status SystemConfig::Validate() const {
+Status RunOptions::Validate() const {
   ASF_RETURN_IF_ERROR(source.Validate());
-  ASF_RETURN_IF_ERROR(query.Validate());
-  if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
-  if (query_start < 0 || query_start >= duration) {
+  // Every test is written so that NaN fails it: a NaN time would pass a
+  // plain `x <= 0` rejection and abort inside the engine, and an infinite
+  // horizon would never end.
+  if (!(duration > 0 && std::isfinite(duration))) {
+    return Status::InvalidArgument("duration must be finite and > 0");
+  }
+  if (!(query_start >= 0 && query_start < duration)) {
     return Status::InvalidArgument("query_start must lie in [0, duration)");
   }
-  if (oracle.sample_interval < 0) {
+  if (!(oracle.sample_interval >= 0)) {
     return Status::InvalidArgument("oracle sample_interval must be >= 0");
-  }
-
-  const bool is_range = query.type == QuerySpec::Type::kRange;
-  switch (protocol) {
-    case ProtocolKind::kNoFilter:
-      break;  // supports both query classes
-    case ProtocolKind::kZtNrp:
-    case ProtocolKind::kFtNrp:
-      if (!is_range) {
-        return Status::InvalidArgument(
-            "ZT-NRP/FT-NRP handle range (non-rank-based) queries only");
-      }
-      break;
-    case ProtocolKind::kRtp:
-    case ProtocolKind::kZtRp:
-    case ProtocolKind::kFtRp:
-      if (is_range) {
-        return Status::InvalidArgument(
-            "RTP/ZT-RP/FT-RP handle rank-based queries only");
-      }
-      break;
-  }
-  if (query.type == QuerySpec::Type::kRank &&
-      query.k > source.NumStreams()) {
-    return Status::InvalidArgument(
-        "rank requirement k exceeds the stream population");
-  }
-  if (protocol == ProtocolKind::kFtNrp || protocol == ProtocolKind::kFtRp) {
-    ASF_RETURN_IF_ERROR(fraction.Validate());
   }
   ASF_RETURN_IF_ERROR(net.Validate());
   ASF_RETURN_IF_ERROR(spill.Validate());
   return Status::OK();
+}
+
+QueryDeployment SystemConfig::Deployment() const {
+  QueryDeployment deployment;
+  deployment.name = std::string(ProtocolKindName(protocol));
+  deployment.query = query;
+  deployment.protocol = protocol;
+  deployment.rank_r = rank_r;
+  deployment.fraction = fraction;
+  deployment.ft = ft;
+  deployment.broadcast = broadcast_counts_as_one
+                             ? BroadcastCostModel::kSingleMessage
+                             : BroadcastCostModel::kPerRecipient;
+  return deployment;
+}
+
+Status SystemConfig::Validate() const {
+  ASF_RETURN_IF_ERROR(RunOptions::Validate());
+  return ValidateDeployment(query, protocol, fraction, source.NumStreams());
 }
 
 std::unique_ptr<StreamSet> MakeStreams(const SourceSpec& source) {

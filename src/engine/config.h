@@ -2,7 +2,9 @@
 #define ASF_ENGINE_CONFIG_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "common/status.h"
@@ -12,14 +14,16 @@
 #include "net/network_model.h"
 #include "obs/hooks.h"
 #include "protocol/options.h"
+#include "protocol/server_context.h"
 #include "query/query.h"
 #include "stream/random_walk.h"
 #include "stream/trace_source.h"
 #include "tolerance/tolerance.h"
 
 /// \file
-/// Declarative configuration of one simulated run: workload + query +
-/// tolerance + protocol. A (config, seed) pair fully determines a run.
+/// Declarative configuration of one simulated run: the run-level options
+/// (workload, horizon, seed, oracle, delivery, dispatch, spill, obs) plus
+/// the queries it deploys. A (config, seed) pair fully determines a run.
 
 namespace asf {
 
@@ -142,30 +146,48 @@ struct OracleOptions {
   SimTime sample_interval = 0;
 };
 
-/// Full description of one run.
-struct SystemConfig {
-  SourceSpec source;
+/// Retire time of a query that lives to the end of the run.
+inline constexpr SimTime kNeverRetire =
+    std::numeric_limits<SimTime>::infinity();
+
+/// One continuous query in a deployment. A single-query run is simply a
+/// deployment of exactly one (SystemConfig::Deployment).
+struct QueryDeployment {
+  std::string name;  ///< label used in results (must be unique per run)
   QuerySpec query;
   ProtocolKind protocol = ProtocolKind::kNoFilter;
-
-  /// Rank slack r for RTP (ε_k^r = k + r).
-  std::size_t rank_r = 0;
-  /// Fraction tolerances for FT-NRP / FT-RP.
-  FractionTolerance fraction;
+  std::size_t rank_r = 0;          ///< RTP only
+  FractionTolerance fraction;      ///< FT-NRP / FT-RP only
   FtOptions ft;
+  /// How server→all-streams transmissions of this query are charged
+  /// (DESIGN.md §3; `bench/ablation_broadcast`).
+  BroadcastCostModel broadcast = BroadcastCostModel::kPerRecipient;
+
+  /// When the query arrives: its Initialization phase runs at this
+  /// simulated time. Negative (the default) means "at the run's
+  /// query_start", the static-batch convention.
+  SimTime start = -1;
+  /// When the query leaves: its filters are uninstalled and it stops
+  /// being served / judged. kNeverRetire (the default) means it lives to
+  /// the horizon.
+  SimTime end = kNeverRetire;
+};
+
+/// The run-level half of every run description: what a run needs
+/// whatever queries it deploys. SystemConfig and MultiQueryConfig extend
+/// it, and SimulationCore takes it as its Options.
+struct RunOptions {
+  SourceSpec source;
 
   /// Simulated run length; stream updates stop at this horizon.
   SimTime duration = 1000;
-  /// When the continuous query is installed. Updates before this warm the
+  /// When the static queries are installed. Updates before this warm the
   /// stream values but generate no messages (no query exists yet).
   SimTime query_start = 0;
 
-  /// Seed for protocol-internal randomness (placement heuristics).
+  /// Seed for protocol-internal randomness (placement heuristics) and
+  /// the network model's fault draws.
   std::uint64_t seed = 1;
-
-  /// How server→all-streams transmissions are charged (DESIGN.md §3;
-  /// `bench/ablation_broadcast`).
-  bool broadcast_counts_as_one = false;
 
   OracleOptions oracle;
 
@@ -192,6 +214,32 @@ struct SystemConfig {
   /// profiler. Non-owning; all-null (the default) disables everything.
   /// Provably inert — results are byte-identical either way.
   obs::ObsHooks obs;
+
+  /// Checks the run-level fields: a valid source, a finite duration > 0,
+  /// query_start in [0, duration), an oracle interval >= 0, and valid
+  /// net and spill configs. NaN fails every one of these tests.
+  Status Validate() const;
+};
+
+/// Full description of a single-query run: the run-level options plus
+/// one query under one protocol.
+struct SystemConfig : RunOptions {
+  QuerySpec query;
+  ProtocolKind protocol = ProtocolKind::kNoFilter;
+
+  /// Rank slack r for RTP (ε_k^r = k + r).
+  std::size_t rank_r = 0;
+  /// Fraction tolerances for FT-NRP / FT-RP.
+  FractionTolerance fraction;
+  FtOptions ft;
+
+  /// How server→all-streams transmissions are charged (DESIGN.md §3;
+  /// `bench/ablation_broadcast`).
+  bool broadcast_counts_as_one = false;
+
+  /// The query as the one deployment RunSystem runs: static (installed at
+  /// query_start, never retired) and named after its protocol.
+  QueryDeployment Deployment() const;
 
   Status Validate() const;
 };

@@ -8,16 +8,9 @@
 namespace asf {
 
 Status MultiQueryConfig::Validate() const {
-  ASF_RETURN_IF_ERROR(source.Validate());
+  ASF_RETURN_IF_ERROR(RunOptions::Validate());
   if (queries.empty()) {
     return Status::InvalidArgument("multi-query run needs >= 1 query");
-  }
-  if (std::isnan(duration) || std::isnan(query_start)) {
-    return Status::InvalidArgument("duration/query_start must not be NaN");
-  }
-  if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
-  if (query_start < 0 || query_start >= duration) {
-    return Status::InvalidArgument("query_start must lie in [0, duration)");
   }
   std::unordered_set<std::string> names;
   for (const QueryDeployment& dep : queries) {
@@ -49,14 +42,12 @@ Status MultiQueryConfig::Validate() const {
                                            dep.fraction,
                                            source.NumStreams()));
   }
-  ASF_RETURN_IF_ERROR(net.Validate());
-  ASF_RETURN_IF_ERROR(spill.Validate());
   return Status::OK();
 }
 
 std::uint64_t MultiQueryResult::LogicalUpdates() const {
   std::uint64_t total = 0;
-  for (const PerQuery& q : queries) total += q.updates_reported;
+  for (const QueryRunStats& q : queries) total += q.updates_reported;
   return total;
 }
 
@@ -64,7 +55,7 @@ std::uint64_t MultiQueryResult::PhysicalMaintenanceTotal() const {
   // Non-update traffic (probes, deploys, responses) is per-query physical;
   // update messages are shared.
   std::uint64_t total = physical_updates;
-  for (const PerQuery& q : queries) {
+  for (const QueryRunStats& q : queries) {
     total += q.messages.MaintenanceTotal() -
              q.messages.count(MessagePhase::kMaintenance,
                               MessageType::kValueUpdate);
@@ -74,46 +65,21 @@ std::uint64_t MultiQueryResult::PhysicalMaintenanceTotal() const {
 
 std::uint64_t MultiQueryResult::LogicalMaintenanceTotal() const {
   std::uint64_t total = 0;
-  for (const PerQuery& q : queries) total += q.messages.MaintenanceTotal();
+  for (const QueryRunStats& q : queries) total += q.messages.MaintenanceTotal();
   return total;
 }
 
 Result<MultiQueryResult> RunMultiQuerySystem(const MultiQueryConfig& config) {
   ASF_RETURN_IF_ERROR(config.Validate());
 
-  SimulationCore::Options options;
-  options.source = config.source;
-  options.duration = config.duration;
-  options.query_start = config.query_start;
-  options.seed = config.seed;
-  options.oracle = config.oracle;
-  options.net = config.net;
-  options.dispatch = config.dispatch;
-  options.spill = config.spill;
-  options.obs = config.obs;
-  SimulationCore core(options);
+  SimulationCore core(config);
   for (const QueryDeployment& dep : config.queries) core.AddQuery(dep);
   core.Run();
 
   MultiQueryResult result;
-  result.queries.resize(config.queries.size());
-  for (std::size_t i = 0; i < config.queries.size(); ++i) {
-    const QueryRunStats& stats = core.query_stats(i);
-    MultiQueryResult::PerQuery& out = result.queries[i];
-    out.name = stats.name;
-    out.messages = stats.messages;
-    out.updates_reported = stats.updates_reported;
-    out.reinits = stats.reinits;
-    out.answer_size = stats.answer_size;
-    out.oracle_checks = stats.oracle_checks;
-    out.oracle_violations = stats.oracle_violations;
-    out.max_f_plus = stats.max_f_plus;
-    out.max_f_minus = stats.max_f_minus;
-    out.max_worst_rank = stats.max_worst_rank;
-    out.oracle_violations_in_flight = stats.oracle_violations_in_flight;
-    out.update_delay = stats.update_delay;
-    out.deployed_at = stats.deployed_at;
-    out.retired_at = stats.retired_at;
+  result.queries.reserve(core.num_queries());
+  for (std::size_t i = 0; i < core.num_queries(); ++i) {
+    result.queries.push_back(core.query_stats(i));
   }
   result.updates_generated = core.updates_generated();
   result.physical_updates = core.physical_updates();
@@ -122,8 +88,8 @@ Result<MultiQueryResult> RunMultiQuerySystem(const MultiQueryConfig& config) {
   result.dispatch_policy = core.dispatch_policy();
   result.dispatch = core.dispatch_stats();
   result.wall_seconds = core.wall_seconds();
-  // Snapshot after flattening so the telemetry includes the faults the
-  // per-query loop above just triggered.
+  // Snapshot after collecting the records so the telemetry includes the
+  // faults the loop above just triggered.
   result.spill = core.spill_telemetry();
   return result;
 }

@@ -1,7 +1,6 @@
 #ifndef ASF_ENGINE_MULTI_SYSTEM_H_
 #define ASF_ENGINE_MULTI_SYSTEM_H_
 
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -18,7 +17,8 @@
 /// agent software evaluates all installed constraints on every value
 /// change), and each query keeps its own protocol state at the server.
 /// Protocol logic and per-query correctness guarantees are exactly those
-/// of the single-query system.
+/// of the single-query system, which is this system with one query
+/// (RunSystem runs SystemConfig::Deployment through it).
 ///
 /// What sharing buys: when one value change violates the filters of
 /// several queries at once, the source sends ONE physical update message
@@ -30,10 +30,8 @@
 
 namespace asf {
 
-// QueryDeployment (one continuous query in a deployment) lives in
-// engine/sim_core.h, shared with the single-query entry point.
-
-/// Configuration of a multi-query run.
+/// Configuration of a multi-query run: the run-level options plus the
+/// deployed queries.
 ///
 /// Each deployment may carry its own lifecycle window: `start` (< 0 means
 /// "at query_start", the static-batch default) and `end` (kNeverRetire
@@ -41,58 +39,19 @@ namespace asf {
 /// windows arrive and leave mid-run — see SimulationCore::DeployQuery /
 /// RetireQuery — and ChurnSpec (engine/churn.h) generates whole schedules
 /// of them.
-struct MultiQueryConfig {
-  SourceSpec source;
+struct MultiQueryConfig : RunOptions {
   std::vector<QueryDeployment> queries;
-  SimTime duration = 1000;
-  SimTime query_start = 0;
-  std::uint64_t seed = 1;
-  OracleOptions oracle;
 
-  /// Message delivery model (DESIGN.md §9); instant by default.
-  NetConfig net;
-
-  /// Update-dispatch policy (DESIGN.md §10; see SystemConfig::dispatch).
-  DispatchPolicy dispatch = DispatchPolicy::kAuto;
-
-  /// Out-of-core retired-query state (DESIGN.md §13; `asf_run --spill`).
-  /// Disabled by default; results are byte-identical either way.
-  SpillConfig spill;
-
-  /// Observability attachment (DESIGN.md §14); non-owning, all-null by
-  /// default, provably inert on results.
-  obs::ObsHooks obs;
-
+  /// RunOptions::Validate, then every deployment: a unique non-empty
+  /// name, a lifecycle window inside the run, and a protocol that can
+  /// serve its query (ValidateDeployment).
   Status Validate() const;
 };
 
 /// Per-query and shared outcomes of a multi-query run.
-struct MultiQueryResult {
-  /// Outcome of one deployed query (same semantics as RunResult).
-  struct PerQuery {
-    std::string name;
-    MessageStats messages;  ///< logical messages attributed to this query
-    std::uint64_t updates_reported = 0;
-    std::uint64_t reinits = 0;
-    OnlineStats answer_size;
-    std::uint64_t oracle_checks = 0;
-    std::uint64_t oracle_violations = 0;
-    double max_f_plus = 0.0;
-    double max_f_minus = 0.0;
-    std::size_t max_worst_rank = 0;
-    /// Violations observed while this query's updates were in transit,
-    /// and the staleness of its delivered updates (DESIGN.md §9; both
-    /// trivial under instant delivery).
-    std::uint64_t oracle_violations_in_flight = 0;
-    OnlineStats update_delay;
-    /// Live window: Initialization ran at deployed_at; retired_at is the
-    /// retirement time (the horizon for queries that never retired).
-    SimTime deployed_at = 0;
-    SimTime retired_at = 0;
-  };
-
-  std::vector<PerQuery> queries;
-  std::uint64_t updates_generated = 0;
+struct MultiQueryResult : RunTotals {
+  /// One record per deployment, in deployment order.
+  std::vector<QueryRunStats> queries;
 
   /// Highest number of simultaneously live queries during the run.
   std::size_t peak_live_queries = 0;
@@ -105,14 +64,6 @@ struct MultiQueryResult {
   /// physical_updates is the sharing saving.
   std::uint64_t LogicalUpdates() const;
 
-  /// Run-level network delivery accounting (DESIGN.md §9).
-  NetStats net;
-
-  /// Executed dispatch policy and its path accounting (DESIGN.md §10);
-  /// performance telemetry only — results are policy-independent.
-  DispatchPolicy dispatch_policy = DispatchPolicy::kScan;
-  DispatchStats dispatch;
-
   /// Physical maintenance messages: shared updates + every query's probes
   /// and deployments.
   std::uint64_t PhysicalMaintenanceTotal() const;
@@ -120,13 +71,6 @@ struct MultiQueryResult {
   /// What running each query in its own single-query system would cost in
   /// maintenance messages (logical view).
   std::uint64_t LogicalMaintenanceTotal() const;
-
-  double wall_seconds = 0.0;
-
-  /// Out-of-core spill accounting (DESIGN.md §13); all zero when
-  /// config.spill is off. Performance telemetry only — the results above
-  /// are byte-identical with and without spilling.
-  SpillTelemetry spill;
 };
 
 /// Builds and runs a multi-query system.

@@ -10,8 +10,11 @@
 #include "tolerance/oracle.h"
 
 /// \file
-/// Shared protocol construction and answer judging for the single-query
-/// (engine/system.cc) and multi-query (engine/multi_system.cc) runners.
+/// What the engine knows about each protocol: which queries it can serve
+/// (ValidateDeployment, shared by SystemConfig::Validate and
+/// MultiQueryConfig::Validate), how to build it, and which tolerance its
+/// answers are judged under (both used per query slot,
+/// engine/query_slot.cc).
 
 namespace asf {
 

@@ -525,6 +525,14 @@ void SimulationCore::Run() {
     scheduler_.RunUntil(options_.duration);
   }
   net_->Finalize(options_.duration);
+  // Every crossing offered to the network ends delivered, dropped or
+  // still in flight at the horizon (NetStats).
+  const NetStats& net = net_->stats();
+  ASF_CHECK_MSG(net.crossings == net.delivered_crossings + net.dropped_loss +
+                                     net.dropped_partition +
+                                     net.dropped_retired +
+                                     net.in_flight_crossings_at_end,
+                "crossing conservation broken");
 
   for (auto& slot : slots_) {
     if (!slot->live) continue;  // retired slots closed their books already

@@ -3,14 +3,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "engine/config.h"
+#include "engine/run_result.h"
 #include "engine/spill_config.h"
 #include "filter/filter_arena.h"
 #include "filter/filter_bank.h"
@@ -22,16 +21,18 @@
 #include "stream/stream_set.h"
 
 /// \file
-/// The shared simulation engine behind RunSystem and RunMultiQuerySystem.
+/// The simulation engine behind every run.
 ///
 /// SimulationCore owns everything a run needs regardless of how many
 /// queries are deployed: stream construction (walk / trace / custom), one
 /// filter bank + server context + protocol instance per query, the
 /// Transport closures that connect server to sources, the correctness
-/// oracle hooks, and the scheduler drive loop. The two public entry points
-/// are thin adapters over it: RunSystem deploys exactly one query and
-/// flattens the stats into a RunResult; RunMultiQuerySystem deploys many
-/// and adds the shared-update (physical vs logical) accounting.
+/// oracle hooks, and the scheduler drive loop. RunMultiQuerySystem is the
+/// one public adapter over it: it validates a MultiQueryConfig, deploys
+/// its queries and collects one QueryRunStats per query plus the run
+/// totals. RunSystem is a one-query deployment through that same adapter
+/// (SystemConfig::Deployment), so a single-query run and a one-query
+/// multi run are the same run.
 ///
 /// Queries are a *dynamic population*: each one is deployed at a scheduled
 /// simulation time, runs under its tolerance protocol, and may retire
@@ -40,10 +41,6 @@
 /// retired — is simply the degenerate schedule, and produces results
 /// identical to an engine without the lifecycle machinery
 /// (tests/sim_core_test.cc locks this in).
-///
-/// Engine features added here — oracle sampling, phase accounting,
-/// warm-up, re-init bookkeeping — are therefore available to both entry
-/// points (and any future one) automatically.
 
 namespace asf {
 
@@ -52,10 +49,6 @@ struct QuerySlot;          // engine/query_slot.h
 class QueryStateSpiller;  // engine/spill.h
 }  // namespace engine_internal
 
-/// Retire time of a query that lives to the end of the run.
-inline constexpr SimTime kNeverRetire =
-    std::numeric_limits<SimTime>::infinity();
-
 /// Seed of query slot `index`'s protocol RNG, derived from the run seed
 /// (golden-ratio decorrelation).
 inline std::uint64_t QuerySlotSeed(std::uint64_t run_seed,
@@ -63,63 +56,7 @@ inline std::uint64_t QuerySlotSeed(std::uint64_t run_seed,
   return run_seed ^ (0x9e3779b97f4a7c15ULL + index);
 }
 
-/// One continuous query in a deployment. A single-query run is simply a
-/// deployment of exactly one.
-struct QueryDeployment {
-  std::string name;  ///< label used in results (must be unique per run)
-  QuerySpec query;
-  ProtocolKind protocol = ProtocolKind::kNoFilter;
-  std::size_t rank_r = 0;          ///< RTP only
-  FractionTolerance fraction;      ///< FT-NRP / FT-RP only
-  FtOptions ft;
-  /// How server→all-streams transmissions of this query are charged
-  /// (DESIGN.md §3; `bench/ablation_broadcast`).
-  BroadcastCostModel broadcast = BroadcastCostModel::kPerRecipient;
-
-  /// When the query arrives: its Initialization phase runs at this
-  /// simulated time. Negative (the default) means "at the run's
-  /// query_start", the static-batch convention.
-  SimTime start = -1;
-  /// When the query leaves: its filters are uninstalled and it stops
-  /// being served / judged. kNeverRetire (the default) means it lives to
-  /// the horizon.
-  SimTime end = kNeverRetire;
-};
-
-/// Per-query outcome accumulated by the core — a superset of what both
-/// RunResult and MultiQueryResult::PerQuery report.
-struct QueryRunStats {
-  std::string name;
-  MessageStats messages;  ///< logical messages attributed to this query
-  std::uint64_t updates_reported = 0;
-  std::uint64_t reinits = 0;
-  std::size_t fp_filters_installed = 0;
-  std::size_t fn_filters_installed = 0;
-  OnlineStats answer_size;
-  std::uint64_t oracle_checks = 0;
-  std::uint64_t oracle_violations = 0;
-  double max_f_plus = 0.0;
-  double max_f_minus = 0.0;
-  std::size_t max_worst_rank = 0;
-
-  /// Violations the oracle observed while at least one update payload for
-  /// this query was still in transit — the share of errors attributable
-  /// to delivery delay rather than filter slack (DESIGN.md §9). Always a
-  /// subset of oracle_violations; zero under instant delivery.
-  std::uint64_t oracle_violations_in_flight = 0;
-  /// Staleness of this query's delivered updates (delivery time minus
-  /// crossing time, one sample each). Empty under instant delivery.
-  OnlineStats update_delay;
-
-  /// The live window [deployed_at, retired_at]: Initialization ran at
-  /// deployed_at; retired_at is the retire event's time, or the run
-  /// horizon for queries that never retired. Everything above is
-  /// accumulated inside this window only.
-  SimTime deployed_at = 0;
-  SimTime retired_at = 0;
-};
-
-/// The shared engine runtime. Usage:
+/// The engine runtime. Usage:
 ///
 /// \code
 ///   SimulationCore core(options);           // builds the streams
@@ -130,31 +67,12 @@ struct QueryRunStats {
 ///   core.query_stats(0);                    // per-query outcomes
 /// \endcode
 ///
-/// Inputs must already be validated (SystemConfig::Validate /
-/// MultiQueryConfig::Validate); the core checks invariants with ASF_CHECK
-/// only.
+/// Inputs must already be validated (MultiQueryConfig::Validate); the
+/// core checks invariants with ASF_CHECK only.
 class SimulationCore {
  public:
-  /// The query-independent part of a run configuration.
-  struct Options {
-    SourceSpec source;
-    SimTime duration = 1000;
-    SimTime query_start = 0;
-    std::uint64_t seed = 1;
-    OracleOptions oracle;
-    /// Message delivery model (DESIGN.md §9). The default instant model
-    /// is byte-identical to an engine without the network layer.
-    NetConfig net;
-    /// Update-dispatch policy (DESIGN.md §10); resolved against the
-    /// ASF_DISPATCH environment override at construction.
-    DispatchPolicy dispatch = DispatchPolicy::kAuto;
-    /// Out-of-core retired-query state (DESIGN.md §13); disabled by
-    /// default. Byte-identical results either way.
-    SpillConfig spill;
-    /// Observability attachment (DESIGN.md §14); non-owning, all-null by
-    /// default, provably inert on results.
-    obs::ObsHooks obs;
-  };
+  /// The query-independent part of a run configuration (engine/config.h).
+  using Options = RunOptions;
 
   explicit SimulationCore(const Options& options);
   SimulationCore(const SimulationCore&) = delete;

@@ -10,19 +10,6 @@
 
 namespace asf {
 
-namespace {
-
-Status ValidateForSweep(const SystemConfig& config) {
-  if (config.source.type == SourceSpec::Type::kCustom) {
-    return Status::InvalidArgument(
-        "custom stream sources cannot run in a sweep (a StreamSet must be "
-        "freshly constructed per run)");
-  }
-  return config.Validate();
-}
-
-}  // namespace
-
 std::vector<Result<RunResult>> RunSweep(
     const std::vector<SystemConfig>& configs, const SweepOptions& options) {
   const std::size_t n = configs.size();
@@ -38,9 +25,13 @@ std::vector<Result<RunResult>> RunSweep(
   std::atomic<std::size_t> next{0};
   const auto work = [&] {
     for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      const Status status = ValidateForSweep(configs[i]);
-      slots[i] = status.ok() ? RunSystem(configs[i])
-                             : Result<RunResult>(status);
+      if (configs[i].source.type == SourceSpec::Type::kCustom) {
+        slots[i] = Result<RunResult>(Status::InvalidArgument(
+            "custom stream sources cannot run in a sweep (a StreamSet must "
+            "be freshly constructed per run)"));
+      } else {
+        slots[i] = RunSystem(configs[i]);  // validates the config, once
+      }
     }
   };
 

@@ -32,9 +32,9 @@ struct SweepOptions {
   std::size_t num_threads = 0;
 };
 
-/// Runs every config (validated up front) and returns one result per
-/// config, in submission order. A config that fails validation yields its
-/// error in the corresponding slot; the other runs still execute.
+/// Runs every config and returns one result per config, in submission
+/// order. A config that fails validation yields its error in the
+/// corresponding slot; the other runs still execute.
 std::vector<Result<RunResult>> RunSweep(
     const std::vector<SystemConfig>& configs,
     const SweepOptions& options = {});

@@ -25,8 +25,10 @@
 
 namespace asf {
 
-/// Builds and runs one simulated system. Returns the aggregated result, or
-/// an error status for invalid configurations.
+/// Builds and runs one simulated system: the one-query deployment
+/// SystemConfig::Deployment() describes, run through RunMultiQuerySystem.
+/// Returns that query's record plus the run totals, or an error status for
+/// an invalid configuration (the checks of SystemConfig::Validate).
 Result<RunResult> RunSystem(const SystemConfig& config);
 
 }  // namespace asf

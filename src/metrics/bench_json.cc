@@ -16,16 +16,6 @@ Status WriteBenchJson(
   return writer.WriteTo(path);
 }
 
-Status WriteBenchJson(
-    const std::string& path, const std::string& bench,
-    const std::vector<std::pair<std::string, double>>& metrics,
-    const std::vector<std::pair<std::string, std::string>>& provenance) {
-  metrics::JsonWriter writer(bench);
-  writer.SetProvenance(provenance);
-  writer.AddMetrics(metrics);
-  return writer.WriteTo(path);
-}
-
 namespace metrics {
 
 JsonWriter::JsonWriter(std::string bench)

@@ -8,13 +8,13 @@
 #include "common/status.h"
 
 /// \file
-/// Machine-readable benchmark output. Every perf harness (bench/micro_*,
-/// bench/fig*, tools/asf_sweep --bench-json) writes the same flat schema
+/// Machine-readable tool and harness output, one flat schema
 ///
-///   {"bench": "<name>", "metrics": {"<key>": <number>, ...}}
+///   {"bench": "<name>", "provenance": {...},
+///    "metrics": {"<key>": <number>, ...}}
 ///
-/// so BENCH_*.json files are diffable across commits — the perf
-/// trajectory of the project lives in these files.
+/// written by `asf_run --bench-json`, `asf_sweep --bench-json` and
+/// `bench/micro_dispatch`.
 
 namespace asf {
 
@@ -23,16 +23,6 @@ namespace asf {
 Status WriteBenchJson(
     const std::string& path, const std::string& bench,
     const std::vector<std::pair<std::string, double>>& metrics);
-
-/// Same, with a string-valued "provenance" object (see
-/// metrics/provenance.h) emitted BEFORE "metrics":
-///
-///   {"bench": "...", "provenance": {"git_sha": "...", ...},
-///    "metrics": {...}}
-Status WriteBenchJson(
-    const std::string& path, const std::string& bench,
-    const std::vector<std::pair<std::string, double>>& metrics,
-    const std::vector<std::pair<std::string, std::string>>& provenance);
 
 namespace metrics {
 

@@ -159,7 +159,8 @@ Result<NetConfig> ParseNetSpec(const std::string& spec);
 /// install — see DESIGN.md §9); NetStats measures what delivery *did* to
 /// them: coalescing, delay, drops, retransmissions.
 ///
-/// Crossings obey the conservation invariant (checked in tests):
+/// Crossings obey the conservation invariant, which SimulationCore::Run
+/// checks at the end of every run, in every build:
 ///   crossings == delivered_crossings + dropped_loss + dropped_partition
 ///                + dropped_retired + in_flight_crossings_at_end.
 struct NetStats {

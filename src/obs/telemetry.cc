@@ -61,10 +61,10 @@ TelemetryBlock SpillTelemetryBlock(const SpillTelemetry& spill) {
 
 TelemetryBlock NetTelemetryBlock(const NetConfig& config,
                                  const NetStats& stats,
-                                 const NetRunExtras* extras) {
+                                 const QueryRunStats* query) {
   TelemetryBlock block;
 
-  if (extras == nullptr) {
+  if (query == nullptr) {
     // Churn mode: the coarse totals-table block.
     if (!config.DelaysDelivery()) return block;
     block.Row("net model", config.ToString());
@@ -81,21 +81,21 @@ TelemetryBlock NetTelemetryBlock(const NetConfig& config,
     return block;
   }
 
-  // Single-query mode. Rows only under a delaying model, so default runs
-  // print byte-identically to the pre-subsystem tool.
+  // Single-query mode. Rows only under a delaying model: an instant net
+  // has no delivery cost to report.
   if (config.DelaysDelivery()) {
     block.Row("net model", config.ToString());
     block.Row("net wire updates",
               Fmt("%llu", (unsigned long long)stats.update_messages));
     block.Row("net msgs per flush", Fmt("%.2f", stats.MessagesPerFlush()));
     block.Row("staleness mean / max",
-              Fmt("%.3f / %.3f", extras->update_delay->mean(),
-                  extras->update_delay->max()));
-    if (extras->oracle_checks > 0) {
+              Fmt("%.3f / %.3f", query->update_delay.mean(),
+                  query->update_delay.max()));
+    if (query->oracle_checks > 0) {
       block.Row(
           "violations in flight",
           Fmt("%llu",
-              (unsigned long long)extras->oracle_violations_in_flight));
+              (unsigned long long)query->oracle_violations_in_flight));
     }
     block.Row("in flight at horizon",
               Fmt("%llu", (unsigned long long)stats.in_flight_at_end));
@@ -125,10 +125,10 @@ TelemetryBlock NetTelemetryBlock(const NetConfig& config,
     block.Metric("net_wire_updates",
                  static_cast<double>(stats.update_messages));
     block.Metric("net_msgs_per_flush", stats.MessagesPerFlush());
-    block.Metric("staleness_mean", extras->update_delay->mean());
-    block.Metric("staleness_max", extras->update_delay->max());
+    block.Metric("staleness_mean", query->update_delay.mean());
+    block.Metric("staleness_max", query->update_delay.max());
     block.Metric("oracle_violations_in_flight",
-                 static_cast<double>(extras->oracle_violations_in_flight));
+                 static_cast<double>(query->oracle_violations_in_flight));
     block.Metric("net_in_flight_at_end",
                  static_cast<double>(stats.in_flight_at_end));
   }

@@ -5,23 +5,21 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
+#include "engine/run_result.h"
 #include "engine/spill_config.h"
 #include "net/network_model.h"
 
 /// \file
-/// The single telemetry formatter (ISSUE 10 satellite): every consumer
+/// The single telemetry formatter: every consumer
 /// of SpillTelemetry / NetStats renders through one TelemetryBlock
 /// instead of hand-rolled printf blocks per tool. A block carries both
 /// presentations of the same facts — human-readable rows and
 /// machine-readable (key, value) metrics — so the table, the standalone
 /// "spill " lines, and the bench-json metrics can never drift apart.
 ///
-/// The builders reproduce the historical output byte-for-byte: labels,
-/// formats, and gating (DelaysDelivery / HasFaults / oracle_checks) all
-/// match what asf_run printed before this layer existed, because CI's
-/// byte-identity diff legs and their grep normalizations depend on the
-/// exact strings.
+/// Labels, formats and gating (DelaysDelivery / HasFaults / oracle_checks)
+/// are asf_run's output format: a run on the default instant net prints
+/// no net rows at all.
 
 namespace asf {
 
@@ -41,8 +39,8 @@ class TelemetryBlock {
   /// Appends the rows to a summary table.
   void AppendRows(TextTable* table) const;
   /// Prints the rows as standalone "label: cell" lines (the spill
-  /// telemetry style — kept out of tables so the byte-identity legs can
-  /// strip them with a prefix grep).
+  /// telemetry style — kept out of tables so enabling spill does not
+  /// re-align the summary table).
   void PrintLines() const;
   /// Appends the metrics to a bench-json metric vector.
   void AppendMetrics(
@@ -64,25 +62,16 @@ class TelemetryBlock {
 /// Empty when spilling is disabled.
 TelemetryBlock SpillTelemetryBlock(const SpillTelemetry& spill);
 
-/// The net facts only a single-query RunResult carries (null for churn
-/// mode, which reports the coarser churn net rows).
-struct NetRunExtras {
-  /// Server-side staleness of *reported* updates (RunResult::update_delay)
-  /// — distinct from NetStats::delay, which samples every payload.
-  const OnlineStats* update_delay = nullptr;
-  std::uint64_t oracle_checks = 0;
-  std::uint64_t oracle_violations_in_flight = 0;
-};
-
-/// Delivery telemetry. With `extras` non-null this is asf_run's rich
-/// single-query block (rows and metrics gated on DelaysDelivery, fault
-/// rows additionally on HasFaults, fault *metrics* on HasFaults alone —
-/// the historical gating, preserved exactly); with `extras` null it is
-/// the churn-mode block (model, msgs per flush, staleness mean, dropped
-/// retired).
+/// Delivery telemetry. With `query` non-null this is asf_run's rich
+/// single-query block, which adds the query's own staleness
+/// (QueryRunStats::update_delay — distinct from NetStats::delay, which
+/// samples every payload) and in-flight violations: rows and metrics gated
+/// on DelaysDelivery, fault rows additionally on HasFaults, fault
+/// *metrics* on HasFaults alone. With `query` null it is the churn-mode
+/// block (model, msgs per flush, staleness mean, dropped retired).
 TelemetryBlock NetTelemetryBlock(const NetConfig& config,
                                  const NetStats& stats,
-                                 const NetRunExtras* extras);
+                                 const QueryRunStats* query);
 
 }  // namespace obs
 }  // namespace asf

@@ -62,6 +62,13 @@ TEST(ChurnSpecTest, RejectsNonFiniteParameters) {
   ChurnSpec spec = BaseSpec();
   spec.mix.push_back({.weight = std::numeric_limits<double>::quiet_NaN()});
   EXPECT_FALSE(spec.Validate().ok());
+
+  // The run horizon bounds the arrival loop the same way.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(ExpandChurn(BaseSpec(), bad).ok()) << bad;
+  }
 }
 
 TEST(ChurnExpansionTest, DeterministicUnderSeed) {
@@ -215,7 +222,7 @@ TEST(ChurnExpansionTest, ExpandedScheduleValidatesAndRuns) {
             PeakConcurrency(config.queries, config.query_start,
                             config.duration));
   for (std::size_t i = 0; i < config.queries.size(); ++i) {
-    const MultiQueryResult::PerQuery& q = result->queries[i];
+    const QueryRunStats& q = result->queries[i];
     EXPECT_EQ(q.deployed_at, config.queries[i].start);
     if (config.queries[i].end != kNeverRetire) {
       EXPECT_EQ(q.retired_at, config.queries[i].end);

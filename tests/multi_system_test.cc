@@ -149,19 +149,18 @@ TEST(MultiSystemTest, EndAtHorizonCostsTheSameAsNeverRetiring) {
 // --- Behaviour ---
 
 TEST(MultiSystemTest, SingleQueryMatchesSingleSystem) {
-  // A multi-query run with one query must reproduce RunSystem exactly.
+  // A multi-query run with one query must reproduce RunSystem exactly: the
+  // deployment SystemConfig::Deployment() builds runs like this one.
   MultiQueryConfig multi = BaseConfig();
   multi.queries.push_back(RangeDep("range", 400, 600, 0.3));
   auto multi_result = RunMultiQuerySystem(multi);
   ASSERT_TRUE(multi_result.ok());
 
   SystemConfig single;
-  single.source = multi.source;
+  static_cast<RunOptions&>(single) = multi;
   single.query = QuerySpec::Range(400, 600);
   single.protocol = ProtocolKind::kFtNrp;
   single.fraction = {0.3, 0.3};
-  single.duration = multi.duration;
-  single.seed = multi.seed;
   auto single_result = RunSystem(single);
   ASSERT_TRUE(single_result.ok());
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
+#include "common/rng.h"
+#include "engine/churn.h"
+#include "engine/multi_system.h"
 #include "engine/system.h"
 #include "geo/distance_streams.h"
+#include "result_equality.h"
 #include "trace/tcp_synth.h"
 
 /// \file
@@ -356,6 +361,148 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ProtocolKind::kZtNrp, ProtocolKind::kFtNrp,
                       ProtocolKind::kRtp, ProtocolKind::kZtRp,
                       ProtocolKind::kFtRp));
+
+// ---------------------------------------------------------------------------
+// Randomized configurations: a seeded generator draws short runs over
+// protocol, query, tolerance, delivery (fault stages included), static or
+// churned deployments, spill and dispatch. The engine itself checks
+// crossing conservation at the end of every run; here every run must keep
+// the oracle's invariants, and the scan and index runs of each draw must
+// agree on every result field.
+// ---------------------------------------------------------------------------
+
+/// One query of the drawn protocol: ranges and rank queries shaped at
+/// random over the walk's value space [0, 1000].
+QueryDeployment DrawQuery(Rng& rng, ProtocolKind protocol) {
+  QueryDeployment dep;
+  dep.protocol = protocol;
+  const bool range =
+      protocol == ProtocolKind::kZtNrp || protocol == ProtocolKind::kFtNrp ||
+      (protocol == ProtocolKind::kNoFilter && rng.Bernoulli(0.5));
+  if (range) {
+    const double lo = rng.Uniform(0, 800);
+    dep.query = QuerySpec::Range(lo, lo + rng.Uniform(50, 300));
+  } else {
+    const auto k = static_cast<std::size_t>(rng.UniformInt(1, 10));
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        dep.query = QuerySpec::Knn(k, rng.Uniform(0, 1000));
+        break;
+      case 1:
+        dep.query = QuerySpec::TopK(k);
+        break;
+      default:
+        dep.query = QuerySpec::BottomK(k);
+        break;
+    }
+  }
+  dep.fraction = {rng.Uniform(0, 0.5), rng.Uniform(0, 0.5)};
+  dep.rank_r = static_cast<std::size_t>(rng.UniformInt(0, 5));
+  return dep;
+}
+
+MultiQueryConfig DrawConfig(Rng& rng) {
+  // The first four deliver inline (zero-rate stages): the oracle must
+  // then see no violation at all.
+  static const char* const kNets[] = {
+      "instant",
+      "latency:0",
+      "batch:0",
+      "loss:0+reorder:0",
+      "latency:2",
+      "latency:3:1",
+      "batch:5",
+      "bw:2",
+      "loss:0.1",
+      "latency:2+loss:0.05:3",
+      "bw:1+loss:0.1",
+      "latency:4:2+loss:0.05:3+reorder:2+partition:150.5,250.5",
+      "latency:2+partition:100,200+norecon",
+  };
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = static_cast<std::size_t>(rng.UniformInt(50, 300));
+  walk.seed = static_cast<std::uint64_t>(rng.UniformInt(1, 1 << 20));
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 400;
+  config.query_start = rng.Bernoulli(0.25) ? 40 : 0;
+  config.seed = walk.seed + 1;
+  config.oracle.sample_interval = 10;
+  const auto net = ParseNetSpec(
+      kNets[rng.UniformInt(0, std::size(kNets) - 1)]);
+  EXPECT_TRUE(net.ok());
+  if (net.ok()) config.net = *net;
+  if (rng.Bernoulli(0.5)) {
+    config.spill.dir = ::testing::TempDir();
+    config.spill.buffer_pages = static_cast<std::size_t>(rng.UniformInt(2, 8));
+  }
+
+  const auto protocol = static_cast<ProtocolKind>(rng.UniformInt(0, 5));
+  const QueryDeployment shape = DrawQuery(rng, protocol);
+  if (rng.Bernoulli(0.5)) {
+    // Churned: arrivals of the drawn protocol and tolerance.
+    ChurnSpec spec;
+    spec.arrival_rate = rng.Uniform(0.03, 0.1);
+    spec.mean_lifetime = rng.Uniform(30, 150);
+    spec.window_start = config.query_start;
+    spec.seed = walk.seed + 2;
+    ChurnMixEntry entry;
+    entry.protocol = protocol;
+    entry.query_type = shape.query.type;
+    entry.rank_kind = shape.query.rank_kind;
+    entry.k = shape.query.k;
+    entry.eps_plus = shape.fraction.eps_plus;
+    entry.eps_minus = shape.fraction.eps_minus;
+    entry.rank_r = shape.rank_r;
+    spec.mix.push_back(entry);
+    auto queries = ExpandChurn(spec, config.duration);
+    EXPECT_TRUE(queries.ok());
+    if (queries.ok()) config.queries = std::move(queries).value();
+  }
+  if (config.queries.empty()) {
+    // Static: one to three queries live for the whole run.
+    const auto n = rng.UniformInt(1, 3);
+    for (std::int64_t i = 0; i < n; ++i) {
+      QueryDeployment dep = i == 0 ? shape : DrawQuery(rng, protocol);
+      dep.name = "q" + std::to_string(i);
+      config.queries.push_back(dep);
+    }
+  }
+  return config;
+}
+
+TEST(RandomizedConfigProperty, InvariantsHoldOnSeededDraws) {
+  Rng rng(20261017);
+  for (int draw = 0; draw < 32; ++draw) {
+    MultiQueryConfig config = DrawConfig(rng);
+    const std::string label = "draw " + std::to_string(draw) + ": " +
+                              std::string(ProtocolKindName(
+                                  config.queries.front().protocol)) +
+                              " x" + std::to_string(config.queries.size()) +
+                              " net " + config.net.ToString() +
+                              (config.spill.enabled() ? " spill" : "");
+    ASSERT_TRUE(config.Validate().ok())
+        << label << ": " << config.Validate().ToString();
+
+    config.dispatch = DispatchPolicy::kScan;
+    const auto scan = RunMultiQuerySystem(config);
+    config.dispatch = DispatchPolicy::kIndex;
+    const auto index = RunMultiQuerySystem(config);
+    ASSERT_TRUE(scan.ok()) << label;
+    ASSERT_TRUE(index.ok()) << label;
+
+    const bool instant = !config.net.DelaysDelivery() &&
+                         !config.net.HasFaults();
+    for (const QueryRunStats& q : scan->queries) {
+      EXPECT_LE(q.oracle_violations_in_flight, q.oracle_violations)
+          << label << " " << q.name;
+      if (instant) {
+        EXPECT_EQ(q.oracle_violations, 0u) << label << " " << q.name;
+      }
+    }
+    ExpectSameResult(*scan, *index, label);
+  }
+}
 
 }  // namespace
 }  // namespace asf

@@ -40,10 +40,11 @@ void VisitFields(const std::string& name, const OnlineStats& s, F& f) {
   f(name + ".sum", raw.sum);
 }
 
-/// The outputs every per-query record carries: RunResult,
-/// MultiQueryResult::PerQuery and QueryRunStats alike.
-template <typename Query, typename F>
-void VisitQueryFields(const std::string& prefix, const Query& q, F& f) {
+/// The outputs of a query's record (QueryRunStats, and so RunResult) that
+/// every result visitor below walks.
+template <typename F>
+void VisitQueryFields(const std::string& prefix, const QueryRunStats& q,
+                      F& f) {
   for (int p = 0; p < kNumMessagePhases; ++p) {
     for (int t = 0; t < kNumMessageTypes; ++t) {
       const auto type = static_cast<MessageType>(t);
@@ -107,15 +108,6 @@ void VisitFields(const std::string& prefix, const QueryRunStats& q, F& f) {
 }
 
 template <typename F>
-void VisitFields(const std::string& prefix,
-                 const MultiQueryResult::PerQuery& q, F& f) {
-  f(prefix + "name", q.name);
-  VisitQueryFields(prefix, q, f);
-  f(prefix + "deployed_at", q.deployed_at);
-  f(prefix + "retired_at", q.retired_at);
-}
-
-template <typename F>
 void VisitFields(const std::string& prefix, const RunResult& r, F& f) {
   VisitQueryFields(prefix, r, f);
   f(prefix + "fp_filters_installed",
@@ -130,9 +122,15 @@ template <typename F>
 void VisitFields(const std::string& prefix, const MultiQueryResult& r,
                  F& f) {
   f(prefix + "queries", static_cast<std::uint64_t>(r.queries.size()));
+  // Not the QueryRunStats visitor: the golden digests of multi-query runs
+  // were recorded without the fp/fn filter counts.
   for (std::size_t i = 0; i < r.queries.size(); ++i) {
-    VisitFields(prefix + "queries[" + std::to_string(i) + "].",
-                r.queries[i], f);
+    const std::string p = prefix + "queries[" + std::to_string(i) + "].";
+    const QueryRunStats& q = r.queries[i];
+    f(p + "name", q.name);
+    VisitQueryFields(p, q, f);
+    f(p + "deployed_at", q.deployed_at);
+    f(p + "retired_at", q.retired_at);
   }
   f(prefix + "updates_generated", r.updates_generated);
   f(prefix + "physical_updates", r.physical_updates);

@@ -26,10 +26,10 @@ SystemConfig SingleConfig(ProtocolKind protocol, const QuerySpec& query,
   return config;
 }
 
-/// The refactor's load-bearing guarantee: one query deployed through the
-/// multi-query adapter must produce byte-identical per-query accounting to
-/// the single-query adapter, for every protocol family — both are thin
-/// wrappers over the same SimulationCore.
+/// RunSystem runs the deployment SystemConfig::Deployment() builds. A
+/// hand-built deployment of the same query must produce byte-identical
+/// per-query accounting, for every protocol family: this pins what
+/// Deployment() carries over from the config.
 TEST(SimCoreEquivalenceTest, SingleAndMultiAdaptersAgreePerProtocol) {
   struct Case {
     const char* label;
@@ -54,11 +54,7 @@ TEST(SimCoreEquivalenceTest, SingleAndMultiAdaptersAgreePerProtocol) {
     ASSERT_TRUE(single.ok()) << c.label;
 
     MultiQueryConfig multi_config;
-    multi_config.source = single_config.source;
-    multi_config.duration = single_config.duration;
-    multi_config.query_start = single_config.query_start;
-    multi_config.seed = single_config.seed;
-    multi_config.oracle = single_config.oracle;
+    static_cast<RunOptions&>(multi_config) = single_config;
     QueryDeployment dep;
     dep.name = c.label;
     dep.query = c.query;
@@ -69,7 +65,7 @@ TEST(SimCoreEquivalenceTest, SingleAndMultiAdaptersAgreePerProtocol) {
     auto multi = RunMultiQuerySystem(multi_config);
     ASSERT_TRUE(multi.ok()) << c.label;
     ASSERT_EQ(multi->queries.size(), 1u);
-    const MultiQueryResult::PerQuery& q = multi->queries[0];
+    const QueryRunStats& q = multi->queries[0];
 
     // Message counts: identical per phase and per type.
     EXPECT_EQ(q.messages.InitTotal(), single->messages.InitTotal())
@@ -101,6 +97,10 @@ TEST(SimCoreEquivalenceTest, SingleAndMultiAdaptersAgreePerProtocol) {
     EXPECT_EQ(q.oracle_violations, single->oracle_violations) << c.label;
     EXPECT_DOUBLE_EQ(q.max_f_plus, single->max_f_plus) << c.label;
     EXPECT_DOUBLE_EQ(q.max_f_minus, single->max_f_minus) << c.label;
+    EXPECT_EQ(q.fp_filters_installed, single->fp_filters_installed)
+        << c.label;
+    EXPECT_EQ(q.fn_filters_installed, single->fn_filters_installed)
+        << c.label;
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "result_equality.h"
 #include "stream/random_walk.h"
 
 namespace asf {
@@ -64,11 +67,7 @@ TEST(SweepRunnerTest, ParallelMatchesSerialByteForByte) {
   ASSERT_EQ(a->size(), configs.size());
   ASSERT_EQ(b->size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    // ToString covers every deterministic field (wall_seconds, the only
-    // host-dependent one, is deliberately not part of it).
-    EXPECT_EQ((*a)[i].ToString(), (*b)[i].ToString()) << "config " << i;
-    EXPECT_EQ((*a)[i].messages.Total(), (*b)[i].messages.Total());
-    EXPECT_EQ((*a)[i].fp_filters_installed, (*b)[i].fp_filters_installed);
+    ExpectSameResult((*a)[i], (*b)[i], "config " + std::to_string(i));
   }
 }
 

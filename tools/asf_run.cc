@@ -33,6 +33,7 @@
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "run_flags.h"
 #include "trace/trace_io.h"
 
 namespace asf {
@@ -172,8 +173,8 @@ Status ParseSpillFlags(const Flags& flags, SpillConfig* spill) {
 
 /// Owns the per-run observability objects behind --trace / --trace-cats
 /// / --metrics-every / --profile (DESIGN.md #14) and the epilogue they
-/// print. Every line the session prints carries the "obs " prefix so the
-/// CI byte-identity legs strip all of it with one `grep -v "^obs "`.
+/// print. Every line it prints carries the "obs " prefix, so obs-on
+/// output is obs-off output plus those lines.
 class ObsSession {
  public:
   static Result<ObsSession> FromFlags(const Flags& flags) {
@@ -248,38 +249,6 @@ class ObsSession {
   double metrics_every_ = 0;
 };
 
-Result<ProtocolKind> ParseProtocol(const std::string& name) {
-  if (name == "no-filter") return ProtocolKind::kNoFilter;
-  if (name == "zt-nrp") return ProtocolKind::kZtNrp;
-  if (name == "ft-nrp") return ProtocolKind::kFtNrp;
-  if (name == "rtp") return ProtocolKind::kRtp;
-  if (name == "zt-rp") return ProtocolKind::kZtRp;
-  if (name == "ft-rp") return ProtocolKind::kFtRp;
-  return Status::InvalidArgument("unknown --protocol: " + name);
-}
-
-Result<QuerySpec> ParseQuery(const Flags& flags) {
-  const std::string kind = flags.GetString("query", "range");
-  ASF_ASSIGN_OR_RETURN(const std::int64_t k, flags.GetInt("k", 10));
-  ASF_ASSIGN_OR_RETURN(const double q, flags.GetDouble("q", 500));
-  if (kind == "range") {
-    const std::string range = flags.GetString("range", "400:600");
-    const auto colon = range.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("--range expects LO:HI");
-    }
-    return QuerySpec::Range(std::atof(range.substr(0, colon).c_str()),
-                            std::atof(range.substr(colon + 1).c_str()));
-  }
-  if (k <= 0) return Status::InvalidArgument("--k must be positive");
-  if (kind == "knn") return QuerySpec::Knn(static_cast<std::size_t>(k), q);
-  if (kind == "topk") return QuerySpec::TopK(static_cast<std::size_t>(k));
-  if (kind == "bottomk") {
-    return QuerySpec::BottomK(static_cast<std::size_t>(k));
-  }
-  return Status::InvalidArgument("unknown --query: " + kind);
-}
-
 /// Churn mode: the protocol/query/tolerance flags describe the arrival
 /// mix; queries arrive Poisson and retire after exponential lifetimes.
 Status RunChurn(const Flags& flags, const SystemConfig& base,
@@ -310,9 +279,7 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   entry.rank_r = base.rank_r;
   entry.k = base.query.k;
   entry.ft = base.ft;
-  entry.broadcast = base.broadcast_counts_as_one
-                        ? BroadcastCostModel::kSingleMessage
-                        : BroadcastCostModel::kPerRecipient;
+  entry.broadcast = base.Deployment().broadcast;
   // An explicitly given query geometry pins every arrival's shape;
   // otherwise shapes are drawn at random over the value space.
   if ((base.query.type == QuerySpec::Type::kRange && flags.Has("range")) ||
@@ -323,15 +290,7 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   spec.mix.push_back(entry);
 
   MultiQueryConfig config;
-  config.source = base.source;
-  config.duration = base.duration;
-  config.query_start = base.query_start;
-  config.seed = base.seed;
-  config.oracle = base.oracle;
-  config.net = base.net;
-  config.dispatch = base.dispatch;
-  config.spill = base.spill;
-  config.obs = base.obs;
+  static_cast<RunOptions&>(config) = base;
   ASF_ASSIGN_OR_RETURN(config.queries, ExpandChurn(spec, config.duration));
   if (config.queries.empty()) {
     return Status::InvalidArgument(
@@ -347,7 +306,7 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
               spec.arrival_rate, spec.mean_lifetime);
   TextTable per_query({"query", "deployed", "retired", "maint_messages",
                        "reported", "answer_mean", "oracle"});
-  for (const MultiQueryResult::PerQuery& q : result.queries) {
+  for (const QueryRunStats& q : result.queries) {
     per_query.AddRow(
         {q.name, Fmt("%g", q.deployed_at), Fmt("%g", q.retired_at),
          Fmt("%llu", (unsigned long long)q.messages.MaintenanceTotal()),
@@ -425,15 +384,7 @@ Status RunFromFlags(const Flags& flags) {
     ASF_ASSIGN_OR_RETURN(trace, ReadTraceCsv(flags.GetString("replay")));
     config.source = SourceSpec::Trace(&trace);
   } else {
-    RandomWalkConfig walk;
-    ASF_ASSIGN_OR_RETURN(const std::int64_t n, flags.GetInt("streams", 1000));
-    ASF_ASSIGN_OR_RETURN(walk.sigma, flags.GetDouble("sigma", 20));
-    ASF_ASSIGN_OR_RETURN(walk.mean_interarrival,
-                         flags.GetDouble("interarrival", 20));
-    ASF_ASSIGN_OR_RETURN(const std::int64_t wseed, flags.GetInt("seed", 1));
-    if (n <= 0) return Status::InvalidArgument("--streams must be positive");
-    walk.num_streams = static_cast<std::size_t>(n);
-    walk.seed = static_cast<std::uint64_t>(wseed);
+    ASF_ASSIGN_OR_RETURN(const RandomWalkConfig walk, ParseWalk(flags));
     config.source = SourceSpec::Walk(walk);
   }
 
@@ -462,29 +413,7 @@ Status RunFromFlags(const Flags& flags) {
                        flags.GetDouble("eps-plus", 0));
   ASF_ASSIGN_OR_RETURN(config.fraction.eps_minus,
                        flags.GetDouble("eps-minus", 0));
-  const std::string heuristic =
-      flags.GetString("heuristic", "boundary-nearest");
-  if (heuristic == "random") {
-    config.ft.heuristic = SelectionHeuristic::kRandom;
-  } else if (heuristic == "boundary-nearest") {
-    config.ft.heuristic = SelectionHeuristic::kBoundaryNearest;
-  } else {
-    return Status::InvalidArgument("unknown --heuristic: " + heuristic);
-  }
-  const std::string reinit = flags.GetString("reinit", "never");
-  if (reinit == "when-exhausted") {
-    config.ft.reinit = ReinitPolicy::kWhenExhausted;
-  } else if (reinit != "never") {
-    return Status::InvalidArgument("unknown --reinit: " + reinit);
-  }
-  const std::string rho = flags.GetString("rho", "balanced");
-  if (rho == "favor-positive") {
-    config.ft.rho = RhoPolicy::kFavorPositive;
-  } else if (rho == "favor-negative") {
-    config.ft.rho = RhoPolicy::kFavorNegative;
-  } else if (rho != "balanced") {
-    return Status::InvalidArgument("unknown --rho: " + rho);
-  }
+  ASF_ASSIGN_OR_RETURN(config.ft, ParseFtOptions(flags));
 
   // Oracle.
   ASF_ASSIGN_OR_RETURN(config.oracle.sample_interval,
@@ -533,22 +462,16 @@ Status RunFromFlags(const Flags& flags) {
     table.AddRow({"max F+ / F-", Fmt("%.3f / %.3f", result.max_f_plus,
                                      result.max_f_minus)});
   }
-  // Delivery costs — only under a delaying model, so default runs print
-  // byte-identically to the pre-subsystem tool. The block carries both
+  // Delivery costs — only under a delaying model. The block carries both
   // presentations (rows here, metrics below) so they cannot drift.
-  obs::NetRunExtras net_extras;
-  net_extras.update_delay = &result.update_delay;
-  net_extras.oracle_checks = result.oracle_checks;
-  net_extras.oracle_violations_in_flight = result.oracle_violations_in_flight;
   const obs::TelemetryBlock net_block =
-      obs::NetTelemetryBlock(config.net, result.net, &net_extras);
+      obs::NetTelemetryBlock(config.net, result.net, &result);
   net_block.AppendRows(&table);
   table.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
   std::printf("%s", table.ToString().c_str());
   // Spill stats print as standalone "spill "-prefixed lines AFTER the
-  // summary table — never as table rows. Extra rows would re-align the
-  // table's column widths, and the byte-identity CI legs diff spill vs
-  // in-memory output with a single `grep -v "^spill "`.
+  // summary table — never as table rows, which would re-align the table's
+  // column widths whenever spilling is on.
   const obs::TelemetryBlock spill_block = obs::SpillTelemetryBlock(result.spill);
   spill_block.PrintLines();
 

@@ -7,14 +7,18 @@
 ///   asf_sweep --protocol=rtp --query=topk --k=20 --param=r
 ///             --values=0,2,4,8,16 --csv=rtp.csv
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "engine/sweep_runner.h"
 #include "engine/system.h"
 #include "metrics/bench_json.h"
 #include "metrics/table.h"
+#include "run_flags.h"
 
 namespace asf {
 namespace {
@@ -46,56 +50,24 @@ std::vector<double> ParseValues(const std::string& csv) {
   return values;
 }
 
+/// Every flag kHelp lists; anything else is rejected, so a typo such as
+/// --protcol fails instead of sweeping the default protocol.
+const std::vector<std::string> kKnownFlags = {
+    "help", "param", "values", "csv", "bench-json", "seeds", "jobs",
+    "protocol", "query", "range", "k", "q", "streams", "sigma",
+    "duration", "seed", "heuristic",
+};
+
 Result<SystemConfig> BaseConfig(const Flags& flags) {
   SystemConfig config;
-  RandomWalkConfig walk;
-  ASF_ASSIGN_OR_RETURN(const std::int64_t n, flags.GetInt("streams", 1000));
-  ASF_ASSIGN_OR_RETURN(walk.sigma, flags.GetDouble("sigma", 20));
-  ASF_ASSIGN_OR_RETURN(const std::int64_t seed, flags.GetInt("seed", 1));
-  walk.num_streams = static_cast<std::size_t>(n);
-  walk.seed = static_cast<std::uint64_t>(seed);
+  ASF_ASSIGN_OR_RETURN(const RandomWalkConfig walk, ParseWalk(flags));
   config.source = SourceSpec::Walk(walk);
   config.seed = walk.seed;
   ASF_ASSIGN_OR_RETURN(config.duration, flags.GetDouble("duration", 1000));
-
-  const std::string query = flags.GetString("query", "range");
-  ASF_ASSIGN_OR_RETURN(const std::int64_t k, flags.GetInt("k", 10));
-  ASF_ASSIGN_OR_RETURN(const double q, flags.GetDouble("q", 500));
-  if (query == "range") {
-    const std::string range = flags.GetString("range", "400:600");
-    const auto colon = range.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("--range expects LO:HI");
-    }
-    config.query = QuerySpec::Range(std::atof(range.substr(0, colon).c_str()),
-                                    std::atof(range.substr(colon + 1).c_str()));
-  } else if (query == "knn") {
-    config.query = QuerySpec::Knn(static_cast<std::size_t>(k), q);
-  } else if (query == "topk") {
-    config.query = QuerySpec::TopK(static_cast<std::size_t>(k));
-  } else {
-    return Status::InvalidArgument("unknown --query: " + query);
-  }
-
-  const std::string protocol = flags.GetString("protocol", "ft-nrp");
-  if (protocol == "no-filter") {
-    config.protocol = ProtocolKind::kNoFilter;
-  } else if (protocol == "zt-nrp") {
-    config.protocol = ProtocolKind::kZtNrp;
-  } else if (protocol == "ft-nrp") {
-    config.protocol = ProtocolKind::kFtNrp;
-  } else if (protocol == "rtp") {
-    config.protocol = ProtocolKind::kRtp;
-  } else if (protocol == "zt-rp") {
-    config.protocol = ProtocolKind::kZtRp;
-  } else if (protocol == "ft-rp") {
-    config.protocol = ProtocolKind::kFtRp;
-  } else {
-    return Status::InvalidArgument("unknown --protocol: " + protocol);
-  }
-  if (flags.GetString("heuristic", "boundary-nearest") == "random") {
-    config.ft.heuristic = SelectionHeuristic::kRandom;
-  }
+  ASF_ASSIGN_OR_RETURN(config.query, ParseQuery(flags));
+  ASF_ASSIGN_OR_RETURN(config.protocol,
+                       ParseProtocol(flags.GetString("protocol", "ft-nrp")));
+  ASF_ASSIGN_OR_RETURN(config.ft, ParseFtOptions(flags));
   return config;
 }
 
@@ -106,12 +78,20 @@ Status ApplyParam(SystemConfig* config, const std::string& param, double v) {
     config->fraction.eps_plus = v;
   } else if (param == "eps-minus") {
     config->fraction.eps_minus = v;
-  } else if (param == "r") {
-    config->rank_r = static_cast<std::size_t>(v);
+  } else if (param == "r" || param == "streams") {
+    // Counts. A negative or fractional value must not reach the
+    // std::size_t conversion, which would wrap or truncate it.
+    if (!(v >= 0 && v == std::floor(v) && v < 1e15)) {
+      return Status::InvalidArgument("--param=" + param +
+                                     " takes whole numbers >= 0");
+    }
+    if (param == "r") {
+      config->rank_r = static_cast<std::size_t>(v);
+    } else {
+      config->source.walk.num_streams = static_cast<std::size_t>(v);
+    }
   } else if (param == "sigma") {
     config->source.walk.sigma = v;
-  } else if (param == "streams") {
-    config->source.walk.num_streams = static_cast<std::size_t>(v);
   } else {
     return Status::InvalidArgument("unknown --param: " + param);
   }
@@ -200,6 +180,11 @@ int main(int argc, char** argv) {
   auto flags = asf::Flags::Parse(argc, argv);
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 2;
+  }
+  if (const asf::Status known = flags->RejectUnknown(asf::kKnownFlags);
+      !known.ok()) {
+    std::fprintf(stderr, "%s\n(try --help)\n", known.ToString().c_str());
     return 2;
   }
   if (flags->Has("help")) {
