@@ -215,7 +215,9 @@ double EngineUpdatesPerSec(std::size_t num_streams, std::size_t q_count,
 bool WriteMetrics(const std::string& path, const char* bench,
                   const std::vector<std::pair<std::string, double>>& metrics) {
   if (path.empty()) return true;
-  const Status status = WriteBenchJson(path, bench, metrics);
+  metrics::JsonWriter writer(bench);
+  writer.AddMetrics(metrics);
+  const Status status = writer.WriteTo(path);
   if (!status.ok()) {
     std::fprintf(stderr, "json export failed: %s\n",
                  status.ToString().c_str());

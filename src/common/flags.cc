@@ -48,18 +48,22 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+Result<double> ParseDouble(const std::string& text, const std::string& what) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return Status::InvalidArgument(what + " expects a number, got '" + text +
+                                   "'");
+  }
+  return v;
+}
+
 Result<double> Flags::GetDouble(const std::string& name,
                                 double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("--" + name + " expects a number, got '" +
-                                   it->second + "'");
-  }
-  return v;
+  return ParseDouble(it->second, "--" + name);
 }
 
 Result<std::int64_t> Flags::GetInt(const std::string& name,

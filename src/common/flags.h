@@ -15,6 +15,11 @@
 
 namespace asf {
 
+/// Parses all of `text` as one number (strtod syntax), failing on trailing
+/// characters, an empty text or overflow. `what` names the value in the
+/// error, e.g. "--range".
+Result<double> ParseDouble(const std::string& text, const std::string& what);
+
 /// Parsed command line.
 class Flags {
  public:
@@ -31,7 +36,7 @@ class Flags {
                         const std::string& fallback = "") const;
 
   /// Numeric accessors; return an error Status when the flag is present
-  /// but unparsable.
+  /// but unparsable (GetDouble by ParseDouble's rule).
   Result<double> GetDouble(const std::string& name, double fallback) const;
   Result<std::int64_t> GetInt(const std::string& name,
                               std::int64_t fallback) const;

@@ -36,28 +36,17 @@ class OnlineStats {
   /// Merges another accumulator into this one (parallel Welford).
   void Merge(const OnlineStats& other);
 
-  /// The accumulator's exact internal state, for bit-faithful
-  /// serialization (the out-of-core spill path): FromRaw(ToRaw()) is the
-  /// identical accumulator, including the rounding state a recomputation
-  /// from summaries could not reproduce.
-  struct Raw {
-    std::uint64_t count = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double sum = 0.0;
-  };
-  Raw ToRaw() const { return {count_, mean_, m2_, min_, max_, sum_}; }
-  static OnlineStats FromRaw(const Raw& raw) {
-    OnlineStats s;
-    s.count_ = raw.count;
-    s.mean_ = raw.mean;
-    s.m2_ = raw.m2;
-    s.min_ = raw.min;
-    s.max_ = raw.max;
-    s.sum_ = raw.sum;
-    return s;
+  /// Calls f(at.Child(part), member) on each member of the exact state,
+  /// `self` const or not (engine/record_fields.h): a spilled accumulator
+  /// keeps the rounding state no recomputation from summaries could.
+  template <typename Self, typename Name, typename F>
+  static void VisitState(Self& self, const Name& at, F& f) {
+    f(at.Child("count"), self.count_);
+    f(at.Child("mean"), self.mean_);
+    f(at.Child("m2"), self.m2_);
+    f(at.Child("min"), self.min_);
+    f(at.Child("max"), self.max_);
+    f(at.Child("sum"), self.sum_);
   }
 
   /// "count=.. mean=.. sd=.. min=.. max=.."

@@ -118,7 +118,7 @@ QueryDeployment SystemConfig::Deployment() const {
 
 Status SystemConfig::Validate() const {
   ASF_RETURN_IF_ERROR(RunOptions::Validate());
-  return ValidateDeployment(query, protocol, fraction, source.NumStreams());
+  return ValidateDeployment(Deployment(), source.NumStreams());
 }
 
 std::unique_ptr<StreamSet> MakeStreams(const SourceSpec& source) {

@@ -38,9 +38,7 @@ Status MultiQueryConfig::Validate() const {
       return Status::InvalidArgument("query '" + dep.name +
                                      "' must end after it starts");
     }
-    ASF_RETURN_IF_ERROR(ValidateDeployment(dep.query, dep.protocol,
-                                           dep.fraction,
-                                           source.NumStreams()));
+    ASF_RETURN_IF_ERROR(ValidateDeployment(dep, source.NumStreams()));
   }
   return Status::OK();
 }

@@ -9,9 +9,10 @@
 
 namespace asf {
 
-Status ValidateDeployment(const QuerySpec& query, ProtocolKind protocol,
-                          const FractionTolerance& fraction,
+Status ValidateDeployment(const QueryDeployment& deployment,
                           std::size_t num_streams) {
+  const QuerySpec& query = deployment.query;
+  const ProtocolKind protocol = deployment.protocol;
   ASF_RETURN_IF_ERROR(query.Validate());
   const bool is_range = query.type == QuerySpec::Type::kRange;
   switch (protocol) {
@@ -37,8 +38,14 @@ Status ValidateDeployment(const QuerySpec& query, ProtocolKind protocol,
     return Status::InvalidArgument(
         "rank requirement k exceeds the stream population");
   }
+  // RTP judges ranks up to k + r; a slack beyond the population is
+  // meaningless and, near 2^64, wraps that sum.
+  if (protocol == ProtocolKind::kRtp && deployment.rank_r > num_streams) {
+    return Status::InvalidArgument(
+        "rank slack r exceeds the stream population");
+  }
   if (protocol == ProtocolKind::kFtNrp || protocol == ProtocolKind::kFtRp) {
-    ASF_RETURN_IF_ERROR(fraction.Validate());
+    ASF_RETURN_IF_ERROR(deployment.fraction.Validate());
   }
   return Status::OK();
 }

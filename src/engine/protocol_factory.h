@@ -18,10 +18,10 @@
 
 namespace asf {
 
-/// Checks that `protocol` can serve `query` with the given tolerance over
-/// `num_streams` sources (query-class match, k ≤ n, tolerance bounds).
-Status ValidateDeployment(const QuerySpec& query, ProtocolKind protocol,
-                          const FractionTolerance& fraction,
+/// Checks that the deployment's protocol can serve its query with its
+/// tolerance over `num_streams` sources (query-class match, k ≤ n, RTP's
+/// rank slack r ≤ n, tolerance bounds).
+Status ValidateDeployment(const QueryDeployment& deployment,
                           std::size_t num_streams);
 
 /// Builds the protocol. `ctx` and `rng` must outlive it. The deployment

@@ -6,7 +6,7 @@
 #include <unistd.h>
 
 #include "common/check.h"
-#include "net/message.h"
+#include "engine/record_fields.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "storage/serde.h"
@@ -38,77 +38,18 @@ Status SpillConfig::Validate() const {
 namespace engine_internal {
 
 std::vector<std::uint8_t> EncodeQueryRecord(const QueryRunStats& stats) {
-  storage::ByteWriter w;
-  w.Str(stats.name);
-  for (int phase = 0; phase < kNumMessagePhases; ++phase) {
-    for (int type = 0; type < kNumMessageTypes; ++type) {
-      w.U64(stats.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)));
-    }
-  }
-  w.U8(static_cast<std::uint8_t>(stats.messages.phase()));
-  w.U64(stats.updates_reported);
-  w.U64(stats.reinits);
-  w.U64(stats.fp_filters_installed);
-  w.U64(stats.fn_filters_installed);
-  const auto WriteOnline = [&w](const OnlineStats& s) {
-    const OnlineStats::Raw raw = s.ToRaw();
-    w.U64(raw.count);
-    w.F64(raw.mean);
-    w.F64(raw.m2);
-    w.F64(raw.min);
-    w.F64(raw.max);
-    w.F64(raw.sum);
-  };
-  WriteOnline(stats.answer_size);
-  w.U64(stats.oracle_checks);
-  w.U64(stats.oracle_violations);
-  w.F64(stats.max_f_plus);
-  w.F64(stats.max_f_minus);
-  w.U64(stats.max_worst_rank);
-  w.U64(stats.oracle_violations_in_flight);
-  WriteOnline(stats.update_delay);
-  w.F64(stats.deployed_at);
-  w.F64(stats.retired_at);
-  return w.Take();
+  storage::ByteWriter out;
+  const auto write = [&out](const FieldName&, const auto& v) { out.Put(v); };
+  VisitFields(FieldName(), stats, write);
+  return out.Take();
 }
 
 QueryRunStats DecodeQueryRecord(const std::vector<std::uint8_t>& bytes) {
-  storage::ByteReader r(bytes);
+  storage::ByteReader in(bytes);
   QueryRunStats stats;
-  stats.name = r.Str();
-  for (int phase = 0; phase < kNumMessagePhases; ++phase) {
-    stats.messages.set_phase(static_cast<MessagePhase>(phase));
-    for (int type = 0; type < kNumMessageTypes; ++type) {
-      stats.messages.Count(static_cast<MessageType>(type), r.U64());
-    }
-  }
-  stats.messages.set_phase(static_cast<MessagePhase>(r.U8()));
-  stats.updates_reported = r.U64();
-  stats.reinits = r.U64();
-  stats.fp_filters_installed = r.U64();
-  stats.fn_filters_installed = r.U64();
-  const auto ReadOnline = [&r] {
-    OnlineStats::Raw raw;
-    raw.count = r.U64();
-    raw.mean = r.F64();
-    raw.m2 = r.F64();
-    raw.min = r.F64();
-    raw.max = r.F64();
-    raw.sum = r.F64();
-    return OnlineStats::FromRaw(raw);
-  };
-  stats.answer_size = ReadOnline();
-  stats.oracle_checks = r.U64();
-  stats.oracle_violations = r.U64();
-  stats.max_f_plus = r.F64();
-  stats.max_f_minus = r.F64();
-  stats.max_worst_rank = r.U64();
-  stats.oracle_violations_in_flight = r.U64();
-  stats.update_delay = ReadOnline();
-  stats.deployed_at = r.F64();
-  stats.retired_at = r.F64();
-  ASF_CHECK_MSG(r.Done(), "spilled query record has trailing bytes");
+  const auto read = [&in](const FieldName&, auto& v) { in.Get(v); };
+  VisitFields(FieldName(), stats, read);
+  ASF_CHECK_MSG(in.Done(), "spilled query record has trailing bytes");
   return stats;
 }
 

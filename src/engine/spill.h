@@ -27,7 +27,8 @@
 namespace asf {
 namespace engine_internal {
 
-/// Bit-exact QueryRunStats codec (raw IEEE doubles via storage::serde).
+/// Bit-exact QueryRunStats codec: one walk of the record's field list
+/// (engine/record_fields.h), raw IEEE doubles via storage::serde.
 /// Decode(Encode(s)) compares equal field-for-field, which is what keeps
 /// spilled output byte-identical to in-memory output.
 std::vector<std::uint8_t> EncodeQueryRecord(const QueryRunStats& stats);

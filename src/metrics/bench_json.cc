@@ -7,15 +7,6 @@
 #include "metrics/table.h"
 
 namespace asf {
-
-Status WriteBenchJson(
-    const std::string& path, const std::string& bench,
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  metrics::JsonWriter writer(bench);
-  writer.AddMetrics(metrics);
-  return writer.WriteTo(path);
-}
-
 namespace metrics {
 
 JsonWriter::JsonWriter(std::string bench)

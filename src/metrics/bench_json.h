@@ -17,13 +17,6 @@
 /// `bench/micro_dispatch`.
 
 namespace asf {
-
-/// Writes `metrics` to `path` in the schema above. Values are printed
-/// with %.17g (round-trip exact for doubles).
-Status WriteBenchJson(
-    const std::string& path, const std::string& bench,
-    const std::vector<std::pair<std::string, double>>& metrics);
-
 namespace metrics {
 
 /// The one bench-json entry point (DESIGN.md §14): every bench and tool

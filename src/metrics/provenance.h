@@ -10,7 +10,7 @@
 /// one machine is only comparable to another if both record what built
 /// them: the git revision, the build type (Release numbers are not Debug
 /// numbers) and which SIMD backend the filter kernel compiled to.
-/// WriteBenchJson embeds these as a "provenance" object ahead of
+/// metrics::JsonWriter embeds these as a "provenance" object ahead of
 /// "metrics".
 
 namespace asf {

@@ -45,7 +45,22 @@ enum class MessagePhase : int {
 inline constexpr int kNumMessagePhases = 2;
 
 /// Short stable name for a message type ("update", "probe_req", ...).
-std::string_view MessageTypeName(MessageType type);
+/// Inline, so a field walk that never reads names does not call it.
+constexpr std::string_view MessageTypeName(MessageType type) {
+  switch (type) {
+    case MessageType::kValueUpdate:
+      return "update";
+    case MessageType::kProbeRequest:
+      return "probe_req";
+    case MessageType::kProbeResponse:
+      return "probe_resp";
+    case MessageType::kRegionProbeRequest:
+      return "region_probe";
+    case MessageType::kFilterDeploy:
+      return "deploy";
+  }
+  return "unknown";
+}
 
 }  // namespace asf
 

@@ -1,24 +1,6 @@
 #include "net/message_stats.h"
 
-#include <cstdio>
-
 namespace asf {
-
-std::string_view MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kValueUpdate:
-      return "update";
-    case MessageType::kProbeRequest:
-      return "probe_req";
-    case MessageType::kProbeResponse:
-      return "probe_resp";
-    case MessageType::kRegionProbeRequest:
-      return "region_probe";
-    case MessageType::kFilterDeploy:
-      return "deploy";
-  }
-  return "unknown";
-}
 
 std::uint64_t MessageStats::PhaseTotal(MessagePhase phase) const {
   std::uint64_t total = 0;
@@ -39,27 +21,6 @@ void MessageStats::Merge(const MessageStats& other) {
       counts_[p][t] += other.counts_[p][t];
     }
   }
-}
-
-std::string MessageStats::ToString() const {
-  std::string out;
-  char buf[128];
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    const char* phase_name = (p == 0) ? "init" : "maint";
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      if (counts_[p][t] == 0) continue;
-      std::snprintf(buf, sizeof(buf), "%s/%s=%llu ", phase_name,
-                    std::string(MessageTypeName(static_cast<MessageType>(t)))
-                        .c_str(),
-                    static_cast<unsigned long long>(counts_[p][t]));
-      out += buf;
-    }
-  }
-  std::snprintf(buf, sizeof(buf), "init_total=%llu maint_total=%llu",
-                static_cast<unsigned long long>(InitTotal()),
-                static_cast<unsigned long long>(MaintenanceTotal()));
-  out += buf;
-  return out;
 }
 
 }  // namespace asf

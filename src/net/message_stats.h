@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "net/message.h"
 
@@ -30,6 +29,10 @@ class MessageStats {
   std::uint64_t count(MessagePhase phase, MessageType type) const {
     return counts_[static_cast<int>(phase)][static_cast<int>(type)];
   }
+  /// The counter itself: the record field walk decodes through it.
+  std::uint64_t& count(MessagePhase phase, MessageType type) {
+    return counts_[static_cast<int>(phase)][static_cast<int>(type)];
+  }
 
   /// Total messages in one phase.
   std::uint64_t PhaseTotal(MessagePhase phase) const;
@@ -47,9 +50,6 @@ class MessageStats {
 
   /// Accumulates another counter set into this one.
   void Merge(const MessageStats& other);
-
-  /// Multi-line human-readable breakdown.
-  std::string ToString() const;
 
  private:
   std::array<std::array<std::uint64_t, kNumMessageTypes>, kNumMessagePhases>

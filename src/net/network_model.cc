@@ -364,42 +364,6 @@ Result<NetConfig> ParseNetSpec(const std::string& spec) {
   return config;
 }
 
-std::string NetStats::ToString() const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "crossings=%llu wire=%llu payloads=%llu per_flush=%.2f "
-      "deploys=%llu rpcs=%llu dropped=%llu in_flight_end=%llu "
-      "delay_mean=%.3g delay_max=%.3g",
-      static_cast<unsigned long long>(crossings),
-      static_cast<unsigned long long>(update_messages),
-      static_cast<unsigned long long>(update_payloads), MessagesPerFlush(),
-      static_cast<unsigned long long>(deploy_messages),
-      static_cast<unsigned long long>(control_rpcs),
-      static_cast<unsigned long long>(dropped_retired),
-      static_cast<unsigned long long>(in_flight_at_end), delay.mean(),
-      delay.max());
-  std::string out = buf;
-  if (dropped_loss || dropped_partition || suppressed_stale ||
-      deploy_retransmits || deploy_dropped || probe_failovers ||
-      reconcile_exchanges) {
-    std::snprintf(
-        buf, sizeof(buf),
-        " lost=%llu partitioned=%llu stale=%llu deploy_retx=%llu "
-        "deploy_lost=%llu probe_retx=%llu probe_fail=%llu recon=%llu",
-        static_cast<unsigned long long>(dropped_loss),
-        static_cast<unsigned long long>(dropped_partition),
-        static_cast<unsigned long long>(suppressed_stale),
-        static_cast<unsigned long long>(deploy_retransmits),
-        static_cast<unsigned long long>(deploy_dropped),
-        static_cast<unsigned long long>(probe_retransmits),
-        static_cast<unsigned long long>(probe_failovers),
-        static_cast<unsigned long long>(reconcile_exchanges));
-    out += buf;
-  }
-  return out;
-}
-
 void NetworkModel::Bind(Scheduler* scheduler, UpdateSink on_update,
                         DeploySink on_deploy) {
   ASF_CHECK_MSG(scheduler_ == nullptr, "NetworkModel bound twice");

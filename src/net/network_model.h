@@ -242,9 +242,6 @@ struct NetStats {
                : static_cast<double>(crossings) /
                      static_cast<double>(update_messages);
   }
-
-  /// One-line human-readable summary.
-  std::string ToString() const;
 };
 
 /// Delivery model interface. One instance serves one run (models keep

@@ -62,11 +62,12 @@ std::string ChromeTraceJson(const TraceFileData& data, double ts_scale) {
   bool first = true;
   char buf[320];
 
-  // Thread-name metadata so chrome://tracing labels each ring's track.
+  // Thread-name metadata so chrome://tracing labels each ring's track;
+  // ts 0 keeps every event's name/ph/ts triple complete.
   for (std::size_t r = 0; r < data.rings.size(); ++r) {
     std::snprintf(buf, sizeof(buf),
                   "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":%zu,\"args\":{\"name\":\"ring %zu\"}}",
+                  "\"tid\":%zu,\"ts\":0,\"args\":{\"name\":\"ring %zu\"}}",
                   first ? "" : ",", r, r);
     out << buf;
     first = false;

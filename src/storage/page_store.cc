@@ -35,6 +35,11 @@ std::uint64_t PageChecksum(const void* data, std::size_t n) {
 }
 #endif
 
+/// Create's page size rule, which Open also holds a superblock to.
+bool ValidPageSize(std::size_t page_size) {
+  return page_size >= 64 && page_size % 8 == 0;
+}
+
 Status SeekTo(std::FILE* file, std::uint64_t offset, const std::string& path) {
   if (std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0) {
     return Status::IoError("page store seek failed: " + path);
@@ -49,7 +54,7 @@ PageStore::PageStore(std::FILE* file, std::string path, std::size_t page_size)
 
 Result<std::unique_ptr<PageStore>> PageStore::Create(const std::string& path,
                                                      std::size_t page_size) {
-  if (page_size < 64 || page_size % 8 != 0) {
+  if (!ValidPageSize(page_size)) {
     return Status::InvalidArgument(
         "page size must be >= 64 and a multiple of 8");
   }
@@ -77,6 +82,17 @@ Result<std::unique_ptr<PageStore>> PageStore::Open(const std::string& path) {
   if (sb.magic != kMagic || sb.version != kVersion) {
     std::fclose(file);
     return Status::Corruption("not a page store file: " + path);
+  }
+  // Every later call indexes the file by these fields, so a forged value
+  // must fail here rather than abort in Allocate or ReadPage. Pages past
+  // EOF stay legal: allocated pages need not be written yet.
+  const bool free_list_ok =
+      (sb.free_head == kNoPage) == (sb.free_pages == 0) &&
+      sb.free_head < sb.file_pages && sb.free_pages < sb.file_pages;
+  if (!ValidPageSize(sb.page_size) || !free_list_ok) {
+    std::fclose(file);
+    return Status::Corruption("page store superblock is inconsistent: " +
+                              path);
   }
   auto store = std::unique_ptr<PageStore>(new PageStore(file, path,
                                                         sb.page_size));

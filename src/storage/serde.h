@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -21,12 +22,15 @@ namespace storage {
 
 class ByteWriter {
  public:
-  void U8(std::uint8_t v) { Raw(&v, sizeof(v)); }
-  void U32(std::uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(std::uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
+  /// A number as its raw bytes.
+  template <typename T>
+  void Put(const T& v) {
+    static_assert(std::is_arithmetic_v<T>);
+    Raw(&v, sizeof(v));
+  }
+  /// A string as its u32 length, then its bytes.
+  void Put(const std::string& s) {
+    Put(static_cast<std::uint32_t>(s.size()));
     Raw(s.data(), s.size());
   }
 
@@ -47,16 +51,18 @@ class ByteReader {
   explicit ByteReader(const std::vector<std::uint8_t>& bytes)
       : bytes_(bytes) {}
 
-  std::uint8_t U8() { std::uint8_t v; Raw(&v, sizeof(v)); return v; }
-  std::uint32_t U32() { std::uint32_t v; Raw(&v, sizeof(v)); return v; }
-  std::uint64_t U64() { std::uint64_t v; Raw(&v, sizeof(v)); return v; }
-  double F64() { double v; Raw(&v, sizeof(v)); return v; }
-  std::string Str() {
-    const std::uint32_t n = U32();
+  /// Reads back what ByteWriter::Put wrote, in the same order.
+  template <typename T>
+  void Get(T& v) {
+    static_assert(std::is_arithmetic_v<T>);
+    Raw(&v, sizeof(v));
+  }
+  void Get(std::string& s) {
+    std::uint32_t n = 0;
+    Get(n);
     ASF_CHECK_MSG(pos_ + n <= bytes_.size(), "spilled record underrun");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
+    s.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
     pos_ += n;
-    return s;
   }
 
   void Raw(void* out, std::size_t n) {

@@ -14,7 +14,9 @@ Status RandomWalkConfig::Validate() const {
   if (!(mean_interarrival > 0)) {
     return Status::InvalidArgument("mean_interarrival must be > 0");
   }
-  if (sigma < 0) return Status::InvalidArgument("sigma must be >= 0");
+  if (!(sigma >= 0 && std::isfinite(sigma))) {
+    return Status::InvalidArgument("sigma must be finite and >= 0");
+  }
   return Status::OK();
 }
 

@@ -62,6 +62,11 @@ TEST(FlagsTest, NumericErrors) {
   ASSERT_TRUE(flags.ok());
   EXPECT_FALSE(flags->GetDouble("eps", 0).ok());
   EXPECT_FALSE(flags->GetInt("k", 0).ok());
+  // The rule GetDouble applies, also used for list items and LO:HI halves.
+  for (const char* text : {"", "abc", "4OO", "O.2", "0.2x", "1e999"}) {
+    EXPECT_FALSE(ParseDouble(text, "--x").ok()) << text;
+  }
+  EXPECT_EQ(ParseDouble("-0.5", "--x").value(), -0.5);
 }
 
 TEST(FlagsTest, BoolForms) {

@@ -64,14 +64,5 @@ TEST(MessageStatsTest, TypeNamesAreStable) {
   EXPECT_EQ(MessageTypeName(MessageType::kFilterDeploy), "deploy");
 }
 
-TEST(MessageStatsTest, ToStringSummarizes) {
-  MessageStats stats;
-  stats.set_phase(MessagePhase::kMaintenance);
-  stats.Count(MessageType::kValueUpdate, 4);
-  const std::string s = stats.ToString();
-  EXPECT_NE(s.find("maint/update=4"), std::string::npos);
-  EXPECT_NE(s.find("maint_total=4"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace asf

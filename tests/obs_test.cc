@@ -2,20 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/churn.h"
 #include "engine/multi_system.h"
 #include "engine/system.h"
 #include "metrics/bench_json.h"
+#include "metrics/table.h"
 #include "net/network_model.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/telemetry.h"
+#include "obs/report.h"
 #include "obs/trace_convert.h"
 #include "result_equality.h"
 
@@ -305,25 +309,90 @@ TEST(JsonWriterTest, BlocksComeAfterTheMetricsObject) {
   EXPECT_GT(block_pos, metrics_pos);  // blocks after the gated object
 }
 
-// --- Telemetry blocks ---
+// --- The run report ---
 
-TEST(TelemetryTest, SpillBlockEmptyWhenDisabled) {
-  SpillTelemetry spill;  // enabled = false
-  const obs::TelemetryBlock block = obs::SpillTelemetryBlock(spill);
-  EXPECT_TRUE(block.rows().empty());
-  EXPECT_TRUE(block.metrics().empty());
+TEST(RunReportTest, NetAndSpillRowsAreGated) {
+  MultiQueryResult result;
+  result.queries.emplace_back();
+  const std::string instant = obs::RunReport(result, NetConfig());
+  for (const char* row : {"net model", "in flight", "spill"}) {
+    EXPECT_EQ(instant.find(row), std::string::npos) << row;
+  }
+  const std::string batch =
+      obs::RunReport(result, ParseNetSpec("batch:5").value());
+  EXPECT_NE(batch.find("net model"), std::string::npos);
+  EXPECT_EQ(batch.find("crossings lost"), std::string::npos);
+  EXPECT_NE(obs::RunReport(result, ParseNetSpec("latency:2+loss:0.1").value())
+                .find("crossings lost"),
+            std::string::npos);
+  result.spill.enabled = true;
+  EXPECT_NE(obs::RunReport(result, NetConfig()).find("spill pool"),
+            std::string::npos);
 }
 
-TEST(TelemetryTest, NetBlockGatesOnDelayingModel) {
-  NetConfig instant;  // default: instant, not delaying
-  NetStats stats;
-  EXPECT_TRUE(obs::NetTelemetryBlock(instant, stats, nullptr).rows().empty());
+/// asf_run --bench-json writes RunMetrics through the JsonWriter. On a
+/// churn run with several queries, spilling, over a lossy delayed net,
+/// every numeric field the record's field list names appears once in the
+/// metrics object, under that name, with the run's value.
+TEST(RunReportTest, BenchJsonHoldsEveryRecordField) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 200;
+  walk.seed = 5;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 600;
+  config.seed = 5;
+  config.oracle.sample_interval = 50;
+  config.net = ParseNetSpec("latency:2+loss:0.1").value();
+  config.spill.dir = ::testing::TempDir();
+  config.spill.buffer_pages = 4;
+  ChurnSpec spec;
+  spec.arrival_rate = 0.02;
+  spec.mean_lifetime = 100;
+  spec.seed = 9;
+  config.queries = ExpandChurn(spec, config.duration).value();
+  const auto result = RunMultiQuerySystem(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result->queries.size(), 3u);
+  ASSERT_GT(result->net.dropped_loss, 0u);
+  ASSERT_GT(result->spill.records_spilled, 0u);
 
-  const NetConfig batch = ParseNetSpec("batch:5").value();
-  const obs::TelemetryBlock block = obs::NetTelemetryBlock(batch, stats,
-                                                           nullptr);
-  ASSERT_FALSE(block.rows().empty());
-  EXPECT_EQ(block.rows()[0].first, "net model");
+  metrics::JsonWriter writer("asf_run");
+  writer.AddMetrics(obs::RunMetrics(*result));
+  const std::string json = writer.ToJson();
+  const auto begin = json.find("\"metrics\": {");
+  const std::string object =
+      json.substr(begin, json.find("\n  }", begin) - begin);
+  const auto has = [&object](const std::string& name, const std::string& v) {
+    return object.find("\n    \"" + name + "\": " + v) != std::string::npos;
+  };
+
+  std::set<std::string> names;
+  const auto expect = [&](const FieldName& field, const auto& value) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(value)>>) {
+      const std::string name = field.str();
+      EXPECT_TRUE(names.insert(name).second) << "two fields named " << name;
+      EXPECT_TRUE(has(name, Fmt("%.17g", static_cast<double>(value))))
+          << name;
+    }
+  };
+  expect(FieldName("queries"), result->queries.size());
+  for (std::size_t i = 0; i < result->queries.size(); ++i) {
+    const std::string prefix = "queries[" + std::to_string(i) + "]";
+    VisitFields(FieldName(prefix), result->queries[i], expect);
+    for (int t = 0; t < kNumMessageTypes; ++t) {  // the paper's metric
+      const auto type = static_cast<MessageType>(t);
+      EXPECT_TRUE(has(prefix + ".messages.maintenance." +
+                          std::string(MessageTypeName(type)),
+                      std::to_string(result->queries[i].messages.count(
+                          MessagePhase::kMaintenance, type))));
+    }
+  }
+  VisitRunTotals(FieldName(), *result, expect);
+  VisitTelemetry(FieldName(), *result, expect);
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(object.begin(), object.end(), '\n')),
+            names.size());
 }
 
 // --- Inertness: the acceptance criterion ---

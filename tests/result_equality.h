@@ -5,138 +5,65 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/multi_system.h"
+#include "engine/record_fields.h"
 #include "engine/run_result.h"
-#include "engine/sim_core.h"
-#include "net/message.h"
-#include "net/network_model.h"
 
 /// \file
 /// The result fields of every engine output type, walked in one fixed
-/// order by one visitor per type (VisitFields). The golden digests
-/// (DigestOf) and the exact equality checks (ExpectSameResult) walk the
-/// same list. Floating-point fields are visited as doubles and compared
-/// and digested by their raw IEEE bits: the contract is byte identity, not
-/// closeness. Performance telemetry (wall time, dispatch path accounting,
-/// spill accounting) is not a result and is not visited.
-///
-/// A visitor `f` is called as f(name, value), with value a std::uint64_t,
-/// a double or a std::string.
+/// order (VisitResultFields), built from the record's field list
+/// (engine/record_fields.h). The golden digests (DigestOf) and the exact
+/// equality checks (ExpectSameResult) walk the same order. Floating-point
+/// fields are compared and digested by their raw IEEE bits: the contract
+/// is byte identity, not closeness. Performance telemetry (wall time,
+/// dispatch path accounting, spill accounting) is not a result and is not
+/// visited.
 
 namespace asf {
 
+/// A single-query run: the query's outputs, its silent-filter counts,
+/// then the updates generated and the net accounting. Changing this
+/// order re-records the golden constants.
 template <typename F>
-void VisitFields(const std::string& name, const OnlineStats& s, F& f) {
-  const OnlineStats::Raw raw = s.ToRaw();
-  f(name + ".count", raw.count);
-  f(name + ".mean", raw.mean);
-  f(name + ".m2", raw.m2);
-  f(name + ".min", raw.min);
-  f(name + ".max", raw.max);
-  f(name + ".sum", raw.sum);
+void VisitResultFields(const RunResult& r, F& f) {
+  const FieldName root;
+  const QueryRunStats& q = r;
+  VisitQueryOutputs(root, q, f);
+  f(root.Child("fp_filters_installed"), q.fp_filters_installed);
+  f(root.Child("fn_filters_installed"), q.fn_filters_installed);
+  f(root.Child("updates_generated"), r.updates_generated);
+  VisitFields(root.Child("net"), r.net, f);
 }
 
-/// The outputs of a query's record (QueryRunStats, and so RunResult) that
-/// every result visitor below walks.
+/// A multi-query run: the query count, each query's name, outputs and
+/// live window, then the run totals. Not the whole per-query record: the
+/// golden digests of multi-query runs were recorded without the
+/// silent-filter counts and the accounting phase.
 template <typename F>
-void VisitQueryFields(const std::string& prefix, const QueryRunStats& q,
-                      F& f) {
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      const auto type = static_cast<MessageType>(t);
-      f(prefix + (p == 0 ? "messages.init." : "messages.maintenance.") +
-            std::string(MessageTypeName(type)),
-        q.messages.count(static_cast<MessagePhase>(p), type));
-    }
-  }
-  f(prefix + "updates_reported", q.updates_reported);
-  f(prefix + "reinits", q.reinits);
-  VisitFields(prefix + "answer_size", q.answer_size, f);
-  f(prefix + "oracle_checks", q.oracle_checks);
-  f(prefix + "oracle_violations", q.oracle_violations);
-  f(prefix + "max_f_plus", q.max_f_plus);
-  f(prefix + "max_f_minus", q.max_f_minus);
-  f(prefix + "max_worst_rank", static_cast<std::uint64_t>(q.max_worst_rank));
-  f(prefix + "oracle_violations_in_flight", q.oracle_violations_in_flight);
-  VisitFields(prefix + "update_delay", q.update_delay, f);
-}
-
-template <typename F>
-void VisitFields(const std::string& prefix, const NetStats& n, F& f) {
-  f(prefix + "crossings", n.crossings);
-  f(prefix + "update_messages", n.update_messages);
-  f(prefix + "update_payloads", n.update_payloads);
-  f(prefix + "delivered_crossings", n.delivered_crossings);
-  f(prefix + "deploy_messages", n.deploy_messages);
-  f(prefix + "control_rpcs", n.control_rpcs);
-  f(prefix + "dropped_retired", n.dropped_retired);
-  f(prefix + "deploy_dropped_retired", n.deploy_dropped_retired);
-  f(prefix + "in_flight_at_end", n.in_flight_at_end);
-  f(prefix + "in_flight_crossings_at_end", n.in_flight_crossings_at_end);
-  f(prefix + "dropped_loss", n.dropped_loss);
-  f(prefix + "dropped_partition", n.dropped_partition);
-  f(prefix + "suppressed_stale", n.suppressed_stale);
-  f(prefix + "deploy_attempts", n.deploy_attempts);
-  f(prefix + "deploy_retransmits", n.deploy_retransmits);
-  f(prefix + "deploy_dropped", n.deploy_dropped);
-  f(prefix + "deploy_acks", n.deploy_acks);
-  f(prefix + "deploy_dup_suppressed", n.deploy_dup_suppressed);
-  f(prefix + "deploy_stale_acks", n.deploy_stale_acks);
-  f(prefix + "deploy_unacked_at_end", n.deploy_unacked_at_end);
-  f(prefix + "probe_retransmits", n.probe_retransmits);
-  f(prefix + "probe_failovers", n.probe_failovers);
-  f(prefix + "reconcile_exchanges", n.reconcile_exchanges);
-  f(prefix + "reconcile_deploys", n.reconcile_deploys);
-  VisitFields(prefix + "delay", n.delay, f);
-  VisitFields(prefix + "queue_depth", n.queue_depth, f);
-}
-
-template <typename F>
-void VisitFields(const std::string& prefix, const QueryRunStats& q, F& f) {
-  f(prefix + "name", q.name);
-  VisitQueryFields(prefix, q, f);
-  f(prefix + "fp_filters_installed",
-    static_cast<std::uint64_t>(q.fp_filters_installed));
-  f(prefix + "fn_filters_installed",
-    static_cast<std::uint64_t>(q.fn_filters_installed));
-  f(prefix + "deployed_at", q.deployed_at);
-  f(prefix + "retired_at", q.retired_at);
-}
-
-template <typename F>
-void VisitFields(const std::string& prefix, const RunResult& r, F& f) {
-  VisitQueryFields(prefix, r, f);
-  f(prefix + "fp_filters_installed",
-    static_cast<std::uint64_t>(r.fp_filters_installed));
-  f(prefix + "fn_filters_installed",
-    static_cast<std::uint64_t>(r.fn_filters_installed));
-  f(prefix + "updates_generated", r.updates_generated);
-  VisitFields(prefix + "net.", r.net, f);
-}
-
-template <typename F>
-void VisitFields(const std::string& prefix, const MultiQueryResult& r,
-                 F& f) {
-  f(prefix + "queries", static_cast<std::uint64_t>(r.queries.size()));
-  // Not the QueryRunStats visitor: the golden digests of multi-query runs
-  // were recorded without the fp/fn filter counts.
+void VisitResultFields(const MultiQueryResult& r, F& f) {
+  const FieldName root;
+  f(root.Child("queries"), r.queries.size());
   for (std::size_t i = 0; i < r.queries.size(); ++i) {
-    const std::string p = prefix + "queries[" + std::to_string(i) + "].";
+    const std::string prefix = "queries[" + std::to_string(i) + "]";
+    const FieldName at(prefix);
     const QueryRunStats& q = r.queries[i];
-    f(p + "name", q.name);
-    VisitQueryFields(p, q, f);
-    f(p + "deployed_at", q.deployed_at);
-    f(p + "retired_at", q.retired_at);
+    f(at.Child("name"), q.name);
+    VisitQueryOutputs(at, q, f);
+    f(at.Child("deployed_at"), q.deployed_at);
+    f(at.Child("retired_at"), q.retired_at);
   }
-  f(prefix + "updates_generated", r.updates_generated);
-  f(prefix + "physical_updates", r.physical_updates);
-  f(prefix + "peak_live_queries",
-    static_cast<std::uint64_t>(r.peak_live_queries));
-  VisitFields(prefix + "net.", r.net, f);
+  VisitRunTotals(root, r, f);
+}
+
+/// One query's whole record.
+template <typename F>
+void VisitResultFields(const QueryRunStats& q, F& f) {
+  VisitFields(FieldName(), q, f);
 }
 
 /// FNV-1a over every visited value, in visit order: integers and doubles
@@ -144,15 +71,18 @@ void VisitFields(const std::string& prefix, const MultiQueryResult& r,
 /// their length and then their bytes. Field names are not hashed.
 class ResultDigest {
  public:
-  void operator()(const std::string&, std::uint64_t word) { Add(word); }
-  void operator()(const std::string&, double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof bits);
-    Add(bits);
-  }
-  void operator()(const std::string&, const std::string& text) {
-    Add(text.size());
-    for (const char c : text) AddByte(static_cast<unsigned char>(c));
+  template <typename T>
+  void operator()(const FieldName&, const T& value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      Add(value.size());
+      for (const char c : value) AddByte(static_cast<unsigned char>(c));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof bits);
+      Add(bits);
+    } else {
+      Add(static_cast<std::uint64_t>(value));
+    }
   }
   std::uint64_t value() const { return hash_; }
 
@@ -170,7 +100,7 @@ class ResultDigest {
 template <typename Result>
 std::uint64_t DigestOf(const Result& result) {
   ResultDigest digest;
-  VisitFields("", result, digest);
+  VisitResultFields(result, digest);
   return digest.value();
 }
 
@@ -184,18 +114,20 @@ class FieldRecorder {
     std::string text;
   };
 
-  void operator()(const std::string& name, std::uint64_t v) {
-    fields_.push_back({name, v, std::to_string(v)});
-  }
-  void operator()(const std::string& name, double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g (%a)", v, v);
-    fields_.push_back({name, bits, buf});
-  }
-  void operator()(const std::string& name, const std::string& v) {
-    fields_.push_back({name, 0, "\"" + v + "\""});
+  template <typename T>
+  void operator()(const FieldName& name, const T& value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      fields_.push_back({name.str(), 0, "\"" + value + "\""});
+    } else if constexpr (std::is_floating_point_v<T>) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof bits);
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%.17g (%a)", value, value);
+      fields_.push_back({name.str(), bits, buf});
+    } else {
+      const auto v = static_cast<std::uint64_t>(value);
+      fields_.push_back({name.str(), v, std::to_string(v)});
+    }
   }
   const std::vector<Field>& fields() const { return fields_; }
 
@@ -207,7 +139,7 @@ class FieldRecorder {
 template <typename Result>
 std::string FieldDump(const Result& result) {
   FieldRecorder recorder;
-  VisitFields("", result, recorder);
+  VisitResultFields(result, recorder);
   std::string out;
   for (const FieldRecorder::Field& f : recorder.fields()) {
     out += f.name + " = " + f.text + "\n";
@@ -223,8 +155,8 @@ void ExpectSameResult(const Result& a, const Result& b,
   SCOPED_TRACE(label);
   FieldRecorder fa;
   FieldRecorder fb;
-  VisitFields("", a, fa);
-  VisitFields("", b, fb);
+  VisitResultFields(a, fa);
+  VisitResultFields(b, fb);
   ASSERT_EQ(fa.fields().size(), fb.fields().size())
       << "the results differ in shape (query count)";
   for (std::size_t i = 0; i < fa.fields().size(); ++i) {

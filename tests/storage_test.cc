@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,6 +100,64 @@ TEST_F(StorageTest, PageStoreReopenAndReread) {
   EXPECT_EQ(out, page_a);
   // The free list resumed: the freed page comes back before file growth.
   EXPECT_EQ((*reopened)->Allocate(), freed);
+}
+
+/// A superblock cut short or forged fails Open with a Status instead of
+/// aborting a later Allocate or ReadPage.
+TEST_F(StorageTest, PageStoreOpenRejectsBadSuperblocks) {
+  {
+    auto store = PageStore::Create(path_, 256);
+    ASSERT_TRUE(store.ok());
+    const PageId page = (*store)->Allocate();
+    ASSERT_TRUE((*store)->WritePage(page, Pattern(256, 3).data()).ok());
+  }
+  std::vector<std::uint8_t> valid(512);
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(valid.data(), 1, valid.size(), f), valid.size());
+    std::fclose(f);
+  }
+  ASSERT_TRUE(PageStore::Open(path_).ok());
+
+  // Superblock: u64 magic @0, then u32 version @8, page_size @12,
+  // file_pages @16 (2 here), free_head @20, free_pages @24.
+  struct Patch {
+    std::size_t offset;
+    std::uint32_t value;
+  };
+  const struct {
+    const char* label;
+    std::size_t size;
+    std::vector<Patch> patches;
+  } kCases[] = {
+      {"cut to 0 bytes", 0, {}},
+      {"cut to 8 bytes", 8, {}},
+      {"cut to 23 bytes", 23, {}},
+      {"foreign magic", 512, {{0, 0x12345678}}},
+      {"wrong version", 512, {{8, 2}}},
+      {"page size 0", 512, {{12, 0}}},
+      {"page size 7", 512, {{12, 7}}},
+      {"page size 63", 512, {{12, 63}}},
+      {"free head at file_pages", 512, {{20, 2}, {24, 1}}},
+      {"free head past file_pages", 512, {{20, 1000}, {24, 1}}},
+      {"free pages at file_pages", 512, {{20, 1}, {24, 2}}},
+      {"free head without free pages", 512, {{20, 1}}},
+  };
+  for (const auto& c : kCases) {
+    std::vector<std::uint8_t> bytes(valid.begin(), valid.begin() + c.size);
+    for (const Patch& patch : c.patches) {
+      std::memcpy(bytes.data() + patch.offset, &patch.value,
+                  sizeof patch.value);
+    }
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::size_t wrote =  // fwrite must not see a null buffer
+        bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+    ASSERT_EQ(wrote, bytes.size());
+    EXPECT_FALSE(PageStore::Open(path_).ok()) << c.label;
+  }
 }
 
 // --- BufferPool ---

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/stats.h"
 #include "sim/scheduler.h"
 #include "stream/trace_source.h"
@@ -23,9 +26,13 @@ TEST(RandomWalkTest, ConfigValidation) {
   bad = ok;
   bad.mean_interarrival = 0;
   EXPECT_FALSE(bad.Validate().ok());
-  bad = ok;
-  bad.sigma = -1;
-  EXPECT_FALSE(bad.Validate().ok());
+  for (const double sigma :
+       {-1.0, std::nan(""), std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    bad = ok;
+    bad.sigma = sigma;
+    EXPECT_FALSE(bad.Validate().ok()) << "sigma " << sigma;
+  }
 }
 
 TEST(RandomWalkTest, InitialValuesUniformInRange) {

@@ -47,6 +47,16 @@ TEST(SystemConfigTest, RejectsOversizedK) {
   config.query = QuerySpec::TopK(201);  // only 200 streams
   config.protocol = ProtocolKind::kRtp;
   EXPECT_FALSE(RunSystem(config).ok());
+
+  // So is an RTP rank slack beyond the population, which would wrap k + r.
+  config.query = QuerySpec::TopK(5);
+  config.rank_r = 200;
+  EXPECT_TRUE(config.Validate().ok());
+  for (const std::size_t r : {std::size_t{201},
+                              std::numeric_limits<std::size_t>::max()}) {
+    config.rank_r = r;
+    EXPECT_FALSE(RunSystem(config).ok()) << "r = " << r;
+  }
 }
 
 /// One table of bad run-level values, applied to a single-query config and

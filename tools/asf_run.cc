@@ -9,29 +9,25 @@
 ///   asf_run --churn --churn-rate=0.3 --churn-lifetime=250
 ///           --streams=2000 --duration=4000
 ///
-/// Prints the run summary (message counts by type, oracle audit) as a
-/// table; `--churn` switches to an open query population (Poisson
-/// arrivals, exponential lifetimes) and reports per-query live windows.
-/// `--help` lists every flag.
+/// Prints the run's report (obs/report.h): one row per query (live
+/// window, messages, oracle audit), then the run totals. `--churn`
+/// switches to an open query population (Poisson arrivals, exponential
+/// lifetimes). `--help` lists every flag.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "common/flags.h"
-#include "common/simd.h"
-#include "filter/dispatch.h"
 #include "engine/churn.h"
 #include "engine/multi_system.h"
-#include "engine/system.h"
+#include "filter/dispatch.h"
 #include "metrics/bench_json.h"
-#include "metrics/table.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/telemetry.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "run_flags.h"
 #include "trace/trace_io.h"
@@ -134,9 +130,9 @@ byte-identical to obs-off after dropping the "obs "-prefixed lines):
                           "profile" block to --bench-json
 
 Output:
-  --bench-json=FILE       also write the summary as BENCH json
-                          (includes build provenance: git sha, build
-                          type, SIMD backend)
+  --bench-json=FILE       also write the run record as BENCH json, each
+                          numeric field under its name (e.g. "queries[0].
+                          messages.maintenance.update"), with provenance
 )";
 
 /// Every flag RunFromFlags reads; anything else is rejected, so a typo
@@ -215,7 +211,7 @@ class ObsSession {
 
   /// Prints the "obs " epilogue, writes the binary trace, and attaches
   /// the timeseries / histograms / profile blocks to `writer` (null when
-  /// --bench-json is off). Call after the summary table and spill lines.
+  /// --bench-json is off). Call after the report.
   Status Finish(double wall_seconds, metrics::JsonWriter* writer) const {
     if (tracer_ != nullptr) {
       ASF_RETURN_IF_ERROR(tracer_->WriteBinary(trace_path_));
@@ -249,10 +245,10 @@ class ObsSession {
   double metrics_every_ = 0;
 };
 
-/// Churn mode: the protocol/query/tolerance flags describe the arrival
-/// mix; queries arrive Poisson and retire after exponential lifetimes.
-Status RunChurn(const Flags& flags, const SystemConfig& base,
-                const ObsSession& obs_session) {
+/// The --churn schedule: the protocol/query/tolerance flags describe the
+/// arrival mix; queries arrive Poisson and retire after exponential
+/// lifetimes.
+Result<ChurnSpec> ParseChurn(const Flags& flags, const SystemConfig& base) {
   ChurnSpec spec;
   ASF_ASSIGN_OR_RETURN(spec.arrival_rate,
                        flags.GetDouble("churn-rate", 0.2));
@@ -288,91 +284,7 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
     entry.shape = base.query;
   }
   spec.mix.push_back(entry);
-
-  MultiQueryConfig config;
-  static_cast<RunOptions&>(config) = base;
-  ASF_ASSIGN_OR_RETURN(config.queries, ExpandChurn(spec, config.duration));
-  if (config.queries.empty()) {
-    return Status::InvalidArgument(
-        "churn schedule is empty; raise --churn-rate or --duration");
-  }
-  ASF_ASSIGN_OR_RETURN(const MultiQueryResult result,
-                       RunMultiQuerySystem(config));
-
-  std::printf("churn of %s queries over %zu streams, duration %g "
-              "(rate %g, mean lifetime %g)\n\n",
-              std::string(ProtocolKindName(base.protocol)).c_str(),
-              config.source.NumStreams(), config.duration,
-              spec.arrival_rate, spec.mean_lifetime);
-  TextTable per_query({"query", "deployed", "retired", "maint_messages",
-                       "reported", "answer_mean", "oracle"});
-  for (const QueryRunStats& q : result.queries) {
-    per_query.AddRow(
-        {q.name, Fmt("%g", q.deployed_at), Fmt("%g", q.retired_at),
-         Fmt("%llu", (unsigned long long)q.messages.MaintenanceTotal()),
-         Fmt("%llu", (unsigned long long)q.updates_reported),
-         Fmt("%.2f", q.answer_size.mean()),
-         Fmt("%llu/%llu", (unsigned long long)q.oracle_violations,
-             (unsigned long long)q.oracle_checks)});
-  }
-  std::printf("%s\n", per_query.ToString().c_str());
-
-  TextTable totals({"metric", "value"});
-  totals.AddRow({"queries deployed", Fmt("%zu", result.queries.size())});
-  totals.AddRow({"peak live queries", Fmt("%zu", result.peak_live_queries)});
-  totals.AddRow({"updates generated",
-                 Fmt("%llu", (unsigned long long)result.updates_generated)});
-  totals.AddRow({"physical maintenance",
-                 Fmt("%llu",
-                     (unsigned long long)result.PhysicalMaintenanceTotal())});
-  totals.AddRow({"logical maintenance",
-                 Fmt("%llu",
-                     (unsigned long long)result.LogicalMaintenanceTotal())});
-  totals.AddRow({"sharing saving",
-                 Fmt("%llu", (unsigned long long)(result.LogicalUpdates() -
-                                                  result.physical_updates))});
-  const obs::TelemetryBlock net_block =
-      obs::NetTelemetryBlock(config.net, result.net, nullptr);
-  net_block.AppendRows(&totals);
-  totals.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
-  std::printf("%s", totals.ToString().c_str());
-  const obs::TelemetryBlock spill_block = obs::SpillTelemetryBlock(result.spill);
-  spill_block.PrintLines();
-
-  std::unique_ptr<metrics::JsonWriter> writer;
-  if (flags.Has("bench-json")) {
-    std::vector<std::pair<std::string, double>> metrics = {
-        {"queries", static_cast<double>(result.queries.size())},
-        {"simd", static_cast<double>(simd::KernelLanes())},
-        {"peak_live", static_cast<double>(result.peak_live_queries)},
-        {"updates_generated",
-         static_cast<double>(result.updates_generated)},
-        {"physical_maint",
-         static_cast<double>(result.PhysicalMaintenanceTotal())},
-        {"logical_maint",
-         static_cast<double>(result.LogicalMaintenanceTotal())},
-        {"dispatch_policy",
-         static_cast<double>(static_cast<int>(result.dispatch_policy))},
-        {"dispatch_scan",
-         static_cast<double>(result.dispatch.scan_dispatches)},
-        {"dispatch_index",
-         static_cast<double>(result.dispatch.index_dispatches)},
-        {"dispatch_rebuilds_total",
-         static_cast<double>(result.dispatch.index_rebuilds)},
-        {"dispatch_rebuilds_max_stream",
-         static_cast<double>(result.dispatch.max_stream_rebuilds)},
-        {"wall_seconds", result.wall_seconds}};
-    net_block.AppendMetrics(&metrics);
-    spill_block.AppendMetrics(&metrics);
-    writer = std::make_unique<metrics::JsonWriter>("asf_run_churn");
-    writer->AddMetrics(metrics);
-  }
-  ASF_RETURN_IF_ERROR(obs_session.Finish(result.wall_seconds, writer.get()));
-  if (writer != nullptr) {
-    ASF_RETURN_IF_ERROR(writer->WriteTo(flags.GetString("bench-json")));
-    std::printf("wrote %s\n", flags.GetString("bench-json").c_str());
-  }
-  return Status::OK();
+  return spec;
 }
 
 Status RunFromFlags(const Flags& flags) {
@@ -408,6 +320,7 @@ Status RunFromFlags(const Flags& flags) {
   ASF_ASSIGN_OR_RETURN(config.protocol,
                        ParseProtocol(flags.GetString("protocol", "zt-nrp")));
   ASF_ASSIGN_OR_RETURN(const std::int64_t r, flags.GetInt("r", 0));
+  if (r < 0) return Status::InvalidArgument("--r must be >= 0");
   config.rank_r = static_cast<std::size_t>(r);
   ASF_ASSIGN_OR_RETURN(config.fraction.eps_plus,
                        flags.GetDouble("eps-plus", 0));
@@ -427,83 +340,31 @@ Status RunFromFlags(const Flags& flags) {
                        ObsSession::FromFlags(flags));
   config.obs = obs_session.hooks();
 
-  if (flags.Has("churn")) return RunChurn(flags, config, obs_session);
-
-  ASF_ASSIGN_OR_RETURN(const RunResult result, RunSystem(config));
-
-  std::printf("%s over %zu streams, duration %g (warmup %g)\n\n",
+  // A single query is the one-query deployment; --churn is a schedule of
+  // them. Either way one engine run, one report.
+  MultiQueryConfig run;
+  static_cast<RunOptions&>(run) = config;
+  if (flags.Has("churn")) {
+    ASF_ASSIGN_OR_RETURN(const ChurnSpec spec, ParseChurn(flags, config));
+    ASF_ASSIGN_OR_RETURN(run.queries, ExpandChurn(spec, run.duration));
+    if (run.queries.empty()) {
+      return Status::InvalidArgument(
+          "churn schedule is empty; raise --churn-rate or --duration");
+    }
+  } else {
+    run.queries.push_back(config.Deployment());
+  }
+  ASF_ASSIGN_OR_RETURN(const MultiQueryResult result,
+                       RunMultiQuerySystem(run));
+  std::printf("%s over %zu streams, duration %g (warmup %g)\n\n%s",
               std::string(ProtocolKindName(config.protocol)).c_str(),
-              config.source.NumStreams(), config.duration,
-              config.query_start);
-  TextTable table({"metric", "value"});
-  table.AddRow({"maintenance messages",
-                Fmt("%llu", (unsigned long long)result.MaintenanceMessages())});
-  table.AddRow({"init messages",
-                Fmt("%llu", (unsigned long long)result.messages.InitTotal())});
-  for (int t = 0; t < kNumMessageTypes; ++t) {
-    const auto type = static_cast<MessageType>(t);
-    const auto count =
-        result.messages.count(MessagePhase::kMaintenance, type);
-    if (count == 0) continue;
-    table.AddRow({Fmt("  maint %s", std::string(MessageTypeName(type)).c_str()),
-                  Fmt("%llu", (unsigned long long)count)});
-  }
-  table.AddRow({"updates generated",
-                Fmt("%llu", (unsigned long long)result.updates_generated)});
-  table.AddRow({"updates reported",
-                Fmt("%llu", (unsigned long long)result.updates_reported)});
-  table.AddRow({"re-initializations",
-                Fmt("%llu", (unsigned long long)result.reinits)});
-  table.AddRow({"answer size mean", Fmt("%.2f", result.answer_size.mean())});
-  if (result.oracle_checks > 0) {
-    table.AddRow({"oracle violations",
-                  Fmt("%llu/%llu", (unsigned long long)result.oracle_violations,
-                      (unsigned long long)result.oracle_checks)});
-    table.AddRow({"max F+ / F-", Fmt("%.3f / %.3f", result.max_f_plus,
-                                     result.max_f_minus)});
-  }
-  // Delivery costs — only under a delaying model. The block carries both
-  // presentations (rows here, metrics below) so they cannot drift.
-  const obs::TelemetryBlock net_block =
-      obs::NetTelemetryBlock(config.net, result.net, &result);
-  net_block.AppendRows(&table);
-  table.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
-  std::printf("%s", table.ToString().c_str());
-  // Spill stats print as standalone "spill "-prefixed lines AFTER the
-  // summary table — never as table rows, which would re-align the table's
-  // column widths whenever spilling is on.
-  const obs::TelemetryBlock spill_block = obs::SpillTelemetryBlock(result.spill);
-  spill_block.PrintLines();
+              config.source.NumStreams(), config.duration, config.query_start,
+              obs::RunReport(result, run.net).c_str());
 
-  // Machine-readable counterpart of the table, same schema as the bench
-  // harnesses and `asf_sweep --bench-json`.
   std::unique_ptr<metrics::JsonWriter> writer;
   if (flags.Has("bench-json")) {
-    std::vector<std::pair<std::string, double>> metrics = {
-        {"maint_messages", static_cast<double>(result.MaintenanceMessages())},
-        {"simd", static_cast<double>(simd::KernelLanes())},
-        {"init_messages", static_cast<double>(result.messages.InitTotal())},
-        {"updates_generated", static_cast<double>(result.updates_generated)},
-        {"updates_reported", static_cast<double>(result.updates_reported)},
-        {"reinits", static_cast<double>(result.reinits)},
-        {"answer_size_mean", result.answer_size.mean()},
-        {"oracle_checks", static_cast<double>(result.oracle_checks)},
-        {"oracle_violations", static_cast<double>(result.oracle_violations)},
-        {"dispatch_policy",
-         static_cast<double>(static_cast<int>(result.dispatch_policy))},
-        {"dispatch_scan",
-         static_cast<double>(result.dispatch.scan_dispatches)},
-        {"dispatch_index",
-         static_cast<double>(result.dispatch.index_dispatches)},
-        {"dispatch_rebuilds_total",
-         static_cast<double>(result.dispatch.index_rebuilds)},
-        {"dispatch_rebuilds_max_stream",
-         static_cast<double>(result.dispatch.max_stream_rebuilds)},
-        {"wall_seconds", result.wall_seconds}};
-    net_block.AppendMetrics(&metrics);
-    spill_block.AppendMetrics(&metrics);
     writer = std::make_unique<metrics::JsonWriter>("asf_run");
-    writer->AddMetrics(metrics);
+    writer->AddMetrics(obs::RunMetrics(result));
   }
   ASF_RETURN_IF_ERROR(obs_session.Finish(result.wall_seconds, writer.get()));
   if (writer != nullptr) {

@@ -40,12 +40,14 @@ results are aggregated in submission order, so the output is identical for
 any --jobs value.
 )";
 
-std::vector<double> ParseValues(const std::string& csv) {
+Result<std::vector<double>> ParseValues(const std::string& csv) {
   std::vector<double> values;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) values.push_back(std::atof(item.c_str()));
+    if (item.empty()) continue;
+    ASF_ASSIGN_OR_RETURN(const double value, ParseDouble(item, "--values"));
+    values.push_back(value);
   }
   return values;
 }
@@ -102,7 +104,8 @@ Status RunFromFlags(const Flags& flags) {
   if (!flags.Has("values")) {
     return Status::InvalidArgument("--values=V1,V2,... is required");
   }
-  const std::vector<double> values = ParseValues(flags.GetString("values"));
+  ASF_ASSIGN_OR_RETURN(const std::vector<double> values,
+                       ParseValues(flags.GetString("values")));
   if (values.empty()) {
     return Status::InvalidArgument("--values parsed to an empty list");
   }
@@ -166,8 +169,9 @@ Status RunFromFlags(const Flags& flags) {
     std::printf("wrote %s\n", flags.GetString("csv").c_str());
   }
   if (flags.Has("bench-json")) {
-    ASF_RETURN_IF_ERROR(WriteBenchJson(flags.GetString("bench-json"),
-                                         "asf_sweep", bench_metrics));
+    metrics::JsonWriter writer("asf_sweep");
+    writer.AddMetrics(bench_metrics);
+    ASF_RETURN_IF_ERROR(writer.WriteTo(flags.GetString("bench-json")));
     std::printf("wrote %s\n", flags.GetString("bench-json").c_str());
   }
   return Status::OK();

@@ -8,6 +8,8 @@
 ///   asf_trace --in=run.trace --summary        # per-type counts only
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "metrics/table.h"
@@ -28,6 +30,11 @@ At least one of --out / --summary is required. The JSON loads in
 chrome://tracing or Perfetto; each ring renders as its own thread
 track, sim-time mapped to the microsecond axis via --ts-scale.
 )";
+
+/// Every flag kHelp lists; anything else is rejected, so a typo such as
+/// --ts-scal fails instead of converting with the default scale.
+const std::vector<std::string> kKnownFlags = {"help", "in", "out",
+                                              "ts-scale", "summary"};
 
 Status RunFromFlags(const Flags& flags) {
   if (!flags.Has("in")) {
@@ -99,6 +106,11 @@ int main(int argc, char** argv) {
   auto flags = asf::Flags::Parse(argc, argv);
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 2;
+  }
+  if (const asf::Status known = flags->RejectUnknown(asf::kKnownFlags);
+      !known.ok()) {
+    std::fprintf(stderr, "%s\n(try --help)\n", known.ToString().c_str());
     return 2;
   }
   if (flags->Has("help")) {

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/stats.h"
@@ -33,6 +35,13 @@ constexpr const char* kHelp = R"(asf_tracegen -- synthesize a TCP-like trace CSV
   --seed=N              seed                         [7]
   --inspect             print per-trace summary statistics
 )";
+
+/// Every flag kHelp lists; anything else is rejected, so a typo such as
+/// --subnet fails instead of generating with the default.
+const std::vector<std::string> kKnownFlags = {
+    "help", "out", "subnets", "connections", "duration", "zipf",
+    "bytes-mu", "bytes-sigma", "subnet-sigma", "seed", "inspect",
+};
 
 Status RunFromFlags(const Flags& flags) {
   if (!flags.Has("out")) {
@@ -94,6 +103,11 @@ int main(int argc, char** argv) {
   auto flags = asf::Flags::Parse(argc, argv);
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 2;
+  }
+  if (const asf::Status known = flags->RejectUnknown(asf::kKnownFlags);
+      !known.ok()) {
+    std::fprintf(stderr, "%s\n(try --help)\n", known.ToString().c_str());
     return 2;
   }
   if (flags->Has("help")) {

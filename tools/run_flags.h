@@ -2,7 +2,6 @@
 #define ASF_TOOLS_RUN_FLAGS_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 #include "common/flags.h"
@@ -38,8 +37,11 @@ inline Result<QuerySpec> ParseQuery(const Flags& flags) {
     if (colon == std::string::npos) {
       return Status::InvalidArgument("--range expects LO:HI");
     }
-    return QuerySpec::Range(std::atof(range.substr(0, colon).c_str()),
-                            std::atof(range.substr(colon + 1).c_str()));
+    ASF_ASSIGN_OR_RETURN(const double lo,
+                         ParseDouble(range.substr(0, colon), "--range"));
+    ASF_ASSIGN_OR_RETURN(const double hi,
+                         ParseDouble(range.substr(colon + 1), "--range"));
+    return QuerySpec::Range(lo, hi);
   }
   if (k <= 0) return Status::InvalidArgument("--k must be positive");
   if (kind == "knn") return QuerySpec::Knn(static_cast<std::size_t>(k), q);
