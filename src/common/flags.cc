@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace asf {
@@ -104,6 +105,29 @@ Status Flags::RejectUnknown(const std::vector<std::string>& known) const {
     }
   }
   return Status::OK();
+}
+
+int RunTool(int argc, const char* const* argv,
+            const std::vector<std::string>& known, const char* help,
+            Status (*run)(const Flags&)) {
+  const Result<Flags> flags = Flags::Parse(argc, argv);
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 2;
+  }
+  if (const Status status = flags->RejectUnknown(known); !status.ok()) {
+    std::fprintf(stderr, "%s\n(try --help)\n", status.ToString().c_str());
+    return 2;
+  }
+  if (flags->Has("help")) {
+    std::fputs(help, stdout);
+    return 0;
+  }
+  if (const Status status = run(*flags); !status.ok()) {
+    std::fprintf(stderr, "%s\n(try --help)\n", status.ToString().c_str());
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace asf

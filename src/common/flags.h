@@ -11,7 +11,7 @@
 /// \file
 /// Minimal command-line flag parsing for the tools/ binaries. Supports
 /// `--key=value`, `--key value`, and bare boolean `--key` forms; everything
-/// else is a positional argument.
+/// else is a positional argument. RunTool is every tool's `main`.
 
 namespace asf {
 
@@ -58,6 +58,14 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// A command-line tool's whole `main`, which owns the exit-status
+/// contract of every tool: 2 for a malformed or unknown flag (anything
+/// not in `known`), 0 after printing `help` for --help, otherwise `run`'s
+/// verdict, 1 when it fails. Every failure prints its message to stderr.
+int RunTool(int argc, const char* const* argv,
+            const std::vector<std::string>& known, const char* help,
+            Status (*run)(const Flags&));
 
 }  // namespace asf
 

@@ -73,36 +73,4 @@ std::string OnlineStats::ToString() const {
   return buf;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)) {
-  ASF_CHECK(hi > lo);
-  ASF_CHECK(buckets > 0);
-  counts_.assign(buckets, 0);
-}
-
-std::size_t Histogram::BucketOf(double x) const {
-  if (x < lo_) return 0;
-  if (x >= hi_) return counts_.size() - 1;
-  const auto i = static_cast<std::size_t>((x - lo_) / width_);
-  return std::min(i, counts_.size() - 1);
-}
-
-void Histogram::Add(double x) {
-  ++counts_[BucketOf(x)];
-  ++total_;
-}
-
-double Histogram::CumulativeFraction(double x) const {
-  if (total_ == 0) return 0.0;
-  const std::size_t b = BucketOf(x);
-  std::uint64_t below = 0;
-  for (std::size_t i = 0; i <= b; ++i) below += counts_[i];
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
-double Histogram::BucketLo(std::size_t i) const {
-  ASF_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
 }  // namespace asf

@@ -3,13 +3,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "common/check.h"
 
 /// \file
-/// Small online statistics helpers used by experiment harnesses and tests:
-/// a Welford mean/variance accumulator and a fixed-width histogram.
+/// A Welford mean/variance accumulator, used by the run record, the
+/// experiment harnesses and the tests.
 
 namespace asf {
 
@@ -59,37 +56,6 @@ class OnlineStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi) with out-of-range values clamped to
-/// the edge buckets. Used to sanity-check workload generators.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-
-  std::size_t num_buckets() const { return counts_.size(); }
-  std::uint64_t bucket_count(std::size_t i) const {
-    ASF_CHECK(i < counts_.size());
-    return counts_[i];
-  }
-  std::uint64_t total() const { return total_; }
-
-  /// Fraction of mass at or below x (inclusive of x's bucket).
-  double CumulativeFraction(double x) const;
-
-  /// Lower edge of bucket i.
-  double BucketLo(std::size_t i) const;
-
- private:
-  std::size_t BucketOf(double x) const;
-
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace asf

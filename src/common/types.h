@@ -1,6 +1,7 @@
 #ifndef ASF_COMMON_TYPES_H_
 #define ASF_COMMON_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -22,6 +23,14 @@ using StreamId = std::uint32_t;
 
 /// Sentinel for "no stream".
 inline constexpr StreamId kInvalidStream = static_cast<StreamId>(-1);
+
+/// The most streams one run may hold, checked before anything is sized by
+/// a stream count (RandomWalkConfig, TraceData, TcpSynthConfig and the
+/// trace CSV header). A random walk keeps one pending scheduler event per
+/// stream and the scheduler holds at most 2^24 (sim/scheduler.h), so the
+/// cap leaves room for in-flight messages and timers; it also keeps every
+/// `for (StreamId id = 0; id < n; ++id)` loop far from kInvalidStream.
+inline constexpr std::size_t kMaxStreams = std::size_t{1} << 20;
 
 /// A stream's reported scalar value (paper: V_i ∈ R).
 using Value = double;

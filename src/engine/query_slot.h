@@ -21,7 +21,9 @@
 namespace asf {
 namespace engine_internal {
 
-/// Server-side runtime of one deployed query.
+/// Server-side runtime of one deployed query. The deploy event builds
+/// filters, ctx, rng and protocol (update_seq_floor grows on demand);
+/// retirement frees them and the deployment, leaving the closed record.
 struct QuerySlot {
   QueryDeployment deployment;
   /// This slot's index in the engine's deployment order — the stable
@@ -30,7 +32,7 @@ struct QuerySlot {
   std::size_t index = 0;
   SimTime deploy_at = 0;
   SimTime retire_at = kNeverRetire;
-  /// View into the shared filter storage while live; detached otherwise.
+  /// View into the shared filter storage while live.
   std::unique_ptr<FilterBank> filters;
   std::unique_ptr<ServerContext> ctx;
   std::unique_ptr<Rng> rng;
@@ -55,8 +57,8 @@ struct QuerySlot {
   std::vector<std::uint64_t> update_seq_floor;
 
   /// Out-of-core state (engine/spill.h). After a spilling retire, the
-  /// closed stats record lives on pages behind `spilled` and the hot
-  /// members above are dropped; `stats_resident` flips back to true when
+  /// closed stats record lives on pages behind `spilled` and `stats` is
+  /// dropped; `stats_resident` flips back to true when
   /// query_stats() faults the record in. valid() spilled + resident means
   /// both copies exist and the in-memory one is authoritative.
   storage::RecordRef spilled;

@@ -64,11 +64,9 @@ SimulationCore::SimulationCore(const Options& options)
              SimTime at) { OnNetDeploy(slot, id, constraint, at); });
   net_->BindReconcile([this](SimTime at) { OnNetReconcile(at); });
 
-  // Observability attachment (DESIGN.md §14). The engine is one thread:
-  // everything writes trace ring 0. All hooks are inert — they record
-  // quantities the run already computed and never schedule, draw
+  // Observability attachment (DESIGN.md §14). All hooks are inert — they
+  // record quantities the run already computed and never schedule, draw
   // randomness, or block.
-  if (options_.obs.tracer != nullptr) options_.obs.tracer->EnsureRings(1);
   if (options_.obs.tracer != nullptr || options_.obs.metrics != nullptr) {
     net_->set_obs(options_.obs.metrics != nullptr
                       ? options_.obs.metrics->net_sink()
@@ -204,7 +202,7 @@ void SimulationCore::InstallSlot(std::size_t index) {
   // inside its live window.
   slot.answer_sampled_upto = updates_generated_;
   slot.stats.deployed_at = scheduler_.now();
-  ASF_TRACE_EVENT(options_.obs.tracer, 0, obs::TraceEventType::kDeploy,
+  ASF_TRACE_EVENT(options_.obs.tracer, obs::TraceEventType::kDeploy,
                   scheduler_.now(), static_cast<std::uint32_t>(index), 0,
                   arena_.live());
 
@@ -229,7 +227,7 @@ void SimulationCore::RetireSlot(std::size_t index) {
   slot.ctx->DeployAll(FilterConstraint::NoFilter());
 
   // Close the books inside the live window.
-  FlushAnswerSamples(slot, updates_generated_);
+  engine_internal::FlushAnswerSamples(slot, updates_generated_);
   slot.stats.retired_at = scheduler_.now();
   slot.stats.reinits = slot.protocol->reinit_count();
   slot.live = false;
@@ -241,22 +239,23 @@ void SimulationCore::RetireSlot(std::size_t index) {
   arena_.Release(slot.column);
   column_owner_.pop_back();
   slot.column = FilterArena::kNoColumn;
-  *slot.filters = FilterBank();  // detach: any further access trips checks
   RebindLiveViews();
 
-  ASF_TRACE_EVENT(options_.obs.tracer, 0, obs::TraceEventType::kRetire,
+  ASF_TRACE_EVENT(options_.obs.tracer, obs::TraceEventType::kRetire,
                   scheduler_.now(), static_cast<std::uint32_t>(index), 0,
                   arena_.live());
 
-  // Books are closed and nothing live references the slot's runtime any
-  // more: park the record on pages and free the hot copies (DESIGN.md
-  // §13). The arena column is already gone — the arena itself never
-  // spills.
+  // Books are closed, and every later delivery, deploy, oracle and
+  // reconcile path gates on slot.live: free the slot's runtime, so
+  // resident runtime tracks the live population (DESIGN.md §13). With
+  // spilling the closed record goes to pages too; the arena never spills.
+  slot.deployment = QueryDeployment();
+  slot.protocol.reset();
+  slot.ctx.reset();
+  slot.rng.reset();
+  slot.filters.reset();
+  std::vector<std::uint64_t>().swap(slot.update_seq_floor);
   if (spiller_) engine_internal::SpillRetiredSlot(*spiller_, slot);
-}
-
-void SimulationCore::FlushAnswerSamples(Slot& slot, std::uint64_t upto) {
-  engine_internal::FlushAnswerSamples(slot, upto);
 }
 
 void SimulationCore::ScheduleLifecycleBatch() {
@@ -292,8 +291,8 @@ void SimulationCore::OnNetUpdate(StreamId id,
                                  const NetworkModel::Payload* payloads,
                                  std::size_t count, SimTime at) {
   obs::ScopedPhase obs_phase(options_.obs.profiler, obs::Phase::kNetFlush);
-  ASF_TRACE_EVENT(options_.obs.tracer, 0, obs::TraceEventType::kWireDeliver,
-                  at, id, count != 0 ? payloads[count - 1].value : 0, count);
+  ASF_TRACE_EVENT(options_.obs.tracer, obs::TraceEventType::kWireDeliver, at,
+                  id, count != 0 ? payloads[count - 1].value : 0, count);
   const bool delivered = engine_internal::DeliverWireMessage(
       slots_, *net_, net_delayed_, updates_generated_, physical_updates_, id,
       payloads, count, at);
@@ -315,8 +314,8 @@ void SimulationCore::OnNetDeploy(std::size_t slot_index, StreamId id,
   if (!slot.live) {
     // Retirement already uninstalled the column; drop the stale install.
     ++net_->stats().deploy_dropped_retired;
-    ASF_TRACE_EVENT(options_.obs.tracer, 0, obs::TraceEventType::kWireDrop,
-                    at, id, 0, slot_index);
+    ASF_TRACE_EVENT(options_.obs.tracer, obs::TraceEventType::kWireDrop, at,
+                    id, 0, slot_index);
     return;
   }
   (void)at;
@@ -390,8 +389,8 @@ void SimulationCore::Run() {
     const std::size_t live = arena_.live();
     if (live == 0) return;  // warm-up / lull: no query, no messages
     ++updates_generated_;
-    ASF_TRACE_EVENT(options_.obs.tracer, 0, obs::TraceEventType::kValueUpdate,
-                    t, id, v, 0);
+    ASF_TRACE_EVENT(options_.obs.tracer, obs::TraceEventType::kValueUpdate, t,
+                    id, v, 0);
     // All live queries' filters for this stream sit in one contiguous,
     // compacted SoA strip; the configured dispatch policy evaluates every
     // live column — one SIMD sweep, or the stabbing index's
@@ -415,14 +414,14 @@ void SimulationCore::Run() {
     if (obs_want_index) {
       const std::uint64_t rebuilds = arena_.dispatch_stats().index_rebuilds;
       if (rebuilds != obs_rebuilds_before) {
-        options_.obs.tracer->Emit(0, obs::TraceEventType::kIndexRebuild, t, id,
-                                  v, rebuilds);
+        options_.obs.tracer->Emit(obs::TraceEventType::kIndexRebuild, t, id, v,
+                                  rebuilds);
       }
     }
     if (options_.obs.tracer != nullptr &&
         options_.obs.tracer->Wants(obs::kCatCrossing)) {
       for (const std::uint32_t c : fired_columns_) {
-        options_.obs.tracer->Emit(0, obs::TraceEventType::kCrossing, t, c, v,
+        options_.obs.tracer->Emit(obs::TraceEventType::kCrossing, t, c, v,
                                   fired_columns_.size());
       }
     }
@@ -436,8 +435,8 @@ void SimulationCore::Run() {
       fired_slots_.push_back(column_owner_[c]);
     }
     if (!fired_slots_.empty()) {
-      ASF_TRACE_EVENT(options_.obs.tracer, 0, obs::TraceEventType::kWireSend,
-                      t, id, v, fired_slots_.size());
+      ASF_TRACE_EVENT(options_.obs.tracer, obs::TraceEventType::kWireSend, t,
+                      id, v, fired_slots_.size());
       net_->SendUpdate(id, v, fired_slots_, t);
     }
     if (options_.oracle.check_every_update) {
@@ -539,7 +538,7 @@ void SimulationCore::Run() {
     // Close every live slot's trailing run of unchanged answer-size
     // samples so each has exactly one sample per update generated in its
     // live window, like the old every-update loop produced.
-    FlushAnswerSamples(*slot, updates_generated_);
+    engine_internal::FlushAnswerSamples(*slot, updates_generated_);
     slot->stats.reinits = slot->protocol->reinit_count();
     slot->stats.retired_at = options_.duration;
   }

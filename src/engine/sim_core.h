@@ -140,6 +140,8 @@ class SimulationCore {
 
  private:
   using Slot = engine_internal::QuerySlot;
+  /// Reads the slot table of a finished run (tests/churn_test.cc).
+  friend struct SimulationCoreTestPeer;
 
   /// Judges slot `i`'s current answer against the true stream values.
   void RunOracle(Slot& slot);
@@ -157,8 +159,9 @@ class SimulationCore {
   void InstallSlot(std::size_t index);
 
   /// The retire event: uninstalls the slot's filters (pass-through
-  /// deploy), closes its accounting, and releases its arena column with
-  /// live-prefix compaction.
+  /// deploy), closes its accounting, releases its arena column with
+  /// live-prefix compaction, and frees the runtime WireSlot built, so a
+  /// retired slot is its closed record alone.
   void RetireSlot(std::size_t index);
 
   /// Retags the arena-routed FilterBank views of every live slot in place
@@ -182,10 +185,6 @@ class SimulationCore {
   /// BindReconcile): every source reports its current value and the
   /// server repairs each live query's stale view (DESIGN.md §11).
   void OnNetReconcile(SimTime at);
-
-  /// Appends the pending run of unchanged answer-size samples (one per
-  /// generated update, up to update number `upto`) in O(1).
-  void FlushAnswerSamples(Slot& slot, std::uint64_t upto);
 
   /// One entry of the batched lifecycle feed (see Run): a deploy or
   /// retire with its pre-reserved FIFO sequence number.

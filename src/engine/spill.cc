@@ -90,7 +90,7 @@ storage::RecordRef QueryStateSpiller::Spill(const QueryRunStats& stats) {
   ASF_CHECK_MSG(ref.ok(), ref.status().ToString().c_str());
   ++records_spilled_;
   spilled_bytes_ += bytes.size();
-  ASF_TRACE_EVENT(obs_tracer_, 0, obs::TraceEventType::kSpillEvict,
+  ASF_TRACE_EVENT(obs_tracer_, obs::TraceEventType::kSpillEvict,
                   obs_clock_ != nullptr ? obs_clock_->now() : 0.0,
                   static_cast<std::uint32_t>(records_spilled_), 0,
                   bytes.size());
@@ -103,7 +103,7 @@ QueryRunStats QueryStateSpiller::Fault(const storage::RecordRef& ref) {
   ASF_CHECK_MSG(bytes.ok(), bytes.status().ToString().c_str());
   ++records_faulted_;
   faulted_bytes_ += bytes->size();
-  ASF_TRACE_EVENT(obs_tracer_, 0, obs::TraceEventType::kSpillFault,
+  ASF_TRACE_EVENT(obs_tracer_, obs::TraceEventType::kSpillFault,
                   obs_clock_ != nullptr ? obs_clock_->now() : 0.0,
                   static_cast<std::uint32_t>(records_faulted_), 0,
                   bytes->size());
@@ -135,17 +135,7 @@ void SpillRetiredSlot(QueryStateSpiller& spiller, QuerySlot& slot) {
   ASF_CHECK_MSG(!slot.spilled.valid(), "slot spilled twice");
   slot.spilled = spiller.Spill(slot.stats);
   slot.stats_resident = false;
-  // Drop the hot copies. Everything below is only reachable through
-  // slot.live gates (see engine/query_slot.h), so freed members are
-  // never dereferenced; the stats come back through Fault on demand.
-  slot.stats = QueryRunStats();
-  slot.deployment = QueryDeployment();
-  slot.protocol.reset();
-  slot.ctx.reset();
-  slot.rng.reset();
-  slot.filters.reset();
-  slot.update_seq_floor.clear();
-  slot.update_seq_floor.shrink_to_fit();
+  slot.stats = QueryRunStats();  // back through Fault on demand
 }
 
 void EnsureStatsResident(QueryStateSpiller* spiller, QuerySlot& slot) {

@@ -63,9 +63,9 @@ class QueryStateSpiller {
   storage::BufferPool& pool() { return *pool_; }
 
   /// Observability attachment (DESIGN.md §14): spill/fault trace events
-  /// on ring 0 stamped with `clock->now()`, and kSpillIo profiler scopes
-  /// around the page I/O. All-null (the default) = off. The clock is
-  /// read-only — tracing never schedules anything.
+  /// stamped with `clock->now()`, and kSpillIo profiler scopes around the
+  /// page I/O. All-null (the default) = off. The clock is read-only —
+  /// tracing never schedules anything.
   void set_obs(obs::Tracer* tracer, obs::Profiler* profiler,
                const Scheduler* clock) {
     obs_tracer_ = tracer;
@@ -91,13 +91,9 @@ class QueryStateSpiller {
   const Scheduler* obs_clock_ = nullptr;
 };
 
-/// Spills a retired slot's closed books and drops every in-memory copy:
-/// the stats record goes to pages, and the slot's heavy runtime —
-/// protocol, server context, RNG, detached filter bank, the deployment
-/// record, the per-stream seq floors — is freed. Every post-retirement
-/// delivery/oracle/reconcile path gates on slot.live first, so nothing
-/// ever touches the freed members. The books must already be closed
-/// (slot.live == false, stats final).
+/// Spills a retired slot's closed stats record to pages and drops the
+/// in-memory copy. The books must already be closed (slot.live == false,
+/// stats final); RetireSlot has already freed the slot's runtime.
 void SpillRetiredSlot(QueryStateSpiller& spiller, QuerySlot& slot);
 
 /// Makes slot.stats authoritative again, faulting the spilled record

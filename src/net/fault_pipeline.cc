@@ -97,14 +97,14 @@ NetworkModel::EgressAction FaultPipeline::OnUpdateEgress(
   NetStats& s = stats();
   if (!LinkUp(at)) {
     s.dropped_partition += crossings;
-    ASF_TRACE_EVENT(obs_tracer_, 0, obs::TraceEventType::kWireDrop,
-                    at, id, 0, crossings);
+    ASF_TRACE_EVENT(obs_tracer_, obs::TraceEventType::kWireDrop, at, id, 0,
+                    crossings);
     return EgressAction::kConsumed;
   }
   if (LossDraw(&up_, id)) {
     s.dropped_loss += crossings;
-    ASF_TRACE_EVENT(obs_tracer_, 0, obs::TraceEventType::kWireDrop,
-                    at, id, 0, crossings);
+    ASF_TRACE_EVENT(obs_tracer_, obs::TraceEventType::kWireDrop, at, id, 0,
+                    crossings);
     return EgressAction::kConsumed;
   }
   if (config_.reorder == 0) return EgressAction::kDeliver;

@@ -10,20 +10,6 @@
 
 namespace asf {
 
-std::string_view NetKindName(NetConfig::Kind kind) {
-  switch (kind) {
-    case NetConfig::Kind::kInstant:
-      return "instant";
-    case NetConfig::Kind::kFixedLatency:
-      return "latency";
-    case NetConfig::Kind::kBatched:
-      return "batch";
-    case NetConfig::Kind::kBoundedBandwidth:
-      return "bw";
-  }
-  return "unknown";
-}
-
 Status NetConfig::Validate() const {
   const auto bad = [](double x) { return std::isnan(x) || x < 0; };
   if (bad(latency) || std::isinf(latency)) {

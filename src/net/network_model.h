@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -143,8 +142,6 @@ struct NetConfig {
   /// "bw:0.5", "latency:5+loss:0.1:4+partition:100,200").
   std::string ToString() const;
 };
-
-std::string_view NetKindName(NetConfig::Kind kind);
 
 /// Parses a `--net=` spec: stages joined by `+`, at most one base model
 /// (`instant`, `latency:<d>[:<jitter>]`, `batch:<delta>`, `bw:<rate>`)
@@ -357,7 +354,7 @@ class NetworkModel {
 
   /// Observability endpoints (DESIGN.md §14): histogram sink for
   /// staleness / queue depth / RTO samples, and the tracer wire drops are
-  /// recorded on (ring 0). Null (the default) = off; one branch per feed
+  /// recorded on. Null (the default) = off; one branch per feed
   /// site. The engine sets this before Run; FaultPipeline overrides to
   /// forward to its wrapped base model as well.
   virtual void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer) {

@@ -16,8 +16,7 @@ struct CategoryEntry {
 constexpr CategoryEntry kCategories[] = {
     {"update", kCatUpdate},       {"crossing", kCatCrossing},
     {"wire", kCatWire},           {"lifecycle", kCatLifecycle},
-    {"epoch", kCatEpoch},         {"index", kCatIndex},
-    {"spill", kCatSpill},
+    {"index", kCatIndex},         {"spill", kCatSpill},
 };
 
 }  // namespace
@@ -38,8 +37,6 @@ const char* TraceEventTypeName(TraceEventType type) {
       return "deploy";
     case TraceEventType::kRetire:
       return "retire";
-    case TraceEventType::kEpochBarrier:
-      return "epoch_barrier";
     case TraceEventType::kIndexRebuild:
       return "index_rebuild";
     case TraceEventType::kSpillEvict:
@@ -88,47 +85,25 @@ Result<std::uint32_t> ParseCategoryMask(const std::string& csv) {
   return mask;
 }
 
-std::uint64_t Tracer::total_records() const {
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) total += ring->records().size();
-  return total;
-}
-
-std::uint64_t Tracer::total_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) total += ring->dropped();
-  return total;
-}
-
-// Binary format (host-endian):
-//   char[8]  magic "ASFTRC01"
-//   u32      ring_count
-//   u32      reserved (0)
-//   per ring:
-//     u64    record count
-//     u64    dropped count
-//     TraceRecord[count]   (32 bytes each, verbatim)
+// Binary format, version 2 (host-endian):
+//   char[8]  magic "ASFTRC02"
+//   u64      record count
+//   u64      dropped count
+//   TraceRecord[count]   (32 bytes each, verbatim)
+// Version 1 dumps ("ASFTRC01", a ring table) do not read: the event
+// numbering changed with the format.
 Status Tracer::WriteBinary(const std::string& path) const {
   std::FILE* out = std::fopen(path.c_str(), "wb");
   if (out == nullptr) {
     return Status::IoError("cannot open trace file for writing: " + path);
   }
-  bool ok = true;
-  const char magic[8] = {'A', 'S', 'F', 'T', 'R', 'C', '0', '1'};
-  ok = ok && std::fwrite(magic, sizeof(magic), 1, out) == 1;
-  const std::uint32_t ring_count = static_cast<std::uint32_t>(rings_.size());
-  const std::uint32_t reserved = 0;
-  ok = ok && std::fwrite(&ring_count, sizeof(ring_count), 1, out) == 1;
-  ok = ok && std::fwrite(&reserved, sizeof(reserved), 1, out) == 1;
-  for (const auto& ring : rings_) {
-    const std::uint64_t count = ring->records().size();
-    const std::uint64_t dropped = ring->dropped();
-    ok = ok && std::fwrite(&count, sizeof(count), 1, out) == 1;
-    ok = ok && std::fwrite(&dropped, sizeof(dropped), 1, out) == 1;
-    if (count > 0) {
-      ok = ok && std::fwrite(ring->records().data(), sizeof(TraceRecord),
-                             count, out) == count;
-    }
+  const std::uint64_t count = records_.size();
+  bool ok = std::fwrite(kTraceMagic, sizeof(kTraceMagic) - 1, 1, out) == 1;
+  ok = ok && std::fwrite(&count, sizeof(count), 1, out) == 1;
+  ok = ok && std::fwrite(&dropped_, sizeof(dropped_), 1, out) == 1;
+  if (count > 0) {
+    ok = ok && std::fwrite(records_.data(), sizeof(TraceRecord), count,
+                           out) == count;
   }
   ok = std::fclose(out) == 0 && ok;
   if (!ok) return Status::IoError("short write to trace file: " + path);

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -13,28 +12,24 @@
 #include "common/types.h"
 
 /// \file
-/// Sim-time event tracer (DESIGN.md §14): lock-free ring buffers of
-/// fixed-size POD records, flushed once to a binary file at
-/// the end of a run and converted offline to Chrome trace_event JSON by
+/// Sim-time event tracer (DESIGN.md §14): one bounded buffer of
+/// fixed-size POD records, flushed once to a binary file at the end of a
+/// run and converted offline to Chrome trace_event JSON by
 /// tools/asf_trace.
 ///
 /// The tracer is *inert by construction*: records carry sim-time and ids
 /// that the engine already computed — emitting one never reads the RNG,
-/// never schedules an event, and never blocks (a full ring drops the
+/// never schedules an event, and never blocks (a full buffer drops the
 /// record and counts the drop). With tracing compiled out
 /// (-DASF_OBS_TRACE=OFF) the emit macro expands to nothing; compiled in
 /// but runtime-disabled it is one null-pointer branch on the hot path.
-///
-/// Threading contract: rings are partitioned, not shared. Ring r is
-/// written by exactly one thread at a time; the engine writes ring 0
-/// only. The file format keeps the ring count and each record's ring so
-/// multi-ring dumps from earlier versions still read. EnsureRings and
-/// WriteBinary are setup/teardown-time calls on the owning thread.
+/// Not thread-safe: the engine that writes it is one thread.
 
 namespace asf {
 namespace obs {
 
-/// Every traced event kind. Order is the wire format — append only.
+/// Every traced event kind. Order is the wire format: changing it bumps
+/// the file magic (trace.cc).
 enum class TraceEventType : std::uint16_t {
   kValueUpdate = 0,  ///< a stream update dispatched; value = new value
   kCrossing,         ///< a filter crossing fired; id = column, aux = count
@@ -43,7 +38,6 @@ enum class TraceEventType : std::uint16_t {
   kWireDrop,         ///< message lost (partition/loss/retired slot)
   kDeploy,           ///< query slot installed; id = slot
   kRetire,           ///< query slot retired; id = slot
-  kEpochBarrier,     ///< epoch boundary, in dumps from earlier versions
   kIndexRebuild,     ///< interval-index rebuild; aux = rebuild count
   kSpillEvict,       ///< query state spilled out; id = slot, aux = bytes
   kSpillFault,       ///< query state faulted back; id = slot, aux = bytes
@@ -55,10 +49,9 @@ inline constexpr std::uint32_t kCatUpdate = 1u << 0;
 inline constexpr std::uint32_t kCatCrossing = 1u << 1;
 inline constexpr std::uint32_t kCatWire = 1u << 2;
 inline constexpr std::uint32_t kCatLifecycle = 1u << 3;
-inline constexpr std::uint32_t kCatEpoch = 1u << 4;
-inline constexpr std::uint32_t kCatIndex = 1u << 5;
-inline constexpr std::uint32_t kCatSpill = 1u << 6;
-inline constexpr std::uint32_t kCatAll = 0x7f;
+inline constexpr std::uint32_t kCatIndex = 1u << 4;
+inline constexpr std::uint32_t kCatSpill = 1u << 5;
+inline constexpr std::uint32_t kCatAll = 0x3f;
 
 constexpr std::uint32_t CategoryOf(TraceEventType type) {
   switch (type) {
@@ -73,8 +66,6 @@ constexpr std::uint32_t CategoryOf(TraceEventType type) {
     case TraceEventType::kDeploy:
     case TraceEventType::kRetire:
       return kCatLifecycle;
-    case TraceEventType::kEpochBarrier:
-      return kCatEpoch;
     case TraceEventType::kIndexRebuild:
       return kCatIndex;
     case TraceEventType::kSpillEvict:
@@ -90,6 +81,10 @@ constexpr std::uint32_t CategoryOf(TraceEventType type) {
 const char* TraceEventTypeName(TraceEventType type);
 const char* TraceCategoryName(std::uint32_t category_bit);
 
+/// The first eight bytes of a binary trace file; the digits are the
+/// format version.
+inline constexpr char kTraceMagic[] = "ASFTRC02";
+
 /// Parses "update,wire,spill"-style CSVs into a category mask. "all" (or
 /// an empty string) selects every category. Unknown names are an error.
 Result<std::uint32_t> ParseCategoryMask(const std::string& csv);
@@ -98,93 +93,62 @@ Result<std::uint32_t> ParseCategoryMask(const std::string& csv);
 /// these structs verbatim (little-endian, host layout; the converter
 /// runs on the same host class).
 struct TraceRecord {
-  double time = 0;         ///< sim-time of the event
-  std::uint16_t type = 0;  ///< TraceEventType
-  std::uint16_t ring = 0;  ///< originating ring index
-  std::uint32_t id = 0;    ///< stream / column / slot id (type-dependent)
-  std::uint64_t aux = 0;   ///< type-dependent extra (count, bytes)
-  double value = 0;        ///< type-dependent value (stream value, etc.)
+  double time = 0;             ///< sim-time of the event
+  std::uint16_t type = 0;      ///< TraceEventType
+  std::uint16_t reserved = 0;  ///< always 0
+  std::uint32_t id = 0;        ///< stream / column / slot id (type-dependent)
+  std::uint64_t aux = 0;       ///< type-dependent extra (count, bytes)
+  double value = 0;            ///< type-dependent value (stream value, etc.)
 };
 static_assert(sizeof(TraceRecord) == 32, "trace record layout is the ABI");
 static_assert(std::is_trivially_copyable_v<TraceRecord>,
               "records are written to disk verbatim");
 
-/// A single-writer bounded record buffer. Push never blocks: when the
-/// ring is full the record is dropped and counted (the overflow policy
-/// the inertness contract requires — a tracer that could stall the
-/// engine would perturb wall-clock-sensitive accounting).
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity) : capacity_(capacity) {
-    records_.reserve(capacity);
-  }
-
-  void Push(const TraceRecord& record) {
-    if (records_.size() >= capacity_) {
-      ++dropped_;
-      return;
-    }
-    records_.push_back(record);
-  }
-
-  const std::vector<TraceRecord>& records() const { return records_; }
-  std::uint64_t dropped() const { return dropped_; }
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  std::size_t capacity_;
-  std::uint64_t dropped_ = 0;
-  std::vector<TraceRecord> records_;
-};
-
-/// The per-run tracer: owns the rings, the category mask, and the binary
-/// flush. The engine receives a `Tracer*` through ObsHooks (null = off).
+/// The per-run tracer: the category mask, the bounded record buffer and
+/// the binary flush. The engine receives a `Tracer*` through ObsHooks
+/// (null = off). Emit never blocks: once `capacity` records are held,
+/// further records are dropped and counted (the overflow policy the
+/// inertness contract requires — a tracer that could stall the engine
+/// would perturb wall-clock-sensitive accounting).
 class Tracer {
  public:
   explicit Tracer(std::uint32_t category_mask = kCatAll,
-                  std::size_t ring_capacity = 1u << 16)
-      : mask_(category_mask), ring_capacity_(ring_capacity) {}
-
-  /// Grows the ring set to at least `n` rings. Setup-time only (the
-  /// engine calls it once before Run); not thread-safe.
-  void EnsureRings(std::size_t n) {
-    while (rings_.size() < n) {
-      rings_.push_back(std::make_unique<TraceRing>(ring_capacity_));
-    }
+                  std::size_t capacity = 1u << 16)
+      : mask_(category_mask), capacity_(capacity) {
+    records_.reserve(capacity);
   }
 
   /// The hot-path gate: one load + mask test.
   bool Wants(std::uint32_t category) const { return (mask_ & category) != 0; }
-  std::uint32_t mask() const { return mask_; }
 
-  /// Appends a record to ring `ring`. The caller must be the ring's
-  /// (sole) writer thread and must have called EnsureRings first.
-  void Emit(std::uint16_t ring, TraceEventType type, SimTime time,
-            std::uint32_t id, double value = 0, std::uint64_t aux = 0) {
+  void Emit(TraceEventType type, SimTime time, std::uint32_t id,
+            double value = 0, std::uint64_t aux = 0) {
+    if (records_.size() >= capacity_) {
+      ++dropped_;
+      return;
+    }
     TraceRecord record;
     record.time = time;
     record.type = static_cast<std::uint16_t>(type);
-    record.ring = ring;
     record.id = id;
     record.aux = aux;
     record.value = value;
-    rings_[ring]->Push(record);
+    records_.push_back(record);
   }
 
-  std::size_t ring_count() const { return rings_.size(); }
-  const TraceRing& ring(std::size_t i) const { return *rings_[i]; }
+  /// The records captured, in emission (sim-time) order.
+  const std::vector<TraceRecord>& records() const { return records_; }
+  /// Records dropped because the buffer was full.
+  std::uint64_t dropped() const { return dropped_; }
 
-  /// Total records captured / dropped across all rings.
-  std::uint64_t total_records() const;
-  std::uint64_t total_dropped() const;
-
-  /// Writes the binary trace file (format: trace_convert.h).
+  /// Writes the binary trace file (format: trace.cc).
   Status WriteBinary(const std::string& path) const;
 
  private:
   std::uint32_t mask_;
-  std::size_t ring_capacity_;
-  std::vector<std::unique_ptr<TraceRing>> rings_;
+  std::size_t capacity_;
+  std::uint64_t dropped_ = 0;
+  std::vector<TraceRecord> records_;
 };
 
 }  // namespace obs
@@ -196,20 +160,19 @@ class Tracer {
 #if defined(ASF_OBS_TRACE)
 #define ASF_OBS_TRACE_COMPILED 1
 /// The engine-side emit point: null tracer or masked-out category is a
-/// single branch; `ring`/`time`/`id`/... evaluate only when live.
-#define ASF_TRACE_EVENT(tracer, ring_index, event_type, time, id, value, aux) \
-  do {                                                                        \
-    ::asf::obs::Tracer* asf_trace_t_ = (tracer);                              \
-    if (asf_trace_t_ != nullptr &&                                            \
-        asf_trace_t_->Wants(::asf::obs::CategoryOf(event_type))) {            \
-      asf_trace_t_->Emit((ring_index), (event_type), (time), (id), (value),   \
-                         (aux));                                              \
-    }                                                                         \
+/// single branch; `time`/`id`/... evaluate only when live.
+#define ASF_TRACE_EVENT(tracer, event_type, time, id, value, aux)            \
+  do {                                                                     \
+    ::asf::obs::Tracer* asf_trace_t_ = (tracer);                           \
+    if (asf_trace_t_ != nullptr &&                                         \
+        asf_trace_t_->Wants(::asf::obs::CategoryOf(event_type))) {         \
+      asf_trace_t_->Emit((event_type), (time), (id), (value), (aux));      \
+    }                                                                      \
   } while (0)
 #else
 #define ASF_OBS_TRACE_COMPILED 0
-#define ASF_TRACE_EVENT(tracer, ring_index, event_type, time, id, value, aux) \
-  do {                                                                        \
+#define ASF_TRACE_EVENT(tracer, event_type, time, id, value, aux) \
+  do {                                                           \
   } while (0)
 #endif
 

@@ -18,43 +18,22 @@
 namespace asf {
 namespace obs {
 
-/// One ring as read back from disk.
-struct TraceFileRing {
+/// A trace as read back from disk.
+struct TraceFileData {
   std::uint64_t dropped = 0;
   std::vector<TraceRecord> records;
 };
 
-struct TraceFileData {
-  std::vector<TraceFileRing> rings;
-
-  std::uint64_t total_records() const {
-    std::uint64_t total = 0;
-    for (const TraceFileRing& ring : rings) total += ring.records.size();
-    return total;
-  }
-  std::uint64_t total_dropped() const {
-    std::uint64_t total = 0;
-    for (const TraceFileRing& ring : rings) total += ring.dropped;
-    return total;
-  }
-};
-
 /// Parses a binary trace file (format: trace.cc). Validates the magic
-/// and record counts against the file size.
+/// and the record count against the file size.
 Result<TraceFileData> ReadTraceBinary(const std::string& path);
 
 /// Renders the trace as a Chrome trace_event JSON document:
-/// {"traceEvents": [...]} with one instant event (ph "i", scope "t") per
-/// record. Sim-time maps to the `ts` microsecond axis via `ts_scale`
-/// (default: 1 sim-time unit = 1 second = 1e6 µs); each ring becomes a
-/// named thread (tid = ring index) so each ring's timeline renders as a
-/// separate track.
+/// {"traceEvents": [...]}: a thread-name metadata event, then one instant
+/// event (ph "i", scope "t") per record on that one thread. Sim-time maps
+/// to the `ts` microsecond axis via `ts_scale` (default: 1 sim-time unit
+/// = 1 second = 1e6 µs).
 std::string ChromeTraceJson(const TraceFileData& data, double ts_scale = 1e6);
-
-/// Convenience: ReadTraceBinary + ChromeTraceJson + write to `out_path`.
-Status WriteChromeTraceJson(const std::string& in_path,
-                            const std::string& out_path,
-                            double ts_scale = 1e6);
 
 }  // namespace obs
 }  // namespace asf

@@ -1,12 +1,14 @@
 #include "stream/random_walk.h"
 
 #include <cmath>
+#include <string>
 
 namespace asf {
 
 Status RandomWalkConfig::Validate() const {
-  if (num_streams == 0) {
-    return Status::InvalidArgument("num_streams must be > 0");
+  if (num_streams == 0 || num_streams > kMaxStreams) {
+    return Status::InvalidArgument("num_streams must lie in [1, " +
+                                   std::to_string(kMaxStreams) + "]");
   }
   if (!(init_lo < init_hi)) {
     return Status::InvalidArgument("init_lo must be < init_hi");

@@ -1,12 +1,14 @@
 #include "stream/trace_source.h"
 
 #include <cmath>
+#include <string>
 
 namespace asf {
 
 Status TraceData::Validate() const {
-  if (num_streams == 0) {
-    return Status::InvalidArgument("trace must have at least one stream");
+  if (num_streams == 0 || num_streams > kMaxStreams) {
+    return Status::InvalidArgument("trace num_streams must lie in [1, " +
+                                   std::to_string(kMaxStreams) + "]");
   }
   if (!initial_values.empty() && initial_values.size() != num_streams) {
     return Status::InvalidArgument(

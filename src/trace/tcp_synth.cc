@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 
 namespace asf {
 
 Status TcpSynthConfig::Validate() const {
-  if (num_subnets == 0) {
-    return Status::InvalidArgument("num_subnets must be > 0");
+  if (num_subnets == 0 || num_subnets > kMaxStreams) {
+    return Status::InvalidArgument("num_subnets must lie in [1, " +
+                                   std::to_string(kMaxStreams) + "]");
   }
   if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
   if (zipf_s < 0) return Status::InvalidArgument("zipf_s must be >= 0");

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -78,12 +77,12 @@ Result<TraceData> ReadTraceCsv(const std::string& path) {
     }
     double n = 0;
     ASF_RETURN_IF_ERROR(ParseDouble(fields[1], &n));
-    // Range-check before the cast: converting NaN, an infinity or an
-    // out-of-range double to an integer is undefined.
-    constexpr double kMaxStreams =
-        static_cast<double>(std::numeric_limits<StreamId>::max()) + 1;
-    if (!(n >= 1 && n <= kMaxStreams)) {
-      return Status::Corruption("num_streams must lie in [1, 2^32]");
+    // Range-check before the cast (converting NaN, an infinity or an
+    // out-of-range double to an integer is undefined) and before the
+    // count sizes anything.
+    if (!(n >= 1 && n <= static_cast<double>(kMaxStreams))) {
+      return Status::Corruption("num_streams must lie in [1, " +
+                                std::to_string(kMaxStreams) + "]");
     }
     trace.num_streams = static_cast<std::size_t>(n);
   }

@@ -5,8 +5,44 @@
 #include <limits>
 
 #include "engine/multi_system.h"
+#include "engine/query_slot.h"
+#include "engine/sim_core.h"
+#include "net/network_model.h"
 
 namespace asf {
+
+/// Which of a finished run's slots still hold a runtime: a protocol,
+/// server context, protocol RNG, filter view, sequence floor or
+/// deployment.
+struct SimulationCoreTestPeer {
+  struct Census {
+    std::size_t live = 0;
+    std::size_t retired = 0;
+    std::size_t live_with_runtime = 0;
+    std::size_t live_with_seq_floor = 0;
+    std::size_t retired_with_runtime = 0;
+  };
+
+  static Census Take(const SimulationCore& core) {
+    Census census;
+    for (const auto& slot : core.slots_) {
+      const bool runtime = slot->protocol || slot->ctx || slot->rng ||
+                           slot->filters ||
+                           slot->update_seq_floor.capacity() > 0 ||
+                           !slot->deployment.name.empty();
+      if (slot->live) {
+        ++census.live;
+        census.live_with_runtime += runtime;
+        census.live_with_seq_floor += !slot->update_seq_floor.empty();
+      } else {
+        ++census.retired;
+        census.retired_with_runtime += runtime;
+      }
+    }
+    return census;
+  }
+};
+
 namespace {
 
 ChurnSpec BaseSpec() {
@@ -230,6 +266,37 @@ TEST(ChurnExpansionTest, ExpandedScheduleValidatesAndRuns) {
       EXPECT_EQ(q.retired_at, config.duration);
     }
   }
+}
+
+/// A retired query keeps only its closed record, spilling or not: its
+/// retirement frees the runtime its deployment built. A reordering net
+/// makes the queries grow sequence floors, which must go too.
+TEST(ChurnRuntimeTest, RetiredSlotsHoldNoRuntime) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 200;
+  walk.seed = 7;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 800;
+  config.seed = 7;
+  config.net = ParseNetSpec("latency:2+reorder:2").value();
+  ChurnSpec spec = BaseSpec();
+  spec.mean_lifetime = 100;
+  auto deployments = ExpandChurn(spec, config.duration);
+  ASSERT_TRUE(deployments.ok());
+  config.queries = std::move(deployments).value();
+  ASSERT_TRUE(config.Validate().ok());
+
+  SimulationCore core(config);
+  for (const QueryDeployment& dep : config.queries) core.AddQuery(dep);
+  core.Run();
+  const SimulationCoreTestPeer::Census census =
+      SimulationCoreTestPeer::Take(core);
+  EXPECT_GT(census.retired, 10u);
+  EXPECT_GT(census.live, 0u);
+  EXPECT_EQ(census.live_with_runtime, census.live);
+  EXPECT_GT(census.live_with_seq_floor, 0u);
+  EXPECT_EQ(census.retired_with_runtime, 0u);
 }
 
 TEST(ChurnPeakConcurrencyTest, CountsOverlapsWithDeployBeforeRetire) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -23,7 +24,7 @@
 #include "obs/trace_convert.h"
 #include "result_equality.h"
 
-// Unified observability layer (DESIGN.md §14): tracer ring semantics,
+// Unified observability layer (DESIGN.md §14): tracer buffer semantics,
 // binary <-> Chrome JSON round trip, histogram bucket math, profiler
 // attribution, snapshot grid — and above all the inertness contract:
 // attaching every observability facility must leave engine results
@@ -32,35 +33,31 @@
 namespace asf {
 namespace {
 
-// --- Trace ring ---
+// --- Tracer ---
 
-TEST(TraceRingTest, OverflowDropsAndCountsInsteadOfBlocking) {
-  obs::TraceRing ring(4);
-  obs::TraceRecord record;
-  for (int i = 0; i < 10; ++i) {
-    record.id = static_cast<std::uint32_t>(i);
-    ring.Push(record);
+TEST(TracerTest, OverflowDropsAndCountsInsteadOfBlocking) {
+  obs::Tracer tracer(obs::kCatAll, 4);
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    tracer.Emit(obs::TraceEventType::kValueUpdate, i, i);
   }
-  EXPECT_EQ(ring.records().size(), 4u);
-  EXPECT_EQ(ring.dropped(), 6u);
+  EXPECT_EQ(tracer.records().size(), 4u);
+  EXPECT_EQ(tracer.dropped(), 6u);
   // The survivors are the first four — drops happen at the tail.
-  EXPECT_EQ(ring.records()[3].id, 3u);
+  EXPECT_EQ(tracer.records()[3].id, 3u);
 }
 
 TEST(TracerTest, EmitRespectsCategoryMask) {
   obs::Tracer tracer(obs::kCatWire);
-  tracer.EnsureRings(1);
   EXPECT_TRUE(tracer.Wants(obs::kCatWire));
   EXPECT_FALSE(tracer.Wants(obs::kCatUpdate));
-  ASF_TRACE_EVENT(&tracer, 0, obs::TraceEventType::kWireSend, 1.0, 7, 0.5, 2);
-  ASF_TRACE_EVENT(&tracer, 0, obs::TraceEventType::kValueUpdate, 2.0, 8, 0.5,
-                  0);
+  ASF_TRACE_EVENT(&tracer, obs::TraceEventType::kWireSend, 1.0, 7, 0.5, 2);
+  ASF_TRACE_EVENT(&tracer, obs::TraceEventType::kValueUpdate, 2.0, 8, 0.5, 0);
 #if ASF_OBS_TRACE_COMPILED
-  ASSERT_EQ(tracer.total_records(), 1u);
-  EXPECT_EQ(tracer.ring(0).records()[0].type,
+  ASSERT_EQ(tracer.records().size(), 1u);
+  EXPECT_EQ(tracer.records()[0].type,
             static_cast<std::uint16_t>(obs::TraceEventType::kWireSend));
 #else
-  EXPECT_EQ(tracer.total_records(), 0u);
+  EXPECT_TRUE(tracer.records().empty());
 #endif
 }
 
@@ -71,43 +68,38 @@ TEST(TracerTest, ParseCategoryMask) {
             obs::kCatUpdate | obs::kCatWire);
   EXPECT_EQ(obs::ParseCategoryMask("spill").value(), obs::kCatSpill);
   EXPECT_FALSE(obs::ParseCategoryMask("bogus").ok());
+  EXPECT_FALSE(obs::ParseCategoryMask("epoch").ok());
 }
 
 // --- Binary file <-> Chrome JSON round trip ---
 
 TEST(TraceConvertTest, BinaryRoundTripPreservesRecordsAndDrops) {
-  obs::Tracer tracer(obs::kCatAll, 2);
-  tracer.EnsureRings(3);
-  tracer.Emit(0, obs::TraceEventType::kValueUpdate, 1.5, 11, 42.0, 0);
-  tracer.Emit(0, obs::TraceEventType::kCrossing, 2.5, 12, 43.0, 3);
-  tracer.Emit(0, obs::TraceEventType::kWireSend, 3.5, 13, 0.0, 1);  // dropped
-  tracer.Emit(2, obs::TraceEventType::kEpochBarrier, 4.0, 0, 0.0, 9);
+  obs::Tracer tracer(obs::kCatAll, 3);
+  tracer.Emit(obs::TraceEventType::kValueUpdate, 1.5, 11, 42.0, 0);
+  tracer.Emit(obs::TraceEventType::kCrossing, 2.5, 12, 43.0, 3);
+  tracer.Emit(obs::TraceEventType::kIndexRebuild, 3.0, 0, 0.0, 9);
+  tracer.Emit(obs::TraceEventType::kWireSend, 3.5, 13, 0.0, 1);  // dropped
 
   const std::string path = ::testing::TempDir() + "/obs_roundtrip.trace";
   ASSERT_TRUE(tracer.WriteBinary(path).ok());
 
   const auto data = obs::ReadTraceBinary(path);
   ASSERT_TRUE(data.ok());
-  ASSERT_EQ(data->rings.size(), 3u);
-  EXPECT_EQ(data->rings[0].records.size(), 2u);
-  EXPECT_EQ(data->rings[0].dropped, 1u);
-  EXPECT_EQ(data->rings[1].records.size(), 0u);
-  EXPECT_EQ(data->rings[2].records.size(), 1u);
-  EXPECT_EQ(data->total_records(), 3u);
-  EXPECT_EQ(data->total_dropped(), 1u);
+  ASSERT_EQ(data->records.size(), 3u);
+  EXPECT_EQ(data->dropped, 1u);
 
-  const obs::TraceRecord& first = data->rings[0].records[0];
+  const obs::TraceRecord& first = data->records[0];
   EXPECT_DOUBLE_EQ(first.time, 1.5);
   EXPECT_EQ(first.id, 11u);
   EXPECT_DOUBLE_EQ(first.value, 42.0);
-  const obs::TraceRecord& barrier = data->rings[2].records[0];
-  EXPECT_EQ(barrier.aux, 9u);
-  EXPECT_EQ(barrier.ring, 2u);
+  const obs::TraceRecord& rebuild = data->records[2];
+  EXPECT_EQ(rebuild.aux, 9u);
+  EXPECT_EQ(rebuild.reserved, 0u);
 
   const std::string json = obs::ChromeTraceJson(*data);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"value_update\""), std::string::npos);
-  EXPECT_NE(json.find("\"epoch_barrier\""), std::string::npos);
+  EXPECT_NE(json.find("\"index_rebuild\""), std::string::npos);
   // Sim-time 1.5 on the default 1e6 ts axis.
   EXPECT_NE(json.find("1500000"), std::string::npos);
 }
@@ -121,28 +113,25 @@ TEST(TraceConvertTest, RejectsGarbageFile) {
   EXPECT_FALSE(obs::ReadTraceBinary(path).ok());
 }
 
-/// A dump whose one ring header claims `count` records and holds none.
-std::string ForgedDump(std::uint64_t count) {
-  const std::uint32_t ring_count = 1;
-  const std::uint32_t reserved = 0;
+/// A dump whose header, under `magic`, claims `count` records and holds
+/// none.
+std::string ForgedDump(std::uint64_t count,
+                       const std::string& magic = obs::kTraceMagic) {
   const std::uint64_t dropped = 0;
-  std::string bytes = "ASFTRC01";
-  bytes.append(reinterpret_cast<const char*>(&ring_count), sizeof ring_count);
-  bytes.append(reinterpret_cast<const char*>(&reserved), sizeof reserved);
+  std::string bytes = magic;
   bytes.append(reinterpret_cast<const char*>(&count), sizeof count);
   bytes.append(reinterpret_cast<const char*>(&dropped), sizeof dropped);
   return bytes;
 }
 
 /// Hostile dumps fail with a Status, never by allocation or a crash: a
-/// forged record count (one beyond memory, one whose byte size overflows)
-/// and a real dump cut inside the file header, a ring header and the
+/// forged record count (one beyond memory, one whose byte size overflows),
+/// a format-1 dump, and a real dump cut inside the header and the
 /// records.
 TEST(TraceConvertTest, RejectsForgedCountsAndTruncatedDumps) {
   obs::Tracer tracer;
-  tracer.EnsureRings(2);
   for (std::uint32_t i = 0; i < 40; ++i) {
-    tracer.Emit(i % 2, obs::TraceEventType::kValueUpdate, i, i, 0.5 * i);
+    tracer.Emit(obs::TraceEventType::kValueUpdate, i, i, 0.5 * i);
   }
   const std::string path = ::testing::TempDir() + "/obs_hostile.trace";
   ASSERT_TRUE(tracer.WriteBinary(path).ok());
@@ -164,6 +153,7 @@ TEST(TraceConvertTest, RejectsForgedCountsAndTruncatedDumps) {
   } kCases[] = {
       {"count 2^44", ForgedDump(std::uint64_t{1} << 44)},
       {"count 2^60", ForgedDump(std::uint64_t{1} << 60)},
+      {"format 1", ForgedDump(0, "ASFTRC01")},
       {"cut at 0", dump.substr(0, 0)},
       {"cut at 7", dump.substr(0, 7)},
       {"cut at 8", dump.substr(0, 8)},
@@ -393,6 +383,24 @@ TEST(RunReportTest, BenchJsonHoldsEveryRecordField) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(object.begin(), object.end(), '\n')),
             names.size());
+
+  // Read back as a consumer would: every query's maintenance keys, by
+  // type, sum to the report's "logical maintenance" row.
+  const std::string kMaintenance = ".messages.maintenance.";
+  std::size_t keys = 0;
+  double maintenance = 0;
+  for (auto at = object.find(kMaintenance); at != std::string::npos;
+       at = object.find(kMaintenance, at + 1)) {
+    ++keys;
+    maintenance += std::strtod(&object[object.find("\": ", at) + 3], nullptr);
+  }
+  EXPECT_EQ(keys, kNumMessageTypes * result->queries.size());
+  const std::string report = obs::RunReport(*result, config.net);
+  const auto row = report.find("logical maintenance");
+  ASSERT_NE(row, std::string::npos);
+  EXPECT_EQ(std::strtod(&report[report.find_first_of("0123456789", row)],
+                        nullptr),
+            maintenance);
 }
 
 // --- Inertness: the acceptance criterion ---
@@ -414,17 +422,16 @@ struct AllFacilities {
   }
 
   /// The facilities actually ran: one snapshot per point of the sim-time
-  /// grid, trace records in dispatch (sim-time) order on the engine's one
-  /// ring when trace points are compiled in, and profiled time.
+  /// grid, trace records in dispatch (sim-time) order when trace points
+  /// are compiled in, and profiled time.
   void ExpectEngaged(SimTime duration, const std::string& label) {
     SCOPED_TRACE(label);
     EXPECT_EQ(registry.series().size(),
               static_cast<std::size_t>(duration / 100));
 #if ASF_OBS_TRACE_COMPILED
-    ASSERT_EQ(tracer.ring_count(), 1u);
     double last = -1e300;
     std::uint64_t updates = 0;
-    for (const obs::TraceRecord& record : tracer.ring(0).records()) {
+    for (const obs::TraceRecord& record : tracer.records()) {
       if (record.type !=
           static_cast<std::uint16_t>(obs::TraceEventType::kValueUpdate)) {
         continue;

@@ -84,40 +84,5 @@ TEST(OnlineStatsTest, ToStringContainsFields) {
   EXPECT_NE(str.find("mean=1"), std::string::npos);
 }
 
-TEST(HistogramTest, BucketsAndTotal) {
-  Histogram h(0, 100, 10);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  for (std::size_t b = 0; b < 10; ++b) {
-    EXPECT_EQ(h.bucket_count(b), 10u) << "bucket " << b;
-  }
-}
-
-TEST(HistogramTest, OutOfRangeClampsToEdges) {
-  Histogram h(0, 10, 5);
-  h.Add(-100);
-  h.Add(1e9);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(4), 1u);
-}
-
-TEST(HistogramTest, CumulativeFraction) {
-  Histogram h(0, 10, 10);
-  for (int i = 0; i < 10; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.CumulativeFraction(4.5), 0.5, 1e-12);
-  EXPECT_NEAR(h.CumulativeFraction(9.5), 1.0, 1e-12);
-}
-
-TEST(HistogramTest, BucketLo) {
-  Histogram h(100, 200, 4);
-  EXPECT_EQ(h.BucketLo(0), 100);
-  EXPECT_EQ(h.BucketLo(3), 175);
-}
-
-TEST(HistogramTest, EmptyCumulativeIsZero) {
-  Histogram h(0, 1, 2);
-  EXPECT_EQ(h.CumulativeFraction(0.5), 0.0);
-}
-
 }  // namespace
 }  // namespace asf

@@ -20,6 +20,17 @@ TEST(RandomWalkTest, ConfigValidation) {
   RandomWalkConfig bad = ok;
   bad.num_streams = 0;
   EXPECT_FALSE(bad.Validate().ok());
+  // Stream counts past the stated limit fail here, before the
+  // constructor sizes one RNG per stream; Validate itself allocates none.
+  for (const std::size_t n :
+       {kMaxStreams + 1, std::numeric_limits<std::size_t>::max()}) {
+    bad = ok;
+    bad.num_streams = n;
+    EXPECT_FALSE(bad.Validate().ok()) << n << " streams";
+  }
+  bad = ok;
+  bad.num_streams = kMaxStreams;
+  EXPECT_TRUE(bad.Validate().ok());
   bad = ok;
   bad.init_lo = bad.init_hi;
   EXPECT_FALSE(bad.Validate().ok());
@@ -182,6 +193,14 @@ TEST(TraceStreamsTest, ValidationCatchesBadTraces) {
 
   t = SmallTrace();
   t.num_streams = 0;
+  EXPECT_FALSE(t.Validate().ok());
+
+  // The stream count is capped before any replay sizes a per-stream array.
+  t = SmallTrace();
+  t.initial_values.clear();
+  t.num_streams = kMaxStreams;
+  EXPECT_TRUE(t.Validate().ok());
+  t.num_streams = kMaxStreams + 1;
   EXPECT_FALSE(t.Validate().ok());
 }
 

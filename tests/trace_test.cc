@@ -20,6 +20,9 @@ TEST(TcpSynthTest, ConfigValidation) {
   bad.num_subnets = 0;
   EXPECT_FALSE(bad.Validate().ok());
   bad = ok;
+  bad.num_subnets = kMaxStreams + 1;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = ok;
   bad.duration = 0;
   EXPECT_FALSE(bad.Validate().ok());
   bad = ok;
@@ -309,6 +312,26 @@ TEST_F(TraceIoTest, NonFiniteStreamFieldsRejected) {
       std::fclose(f);
     }
     EXPECT_FALSE(ReadTraceCsv(path_.string()).ok()) << text;
+  }
+}
+
+/// A header past kMaxStreams fails as corrupt input before the count sizes
+/// anything: 2^32 itself would otherwise wrap StreamId, so no
+/// `id < num_streams` loop would end.
+TEST_F(TraceIoTest, StreamCountBeyondLimitRejected) {
+  const std::string kTraces[] = {
+      "num_streams," + std::to_string(kMaxStreams + 1) + "\n1.0,0,5\n",
+      "num_streams,4294967296\n",
+  };
+  for (const std::string& text : kTraces) {
+    {
+      std::FILE* f = std::fopen(path_.c_str(), "w");
+      std::fputs(text.c_str(), f);
+      std::fclose(f);
+    }
+    const auto loaded = ReadTraceCsv(path_.string());
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << text;
   }
 }
 

@@ -122,7 +122,7 @@ byte-identical to obs-off after dropping the "obs "-prefixed lines):
                           (convert with tools/asf_trace; the old replay
                           meaning of --trace moved to --replay)
   --trace-cats=CSV        categories to trace: update,crossing,wire,
-                          lifecycle,epoch,index,spill, or "all"  [all]
+                          lifecycle,index,spill, or "all"        [all]
   --metrics-every=T       sample the gauge time-series every T sim-time
                           units; emitted as the "timeseries" and
                           "histograms" blocks of --bench-json
@@ -133,6 +133,9 @@ Output:
   --bench-json=FILE       also write the run record as BENCH json, each
                           numeric field under its name (e.g. "queries[0].
                           messages.maintenance.update"), with provenance
+
+Exit status: 0 after the run, 1 when a flag value or the configuration
+is rejected, 2 for an unknown or malformed flag.
 )";
 
 /// Every flag RunFromFlags reads; anything else is rejected, so a typo
@@ -215,10 +218,9 @@ class ObsSession {
   Status Finish(double wall_seconds, metrics::JsonWriter* writer) const {
     if (tracer_ != nullptr) {
       ASF_RETURN_IF_ERROR(tracer_->WriteBinary(trace_path_));
-      std::printf("obs trace: %llu records (%llu dropped) -> %s\n",
-                  (unsigned long long)tracer_->total_records(),
-                  (unsigned long long)tracer_->total_dropped(),
-                  trace_path_.c_str());
+      std::printf("obs trace: %zu records (%llu dropped) -> %s\n",
+                  tracer_->records().size(),
+                  (unsigned long long)tracer_->dropped(), trace_path_.c_str());
     }
     if (registry_ != nullptr) {
       std::printf("obs metrics: %zu snapshots every %g time units\n",
@@ -378,24 +380,6 @@ Status RunFromFlags(const Flags& flags) {
 }  // namespace asf
 
 int main(int argc, char** argv) {
-  auto flags = asf::Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
-    return 2;
-  }
-  if (const asf::Status known = flags->RejectUnknown(asf::kKnownFlags);
-      !known.ok()) {
-    std::fprintf(stderr, "%s\n(try --help)\n", known.ToString().c_str());
-    return 2;
-  }
-  if (flags->Has("help")) {
-    std::fputs(asf::kHelp, stdout);
-    return 0;
-  }
-  const asf::Status status = asf::RunFromFlags(*flags);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n(try --help)\n", status.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  return asf::RunTool(argc, argv, asf::kKnownFlags, asf::kHelp,
+                      asf::RunFromFlags);
 }

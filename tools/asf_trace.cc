@@ -24,11 +24,15 @@ constexpr const char* kHelp = R"(asf_trace -- binary event trace to Chrome trace
   --in=FILE             binary trace (from asf_run --trace) [required]
   --out=FILE            Chrome trace_event JSON output path
   --ts-scale=S          microseconds per sim-time unit      [1e6]
-  --summary             print per-ring / per-type record counts
+  --summary             print per-type record counts
 
 At least one of --out / --summary is required. The JSON loads in
-chrome://tracing or Perfetto; each ring renders as its own thread
-track, sim-time mapped to the microsecond axis via --ts-scale.
+chrome://tracing or Perfetto as one thread track, sim-time mapped to
+the microsecond axis via --ts-scale. Only version-2 traces (this
+build's asf_run --trace) convert; older dumps fail as corrupt.
+
+Exit status: 0 after converting, 1 for a missing, unreadable or corrupt
+trace or a rejected value, 2 for an unknown or malformed flag.
 )";
 
 /// Every flag kHelp lists; anything else is rejected, so a typo such as
@@ -54,20 +58,12 @@ Status RunFromFlags(const Flags& flags) {
   if (flags.Has("summary")) {
     std::uint64_t by_type[static_cast<std::size_t>(
         obs::TraceEventType::kNumTypes)] = {};
-    for (const obs::TraceFileRing& ring : data.rings) {
-      for (const obs::TraceRecord& record : ring.records) {
-        if (record.type <
-            static_cast<std::uint16_t>(obs::TraceEventType::kNumTypes)) {
-          ++by_type[record.type];
-        }
+    for (const obs::TraceRecord& record : data.records) {
+      if (record.type <
+          static_cast<std::uint16_t>(obs::TraceEventType::kNumTypes)) {
+        ++by_type[record.type];
       }
     }
-    TextTable table({"ring", "records", "dropped"});
-    for (std::size_t r = 0; r < data.rings.size(); ++r) {
-      table.AddRow({Fmt("%zu", r), Fmt("%zu", data.rings[r].records.size()),
-                    Fmt("%llu", (unsigned long long)data.rings[r].dropped)});
-    }
-    std::printf("%s\n", table.ToString().c_str());
     TextTable types({"event", "count"});
     for (std::size_t t = 0;
          t < static_cast<std::size_t>(obs::TraceEventType::kNumTypes); ++t) {
@@ -77,9 +73,8 @@ Status RunFromFlags(const Flags& flags) {
            Fmt("%llu", (unsigned long long)by_type[t])});
     }
     std::printf("%s", types.ToString().c_str());
-    std::printf("total: %llu records, %llu dropped\n",
-                (unsigned long long)data.total_records(),
-                (unsigned long long)data.total_dropped());
+    std::printf("total: %zu records, %llu dropped\n", data.records.size(),
+                (unsigned long long)data.dropped);
   }
 
   if (flags.Has("out")) {
@@ -93,8 +88,7 @@ Status RunFromFlags(const Flags& flags) {
     if (std::fclose(f) != 0 || !ok) {
       return Status::IoError("write failed: " + out);
     }
-    std::printf("wrote %s (%llu events)\n", out.c_str(),
-                (unsigned long long)data.total_records());
+    std::printf("wrote %s (%zu events)\n", out.c_str(), data.records.size());
   }
   return Status::OK();
 }
@@ -103,24 +97,6 @@ Status RunFromFlags(const Flags& flags) {
 }  // namespace asf
 
 int main(int argc, char** argv) {
-  auto flags = asf::Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
-    return 2;
-  }
-  if (const asf::Status known = flags->RejectUnknown(asf::kKnownFlags);
-      !known.ok()) {
-    std::fprintf(stderr, "%s\n(try --help)\n", known.ToString().c_str());
-    return 2;
-  }
-  if (flags->Has("help")) {
-    std::fputs(asf::kHelp, stdout);
-    return 0;
-  }
-  const asf::Status status = asf::RunFromFlags(*flags);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n(try --help)\n", status.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  return asf::RunTool(argc, argv, asf::kKnownFlags, asf::kHelp,
+                      asf::RunFromFlags);
 }

@@ -100,24 +100,6 @@ Status RunFromFlags(const Flags& flags) {
 }  // namespace asf
 
 int main(int argc, char** argv) {
-  auto flags = asf::Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
-    return 2;
-  }
-  if (const asf::Status known = flags->RejectUnknown(asf::kKnownFlags);
-      !known.ok()) {
-    std::fprintf(stderr, "%s\n(try --help)\n", known.ToString().c_str());
-    return 2;
-  }
-  if (flags->Has("help")) {
-    std::fputs(asf::kHelp, stdout);
-    return 0;
-  }
-  const asf::Status status = asf::RunFromFlags(*flags);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n(try --help)\n", status.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  return asf::RunTool(argc, argv, asf::kKnownFlags, asf::kHelp,
+                      asf::RunFromFlags);
 }
