@@ -30,7 +30,7 @@ int main() {
   }
 
   std::printf("Top-20 subnets by bytes sent, 800 subnets, %zu connections\n\n",
-              trace->records.size());
+              trace->records().size());
 
   asf::SystemConfig config;
   config.source = asf::SourceSpec::Trace(&trace.value());

@@ -7,11 +7,12 @@
 /// Portable SIMD shim for the filter-dispatch hot path.
 ///
 /// One primitive is all the crossing kernel needs: given a scalar value v
-/// and 64 closed-interval bound pairs (lower[i], upper[i]), produce the
-/// 64-bit *inside mask* whose bit i is set iff lower[i] <= v <= upper[i]
-/// (both comparisons ordered, so any NaN lane yields 0). Everything else —
-/// XOR against the reference bits, OR of the always-fire bits — is plain
-/// word arithmetic in the caller (filter/filter_arena.cc).
+/// and up to 64 closed-interval bound pairs (lower[i], upper[i]), produce
+/// the 64-bit *inside mask* whose bit i is set iff lower[i] <= v <=
+/// upper[i] (both comparisons ordered, so any NaN lane yields 0).
+/// Everything else — XOR against the reference bits, OR of the
+/// always-fire bits — is plain word arithmetic in the caller
+/// (filter/filter_arena.cc).
 ///
 /// The backend is selected at compile time from the target ISA:
 ///   * AVX-512F : 8 doubles per compare, mask registers give bits directly
@@ -23,10 +24,11 @@
 /// (tests/filter_arena_test.cc exercises the compiled backend against
 /// scalar Filter::OnValueChange on random inputs).
 ///
-/// Contract: the caller evaluates whole 64-lane blocks; unused lanes must
-/// hold sentinel bounds (lower = +inf, upper = -inf) so they report 0.
-/// Values are finite (stream values are finite by construction; only
-/// bounds may be ±inf).
+/// Contract: the caller evaluates the first n lanes of a 64-lane block,
+/// and the sweep covers n rounded up to the vector width. Lanes the sweep
+/// reads past n must hold sentinel bounds (lower = +inf, upper = -inf) so
+/// they report 0. Values are finite (stream values are finite by
+/// construction; only bounds may be ±inf).
 
 #if defined(__AVX512F__)
 #include <immintrin.h>
@@ -69,14 +71,17 @@ int KernelLanes();
 /// with a diagnosis instead of SIGILL mid-dispatch.
 void AssertHostSupportsKernel();
 
-/// Inside mask of one 64-lane block: bit i = (lower[i] <= v <= upper[i]).
+/// Inside mask of the first `n` lanes of a block (1 <= n <= 64): bit i =
+/// (lower[i] <= v <= upper[i]). The sweep covers n rounded up to kLanes;
+/// the lanes between n and that bound must be sentinel. A constant n of
+/// 64 lets the compiler unroll the sweep, which a run-time n does not.
 /// `lower`/`upper` need no particular alignment (unaligned loads).
-inline std::uint64_t InsideMask64(double v, const double* lower,
-                                  const double* upper) {
+inline std::uint64_t InsideMask(double v, const double* lower,
+                                const double* upper, int n) {
 #if defined(__AVX512F__)
   const __m512d vv = _mm512_set1_pd(v);
   std::uint64_t mask = 0;
-  for (int b = 0; b < 64; b += 8) {
+  for (int b = 0; b < n; b += 8) {
     const __m512d lo = _mm512_loadu_pd(lower + b);
     const __m512d hi = _mm512_loadu_pd(upper + b);
     const __mmask8 ge = _mm512_cmp_pd_mask(vv, lo, _CMP_GE_OQ);
@@ -87,7 +92,7 @@ inline std::uint64_t InsideMask64(double v, const double* lower,
 #elif defined(__AVX2__)
   const __m256d vv = _mm256_set1_pd(v);
   std::uint64_t mask = 0;
-  for (int b = 0; b < 64; b += 4) {
+  for (int b = 0; b < n; b += 4) {
     const __m256d lo = _mm256_loadu_pd(lower + b);
     const __m256d hi = _mm256_loadu_pd(upper + b);
     const __m256d ge = _mm256_cmp_pd(vv, lo, _CMP_GE_OQ);
@@ -99,7 +104,7 @@ inline std::uint64_t InsideMask64(double v, const double* lower,
 #elif defined(__aarch64__) && defined(__ARM_NEON)
   const float64x2_t vv = vdupq_n_f64(v);
   std::uint64_t mask = 0;
-  for (int b = 0; b < 64; b += 2) {
+  for (int b = 0; b < n; b += 2) {
     const float64x2_t lo = vld1q_f64(lower + b);
     const float64x2_t hi = vld1q_f64(upper + b);
     const uint64x2_t inside =
@@ -110,7 +115,7 @@ inline std::uint64_t InsideMask64(double v, const double* lower,
   return mask;
 #else
   std::uint64_t mask = 0;
-  for (int b = 0; b < 64; ++b) {
+  for (int b = 0; b < n; ++b) {
     const std::uint64_t inside =
         static_cast<std::uint64_t>(v >= lower[b]) &
         static_cast<std::uint64_t>(v <= upper[b]);

@@ -127,7 +127,7 @@ struct SourceSpec {
       case Type::kRandomWalk:
         return walk.num_streams;
       case Type::kTrace:
-        return trace ? trace->num_streams : 0;
+        return trace ? trace->num_streams() : 0;
       case Type::kCustom:
         return custom ? custom->size() : 0;
     }

@@ -165,18 +165,27 @@ const std::uint64_t* FilterArena::EvaluateUpdate(StreamId id, Value v) {
   const double* upper = upper_.data() + id * stride_;
   std::uint64_t* ref = ref_bits_.data() + id * words_;
   const std::uint64_t* always = always_bits_.data() + id * words_;
-  const std::size_t words = fired_words();
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t inside = simd::InsideMask64(v, lower + w * 64,
-                                                    upper + w * 64);
-    // A filtered column fires on a membership flip; a no-filter column
-    // fires always (sentinel lanes have inside == ref == always == 0 and
-    // stay silent). The advanced reference is the new membership for
-    // filtered columns and is preserved for no-filter columns, exactly
-    // OnValueChange's contract — three word ops for 64 columns, with no
-    // per-column work regardless of how many fire.
+  // A filtered column fires on a membership flip; a no-filter column
+  // fires always (sentinel lanes have inside == ref == always == 0 and
+  // stay silent). The advanced reference is the new membership for
+  // filtered columns and is preserved for no-filter columns, exactly
+  // OnValueChange's contract — three word ops for 64 columns, with no
+  // per-column work regardless of how many fire.
+  const auto advance = [&](std::size_t w, std::uint64_t inside) {
     fired_[w] = (inside ^ ref[w]) | always[w];
     ref[w] = (inside & ~always[w]) | (ref[w] & always[w]);
+  };
+  // Full words sweep a constant 64 lanes, which the compiler unrolls.
+  const std::size_t full = live_ / 64;
+  for (std::size_t w = 0; w < full; ++w) {
+    advance(w, simd::InsideMask(v, lower + w * 64, upper + w * 64, 64));
+  }
+  // The last, partial word sweeps only its live lanes (rounded up to the
+  // vector width). The lanes past live() are sentinel with clear bits, so
+  // the words come out as a full sweep's would.
+  if (const std::size_t tail = live_ % 64; tail != 0) {
+    advance(full, simd::InsideMask(v, lower + full * 64, upper + full * 64,
+                                   static_cast<int>(tail)));
   }
   return fired_.data();
 }

@@ -47,11 +47,7 @@ void PlaneWalkStreams::StepStream(Scheduler* scheduler, StreamId id,
   if (handler_) handler_(id, next, scheduler->now());
   const SimTime next_time =
       scheduler->now() + rng_.Exponential(config_.mean_interarrival);
-  if (next_time <= horizon) {
-    scheduler->ScheduleAt(next_time, [this, scheduler, id, horizon] {
-      StepStream(scheduler, id, horizon);
-    });
-  }
+  if (next_time <= horizon) scheduler->Rearm(next_time);
 }
 
 void PlaneWalkStreams::Start(Scheduler* scheduler, SimTime horizon) {

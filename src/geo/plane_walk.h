@@ -55,6 +55,8 @@ class PlaneWalkStreams {
   std::uint64_t moves_generated() const { return moves_; }
 
  private:
+  /// Moves stream `id` one step and re-arms its event for the next move
+  /// (Scheduler::Rearm).
   void StepStream(Scheduler* scheduler, StreamId id, SimTime horizon);
   double Reflect(double v) const;
 

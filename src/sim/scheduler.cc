@@ -158,12 +158,35 @@ EventId Scheduler::ScheduleAtReserved(SimTime t, std::uint64_t seq,
   return IdOf(index);
 }
 
+EventId Scheduler::Rearm(SimTime t) {
+  ASF_CHECK_MSG(running_ != kNotRunning, "Rearm outside a dispatch");
+  ASF_CHECK_MSG(!rearmed_, "Rearm called twice in one dispatch");
+  ASF_CHECK_MSG(t >= now_, "cannot schedule into the past");
+  rearmed_ = true;
+  const std::uint64_t seq = NextSeq();
+  Slot& s = slot(running_);
+  s.seq = seq;
+  s.armed = true;
+  ++live_;
+  HeapPush(MakeNode(t, seq, running_));
+  return IdOf(running_);
+}
+
 bool Scheduler::Cancel(EventId id) {
   const std::uint32_t index = SlotIndex(id);
   if (index >= chunks_.size() * kChunkSize) return false;
-  const Slot& s = slot(index);
+  Slot& s = slot(index);
   if (!s.armed || s.generation != Generation(id)) return false;
-  ReleaseSlot(index);
+  if (index == running_) {
+    // The running event cancels its own re-arm. Its callable is still
+    // executing, so only the arming is undone here; DispatchPeeked
+    // releases the slot when the callable returns.
+    s.armed = false;
+    ++s.generation;
+    --live_;
+  } else {
+    ReleaseSlot(index);
+  }
   ++tombstones_;  // the heap node stays behind until it surfaces
   return true;
 }
@@ -210,20 +233,28 @@ void Scheduler::DispatchPeeked(const HeapNode* next) {
   PopPeeked();
   ASF_DCHECK(node.time() >= now_);
   // Dispatch in place: the slot stays occupied (so a nested ScheduleAt
-  // cannot reuse it) but its generation is bumped first, so the running
-  // event's own id is already stale — Cancel from inside the callback is
-  // a no-op, matching the "already ran" contract. Chunked slab storage
-  // never moves, so growth during the callback is safe too.
+  // cannot reuse it) but is disarmed and its generation bumped first, so
+  // the running event's own id is already stale — Cancel from inside the
+  // callback is a no-op, matching the "already ran" contract. Rearm arms
+  // the slot again; an armed slot is kept, callable and all, when the
+  // callback returns. Chunked slab storage never moves, so growth during
+  // the callback is safe too.
+  ASF_DCHECK(running_ == kNotRunning);
   const std::uint32_t index = NodeSlot(node);
   Slot& s = slot(index);
   ++s.generation;
+  s.armed = false;
   --live_;
   now_ = node.time();
   ++dispatched_;
+  running_ = index;
+  rearmed_ = false;
   s.fn();
-  s.fn = EventCallback();
-  s.armed = false;
-  free_.push_back(index);
+  running_ = kNotRunning;
+  if (!s.armed) {
+    s.fn = EventCallback();
+    free_.push_back(index);
+  }
 }
 
 bool Scheduler::Step() {

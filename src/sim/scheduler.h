@@ -41,10 +41,17 @@
 /// scheduler sees therefore each get a FIFO lane with O(1) push and pop —
 /// the network's constant link latency and the oracle's sampling period
 /// are such delays. Further delays, and every ScheduleAt /
-/// ScheduleAtReserved, keep using the heap. The next event is the smaller
-/// key of the heap top and the lane heads, so the dispatch order is
-/// exactly the one a single heap over the same keys gives; Cancel leaves
-/// a tombstone in whichever queue holds the node.
+/// ScheduleAtReserved / Rearm, keep using the heap. The next event is the
+/// smaller key of the heap top and the lane heads, so the dispatch order
+/// is exactly the one a single heap over the same keys gives; Cancel
+/// leaves a tombstone in whichever queue holds the node.
+///
+/// Re-arming: a source that reschedules itself after every event (a
+/// walk stream's next step, a trace cursor's next record) calls Rearm
+/// from inside its own dispatch. The event keeps its slot and its
+/// callable, so a step costs one heap push and pop and nothing else, and
+/// it takes the sequence number a ScheduleAt at that moment would have
+/// taken, so the dispatch order is the one rescheduling gives.
 
 namespace asf {
 
@@ -194,11 +201,21 @@ class Scheduler {
   /// construction when events are materialized in (t, seq) order.
   EventId ScheduleAtReserved(SimTime t, std::uint64_t seq, Callback fn);
 
+  /// Puts the event that is dispatching back in the queue at absolute
+  /// time `t` (>= now()), keeping its slot and its callable: the same
+  /// callable runs again at `t`, with whatever state it holds. The event
+  /// takes the sequence number a ScheduleAt(t, ...) made at this point
+  /// would take, so it dispatches exactly as that reschedule would.
+  /// Returns the event's new handle; its previous one is stale. Callable
+  /// only from inside a dispatch, at most once per dispatch (ASF_CHECK).
+  EventId Rearm(SimTime t);
+
   /// Cancels a pending event in O(1): the slab slot is released for reuse
   /// immediately and the queued key (heap or lane) becomes a
   /// generation-mismatched tombstone, discarded lazily when it comes next.
   /// Returns false if the event already ran, was already cancelled, or
-  /// never existed.
+  /// never existed. An event that re-armed itself may cancel that from
+  /// inside the same dispatch; its callable is destroyed once it returns.
   bool Cancel(EventId id);
 
   /// Runs the single next event. Returns false if the queue is empty.
@@ -322,7 +339,8 @@ class Scheduler {
   /// Removes the node PeekLive last returned from its queue.
   void PopPeeked();
 
-  /// Pops the node PeekLive just returned and runs its event.
+  /// Pops the node PeekLive just returned and runs its event. Dispatches
+  /// do not nest: no callback advances its own scheduler.
   void DispatchPeeked(const HeapNode* next);
 
   void HeapPush(HeapNode node);
@@ -382,6 +400,10 @@ class Scheduler {
   std::vector<std::uint32_t> free_;
   std::size_t live_ = 0;
   std::size_t tombstones_ = 0;  ///< cancelled events still queued
+  /// Slot of the event that is dispatching, kNotRunning between events.
+  static constexpr std::uint32_t kNotRunning = ~std::uint32_t{0};
+  std::uint32_t running_ = kNotRunning;
+  bool rearmed_ = false;  ///< the running event has called Rearm
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;

@@ -54,12 +54,7 @@ void RandomWalkStreams::StepStream(Scheduler* scheduler, StreamId id,
   ApplyUpdate(id, next, scheduler->now());
   const SimTime next_time =
       scheduler->now() + rng.Exponential(config_.mean_interarrival);
-  if (next_time <= horizon) {
-    scheduler->ScheduleAt(
-        next_time, [this, scheduler, id, horizon] {
-          StepStream(scheduler, id, horizon);
-        });
-  }
+  if (next_time <= horizon) scheduler->Rearm(next_time);
 }
 
 void RandomWalkStreams::Start(Scheduler* scheduler, SimTime horizon) {

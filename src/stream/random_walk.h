@@ -54,7 +54,8 @@ class RandomWalkStreams : public StreamSet {
   const RandomWalkConfig& config() const { return config_; }
 
  private:
-  /// Applies one step to stream `id` and schedules its next update.
+  /// Applies one step to stream `id` and re-arms its event for the next
+  /// update (Scheduler::Rearm): each stream is one event for the run.
   void StepStream(Scheduler* scheduler, StreamId id, SimTime horizon);
 
   /// Reflects `v` into [lo, hi].

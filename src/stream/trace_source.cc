@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 namespace asf {
 
-Status TraceData::Validate() const {
+Result<TraceData> TraceData::Make(std::size_t num_streams,
+                                  std::vector<Value> initial_values,
+                                  std::vector<TraceRecord> records) {
   if (num_streams == 0 || num_streams > kMaxStreams) {
     return Status::InvalidArgument("trace num_streams must lie in [1, " +
                                    std::to_string(kMaxStreams) + "]");
@@ -42,39 +45,36 @@ Status TraceData::Validate() const {
   if (std::isinf(last)) {
     return Status::InvalidArgument("trace record times must be finite");
   }
-  return Status::OK();
+  TraceData trace;
+  trace.num_streams_ = num_streams;
+  trace.initial_values_ = std::move(initial_values);
+  trace.records_ = std::move(records);
+  return trace;
 }
 
 TraceStreams::TraceStreams(const TraceData* trace)
-    : StreamSet(trace->num_streams), trace_(trace) {
-  ASF_CHECK(trace != nullptr);
-  ASF_CHECK_MSG(trace->Validate().ok(), "invalid TraceData");
-  if (!trace_->initial_values.empty()) {
-    for (StreamId id = 0; id < trace_->num_streams; ++id) {
-      SetInitialValue(id, trace_->initial_values[id]);
-    }
+    : StreamSet(trace->num_streams()), trace_(trace) {
+  for (StreamId id = 0; id < trace_->initial_values().size(); ++id) {
+    SetInitialValue(id, trace_->initial_values()[id]);
   }
 }
 
 void TraceStreams::ReplayNext(Scheduler* scheduler, SimTime horizon) {
-  ASF_DCHECK(next_ < trace_->records.size());
-  const TraceRecord& rec = trace_->records[next_];
+  const std::vector<TraceRecord>& records = trace_->records();
+  ASF_DCHECK(next_ < records.size());
+  const TraceRecord& rec = records[next_];
   ++next_;
   ApplyUpdate(rec.stream, rec.value, rec.time);
-  if (next_ < trace_->records.size()) {
-    const SimTime t = trace_->records[next_].time;
-    if (t <= horizon) {
-      scheduler->ScheduleAt(
-          t, [this, scheduler, horizon] { ReplayNext(scheduler, horizon); });
-    }
+  if (next_ < records.size() && records[next_].time <= horizon) {
+    scheduler->Rearm(records[next_].time);
   }
 }
 
 void TraceStreams::Start(Scheduler* scheduler, SimTime horizon) {
   ASF_CHECK(scheduler != nullptr);
   next_ = 0;
-  if (trace_->records.empty()) return;
-  const SimTime t = trace_->records[next_].time;
+  if (trace_->records().empty()) return;
+  const SimTime t = trace_->records().front().time;
   if (t > horizon) return;
   scheduler->ScheduleAt(
       t, [this, scheduler, horizon] { ReplayNext(scheduler, horizon); });

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -13,8 +15,14 @@ Status TcpSynthConfig::Validate() const {
     return Status::InvalidArgument("num_subnets must lie in [1, " +
                                    std::to_string(kMaxStreams) + "]");
   }
-  if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
-  if (zipf_s < 0) return Status::InvalidArgument("zipf_s must be >= 0");
+  if (total_connections > kMaxTraceRecords) {
+    return Status::InvalidArgument("total_connections must be at most " +
+                                   std::to_string(kMaxTraceRecords));
+  }
+  if (!(duration > 0 && std::isfinite(duration))) {
+    return Status::InvalidArgument("duration must be finite and > 0");
+  }
+  if (!(zipf_s >= 0)) return Status::InvalidArgument("zipf_s must be >= 0");
   if (bytes_log_sigma < 0) {
     return Status::InvalidArgument("bytes_log_sigma must be >= 0");
   }
@@ -29,9 +37,6 @@ Result<TraceData> GenerateTcpTrace(const TcpSynthConfig& config) {
   Rng rng(config.seed);
   ZipfDistribution zipf(config.num_subnets, config.zipf_s);
 
-  TraceData trace;
-  trace.num_streams = config.num_subnets;
-
   // Per-subnet size factor: persistent heavy hitters (median 1).
   std::vector<double> subnet_factor(config.num_subnets);
   for (double& f : subnet_factor) {
@@ -44,28 +49,30 @@ Result<TraceData> GenerateTcpTrace(const TcpSynthConfig& config) {
 
   // Initial value per subnet: one synthetic connection that completed just
   // before the observation window opened.
-  trace.initial_values.resize(config.num_subnets);
+  std::vector<Value> initial_values(config.num_subnets);
   for (std::size_t i = 0; i < config.num_subnets; ++i) {
-    trace.initial_values[i] = draw_bytes(i);
+    initial_values[i] = draw_bytes(i);
   }
 
   // Draw each connection's subnet from the Zipf law and its arrival time
   // uniformly in (0, duration]; sorting afterwards yields the superposed
   // arrival process.
-  trace.records.reserve(config.total_connections);
+  std::vector<TraceRecord> records;
+  records.reserve(config.total_connections);
   for (std::uint64_t c = 0; c < config.total_connections; ++c) {
     TraceRecord rec;
     rec.stream = static_cast<StreamId>(zipf.Sample(&rng));
     rec.time = rng.Uniform(0.0, config.duration);
     rec.value = draw_bytes(rec.stream);
-    trace.records.push_back(rec);
+    records.push_back(rec);
   }
-  std::sort(trace.records.begin(), trace.records.end(),
+  std::sort(records.begin(), records.end(),
             [](const TraceRecord& a, const TraceRecord& b) {
               if (a.time != b.time) return a.time < b.time;
               return a.stream < b.stream;
             });
-  return trace;
+  return TraceData::Make(config.num_subnets, std::move(initial_values),
+                         std::move(records));
 }
 
 }  // namespace asf

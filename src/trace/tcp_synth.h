@@ -35,12 +35,19 @@
 
 namespace asf {
 
+/// The most records a synthesized trace may hold: 2^27 (134M), 3.2 GB of
+/// TraceRecord, over 200 times the paper's 606,497 connections.
+/// TcpSynthConfig::Validate checks it, because GenerateTcpTrace reserves
+/// the whole count before drawing a record.
+inline constexpr std::uint64_t kMaxTraceRecords = std::uint64_t{1} << 27;
+
 /// Parameters for the synthetic TCP trace.
 struct TcpSynthConfig {
   /// Number of subnet streams (paper: 800, from 16-bit prefixes).
   std::size_t num_subnets = 800;
   /// Total connection records (paper's full dataset: 606,497 over 30
-  /// days; experiments may use a smaller window — see EXPERIMENTS.md).
+  /// days; experiments may use a smaller window — see EXPERIMENTS.md). At
+  /// most kMaxTraceRecords.
   std::uint64_t total_connections = 100000;
   /// Trace duration in simulated time units.
   SimTime duration = 10000;
@@ -66,7 +73,8 @@ struct TcpSynthConfig {
 
 /// Generates the trace. Every subnet's initial value is the byte count of
 /// a synthetic "connection before the trace started", so range/rank queries
-/// are meaningful from t = 0. Records are sorted by time.
+/// are meaningful from t = 0. Records are sorted by time. The trace is
+/// checked once here (TraceData::Make), like every trace.
 Result<TraceData> GenerateTcpTrace(const TcpSynthConfig& config);
 
 }  // namespace asf

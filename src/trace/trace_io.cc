@@ -7,28 +7,28 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace asf {
 
 Status WriteTraceCsv(const TraceData& trace, const std::string& path) {
-  ASF_RETURN_IF_ERROR(trace.Validate());
   std::ofstream out(path);
   if (!out) {
     return Status::IoError("cannot open for writing: " + path);
   }
-  out << "num_streams," << trace.num_streams << "\n";
-  if (!trace.initial_values.empty()) {
+  out << "num_streams," << trace.num_streams() << "\n";
+  if (!trace.initial_values().empty()) {
     out << "initial";
     char buf[64];
-    for (Value v : trace.initial_values) {
+    for (Value v : trace.initial_values()) {
       std::snprintf(buf, sizeof(buf), ",%.17g", v);
       out << buf;
     }
     out << "\n";
   }
   char buf[128];
-  for (const TraceRecord& rec : trace.records) {
+  for (const TraceRecord& rec : trace.records()) {
     std::snprintf(buf, sizeof(buf), "%.17g,%u,%.17g\n", rec.time, rec.stream,
                   rec.value);
     out << buf;
@@ -65,7 +65,9 @@ Result<TraceData> ReadTraceCsv(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for reading: " + path);
 
-  TraceData trace;
+  std::size_t num_streams = 0;
+  std::vector<Value> initial_values;
+  std::vector<TraceRecord> records;
   std::string line;
   if (!std::getline(in, line)) {
     return Status::Corruption("empty trace file: " + path);
@@ -84,7 +86,7 @@ Result<TraceData> ReadTraceCsv(const std::string& path) {
       return Status::Corruption("num_streams must lie in [1, " +
                                 std::to_string(kMaxStreams) + "]");
     }
-    trace.num_streams = static_cast<std::size_t>(n);
+    num_streams = static_cast<std::size_t>(n);
   }
 
   bool first_data_line = true;
@@ -92,13 +94,12 @@ Result<TraceData> ReadTraceCsv(const std::string& path) {
     if (line.empty()) continue;
     const auto fields = SplitCsv(line);
     if (first_data_line && !fields.empty() && fields[0] == "initial") {
-      if (fields.size() != trace.num_streams + 1) {
+      if (fields.size() != num_streams + 1) {
         return Status::Corruption("initial line must list one value per stream");
       }
-      trace.initial_values.resize(trace.num_streams);
-      for (std::size_t i = 0; i < trace.num_streams; ++i) {
-        ASF_RETURN_IF_ERROR(
-            ParseDouble(fields[i + 1], &trace.initial_values[i]));
+      initial_values.resize(num_streams);
+      for (std::size_t i = 0; i < num_streams; ++i) {
+        ASF_RETURN_IF_ERROR(ParseDouble(fields[i + 1], &initial_values[i]));
       }
       first_data_line = false;
       continue;
@@ -115,14 +116,14 @@ Result<TraceData> ReadTraceCsv(const std::string& path) {
     if (stream < 0 || stream != std::floor(stream)) {
       return Status::Corruption("stream id must be a non-negative integer");
     }
-    if (stream >= static_cast<double>(trace.num_streams)) {
+    if (stream >= static_cast<double>(num_streams)) {
       return Status::OutOfRange("trace record references unknown stream");
     }
     rec.stream = static_cast<StreamId>(stream);
-    trace.records.push_back(rec);
+    records.push_back(rec);
   }
-  ASF_RETURN_IF_ERROR(trace.Validate());
-  return trace;
+  return TraceData::Make(num_streams, std::move(initial_values),
+                         std::move(records));
 }
 
 }  // namespace asf

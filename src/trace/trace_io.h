@@ -23,7 +23,7 @@ namespace asf {
 Status WriteTraceCsv(const TraceData& trace, const std::string& path);
 
 /// Reads a trace written by WriteTraceCsv (or hand-authored in the same
-/// format). Validates stream bounds and time ordering.
+/// format). Checks it as TraceData::Make does, the one check it gets.
 Result<TraceData> ReadTraceCsv(const std::string& path);
 
 }  // namespace asf

@@ -74,7 +74,9 @@ TEST(ChurnSpecTest, ValidationRejectsBadParameters) {
   EXPECT_FALSE(spec.Validate().ok());
 
   spec = BaseSpec();
-  spec.mix.push_back({.weight = -1});
+  ChurnMixEntry negative;
+  negative.weight = -1;
+  spec.mix.push_back(negative);
   EXPECT_FALSE(spec.Validate().ok());
 }
 
@@ -96,7 +98,9 @@ TEST(ChurnSpecTest, RejectsNonFiniteParameters) {
     EXPECT_FALSE(spec.Validate().ok());
   }
   ChurnSpec spec = BaseSpec();
-  spec.mix.push_back({.weight = std::numeric_limits<double>::quiet_NaN()});
+  ChurnMixEntry nan_weight;
+  nan_weight.weight = std::numeric_limits<double>::quiet_NaN();
+  spec.mix.push_back(nan_weight);
   EXPECT_FALSE(spec.Validate().ok());
 
   // The run horizon bounds the arrival loop the same way.

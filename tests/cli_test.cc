@@ -208,6 +208,15 @@ TEST_F(CliTest, MalformedInputFailsWithItsStatus) {
       {1,
        {ASF_TRACEGEN_PATH, "--out=" + Path("wide_synth.csv"),
         "--subnets=9223372036854775807"}},
+      // A record count past kMaxTraceRecords, rejected before the
+      // generator reserves it, and a NaN skew: both used to abort with
+      // exit 134.
+      {1,
+       {ASF_TRACEGEN_PATH, "--out=" + Path("long_synth.csv"),
+        "--connections=9223372036854775807"}},
+      {1,
+       {ASF_TRACEGEN_PATH, "--out=" + Path("nan_synth.csv"), "--zipf=nan",
+        "--connections=1000"}},
   };
   for (const auto& c : kCases) ExpectStatus(c.status, c.argv);
 }

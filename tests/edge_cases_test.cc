@@ -163,9 +163,10 @@ TEST(EngineEdgeTest, QueryStartJustBeforeEndStillInitializes) {
 
 TEST(EngineEdgeTest, ZeroUpdateRunIsClean) {
   // A trace with no records: initialization only, no maintenance at all.
-  TraceData trace;
-  trace.num_streams = 10;
-  trace.initial_values = {450, 450, 450, 450, 450, 700, 700, 700, 700, 700};
+  const TraceData trace =
+      TraceData::Make(10, {450, 450, 450, 450, 450, 700, 700, 700, 700, 700},
+                      {})
+          .value();
   SystemConfig config;
   config.source = SourceSpec::Trace(&trace);
   config.query = QuerySpec::Range(400, 600);

@@ -453,6 +453,80 @@ TEST(FilterArenaKernelTest, GrowthAndCompactionRegenerateTheMirrors) {
   evaluate_all(3000);
 }
 
+TEST(FilterArenaKernelTest, TailSweepMatchesScalarAtEveryLiveCount) {
+  // The kernel sweeps full words over all 64 lanes but the last, partial
+  // word only over live() % 64 lanes rounded up to the vector width. Every
+  // live count from 1 to 130 is reached twice: growing by Acquire, and
+  // shrinking by Release of random columns, which leaves the lanes just
+  // past live() recently occupied. Wide intervals and no-filter columns
+  // make a stale lane there fire, so a tail that read a live lane as dead
+  // or a dead lane as live would fail against scalar OnValueChange.
+  constexpr std::size_t kStreams = 3;
+  constexpr std::size_t kMaxLive = 130;
+  FilterArena arena(kStreams);
+  std::vector<std::vector<Filter>> reference;  // [column][stream]
+  Rng rng(2026);
+
+  const auto deploy = [&](std::size_t c) {
+    for (StreamId id = 0; id < kStreams; ++id) {
+      const Value current = rng.Uniform(0, 1000);
+      FilterConstraint constraint;
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          constraint = RangeConstraint(-1e9, 1e9);  // every value inside
+          break;
+        case 1:
+          constraint = FilterConstraint::NoFilter();  // fires always
+          break;
+        case 2:
+          constraint = RangeConstraint(400, 600);
+          break;
+        default: {
+          const double lo = rng.Uniform(0, 900);
+          constraint = RangeConstraint(lo, lo + rng.Uniform(1, 300));
+          break;
+        }
+      }
+      arena.Deploy(id, c, constraint, current);
+      reference[c][id].Deploy(constraint, current);
+    }
+  };
+  const auto check = [&](const char* phase) {
+    for (int step = 0; step < 6; ++step) {
+      const StreamId id = static_cast<StreamId>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kStreams) - 1));
+      const Value v = rng.Uniform(-100, 1100);
+      std::vector<std::size_t> expect;
+      for (std::size_t c = 0; c < reference.size(); ++c) {
+        if (reference[c][id].OnValueChange(v)) expect.push_back(c);
+      }
+      ASSERT_EQ(FiredColumns(arena, id, v), expect)
+          << phase << " live " << arena.live() << " step " << step;
+      for (std::size_t c = 0; c < reference.size(); ++c) {
+        ASSERT_EQ(arena.ReferenceInside(id, c),
+                  reference[c][id].reference_inside())
+            << phase << " live " << arena.live() << " column " << c;
+      }
+    }
+  };
+
+  for (std::size_t n = 1; n <= kMaxLive; ++n) {
+    const std::size_t c = arena.Acquire();
+    reference.emplace_back(kStreams);
+    deploy(c);
+    ASSERT_EQ(arena.live(), n);
+    check("grow");
+  }
+  while (arena.live() > 1) {
+    const std::size_t victim = static_cast<std::size_t>(rng.UniformInt(
+        0, static_cast<std::int64_t>(arena.live()) - 1));
+    arena.Release(victim);
+    reference[victim] = std::move(reference.back());
+    reference.pop_back();
+    check("shrink");
+  }
+}
+
 TEST(FilterArenaKernelTest, SimdBackendIsReported) {
   // The compiled backend is surfaced to benches and bench JSON; whatever
   // it is, its lane count must be consistent.

@@ -187,7 +187,9 @@ TEST(NetFifoTest, JitterNeverReordersALink) {
   ASSERT_EQ(arrivals.size(), 50u);
   for (int i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(arrivals[i].value, static_cast<Value>(i)) << i;
-    if (i > 0) EXPECT_GE(arrivals[i].at, arrivals[i - 1].at) << i;
+    if (i > 0) {
+      EXPECT_GE(arrivals[i].at, arrivals[i - 1].at) << i;
+    }
   }
   EXPECT_EQ(net->stats().update_messages, 50u);
 }
@@ -198,10 +200,8 @@ TEST(NetFifoTest, JitterNeverReordersALink) {
 /// query: both cross, both are delivered exactly 7 time units later, so
 /// the staleness distribution is {7, 7} and the wire count is 2.
 TEST(NetStalenessTest, MatchesHandComputedTwoUpdateScenario) {
-  TraceData trace;
-  trace.num_streams = 2;
-  trace.initial_values = {500, 500};
-  trace.records = {{10, 0, 450}, {30, 1, 700}};
+  const TraceData trace =
+      TraceData::Make(2, {500, 500}, {{10, 0, 450}, {30, 1, 700}}).value();
 
   SystemConfig config;
   config.source = SourceSpec::Trace(&trace);
@@ -229,10 +229,9 @@ TEST(NetStalenessTest, MatchesHandComputedTwoUpdateScenario) {
 /// measured from the latest crossing), and a crossing whose flush lands
 /// past the horizon is counted in flight, never delivered.
 TEST(NetStalenessTest, BatchingCoalescesAndCountsInFlight) {
-  TraceData trace;
-  trace.num_streams = 1;
-  trace.initial_values = {500};
-  trace.records = {{12, 0, 450}, {17, 0, 480}, {95, 0, 520}};
+  const TraceData trace =
+      TraceData::Make(1, {500}, {{12, 0, 450}, {17, 0, 480}, {95, 0, 520}})
+          .value();
 
   SystemConfig config;
   config.source = SourceSpec::Trace(&trace);
@@ -306,10 +305,9 @@ TEST(NetStalenessTest, NetDelayBatchingPointsArePinned) {
 /// rate 0.1 (service time 10) depart at 10-unit spacings — queueing
 /// delay, not propagation, dominates.
 TEST(NetStalenessTest, BandwidthQueueingDelaysBursts) {
-  TraceData trace;
-  trace.num_streams = 1;
-  trace.initial_values = {500};
-  trace.records = {{10, 0, 450}, {11, 0, 480}, {12, 0, 520}};
+  const TraceData trace =
+      TraceData::Make(1, {500}, {{10, 0, 450}, {11, 0, 480}, {12, 0, 520}})
+          .value();
 
   SystemConfig config;
   config.source = SourceSpec::Trace(&trace);

@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace asf {
@@ -225,6 +227,105 @@ TEST(SchedulerTest, CancelFromInsideOwnCallbackIsNoop) {
   EXPECT_EQ(s.dispatched(), 1u);
 }
 
+TEST(SchedulerTest, RearmKeepsTheCallableAndItsState) {
+  // One event for a whole self-rescheduling source: the same callable,
+  // with its mutable state, runs at every re-armed time.
+  Scheduler s;
+  std::vector<SimTime> times;
+  s.ScheduleAt(1.0, [&s, &times, left = 3]() mutable {
+    times.push_back(s.now());
+    if (left-- > 0) s.Rearm(s.now() + 2.0);
+  });
+  EXPECT_EQ(s.RunAll(), 4u);
+  EXPECT_EQ(times, (std::vector<SimTime>{1.0, 3.0, 5.0, 7.0}));
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(SchedulerTest, RearmedEventCanBeCancelledFromInsideItsCallback) {
+  // The callable is still running when it cancels its own re-arm, so the
+  // cancel must not destroy it: the captured vector stays readable (a
+  // Debug ASan build would flag a use after free), and it is destroyed
+  // exactly once, after the callback returns.
+  struct Probe {
+    explicit Probe(int* counter) : destroyed(counter) {}
+    ~Probe() { ++*destroyed; }
+    int* destroyed;
+  };
+  Scheduler s;
+  int destroyed = 0;
+  int runs = 0;
+  bool cancelled = false;
+  std::size_t sum_after_cancel = 0;
+  {
+    auto probe = std::make_shared<Probe>(&destroyed);
+    std::vector<std::size_t> payload = {1, 2, 3};
+    s.ScheduleAt(1.0, [&, probe, payload] {
+      ++runs;
+      const EventId again = s.Rearm(s.now() + 1.0);
+      EXPECT_EQ(s.pending(), 1u);
+      cancelled = s.Cancel(again);
+      EXPECT_EQ(s.pending(), 0u);
+      EXPECT_FALSE(s.Cancel(again));  // already cancelled
+      for (const std::size_t x : payload) sum_after_cancel += x;
+      EXPECT_EQ(destroyed, 0);
+    });
+  }
+  s.RunAll();
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(sum_after_cancel, 6u);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.NextEventTime(), std::numeric_limits<SimTime>::infinity());
+  // The slot is free again and serves a new event normally.
+  int later = 0;
+  s.ScheduleAt(5.0, [&] { ++later; });
+  s.RunAll();
+  EXPECT_EQ(later, 1);
+}
+
+TEST(SchedulerTest, RearmAtNowTiesLikeAScheduleAtMadeThen) {
+  // A re-arm takes the sequence number a ScheduleAt at that point would
+  // take: at an equal time it runs after every event scheduled before the
+  // re-arm (b, and c scheduled earlier in the same dispatch) and before
+  // every event scheduled after it (d).
+  Scheduler s;
+  std::vector<std::string> order;
+  int a_runs = 0;
+  s.ScheduleAt(1.0, [&] {
+    order.push_back(a_runs == 0 ? "a0" : "a1");
+    if (a_runs++ > 0) return;
+    s.ScheduleAt(1.0, [&] { order.push_back("c"); });
+    s.Rearm(s.now());
+    s.ScheduleAt(1.0, [&] { order.push_back("d"); });
+  });
+  s.ScheduleAt(1.0, [&] { order.push_back("b"); });
+  s.RunAll();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"a0", "b", "c", "a1", "d"}));
+  EXPECT_EQ(s.now(), 1.0);
+}
+
+TEST(SchedulerTest, RearmFromALaneDispatchedEvent) {
+  // An event that rode a fixed-delay lane re-arms onto the heap; its next
+  // run still ties with lane events by sequence number.
+  Scheduler s;
+  std::vector<std::string> order;
+  int runs = 0;
+  s.ScheduleAfter(2.0, [&] {
+    order.push_back(runs == 0 ? "x0" : runs == 1 ? "x1" : "x2");
+    if (runs++ == 2) return;
+    s.ScheduleAfter(2.0, [&] { order.push_back("lane-before"); });
+    s.Rearm(s.now() + 2.0);
+    s.ScheduleAfter(2.0, [&] { order.push_back("lane-after"); });
+  });
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "x0", "lane-before", "x1", "lane-after",
+                       "lane-before", "x2", "lane-after"}));
+  EXPECT_EQ(s.now(), 6.0);
+}
+
 /// The event mix a stress run draws from.
 struct StressMix {
   const char* name;
@@ -243,14 +344,18 @@ class SchedulerStressTest : public ::testing::TestWithParam<StressMix> {};
 /// seq) minimum. Cross-checks the 4-ary heap + fixed-delay lanes + slab +
 /// tombstone machinery under a deterministic interleaving of ScheduleAt /
 /// ScheduleAfter / Cancel (including cancel-after-fire and duplicate
-/// cancel), advanced by RunUntil and by a Step loop, with NextEventTime
-/// and pending() checked before every advance.
+/// cancel) and self-re-arming events, advanced by RunUntil and by a Step
+/// loop, with NextEventTime and pending() checked before every advance.
+/// The reference models a re-arm as a ScheduleAt of the same callback
+/// made when the event fires.
 TEST_P(SchedulerStressTest, MatchesNaiveReference) {
   const StressMix& mix = GetParam();
   struct RefEvent {
     SimTime time;
     int tag;
     bool lane;  ///< ScheduleAfter with a hot delay: rides a lane
+    int rearms = 0;  ///< times it re-arms itself, each after rearm_dt
+    SimTime rearm_dt = 0;
     bool cancelled = false;
     bool fired = false;
   };
@@ -262,18 +367,31 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
   SimTime ref_now = 0;
   std::size_t lane_cancels = 0;  // successful cancels of lane events
   std::size_t mixed_ties = 0;    // a lane and a heap event fired at one time
+  std::size_t rearm_cancels = 0;  // successful cancels of re-armed events
 
   std::uint64_t rng = 20260730;
   const auto next = [&rng] {
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
     return rng >> 33;
   };
-  const auto schedule = [&](bool after, SimTime dt, bool lane) {
+  const auto schedule = [&](bool after, SimTime dt, bool lane,
+                            int rearms = 0, SimTime rearm_dt = 0) {
     const int tag = static_cast<int>(ref.size());
-    const auto fn = [&real_order, tag] { real_order.push_back(tag); };
-    handles.push_back(after ? s.ScheduleAfter(dt, fn)
-                            : s.ScheduleAt(s.now() + dt, fn));
-    ref.push_back(RefEvent{ref_now + dt, tag, lane});
+    EventCallback fn = [&real_order, tag] { real_order.push_back(tag); };
+    if (rearms > 0) {
+      // Each run re-arms under the next free tag, the index its re-arm
+      // takes in handles and, once the reference fires it, in ref.
+      fn = [&real_order, &handles, &s, run_tag = tag, rearms,
+            rearm_dt]() mutable {
+        real_order.push_back(run_tag);
+        if (rearms-- == 0) return;
+        run_tag = static_cast<int>(handles.size());
+        handles.push_back(s.Rearm(s.now() + rearm_dt));
+      };
+    }
+    handles.push_back(after ? s.ScheduleAfter(dt, std::move(fn))
+                            : s.ScheduleAt(s.now() + dt, std::move(fn)));
+    ref.push_back(RefEvent{ref_now + dt, tag, lane, rearms, rearm_dt});
   };
   // Fires the reference's live events with time <= horizon (< when
   // `strict`), moving its clock like RunUntil / the Step loop move theirs.
@@ -296,6 +414,12 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
       ref[best].fired = true;
       ref_order.push_back(ref[best].tag);
       ref_now = ref[best].time;
+      if (ref[best].rearms > 0) {
+        const RefEvent again{ref_now + ref[best].rearm_dt,
+                             static_cast<int>(ref.size()), false,
+                             ref[best].rearms - 1, ref[best].rearm_dt};
+        ref.push_back(again);
+      }
     }
     if (!strict) ref_now = horizon;
   };
@@ -322,12 +446,27 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
     for (std::size_t b = 0; b < burst; ++b) {
       const SimTime grid = static_cast<double>(next() % 64) / 4.0;
       const bool after = next() % 2 == 0;
+      // One event in eight re-arms itself one to four times: after no
+      // delay (tying with what is pending at now()), a grid delay, or a
+      // hot delay (tying with lane events).
+      int rearms = 0;
+      SimTime rearm_dt = 0;
+      if (next() % 8 == 0) {
+        rearms = 1 + static_cast<int>(next() % 4);
+        const std::uint64_t pick = next() % 3;
+        rearm_dt = pick == 0   ? 0.0
+                   : pick == 1 || mix.hot.empty()
+                       ? grid
+                       : mix.hot[next() % mix.hot.size()];
+      }
       if (mix.hot.empty()) {
-        schedule(after, grid, /*lane=*/false);
+        schedule(after, grid, /*lane=*/false, rearms, rearm_dt);
       } else if (after && next() % 4 == 0) {
-        schedule(after, grid, /*lane=*/false);  // beyond the lane cap
+        // beyond the lane cap
+        schedule(after, grid, /*lane=*/false, rearms, rearm_dt);
       } else {
-        schedule(after, mix.hot[next() % mix.hot.size()], /*lane=*/after);
+        schedule(after, mix.hot[next() % mix.hot.size()], /*lane=*/after,
+                 rearms, rearm_dt);
       }
     }
 
@@ -346,6 +485,7 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
           !ref[victim].cancelled && !ref[victim].fired;
       EXPECT_EQ(s.Cancel(handles[victim]), expect) << "victim " << victim;
       lane_cancels += expect && ref[victim].lane;
+      rearm_cancels += expect && ref[victim].rearms > 0;
       ref[victim].cancelled = true;  // idempotent in the reference
     }
 
@@ -373,8 +513,14 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
   // Sanity: the schedule actually exercised all paths.
   EXPECT_GT(real_order.size(), 500u);
   std::size_t cancelled = 0;
-  for (const RefEvent& e : ref) cancelled += e.cancelled && !e.fired;
+  std::size_t rearmed = 0;
+  for (const RefEvent& e : ref) {
+    cancelled += e.cancelled && !e.fired;
+    rearmed += e.fired && e.rearms > 0;
+  }
   EXPECT_GT(cancelled, 10u);
+  EXPECT_GT(rearmed, 100u);
+  EXPECT_GT(rearm_cancels, 5u);
   if (!mix.hot.empty()) {
     EXPECT_GT(lane_cancels, 10u);
     EXPECT_GT(mixed_ties, 10u);
@@ -388,6 +534,23 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<StressMix>& info) {
       return std::string(info.param.name);
     });
+
+TEST(SchedulerDeathTest, RearmOutsideADispatchAborts) {
+  Scheduler s;
+  EXPECT_DEATH(s.Rearm(1.0), "outside a dispatch");
+  s.ScheduleAt(1.0, [] {});
+  s.RunAll();
+  EXPECT_DEATH(s.Rearm(2.0), "outside a dispatch");
+}
+
+TEST(SchedulerDeathTest, SecondRearmInOneDispatchAborts) {
+  Scheduler s;
+  s.ScheduleAt(1.0, [&s] {
+    s.Rearm(2.0);
+    s.Rearm(3.0);
+  });
+  EXPECT_DEATH(s.RunAll(), "twice in one dispatch");
+}
 
 TEST(SchedulerDeathTest, SchedulingIntoThePastAborts) {
   Scheduler s;

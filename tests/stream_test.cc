@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "sim/scheduler.h"
@@ -167,41 +169,38 @@ TEST(RandomWalkTest, HandlerSeesMonotoneTimes) {
 
 // --- TraceStreams ---
 
+std::vector<TraceRecord> SmallRecords() {
+  return {{1.0, 0, 15}, {2.0, 1, 25}, {2.0, 2, 35}, {5.0, 0, 5}};
+}
+
 TraceData SmallTrace() {
-  TraceData trace;
-  trace.num_streams = 3;
-  trace.initial_values = {10, 20, 30};
-  trace.records = {
-      {1.0, 0, 15}, {2.0, 1, 25}, {2.0, 2, 35}, {5.0, 0, 5},
-  };
-  return trace;
+  return TraceData::Make(3, {10, 20, 30}, SmallRecords()).value();
 }
 
 TEST(TraceStreamsTest, ValidationCatchesBadTraces) {
-  TraceData t = SmallTrace();
-  EXPECT_TRUE(t.Validate().ok());
-  t.records[0].stream = 99;
-  EXPECT_FALSE(t.Validate().ok());
+  // TraceData::Make is the one check a hand-built trace gets.
+  const auto check = [](std::size_t num_streams, std::vector<Value> initial,
+                        std::vector<TraceRecord> records) {
+    return TraceData::Make(num_streams, std::move(initial),
+                           std::move(records))
+        .status();
+  };
+  EXPECT_TRUE(check(3, {10, 20, 30}, SmallRecords()).ok());
 
-  t = SmallTrace();
-  std::swap(t.records[0], t.records[3]);  // out of order
-  EXPECT_FALSE(t.Validate().ok());
+  std::vector<TraceRecord> bad = SmallRecords();
+  bad[0].stream = 99;
+  EXPECT_EQ(check(3, {}, bad).code(), StatusCode::kOutOfRange);
 
-  t = SmallTrace();
-  t.initial_values.pop_back();
-  EXPECT_FALSE(t.Validate().ok());
+  bad = SmallRecords();
+  std::swap(bad[0], bad[3]);  // out of order
+  EXPECT_FALSE(check(3, {}, bad).ok());
 
-  t = SmallTrace();
-  t.num_streams = 0;
-  EXPECT_FALSE(t.Validate().ok());
+  EXPECT_FALSE(check(3, {10, 20}, SmallRecords()).ok());
+  EXPECT_FALSE(check(0, {}, {}).ok());
 
   // The stream count is capped before any replay sizes a per-stream array.
-  t = SmallTrace();
-  t.initial_values.clear();
-  t.num_streams = kMaxStreams;
-  EXPECT_TRUE(t.Validate().ok());
-  t.num_streams = kMaxStreams + 1;
-  EXPECT_FALSE(t.Validate().ok());
+  EXPECT_TRUE(check(kMaxStreams, {}, SmallRecords()).ok());
+  EXPECT_FALSE(check(kMaxStreams + 1, {}, SmallRecords()).ok());
 }
 
 TEST(TraceStreamsTest, InitialValuesApplied) {
@@ -240,8 +239,7 @@ TEST(TraceStreamsTest, HorizonTruncatesReplay) {
 }
 
 TEST(TraceStreamsTest, EmptyTraceIsFine) {
-  TraceData trace;
-  trace.num_streams = 2;
+  const TraceData trace = TraceData::Make(2, {}, {}).value();
   TraceStreams streams(&trace);
   Scheduler sched;
   streams.Start(&sched, 100);
@@ -252,7 +250,7 @@ TEST(TraceStreamsTest, EmptyTraceIsFine) {
 
 TEST(TraceStreamsTest, DurationReportsLastRecordTime) {
   EXPECT_EQ(SmallTrace().Duration(), 5.0);
-  EXPECT_EQ(TraceData{}.Duration(), 0.0);
+  EXPECT_EQ(TraceData::Make(1, {}, {})->Duration(), 0.0);
 }
 
 }  // namespace

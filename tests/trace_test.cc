@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "common/stats.h"
 #include "trace/trace_io.h"
@@ -22,11 +24,25 @@ TEST(TcpSynthTest, ConfigValidation) {
   bad = ok;
   bad.num_subnets = kMaxStreams + 1;
   EXPECT_FALSE(bad.Validate().ok());
+  // The record count is capped before the generator reserves it. Only
+  // rejected counts are used here; none is ever generated.
+  bad = ok;
+  bad.total_connections = kMaxTraceRecords + 1;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad.total_connections = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_FALSE(bad.Validate().ok());
+  EXPECT_FALSE(GenerateTcpTrace(bad).ok());
   bad = ok;
   bad.duration = 0;
   EXPECT_FALSE(bad.Validate().ok());
+  bad.duration = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(bad.Validate().ok());
+  bad.duration = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(bad.Validate().ok());
   bad = ok;
   bad.zipf_s = -1;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad.zipf_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(bad.Validate().ok());
 }
 
@@ -37,11 +53,10 @@ TEST(TcpSynthTest, ProducesRequestedShape) {
   config.duration = 1000;
   auto trace = GenerateTcpTrace(config);
   ASSERT_TRUE(trace.ok());
-  EXPECT_EQ(trace->num_streams, 100u);
-  EXPECT_EQ(trace->records.size(), 5000u);
-  EXPECT_EQ(trace->initial_values.size(), 100u);
-  EXPECT_TRUE(trace->Validate().ok());
-  for (const TraceRecord& rec : trace->records) {
+  EXPECT_EQ(trace->num_streams(), 100u);
+  EXPECT_EQ(trace->records().size(), 5000u);
+  EXPECT_EQ(trace->initial_values().size(), 100u);
+  for (const TraceRecord& rec : trace->records()) {
     EXPECT_GT(rec.time, 0.0);
     EXPECT_LE(rec.time, 1000.0);
     EXPECT_GT(rec.value, 0.0);  // byte counts are positive
@@ -57,7 +72,7 @@ TEST(TcpSynthTest, SubnetActivityIsZipfSkewed) {
   auto trace = GenerateTcpTrace(config);
   ASSERT_TRUE(trace.ok());
   std::vector<std::size_t> counts(config.num_subnets, 0);
-  for (const TraceRecord& rec : trace->records) ++counts[rec.stream];
+  for (const TraceRecord& rec : trace->records()) ++counts[rec.stream];
   // Subnet 0 (rank 0) must dominate the median subnet by a wide margin.
   std::vector<std::size_t> sorted = counts;
   std::sort(sorted.begin(), sorted.end());
@@ -73,7 +88,7 @@ TEST(TcpSynthTest, BytesMedianMatchesMuWithoutSubnetSpread) {
   auto trace = GenerateTcpTrace(config);
   ASSERT_TRUE(trace.ok());
   std::vector<double> bytes;
-  for (const TraceRecord& rec : trace->records) bytes.push_back(rec.value);
+  for (const TraceRecord& rec : trace->records()) bytes.push_back(rec.value);
   std::nth_element(bytes.begin(), bytes.begin() + bytes.size() / 2,
                    bytes.end());
   EXPECT_NEAR(bytes[bytes.size() / 2], 500.0, 40.0);
@@ -89,7 +104,7 @@ TEST(TcpSynthTest, BytesAreHeavyTailed) {
   auto trace = GenerateTcpTrace(config);
   ASSERT_TRUE(trace.ok());
   double max_bytes = 0;
-  for (const TraceRecord& rec : trace->records) {
+  for (const TraceRecord& rec : trace->records()) {
     max_bytes = std::max(max_bytes, rec.value);
   }
   EXPECT_GT(max_bytes, 50000.0);
@@ -106,7 +121,7 @@ TEST(TcpSynthTest, SubnetFactorsMakeHeavyHittersPersistent) {
   ASSERT_TRUE(trace.ok());
   std::vector<double> sum(config.num_subnets, 0);
   std::vector<std::size_t> count(config.num_subnets, 0);
-  for (const TraceRecord& rec : trace->records) {
+  for (const TraceRecord& rec : trace->records()) {
     sum[rec.stream] += rec.value;
     ++count[rec.stream];
   }
@@ -130,11 +145,12 @@ TEST(TcpSynthTest, RangeQueryBandIsPopulated) {
   auto trace = GenerateTcpTrace(config);
   ASSERT_TRUE(trace.ok());
   std::size_t in_range = 0;
-  for (const TraceRecord& rec : trace->records) {
+  for (const TraceRecord& rec : trace->records()) {
     if (rec.value >= 400 && rec.value <= 600) ++in_range;
   }
   const double fraction =
-      static_cast<double>(in_range) / static_cast<double>(trace->records.size());
+      static_cast<double>(in_range) /
+      static_cast<double>(trace->records().size());
   EXPECT_GT(fraction, 0.05);
   EXPECT_LT(fraction, 0.3);
 }
@@ -147,14 +163,14 @@ TEST(TcpSynthTest, DeterministicForSeed) {
   auto b = GenerateTcpTrace(config);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->records.size(), b->records.size());
-  for (std::size_t i = 0; i < a->records.size(); ++i) {
-    EXPECT_EQ(a->records[i], b->records[i]);
+  EXPECT_EQ(a->records().size(), b->records().size());
+  for (std::size_t i = 0; i < a->records().size(); ++i) {
+    EXPECT_EQ(a->records()[i], b->records()[i]);
   }
   config.seed += 1;
   auto c = GenerateTcpTrace(config);
   ASSERT_TRUE(c.ok());
-  EXPECT_FALSE(a->records == c->records);
+  EXPECT_FALSE(a->records() == c->records());
 }
 
 TEST(TcpSynthTest, RecordsAreTimeSorted) {
@@ -162,8 +178,8 @@ TEST(TcpSynthTest, RecordsAreTimeSorted) {
   config.total_connections = 5000;
   auto trace = GenerateTcpTrace(config);
   ASSERT_TRUE(trace.ok());
-  for (std::size_t i = 1; i < trace->records.size(); ++i) {
-    EXPECT_LE(trace->records[i - 1].time, trace->records[i].time);
+  for (std::size_t i = 1; i < trace->records().size(); ++i) {
+    EXPECT_LE(trace->records()[i - 1].time, trace->records()[i].time);
   }
 }
 
@@ -181,31 +197,30 @@ class TraceIoTest : public ::testing::Test {
 };
 
 TEST_F(TraceIoTest, RoundTrip) {
-  TraceData trace;
-  trace.num_streams = 3;
-  trace.initial_values = {1.5, 2.25, -3.75};
-  trace.records = {{0.5, 0, 10.125}, {1.5, 2, -20.5}, {2.0, 1, 0}};
+  const TraceData trace =
+      TraceData::Make(3, {1.5, 2.25, -3.75},
+                      {{0.5, 0, 10.125}, {1.5, 2, -20.5}, {2.0, 1, 0}})
+          .value();
 
   ASSERT_TRUE(WriteTraceCsv(trace, path_.string()).ok());
   auto loaded = ReadTraceCsv(path_.string());
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_streams, 3u);
-  EXPECT_EQ(loaded->initial_values, trace.initial_values);
-  ASSERT_EQ(loaded->records.size(), 3u);
+  EXPECT_EQ(loaded->num_streams(), 3u);
+  EXPECT_EQ(loaded->initial_values(), trace.initial_values());
+  ASSERT_EQ(loaded->records().size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(loaded->records[i], trace.records[i]);
+    EXPECT_EQ(loaded->records()[i], trace.records()[i]);
   }
 }
 
 TEST_F(TraceIoTest, RoundTripWithoutInitialValues) {
-  TraceData trace;
-  trace.num_streams = 2;
-  trace.records = {{1.0, 0, 5}, {2.0, 1, 6}};
+  const TraceData trace =
+      TraceData::Make(2, {}, {{1.0, 0, 5}, {2.0, 1, 6}}).value();
   ASSERT_TRUE(WriteTraceCsv(trace, path_.string()).ok());
   auto loaded = ReadTraceCsv(path_.string());
   ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->initial_values.empty());
-  EXPECT_EQ(loaded->records.size(), 2u);
+  EXPECT_TRUE(loaded->initial_values().empty());
+  EXPECT_EQ(loaded->records().size(), 2u);
 }
 
 TEST_F(TraceIoTest, SyntheticTraceRoundTrips) {
@@ -217,9 +232,10 @@ TEST_F(TraceIoTest, SyntheticTraceRoundTrips) {
   ASSERT_TRUE(WriteTraceCsv(*trace, path_.string()).ok());
   auto loaded = ReadTraceCsv(path_.string());
   ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->records.size(), trace->records.size());
-  for (std::size_t i = 0; i < loaded->records.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded->records[i].value, trace->records[i].value);
+  ASSERT_EQ(loaded->records().size(), trace->records().size());
+  for (std::size_t i = 0; i < loaded->records().size(); ++i) {
+    EXPECT_DOUBLE_EQ(loaded->records()[i].value,
+                     trace->records()[i].value);
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -293,10 +294,10 @@ Status RunFromFlags(const Flags& flags) {
   SystemConfig config;
 
   // Workload.
-  TraceData trace;
+  std::optional<TraceData> trace;
   if (flags.Has("replay")) {
     ASF_ASSIGN_OR_RETURN(trace, ReadTraceCsv(flags.GetString("replay")));
-    config.source = SourceSpec::Trace(&trace);
+    config.source = SourceSpec::Trace(&*trace);
   } else {
     ASF_ASSIGN_OR_RETURN(const RandomWalkConfig walk, ParseWalk(flags));
     config.source = SourceSpec::Walk(walk);

@@ -72,13 +72,13 @@ Status RunFromFlags(const Flags& flags) {
   const std::string out = flags.GetString("out");
   ASF_RETURN_IF_ERROR(WriteTraceCsv(trace, out));
   std::printf("wrote %zu records over %zu streams to %s\n",
-              trace.records.size(), trace.num_streams, out.c_str());
+              trace.records().size(), trace.num_streams(), out.c_str());
 
   ASF_ASSIGN_OR_RETURN(const bool inspect, flags.GetBool("inspect", false));
   if (inspect) {
     OnlineStats bytes;
-    std::vector<std::uint64_t> per_subnet(trace.num_streams, 0);
-    for (const TraceRecord& rec : trace.records) {
+    std::vector<std::uint64_t> per_subnet(trace.num_streams(), 0);
+    for (const TraceRecord& rec : trace.records()) {
       bytes.Add(rec.value);
       ++per_subnet[rec.stream];
     }
