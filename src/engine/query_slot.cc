@@ -8,20 +8,13 @@
 namespace asf {
 namespace engine_internal {
 
-void WireQuerySlot(QuerySlot* slot, const QueryDeployment& deployment,
-                   SimTime deploy_at, std::size_t num_streams,
-                   std::uint64_t run_seed, std::size_t index,
-                   const std::function<Transport(FilterBank*)>& make_transport) {
-  slot->deployment = deployment;
-  slot->index = index;
-  slot->deploy_at = deploy_at;
-  slot->stats.name = deployment.name;
-  // Detached until the deploy event binds it into the shared storage.
-  slot->filters = std::make_unique<FilterBank>();
+void WireQuerySlot(QuerySlot* slot, std::size_t num_streams,
+                   std::uint64_t run_seed, Transport transport) {
+  const QueryDeployment& deployment = slot->deployment;
   slot->ctx = std::make_unique<ServerContext>(
-      num_streams, make_transport(slot->filters.get()),
-      &slot->stats.messages, deployment.broadcast);
-  slot->rng = std::make_unique<Rng>(QuerySlotSeed(run_seed, index));
+      num_streams, std::move(transport), &slot->stats.messages,
+      deployment.broadcast);
+  slot->rng = std::make_unique<Rng>(QuerySlotSeed(run_seed, slot->index));
   slot->protocol =
       MakeProtocol(deployment.query, deployment.protocol, deployment.rank_r,
                    deployment.fraction, deployment.ft, slot->ctx.get(),
@@ -110,15 +103,16 @@ void FlushAnswerSamples(QuerySlot& slot, std::uint64_t upto) {
 }
 
 void ReconcileSlots(std::vector<std::unique_ptr<QuerySlot>>& slots,
-                    const std::vector<Value>& values, NetworkModel& net,
-                    std::uint64_t updates_generated, SimTime at) {
+                    FilterArena& arena, const std::vector<Value>& values,
+                    NetworkModel& net, std::uint64_t updates_generated,
+                    SimTime at) {
   net.stats().reconcile_exchanges += values.size();
   for (auto& slot_ptr : slots) {
     QuerySlot& slot = *slot_ptr;
     if (!slot.live) continue;
     for (StreamId id = 0; id < values.size(); ++id) {
       const Value v = values[id];
-      slot.filters->SyncReference(id, v);
+      arena.SyncReference(id, slot.column, v);
       if (slot.ctx->cached(id) != v) {
         DeliverUpdateToSlot(slot, id, v, at, updates_generated);
       }

@@ -1,7 +1,6 @@
 #ifndef ASF_ENGINE_QUERY_SLOT_H_
 #define ASF_ENGINE_QUERY_SLOT_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -12,18 +11,19 @@
 
 /// \file
 /// The engine's per-query server runtime: how a deployment is wired — a
-/// detached filter view, a ServerContext over engine-built transport
-/// wires, a protocol RNG seeded from the run seed, a protocol instance —
-/// and how its updates, oracle judgments and run-length answer-size
-/// samples are accounted. Internal to src/engine; not part of the public
-/// API.
+/// ServerContext over engine-built transport wires, a protocol RNG seeded
+/// from the run seed, a protocol instance — and how its updates, oracle
+/// judgments and run-length answer-size samples are accounted. Its
+/// filters are one column of the engine's FilterArena. Internal to
+/// src/engine; not part of the public API.
 
 namespace asf {
 namespace engine_internal {
 
-/// Server-side runtime of one deployed query. The deploy event builds
-/// filters, ctx, rng and protocol (update_seq_floor grows on demand);
-/// retirement frees them and the deployment, leaving the closed record.
+/// Server-side runtime of one deployed query. The deploy builds ctx, rng
+/// and protocol and takes an arena column (update_seq_floor grows on
+/// demand); retirement frees them and the deployment, leaving the closed
+/// record.
 struct QuerySlot {
   QueryDeployment deployment;
   /// This slot's index in the engine's deployment order — the stable
@@ -32,15 +32,14 @@ struct QuerySlot {
   std::size_t index = 0;
   SimTime deploy_at = 0;
   SimTime retire_at = kNeverRetire;
-  /// View into the shared filter storage while live.
-  std::unique_ptr<FilterBank> filters;
   std::unique_ptr<ServerContext> ctx;
   std::unique_ptr<Rng> rng;
   std::unique_ptr<Protocol> protocol;
   QueryRunStats stats;
 
   bool live = false;
-  /// The slot's arena column while live (moves under compaction).
+  /// The slot's arena column while live: its filters, one per stream. It
+  /// moves under compaction, so every filter access reads it afresh.
   std::size_t column = FilterArena::kNoColumn;
 
   /// Incremental answer-size accounting: the answer only changes when
@@ -65,16 +64,13 @@ struct QuerySlot {
   bool stats_resident = true;
 };
 
-/// Wires one deployment into `slot` in place: detached bank, server
-/// context over the transport the engine builds against the slot's bank
-/// pointer, protocol RNG seeded QuerySlotSeed(run_seed, index), protocol
+/// Wires `slot`'s deployment in place: a server context over `transport`,
+/// a protocol RNG seeded QuerySlotSeed(run_seed, slot->index), a protocol
 /// instance. In place because the wiring is self-referential — the
-/// context counts into slot->stats.messages and the transport captures
-/// slot->filters — so the slot must already live at its final address.
-void WireQuerySlot(QuerySlot* slot, const QueryDeployment& deployment,
-                   SimTime deploy_at, std::size_t num_streams,
-                   std::uint64_t run_seed, std::size_t index,
-                   const std::function<Transport(FilterBank*)>& make_transport);
+/// context counts into slot->stats.messages — so the slot must already
+/// live at its final address.
+void WireQuerySlot(QuerySlot* slot, std::size_t num_streams,
+                   std::uint64_t run_seed, Transport transport);
 
 /// Judges the slot's current answer against the true stream values,
 /// accumulating the verdict into its stats.
@@ -111,14 +107,15 @@ void FlushAnswerSamples(QuerySlot& slot, std::uint64_t upto);
 /// NetworkModel::ReconcileSink (DESIGN.md §11). Each reconnecting source
 /// reports the data half of its summary vector — its current value in
 /// `values` — and the server applies the entries its per-query view
-/// missed: the filter reference re-syncs for every live query, and values
-/// the cache is stale on are delivered as ordinary (charged) reports so
-/// the protocol repairs its answer. The deploy half (still-unacked
-/// constraint installs) is replayed by the fault pipeline itself over the
-/// same handshake.
+/// missed: each live query's filter reference in `arena` re-syncs, and
+/// values the cache is stale on are delivered as ordinary (charged)
+/// reports so the protocol repairs its answer. The deploy half
+/// (still-unacked constraint installs) is replayed by the fault pipeline
+/// itself over the same handshake.
 void ReconcileSlots(std::vector<std::unique_ptr<QuerySlot>>& slots,
-                    const std::vector<Value>& values, NetworkModel& net,
-                    std::uint64_t updates_generated, SimTime at);
+                    FilterArena& arena, const std::vector<Value>& values,
+                    NetworkModel& net, std::uint64_t updates_generated,
+                    SimTime at);
 
 }  // namespace engine_internal
 }  // namespace asf

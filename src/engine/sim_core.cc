@@ -1,7 +1,7 @@
 #include "engine/sim_core.h"
 
 #include <algorithm>
-#include <functional>
+#include <limits>
 #include <utility>
 
 #include "engine/query_slot.h"
@@ -13,16 +13,6 @@
 #include "stream/trace_source.h"
 
 namespace asf {
-
-namespace {
-// A transport closure must never touch a view that survived an arena
-// rebind; the generation tags make that checkable.
-inline void AssertViewFresh(const FilterBank& bank, const FilterArena& arena) {
-  (void)bank;
-  (void)arena;
-  ASF_DCHECK(bank.bound_generation() == arena.generation());
-}
-}  // namespace
 
 SimulationCore::SimulationCore(const Options& options)
     : options_(options), arena_(options.source.NumStreams()),
@@ -41,13 +31,6 @@ SimulationCore::SimulationCore(const Options& options)
   }
 
   arena_.SetDispatchPolicy(ResolveDispatchPolicy(options_.dispatch));
-  // Compaction relocations retag the moved column's owner in one place;
-  // RetireSlot only has to shrink the owner map afterwards.
-  arena_.set_relocation_callback([this](std::size_t from, std::size_t to) {
-    const std::size_t owner = column_owner_[from];
-    column_owner_[to] = owner;
-    slots_[owner]->column = to;
-  });
 
   // Every source→server update and server→source deploy travels through
   // the delivery model (DESIGN.md §9): inline for instant-equivalent
@@ -109,47 +92,41 @@ std::size_t SimulationCore::DeployQuery(const QueryDeployment& deployment,
 }
 
 void SimulationCore::WireSlot(std::size_t index) {
-  const std::size_t n = streams_->size();
-
   // The wires between this query's server context and the shared sources.
-  // Probes and deploys sync/reset this query's filter references only;
-  // other queries' filters are untouched (per-query isolation). The bank
-  // pointer is stable; its *view* is rebound as the arena grows and
-  // compacts, which the generation tag asserts. Probes are blocking
-  // zero-time RPCs the network model only observes; deploys route through
-  // it and take effect at the source on *delivery* (OnNetDeploy).
-  const auto make_transport = [this, index](FilterBank* bank) {
-    Transport transport;
-    transport.probe = [this, bank](StreamId id) -> std::optional<Value> {
-      AssertViewFresh(*bank, arena_);
-      // A lost exchange (partition / bounded retransmission exhausted)
-      // reports no value; the server context serves its cache instead.
-      if (!net_->ControlRpc(id, scheduler_.now())) return std::nullopt;
-      const Value v = streams_->value(id);
-      bank->SyncReference(id, v);  // the probed value is now "reported"
-      return v;
-    };
-    transport.region_probe =
-        [this, bank](StreamId id,
-                     const Interval& region) -> std::optional<Value> {
-      AssertViewFresh(*bank, arena_);
-      // A lost region probe is indistinguishable from an out-of-region
-      // silence at the server — exactly the conservative reading.
-      if (!net_->ControlRpc(id, scheduler_.now())) return std::nullopt;
-      const Value v = streams_->value(id);
-      if (!region.Contains(v)) return std::nullopt;
-      bank->SyncReference(id, v);
-      return v;
-    };
-    transport.deploy = [this, index](StreamId id,
-                                     const FilterConstraint& constraint) {
-      net_->SendDeploy(index, id, constraint, scheduler_.now());
-    };
-    return transport;
-  };
+  // Probes and deploys sync/reset this query's filter references only —
+  // its arena column, read from the slot at each use because compaction
+  // moves it; other queries' filters are untouched (per-query isolation).
+  // Probes are blocking zero-time RPCs the network model only observes;
+  // deploys route through it and take effect at the source on *delivery*
+  // (OnNetDeploy).
   Slot& slot = *slots_[index];
-  engine_internal::WireQuerySlot(&slot, slot.deployment, slot.deploy_at, n,
-                                 options_.seed, index, make_transport);
+  Transport transport;
+  transport.probe = [this, &slot](StreamId id) -> std::optional<Value> {
+    // A lost exchange (partition / bounded retransmission exhausted)
+    // reports no value; the server context serves its cache instead.
+    if (!net_->ControlRpc(id, scheduler_.now())) return std::nullopt;
+    const Value v = streams_->value(id);
+    // The probed value is now "reported".
+    arena_.SyncReference(id, slot.column, v);
+    return v;
+  };
+  transport.region_probe =
+      [this, &slot](StreamId id,
+                    const Interval& region) -> std::optional<Value> {
+    // A lost region probe is indistinguishable from an out-of-region
+    // silence at the server — exactly the conservative reading.
+    if (!net_->ControlRpc(id, scheduler_.now())) return std::nullopt;
+    const Value v = streams_->value(id);
+    if (!region.Contains(v)) return std::nullopt;
+    arena_.SyncReference(id, slot.column, v);
+    return v;
+  };
+  transport.deploy = [this, index](StreamId id,
+                                   const FilterConstraint& constraint) {
+    net_->SendDeploy(index, id, constraint, scheduler_.now());
+  };
+  engine_internal::WireQuerySlot(&slot, streams_->size(), options_.seed,
+                                 std::move(transport));
   // Lets protocols relax their zero-delay belief assertions while
   // messages may be in transit (DESIGN.md §9).
   slot.ctx->set_delayed_delivery(net_delayed_);
@@ -175,27 +152,16 @@ void SimulationCore::RunOracle(Slot& slot) {
   }
 }
 
-void SimulationCore::RebindLiveViews() {
-  for (std::size_t c = 0; c < arena_.live(); ++c) {
-    slots_[column_owner_[c]]->filters->Retag(c, arena_.generation());
-  }
-}
-
 void SimulationCore::InstallSlot(std::size_t index) {
   Slot& slot = *slots_[index];
   ASF_CHECK(!slot.live);
   WireSlot(index);
 
-  // Take a column in the shared arena and bind the new query's view.
-  // Growth invalidates every other live view (the storage reallocates),
-  // so retag them all.
-  const std::uint64_t generation_before = arena_.generation();
+  // Take the next column of the shared arena for the query's filters.
   slot.column = arena_.Acquire();
   column_owner_.push_back(index);
   ASF_CHECK(column_owner_.size() == arena_.live());
   slot.live = true;
-  *slot.filters = arena_.View(slot.column);
-  if (arena_.generation() != generation_before) RebindLiveViews();
   peak_live_ = std::max(peak_live_, arena_.live());
 
   // The query's sample stream opens now: it sees only updates generated
@@ -209,9 +175,11 @@ void SimulationCore::InstallSlot(std::size_t index) {
   slot.stats.messages.set_phase(MessagePhase::kInit);
   slot.protocol->Initialize(scheduler_.now());
   slot.stats.messages.set_phase(MessagePhase::kMaintenance);
-  const FilterBank::SilentCounts silent = slot.filters->CountSilentFilters();
-  slot.stats.fp_filters_installed = silent.false_positive;
-  slot.stats.fn_filters_installed = silent.false_negative;
+  for (StreamId id = 0; id < arena_.num_streams(); ++id) {
+    const FilterConstraint c = arena_.cell(id, slot.column).constraint();
+    slot.stats.fp_filters_installed += c.IsFalsePositiveFilter();
+    slot.stats.fn_filters_installed += c.IsFalseNegativeFilter();
+  }
   slot.answer_cur_size = static_cast<double>(slot.protocol->answer().size());
   if (options_.oracle.check_every_update) RunOracle(slot);
 }
@@ -232,14 +200,16 @@ void SimulationCore::RetireSlot(std::size_t index) {
   slot.stats.reinits = slot.protocol->reinit_count();
   slot.live = false;
 
-  // Release the arena column; the last live column compacts into the
-  // hole, and the arena's relocation callback retags its owner before
-  // Release returns. Rebind every live view against the bumped
-  // generation.
-  arena_.Release(slot.column);
+  // Release the arena column. The last live column compacts into the
+  // hole; re-point its owner there.
+  const std::size_t moved = arena_.Release(slot.column);
+  if (moved != slot.column) {
+    const std::size_t owner = column_owner_[moved];
+    column_owner_[slot.column] = owner;
+    slots_[owner]->column = slot.column;
+  }
   column_owner_.pop_back();
   slot.column = FilterArena::kNoColumn;
-  RebindLiveViews();
 
   ASF_TRACE_EVENT(options_.obs.tracer, obs::TraceEventType::kRetire,
                   scheduler_.now(), static_cast<std::uint32_t>(index), 0,
@@ -253,38 +223,8 @@ void SimulationCore::RetireSlot(std::size_t index) {
   slot.protocol.reset();
   slot.ctx.reset();
   slot.rng.reset();
-  slot.filters.reset();
   std::vector<std::uint64_t>().swap(slot.update_seq_floor);
   if (spiller_) engine_internal::SpillRetiredSlot(*spiller_, slot);
-}
-
-void SimulationCore::ScheduleLifecycleBatch() {
-  const std::size_t end =
-      std::min(lifecycle_cursor_ + kLifecycleBatch, lifecycle_.size());
-  const bool more = end < lifecycle_.size();
-  for (std::size_t k = lifecycle_cursor_; k < end; ++k) {
-    const LifecycleEvent ev = lifecycle_[k];
-    // The batch's last event refills the feed after running its own
-    // action. Refilled events carry reserved seqs strictly greater than
-    // this event's (the feed is sorted by (t, seq)), so they dispatch
-    // exactly where an eager schedule would have placed them, even at
-    // the same timestamp.
-    const bool refill = more && k + 1 == end;
-    scheduler_.ScheduleAtReserved(ev.t, ev.seq, [this, ev, refill] {
-      if (ev.deploy) {
-        InstallSlot(ev.slot);
-      } else {
-        RetireSlot(ev.slot);
-      }
-      if (refill) ScheduleLifecycleBatch();
-    });
-  }
-  lifecycle_cursor_ = end;
-  if (!more) {
-    // Feed exhausted; the events hold copies, so the backing array can go.
-    lifecycle_.clear();
-    lifecycle_.shrink_to_fit();
-  }
 }
 
 void SimulationCore::OnNetUpdate(StreamId id,
@@ -319,17 +259,17 @@ void SimulationCore::OnNetDeploy(std::size_t slot_index, StreamId id,
     return;
   }
   (void)at;
-  AssertViewFresh(*slot.filters, arena_);
   // The agent resets the membership reference against its *current* local
   // value (DESIGN.md §4, first bullet) — under delayed delivery that is
   // the value at arrival, not at send. Staleness compensation shrinks the
   // installed band by the configured guard margin (DESIGN.md §11).
-  slot.filters->Deploy(id, CompensateConstraint(constraint, options_.net.comp),
-                       streams_->value(id));
+  arena_.Deploy(id, slot.column,
+                CompensateConstraint(constraint, options_.net.comp),
+                streams_->value(id));
 }
 
 void SimulationCore::OnNetReconcile(SimTime at) {
-  engine_internal::ReconcileSlots(slots_, streams_->values(), *net_,
+  engine_internal::ReconcileSlots(slots_, arena_, streams_->values(), *net_,
                                   updates_generated_, at);
   if (options_.oracle.check_every_update) {
     for (auto& slot : slots_) {
@@ -446,19 +386,18 @@ void SimulationCore::Run() {
     }
   });
 
-  // The lifecycle feed. Dispatch order at equal timestamps must be
-  // exactly the classic all-upfront scheme's: every deploy (slot order)
-  // before every retirement (slot order), both before any same-instant
-  // stream/oracle/net event. Reserving the whole seq block here pins that
-  // order — (time, seq) decides dispatch no matter when an event is
-  // inserted — so the feeder can materialize scheduler entries in small
-  // batches and the queue holds O(batch) lifecycle events instead of one
-  // per cumulative deployment (long churn schedules would otherwise spend
-  // more memory on pending events than on the live queries themselves).
-  lifecycle_.clear();
+  // The lifecycle feed: every deploy (slot order), then every retirement
+  // (slot order), stably sorted by time — the order of the changes at one
+  // instant.
+  struct Change {
+    SimTime t;
+    std::size_t slot;
+    bool deploy;
+  };
+  std::vector<Change> feed;
+  feed.reserve(2 * slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    lifecycle_.push_back(
-        {slots_[i]->deploy_at, 0, static_cast<std::uint32_t>(i), true});
+    feed.push_back({slots_[i]->deploy_at, i, true});
   }
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const SimTime retire_at = slots_[i]->retire_at;
@@ -467,21 +406,10 @@ void SimulationCore::Run() {
     // skip it rather than charge a pointless uninstall broadcast at the
     // instant the run ends (no cost cliff between end == duration and
     // end == duration + epsilon).
-    if (retire_at < options_.duration) {
-      lifecycle_.push_back(
-          {retire_at, 0, static_cast<std::uint32_t>(i), false});
-    }
+    if (retire_at < options_.duration) feed.push_back({retire_at, i, false});
   }
-  const std::uint64_t seq_base = scheduler_.ReserveSeqs(lifecycle_.size());
-  for (std::size_t k = 0; k < lifecycle_.size(); ++k) {
-    lifecycle_[k].seq = seq_base + k;
-  }
-  std::sort(lifecycle_.begin(), lifecycle_.end(),
-            [](const LifecycleEvent& a, const LifecycleEvent& b) {
-              return a.t < b.t || (a.t == b.t && a.seq < b.seq);
-            });
-  lifecycle_cursor_ = 0;
-  ScheduleLifecycleBatch();
+  std::stable_sort(feed.begin(), feed.end(),
+                   [](const Change& a, const Change& b) { return a.t < b.t; });
 
   // Periodic oracle sampling, if requested. OracleSampleTick reschedules
   // itself (a plain member function — no self-referential std::function).
@@ -493,36 +421,39 @@ void SimulationCore::Run() {
   }
 
   // Model-owned timers (partition reconnect exchanges) are scheduled
-  // last, after lifecycle and oracle events: that fixes their FIFO
-  // seniority at equal timestamps.
+  // after the oracle tick: that fixes their FIFO seniority at equal
+  // timestamps.
   net_->StartRun(options_.duration);
 
   streams_->Start(&scheduler_, options_.duration);
-  if (obs_reg != nullptr && options_.obs.metrics_every > 0) {
-    // Same event sequence as the plain RunUntil below — a Step loop with
-    // (time, seq) FIFO dispatch executes events in identical order — but
-    // gauge snapshots interleave on the sim-time grid: a grid point at T
-    // samples before any event at exactly T runs.
-    const SimTime every = options_.obs.metrics_every;
-    SimTime next_snap = every;
-    for (;;) {
-      const SimTime next_event = scheduler_.NextEventTime();
-      const SimTime limit = std::min(next_event, options_.duration);
-      while (next_snap <= options_.duration && next_snap <= limit) {
-        obs_reg->SnapshotAt(next_snap);
-        next_snap += every;
-      }
-      if (next_event > options_.duration) break;
-      scheduler_.Step();
-    }
-    scheduler_.RunUntil(options_.duration);  // clock -> horizon
-    while (next_snap <= options_.duration) {
-      obs_reg->SnapshotAt(next_snap);
+
+  // The drive loop (file comment). Its instants are the lifecycle feed's
+  // and the snapshot grid's; at each, the events due before it run first,
+  // then the snapshot, then the deploys and retirements.
+  constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
+  const SimTime every = obs_reg != nullptr ? options_.obs.metrics_every : 0;
+  SimTime next_snap = every > 0 ? every : kNever;
+  std::size_t next_change = 0;
+  for (;;) {
+    const SimTime t = std::min(
+        next_change < feed.size() ? feed[next_change].t : kNever, next_snap);
+    if (t > options_.duration) break;
+    scheduler_.RunBefore(t);
+    if (t == next_snap) {
+      obs_reg->SnapshotAt(t);
       next_snap += every;
     }
-  } else {
-    scheduler_.RunUntil(options_.duration);
+    for (; next_change < feed.size() && feed[next_change].t == t;
+         ++next_change) {
+      const Change& change = feed[next_change];
+      if (change.deploy) {
+        InstallSlot(change.slot);
+      } else {
+        RetireSlot(change.slot);
+      }
+    }
   }
+  scheduler_.RunUntil(options_.duration);
   net_->Finalize(options_.duration);
   // Every crossing offered to the network ends delivered, dropped or
   // still in flight at the horizon (NetStats).

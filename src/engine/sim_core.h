@@ -12,7 +12,6 @@
 #include "engine/run_result.h"
 #include "engine/spill_config.h"
 #include "filter/filter_arena.h"
-#include "filter/filter_bank.h"
 #include "net/message_stats.h"
 #include "net/network_model.h"
 #include "protocol/protocol.h"
@@ -24,23 +23,31 @@
 /// The simulation engine behind every run.
 ///
 /// SimulationCore owns everything a run needs regardless of how many
-/// queries are deployed: stream construction (walk / trace / custom), one
-/// filter bank + server context + protocol instance per query, the
-/// Transport closures that connect server to sources, the correctness
-/// oracle hooks, and the scheduler drive loop. RunMultiQuerySystem is the
-/// one public adapter over it: it validates a MultiQueryConfig, deploys
-/// its queries and collects one QueryRunStats per query plus the run
-/// totals. RunSystem is a one-query deployment through that same adapter
-/// (SystemConfig::Deployment), so a single-query run and a one-query
-/// multi run are the same run.
+/// queries are deployed: stream construction (walk / trace / custom), the
+/// shared FilterArena with one column of filters per live query, a server
+/// context and protocol instance per query, the Transport closures that
+/// connect server to sources, the correctness oracle hooks, and the drive
+/// loop. RunMultiQuerySystem is the one public adapter over it: it
+/// validates a MultiQueryConfig, deploys its queries and collects one
+/// QueryRunStats per query plus the run totals. RunSystem is a one-query
+/// deployment through that same adapter (SystemConfig::Deployment), so a
+/// single-query run and a one-query multi run are the same run.
 ///
-/// Queries are a *dynamic population*: each one is deployed at a scheduled
+/// Queries are a *dynamic population*: each one is deployed at a given
 /// simulation time, runs under its tolerance protocol, and may retire
 /// before the horizon (DeployQuery / RetireQuery). The static batch case —
 /// AddQuery for every query, all installed at options.query_start, none
 /// retired — is simply the degenerate schedule, and produces results
 /// identical to an engine without the lifecycle machinery
 /// (tests/sim_core_test.cc locks this in).
+///
+/// Run is one loop over the instants at which something other than an
+/// event happens: a deploy, a retirement or a metrics snapshot. At each
+/// such instant t it runs every event due strictly before t
+/// (Scheduler::RunBefore), takes the snapshot, then runs the deploys
+/// (slot order) and the retirements (slot order) at t — so a snapshot
+/// sees the population as it stood just before t, and the events due at
+/// t see it as it stands after.
 
 namespace asf {
 
@@ -81,7 +88,7 @@ class SimulationCore {
 
   /// Registers one query: its own server context, protocol RNG (derived
   /// deterministically from the run seed and the slot index) and protocol
-  /// instance. Deployment and retirement run as scheduler events at the
+  /// instance. Deployment and retirement run as steps of Run's loop at the
   /// times carried by `deployment` (start < 0 resolves to
   /// options.query_start; end == kNeverRetire means no retirement), so the
   /// default deployment reproduces the classic static batch. Must be
@@ -102,8 +109,8 @@ class SimulationCore {
   /// over). Must be called before Run().
   void RetireQuery(std::size_t slot, SimTime at);
 
-  /// Drives the simulation to options.duration. Call exactly once, after
-  /// every AddQuery/DeployQuery/RetireQuery.
+  /// Drives the simulation to options.duration (file comment). Call
+  /// exactly once, after every AddQuery/DeployQuery/RetireQuery.
   void Run();
 
   std::size_t num_queries() const { return slots_.size(); }
@@ -146,28 +153,22 @@ class SimulationCore {
   /// Judges slot `i`'s current answer against the true stream values.
   void RunOracle(Slot& slot);
 
-  /// Builds the slot's runtime — detached filter bank, server context
-  /// over fresh transport wires, protocol RNG, protocol instance. Run by
-  /// the deploy event (not DeployQuery) so pre-deployment slots stay
-  /// lightweight records and resident runtime state tracks the live
-  /// population (DESIGN.md §13).
+  /// Builds the slot's runtime — server context over fresh transport
+  /// wires, protocol RNG, protocol instance. Run at the deploy (not by
+  /// DeployQuery) so pre-deployment slots stay lightweight records and
+  /// resident runtime state tracks the live population (DESIGN.md §13).
   void WireSlot(std::size_t index);
 
-  /// The deploy event: wires the slot's runtime, binds its filters into
-  /// the arena (growing it if needed), runs the protocol's
+  /// The deploy: wires the slot's runtime, takes an arena column for its
+  /// filters (growing the arena if needed), runs the protocol's
   /// Initialization phase, and opens the live window.
   void InstallSlot(std::size_t index);
 
-  /// The retire event: uninstalls the slot's filters (pass-through
-  /// deploy), closes its accounting, releases its arena column with
-  /// live-prefix compaction, and frees the runtime WireSlot built, so a
-  /// retired slot is its closed record alone.
+  /// The retirement: uninstalls the slot's filters (pass-through deploy),
+  /// closes its accounting, releases its arena column with live-prefix
+  /// compaction, and frees the runtime WireSlot built, so a retired slot
+  /// is its closed record alone.
   void RetireSlot(std::size_t index);
-
-  /// Retags the arena-routed FilterBank views of every live slot in place
-  /// after an arena layout change (growth or compaction): each view gets
-  /// its tenant's current column and the new generation.
-  void RebindLiveViews();
 
   /// Periodic correctness sampling; reschedules itself every
   /// options_.oracle.sample_interval until the horizon.
@@ -185,25 +186,6 @@ class SimulationCore {
   /// BindReconcile): every source reports its current value and the
   /// server repairs each live query's stale view (DESIGN.md §11).
   void OnNetReconcile(SimTime at);
-
-  /// One entry of the batched lifecycle feed (see Run): a deploy or
-  /// retire with its pre-reserved FIFO sequence number.
-  struct LifecycleEvent {
-    SimTime t = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    bool deploy = false;
-  };
-
-  /// Scheduler entries the feeder keeps in flight at once. Small enough
-  /// that pending lifecycle events never dominate memory under long
-  /// churn schedules, large enough that refills are rare.
-  static constexpr std::size_t kLifecycleBatch = 1024;
-
-  /// Materializes the next batch of lifecycle events; the batch's last
-  /// event re-invokes the feeder. Byte-identical to scheduling everything
-  /// upfront because the seqs were reserved upfront.
-  void ScheduleLifecycleBatch();
 
   Options options_;
   /// Out-of-core endpoint for retired-query state; null when disabled.
@@ -231,10 +213,6 @@ class SimulationCore {
   std::vector<std::uint32_t> fired_columns_;
   std::vector<std::size_t> fired_slots_;
   bool ran_ = false;
-  /// The sorted lifecycle feed and its next-unscheduled cursor; drained
-  /// (and freed) as batches materialize.
-  std::vector<LifecycleEvent> lifecycle_;
-  std::size_t lifecycle_cursor_ = 0;
   std::size_t peak_live_ = 0;
   std::uint64_t updates_generated_ = 0;
   std::uint64_t physical_updates_ = 0;

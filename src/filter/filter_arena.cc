@@ -68,7 +68,6 @@ void FilterArena::Widen() {
 std::size_t FilterArena::Acquire() {
   if (live_ == capacity_) {
     capacity_ = capacity_ == 0 ? 1 : capacity_ * 2;  // grow by doubling
-    ++generation_;  // every outstanding view now points at stale layout
     if (PaddedStride(capacity_) != stride_) Widen();  // 64-column steps
   }
   const std::size_t column = live_++;
@@ -116,10 +115,6 @@ std::size_t FilterArena::Release(std::size_t column) {
   }
   if (move && index_) index_->OnRelease(column, last);
   --live_;
-  // The released column's views (and, after a move, the last column's) are
-  // stale either way.
-  ++generation_;
-  if (move && relocate_) relocate_(last, column);
   return last;
 }
 

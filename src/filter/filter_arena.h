@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "common/types.h"
 #include "filter/dispatch.h"
 #include "filter/filter.h"
-#include "filter/filter_bank.h"
 #include "obs/hooks.h"
 
 /// \file
@@ -46,16 +44,14 @@
 /// always equal running Filter::OnValueChange cell by cell
 /// (tests/filter_arena_test.cc).
 ///
-/// Columns are the unit of tenancy. A deploying query Acquires the next
-/// free column (always the current live count, keeping live columns dense
-/// at 0..live-1); a retiring query Releases its column, and the *last*
-/// live column is swap-moved into the hole so the strip stays contiguous.
-/// Both are one pass down the strips.
-///
-/// Every layout change that can invalidate an outstanding view — growth
-/// and compaction — bumps `generation()`. FilterBank views carry the
-/// generation they were bound at, so the engine can assert view freshness
-/// (and knows to retag all live views) after any lifecycle event.
+/// Columns are the unit of tenancy: a deployed query's filters are one
+/// column, and the engine addresses them by that column alone. A
+/// deploying query Acquires the next free column (always the current live
+/// count, keeping live columns dense at 0..live-1); a retiring query
+/// Releases its column, and the *last* live column is swap-moved into the
+/// hole so the strip stays contiguous. Both are one pass down the strips.
+/// Release returns the moved column's old index, so the caller re-points
+/// its tenant.
 
 namespace asf {
 
@@ -80,35 +76,18 @@ class FilterArena {
   /// Allocated columns — the stride of every canonical strip.
   std::size_t capacity() const { return capacity_; }
 
-  /// Bumped whenever outstanding views may have gone stale (growth or
-  /// compaction). Views bound via View() carry the value at bind time.
-  std::uint64_t generation() const { return generation_; }
-
   /// Acquires a fresh column for a deploying query, growing (doubling) the
   /// storage when full. Returns the column index, which is always the
   /// pre-call live(). All acquired filters start in the default
-  /// no-filter-installed state. Growth bumps generation().
+  /// no-filter-installed state.
   std::size_t Acquire();
 
   /// Releases `column` (must be live): the highest live column is
-  /// swap-moved into it to keep the live prefix dense, and generation() is
-  /// bumped. Returns the index of the column that was moved — i.e. its
-  /// *old* index, so the caller can retag the tenant that now lives in
-  /// `column` — or `column` itself when it was the last live column (no
-  /// move happened). Callers caching per-column cursors should prefer the
-  /// relocation callback over decoding the return value.
+  /// swap-moved into it to keep the live prefix dense. Returns the index
+  /// of the column that was moved — its *old* index, so the caller can
+  /// re-point the tenant that now lives in `column` — or `column` itself
+  /// when it was the last live column (no move happened).
   std::size_t Release(std::size_t column);
-
-  /// Registers the compaction-relocation hook: during a Release that
-  /// swap-moves the last live column into the hole, `callback(from, to)`
-  /// runs — the tenant formerly at column `from` now lives at `to` — so
-  /// owner maps and per-column cursors retag in one place instead of
-  /// decoding Release's return value at every call site.
-  using RelocationCallback =
-      std::function<void(std::size_t from, std::size_t to)>;
-  void set_relocation_callback(RelocationCallback callback) {
-    relocate_ = std::move(callback);
-  }
 
   /// Cell (id, column) (column must be live) rebuilt by value: the
   /// deployed constraint and the current membership reference, exactly
@@ -181,13 +160,6 @@ class FilterArena {
   /// dispatch (the index treats NaN as "no diff base" and rebuilds).
   Value known_value(StreamId id) const { return known_values_[id]; }
 
-  /// A view of `column` (must be live) routed through this arena, tagged
-  /// with the current generation.
-  FilterBank View(std::size_t column) {
-    ASF_CHECK(column < live_);
-    return FilterBank(this, column, num_streams_, generation_);
-  }
-
  private:
   friend class IntervalIndex;
   static std::size_t PaddedStride(std::size_t capacity) {
@@ -220,7 +192,6 @@ class FilterArena {
   std::size_t num_streams_;
   std::size_t capacity_ = 0;
   std::size_t live_ = 0;
-  std::uint64_t generation_ = 0;
 
   /// The cells, stride_ = PaddedStride(capacity_) lanes per stream,
   /// words_ = stride_ / 64 mask words per stream.
@@ -243,8 +214,6 @@ class FilterArena {
   /// Last dispatched value per stream (NaN = none yet) — the diff base
   /// of the index's crossing query.
   std::vector<Value> known_values_;
-  /// Engine hook for compaction moves (see set_relocation_callback).
-  RelocationCallback relocate_;
 
   /// Wall-clock profiler the index rebuild path reports into (may be
   /// null; read by the friend IntervalIndex).

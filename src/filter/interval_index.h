@@ -102,14 +102,6 @@ class IntervalIndex {
 
   std::uint64_t rebuilds() const { return total_rebuilds_; }
   std::uint64_t max_stream_rebuilds() const { return max_stream_rebuilds_; }
-  std::uint64_t stream_rebuilds(StreamId id) const {
-    return streams_[id].rebuilds;
-  }
-  /// Dirty-overlay size of stream `id` right now (test hook).
-  std::size_t dirty_count(StreamId id) const {
-    return streams_[id].dirty_cols.size();
-  }
-  bool snapshot_valid(StreamId id) const { return streams_[id].valid; }
 
  private:
   /// Per-stream snapshot + dirty overlay.

@@ -313,7 +313,7 @@ void FaultPipeline::StartRun(SimTime horizon) {
   base_->StartRun(horizon);
   if (!config_.reconcile) return;
   // Up-edges are the odd-indexed partition boundaries. Scheduling them
-  // here — after the engine's lifecycle events, before the first stream
+  // here — after the engine's oracle tick, before the first stream
   // event — fixes their FIFO seniority at equal timestamps.
   for (std::size_t i = 1; i < config_.partition.size(); i += 2) {
     const SimTime up = config_.partition[i];

@@ -64,8 +64,7 @@ Status NetConfig::Validate() const {
   return Status::OK();
 }
 
-bool NetConfig::DelaysDelivery() const {
-  if (HasFaults() || comp > 0) return true;
+bool NetConfig::BaseDelays() const {
   switch (kind) {
     case Kind::kInstant:
       return false;
@@ -78,6 +77,10 @@ bool NetConfig::DelaysDelivery() const {
       return std::isfinite(rate);
   }
   return false;
+}
+
+bool NetConfig::DelaysDelivery() const {
+  return HasFaults() || comp > 0 || BaseDelays();
 }
 
 double NetConfig::RtoInitial() const {
@@ -383,24 +386,14 @@ FilterConstraint CompensateConstraint(const FilterConstraint& constraint,
 
 namespace {
 
-/// Shared zero-delay paths. Models whose parameters degenerate to instant
-/// semantics (zero latency, zero Δ, infinite rate) must take exactly these
-/// paths so their runs stay byte-identical to InstantNet.
-class InlineDeliveryBase : public NetworkModel {
+/// Paths the base models share: the inline deploy delivery (every
+/// downlink but the latency model's) and the scheduled wire message. A
+/// base model whose parameters do not delay (NetConfig::BaseDelays) is
+/// built as InstantNet instead, so only InstantNet delivers updates
+/// inline.
+class DeliveryBase : public NetworkModel {
  protected:
-  /// Delivers one wire message inside the producing event: no scheduler,
-  /// no heap traffic in steady state (the payload scratch is reused), no
-  /// delay samples (staleness is identically zero).
-  void DeliverUpdateInline(StreamId id, Value v,
-                           const std::vector<std::size_t>& slots,
-                           SimTime now) {
-    scratch_.clear();
-    for (const std::size_t slot : slots) {
-      scratch_.push_back(Payload{slot, v, now, 1, 0});
-    }
-    EmitUpdate(id, scratch_, now, /*sample_delay=*/false);
-  }
-
+  /// Delivers one constraint install inside the producing event.
   void DeliverDeployInline(std::size_t slot, StreamId id,
                            const FilterConstraint& constraint, SimTime now) {
     ++stats_.deploy_messages;
@@ -432,44 +425,46 @@ class InlineDeliveryBase : public NetworkModel {
   /// Model hook run when a scheduled wire message leaves the network
   /// (before the sink), e.g. to release link-queue occupancy.
   virtual void OnWireDelivered(StreamId id) { (void)id; }
-
- private:
-  std::vector<Payload> scratch_;
 };
 
 /// The paper's semantics: every message arrives inside the event that
 /// produced it.
-class InstantNet final : public InlineDeliveryBase {
+class InstantNet final : public DeliveryBase {
  public:
+  /// Delivers one wire message inside the producing event: no scheduler,
+  /// no heap traffic in steady state (the payload scratch is reused), no
+  /// delay samples (staleness is identically zero).
   void SendUpdate(StreamId id, Value v, const std::vector<std::size_t>& slots,
                   SimTime now) override {
     stats_.crossings += slots.size();
-    DeliverUpdateInline(id, v, slots, now);
+    scratch_.clear();
+    for (const std::size_t slot : slots) {
+      scratch_.push_back(Payload{slot, v, now, 1, 0});
+    }
+    EmitUpdate(id, scratch_, now, /*sample_delay=*/false);
   }
 
   void SendDeploy(std::size_t slot, StreamId id,
                   const FilterConstraint& constraint, SimTime now) override {
     DeliverDeployInline(slot, id, constraint, now);
   }
+
+ private:
+  std::vector<Payload> scratch_;
 };
 
 /// Constant per-link one-way delay plus uniform jitter, both directions.
 /// Delivery order is FIFO per (link, direction): a jittered later message
 /// never overtakes an earlier one (its delivery clamps to the link's last
 /// scheduled arrival).
-class FixedLatencyNet final : public InlineDeliveryBase {
+class FixedLatencyNet final : public DeliveryBase {
  public:
   FixedLatencyNet(double latency, double jitter, std::uint64_t seed)
-      : latency_(latency), jitter_(jitter),
-        delayed_(latency > 0 || jitter > 0), rng_(seed) {}
+      : latency_(latency), jitter_(jitter), rng_(seed) {}
 
   void SendUpdate(StreamId id, Value v, const std::vector<std::size_t>& slots,
                   SimTime now) override {
     stats_.crossings += slots.size();
-    if (!delayed_) {
-      DeliverUpdateInline(id, v, slots, now);
-      return;
-    }
     std::vector<Payload> payloads;
     payloads.reserve(slots.size());
     for (const std::size_t slot : slots) {
@@ -481,10 +476,6 @@ class FixedLatencyNet final : public InlineDeliveryBase {
 
   void SendDeploy(std::size_t slot, StreamId id,
                   const FilterConstraint& constraint, SimTime now) override {
-    if (!delayed_) {
-      DeliverDeployInline(slot, id, constraint, now);
-      return;
-    }
     const SimTime at = NextDelivery(&downlink_last_, id, now);
     ++pending_wire_;
     // The arrival time is the event's own time, read back from now(), and
@@ -513,7 +504,6 @@ class FixedLatencyNet final : public InlineDeliveryBase {
 
   const double latency_;
   const double jitter_;
-  const bool delayed_;
   Rng rng_;
   std::vector<SimTime> uplink_last_;
   std::vector<SimTime> downlink_last_;
@@ -525,17 +515,13 @@ class FixedLatencyNet final : public InlineDeliveryBase {
 /// crossings counter records how many it stands for (NetStats::
 /// MessagesPerFlush is the batching win). Server→source deploys are
 /// control plane and deliver instantly.
-class BatchedNet final : public InlineDeliveryBase {
+class BatchedNet final : public DeliveryBase {
  public:
-  explicit BatchedNet(double delta) : delta_(delta), delayed_(delta > 0) {}
+  explicit BatchedNet(double delta) : delta_(delta) {}
 
   void SendUpdate(StreamId id, Value v, const std::vector<std::size_t>& slots,
                   SimTime now) override {
     stats_.crossings += slots.size();
-    if (!delayed_) {
-      DeliverUpdateInline(id, v, slots, now);
-      return;
-    }
     if (id >= links_.size()) links_.resize(id + 1);
     Link& link = links_[id];
     pending_crossings_ += slots.size();
@@ -589,7 +575,6 @@ class BatchedNet final : public InlineDeliveryBase {
   }
 
   const double delta_;
-  const bool delayed_;
   std::vector<Link> links_;
   std::vector<Payload> flush_scratch_;
 };
@@ -599,18 +584,13 @@ class BatchedNet final : public InlineDeliveryBase {
 /// delivery delay grows with backlog. The downlink (server→source) is
 /// uncongested and delivers instantly — the model targets the congested
 /// sensor-uplink scenario.
-class BoundedBandwidthNet final : public InlineDeliveryBase {
+class BoundedBandwidthNet final : public DeliveryBase {
  public:
-  explicit BoundedBandwidthNet(double rate)
-      : service_time_(1.0 / rate), delayed_(std::isfinite(rate)) {}
+  explicit BoundedBandwidthNet(double rate) : service_time_(1.0 / rate) {}
 
   void SendUpdate(StreamId id, Value v, const std::vector<std::size_t>& slots,
                   SimTime now) override {
     stats_.crossings += slots.size();
-    if (!delayed_) {
-      DeliverUpdateInline(id, v, slots, now);
-      return;
-    }
     if (id >= next_free_.size()) {
       next_free_.resize(id + 1, 0);
       queued_.resize(id + 1, 0);
@@ -639,7 +619,6 @@ class BoundedBandwidthNet final : public InlineDeliveryBase {
   void OnWireDelivered(StreamId id) override { --queued_[id]; }
 
   const double service_time_;
-  const bool delayed_;
   std::vector<SimTime> next_free_;
   std::vector<std::uint32_t> queued_;
 };
@@ -648,8 +627,10 @@ class BoundedBandwidthNet final : public InlineDeliveryBase {
 
 std::unique_ptr<NetworkModel> MakeNetworkModel(const NetConfig& config,
                                                std::uint64_t seed) {
+  // A base model whose parameters do not delay is InstantNet, whatever
+  // its kind: one instant-delivery path keeps those runs byte-identical.
   std::unique_ptr<NetworkModel> base;
-  switch (config.kind) {
+  switch (config.BaseDelays() ? config.kind : NetConfig::Kind::kInstant) {
     case NetConfig::Kind::kInstant:
       base = std::make_unique<InstantNet>();
       break;

@@ -128,10 +128,14 @@ struct NetConfig {
     return loss > 0 || reorder > 0 || !partition.empty();
   }
 
-  /// False when the configured parameters make the model observably
-  /// identical to InstantNet (zero latency+jitter, zero Δ, infinite rate,
-  /// zero-rate fault stages); such models must deliver inline so runs stay
-  /// byte-identical.
+  /// True when the base model's own parameters delay delivery: a positive
+  /// latency or jitter, a positive Δ, a finite rate. A base model that
+  /// does not (`latency:0`, `batch:0`, `bw:inf`) is built as InstantNet.
+  bool BaseDelays() const;
+
+  /// False when the configured parameters make the run observably
+  /// identical to InstantNet: a base model that does not delay
+  /// (BaseDelays), no active fault stage and no compensation margin.
   bool DelaysDelivery() const;
 
   /// The resolved retransmission timeout parameters.
@@ -298,8 +302,8 @@ class NetworkModel {
   /// ignore it.
   virtual void BindReconcile(ReconcileSink sink) { (void)sink; }
 
-  /// Run-start hook, called by the engine once per run after its
-  /// lifecycle events are scheduled and before the first stream event:
+  /// Run-start hook, called by the engine once per run after its oracle
+  /// tick is scheduled and before the first stream event:
   /// models schedule their deterministic timers here (partition
   /// reconnect exchanges), which fixes their FIFO seniority at equal
   /// timestamps.

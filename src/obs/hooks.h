@@ -30,14 +30,11 @@ struct ObsHooks {
   MetricsRegistry* metrics = nullptr;
   /// Sim-time snapshot period for the registry's gauges; <= 0 disables
   /// periodic snapshots (histograms still fill). The engine samples
-  /// exactly on the grid between scheduler events.
+  /// exactly on the grid: a row at t follows every event due before t and
+  /// precedes the deploys, retirements and events at t.
   SimTime metrics_every = 0;
   /// Wall-clock phase profiler (obs/profiler.h); null = off.
   Profiler* profiler = nullptr;
-
-  bool any() const {
-    return tracer != nullptr || metrics != nullptr || profiler != nullptr;
-  }
 };
 
 }  // namespace obs

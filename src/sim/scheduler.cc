@@ -128,7 +128,11 @@ std::uint32_t Scheduler::Arm(std::uint64_t seq, Callback fn) {
 }
 
 EventId Scheduler::ScheduleAt(SimTime t, Callback fn) {
-  return ScheduleAtReserved(t, NextSeq(), std::move(fn));
+  ASF_CHECK_MSG(t >= now_, "cannot schedule into the past");
+  const std::uint64_t seq = NextSeq();
+  const std::uint32_t index = Arm(seq, std::move(fn));
+  HeapPush(MakeNode(t, seq, index));
+  return IdOf(index);
 }
 
 EventId Scheduler::ScheduleAfter(SimTime delay, Callback fn) {
@@ -138,23 +142,6 @@ EventId Scheduler::ScheduleAfter(SimTime delay, Callback fn) {
   const std::uint64_t seq = NextSeq();
   const std::uint32_t index = Arm(seq, std::move(fn));
   lane->Push(MakeNode(now_ + delay, seq, index));
-  return IdOf(index);
-}
-
-std::uint64_t Scheduler::ReserveSeqs(std::uint64_t count) {
-  ASF_CHECK_MSG(next_seq_ + count < (1ULL << (64 - kSlotBits)),
-                "event sequence space exhausted");
-  const std::uint64_t base = next_seq_;
-  next_seq_ += count;
-  return base;
-}
-
-EventId Scheduler::ScheduleAtReserved(SimTime t, std::uint64_t seq,
-                                      Callback fn) {
-  ASF_CHECK_MSG(t >= now_, "cannot schedule into the past");
-  ASF_CHECK_MSG(seq < next_seq_, "sequence number was never reserved");
-  const std::uint32_t index = Arm(seq, std::move(fn));
-  HeapPush(MakeNode(t, seq, index));
   return IdOf(index);
 }
 
@@ -264,17 +251,21 @@ bool Scheduler::Step() {
   return true;
 }
 
-std::size_t Scheduler::RunUntil(SimTime t) {
+std::size_t Scheduler::RunTo(SimTime t, bool inclusive) {
   ASF_CHECK(t >= now_);
   std::size_t n = 0;
   while (const HeapNode* next = PeekLive()) {
-    if (next->time() > t) break;
+    if (inclusive ? next->time() > t : next->time() >= t) break;
     DispatchPeeked(next);
     ++n;
   }
   now_ = t;
   return n;
 }
+
+std::size_t Scheduler::RunUntil(SimTime t) { return RunTo(t, true); }
+
+std::size_t Scheduler::RunBefore(SimTime t) { return RunTo(t, false); }
 
 std::size_t Scheduler::RunAll() {
   std::size_t n = 0;

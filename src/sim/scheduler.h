@@ -40,11 +40,11 @@
 /// and seq always grows. The first kMaxLanes (4) distinct delays a
 /// scheduler sees therefore each get a FIFO lane with O(1) push and pop —
 /// the network's constant link latency and the oracle's sampling period
-/// are such delays. Further delays, and every ScheduleAt /
-/// ScheduleAtReserved / Rearm, keep using the heap. The next event is the
-/// smaller key of the heap top and the lane heads, so the dispatch order
-/// is exactly the one a single heap over the same keys gives; Cancel
-/// leaves a tombstone in whichever queue holds the node.
+/// are such delays. Further delays, and every ScheduleAt and Rearm, keep
+/// using the heap. The next event is the smaller key of the heap top and
+/// the lane heads, so the dispatch order is exactly the one a single heap
+/// over the same keys gives; Cancel leaves a tombstone in whichever queue
+/// holds the node.
 ///
 /// Re-arming: a source that reschedules itself after every event (a
 /// walk stream's next step, a trace cursor's next record) calls Rearm
@@ -52,6 +52,12 @@
 /// callable, so a step costs one heap push and pop and nothing else, and
 /// it takes the sequence number a ScheduleAt at that moment would have
 /// taken, so the dispatch order is the one rescheduling gives.
+///
+/// Driving from outside: RunBefore(t) runs everything due strictly before
+/// t and stops the clock at t, so a driver can act at instant t ahead of
+/// every event due then. The engine times query deploys, retirements and
+/// metrics snapshots that way, as steps of its own loop rather than as
+/// events.
 
 namespace asf {
 
@@ -186,21 +192,6 @@ class Scheduler {
   /// delay's FIFO lane when it has one (file comment).
   EventId ScheduleAfter(SimTime delay, Callback fn);
 
-  /// Reserves `count` consecutive sequence numbers and returns the first.
-  /// Dispatch order is (time, seq) no matter when an event is inserted,
-  /// so a caller can fix the FIFO tie-order of a whole family of events
-  /// up front and materialize them lazily with ScheduleAtReserved — the
-  /// engine's batched lifecycle feeder, which keeps the queue small under
-  /// long churn schedules without perturbing byte-identical dispatch.
-  std::uint64_t ReserveSeqs(std::uint64_t count);
-
-  /// Schedules `fn` at absolute time `t` (>= now()) under a sequence
-  /// number obtained from ReserveSeqs. Contract: each reserved seq is
-  /// used at most once, and the event's (t, seq) key must still be in
-  /// the future of the currently dispatching event's key — true by
-  /// construction when events are materialized in (t, seq) order.
-  EventId ScheduleAtReserved(SimTime t, std::uint64_t seq, Callback fn);
-
   /// Puts the event that is dispatching back in the queue at absolute
   /// time `t` (>= now()), keeping its slot and its callable: the same
   /// callable runs again at `t`, with whatever state it holds. The event
@@ -228,6 +219,11 @@ class Scheduler {
   /// Runs all events with time <= `t`, then advances the clock to exactly
   /// `t`. Returns the number of events dispatched.
   std::size_t RunUntil(SimTime t);
+
+  /// Runs all events with time < `t`, then advances the clock to exactly
+  /// `t`; the events due at `t` stay pending. Returns the number of events
+  /// dispatched.
+  std::size_t RunBefore(SimTime t);
 
   /// Runs until the queue is empty. Returns the number of events
   /// dispatched.
@@ -342,6 +338,9 @@ class Scheduler {
   /// Pops the node PeekLive just returned and runs its event. Dispatches
   /// do not nest: no callback advances its own scheduler.
   void DispatchPeeked(const HeapNode* next);
+
+  /// RunUntil (`inclusive`) and RunBefore.
+  std::size_t RunTo(SimTime t, bool inclusive);
 
   void HeapPush(HeapNode node);
   void HeapPopRoot();

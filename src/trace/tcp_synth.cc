@@ -23,11 +23,15 @@ Status TcpSynthConfig::Validate() const {
     return Status::InvalidArgument("duration must be finite and > 0");
   }
   if (!(zipf_s >= 0)) return Status::InvalidArgument("zipf_s must be >= 0");
-  if (bytes_log_sigma < 0) {
-    return Status::InvalidArgument("bytes_log_sigma must be >= 0");
+  // NaN fails every comparison, so each test is written to reject it.
+  if (!std::isfinite(bytes_log_mu)) {
+    return Status::InvalidArgument("bytes_log_mu must be finite");
   }
-  if (subnet_sigma < 0) {
-    return Status::InvalidArgument("subnet_sigma must be >= 0");
+  if (!(bytes_log_sigma >= 0 && std::isfinite(bytes_log_sigma))) {
+    return Status::InvalidArgument("bytes_log_sigma must be finite and >= 0");
+  }
+  if (!(subnet_sigma >= 0 && std::isfinite(subnet_sigma))) {
+    return Status::InvalidArgument("subnet_sigma must be finite and >= 0");
   }
   return Status::OK();
 }

@@ -12,7 +12,7 @@
 namespace asf {
 
 /// Which of a finished run's slots still hold a runtime: a protocol,
-/// server context, protocol RNG, filter view, sequence floor or
+/// server context, protocol RNG, arena column, sequence floor or
 /// deployment.
 struct SimulationCoreTestPeer {
   struct Census {
@@ -27,7 +27,7 @@ struct SimulationCoreTestPeer {
     Census census;
     for (const auto& slot : core.slots_) {
       const bool runtime = slot->protocol || slot->ctx || slot->rng ||
-                           slot->filters ||
+                           slot->column != FilterArena::kNoColumn ||
                            slot->update_seq_floor.capacity() > 0 ||
                            !slot->deployment.name.empty();
       if (slot->live) {

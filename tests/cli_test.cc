@@ -219,6 +219,23 @@ TEST_F(CliTest, MalformedInputFailsWithItsStatus) {
         "--connections=1000"}},
   };
   for (const auto& c : kCases) ExpectStatus(c.status, c.argv);
+
+  // Non-finite synthesis parameters fail by name, before the generator
+  // draws a record. They used to fail only after the whole trace was
+  // drawn and sorted, with a message that named no parameter.
+  const struct {
+    std::string flag;
+    std::string name;
+  } kSynthCases[] = {{"--bytes-sigma=nan", "bytes_log_sigma"},
+                     {"--subnet-sigma=inf", "subnet_sigma"},
+                     {"--bytes-mu=inf", "bytes_log_mu"}};
+  for (const auto& c : kSynthCases) {
+    SCOPED_TRACE(c.flag);
+    const Outcome outcome =
+        Run({ASF_TRACEGEN_PATH, "--out=" + Path("nonfinite.csv"), c.flag});
+    EXPECT_EQ(outcome.status, 1) << outcome.err;
+    EXPECT_NE(outcome.err.find(c.name), std::string::npos) << outcome.err;
+  }
 }
 
 /// Delayed delivery, fault injection and spilling through tiny buffer

@@ -40,43 +40,33 @@ TEST(FilterArenaTest, StartsEmpty) {
   EXPECT_EQ(arena.capacity(), 0u);
 }
 
-TEST(FilterArenaTest, AcquireGrowsByDoublingAndBumpsGeneration) {
+TEST(FilterArenaTest, AcquireGrowsByDoubling) {
   FilterArena arena(4);
-  const std::uint64_t g0 = arena.generation();
   EXPECT_EQ(arena.Acquire(), 0u);
   EXPECT_EQ(arena.capacity(), 1u);
-  EXPECT_GT(arena.generation(), g0);  // growth 0 -> 1 invalidates views
-
-  const std::uint64_t g1 = arena.generation();
   EXPECT_EQ(arena.Acquire(), 1u);  // 1 -> 2: growth again
   EXPECT_EQ(arena.capacity(), 2u);
-  EXPECT_GT(arena.generation(), g1);
-
   EXPECT_EQ(arena.Acquire(), 2u);  // 2 -> 4
-  const std::uint64_t g3 = arena.generation();
-  EXPECT_EQ(arena.Acquire(), 3u);  // fits: no growth, no invalidation
+  EXPECT_EQ(arena.Acquire(), 3u);  // fits: no growth
   EXPECT_EQ(arena.capacity(), 4u);
-  EXPECT_EQ(arena.generation(), g3);
   EXPECT_EQ(arena.live(), 4u);
 }
 
 TEST(FilterArenaTest, GrowthPreservesFilterState) {
   FilterArena arena(3);
   const std::size_t c0 = arena.Acquire();
-  FilterBank bank0 = arena.View(c0);
   for (StreamId id = 0; id < 3; ++id) {
-    bank0.Deploy(id, RangeConstraint(10 * id, 10 * id + 5), 2.0);
+    arena.Deploy(id, c0, RangeConstraint(10 * id, 10 * id + 5), 2.0);
   }
   // Force growth twice; column 0's filters must carry their constraint and
   // membership reference across both reallocations.
   arena.Acquire();
   arena.Acquire();
-  const FilterBank rebound = arena.View(c0);  // arena cells read by value
   for (StreamId id = 0; id < 3; ++id) {
-    EXPECT_EQ(rebound.at(id).constraint(),
+    EXPECT_EQ(arena.cell(id, c0).constraint(),
               RangeConstraint(10 * id, 10 * id + 5));
     // Reference was set against value 2.0: inside only for stream 0.
-    EXPECT_EQ(rebound.at(id).reference_inside(), id == 0);
+    EXPECT_EQ(arena.cell(id, c0).reference_inside(), id == 0);
   }
 }
 
@@ -96,16 +86,15 @@ TEST(FilterArenaTest, ReleaseCompactsLastColumnIntoHole) {
   ASSERT_EQ(arena.live(), 3u);
 
   // Give each column a distinguishable constraint.
-  arena.View(a).Deploy(0, RangeConstraint(0, 1), 0.5);
-  arena.View(b).Deploy(0, RangeConstraint(2, 3), 0.5);
-  arena.View(c).Deploy(0, RangeConstraint(4, 5), 4.5);
+  arena.Deploy(0, a, RangeConstraint(0, 1), 0.5);
+  arena.Deploy(0, b, RangeConstraint(2, 3), 0.5);
+  arena.Deploy(0, c, RangeConstraint(4, 5), 4.5);
 
   // Releasing the middle column moves the last column into it.
   EXPECT_EQ(arena.Release(b), c);
   EXPECT_EQ(arena.live(), 2u);
-  const FilterBank moved = arena.View(b);
-  EXPECT_EQ(moved.at(0).constraint(), RangeConstraint(4, 5));
-  EXPECT_TRUE(moved.at(0).reference_inside());  // state moved, not reset
+  EXPECT_EQ(arena.cell(0, b).constraint(), RangeConstraint(4, 5));
+  EXPECT_TRUE(arena.cell(0, b).reference_inside());  // moved, not reset
   // Column a untouched.
   EXPECT_EQ(arena.cell(0, a).constraint(), RangeConstraint(0, 1));
 }
@@ -113,43 +102,12 @@ TEST(FilterArenaTest, ReleaseCompactsLastColumnIntoHole) {
 TEST(FilterArenaTest, RecycledColumnComesUpPristine) {
   FilterArena arena(2);
   const std::size_t a = arena.Acquire();
-  arena.View(a).Deploy(0, RangeConstraint(0, 1), 0.5);
+  arena.Deploy(0, a, RangeConstraint(0, 1), 0.5);
   arena.Release(a);
   const std::size_t again = arena.Acquire();
   EXPECT_EQ(again, a);
   // The new tenant must not inherit the old tenant's filters.
   EXPECT_FALSE(arena.cell(0, again).constraint().has_filter());
-}
-
-TEST(FilterArenaTest, RelocationCallbackReportsCompactionMoves) {
-  FilterArena arena(2);
-  std::vector<std::pair<std::size_t, std::size_t>> moves;
-  arena.set_relocation_callback([&](std::size_t from, std::size_t to) {
-    moves.push_back({from, to});
-  });
-  const std::size_t a = arena.Acquire();
-  const std::size_t b = arena.Acquire();
-  const std::size_t c = arena.Acquire();
-  (void)b;
-
-  // Releasing the last live column moves nothing: no callback.
-  arena.Release(c);
-  EXPECT_TRUE(moves.empty());
-
-  // Releasing the first column swap-moves the (new) last column into the
-  // hole; the callback reports exactly that move, after the arena state
-  // is fully consistent (the moved tenant already answers at `to`).
-  arena.set_relocation_callback([&](std::size_t from, std::size_t to) {
-    moves.push_back({from, to});
-    EXPECT_EQ(arena.live(), 1u);
-  });
-  arena.Release(a);
-  ASSERT_EQ(moves.size(), 1u);
-  EXPECT_EQ(moves[0].first, 1u);   // b's old position
-  EXPECT_EQ(moves[0].second, 0u);  // b's new position
-
-  arena.Release(0);  // last again: still silent
-  EXPECT_EQ(moves.size(), 1u);
 }
 
 /// One of every constraint kind a cell can hold, by `kind` (0..5).
@@ -252,45 +210,6 @@ TEST(FilterArenaTest, CellRoundTripsEveryConstraintKind) {
     }
   }
   expect_round_trip(3000);
-}
-
-// Arena-routed views count exactly what an owning bank holding the same
-// filters counts.
-TEST(FilterArenaTest, ViewCountsMatchAnOwningBank) {
-  constexpr std::size_t kStreams = 50;
-  FilterArena arena(kStreams);
-  arena.Acquire();
-  const std::size_t column = arena.Acquire();
-  FilterBank view = arena.View(column);
-  FilterBank owning(kStreams);
-  Rng rng(17);
-  for (int round = 0; round < 8; ++round) {
-    for (StreamId id = 0; id < kStreams; ++id) {
-      const FilterConstraint constraint =
-          KindConstraint(static_cast<int>(rng.UniformInt(0, 5)), rng);
-      const Value current = rng.Uniform(0, 1000);
-      view.Deploy(id, constraint, current);
-      owning.Deploy(id, constraint, current);
-    }
-    EXPECT_EQ(view.CountFalsePositiveFilters(),
-              owning.CountFalsePositiveFilters());
-    EXPECT_EQ(view.CountFalseNegativeFilters(),
-              owning.CountFalseNegativeFilters());
-    EXPECT_EQ(view.CountInstalled(), owning.CountInstalled());
-    const FilterBank::SilentCounts silent = view.CountSilentFilters();
-    EXPECT_EQ(silent.false_positive, owning.CountFalsePositiveFilters());
-    EXPECT_EQ(silent.false_negative, owning.CountFalseNegativeFilters());
-  }
-}
-
-TEST(FilterArenaTest, ViewsCarryTheGenerationTag) {
-  FilterArena arena(2);
-  const std::size_t a = arena.Acquire();
-  FilterBank view = arena.View(a);
-  EXPECT_EQ(view.bound_generation(), arena.generation());
-  arena.Acquire();  // growth: the old view's tag goes stale
-  EXPECT_NE(view.bound_generation(), arena.generation());
-  EXPECT_EQ(arena.View(a).bound_generation(), arena.generation());
 }
 
 // --- SoA / SIMD kernel parity ---

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -251,6 +252,64 @@ TEST(MetricsRegistryTest, NetSinkCreatesHistogramsOnce) {
   sink->staleness->Add(3.0);
   EXPECT_EQ(registry.net_sink(), sink);  // idempotent
   EXPECT_EQ(registry.FindHistogram("net_staleness")->count(), 1u);
+}
+
+/// A no-filter query on a ten-stream trace with one record at every
+/// integer time, deployed at 100 and retired at 300, snapshotted every
+/// 100. A row at an instant is taken after every event before it and
+/// before the deploys, retirements and records at it: the rows at 100
+/// and 300 see the population as it stood just before the change.
+TEST(MetricsRegistryTest, SnapshotPrecedesSameInstantLifecycle) {
+  constexpr SimTime kDuration = 400;
+  std::vector<TraceRecord> records;
+  for (int t = 1; t <= static_cast<int>(kDuration); ++t) {
+    TraceRecord rec;
+    rec.time = t;
+    rec.stream = static_cast<StreamId>(t % 10);
+    rec.value = t % 7;
+    records.push_back(rec);
+  }
+  auto trace = TraceData::Make(10, {}, std::move(records));
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+
+  MultiQueryConfig config;
+  config.source = SourceSpec::Trace(&*trace);
+  config.duration = kDuration;
+  QueryDeployment query;
+  query.name = "no-filter";
+  query.query = QuerySpec::Range(2, 4);
+  query.start = 100;
+  query.end = 300;
+  config.queries.push_back(query);
+  obs::MetricsRegistry registry;
+  config.obs.metrics = &registry;
+  config.obs.metrics_every = 100;
+  const auto result = RunMultiQuerySystem(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const std::vector<std::string>& names = registry.gauge_names();
+  const auto column = [&](const std::string& name) {
+    const auto it = std::find(names.begin(), names.end(), name);
+    EXPECT_NE(it, names.end()) << name;
+    return static_cast<std::size_t>(it - names.begin());
+  };
+  const std::size_t live = column("live_queries");
+  const std::size_t updates = column("updates_generated");
+  // One record per instant: the updates of [100, T) while the query is
+  // live, none before 100 or from 300 on.
+  const struct {
+    SimTime time;
+    double live;
+    double updates;
+  } kRows[] = {{100, 0, 0}, {200, 1, 100}, {300, 1, 200}, {400, 0, 200}};
+  const std::vector<obs::MetricsRow>& series = registry.series();
+  ASSERT_EQ(series.size(), std::size(kRows));
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    EXPECT_EQ(series[i].time, kRows[i].time) << "row " << i;
+    EXPECT_EQ(series[i].values[live], kRows[i].live) << "row " << i;
+    EXPECT_EQ(series[i].values[updates], kRows[i].updates) << "row " << i;
+  }
+  EXPECT_EQ(result->updates_generated, 200u);
 }
 
 // --- Profiler ---

@@ -67,6 +67,25 @@ TEST(SchedulerTest, RunUntilStopsAtBoundaryInclusive) {
   EXPECT_EQ(s.pending(), 1u);
 }
 
+TEST(SchedulerTest, RunBeforeStopsAtBoundaryExclusive) {
+  Scheduler s;
+  std::vector<int> order;
+  s.ScheduleAt(1.0, [&] { order.push_back(1); });
+  s.ScheduleAt(2.0, [&] { order.push_back(2); });
+  s.ScheduleAt(2.5, [&] { order.push_back(3); });
+  EXPECT_EQ(s.RunBefore(2.0), 1u);
+  EXPECT_EQ(s.now(), 2.0);  // clock at the boundary, its events pending
+  EXPECT_EQ(s.pending(), 2u);
+  // A driver acting at 2.0 goes before the event due then; what it
+  // schedules for 2.0 runs after that event (FIFO at equal times).
+  order.push_back(0);
+  s.ScheduleAt(2.0, [&] { order.push_back(4); });
+  EXPECT_EQ(s.RunUntil(2.0), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 4}));
+  EXPECT_EQ(s.RunBefore(2.0), 0u);  // nothing left before the clock
+  EXPECT_EQ(s.pending(), 1u);
+}
+
 TEST(SchedulerTest, RunUntilAdvancesClockWithNoEvents) {
   Scheduler s;
   EXPECT_EQ(s.RunUntil(42.0), 0u);

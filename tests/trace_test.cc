@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <string>
 
 #include "common/stats.h"
 #include "trace/trace_io.h"
@@ -44,6 +45,34 @@ TEST(TcpSynthTest, ConfigValidation) {
   EXPECT_FALSE(bad.Validate().ok());
   bad.zipf_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(bad.Validate().ok());
+  // Non-finite value parameters are rejected by name, before the
+  // generator draws a record.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const TcpSynthConfig& config,
+                                  const std::string& name) {
+    const Status status = config.Validate();
+    EXPECT_FALSE(status.ok()) << name;
+    EXPECT_NE(status.ToString().find(name), std::string::npos)
+        << status.ToString();
+  };
+  for (const double v : {kNaN, kInfinity, -kInfinity}) {
+    bad = ok;
+    bad.bytes_log_mu = v;
+    expect_rejected(bad, "bytes_log_mu");
+    bad = ok;
+    bad.bytes_log_sigma = v;
+    expect_rejected(bad, "bytes_log_sigma");
+    bad = ok;
+    bad.subnet_sigma = v;
+    expect_rejected(bad, "subnet_sigma");
+  }
+  bad = ok;
+  bad.bytes_log_sigma = -0.1;
+  expect_rejected(bad, "bytes_log_sigma");
+  bad = ok;
+  bad.subnet_sigma = -0.1;
+  expect_rejected(bad, "subnet_sigma");
 }
 
 TEST(TcpSynthTest, ProducesRequestedShape) {
