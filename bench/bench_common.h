@@ -1,6 +1,7 @@
 #ifndef ASF_BENCH_BENCH_COMMON_H_
 #define ASF_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -87,11 +88,29 @@ inline std::string Msgs(std::uint64_t count) {
   return Fmt("%llu", static_cast<unsigned long long>(count));
 }
 
-/// Oracle violation summary cell ("0/100").
+/// Oracle violations printed so far by OracleCell, process-wide.
+inline std::uint64_t printed_violations = 0;
+
+/// Oracle verdict cell ("0/100"). The harnesses that sample the oracle on
+/// instant delivery, where every protocol guarantees its tolerance, print
+/// each verdict through this and return ExitStatus() from main, so a
+/// violation fails the harness (and its ctest smoke entry).
+inline std::string OracleCell(std::uint64_t violations, std::uint64_t checks) {
+  printed_violations += violations;
+  return Fmt("%llu/%llu", static_cast<unsigned long long>(violations),
+             static_cast<unsigned long long>(checks));
+}
 inline std::string OracleCell(const RunResult& result) {
-  return Fmt("%llu/%llu",
-             static_cast<unsigned long long>(result.oracle_violations),
-             static_cast<unsigned long long>(result.oracle_checks));
+  return OracleCell(result.oracle_violations, result.oracle_checks);
+}
+
+/// main's exit status: 1, with the count on stderr, once any OracleCell
+/// printed a violation; 0 otherwise.
+inline int ExitStatus() {
+  if (printed_violations == 0) return 0;
+  std::fprintf(stderr, "FAILED: %llu oracle violations\n",
+               static_cast<unsigned long long>(printed_violations));
+  return 1;
 }
 
 /// If REPRO_CSV_DIR is set, writes the table to <dir>/<name>.csv for

@@ -76,8 +76,7 @@ void RunRect() {
       sched.RunUntil(duration);
       row.push_back(bench::Msgs(stats.MaintenanceTotal()));
     }
-    row.push_back(Fmt("%llu/%llu", (unsigned long long)violations,
-                      (unsigned long long)checks));
+    row.push_back(bench::OracleCell(violations, checks));
     table.AddRow(row);
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -142,5 +141,5 @@ void Run() {
 
 int main() {
   asf::Run();
-  return 0;
+  return asf::bench::ExitStatus();
 }

@@ -61,9 +61,7 @@ void Run() {
                                                          physical) /
                                                          static_cast<double>(
                                                              logical))),
-                  Fmt("%llu/%llu",
-                      static_cast<unsigned long long>(violations),
-                      static_cast<unsigned long long>(checks))});
+                  bench::OracleCell(violations, checks)});
   }
   std::printf("%s\n", table.ToString().c_str());
 }
@@ -73,5 +71,5 @@ void Run() {
 
 int main() {
   asf::Run();
-  return 0;
+  return asf::bench::ExitStatus();
 }

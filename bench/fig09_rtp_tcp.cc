@@ -73,8 +73,7 @@ void Run() {
       violations += result.oracle_violations;
       checks += result.oracle_checks;
     }
-    row.push_back(Fmt("%llu/%llu", static_cast<unsigned long long>(violations),
-                      static_cast<unsigned long long>(checks)));
+    row.push_back(bench::OracleCell(violations, checks));
     table.AddRow(row);
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -86,5 +85,5 @@ void Run() {
 
 int main() {
   asf::Run();
-  return 0;
+  return asf::bench::ExitStatus();
 }

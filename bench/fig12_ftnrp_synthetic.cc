@@ -60,9 +60,8 @@ void Run() {
   }
   std::printf("%s\n", table.ToString().c_str());
   bench::MaybeWriteCsv(table, "fig12");
-  std::printf("oracle violations: %llu/%llu sampled checks\n",
-              static_cast<unsigned long long>(violations),
-              static_cast<unsigned long long>(checks));
+  std::printf("oracle violations: %s sampled checks\n",
+              bench::OracleCell(violations, checks).c_str());
 }
 
 }  // namespace
@@ -70,5 +69,5 @@ void Run() {
 
 int main() {
   asf::Run();
-  return 0;
+  return asf::bench::ExitStatus();
 }

@@ -14,16 +14,12 @@ const char* KernelBackend() { return kBackend; }
 int KernelLanes() { return kLanes; }
 
 void AssertHostSupportsKernel() {
-#if defined(__x86_64__) && (defined(__AVX512F__) || defined(__AVX2__))
+#if defined(__x86_64__) && defined(__AVX2__)
   // The library was compiled with vector codegen (CMake ASF_NATIVE_SIMD);
   // fail with a diagnosis instead of SIGILL on the first dispatch when
   // the host CPU predates the ISA (pre-Haswell, low-end N-series, …).
   static const bool supported = [] {
-#if defined(__AVX512F__)
-    const bool ok = __builtin_cpu_supports("avx512f");
-#else
     const bool ok = __builtin_cpu_supports("avx2");
-#endif
     if (!ok) {
       std::fprintf(stderr,
                    "asf: this build's filter kernel requires %s, which "

@@ -15,11 +15,11 @@
 /// (filter/filter_arena.cc).
 ///
 /// The backend is selected at compile time from the target ISA:
-///   * AVX-512F : 8 doubles per compare, mask registers give bits directly
-///   * AVX2     : 4 doubles per compare, movmskpd accumulates bits
-///   * NEON     : 2 doubles per compare (aarch64)
-///   * scalar   : branch-free fallback, one lane at a time
-/// All four produce identical masks for identical inputs; the scalar path
+///   * AVX2   : 4 doubles per compare, movmskpd accumulates bits (also
+///              on AVX-512 hosts: no build tests a wider arm)
+///   * NEON   : 2 doubles per compare (aarch64)
+///   * scalar : branch-free fallback, one lane at a time
+/// All three produce identical masks for identical inputs; the scalar path
 /// is the executable specification the others are tested against
 /// (tests/filter_arena_test.cc exercises the compiled backend against
 /// scalar Filter::OnValueChange on random inputs).
@@ -30,11 +30,7 @@
 /// they report 0. Values are finite (stream values are finite by
 /// construction; only bounds may be ±inf).
 
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#define ASF_SIMD_BACKEND "avx512"
-#define ASF_SIMD_LANES 8
-#elif defined(__AVX2__)
+#if defined(__AVX2__)
 #include <immintrin.h>
 #define ASF_SIMD_BACKEND "avx2"
 #define ASF_SIMD_LANES 4
@@ -50,7 +46,7 @@
 namespace asf {
 namespace simd {
 
-/// Human-readable name of the compiled backend ("avx512", "avx2", "neon",
+/// Human-readable name of the compiled backend ("avx2", "neon",
 /// "scalar"); surfaced in bench JSON so perf trajectories can attribute
 /// wins to vector width.
 inline constexpr const char* kBackend = ASF_SIMD_BACKEND;
@@ -78,18 +74,7 @@ void AssertHostSupportsKernel();
 /// `lower`/`upper` need no particular alignment (unaligned loads).
 inline std::uint64_t InsideMask(double v, const double* lower,
                                 const double* upper, int n) {
-#if defined(__AVX512F__)
-  const __m512d vv = _mm512_set1_pd(v);
-  std::uint64_t mask = 0;
-  for (int b = 0; b < n; b += 8) {
-    const __m512d lo = _mm512_loadu_pd(lower + b);
-    const __m512d hi = _mm512_loadu_pd(upper + b);
-    const __mmask8 ge = _mm512_cmp_pd_mask(vv, lo, _CMP_GE_OQ);
-    const __mmask8 le = _mm512_cmp_pd_mask(vv, hi, _CMP_LE_OQ);
-    mask |= static_cast<std::uint64_t>(ge & le) << b;
-  }
-  return mask;
-#elif defined(__AVX2__)
+#if defined(__AVX2__)
   const __m256d vv = _mm256_set1_pd(v);
   std::uint64_t mask = 0;
   for (int b = 0; b < n; b += 4) {

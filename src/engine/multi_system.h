@@ -36,9 +36,8 @@ namespace asf {
 /// Each deployment may carry its own lifecycle window: `start` (< 0 means
 /// "at query_start", the static-batch default) and `end` (kNeverRetire
 /// means the query lives to the horizon). Deployments with explicit
-/// windows arrive and leave mid-run — see SimulationCore::DeployQuery /
-/// RetireQuery — and ChurnSpec (engine/churn.h) generates whole schedules
-/// of them.
+/// windows arrive and leave mid-run — see SimulationCore::AddQuery — and
+/// ChurnSpec (engine/churn.h) generates whole schedules of them.
 struct MultiQueryConfig : RunOptions {
   std::vector<QueryDeployment> queries;
 

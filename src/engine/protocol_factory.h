@@ -14,7 +14,7 @@
 /// (ValidateDeployment, shared by SystemConfig::Validate and
 /// MultiQueryConfig::Validate), how to build it, and which tolerance its
 /// answers are judged under (both used per query slot,
-/// engine/query_slot.cc).
+/// engine/sim_core.cc).
 
 namespace asf {
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "engine/protocol_factory.h"
 #include "engine/query_slot.h"
 #include "engine/spill.h"
 #include "obs/metrics.h"
@@ -13,6 +14,16 @@
 #include "stream/trace_source.h"
 
 namespace asf {
+
+namespace {
+
+/// Seed of query slot `index`'s protocol RNG, derived from the run seed
+/// (golden-ratio decorrelation).
+std::uint64_t QuerySlotSeed(std::uint64_t run_seed, std::size_t index) {
+  return run_seed ^ (0x9e3779b97f4a7c15ULL + index);
+}
+
+}  // namespace
 
 SimulationCore::SimulationCore(const Options& options)
     : options_(options), arena_(options.source.NumStreams()),
@@ -65,29 +76,26 @@ SimulationCore::SimulationCore(const Options& options)
 SimulationCore::~SimulationCore() = default;
 
 std::size_t SimulationCore::AddQuery(const QueryDeployment& deployment) {
+  ASF_CHECK_MSG(!ran_, "AddQuery after Run()");
   const SimTime start =
       deployment.start < 0 ? options_.query_start : deployment.start;
-  return DeployQuery(deployment, start);
-}
-
-std::size_t SimulationCore::DeployQuery(const QueryDeployment& deployment,
-                                        SimTime at) {
-  ASF_CHECK_MSG(!ran_, "DeployQuery after Run()");
-  ASF_CHECK_MSG(at >= 0 && at < options_.duration,
+  ASF_CHECK_MSG(start >= 0 && start < options_.duration,
                 "deploy time outside [0, duration)");
+  ASF_CHECK_MSG(deployment.end > start,
+                "retire time must follow the deploy time");
   const std::size_t index = slots_.size();
-  // Before its deploy event a slot is just a record — the deployment and
-  // its lifecycle window. The runtime (filters, server context, RNG,
-  // protocol) is wired by the deploy event itself (WireSlot), so resident
+  // Before its deploy a slot is just a record — the deployment and its
+  // lifecycle window. The runtime (filters, server context, RNG,
+  // protocol) is wired by the deploy itself (WireSlot), so resident
   // runtime state scales with the peak live population, not with
   // cumulative deployments (DESIGN.md §13).
   auto slot = std::make_unique<Slot>();
   slot->deployment = deployment;
   slot->index = index;
-  slot->deploy_at = at;
+  slot->deploy_at = start;
+  slot->retire_at = deployment.end;
   slot->stats.name = deployment.name;
   slots_.push_back(std::move(slot));
-  if (deployment.end != kNeverRetire) RetireQuery(index, deployment.end);
   return index;
 }
 
@@ -125,30 +133,45 @@ void SimulationCore::WireSlot(std::size_t index) {
                                    const FilterConstraint& constraint) {
     net_->SendDeploy(index, id, constraint, scheduler_.now());
   };
-  engine_internal::WireQuerySlot(&slot, streams_->size(), options_.seed,
-                                 std::move(transport));
+  // The wiring is self-referential — the context counts into
+  // slot.stats.messages — so it is built in place, at the slot's final
+  // address.
+  const QueryDeployment& deployment = slot.deployment;
+  slot.ctx = std::make_unique<ServerContext>(
+      streams_->size(), std::move(transport), &slot.stats.messages,
+      deployment.broadcast);
+  slot.rng = std::make_unique<Rng>(QuerySlotSeed(options_.seed, index));
+  slot.protocol =
+      MakeProtocol(deployment.query, deployment.protocol, deployment.rank_r,
+                   deployment.fraction, deployment.ft, slot.ctx.get(),
+                   slot.rng.get());
   // Lets protocols relax their zero-delay belief assertions while
   // messages may be in transit (DESIGN.md §9).
   slot.ctx->set_delayed_delivery(net_delayed_);
 }
 
-void SimulationCore::RetireQuery(std::size_t slot, SimTime at) {
-  ASF_CHECK_MSG(!ran_, "RetireQuery after Run()");
-  ASF_CHECK(slot < slots_.size());
-  ASF_CHECK_MSG(at > slots_[slot]->deploy_at,
-                "retire time must follow the deploy time");
-  slots_[slot]->retire_at = at;
+void SimulationCore::RunOracle(Slot& slot) {
+  const QueryDeployment& dep = slot.deployment;
+  const OracleCheck check =
+      JudgeAnswer(dep.query, dep.protocol, dep.rank_r, dep.fraction,
+                  streams_->values(), slot.protocol->answer());
+  QueryRunStats& out = slot.stats;
+  ++out.oracle_checks;
+  if (!check.ok) {
+    ++out.oracle_violations;
+    // Attribute the violation to transit when update payloads for this
+    // query are still in flight — the staleness share of the error budget
+    // (always zero under instant delivery).
+    if (net_->InFlight(slot.index) > 0) ++out.oracle_violations_in_flight;
+  }
+  out.max_f_plus = std::max(out.max_f_plus, check.f_plus);
+  out.max_f_minus = std::max(out.max_f_minus, check.f_minus);
+  out.max_worst_rank = std::max(out.max_worst_rank, check.worst_rank);
 }
 
-void SimulationCore::RunOracle(Slot& slot) {
-  // Attribute fresh violations to transit when update payloads for this
-  // query are still in flight — the staleness share of the error budget
-  // (always zero under instant delivery).
-  const std::uint64_t before = slot.stats.oracle_violations;
-  engine_internal::JudgeSlot(slot, streams_->values());
-  if (slot.stats.oracle_violations != before &&
-      net_->InFlight(slot.index) > 0) {
-    ++slot.stats.oracle_violations_in_flight;
+void SimulationCore::JudgeLiveSlots() {
+  for (auto& slot : slots_) {
+    if (slot->live) RunOracle(*slot);
   }
 }
 
@@ -194,10 +217,7 @@ void SimulationCore::RetireSlot(std::size_t index) {
   // the query's broadcast model, like any other redeploy.
   slot.ctx->DeployAll(FilterConstraint::NoFilter());
 
-  // Close the books inside the live window.
-  engine_internal::FlushAnswerSamples(slot, updates_generated_);
-  slot.stats.retired_at = scheduler_.now();
-  slot.stats.reinits = slot.protocol->reinit_count();
+  CloseBooks(slot);
   slot.live = false;
 
   // Release the arena column. The last live column compacts into the
@@ -227,23 +247,85 @@ void SimulationCore::RetireSlot(std::size_t index) {
   if (spiller_) engine_internal::SpillRetiredSlot(*spiller_, slot);
 }
 
+void SimulationCore::CloseBooks(Slot& slot) {
+  FlushAnswerSamples(slot, updates_generated_);
+  slot.stats.retired_at = scheduler_.now();
+  slot.stats.reinits = slot.protocol->reinit_count();
+}
+
+void SimulationCore::FlushAnswerSamples(Slot& slot, std::uint64_t upto) {
+  if (upto > slot.answer_sampled_upto) {
+    slot.stats.answer_size.AddRepeated(slot.answer_cur_size,
+                                       upto - slot.answer_sampled_upto);
+    slot.answer_sampled_upto = upto;
+  }
+}
+
+void SimulationCore::DeliverUpdate(Slot& slot, StreamId id, Value v,
+                                   SimTime t) {
+  slot.stats.messages.Count(MessageType::kValueUpdate);
+  ++slot.stats.updates_reported;
+  // The answer can only change while this slot handles the payload: close
+  // the run of unchanged samples first (at the pre-delivery size), then
+  // sample the new size once. Under instant delivery this reproduces the
+  // classic per-fired-update sequence exactly; under delayed delivery a
+  // second payload arriving before the next generated update leaves the
+  // sample clock alone (one sample per generated update, never more).
+  FlushAnswerSamples(slot,
+                     updates_generated_ > 0 ? updates_generated_ - 1 : 0);
+  slot.protocol->HandleUpdate(id, v, t);
+  slot.answer_cur_size = static_cast<double>(slot.protocol->answer().size());
+  if (slot.answer_sampled_upto < updates_generated_) {
+    slot.stats.answer_size.AddRepeated(slot.answer_cur_size, 1);
+    ++slot.answer_sampled_upto;
+  }
+}
+
 void SimulationCore::OnNetUpdate(StreamId id,
                                  const NetworkModel::Payload* payloads,
                                  std::size_t count, SimTime at) {
   obs::ScopedPhase obs_phase(options_.obs.profiler, obs::Phase::kNetFlush);
   ASF_TRACE_EVENT(options_.obs.tracer, obs::TraceEventType::kWireDeliver, at,
                   id, count != 0 ? payloads[count - 1].value : 0, count);
-  const bool delivered = engine_internal::DeliverWireMessage(
-      slots_, *net_, net_delayed_, updates_generated_, physical_updates_, id,
-      payloads, count, at);
+  // One invocation = one physical wire message: it serves every query
+  // whose filter fired (each still accounts a logical update so
+  // per-query costs remain comparable to a single-query run), and under
+  // batching a payload may stand for several coalesced crossings.
+  ++physical_updates_;
+  NetStats& net = net_->stats();
+  bool delivered = false;
+  for (std::size_t i = 0; i < count; ++i) {
+    const NetworkModel::Payload& p = payloads[i];
+    Slot& slot = *slots_[p.slot];
+    if (!slot.live) {
+      // The query retired while the message was in flight; its books are
+      // closed and its arena column is gone (DESIGN.md §9).
+      net.dropped_retired += p.crossings;
+      continue;
+    }
+    net.delivered_crossings += p.crossings;
+    if (p.seq != 0) {
+      // A reordering link stamped wire seqnos: suppress anything an
+      // overtaker already obsoleted for this (query, stream) pair.
+      if (slot.update_seq_floor.size() <= id) {
+        slot.update_seq_floor.resize(id + 1, 0);
+      }
+      if (p.seq <= slot.update_seq_floor[id]) {
+        net.suppressed_stale += p.crossings;
+        continue;
+      }
+      slot.update_seq_floor[id] = p.seq;
+    }
+    DeliverUpdate(slot, id, p.value, at);
+    if (net_delayed_) slot.stats.update_delay.Add(at - p.crossed_at);
+    delivered = true;
+  }
   // Under delayed delivery the per-update audit must also judge at
   // arrival instants — the answer just changed between generated
   // updates. (Inline deliveries are already covered by the audit in the
   // update handler.)
   if (net_delayed_ && delivered && options_.oracle.check_every_update) {
-    for (auto& slot : slots_) {
-      if (slot->live) RunOracle(*slot);
-    }
+    JudgeLiveSlots();
   }
 }
 
@@ -269,19 +351,22 @@ void SimulationCore::OnNetDeploy(std::size_t slot_index, StreamId id,
 }
 
 void SimulationCore::OnNetReconcile(SimTime at) {
-  engine_internal::ReconcileSlots(slots_, arena_, streams_->values(), *net_,
-                                  updates_generated_, at);
-  if (options_.oracle.check_every_update) {
-    for (auto& slot : slots_) {
-      if (slot->live) RunOracle(*slot);
+  const std::vector<Value>& values = streams_->values();
+  net_->stats().reconcile_exchanges += values.size();
+  for (auto& slot_ptr : slots_) {
+    Slot& slot = *slot_ptr;
+    if (!slot.live) continue;
+    for (StreamId id = 0; id < values.size(); ++id) {
+      const Value v = values[id];
+      arena_.SyncReference(id, slot.column, v);
+      if (slot.ctx->cached(id) != v) DeliverUpdate(slot, id, v, at);
     }
   }
+  if (options_.oracle.check_every_update) JudgeLiveSlots();
 }
 
 void SimulationCore::OracleSampleTick() {
-  for (auto& slot : slots_) {
-    if (slot->live) RunOracle(*slot);
-  }
+  JudgeLiveSlots();
   if (scheduler_.now() + options_.oracle.sample_interval <=
       options_.duration) {
     scheduler_.ScheduleAfter(options_.oracle.sample_interval,
@@ -379,11 +464,7 @@ void SimulationCore::Run() {
                       id, v, fired_slots_.size());
       net_->SendUpdate(id, v, fired_slots_, t);
     }
-    if (options_.oracle.check_every_update) {
-      for (auto& slot : slots_) {
-        if (slot->live) RunOracle(*slot);
-      }
-    }
+    if (options_.oracle.check_every_update) JudgeLiveSlots();
   });
 
   // The lifecycle feed: every deploy (slot order), then every retirement
@@ -464,14 +545,11 @@ void SimulationCore::Run() {
                                      net.in_flight_crossings_at_end,
                 "crossing conservation broken");
 
+  // Every slot still live closes its books at the horizon (retired slots
+  // closed theirs already), so each has exactly one answer-size sample per
+  // update generated in its live window.
   for (auto& slot : slots_) {
-    if (!slot->live) continue;  // retired slots closed their books already
-    // Close every live slot's trailing run of unchanged answer-size
-    // samples so each has exactly one sample per update generated in its
-    // live window, like the old every-update loop produced.
-    engine_internal::FlushAnswerSamples(*slot, updates_generated_);
-    slot->stats.reinits = slot->protocol->reinit_count();
-    slot->stats.retired_at = options_.duration;
+    if (slot->live) CloseBooks(*slot);
   }
   if (obs_reg != nullptr) obs_reg->ClearGauges();
   wall_seconds_ =

@@ -35,11 +35,11 @@
 ///
 /// Queries are a *dynamic population*: each one is deployed at a given
 /// simulation time, runs under its tolerance protocol, and may retire
-/// before the horizon (DeployQuery / RetireQuery). The static batch case —
-/// AddQuery for every query, all installed at options.query_start, none
-/// retired — is simply the degenerate schedule, and produces results
-/// identical to an engine without the lifecycle machinery
-/// (tests/sim_core_test.cc locks this in).
+/// before the horizon (the deployment's start / end). The static batch
+/// case — every query installed at options.query_start, none retired — is
+/// simply the degenerate schedule, and produces results identical to an
+/// engine without the lifecycle machinery (tests/sim_core_test.cc locks
+/// this in).
 ///
 /// Run is one loop over the instants at which something other than an
 /// event happens: a deploy, a retirement or a metrics snapshot. At each
@@ -51,25 +51,16 @@
 
 namespace asf {
 
+struct QuerySlot;  // engine/query_slot.h
 namespace engine_internal {
-struct QuerySlot;          // engine/query_slot.h
 class QueryStateSpiller;  // engine/spill.h
 }  // namespace engine_internal
-
-/// Seed of query slot `index`'s protocol RNG, derived from the run seed
-/// (golden-ratio decorrelation).
-inline std::uint64_t QuerySlotSeed(std::uint64_t run_seed,
-                                   std::size_t index) {
-  return run_seed ^ (0x9e3779b97f4a7c15ULL + index);
-}
 
 /// The engine runtime. Usage:
 ///
 /// \code
 ///   SimulationCore core(options);           // builds the streams
-///   core.AddQuery(deployment);              // static: live whole run
-///   core.DeployQuery(deployment, t1);       // dynamic: arrives at t1...
-///   core.RetireQuery(slot, t2);             // ...and leaves at t2
+///   core.AddQuery(deployment);              // live over [start, end)
 ///   core.Run();                             // drives the scheduler
 ///   core.query_stats(0);                    // per-query outcomes
 /// \endcode
@@ -89,28 +80,22 @@ class SimulationCore {
   /// Registers one query: its own server context, protocol RNG (derived
   /// deterministically from the run seed and the slot index) and protocol
   /// instance. Deployment and retirement run as steps of Run's loop at the
-  /// times carried by `deployment` (start < 0 resolves to
-  /// options.query_start; end == kNeverRetire means no retirement), so the
-  /// default deployment reproduces the classic static batch. Must be
+  /// times carried by `deployment`:
+  ///  * start < 0 resolves to options.query_start; the deploy time must
+  ///    lie in [0, options.duration);
+  ///  * end == kNeverRetire means no retirement; otherwise end must follow
+  ///    the deploy time. At end the query's filters are uninstalled — one
+  ///    pass-through kFilterDeploy per stream, charged under the query's
+  ///    broadcast model — its arena column is released (the filter strip
+  ///    compacts), and it stops being served and judged. An end at or
+  ///    beyond options.duration means the query lives to the horizon (no
+  ///    uninstall is charged; the run is over).
+  /// The default deployment reproduces the classic static batch. Must be
   /// called before Run(). Returns the query's slot index.
   std::size_t AddQuery(const QueryDeployment& deployment);
 
-  /// As AddQuery, but deploys at the explicit time `at` (must lie in
-  /// [0, options.duration)), overriding deployment.start.
-  std::size_t DeployQuery(const QueryDeployment& deployment, SimTime at);
-
-  /// Schedules (or reschedules) the retirement of `slot` at time `at`,
-  /// which must be later than its deploy time. At that simulated time the
-  /// query's filters are uninstalled — one pass-through kFilterDeploy per
-  /// stream, charged under the protocol's termination semantics — its
-  /// arena column is released (the filter strip compacts), and it stops
-  /// being served and judged. A time at or beyond options.duration means
-  /// the query lives to the horizon (no uninstall is charged; the run is
-  /// over). Must be called before Run().
-  void RetireQuery(std::size_t slot, SimTime at);
-
   /// Drives the simulation to options.duration (file comment). Call
-  /// exactly once, after every AddQuery/DeployQuery/RetireQuery.
+  /// exactly once, after every AddQuery.
   void Run();
 
   std::size_t num_queries() const { return slots_.size(); }
@@ -146,16 +131,13 @@ class SimulationCore {
   double wall_seconds() const { return wall_seconds_; }
 
  private:
-  using Slot = engine_internal::QuerySlot;
+  using Slot = QuerySlot;
   /// Reads the slot table of a finished run (tests/churn_test.cc).
   friend struct SimulationCoreTestPeer;
 
-  /// Judges slot `i`'s current answer against the true stream values.
-  void RunOracle(Slot& slot);
-
   /// Builds the slot's runtime — server context over fresh transport
   /// wires, protocol RNG, protocol instance. Run at the deploy (not by
-  /// DeployQuery) so pre-deployment slots stay lightweight records and
+  /// AddQuery) so pre-deployment slots stay lightweight records and
   /// resident runtime state tracks the live population (DESIGN.md §13).
   void WireSlot(std::size_t index);
 
@@ -165,26 +147,54 @@ class SimulationCore {
   void InstallSlot(std::size_t index);
 
   /// The retirement: uninstalls the slot's filters (pass-through deploy),
-  /// closes its accounting, releases its arena column with live-prefix
+  /// closes its books, releases its arena column with live-prefix
   /// compaction, and frees the runtime WireSlot built, so a retired slot
   /// is its closed record alone.
   void RetireSlot(std::size_t index);
+
+  /// Closes a live slot's books at the current instant: its trailing run
+  /// of answer-size samples, its retirement time and its reinit count.
+  void CloseBooks(Slot& slot);
+
+  /// Judges the slot's current answer against the true stream values,
+  /// accumulating the verdict into its stats.
+  void RunOracle(Slot& slot);
+
+  /// RunOracle on every live slot.
+  void JudgeLiveSlots();
 
   /// Periodic correctness sampling; reschedules itself every
   /// options_.oracle.sample_interval until the horizon.
   void OracleSampleTick();
 
-  /// Network arrival sinks (NetworkModel::Bind): a wire message of update
-  /// payloads reaching the server / a constraint install reaching its
-  /// source. Run inline for instant models, as scheduler events otherwise.
+  /// Delivers one update payload that arrived at the server for `slot`:
+  /// counts the logical kValueUpdate, closes the run of unchanged
+  /// answer-size samples, runs the protocol's Maintenance reaction, and
+  /// samples the new answer size. The single accounting sink every
+  /// delivery path and the reconnect reconciliation funnel through.
+  void DeliverUpdate(Slot& slot, StreamId id, Value v, SimTime t);
+
+  /// Appends the slot's pending run of unchanged answer-size samples (one
+  /// per generated update, up to update number `upto`) in O(1).
+  static void FlushAnswerSamples(Slot& slot, std::uint64_t upto);
+
+  /// Network arrival sinks (NetworkModel::Bind). OnNetUpdate is one
+  /// physical wire message whose payloads each pass the server-arrival
+  /// gate — retired-query drop accounting and reorder seq-floor
+  /// suppression — before DeliverUpdate; OnNetDeploy is a constraint
+  /// install reaching its source. Run inline for instant models, as
+  /// scheduler events otherwise.
   void OnNetUpdate(StreamId id, const NetworkModel::Payload* payloads,
                    std::size_t count, SimTime at);
   void OnNetDeploy(std::size_t slot, StreamId id,
                    const FilterConstraint& constraint, SimTime at);
 
   /// Partition-reconnect summary-vector exchange (NetworkModel::
-  /// BindReconcile): every source reports its current value and the
-  /// server repairs each live query's stale view (DESIGN.md §11).
+  /// BindReconcile, DESIGN.md §11). Each source reports its current
+  /// value; every live query's filter reference re-syncs, and values its
+  /// cache is stale on are delivered as ordinary (charged) reports so the
+  /// protocol repairs its answer. The deploy half (still-unacked
+  /// constraint installs) is replayed by the fault pipeline itself.
   void OnNetReconcile(SimTime at);
 
   Options options_;

@@ -4,7 +4,7 @@
 
 namespace asf {
 
-double Rect::BoundaryDistance(const Point2& p) const {
+double Rect::DistanceToBoundary(const Point2& p) const {
   if (empty()) return kInf;
   if (Contains(p)) {
     // Inside: nearest edge in either axis.

@@ -67,7 +67,7 @@ class Rect {
   /// Used by the boundary-nearest placement heuristic exactly like
   /// Interval::DistanceToBoundary in 1-D: inside, it is the distance to
   /// the nearest edge; outside, the distance to the rectangle itself.
-  double BoundaryDistance(const Point2& p) const;
+  double DistanceToBoundary(const Point2& p) const;
 
   bool operator==(const Rect& other) const {
     if (empty() && other.empty()) return true;

@@ -23,7 +23,7 @@ class PlaneConstraint {
       : has_filter_(true), rect_(rect) {}
 
   static PlaneConstraint NoFilter() { return PlaneConstraint(); }
-  static PlaneConstraint Bounds(const Rect& rect) {
+  static PlaneConstraint Range(const Rect& rect) {
     return PlaneConstraint(rect);
   }
   static PlaneConstraint FalsePositive() {

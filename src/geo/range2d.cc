@@ -1,29 +1,19 @@
 #include "geo/range2d.h"
 
-#include "protocol/heuristics.h"
+#include "tolerance/oracle.h"
 
 namespace asf {
 
-FtRange2d::FtRange2d(std::size_t num_streams, const Rect& query,
-                     const FractionTolerance& tolerance,
-                     SelectionHeuristic heuristic, Rng* rng,
-                     Transport transport, MessageStats* stats)
-    : num_streams_(num_streams),
-      query_(query),
-      tolerance_(tolerance),
-      heuristic_(heuristic),
-      rng_(rng),
-      transport_(std::move(transport)),
-      stats_(stats),
-      cache_(num_streams) {
-  ASF_CHECK(!query.empty());
-  ASF_CHECK_MSG(tolerance.Validate().ok(), "invalid fraction tolerance");
+FtRange2d::PlaneContext::PlaneContext(std::size_t num_streams,
+                                      Transport transport,
+                                      MessageStats* stats)
+    : transport_(std::move(transport)), stats_(stats), cache_(num_streams) {
   ASF_CHECK(stats != nullptr);
   ASF_CHECK(transport_.probe != nullptr);
   ASF_CHECK(transport_.deploy != nullptr);
 }
 
-Point2 FtRange2d::Probe(StreamId id) {
+Point2 FtRange2d::PlaneContext::Probe(StreamId id, SimTime) {
   stats_->Count(MessageType::kProbeRequest);
   const Point2 p = transport_.probe(id);
   stats_->Count(MessageType::kProbeResponse);
@@ -31,118 +21,49 @@ Point2 FtRange2d::Probe(StreamId id) {
   return p;
 }
 
-void FtRange2d::Deploy(StreamId id, const PlaneConstraint& constraint) {
+void FtRange2d::PlaneContext::Deploy(StreamId id,
+                                     const PlaneConstraint& constraint) {
   stats_->Count(MessageType::kFilterDeploy);
   transport_.deploy(id, constraint);
 }
 
+FtRange2d::FtRange2d(std::size_t num_streams, const Rect& query,
+                     const FractionTolerance& tolerance,
+                     SelectionHeuristic heuristic, Rng* rng,
+                     Transport transport, MessageStats* stats)
+    : query_(query),
+      tolerance_(tolerance),
+      ctx_(num_streams, std::move(transport), stats),
+      core_(&ctx_, heuristic, rng) {
+  ASF_CHECK(!query.empty());
+  ASF_CHECK_MSG(tolerance.Validate().ok(), "invalid fraction tolerance");
+}
+
 void FtRange2d::Initialize() {
-  answer_.Clear();
-  count_ = 0;
-  fp_streams_.clear();
-  fn_streams_.clear();
-
-  std::vector<StreamId> inside;
-  std::vector<StreamId> outside;
-  for (StreamId id = 0; id < num_streams_; ++id) {
-    Probe(id);
-    if (query_.Contains(cache_[id])) {
-      inside.push_back(id);
-      answer_.Insert(id);
-    } else {
-      outside.push_back(id);
-    }
+  // Budgets are derived from the fresh answer size (Equations 3-4), as in
+  // FT-NRP's Initialization phase.
+  std::size_t answer_size = 0;
+  for (StreamId id = 0; id < ctx_.num_streams(); ++id) {
+    answer_size += query_.Contains(ctx_.Probe(id, 0));
   }
-
-  // Equations 3-4 budgets, verbatim from the 1-D protocol.
-  const std::size_t n_plus =
-      MaxFalsePositiveFilters(answer_.size(), tolerance_);
-  const std::size_t n_minus =
-      MaxFalseNegativeFilters(answer_.size(), tolerance_);
-
-  const auto boundary_distance = [this](StreamId id) {
-    return query_.BoundaryDistance(cache_[id]);
-  };
-  fp_streams_ = SelectFilterHolders(inside, n_plus, heuristic_,
-                                    boundary_distance, rng_);
-  fn_streams_ = SelectFilterHolders(outside, n_minus, heuristic_,
-                                    boundary_distance, rng_);
-
-  std::vector<bool> silent(num_streams_, false);
-  for (StreamId id : fp_streams_) {
-    Deploy(id, PlaneConstraint::FalsePositive());
-    silent[id] = true;
-  }
-  for (StreamId id : fn_streams_) {
-    Deploy(id, PlaneConstraint::FalseNegative());
-    silent[id] = true;
-  }
-  const PlaneConstraint rect_filter = PlaneConstraint::Bounds(query_);
-  for (StreamId id = 0; id < num_streams_; ++id) {
-    if (!silent[id]) Deploy(id, rect_filter);
-  }
+  core_.InstallFilters(query_,
+                       MaxFalsePositiveFilters(answer_size, tolerance_),
+                       MaxFalseNegativeFilters(answer_size, tolerance_));
 }
 
 void FtRange2d::OnUpdate(StreamId id, const Point2& p) {
-  cache_[id] = p;
-  if (query_.Contains(p)) {
-    const bool inserted = answer_.Insert(id);
-    ASF_DCHECK(inserted);
-    if (inserted) ++count_;
-    return;
-  }
-  const bool erased = answer_.Erase(id);
-  ASF_DCHECK(erased);
-  if (!erased) return;
-  if (count_ > 0) {
-    --count_;
-  } else {
-    FixError();
-  }
-}
-
-void FtRange2d::FixError() {
-  ++fix_error_runs_;
-  const PlaneConstraint rect_filter = PlaneConstraint::Bounds(query_);
-
-  if (!fp_streams_.empty()) {
-    const StreamId y = fp_streams_.back();
-    fp_streams_.pop_back();
-    const Point2 py = Probe(y);
-    Deploy(y, rect_filter);
-    if (query_.Contains(py)) return;  // true positive retained
-    answer_.Erase(y);
-  }
-  if (!fn_streams_.empty()) {
-    const StreamId z = fn_streams_.back();
-    fn_streams_.pop_back();
-    const Point2 pz = Probe(z);
-    if (query_.Contains(pz)) answer_.Insert(z);
-    Deploy(z, rect_filter);
-  }
+  ctx_.RecordReport(id, p);
+  core_.OnRangeUpdate(id, p, 0);
 }
 
 FractionCounts FtRange2d::CountErrors(const std::vector<Point2>& truth,
                                       const Rect& query,
                                       const AnswerSet& answer) {
-  FractionCounts counts;
-  counts.answer_size = answer.size();
-  std::size_t satisfied_total = 0;
+  std::vector<bool> satisfies(truth.size());
   for (StreamId id = 0; id < truth.size(); ++id) {
-    if (query.Contains(truth[id])) ++satisfied_total;
+    satisfies[id] = query.Contains(truth[id]);
   }
-  std::size_t answered_correct = 0;
-  for (StreamId id : answer) {
-    ASF_DCHECK(id < truth.size());
-    if (query.Contains(truth[id])) {
-      ++answered_correct;
-    } else {
-      ++counts.false_positives;
-    }
-  }
-  ASF_DCHECK(satisfied_total >= answered_correct);
-  counts.false_negatives = satisfied_total - answered_correct;
-  return counts;
+  return Oracle::CountFractions(satisfies, answer);
 }
 
 }  // namespace asf

@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "geo/plane_filter.h"
 #include "net/message_stats.h"
+#include "protocol/ft_core.h"
 #include "protocol/options.h"
 #include "query/answer_set.h"
 #include "tolerance/tolerance.h"
@@ -16,11 +16,12 @@
 /// \file
 /// FT-NRP in the plane: the fraction-tolerance protocol for 2-D rectangle
 /// range queries (paper §7's multi-dimensional generalization of §5.1.1).
-/// The machinery is structurally identical to the 1-D FractionFilterCore —
-/// budgets from Equations 3–4, silent filters placed by the boundary-
-/// nearest or random heuristic, the `count` ledger, and Fix_Error — with
-/// Interval membership replaced by Rect membership. Zero tolerance
-/// degenerates to the 2-D ZT-NRP exactly as in 1-D.
+/// It runs on the 1-D protocol's own state machine, BasicFractionFilterCore
+/// (protocol/ft_core.h) — budgets from Equations 3–4, silent filters placed
+/// by the boundary-nearest or random heuristic, the `count` ledger, and
+/// Fix_Error — instantiated over a plane context whose region is a Rect
+/// and whose filter is a PlaneConstraint. Zero tolerance degenerates to the
+/// 2-D ZT-NRP exactly as in 1-D.
 
 namespace asf {
 
@@ -41,6 +42,9 @@ class FtRange2d {
             const FractionTolerance& tolerance,
             SelectionHeuristic heuristic, Rng* rng, Transport transport,
             MessageStats* stats);
+  // The core points at this object's own context.
+  FtRange2d(const FtRange2d&) = delete;
+  FtRange2d& operator=(const FtRange2d&) = delete;
 
   /// Probes every stream, derives the silent-filter budgets from the
   /// initial answer, and installs all constraints.
@@ -49,11 +53,11 @@ class FtRange2d {
   /// Handles one reported move from a rect-filtered stream.
   void OnUpdate(StreamId id, const Point2& p);
 
-  const AnswerSet& answer() const { return answer_; }
+  const AnswerSet& answer() const { return core_.answer(); }
   const Rect& query() const { return query_; }
-  std::size_t n_plus() const { return fp_streams_.size(); }
-  std::size_t n_minus() const { return fn_streams_.size(); }
-  std::uint64_t fix_error_runs() const { return fix_error_runs_; }
+  std::size_t n_plus() const { return core_.n_plus(); }
+  std::size_t n_minus() const { return core_.n_minus(); }
+  std::uint64_t fix_error_runs() const { return core_.fix_error_runs(); }
 
   /// Judges the current answer against true positions (the 2-D oracle).
   static FractionCounts CountErrors(const std::vector<Point2>& truth,
@@ -61,24 +65,35 @@ class FtRange2d {
                                     const AnswerSet& answer);
 
  private:
-  void FixError();
-  Point2 Probe(StreamId id);
-  void Deploy(StreamId id, const PlaneConstraint& constraint);
+  /// The server's view of the plane: a position cache plus counted
+  /// probe/deploy over the Transport. Probes are never lost and updates
+  /// arrive instantly (delayed_delivery() is false).
+  class PlaneContext {
+   public:
+    using Point = Point2;
+    using Region = Rect;
+    using Constraint = PlaneConstraint;
 
-  std::size_t num_streams_;
+    PlaneContext(std::size_t num_streams, Transport transport,
+                 MessageStats* stats);
+
+    std::size_t num_streams() const { return cache_.size(); }
+    const Point2& cached(StreamId id) const { return cache_[id]; }
+    void RecordReport(StreamId id, const Point2& p) { cache_[id] = p; }
+    Point2 Probe(StreamId id, SimTime t);
+    void Deploy(StreamId id, const PlaneConstraint& constraint);
+    bool delayed_delivery() const { return false; }
+
+   private:
+    Transport transport_;
+    MessageStats* stats_;
+    std::vector<Point2> cache_;  ///< last known position per stream
+  };
+
   Rect query_;
   FractionTolerance tolerance_;
-  SelectionHeuristic heuristic_;
-  Rng* rng_;
-  Transport transport_;
-  MessageStats* stats_;
-
-  std::vector<Point2> cache_;  ///< last known position per stream
-  AnswerSet answer_;
-  std::uint64_t count_ = 0;
-  std::uint64_t fix_error_runs_ = 0;
-  std::vector<StreamId> fp_streams_;
-  std::vector<StreamId> fn_streams_;
+  PlaneContext ctx_;
+  BasicFractionFilterCore<PlaneContext> core_;
 };
 
 }  // namespace asf

@@ -53,6 +53,12 @@ enum class BroadcastCostModel : int {
 /// Per-query server state: value cache + counted messaging.
 class ServerContext {
  public:
+  /// The geometry the fraction-tolerance core (protocol/ft_core.h) works
+  /// in: scalar values, interval regions, interval filters.
+  using Point = Value;
+  using Region = Interval;
+  using Constraint = FilterConstraint;
+
   ServerContext(std::size_t num_streams, Transport transport,
                 MessageStats* stats,
                 BroadcastCostModel broadcast = BroadcastCostModel::kPerRecipient)
@@ -101,11 +107,8 @@ class ServerContext {
   /// every protocol terminating under arbitrary loss.
   Value Probe(StreamId id, SimTime t) {
     stats_->Count(MessageType::kProbeRequest);
-    const std::optional<Value> v = transport_.probe(id);
-    if (!v.has_value()) return cached(id);
-    stats_->Count(MessageType::kProbeResponse);
-    RecordReport(id, *v, t);
-    return *v;
+    Receive(id, transport_.probe(id), t);
+    return cached(id);
   }
 
   /// Probes every stream ("request all streams to send their values" —
@@ -113,17 +116,10 @@ class ServerContext {
   /// broadcast model the request side costs one message; the n responses
   /// are always individual.
   void ProbeAll(SimTime t) {
-    if (broadcast_ == BroadcastCostModel::kSingleMessage) {
-      stats_->Count(MessageType::kProbeRequest);
-      for (StreamId id = 0; id < cache_.size(); ++id) {
-        const std::optional<Value> v = transport_.probe(id);
-        if (!v.has_value()) continue;
-        stats_->Count(MessageType::kProbeResponse);
-        RecordReport(id, *v, t);
-      }
-      return;
+    ChargeRequests(MessageType::kProbeRequest, cache_.size());
+    for (StreamId id = 0; id < cache_.size(); ++id) {
+      Receive(id, transport_.probe(id), t);
     }
-    for (StreamId id = 0; id < cache_.size(); ++id) Probe(id, t);
   }
 
   /// Region probe of one stream: counts a request; counts a response and
@@ -131,11 +127,7 @@ class ServerContext {
   /// Returns whether it responded.
   bool RegionProbe(StreamId id, const Interval& region, SimTime t) {
     stats_->Count(MessageType::kRegionProbeRequest);
-    const std::optional<Value> v = transport_.region_probe(id, region);
-    if (!v.has_value()) return false;
-    stats_->Count(MessageType::kProbeResponse);
-    RecordReport(id, *v, t);
-    return true;
+    return Receive(id, transport_.region_probe(id, region), t);
   }
 
   /// Region probe of a group of streams ("the server queries the clients
@@ -144,22 +136,12 @@ class ServerContext {
   /// message for the whole group.
   std::vector<StreamId> RegionProbeGroup(const std::vector<StreamId>& targets,
                                          const Interval& region, SimTime t) {
-    if (broadcast_ == BroadcastCostModel::kSingleMessage &&
-        !targets.empty()) {
-      stats_->Count(MessageType::kRegionProbeRequest);
-      std::vector<StreamId> responders;
-      for (StreamId id : targets) {
-        const std::optional<Value> v = transport_.region_probe(id, region);
-        if (!v.has_value()) continue;
-        stats_->Count(MessageType::kProbeResponse);
-        RecordReport(id, *v, t);
-        responders.push_back(id);
-      }
-      return responders;
-    }
+    ChargeRequests(MessageType::kRegionProbeRequest, targets.size());
     std::vector<StreamId> responders;
     for (StreamId id : targets) {
-      if (RegionProbe(id, region, t)) responders.push_back(id);
+      if (Receive(id, transport_.region_probe(id, region), t)) {
+        responders.push_back(id);
+      }
     }
     return responders;
   }
@@ -175,17 +157,10 @@ class ServerContext {
   /// Deploys the same constraint to every stream: n messages by default,
   /// one under the broadcast model (DESIGN.md §3).
   void DeployAll(const FilterConstraint& constraint) {
-    if (broadcast_ == BroadcastCostModel::kSingleMessage &&
-        !deployed_.empty()) {
-      stats_->Count(MessageType::kFilterDeploy);
-      for (StreamId id = 0; id < deployed_.size(); ++id) {
-        deployed_[id] = constraint;
-        transport_.deploy(id, constraint);
-      }
-      return;
-    }
+    ChargeRequests(MessageType::kFilterDeploy, deployed_.size());
     for (StreamId id = 0; id < deployed_.size(); ++id) {
-      Deploy(id, constraint);
+      deployed_[id] = constraint;
+      transport_.deploy(id, constraint);
     }
   }
 
@@ -208,6 +183,25 @@ class ServerContext {
   MessageStats* stats() { return stats_; }
 
  private:
+  /// The response half of a probe exchange: when the stream answered
+  /// with `v`, counts the response and refreshes the cache. Returns
+  /// whether it answered.
+  bool Receive(StreamId id, const std::optional<Value>& v, SimTime t) {
+    if (!v.has_value()) return false;
+    stats_->Count(MessageType::kProbeResponse);
+    RecordReport(id, *v, t);
+    return true;
+  }
+
+  /// Charges the request side of a transmission to `recipients` streams:
+  /// one message per recipient, or one in all under the broadcast model.
+  void ChargeRequests(MessageType type, std::size_t recipients) {
+    if (recipients == 0) return;
+    stats_->Count(type, broadcast_ == BroadcastCostModel::kSingleMessage
+                            ? 1
+                            : recipients);
+  }
+
   Transport transport_;
   MessageStats* stats_;
   BroadcastCostModel broadcast_;

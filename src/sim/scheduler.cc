@@ -27,7 +27,6 @@ void Scheduler::ReleaseSlot(std::uint32_t index) {
   Slot& s = slot(index);
   s.fn = EventCallback();
   s.armed = false;
-  ++s.generation;
   free_.push_back(index);
   --live_;
 }
@@ -132,7 +131,7 @@ EventId Scheduler::ScheduleAt(SimTime t, Callback fn) {
   const std::uint64_t seq = NextSeq();
   const std::uint32_t index = Arm(seq, std::move(fn));
   HeapPush(MakeNode(t, seq, index));
-  return IdOf(index);
+  return MakeId(seq, index);
 }
 
 EventId Scheduler::ScheduleAfter(SimTime delay, Callback fn) {
@@ -142,7 +141,7 @@ EventId Scheduler::ScheduleAfter(SimTime delay, Callback fn) {
   const std::uint64_t seq = NextSeq();
   const std::uint32_t index = Arm(seq, std::move(fn));
   lane->Push(MakeNode(now_ + delay, seq, index));
-  return IdOf(index);
+  return MakeId(seq, index);
 }
 
 EventId Scheduler::Rearm(SimTime t) {
@@ -156,20 +155,19 @@ EventId Scheduler::Rearm(SimTime t) {
   s.armed = true;
   ++live_;
   HeapPush(MakeNode(t, seq, running_));
-  return IdOf(running_);
+  return MakeId(seq, running_);
 }
 
 bool Scheduler::Cancel(EventId id) {
   const std::uint32_t index = SlotIndex(id);
   if (index >= chunks_.size() * kChunkSize) return false;
   Slot& s = slot(index);
-  if (!s.armed || s.generation != Generation(id)) return false;
+  if (!s.armed || s.seq != Seq(id)) return false;
   if (index == running_) {
     // The running event cancels its own re-arm. Its callable is still
     // executing, so only the arming is undone here; DispatchPeeked
     // releases the slot when the callable returns.
     s.armed = false;
-    ++s.generation;
     --live_;
   } else {
     ReleaseSlot(index);
@@ -194,8 +192,8 @@ const Scheduler::HeapNode* Scheduler::PeekLive() {
     // With no cancelled events in flight every queued node is live; skip
     // the slab validation entirely (the common case on the hot path).
     if (tombstones_ == 0) return best;
-    const Slot& s = slot(NodeSlot(*best));
-    if (s.armed && s.seq == NodeSeq(*best)) return best;
+    const Slot& s = slot(SlotIndex(NodeId(*best)));
+    if (s.armed && s.seq == Seq(NodeId(*best))) return best;
     PopPeeked();  // tombstone of a cancelled (possibly recycled) event
     --tombstones_;
   }
@@ -220,16 +218,15 @@ void Scheduler::DispatchPeeked(const HeapNode* next) {
   PopPeeked();
   ASF_DCHECK(node.time() >= now_);
   // Dispatch in place: the slot stays occupied (so a nested ScheduleAt
-  // cannot reuse it) but is disarmed and its generation bumped first, so
-  // the running event's own id is already stale — Cancel from inside the
-  // callback is a no-op, matching the "already ran" contract. Rearm arms
-  // the slot again; an armed slot is kept, callable and all, when the
-  // callback returns. Chunked slab storage never moves, so growth during
-  // the callback is safe too.
+  // cannot reuse it) but is disarmed first, so the running event's own id
+  // is already stale — Cancel from inside the callback is a no-op,
+  // matching the "already ran" contract. Rearm arms the slot again under
+  // a fresh sequence number; an armed slot is kept, callable and all,
+  // when the callback returns. Chunked slab storage never moves, so
+  // growth during the callback is safe too.
   ASF_DCHECK(running_ == kNotRunning);
-  const std::uint32_t index = NodeSlot(node);
+  const std::uint32_t index = SlotIndex(NodeId(node));
   Slot& s = slot(index);
-  ++s.generation;
   s.armed = false;
   --live_;
   now_ = node.time();

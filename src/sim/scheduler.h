@@ -32,7 +32,7 @@
 /// hand-rolled 4-ary min-heap of POD (time, seq, id) keys, callbacks live
 /// in a chunked slab with free-list reuse, captures up to
 /// EventCallback::kInlineSize bytes are stored inline (no heap
-/// allocation), and cancellation uses generation-tagged tombstones — no
+/// allocation), and cancellation uses sequence-tagged tombstones — no
 /// hash sets anywhere on the hot path.
 ///
 /// Fixed-delay lanes: the events ScheduleAfter places with one delay d
@@ -61,9 +61,10 @@
 
 namespace asf {
 
-/// Handle for a scheduled event, usable with Scheduler::Cancel. Encodes
-/// (generation << 32 | slab slot), so stale handles are rejected in O(1)
-/// without any lookup structure.
+/// Handle for a scheduled event, usable with Scheduler::Cancel. It is the
+/// low word of the event's queue key, (seq << kSlotBits | slab slot):
+/// sequence numbers are never reused, so a stale handle is rejected in
+/// O(1) without any lookup structure.
 using EventId = std::uint64_t;
 
 /// A move-only callable with small-buffer optimization, the event
@@ -203,7 +204,7 @@ class Scheduler {
 
   /// Cancels a pending event in O(1): the slab slot is released for reuse
   /// immediately and the queued key (heap or lane) becomes a
-  /// generation-mismatched tombstone, discarded lazily when it comes next.
+  /// sequence-mismatched tombstone, discarded lazily when it comes next.
   /// Returns false if the event already ran, was already cancelled, or
   /// never existed. An event that re-armed itself may cancel that from
   /// inside the same dispatch; its callable is destroyed once it returns.
@@ -263,7 +264,7 @@ class Scheduler {
     std::uint64_t bits;
     __builtin_memcpy(&bits, &t, sizeof(bits));
     return HeapNode{(static_cast<unsigned __int128>(bits) << 64) |
-                    ((seq << kSlotBits) | index)};
+                    MakeId(seq, index)};
   }
 
   /// Slab capacity bound: up to 2^24 (16.7M) simultaneously pending
@@ -271,14 +272,14 @@ class Scheduler {
   /// Scheduler). Both limits are ASF_CHECKed.
   static constexpr std::uint32_t kSlotBits = 24;
 
-  /// One slab cell: the callback plus two validity tags. `generation`
-  /// authenticates public EventIds (Cancel); `seq` authenticates heap
-  /// nodes — a stale node whose slot was recycled for a newer event can
-  /// never match, because sequence numbers are globally unique.
+  /// One slab cell: the callback plus its validity tag. `seq`, the
+  /// sequence number the slot is armed under, authenticates both queued
+  /// nodes and public EventIds — a stale node or handle whose slot was
+  /// recycled for a newer event can never match, because sequence numbers
+  /// are globally unique.
   struct Slot {
     EventCallback fn;
     std::uint64_t seq = 0;
-    std::uint32_t generation = 0;
     bool armed = false;
   };
 
@@ -293,17 +294,16 @@ class Scheduler {
     return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
   }
 
-  static std::uint32_t NodeSlot(const HeapNode& node) {
-    return static_cast<std::uint32_t>(node.key) & ((1u << kSlotBits) - 1);
-  }
-  static std::uint64_t NodeSeq(const HeapNode& node) {
-    return static_cast<std::uint64_t>(node.key) >> kSlotBits;
+  /// The (seq, slot) word of a node, which is its event's EventId.
+  static EventId NodeId(const HeapNode& node) {
+    return static_cast<EventId>(node.key);
   }
   static std::uint32_t SlotIndex(EventId id) {
-    return static_cast<std::uint32_t>(id);
+    return static_cast<std::uint32_t>(id) & ((1u << kSlotBits) - 1);
   }
-  static std::uint32_t Generation(EventId id) {
-    return static_cast<std::uint32_t>(id >> 32);
+  static std::uint64_t Seq(EventId id) { return id >> kSlotBits; }
+  static EventId MakeId(std::uint64_t seq, std::uint32_t index) {
+    return (seq << kSlotBits) | index;
   }
 
   /// Takes a slot from the free list, growing the slab by one chunk when
@@ -316,14 +316,9 @@ class Scheduler {
   /// Stores `fn` in a fresh slot armed under `seq`; returns the slot index.
   std::uint32_t Arm(std::uint64_t seq, Callback fn);
 
-  /// The public handle of the event armed in slot `index`.
-  EventId IdOf(std::uint32_t index) {
-    return (static_cast<EventId>(slot(index).generation) << 32) |
-           static_cast<EventId>(index);
-  }
-
-  /// Destroys the slot's callback and recycles it. Bumps the generation so
-  /// every outstanding heap key / EventId referring to it goes stale.
+  /// Destroys the slot's callback and recycles it, disarmed: every
+  /// outstanding heap key / EventId referring to it is stale, and stays
+  /// so once the slot is armed again under a fresh sequence number.
   void ReleaseSlot(std::uint32_t index);
 
   /// Returns the live node with the smallest key across the heap top and

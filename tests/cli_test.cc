@@ -129,8 +129,10 @@ class CliTest : public ::testing::Test {
     return outcome;
   }
 
-  /// Runs argv and checks its exit status; a failure must say why.
-  void ExpectStatus(int want, const std::vector<std::string>& argv) const {
+  /// Runs argv and checks its exit status; a failure must say why, with
+  /// `reason` in its stderr.
+  void ExpectStatus(int want, const std::vector<std::string>& argv,
+                    const std::string& reason = "") const {
     std::string command;
     for (const std::string& arg : argv) command += " " + arg;
     SCOPED_TRACE(command);
@@ -138,6 +140,7 @@ class CliTest : public ::testing::Test {
     EXPECT_EQ(outcome.status, want) << outcome.err;
     if (want != 0) {
       EXPECT_NE(outcome.err, "");
+      EXPECT_NE(outcome.err.find(reason), std::string::npos) << outcome.err;
     }
   }
 
@@ -163,62 +166,93 @@ TEST_F(CliTest, MalformedInputFailsWithItsStatus) {
   const struct {
     int status;
     std::vector<std::string> argv;
+    std::string reason;  ///< a fragment of this rejection's stderr
   } kCases[] = {
-      {1, {ASF_RUN_PATH, "--net=loss:1.5", "--duration=50", "--streams=10"}},
       {1,
-       {ASF_RUN_PATH, "--net=partition:5,3", "--duration=50", "--streams=10"}},
-      {2, {ASF_RUN_PATH, "--shards=4", "--duration=50", "--streams=10"}},
+       {ASF_RUN_PATH, "--net=loss:1.5", "--duration=50", "--streams=10"},
+       "net loss probability"},
+      {1,
+       {ASF_RUN_PATH, "--net=partition:5,3", "--duration=50", "--streams=10"},
+       "net partition boundaries"},
+      {2,
+       {ASF_RUN_PATH, "--shards=4", "--duration=50", "--streams=10"},
+       "unknown flag --shards"},
       {2,
        {ASF_RUN_PATH, "--protocol=ft-nrp", "--eps_plus=0.3", "--duration=50",
-        "--streams=10"}},
-      {1, {ASF_RUN_PATH, "--duration=nan", "--streams=10"}},
-      {1, {ASF_RUN_PATH, "--churn", "--duration=inf", "--streams=10"}},
+        "--streams=10"},
+       "unknown flag --eps_plus"},
+      {1,
+       {ASF_RUN_PATH, "--duration=nan", "--streams=10"},
+       "duration must be finite"},
+      {1,
+       {ASF_RUN_PATH, "--churn", "--duration=inf", "--streams=10"},
+       "churn expansion needs a finite duration"},
       {1,
        {ASF_RUN_PATH, "--churn", "--oracle-interval=-5", "--duration=50",
-        "--streams=10"}},
+        "--streams=10"},
+       "oracle sample_interval"},
       {2,
        {ASF_SWEEP_PATH, "--protcol=rtp", "--values=0,0.1", "--streams=50",
-        "--duration=100"}},
+        "--duration=100"},
+       "unknown flag --protcol"},
       {1,
-       {ASF_SWEEP_PATH, "--streams=-5", "--values=0,0.1", "--duration=100"}},
+       {ASF_SWEEP_PATH, "--streams=-5", "--values=0,0.1", "--duration=100"},
+       "--streams must be positive"},
       {1,
        {ASF_RUN_PATH, "--protocol=rtp", "--query=knn", "--k=5", "--r=-1",
-        "--streams=50", "--duration=300", "--oracle-interval=10"}},
+        "--streams=50", "--duration=300", "--oracle-interval=10"},
+       "--r must be >= 0"},
       {1,
        {ASF_RUN_PATH, "--sigma=nan", "--streams=10", "--duration=50",
-        "--oracle-interval=5"}},
-      {1, {ASF_RUN_PATH, "--range=abc:600", "--streams=10", "--duration=50"}},
+        "--oracle-interval=5"},
+       "sigma must be finite"},
       {1,
-       {ASF_SWEEP_PATH, "--values=0.1,O.2", "--streams=50", "--duration=100"}},
+       {ASF_RUN_PATH, "--range=abc:600", "--streams=10", "--duration=50"},
+       "--range expects a number"},
+      {1,
+       {ASF_SWEEP_PATH, "--values=0.1,O.2", "--streams=50", "--duration=100"},
+       "--values expects a number"},
       {2,
        {ASF_TRACE_PATH, "--in=" + Path("smoke.trace"),
-        "--out=" + Path("smoke.json"), "--ts-scal=5"}},
-      {2, {ASF_TRACEGEN_PATH, "--out=" + Path("smoke.csv"), "--subnet=5"}},
+        "--out=" + Path("smoke.json"), "--ts-scal=5"},
+       "unknown flag --ts-scal"},
+      {2,
+       {ASF_TRACEGEN_PATH, "--out=" + Path("smoke.csv"), "--subnet=5"},
+       "unknown flag --subnet"},
       {1,
        {ASF_RUN_PATH, "--trace=" + Path("epoch.trace"), "--trace-cats=epoch",
-        "--streams=10", "--duration=50"}},
-      {1, {ASF_TRACE_PATH, "--in=" + Path("v1.trace"), "--summary"}},
+        "--streams=10", "--duration=50"},
+       "unknown trace category: epoch"},
       {1,
-       {ASF_RUN_PATH, "--streams=9223372036854775807", "--duration=50"}},
+       {ASF_TRACE_PATH, "--in=" + Path("v1.trace"), "--summary"},
+       "bad magic"},
+      {1,
+       {ASF_RUN_PATH, "--streams=9223372036854775807", "--duration=50"},
+       "num_streams must lie in"},
       {1,
        {ASF_SWEEP_PATH, "--param=streams", "--values=10,999999999999999",
-        "--duration=50"}},
+        "--duration=50"},
+       "num_streams must lie in"},
       {1,
-       {ASF_RUN_PATH, "--replay=" + Path("wide.csv"), "--duration=50"}},
+       {ASF_RUN_PATH, "--replay=" + Path("wide.csv"), "--duration=50"},
+       "num_streams must lie in"},
       {1,
        {ASF_TRACEGEN_PATH, "--out=" + Path("wide_synth.csv"),
-        "--subnets=9223372036854775807"}},
+        "--subnets=9223372036854775807"},
+       "num_subnets must lie in"},
       // A record count past kMaxTraceRecords, rejected before the
       // generator reserves it, and a NaN skew: both used to abort with
       // exit 134.
       {1,
        {ASF_TRACEGEN_PATH, "--out=" + Path("long_synth.csv"),
-        "--connections=9223372036854775807"}},
+        "--connections=9223372036854775807"},
+       "total_connections must be at most"},
       {1,
        {ASF_TRACEGEN_PATH, "--out=" + Path("nan_synth.csv"), "--zipf=nan",
-        "--connections=1000"}},
+        "--connections=1000"},
+       "zipf_s"},
   };
-  for (const auto& c : kCases) ExpectStatus(c.status, c.argv);
+  for (const auto& c : kCases) ExpectStatus(c.status, c.argv, c.reason);
 
   // Non-finite synthesis parameters fail by name, before the generator
   // draws a record. They used to fail only after the whole trace was

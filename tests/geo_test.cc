@@ -36,19 +36,19 @@ TEST(RectTest, DegenerateForms) {
   EXPECT_TRUE(Rect(Interval(0, 1), Interval::Never()).empty());
 }
 
-TEST(RectTest, BoundaryDistanceInside) {
+TEST(RectTest, DistanceToBoundaryInside) {
   const Rect r(0, 10, 0, 10);
-  EXPECT_EQ(r.BoundaryDistance({5, 5}), 5.0);   // center
-  EXPECT_EQ(r.BoundaryDistance({1, 5}), 1.0);   // near left edge
-  EXPECT_EQ(r.BoundaryDistance({5, 9}), 1.0);   // near top edge
-  EXPECT_EQ(r.BoundaryDistance({0, 5}), 0.0);   // on the edge
+  EXPECT_EQ(r.DistanceToBoundary({5, 5}), 5.0);   // center
+  EXPECT_EQ(r.DistanceToBoundary({1, 5}), 1.0);   // near left edge
+  EXPECT_EQ(r.DistanceToBoundary({5, 9}), 1.0);   // near top edge
+  EXPECT_EQ(r.DistanceToBoundary({0, 5}), 0.0);   // on the edge
 }
 
-TEST(RectTest, BoundaryDistanceOutside) {
+TEST(RectTest, DistanceToBoundaryOutside) {
   const Rect r(0, 10, 0, 10);
-  EXPECT_EQ(r.BoundaryDistance({15, 5}), 5.0);   // straight out the side
-  EXPECT_EQ(r.BoundaryDistance({13, 14}), 5.0);  // corner: 3-4-5
-  EXPECT_EQ(r.BoundaryDistance({-6, -8}), 10.0);
+  EXPECT_EQ(r.DistanceToBoundary({15, 5}), 5.0);   // straight out the side
+  EXPECT_EQ(r.DistanceToBoundary({13, 14}), 5.0);  // corner: 3-4-5
+  EXPECT_EQ(r.DistanceToBoundary({-6, -8}), 10.0);
 }
 
 TEST(RectTest, Equality) {
@@ -74,7 +74,7 @@ TEST(PlaneFilterTest, NoFilterReportsEverything) {
 
 TEST(PlaneFilterTest, CrossingSemantics) {
   PlaneFilter f;
-  f.Deploy(PlaneConstraint::Bounds(Rect(0, 10, 0, 10)), {5, 5});
+  f.Deploy(PlaneConstraint::Range(Rect(0, 10, 0, 10)), {5, 5});
   EXPECT_TRUE(f.reference_inside());
   EXPECT_FALSE(f.OnMove({9, 9}));     // inside -> inside: silent
   EXPECT_TRUE(f.OnMove({11, 9}));     // leaves
@@ -96,16 +96,16 @@ TEST(PlaneFilterTest, SilentForms) {
 
 TEST(PlaneFilterTest, DeployResetsReference) {
   PlaneFilter f;
-  f.Deploy(PlaneConstraint::Bounds(Rect(0, 10, 0, 10)), {5, 5});
+  f.Deploy(PlaneConstraint::Range(Rect(0, 10, 0, 10)), {5, 5});
   EXPECT_TRUE(f.OnMove({20, 20}));
-  f.Deploy(PlaneConstraint::Bounds(Rect(15, 25, 15, 25)), {20, 20});
+  f.Deploy(PlaneConstraint::Range(Rect(15, 25, 15, 25)), {20, 20});
   EXPECT_FALSE(f.OnMove({24, 24}));
   EXPECT_TRUE(f.OnMove({26, 24}));
 }
 
 TEST(PlaneFilterTest, SyncReferenceAfterProbe) {
   PlaneFilter f;
-  f.Deploy(PlaneConstraint::Bounds(Rect(0, 10, 0, 10)), {5, 5});
+  f.Deploy(PlaneConstraint::Range(Rect(0, 10, 0, 10)), {5, 5});
   EXPECT_TRUE(f.OnMove({20, 20}));
   f.SyncReference({20, 20});
   EXPECT_FALSE(f.OnMove({21, 21}));

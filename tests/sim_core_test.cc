@@ -135,7 +135,7 @@ TEST(SimCoreLifecycleTest, ExplicitDegenerateWindowEqualsStaticBatch) {
   QueryDeployment dep = RangeDeployment(400, 600, 0.2);
   dep.start = 0;  // == WalkOptions().query_start
   dep.end = kNeverRetire;
-  explicit_core.DeployQuery(dep, dep.start);
+  explicit_core.AddQuery(dep);
   explicit_core.Run();
 
   EXPECT_EQ(static_core.updates_generated(),
@@ -182,11 +182,11 @@ TEST(SimCoreLifecycleTest, OracleTickAfterRetireSkipsDeadQuery) {
 
   QueryDeployment doomed = RangeDeployment(400, 600, 0.2);
   doomed.name = "doomed";
+  doomed.end = 150;
   const std::size_t doomed_slot = core.AddQuery(doomed);
   QueryDeployment survivor = RangeDeployment(300, 500, 0);
   survivor.name = "survivor";
   const std::size_t survivor_slot = core.AddQuery(survivor);
-  core.RetireQuery(doomed_slot, 150);
   core.Run();
 
   const QueryRunStats& dead = core.query_stats(doomed_slot);
@@ -208,8 +208,8 @@ TEST(SimCoreLifecycleTest, RetireUninstallsFiltersAndFreezesAccounting) {
   QueryDeployment dep;  // kNoFilter: never deploys filters on its own
   dep.query = QuerySpec::Range(400, 600);
   dep.protocol = ProtocolKind::kNoFilter;
+  dep.end = 150;
   const std::size_t slot = core.AddQuery(dep);
-  core.RetireQuery(slot, 150);
   // A long-lived companion keeps updates flowing after the retirement.
   core.AddQuery(RangeDeployment(300, 500, 0));
   core.Run();
