@@ -17,10 +17,11 @@
 /// The backend is selected at compile time from the target ISA:
 ///   * AVX2   : 4 doubles per compare, movmskpd accumulates bits (also
 ///              on AVX-512 hosts: no build tests a wider arm)
-///   * NEON   : 2 doubles per compare (aarch64)
-///   * scalar : branch-free fallback, one lane at a time
-/// All three produce identical masks for identical inputs; the scalar path
-/// is the executable specification the others are tested against
+///   * scalar : branch-free fallback, one lane at a time, on every other
+///              target (aarch64 included: no build tests a vector arm
+///              there)
+/// Both produce identical masks for identical inputs; the scalar path is
+/// the executable specification the AVX2 arm is tested against
 /// (tests/filter_arena_test.cc exercises the compiled backend against
 /// scalar Filter::OnValueChange on random inputs).
 ///
@@ -34,10 +35,6 @@
 #include <immintrin.h>
 #define ASF_SIMD_BACKEND "avx2"
 #define ASF_SIMD_LANES 4
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#include <arm_neon.h>
-#define ASF_SIMD_BACKEND "neon"
-#define ASF_SIMD_LANES 2
 #else
 #define ASF_SIMD_BACKEND "scalar"
 #define ASF_SIMD_LANES 1
@@ -46,8 +43,8 @@
 namespace asf {
 namespace simd {
 
-/// Human-readable name of the compiled backend ("avx2", "neon",
-/// "scalar"); surfaced in bench JSON so perf trajectories can attribute
+/// Human-readable name of the compiled backend ("avx2" or "scalar");
+/// surfaced in bench JSON so perf trajectories can attribute
 /// wins to vector width.
 inline constexpr const char* kBackend = ASF_SIMD_BACKEND;
 
@@ -62,7 +59,7 @@ const char* KernelBackend();
 int KernelLanes();
 
 /// Aborts with a clear message if the host CPU lacks the ISA the library
-/// kernel was compiled for (checked once; no-op on scalar/NEON builds).
+/// kernel was compiled for (checked once; no-op on scalar builds).
 /// FilterArena calls this on construction so a mismatched binary fails
 /// with a diagnosis instead of SIGILL mid-dispatch.
 void AssertHostSupportsKernel();
@@ -84,18 +81,6 @@ inline std::uint64_t InsideMask(double v, const double* lower,
     const __m256d le = _mm256_cmp_pd(vv, hi, _CMP_LE_OQ);
     const int bits = _mm256_movemask_pd(_mm256_and_pd(ge, le));
     mask |= static_cast<std::uint64_t>(bits) << b;
-  }
-  return mask;
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-  const float64x2_t vv = vdupq_n_f64(v);
-  std::uint64_t mask = 0;
-  for (int b = 0; b < n; b += 2) {
-    const float64x2_t lo = vld1q_f64(lower + b);
-    const float64x2_t hi = vld1q_f64(upper + b);
-    const uint64x2_t inside =
-        vandq_u64(vcgeq_f64(vv, lo), vcleq_f64(vv, hi));
-    mask |= (vgetq_lane_u64(inside, 0) & 1u) << b;
-    mask |= (vgetq_lane_u64(inside, 1) & 1u) << (b + 1);
   }
   return mask;
 #else

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "engine/protocol_factory.h"
 
 namespace asf {
 
@@ -50,30 +51,10 @@ Status ChurnSpec::Validate() const {
     // invalid spec must fail regardless of the draws.
     const QuerySpec::Type type =
         entry.fixed_shape ? entry.shape.type : entry.query_type;
-    if (type == QuerySpec::Type::kRank) {
-      switch (entry.protocol) {
-        case ProtocolKind::kNoFilter:
-        case ProtocolKind::kRtp:
-        case ProtocolKind::kZtRp:
-        case ProtocolKind::kFtRp:
-          break;
-        default:
-          return Status::InvalidArgument(
-              "churn mix pairs a rank query with a range protocol");
-      }
-      if (!entry.fixed_shape && entry.k == 0) {
-        return Status::InvalidArgument("churn rank queries need k >= 1");
-      }
-    } else {
-      switch (entry.protocol) {
-        case ProtocolKind::kNoFilter:
-        case ProtocolKind::kZtNrp:
-        case ProtocolKind::kFtNrp:
-          break;
-        default:
-          return Status::InvalidArgument(
-              "churn mix pairs a range query with a rank protocol");
-      }
+    ASF_RETURN_IF_ERROR(CheckProtocolServes(entry.protocol, type));
+    if (type == QuerySpec::Type::kRank && !entry.fixed_shape &&
+        entry.k == 0) {
+      return Status::InvalidArgument("churn rank queries need k >= 1");
     }
     total_weight += entry.weight;
   }

@@ -9,12 +9,8 @@
 
 namespace asf {
 
-Status ValidateDeployment(const QueryDeployment& deployment,
-                          std::size_t num_streams) {
-  const QuerySpec& query = deployment.query;
-  const ProtocolKind protocol = deployment.protocol;
-  ASF_RETURN_IF_ERROR(query.Validate());
-  const bool is_range = query.type == QuerySpec::Type::kRange;
+Status CheckProtocolServes(ProtocolKind protocol, QuerySpec::Type type) {
+  const bool is_range = type == QuerySpec::Type::kRange;
   switch (protocol) {
     case ProtocolKind::kNoFilter:
       break;  // supports both query classes
@@ -34,6 +30,15 @@ Status ValidateDeployment(const QueryDeployment& deployment,
       }
       break;
   }
+  return Status::OK();
+}
+
+Status ValidateDeployment(const QueryDeployment& deployment,
+                          std::size_t num_streams) {
+  const QuerySpec& query = deployment.query;
+  const ProtocolKind protocol = deployment.protocol;
+  ASF_RETURN_IF_ERROR(query.Validate());
+  ASF_RETURN_IF_ERROR(CheckProtocolServes(protocol, query.type));
   if (query.type == QuerySpec::Type::kRank && query.k > num_streams) {
     return Status::InvalidArgument(
         "rank requirement k exceeds the stream population");

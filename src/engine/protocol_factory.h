@@ -11,12 +11,17 @@
 
 /// \file
 /// What the engine knows about each protocol: which queries it can serve
-/// (ValidateDeployment, shared by SystemConfig::Validate and
-/// MultiQueryConfig::Validate), how to build it, and which tolerance its
-/// answers are judged under (both used per query slot,
-/// engine/sim_core.cc).
+/// (CheckProtocolServes, and ValidateDeployment on top of it, shared by
+/// SystemConfig::Validate, MultiQueryConfig::Validate and
+/// ChurnSpec::Validate), how to build it, and which tolerance its answers
+/// are judged under (both used per query slot, engine/sim_core.cc).
 
 namespace asf {
+
+/// Checks that `protocol` serves queries of class `type`: ZT-NRP and
+/// FT-NRP serve range queries, RTP, ZT-RP and FT-RP rank queries, and
+/// no-filter both. The one protocol/query-class table.
+Status CheckProtocolServes(ProtocolKind protocol, QuerySpec::Type type);
 
 /// Checks that the deployment's protocol can serve its query with its
 /// tolerance over `num_streams` sources (query-class match, k ≤ n, RTP's

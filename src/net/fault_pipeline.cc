@@ -14,29 +14,14 @@ constexpr std::uint32_t kMaxProbeAttempts = 8;
 
 }  // namespace
 
-FaultPipeline::FaultPipeline(const NetConfig& config,
-                             std::unique_ptr<NetworkModel> base,
+FaultPipeline::FaultPipeline(const NetConfig& config, NetworkModel& net,
                              std::uint64_t seed)
     : config_(config),
-      base_(std::move(base)),
+      net_(net),
       rng_(seed),
       rto_initial_(config.RtoInitial()),
       rto_cap_(config.RtoMax()),
-      rto_adaptive_(config.rto == 0 && config.rto_adaptive) {
-  ASF_CHECK(base_ != nullptr);
-}
-
-void FaultPipeline::OnBind() {
-  base_->set_update_egress(
-      [this](StreamId id, std::vector<Payload>& payloads, SimTime at) {
-        return OnUpdateEgress(id, payloads, at);
-      });
-  base_->Bind(scheduler_, update_sink_,
-              [](std::size_t, StreamId, const FilterConstraint&, SimTime) {
-                ASF_CHECK_MSG(false,
-                              "FaultPipeline owns the deploy control plane");
-              });
-}
+      rto_adaptive_(config.rto == 0 && config.rto_adaptive) {}
 
 bool FaultPipeline::LinkUp(SimTime t) const {
   std::size_t edges = 0;
@@ -79,35 +64,28 @@ void FaultPipeline::ScheduleCtl(SimTime now, EventCallback fn) {
   const SimTime latency = delayed ? config_.latency : 0;
   SimTime d = latency;
   if (delayed && config_.jitter > 0) d += rng_.Uniform(0, config_.jitter);
-  ScheduleDelivery(now + d, latency, std::move(fn));
+  ++net_.pending_wire_;
+  net_.ScheduleDelivery(now + d, latency, std::move(fn));
 }
 
-void FaultPipeline::SendUpdate(StreamId id, Value v,
-                               const std::vector<std::size_t>& slots,
-                               SimTime now) {
-  // The data plane rides the base model untouched (batching, queueing and
-  // latency behave exactly as configured); faults apply at its egress.
-  base_->SendUpdate(id, v, slots, now);
-}
-
-NetworkModel::EgressAction FaultPipeline::OnUpdateEgress(
-    StreamId id, std::vector<Payload>& payloads, SimTime at) {
+bool FaultPipeline::Egress(StreamId id, std::vector<Payload>& payloads,
+                           SimTime at) {
   std::uint64_t crossings = 0;
   for (const Payload& p : payloads) crossings += p.crossings;
-  NetStats& s = stats();
+  NetStats& s = net_.stats_;
   if (!LinkUp(at)) {
     s.dropped_partition += crossings;
-    ASF_TRACE_EVENT(obs_tracer_, obs::TraceEventType::kWireDrop, at, id, 0,
-                    crossings);
-    return EgressAction::kConsumed;
+    ASF_TRACE_EVENT(net_.obs_tracer_, obs::TraceEventType::kWireDrop, at, id,
+                    0, crossings);
+    return false;
   }
   if (LossDraw(&up_, id)) {
     s.dropped_loss += crossings;
-    ASF_TRACE_EVENT(obs_tracer_, obs::TraceEventType::kWireDrop, at, id, 0,
-                    crossings);
-    return EgressAction::kConsumed;
+    ASF_TRACE_EVENT(net_.obs_tracer_, obs::TraceEventType::kWireDrop, at, id,
+                    0, crossings);
+    return false;
   }
-  if (config_.reorder == 0) return EgressAction::kDeliver;
+  if (config_.reorder == 0) return true;
 
   // Bounded out-of-order delivery: stamp the link's wire sequence number
   // (the server suppresses payloads an overtaker already obsoleted) and
@@ -126,14 +104,9 @@ NetworkModel::EgressAction FaultPipeline::OnUpdateEgress(
   h.crossings = crossings;
   h.seq = seq;
   h.key = seq + hold;
-  ++stash_msgs_;
-  stash_crossings_ += crossings;
-  for (const Payload& p : h.payloads) {
-    if (p.slot >= stash_in_flight_.size()) {
-      stash_in_flight_.resize(p.slot + 1, 0);
-    }
-    ++stash_in_flight_[p.slot];
-  }
+  ++net_.pending_wire_;
+  net_.pending_crossings_ += crossings;
+  for (const Payload& p : h.payloads) net_.AddInFlight(p.slot);
   auto& q = held_[id];
   const auto pos = std::upper_bound(
       q.begin(), q.end(), h, [](const Held& a, const Held& b) {
@@ -145,14 +118,15 @@ NetworkModel::EgressAction FaultPipeline::OnUpdateEgress(
     q.erase(q.begin());
     DeliverStashed(id, ripe, at);
   }
-  return EgressAction::kConsumed;
+  return false;
 }
 
 void FaultPipeline::DeliverStashed(StreamId id, Held& held, SimTime at) {
-  --stash_msgs_;
-  stash_crossings_ -= held.crossings;
-  for (const Payload& p : held.payloads) --stash_in_flight_[p.slot];
-  base_->DeliverHeldUpdate(id, held.payloads, at);
+  --net_.pending_wire_;
+  net_.pending_crossings_ -= held.crossings;
+  for (const Payload& p : held.payloads) net_.SubInFlight(p.slot);
+  // Staleness is sampled against the actual delivery time `at`.
+  net_.AccountAndDeliver(id, held.payloads, at, /*sample_delay=*/true);
 }
 
 void FaultPipeline::SendDeploy(std::size_t slot, StreamId id,
@@ -162,7 +136,7 @@ void FaultPipeline::SendDeploy(std::size_t slot, StreamId id,
   ch.slot = slot;
   ch.id = id;
   if (ch.timer_armed) {
-    scheduler_->Cancel(ch.timer);
+    net_.scheduler_->Cancel(ch.timer);
     ch.timer_armed = false;
   }
   // Last-writer-wins supersession: a fresh install restarts the channel;
@@ -177,19 +151,18 @@ void FaultPipeline::SendDeploy(std::size_t slot, StreamId id,
 }
 
 void FaultPipeline::Transmit(Channel& ch, SimTime now, bool reliable) {
-  NetStats& s = stats();
+  NetStats& s = net_.stats_;
   ++s.deploy_attempts;
   const bool wire_ok = reliable || (LinkUp(now) && !LossDraw(&down_, ch.id));
   if (!wire_ok) {
     ++s.deploy_dropped;
   } else {
-    ++pending_ctl_wire_;
     const Interval& iv = ch.constraint.interval();
     const DeployCopy copy{ch.seq, iv.lo(), iv.hi(), ch.slot, ch.id,
                           ch.constraint.has_filter(), iv.empty(),
                           /*want_ack=*/!reliable};
     auto arrive = [this, copy] {
-      --pending_ctl_wire_;
+      --net_.pending_wire_;
       OnDeployArrival(copy);
     };
     static_assert(sizeof(arrive) <= EventCallback::kInlineSize,
@@ -221,7 +194,7 @@ void FaultPipeline::ArmTimer(Channel& ch, SimTime now) {
   ++ch.attempt;
   const std::size_t slot = ch.slot;
   const StreamId id = ch.id;
-  ch.timer = scheduler_->ScheduleAt(
+  ch.timer = net_.scheduler_->ScheduleAt(
       now + backoff, [this, slot, id] { OnDeployTimeout(slot, id); });
   ch.timer_armed = true;
 }
@@ -230,13 +203,13 @@ void FaultPipeline::OnDeployArrival(const DeployCopy& copy) {
   const std::size_t slot = copy.slot;
   const StreamId id = copy.id;
   const std::uint64_t seq = copy.seq;
-  const SimTime at = scheduler_->now();
-  NetStats& s = stats();
+  const SimTime at = net_.scheduler_->now();
+  NetStats& s = net_.stats_;
   Channel& ch = ChannelAt(slot, id);
   if (seq > ch.applied_seq) {
     ch.applied_seq = seq;
     ++s.deploy_messages;
-    deploy_sink_(slot, id, copy.constraint(), at);
+    net_.deploy_sink_(slot, id, copy.constraint(), at);
   } else {
     ++s.deploy_dup_suppressed;
   }
@@ -248,9 +221,8 @@ void FaultPipeline::OnDeployArrival(const DeployCopy& copy) {
     ++s.deploy_dropped;
     return;
   }
-  ++pending_ctl_wire_;
   ScheduleCtl(at, [this, slot, id, seq] {
-    --pending_ctl_wire_;
+    --net_.pending_wire_;
     OnDeployAck(slot, id, seq);
   });
 }
@@ -258,21 +230,21 @@ void FaultPipeline::OnDeployArrival(const DeployCopy& copy) {
 void FaultPipeline::OnDeployAck(std::size_t slot, StreamId id,
                                 std::uint64_t seq) {
   Channel& ch = ChannelAt(slot, id);
-  NetStats& s = stats();
+  NetStats& s = net_.stats_;
   if (ch.pending && seq == ch.seq) {
     // Karn's rule: only an exchange whose current seq was never
     // retransmitted yields an unambiguous round trip.
     if (rto_adaptive_ && !ch.retransmitted) {
       if (ch.id >= rtt_.size()) rtt_.resize(ch.id + 1);
-      rtt_[ch.id].AddSample(scheduler_->now() - ch.sent_at);
-      if (obs_sink_ != nullptr) {
-        obs_sink_->rto->Add(rtt_[ch.id].Rto(1.0, rto_cap_));
+      rtt_[ch.id].AddSample(net_.scheduler_->now() - ch.sent_at);
+      if (net_.obs_sink_ != nullptr) {
+        net_.obs_sink_->rto->Add(rtt_[ch.id].Rto(1.0, rto_cap_));
       }
     }
     ch.pending = false;
     ++s.deploy_acks;
     if (ch.timer_armed) {
-      scheduler_->Cancel(ch.timer);
+      net_.scheduler_->Cancel(ch.timer);
       ch.timer_armed = false;
     }
   } else {
@@ -284,14 +256,13 @@ void FaultPipeline::OnDeployTimeout(std::size_t slot, StreamId id) {
   Channel& ch = ChannelAt(slot, id);
   ch.timer_armed = false;
   if (!ch.pending) return;
-  ++stats().deploy_retransmits;
+  ++net_.stats_.deploy_retransmits;
   ch.retransmitted = true;
-  Transmit(ch, scheduler_->now(), /*reliable=*/false);
+  Transmit(ch, net_.scheduler_->now(), /*reliable=*/false);
 }
 
 bool FaultPipeline::ControlRpc(StreamId id, SimTime now) {
-  NetStats& s = stats();
-  ++s.control_rpcs;
+  NetStats& s = net_.stats_;
   if (!LinkUp(now)) {
     ++s.probe_failovers;
     return false;
@@ -310,7 +281,6 @@ bool FaultPipeline::ControlRpc(StreamId id, SimTime now) {
 }
 
 void FaultPipeline::StartRun(SimTime horizon) {
-  base_->StartRun(horizon);
   if (!config_.reconcile) return;
   // Up-edges are the odd-indexed partition boundaries. Scheduling them
   // here — after the engine's oracle tick, before the first stream
@@ -318,7 +288,7 @@ void FaultPipeline::StartRun(SimTime horizon) {
   for (std::size_t i = 1; i < config_.partition.size(); i += 2) {
     const SimTime up = config_.partition[i];
     if (up > horizon) break;
-    scheduler_->ScheduleAt(up, [this, up] { OnReconnect(up); });
+    net_.scheduler_->ScheduleAt(up, [this, up] { OnReconnect(up); });
   }
 }
 
@@ -332,13 +302,13 @@ void FaultPipeline::OnReconnect(SimTime t) {
       if (ch.pending) pending.emplace_back(ch.slot, ch.id);
     }
   }
-  if (reconcile_sink_) reconcile_sink_(t);
-  NetStats& s = stats();
+  if (net_.reconcile_sink_) net_.reconcile_sink_(t);
+  NetStats& s = net_.stats_;
   for (const auto& [slot, id] : pending) {
     Channel& ch = ChannelAt(slot, id);
     if (!ch.pending) continue;
     if (ch.timer_armed) {
-      scheduler_->Cancel(ch.timer);
+      net_.scheduler_->Cancel(ch.timer);
       ch.timer_armed = false;
     }
     ++s.reconcile_deploys;
@@ -346,20 +316,10 @@ void FaultPipeline::OnReconnect(SimTime t) {
   }
 }
 
-std::uint64_t FaultPipeline::InFlight(std::size_t slot) const {
-  const std::uint64_t held =
-      slot < stash_in_flight_.size() ? stash_in_flight_[slot] : 0;
-  return base_->InFlight(slot) + held;
-}
-
-void FaultPipeline::Finalize(SimTime horizon) {
-  base_->Finalize(horizon);
-  NetStats& s = stats();
-  s.in_flight_at_end += stash_msgs_ + pending_ctl_wire_;
-  s.in_flight_crossings_at_end += stash_crossings_;
+void FaultPipeline::Finalize() {
   for (const std::vector<Channel>& row : channels_) {
     for (const Channel& ch : row) {
-      if (ch.pending) ++s.deploy_unacked_at_end;
+      if (ch.pending) ++net_.stats_.deploy_unacked_at_end;
     }
   }
 }

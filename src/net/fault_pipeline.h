@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,12 +13,15 @@
 /// Fault injection over any base delivery model, plus the
 /// disruption-tolerant control plane that survives it (DESIGN.md §11).
 ///
-/// The pipeline decorates a base NetworkModel. Updates keep riding the
-/// base model's data plane (batching, queueing and latency behave exactly
-/// as configured); the fault stages apply at the base model's *egress* —
-/// the instant it would hand a wire message to the server — in a fixed
-/// order: partition check, loss draw, reorder hold. The control plane the
-/// pipeline owns outright:
+/// The pipeline is the fault stage of one NetworkModel, which owns it
+/// and calls it directly; it works on that model's scheduler, sinks,
+/// NetStats and in-flight ledger. Updates keep riding the model's data
+/// plane (batching, queueing and latency behave exactly as configured);
+/// the fault stages apply at the model's *egress* — the instant it would
+/// hand a wire message to the server — in a fixed order: partition check,
+/// loss draw, reorder hold. Held messages and deploy/ack copies in transit
+/// count in the model's ledger like any other wire message. The control
+/// plane the pipeline owns outright:
 ///
 ///  * deploys become a retransmitting state machine per (query, stream)
 ///    channel — sequence numbers, transport acks, per-request timeout
@@ -76,42 +78,32 @@ class RttEstimator {
   double rttvar_ = 0;
 };
 
-class FaultPipeline final : public NetworkModel {
+class FaultPipeline {
  public:
-  /// `config` must have HasFaults() or a nonzero rto/comp; `base` is the
-  /// delivery model faults are injected into (never exposed directly —
-  /// the pipeline forwards its stats).
-  FaultPipeline(const NetConfig& config, std::unique_ptr<NetworkModel> base,
+  using Payload = NetworkModel::Payload;
+
+  /// `config` must have HasFaults(); `net` is the model the stage belongs
+  /// to, and must outlive it.
+  FaultPipeline(const NetConfig& config, NetworkModel& net,
                 std::uint64_t seed);
+  FaultPipeline(const FaultPipeline&) = delete;
+  FaultPipeline& operator=(const FaultPipeline&) = delete;
 
-  void SendUpdate(StreamId id, Value v, const std::vector<std::size_t>& slots,
-                  SimTime now) override;
+  /// Egress of one update wire message the model is about to deliver at
+  /// `at`: drops it, holds it back for reordering (delivering whatever
+  /// that releases), or returns true for the model to deliver it now.
+  bool Egress(StreamId id, std::vector<Payload>& payloads, SimTime at);
+  /// The model's SendDeploy: restarts the (slot, id) channel and
+  /// transmits the install.
   void SendDeploy(std::size_t slot, StreamId id,
-                  const FilterConstraint& constraint, SimTime now) override;
-  bool ControlRpc(StreamId id, SimTime now) override;
-  std::uint64_t InFlight(std::size_t slot) const override;
-  void Finalize(SimTime horizon) override;
-  void StartRun(SimTime horizon) override;
-  void BindReconcile(ReconcileSink sink) override {
-    reconcile_sink_ = std::move(sink);
-  }
-
-  NetStats& stats() override { return base_->stats(); }
-  const NetStats& stats() const override { return base_->stats(); }
-
-  /// Forwards to the wrapped base model too, so staleness samples taken
-  /// at the base's egress land in the same sink.
-  void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer) override {
-    NetworkModel::set_obs(sink, tracer);
-    base_->set_obs(sink, tracer);
-  }
-
-  /// True when the partition schedule has every link up at `t` (links are
-  /// down in [t0,t1), [t2,t3), ...).
-  bool LinkUp(SimTime t) const;
-
- protected:
-  void OnBind() override;
+                  const FilterConstraint& constraint, SimTime now);
+  /// The model's ControlRpc after it counted the exchange: false when the
+  /// link is down or every bounded attempt was lost.
+  bool ControlRpc(StreamId id, SimTime now);
+  /// Schedules the partition up-edge reconnect exchanges.
+  void StartRun(SimTime horizon);
+  /// Counts the deploy channels still un-acked at the horizon.
+  void Finalize();
 
  private:
   /// Per-(link, direction) Gilbert-Elliott loss chain; lazily entered at
@@ -177,13 +169,15 @@ class FaultPipeline final : public NetworkModel {
   /// moves channels: hold the reference only until the next call.
   Channel& ChannelAt(std::size_t slot, StreamId id);
 
-  EgressAction OnUpdateEgress(StreamId id, std::vector<Payload>& payloads,
-                              SimTime at);
+  /// True when the partition schedule has every link up at `t` (links are
+  /// down in [t0,t1), [t2,t3), ...).
+  bool LinkUp(SimTime t) const;
   void DeliverStashed(StreamId id, Held& held, SimTime at);
   bool LossDraw(std::vector<GeChain>* chains, StreamId id);
   /// Schedules `fn` one control-plane transit after `now`: the base's
   /// latency (0 unless it is latency:<d>[:<j>]) plus a jitter draw from
-  /// the pipeline RNG.
+  /// the pipeline RNG. The copy counts in the model's ledger until it
+  /// arrives.
   void ScheduleCtl(SimTime now, EventCallback fn);
   void Transmit(Channel& ch, SimTime now, bool reliable);
   void ArmTimer(Channel& ch, SimTime now);
@@ -193,7 +187,7 @@ class FaultPipeline final : public NetworkModel {
   void OnReconnect(SimTime t);
 
   const NetConfig config_;
-  const std::unique_ptr<NetworkModel> base_;
+  NetworkModel& net_;
   Rng rng_;
   const double rto_initial_;
   const double rto_cap_;
@@ -210,17 +204,11 @@ class FaultPipeline final : public NetworkModel {
   std::vector<std::uint64_t> msg_seq_;  ///< per-link update wire seqno
   /// Per-link reorder stash, sorted by (key, seq).
   std::vector<std::vector<Held>> held_;
-  std::vector<std::uint64_t> stash_in_flight_;  ///< per-slot held payloads
-  std::uint64_t stash_msgs_ = 0;
-  std::uint64_t stash_crossings_ = 0;
-  /// Deploy/ack wire copies currently in transit.
-  std::uint64_t pending_ctl_wire_ = 0;
   /// Deploy channels indexed [slot][stream id], rows grown on first use
   /// (every refresh deploys to all streams, so rows fill densely). Reconnect
   /// replay and the end-of-run count walk them in ascending (slot, id)
   /// order.
   std::vector<std::vector<Channel>> channels_;
-  ReconcileSink reconcile_sink_;
 };
 
 }  // namespace asf

@@ -197,8 +197,7 @@ std::vector<std::string> SplitOn(const std::string& s, char sep) {
 Result<NetConfig> ParseNetSpec(const std::string& spec) {
   NetConfig config;
   bool have_base = false;
-  bool have_loss = false, have_reorder = false, have_partition = false;
-  bool have_rto = false, have_comp = false, have_norecon = false;
+  std::vector<std::string> fault_stages;  // fault stages seen so far
 
   const auto number = [](const std::string& stage, const std::string& token,
                          const char* what) -> Result<double> {
@@ -230,6 +229,14 @@ Result<NetConfig> ParseNetSpec(const std::string& spec) {
       config.kind = kind;
       return Status::OK();
     };
+    const auto fault_stage = [&]() -> Status {
+      if (std::find(fault_stages.begin(), fault_stages.end(), head) !=
+          fault_stages.end()) {
+        return Status::InvalidArgument("duplicate --net stage: " + head);
+      }
+      fault_stages.push_back(head);
+      return Status::OK();
+    };
 
     if (head == "instant") {
       ASF_RETURN_IF_ERROR(base_stage(NetConfig::Kind::kInstant));
@@ -259,10 +266,7 @@ Result<NetConfig> ParseNetSpec(const std::string& spec) {
       }
       ASF_ASSIGN_OR_RETURN(config.rate, number(stage, parts[1], "rate"));
     } else if (head == "loss") {
-      if (have_loss) {
-        return Status::InvalidArgument("duplicate --net stage: loss");
-      }
-      have_loss = true;
+      ASF_RETURN_IF_ERROR(fault_stage());
       if (nparams < 1 || nparams > 2) {
         return Status::InvalidArgument(
             "--net loss expects loss:<probability>[:<burst>]");
@@ -273,10 +277,7 @@ Result<NetConfig> ParseNetSpec(const std::string& spec) {
                              number(stage, parts[2], "burst length"));
       }
     } else if (head == "reorder") {
-      if (have_reorder) {
-        return Status::InvalidArgument("duplicate --net stage: reorder");
-      }
-      have_reorder = true;
+      ASF_RETURN_IF_ERROR(fault_stage());
       if (nparams != 1) {
         return Status::InvalidArgument(
             "--net reorder expects reorder:<max-displacement>");
@@ -291,10 +292,7 @@ Result<NetConfig> ParseNetSpec(const std::string& spec) {
       }
       config.reorder = static_cast<std::uint32_t>(k);
     } else if (head == "partition") {
-      if (have_partition) {
-        return Status::InvalidArgument("duplicate --net stage: partition");
-      }
-      have_partition = true;
+      ASF_RETURN_IF_ERROR(fault_stage());
       if (nparams != 1 || parts[1].empty()) {
         return Status::InvalidArgument(
             "--net partition expects partition:<t0>,<t1>[,...]");
@@ -304,10 +302,7 @@ Result<NetConfig> ParseNetSpec(const std::string& spec) {
         config.partition.push_back(t);
       }
     } else if (head == "rto") {
-      if (have_rto) {
-        return Status::InvalidArgument("duplicate --net stage: rto");
-      }
-      have_rto = true;
+      ASF_RETURN_IF_ERROR(fault_stage());
       if (nparams < 1 || nparams > 2) {
         return Status::InvalidArgument(
             "--net rto expects rto:<timeout>[:<max>], rto:adaptive[:<max>] "
@@ -325,19 +320,13 @@ Result<NetConfig> ParseNetSpec(const std::string& spec) {
         ASF_ASSIGN_OR_RETURN(config.rto_max, number(stage, parts[2], "cap"));
       }
     } else if (head == "comp") {
-      if (have_comp) {
-        return Status::InvalidArgument("duplicate --net stage: comp");
-      }
-      have_comp = true;
+      ASF_RETURN_IF_ERROR(fault_stage());
       if (nparams != 1) {
         return Status::InvalidArgument("--net comp expects comp:<margin>");
       }
       ASF_ASSIGN_OR_RETURN(config.comp, number(stage, parts[1], "margin"));
     } else if (head == "norecon") {
-      if (have_norecon) {
-        return Status::InvalidArgument("duplicate --net stage: norecon");
-      }
-      have_norecon = true;
+      ASF_RETURN_IF_ERROR(fault_stage());
       if (nparams != 0) {
         return Status::InvalidArgument("--net norecon takes no parameters");
       }
@@ -362,7 +351,65 @@ void NetworkModel::Bind(Scheduler* scheduler, UpdateSink on_update,
   scheduler_ = scheduler;
   update_sink_ = std::move(on_update);
   deploy_sink_ = std::move(on_deploy);
-  OnBind();
+}
+
+NetworkModel::~NetworkModel() = default;
+
+void NetworkModel::StartRun(SimTime horizon) {
+  if (faults_ != nullptr) faults_->StartRun(horizon);
+}
+
+void NetworkModel::SendDeploy(std::size_t slot, StreamId id,
+                              const FilterConstraint& constraint,
+                              SimTime now) {
+  if (faults_ != nullptr) {
+    faults_->SendDeploy(slot, id, constraint, now);
+  } else {
+    DeliverDeploy(slot, id, constraint, now);
+  }
+}
+
+bool NetworkModel::ControlRpc(StreamId id, SimTime now) {
+  ++stats_.control_rpcs;
+  return faults_ == nullptr || faults_->ControlRpc(id, now);
+}
+
+void NetworkModel::Finalize(SimTime horizon) {
+  (void)horizon;
+  stats_.in_flight_at_end = pending_wire_;
+  stats_.in_flight_crossings_at_end = pending_crossings_;
+  if (faults_ != nullptr) faults_->Finalize();
+}
+
+void NetworkModel::DeliverDeploy(std::size_t slot, StreamId id,
+                                 const FilterConstraint& constraint,
+                                 SimTime now) {
+  ++stats_.deploy_messages;
+  deploy_sink_(slot, id, constraint, now);
+}
+
+void NetworkModel::EmitUpdate(StreamId id, std::vector<Payload>& payloads,
+                              SimTime at, bool sample_delay) {
+  if (faults_ != nullptr && !faults_->Egress(id, payloads, at)) return;
+  AccountAndDeliver(id, payloads, at, sample_delay);
+}
+
+void NetworkModel::ScheduleWireMessage(StreamId id,
+                                       std::vector<Payload> payloads,
+                                       SimTime at, SimTime delay) {
+  for (const Payload& p : payloads) AddInFlight(p.slot);
+  ++pending_wire_;
+  pending_crossings_ += payloads.size();
+  ScheduleDelivery(
+      at, delay, [this, id, at, payloads = std::move(payloads)]() mutable {
+        --pending_wire_;
+        OnWireDelivered(id);
+        for (const Payload& p : payloads) {
+          SubInFlight(p.slot);
+          pending_crossings_ -= p.crossings;
+        }
+        EmitUpdate(id, payloads, at, /*sample_delay=*/true);
+      });
 }
 
 FilterConstraint CompensateConstraint(const FilterConstraint& constraint,
@@ -386,50 +433,9 @@ FilterConstraint CompensateConstraint(const FilterConstraint& constraint,
 
 namespace {
 
-/// Paths the base models share: the inline deploy delivery (every
-/// downlink but the latency model's) and the scheduled wire message. A
-/// base model whose parameters do not delay (NetConfig::BaseDelays) is
-/// built as InstantNet instead, so only InstantNet delivers updates
-/// inline.
-class DeliveryBase : public NetworkModel {
- protected:
-  /// Delivers one constraint install inside the producing event.
-  void DeliverDeployInline(std::size_t slot, StreamId id,
-                           const FilterConstraint& constraint, SimTime now) {
-    ++stats_.deploy_messages;
-    deploy_sink_(slot, id, constraint, now);
-  }
-
-  /// Enqueues one wire message of `payloads` from stream `id` for
-  /// delivery at `at`, which the model computed as `delay` after the send
-  /// (ScheduleDelivery) — the single copy of the delayed-delivery
-  /// accounting (in-flight tracking, wire/payload/delay stats, sink
-  /// call) shared by every delaying model.
-  void ScheduleWireMessage(StreamId id, std::vector<Payload> payloads,
-                           SimTime at, SimTime delay) {
-    for (const Payload& p : payloads) AddInFlight(p.slot);
-    ++pending_wire_;
-    pending_crossings_ += payloads.size();
-    ScheduleDelivery(
-        at, delay, [this, id, at, payloads = std::move(payloads)]() mutable {
-          --pending_wire_;
-          OnWireDelivered(id);
-          for (const Payload& p : payloads) {
-            SubInFlight(p.slot);
-            pending_crossings_ -= p.crossings;
-          }
-          EmitUpdate(id, payloads, at, /*sample_delay=*/true);
-        });
-  }
-
-  /// Model hook run when a scheduled wire message leaves the network
-  /// (before the sink), e.g. to release link-queue occupancy.
-  virtual void OnWireDelivered(StreamId id) { (void)id; }
-};
-
 /// The paper's semantics: every message arrives inside the event that
 /// produced it.
-class InstantNet final : public DeliveryBase {
+class InstantNet final : public NetworkModel {
  public:
   /// Delivers one wire message inside the producing event: no scheduler,
   /// no heap traffic in steady state (the payload scratch is reused), no
@@ -444,11 +450,6 @@ class InstantNet final : public DeliveryBase {
     EmitUpdate(id, scratch_, now, /*sample_delay=*/false);
   }
 
-  void SendDeploy(std::size_t slot, StreamId id,
-                  const FilterConstraint& constraint, SimTime now) override {
-    DeliverDeployInline(slot, id, constraint, now);
-  }
-
  private:
   std::vector<Payload> scratch_;
 };
@@ -457,7 +458,7 @@ class InstantNet final : public DeliveryBase {
 /// Delivery order is FIFO per (link, direction): a jittered later message
 /// never overtakes an earlier one (its delivery clamps to the link's last
 /// scheduled arrival).
-class FixedLatencyNet final : public DeliveryBase {
+class FixedLatencyNet final : public NetworkModel {
  public:
   FixedLatencyNet(double latency, double jitter, std::uint64_t seed)
       : latency_(latency), jitter_(jitter), rng_(seed) {}
@@ -474,8 +475,9 @@ class FixedLatencyNet final : public DeliveryBase {
                         NextDelivery(&uplink_last_, id, now), latency_);
   }
 
-  void SendDeploy(std::size_t slot, StreamId id,
-                  const FilterConstraint& constraint, SimTime now) override {
+  void DeliverDeploy(std::size_t slot, StreamId id,
+                     const FilterConstraint& constraint,
+                     SimTime now) override {
     const SimTime at = NextDelivery(&downlink_last_, id, now);
     ++pending_wire_;
     // The arrival time is the event's own time, read back from now(), and
@@ -515,7 +517,7 @@ class FixedLatencyNet final : public DeliveryBase {
 /// crossings counter records how many it stands for (NetStats::
 /// MessagesPerFlush is the batching win). Server→source deploys are
 /// control plane and deliver instantly.
-class BatchedNet final : public DeliveryBase {
+class BatchedNet final : public NetworkModel {
  public:
   explicit BatchedNet(double delta) : delta_(delta) {}
 
@@ -550,11 +552,6 @@ class BatchedNet final : public DeliveryBase {
     }
   }
 
-  void SendDeploy(std::size_t slot, StreamId id,
-                  const FilterConstraint& constraint, SimTime now) override {
-    DeliverDeployInline(slot, id, constraint, now);
-  }
-
  private:
   struct Link {
     std::vector<Payload> pending;  ///< sorted by slot
@@ -584,7 +581,7 @@ class BatchedNet final : public DeliveryBase {
 /// delivery delay grows with backlog. The downlink (server→source) is
 /// uncongested and delivers instantly — the model targets the congested
 /// sensor-uplink scenario.
-class BoundedBandwidthNet final : public DeliveryBase {
+class BoundedBandwidthNet final : public NetworkModel {
  public:
   explicit BoundedBandwidthNet(double rate) : service_time_(1.0 / rate) {}
 
@@ -610,11 +607,6 @@ class BoundedBandwidthNet final : public DeliveryBase {
     ScheduleWireMessage(id, std::move(payloads), at, service_time_);
   }
 
-  void SendDeploy(std::size_t slot, StreamId id,
-                  const FilterConstraint& constraint, SimTime now) override {
-    DeliverDeployInline(slot, id, constraint, now);
-  }
-
  private:
   void OnWireDelivered(StreamId id) override { --queued_[id]; }
 
@@ -629,31 +621,33 @@ std::unique_ptr<NetworkModel> MakeNetworkModel(const NetConfig& config,
                                                std::uint64_t seed) {
   // A base model whose parameters do not delay is InstantNet, whatever
   // its kind: one instant-delivery path keeps those runs byte-identical.
-  std::unique_ptr<NetworkModel> base;
+  std::unique_ptr<NetworkModel> net;
   switch (config.BaseDelays() ? config.kind : NetConfig::Kind::kInstant) {
     case NetConfig::Kind::kInstant:
-      base = std::make_unique<InstantNet>();
+      net = std::make_unique<InstantNet>();
       break;
     case NetConfig::Kind::kFixedLatency:
       // Decorrelated substream: the model's jitter draws never perturb
       // protocol RNG consumption (slots derive their own seeds).
-      base = std::make_unique<FixedLatencyNet>(config.latency, config.jitter,
-                                               MixSeed(seed, 0x6e657421ULL));
+      net = std::make_unique<FixedLatencyNet>(config.latency, config.jitter,
+                                              MixSeed(seed, 0x6e657421ULL));
       break;
     case NetConfig::Kind::kBatched:
-      base = std::make_unique<BatchedNet>(config.delta);
+      net = std::make_unique<BatchedNet>(config.delta);
       break;
     case NetConfig::Kind::kBoundedBandwidth:
-      base = std::make_unique<BoundedBandwidthNet>(config.rate);
+      net = std::make_unique<BoundedBandwidthNet>(config.rate);
       break;
   }
-  if (base == nullptr) base = std::make_unique<InstantNet>();
-  if (!config.HasFaults()) return base;
-  // Zero-rate fault configs never reach here (HasFaults is false), so the
-  // bare base model keeps its byte-identity guarantees; any active fault
-  // stage wraps it in the pipeline, with its own decorrelated substream.
-  return std::make_unique<FaultPipeline>(config, std::move(base),
-                                         MixSeed(seed, 0x6661756cULL));
+  if (net == nullptr) net = std::make_unique<InstantNet>();
+  // Zero-rate fault configs have no stage (HasFaults is false), so the
+  // bare model keeps its byte-identity guarantees; an active fault stage
+  // draws from its own decorrelated substream.
+  if (config.HasFaults()) {
+    net->faults_ = std::make_unique<FaultPipeline>(
+        config, *net, MixSeed(seed, 0x6661756cULL));
+  }
+  return net;
 }
 
 }  // namespace asf

@@ -44,12 +44,15 @@
 ///  * BoundedBandwidthNet — per-source uplink FIFO served at a fixed rate,
 ///                          so bursts induce queueing delay.
 ///
-/// Any base model composes with the *fault stages* of net/fault_pipeline.h
+/// Any base model composes with the *fault stage* of net/fault_pipeline.h
 /// — probabilistic loss (i.i.d. or Gilbert-Elliott bursts), bounded
-/// reordering, and scheduled partitions — which also turn the control
+/// reordering, and scheduled partitions — which also turns the control
 /// plane into retransmitting state machines (deploy acks + capped
 /// exponential backoff, probe retry with cached-value failover, and
 /// summary-vector reconciliation at partition up-edges). DESIGN.md §11.
+/// The stage is part of the one model a run builds, not a second model
+/// around it: it works on the model's scheduler, sinks, NetStats and its
+/// one in-flight ledger.
 
 namespace asf {
 
@@ -122,8 +125,8 @@ struct NetConfig {
 
   Status Validate() const;
 
-  /// True when any fault stage is active (the engine then wraps the base
-  /// model in a FaultPipeline).
+  /// True when any fault stage is active (the model then carries a
+  /// FaultPipeline).
   bool HasFaults() const {
     return loss > 0 || reorder > 0 || !partition.empty();
   }
@@ -194,7 +197,7 @@ struct NetStats {
   /// Update crossings still undelivered at the horizon.
   std::uint64_t in_flight_crossings_at_end = 0;
 
-  // --- Fault stages (zero without a fault pipeline; DESIGN.md §11) ---
+  // --- Fault stages (zero without a fault stage; DESIGN.md §11) ---
   /// Update crossings dropped by the loss process / inside a partition
   /// window.
   std::uint64_t dropped_loss = 0;
@@ -245,9 +248,15 @@ struct NetStats {
   }
 };
 
+class FaultPipeline;
+
 /// Delivery model interface. One instance serves one run (models keep
 /// per-link state); the engine binds its scheduler and arrival sinks
-/// before the first send.
+/// before the first send. A subclass decides when update wire messages
+/// (SendUpdate) and, for the latency model, constraint installs
+/// (DeliverDeploy) arrive; the fault stage, when the configuration has
+/// one, is part of the same model (`faults_`) and sits at every message's
+/// egress.
 class NetworkModel {
  public:
   /// Per-query payload of an update message arriving at the server.
@@ -256,7 +265,7 @@ class NetworkModel {
     Value value = 0;            ///< value that crossed (latest if coalesced)
     SimTime crossed_at = 0;     ///< when that crossing happened
     std::uint64_t crossings = 1;  ///< crossings coalesced into this payload
-    /// Per-link wire sequence number, stamped by the fault pipeline when
+    /// Per-link wire sequence number, stamped by the fault stage when
     /// reordering is possible (0 otherwise). The server suppresses
     /// payloads whose seq is not newer than the last applied for the
     /// (slot, stream) pair, so its cache never regresses.
@@ -275,20 +284,7 @@ class NetworkModel {
   /// invoked once per up-edge, at that simulated time.
   using ReconcileSink = std::function<void(SimTime at)>;
 
-  /// What an update wire message's final egress decided (fault pipeline).
-  enum class EgressAction {
-    kDeliver,   ///< proceed: account the delivery and call the sink
-    kConsumed,  ///< dropped or held back; the hook owns it from here
-  };
-  /// Outbound interceptor the fault pipeline installs on its inner base
-  /// model: invoked once per update wire message at the instant the model
-  /// would deliver it, with a mutable payload vector (so sequence numbers
-  /// can be stamped).
-  using UpdateEgress =
-      std::function<EgressAction(StreamId id, std::vector<Payload>& payloads,
-                                 SimTime at)>;
-
-  virtual ~NetworkModel() = default;
+  virtual ~NetworkModel();
   NetworkModel(const NetworkModel&) = delete;
   NetworkModel& operator=(const NetworkModel&) = delete;
 
@@ -297,17 +293,15 @@ class NetworkModel {
   /// once, before any Send*.
   void Bind(Scheduler* scheduler, UpdateSink on_update, DeploySink on_deploy);
 
-  /// Binds the engine's reconnect-reconciliation handler. Only fault
-  /// pipelines with a partition schedule ever invoke it; the base models
-  /// ignore it.
-  virtual void BindReconcile(ReconcileSink sink) { (void)sink; }
+  /// Binds the engine's reconnect-reconciliation handler. Only a fault
+  /// stage with a partition schedule ever invokes it.
+  void BindReconcile(ReconcileSink sink) { reconcile_sink_ = std::move(sink); }
 
   /// Run-start hook, called by the engine once per run after its oracle
-  /// tick is scheduled and before the first stream event:
-  /// models schedule their deterministic timers here (partition
-  /// reconnect exchanges), which fixes their FIFO seniority at equal
-  /// timestamps.
-  virtual void StartRun(SimTime horizon) { (void)horizon; }
+  /// tick is scheduled and before the first stream event: the fault stage
+  /// schedules its partition reconnect exchanges here, which fixes their
+  /// FIFO seniority at equal timestamps.
+  void StartRun(SimTime horizon);
 
   /// Data plane: stream `id` changed to `v` at `now`, crossing the filter
   /// of each query slot in `slots` (ascending, no duplicates). The model
@@ -318,81 +312,60 @@ class NetworkModel {
                           SimTime now) = 0;
 
   /// Control plane, server→source: deliver `constraint` to stream `id` on
-  /// behalf of query `slot`.
-  virtual void SendDeploy(std::size_t slot, StreamId id,
-                          const FilterConstraint& constraint, SimTime now) = 0;
+  /// behalf of query `slot` — through the fault stage's retransmitting
+  /// channel when there is one, else DeliverDeploy.
+  void SendDeploy(std::size_t slot, StreamId id,
+                  const FilterConstraint& constraint, SimTime now);
 
   /// Control-plane request/response exchange (probe/region probe). Zero
   /// simulated time passes (DESIGN.md §9). Returns false when the fault
-  /// process lost the exchange — partitioned link, or every bounded
+  /// stage lost the exchange — partitioned link, or every bounded
   /// retransmission dropped — in which case the caller serves its cached
-  /// value instead (DESIGN.md §11). The lossless base models always
-  /// succeed.
-  virtual bool ControlRpc(StreamId id, SimTime now) {
-    (void)id;
-    (void)now;
-    ++stats_.control_rpcs;
-    return true;
-  }
+  /// value instead (DESIGN.md §11). Without a fault stage it always
+  /// succeeds.
+  bool ControlRpc(StreamId id, SimTime now);
 
   /// Update payloads currently in flight toward query `slot` — what the
   /// oracle consults to attribute a tolerance violation to transit delay.
-  virtual std::uint64_t InFlight(std::size_t slot) const {
+  std::uint64_t InFlight(std::size_t slot) const {
     return slot < in_flight_.size() ? in_flight_[slot] : 0;
   }
 
   /// Closes the books at the run horizon: records messages that never
   /// arrived. Call once, after the last event has run.
-  virtual void Finalize(SimTime horizon) {
-    (void)horizon;
-    stats_.in_flight_at_end = pending_wire_;
-    stats_.in_flight_crossings_at_end = pending_crossings_;
-  }
+  void Finalize(SimTime horizon);
 
-  virtual NetStats& stats() { return stats_; }
-  virtual const NetStats& stats() const { return stats_; }
-
-  /// Installs the fault pipeline's egress interceptor (pipeline-internal;
-  /// set before Bind).
-  void set_update_egress(UpdateEgress egress) { egress_ = std::move(egress); }
+  NetStats& stats() { return stats_; }
+  const NetStats& stats() const { return stats_; }
 
   /// Observability endpoints (DESIGN.md §14): histogram sink for
   /// staleness / queue depth / RTO samples, and the tracer wire drops are
   /// recorded on. Null (the default) = off; one branch per feed
-  /// site. The engine sets this before Run; FaultPipeline overrides to
-  /// forward to its wrapped base model as well.
-  virtual void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer) {
+  /// site. The engine sets this before Run.
+  void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer) {
     obs_sink_ = sink;
     obs_tracer_ = tracer;
-  }
-
-  /// Pipeline-only: accounts and delivers a wire message the egress hook
-  /// consumed earlier (a surviving message the pipeline delivers itself,
-  /// or a held reordered message released late). Staleness is sampled
-  /// against the actual delivery time `at`.
-  void DeliverHeldUpdate(StreamId id, std::vector<Payload>& payloads,
-                         SimTime at) {
-    AccountAndDeliver(id, payloads, at, /*sample_delay=*/true);
   }
 
  protected:
   NetworkModel() = default;
 
-  /// Subclass hook run at Bind time (after the sinks are set).
-  virtual void OnBind() {}
+  /// Delivers one constraint install (fault-free runs only). The default
+  /// delivers inside the producing event; the latency model delays it.
+  virtual void DeliverDeploy(std::size_t slot, StreamId id,
+                             const FilterConstraint& constraint, SimTime now);
 
-  /// Final egress of one update wire message: consults the fault
-  /// interceptor (if any), then accounts the delivery and hands the
-  /// message to the engine. `sample_delay` is false only on the
-  /// zero-delay inline path, where staleness is identically zero and no
-  /// samples are recorded (byte-identity with the pre-subsystem engines).
+  /// Model hook run when a scheduled wire message leaves the network
+  /// (before the sink), e.g. to release link-queue occupancy.
+  virtual void OnWireDelivered(StreamId id) { (void)id; }
+
+  /// Final egress of one update wire message: the fault stage (if any)
+  /// delivers, drops or holds it; otherwise the delivery is accounted and
+  /// handed to the engine. `sample_delay` is false only on the zero-delay
+  /// inline path, where staleness is identically zero and no samples are
+  /// recorded (byte-identity with the pre-subsystem engines).
   void EmitUpdate(StreamId id, std::vector<Payload>& payloads, SimTime at,
-                  bool sample_delay) {
-    if (egress_ && egress_(id, payloads, at) == EgressAction::kConsumed) {
-      return;
-    }
-    AccountAndDeliver(id, payloads, at, sample_delay);
-  }
+                  bool sample_delay);
 
   /// Schedules `fn` at `at`, a delivery the model computed as `delay`
   /// after its send time. When `at` is exactly `delay` past the
@@ -407,9 +380,17 @@ class NetworkModel {
     return scheduler_->ScheduleAt(at, std::move(fn));
   }
 
-  void AddInFlight(std::size_t slot, std::uint64_t n = 1) {
+  /// Enqueues one wire message of `payloads` from stream `id` for
+  /// delivery at `at`, which the model computed as `delay` after the send
+  /// (ScheduleDelivery) — the single copy of the delayed-delivery
+  /// accounting (in-flight tracking, wire/payload/delay stats, sink
+  /// call) shared by every delaying model.
+  void ScheduleWireMessage(StreamId id, std::vector<Payload> payloads,
+                           SimTime at, SimTime delay);
+
+  void AddInFlight(std::size_t slot) {
     if (slot >= in_flight_.size()) in_flight_.resize(slot + 1, 0);
-    in_flight_[slot] += n;
+    ++in_flight_[slot];
   }
   void SubInFlight(std::size_t slot) {
     ASF_DCHECK(slot < in_flight_.size() && in_flight_[slot] > 0);
@@ -423,12 +404,18 @@ class NetworkModel {
   /// Observability endpoints (see set_obs); null = off.
   obs::NetMetricsSink* obs_sink_ = nullptr;
   obs::Tracer* obs_tracer_ = nullptr;
-  /// Wire messages enqueued but not yet delivered (any direction).
+  /// The wire's one ledger — these two counts and the per-slot payload
+  /// counts in in_flight_ — with held messages and control copies
+  /// included: wire messages not yet delivered (any direction) and
+  /// update crossings not yet delivered.
   std::uint64_t pending_wire_ = 0;
-  /// Update crossings enqueued but not yet delivered.
   std::uint64_t pending_crossings_ = 0;
 
  private:
+  friend class FaultPipeline;
+  friend std::unique_ptr<NetworkModel> MakeNetworkModel(
+      const NetConfig& config, std::uint64_t seed);
+
   void AccountAndDeliver(StreamId id, std::vector<Payload>& payloads,
                          SimTime at, bool sample_delay) {
     ++stats_.update_messages;
@@ -444,8 +431,10 @@ class NetworkModel {
     update_sink_(id, payloads.data(), payloads.size(), at);
   }
 
-  UpdateEgress egress_;
   std::vector<std::uint64_t> in_flight_;
+  ReconcileSink reconcile_sink_;
+  /// The fault stage; null unless NetConfig::HasFaults().
+  std::unique_ptr<FaultPipeline> faults_;
 };
 
 /// Staleness compensation (DESIGN.md §11): the constraint as installed at
@@ -458,8 +447,8 @@ FilterConstraint CompensateConstraint(const FilterConstraint& constraint,
 /// Builds the model `config` describes. `seed` feeds the model's
 /// deterministic randomness (latency jitter, fault draws); models derive
 /// decorrelated substreams so protocol RNG consumption is unaffected.
-/// Configurations with active fault stages come back wrapped in a
-/// FaultPipeline (net/fault_pipeline.h).
+/// Configurations with active fault stages come back with a FaultPipeline
+/// attached (net/fault_pipeline.h).
 std::unique_ptr<NetworkModel> MakeNetworkModel(const NetConfig& config,
                                                std::uint64_t seed);
 

@@ -1,25 +1,10 @@
 #include "obs/profiler.h"
 
-#include <atomic>
 #include <cstdio>
 #include <sstream>
 
 namespace asf {
 namespace obs {
-namespace {
-
-std::atomic<std::uint64_t> g_next_profiler_id{1};
-
-/// Single-slot thread-local cache: the last (profiler id, state) pair
-/// this thread resolved. Ids are process-unique and never recycled, so
-/// a hit is always valid; a miss falls back to the registry scan.
-struct TlsCache {
-  std::uint64_t profiler_id = 0;
-  void* state = nullptr;
-};
-thread_local TlsCache g_tls_cache;
-
-}  // namespace
 
 const char* PhaseName(Phase phase) {
   switch (phase) {
@@ -37,46 +22,6 @@ const char* PhaseName(Phase phase) {
       break;
   }
   return "unknown";
-}
-
-Profiler::Profiler()
-    : id_(g_next_profiler_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-Profiler::~Profiler() = default;
-
-Profiler::ThreadState* Profiler::StateForThisThread() {
-  if (g_tls_cache.profiler_id == id_) {
-    return static_cast<ThreadState*>(g_tls_cache.state);
-  }
-  const std::thread::id tid = std::this_thread::get_id();
-  std::lock_guard<std::mutex> lock(mu_);
-  ThreadState* st = nullptr;
-  for (const auto& existing : states_) {
-    if (existing->tid == tid) {
-      st = existing.get();
-      break;
-    }
-  }
-  if (st == nullptr) {
-    states_.push_back(std::make_unique<ThreadState>());
-    st = states_.back().get();
-    st->tid = tid;
-  }
-  g_tls_cache.profiler_id = id_;
-  g_tls_cache.state = st;
-  return st;
-}
-
-ProfileReport Profiler::Merged() const {
-  ProfileReport report;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& st : states_) {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(Phase::kNumPhases);
-         ++i) {
-      report.seconds[i] += st->accum[i];
-    }
-  }
-  return report;
 }
 
 std::string Profiler::FormatTable(double wall_seconds) const {

@@ -3,17 +3,15 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 /// \file
 /// Phase profiler (DESIGN.md §14): RAII wall-clock scopes around the
 /// engine's coarse phases (dispatch, index rebuild, net flush, spill
-/// I/O), accumulated in per-thread state and merged into one
-/// exclusive-time report at the end of a run.
+/// I/O), accumulated into one exclusive-time report per run. One
+/// profiler serves one run at a time on the engine's one thread
+/// (obs/hooks.h), so its state is plain members: a scope costs two
+/// steady_clock reads and no lookup.
 ///
 /// Attribution is *exclusive*: entering a nested scope stops the clock
 /// on the parent, so the per-phase seconds sum to the profiled wall time
@@ -40,8 +38,7 @@ enum class Phase : std::uint8_t {
 
 const char* PhaseName(Phase phase);
 
-/// Aggregated exclusive seconds per phase, summed over all threads that
-/// ever opened a scope on this profiler.
+/// Exclusive seconds per phase.
 struct ProfileReport {
   double seconds[static_cast<std::size_t>(Phase::kNumPhases)] = {};
 
@@ -55,19 +52,16 @@ struct ProfileReport {
   }
 };
 
-/// The per-run profiler. Scope enter/exit is wait-free after a thread's
-/// first scope (one thread_local lookup + two steady_clock reads);
-/// thread registration takes a mutex once per (thread, profiler) pair.
+/// The per-run profiler.
 class Profiler {
  public:
-  Profiler();
+  Profiler() = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
-  ~Profiler();
 
-  /// Merged exclusive-time report over every participating thread. Call
-  /// only while no scopes are open (end of run).
-  ProfileReport Merged() const;
+  /// The exclusive-time report. Call only while no scopes are open (end
+  /// of run).
+  ProfileReport Merged() const { return report_; }
 
   /// The `asf_run --profile` table: one "obs profile" line per nonzero
   /// phase with seconds and percent of `wall_seconds`, plus a coverage
@@ -83,58 +77,45 @@ class Profiler {
 
   static constexpr int kMaxDepth = 32;
 
-  /// One thread's accumulation state. Stable address (unique_ptr in the
-  /// registry) because ScopedPhase caches the pointer thread-locally.
-  struct ThreadState {
-    double accum[static_cast<std::size_t>(Phase::kNumPhases)] = {};
-    Phase stack[kMaxDepth] = {};
-    int depth = 0;
-    std::chrono::steady_clock::time_point mark;
-    std::thread::id tid;
-  };
+  /// Charges the time since the last mark to the innermost open scope and
+  /// moves the mark to `now`.
+  void Charge(std::chrono::steady_clock::time_point now) {
+    report_.seconds[static_cast<std::size_t>(stack_[depth_ - 1])] +=
+        std::chrono::duration<double>(now - mark_).count();
+    mark_ = now;
+  }
 
-  /// The calling thread's state, registering it on first use. Keyed by a
-  /// process-unique profiler id (not the pointer) so a recycled Profiler
-  /// address can never alias a stale thread-local cache entry.
-  ThreadState* StateForThisThread();
-
-  const std::uint64_t id_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadState>> states_;
+  ProfileReport report_;
+  Phase stack_[kMaxDepth] = {};
+  int depth_ = 0;
+  std::chrono::steady_clock::time_point mark_;
 };
 
 /// RAII phase scope. Null profiler = no-op (the disabled path). Charges
 /// elapsed time to the enclosing scope on entry and to `phase` on exit.
 class ScopedPhase {
  public:
-  ScopedPhase(Profiler* profiler, Phase phase) : st_(nullptr) {
+  ScopedPhase(Profiler* profiler, Phase phase) : profiler_(nullptr) {
     if (profiler == nullptr) return;
-    Profiler::ThreadState* st = profiler->StateForThisThread();
-    if (st->depth >= Profiler::kMaxDepth) return;  // accrue to parent
+    if (profiler->depth_ >= Profiler::kMaxDepth) return;  // accrue to parent
     const auto now = std::chrono::steady_clock::now();
-    if (st->depth > 0) {
-      st->accum[static_cast<std::size_t>(st->stack[st->depth - 1])] +=
-          std::chrono::duration<double>(now - st->mark).count();
-    }
-    st->stack[st->depth++] = phase;
-    st->mark = now;
-    st_ = st;
+    if (profiler->depth_ > 0) profiler->Charge(now);
+    profiler->stack_[profiler->depth_++] = phase;
+    profiler->mark_ = now;
+    profiler_ = profiler;
   }
 
   ~ScopedPhase() {
-    if (st_ == nullptr) return;
-    const auto now = std::chrono::steady_clock::now();
-    st_->accum[static_cast<std::size_t>(st_->stack[st_->depth - 1])] +=
-        std::chrono::duration<double>(now - st_->mark).count();
-    --st_->depth;
-    st_->mark = now;
+    if (profiler_ == nullptr) return;
+    profiler_->Charge(std::chrono::steady_clock::now());
+    --profiler_->depth_;
   }
 
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
-  Profiler::ThreadState* st_;
+  Profiler* profiler_;
 };
 
 }  // namespace obs

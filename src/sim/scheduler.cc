@@ -1,6 +1,5 @@
 #include "sim/scheduler.h"
 
-#include <limits>
 #include <utility>
 
 namespace asf {
@@ -207,12 +206,6 @@ void Scheduler::PopPeeked() {
   }
 }
 
-SimTime Scheduler::NextEventTime() {
-  const HeapNode* next = PeekLive();
-  return next != nullptr ? next->time()
-                         : std::numeric_limits<SimTime>::infinity();
-}
-
 void Scheduler::DispatchPeeked(const HeapNode* next) {
   const HeapNode node = *next;
   PopPeeked();
@@ -241,13 +234,6 @@ void Scheduler::DispatchPeeked(const HeapNode* next) {
   }
 }
 
-bool Scheduler::Step() {
-  const HeapNode* next = PeekLive();
-  if (next == nullptr) return false;
-  DispatchPeeked(next);
-  return true;
-}
-
 std::size_t Scheduler::RunTo(SimTime t, bool inclusive) {
   ASF_CHECK(t >= now_);
   std::size_t n = 0;
@@ -263,11 +249,5 @@ std::size_t Scheduler::RunTo(SimTime t, bool inclusive) {
 std::size_t Scheduler::RunUntil(SimTime t) { return RunTo(t, true); }
 
 std::size_t Scheduler::RunBefore(SimTime t) { return RunTo(t, false); }
-
-std::size_t Scheduler::RunAll() {
-  std::size_t n = 0;
-  while (Step()) ++n;
-  return n;
-}
 
 }  // namespace asf

@@ -53,7 +53,8 @@
 /// it takes the sequence number a ScheduleAt at that moment would have
 /// taken, so the dispatch order is the one rescheduling gives.
 ///
-/// Driving from outside: RunBefore(t) runs everything due strictly before
+/// Driving from outside: RunUntil(t) and RunBefore(t) are the only ways
+/// to advance the clock. RunBefore(t) runs everything due strictly before
 /// t and stops the clock at t, so a driver can act at instant t ahead of
 /// every event due then. The engine times query deploys, retirements and
 /// metrics snapshots that way, as steps of its own loop rather than as
@@ -210,13 +211,6 @@ class Scheduler {
   /// inside the same dispatch; its callable is destroyed once it returns.
   bool Cancel(EventId id);
 
-  /// Runs the single next event. Returns false if the queue is empty.
-  bool Step();
-
-  /// Time of the next pending event, or +inf when the queue is empty.
-  /// Non-const: surfacing the answer may discard cancelled tombstones.
-  SimTime NextEventTime();
-
   /// Runs all events with time <= `t`, then advances the clock to exactly
   /// `t`. Returns the number of events dispatched.
   std::size_t RunUntil(SimTime t);
@@ -225,10 +219,6 @@ class Scheduler {
   /// `t`; the events due at `t` stay pending. Returns the number of events
   /// dispatched.
   std::size_t RunBefore(SimTime t);
-
-  /// Runs until the queue is empty. Returns the number of events
-  /// dispatched.
-  std::size_t RunAll();
 
   /// Number of pending (non-cancelled) events.
   std::size_t pending() const { return live_; }

@@ -467,6 +467,36 @@ TEST(NetDeployStateMachineTest, BackoffIsCappedAtRtoMax) {
   EXPECT_EQ(stats.deploy_messages, 0u);
 }
 
+/// Deploy and ack copies still on the wire at the horizon count as in
+/// flight, and their channels as un-acked. Under latency:2 the install
+/// sent at t=7 is applied at t=9 and its ack is due at t=11; the install
+/// sent at t=9 is due at t=11. At a horizon of 10 one ack and one install
+/// are in transit; neither draw of this seed's 5% loss drops them.
+TEST(NetDeployStateMachineTest, CopiesInTransitAtHorizonCountInFlight) {
+  auto net = ParseNetSpec("latency:2+loss:0.05");
+  ASSERT_TRUE(net.ok());
+  FaultRig rig(*net);
+  const FilterConstraint c = FilterConstraint::Range(Interval(400, 600));
+
+  rig.scheduler.RunUntil(7);
+  rig.net->SendDeploy(/*slot=*/0, /*id=*/1, c, 7);
+  rig.scheduler.RunUntil(9);
+  rig.net->SendDeploy(/*slot=*/1, /*id=*/2, c, 9);
+  rig.scheduler.RunUntil(10);
+  rig.net->Finalize(10);
+
+  ASSERT_EQ(rig.deploys.size(), 1u);
+  EXPECT_EQ(rig.deploys[0].slot, 0u);
+  EXPECT_DOUBLE_EQ(rig.deploys[0].at, 9.0);
+  const NetStats& stats = rig.net->stats();
+  EXPECT_EQ(stats.deploy_attempts, 2u);
+  EXPECT_EQ(stats.deploy_dropped, 0u);
+  EXPECT_EQ(stats.deploy_acks, 0u);
+  EXPECT_EQ(stats.deploy_unacked_at_end, 2u);
+  EXPECT_EQ(stats.in_flight_at_end, 2u);  // slot 0's ack, slot 1's install
+  EXPECT_EQ(stats.in_flight_crossings_at_end, 0u);
+}
+
 // ----------------------------------------------------- probe resilience
 
 /// A partitioned link fails the probe immediately; a loss:1 link exhausts
@@ -550,6 +580,56 @@ TEST(NetReorderTest, DisplacementIsBoundedByK) {
   std::sort(sorted.begin(), sorted.end());
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
               sorted.end());
+}
+
+/// The in-flight ledger covers held messages: under reorder:2 on one link
+/// carrying two query slots, InFlight(slot) after every send is that
+/// slot's crossings sent minus its payloads arrived, and at the horizon
+/// the wire messages and crossings still held are what Finalize reports.
+TEST(NetReorderTest, InFlightCountsHeldMessagesPerSlot) {
+  auto net = ParseNetSpec("reorder:2");
+  ASSERT_TRUE(net.ok());
+
+  Scheduler scheduler;
+  auto model = MakeNetworkModel(*net, /*seed=*/11);
+  std::uint64_t sent[2] = {0, 0};
+  std::uint64_t arrived[2] = {0, 0};
+  std::uint64_t messages_sent = 0;
+  std::uint64_t messages_arrived = 0;
+  model->Bind(
+      &scheduler,
+      [&](StreamId, const NetworkModel::Payload* payloads, std::size_t count,
+          SimTime) {
+        ++messages_arrived;
+        for (std::size_t i = 0; i < count; ++i) ++arrived[payloads[i].slot];
+      },
+      [](std::size_t, StreamId, const FilterConstraint&, SimTime) {});
+
+  // Each send crosses slot 0, slot 1 or both, in turn.
+  const std::vector<std::size_t> kSlots[] = {{0}, {1}, {0, 1}};
+  std::uint64_t max_held = 0;
+  for (int i = 0; i < 60; ++i) {
+    scheduler.RunUntil(static_cast<SimTime>(i));
+    const std::vector<std::size_t>& slots = kSlots[i % 3];
+    model->SendUpdate(/*id=*/5, static_cast<Value>(i), slots,
+                      scheduler.now());
+    ++messages_sent;
+    for (const std::size_t slot : slots) ++sent[slot];
+    for (std::size_t slot = 0; slot < 2; ++slot) {
+      EXPECT_EQ(model->InFlight(slot), sent[slot] - arrived[slot])
+          << "send " << i << " slot " << slot;
+      max_held = std::max(max_held, sent[slot] - arrived[slot]);
+    }
+  }
+  scheduler.RunUntil(1000);
+  model->Finalize(1000);
+
+  const NetStats& stats = model->stats();
+  EXPECT_GT(max_held, 0u);  // the stage actually held messages
+  EXPECT_EQ(stats.in_flight_at_end, messages_sent - messages_arrived);
+  EXPECT_EQ(stats.in_flight_crossings_at_end,
+            sent[0] + sent[1] - arrived[0] - arrived[1]);
+  EXPECT_GT(stats.in_flight_at_end, 0u);
 }
 
 /// End to end, reordering without loss changes delivery order but loses

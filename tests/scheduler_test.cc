@@ -6,7 +6,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -20,7 +19,7 @@ TEST(SchedulerTest, StartsAtZero) {
   Scheduler s;
   EXPECT_EQ(s.now(), 0.0);
   EXPECT_EQ(s.pending(), 0u);
-  EXPECT_FALSE(s.Step());
+  EXPECT_EQ(s.RunUntil(0.0), 0u);
 }
 
 TEST(SchedulerTest, DispatchesInTimeOrder) {
@@ -29,7 +28,7 @@ TEST(SchedulerTest, DispatchesInTimeOrder) {
   s.ScheduleAt(3.0, [&] { order.push_back(3); });
   s.ScheduleAt(1.0, [&] { order.push_back(1); });
   s.ScheduleAt(2.0, [&] { order.push_back(2); });
-  s.RunAll();
+  EXPECT_EQ(s.RunUntil(3.0), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now(), 3.0);
 }
@@ -40,7 +39,7 @@ TEST(SchedulerTest, EqualTimesRunFifo) {
   for (int i = 0; i < 10; ++i) {
     s.ScheduleAt(5.0, [&order, i] { order.push_back(i); });
   }
-  s.RunAll();
+  s.RunUntil(5.0);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -50,7 +49,7 @@ TEST(SchedulerTest, ScheduleAfterUsesCurrentTime) {
   s.ScheduleAt(10.0, [&] {
     s.ScheduleAfter(5.0, [&] { observed = s.now(); });
   });
-  s.RunAll();
+  s.RunUntil(20.0);
   EXPECT_EQ(observed, 15.0);
 }
 
@@ -98,7 +97,7 @@ TEST(SchedulerTest, CancelPreventsDispatch) {
   const EventId id = s.ScheduleAt(1.0, [&] { ++ran; });
   s.ScheduleAt(2.0, [&] { ++ran; });
   EXPECT_TRUE(s.Cancel(id));
-  s.RunAll();
+  s.RunUntil(2.0);
   EXPECT_EQ(ran, 1);
 }
 
@@ -106,7 +105,7 @@ TEST(SchedulerTest, CancelReturnsFalseForUnknownOrDone) {
   Scheduler s;
   int ran = 0;
   const EventId id = s.ScheduleAt(1.0, [&] { ++ran; });
-  s.RunAll();
+  s.RunUntil(1.0);
   EXPECT_FALSE(s.Cancel(id));     // already ran
   EXPECT_FALSE(s.Cancel(99999));  // never existed
 }
@@ -137,23 +136,23 @@ TEST(SchedulerTest, EventsScheduledDuringDispatchRun) {
     if (ticks < 5) s.ScheduleAfter(1.0, tick);
   };
   s.ScheduleAt(1.0, tick);
-  s.RunAll();
+  EXPECT_EQ(s.RunUntil(5.0), 5u);
   EXPECT_EQ(ticks, 5);
-  EXPECT_EQ(s.now(), 5.0);
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(SchedulerTest, ZeroDelayEventRunsAtSameTime) {
   Scheduler s;
   SimTime when = -1;
   s.ScheduleAt(7.0, [&] { s.ScheduleAfter(0.0, [&] { when = s.now(); }); });
-  s.RunAll();
+  s.RunUntil(7.0);
   EXPECT_EQ(when, 7.0);
 }
 
 TEST(SchedulerTest, DispatchedCounter) {
   Scheduler s;
   for (int i = 0; i < 4; ++i) s.ScheduleAt(i + 1.0, [] {});
-  s.RunAll();
+  s.RunUntil(4.0);
   EXPECT_EQ(s.dispatched(), 4u);
 }
 
@@ -201,7 +200,7 @@ TEST(SchedulerTest, NegativeZeroTimeSortsAsZero) {
   s.ScheduleAt(1.0, [&] { order.push_back(1); });
   s.ScheduleAt(-0.0, [&] { order.push_back(0); });
   EXPECT_EQ(s.RunUntil(0.5), 1u);
-  s.RunAll();
+  s.RunUntil(1.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
@@ -216,7 +215,7 @@ TEST(SchedulerTest, LargeCaptureTakesHeapPathCorrectly) {
   const EventId doomed =
       s.ScheduleAt(2.0, [payload, &observed] { observed = -payload[7]; });
   EXPECT_TRUE(s.Cancel(doomed));
-  s.RunAll();
+  s.RunUntil(2.0);
   EXPECT_EQ(observed, 42.0);
 }
 
@@ -230,7 +229,7 @@ TEST(SchedulerTest, IdsOfRecycledSlotsStayStale) {
   EXPECT_TRUE(s.Cancel(a));
   const EventId b = s.ScheduleAt(1.0, [&] { ++ran; });
   EXPECT_FALSE(s.Cancel(a));  // stale handle, slot now belongs to b
-  s.RunAll();
+  s.RunUntil(1.0);
   EXPECT_EQ(ran, 1);
   EXPECT_FALSE(s.Cancel(a));
   EXPECT_FALSE(s.Cancel(b));
@@ -241,7 +240,7 @@ TEST(SchedulerTest, CancelFromInsideOwnCallbackIsNoop) {
   EventId self = 0;
   bool cancel_result = true;
   self = s.ScheduleAt(1.0, [&] { cancel_result = s.Cancel(self); });
-  s.RunAll();
+  s.RunUntil(1.0);
   EXPECT_FALSE(cancel_result);  // "already ran", like the old kernel
   EXPECT_EQ(s.dispatched(), 1u);
 }
@@ -255,7 +254,7 @@ TEST(SchedulerTest, RearmKeepsTheCallableAndItsState) {
     times.push_back(s.now());
     if (left-- > 0) s.Rearm(s.now() + 2.0);
   });
-  EXPECT_EQ(s.RunAll(), 4u);
+  EXPECT_EQ(s.RunUntil(7.0), 4u);
   EXPECT_EQ(times, (std::vector<SimTime>{1.0, 3.0, 5.0, 7.0}));
   EXPECT_EQ(s.pending(), 0u);
 }
@@ -289,17 +288,17 @@ TEST(SchedulerTest, RearmedEventCanBeCancelledFromInsideItsCallback) {
       EXPECT_EQ(destroyed, 0);
     });
   }
-  s.RunAll();
+  s.RunUntil(1.0);
   EXPECT_TRUE(cancelled);
   EXPECT_EQ(runs, 1);
   EXPECT_EQ(sum_after_cancel, 6u);
   EXPECT_EQ(destroyed, 1);
   EXPECT_EQ(s.pending(), 0u);
-  EXPECT_EQ(s.NextEventTime(), std::numeric_limits<SimTime>::infinity());
+  EXPECT_EQ(s.RunUntil(4.0), 0u);  // the cancelled re-arm never surfaces
   // The slot is free again and serves a new event normally.
   int later = 0;
   s.ScheduleAt(5.0, [&] { ++later; });
-  s.RunAll();
+  s.RunUntil(5.0);
   EXPECT_EQ(later, 1);
 }
 
@@ -319,7 +318,7 @@ TEST(SchedulerTest, RearmAtNowTiesLikeAScheduleAtMadeThen) {
     s.ScheduleAt(1.0, [&] { order.push_back("d"); });
   });
   s.ScheduleAt(1.0, [&] { order.push_back("b"); });
-  s.RunAll();
+  s.RunUntil(1.0);
   EXPECT_EQ(order,
             (std::vector<std::string>{"a0", "b", "c", "a1", "d"}));
   EXPECT_EQ(s.now(), 1.0);
@@ -338,7 +337,7 @@ TEST(SchedulerTest, RearmFromALaneDispatchedEvent) {
     s.Rearm(s.now() + 2.0);
     s.ScheduleAfter(2.0, [&] { order.push_back("lane-after"); });
   });
-  s.RunAll();
+  s.RunUntil(6.0);
   EXPECT_EQ(order, (std::vector<std::string>{
                        "x0", "lane-before", "x1", "lane-after",
                        "lane-before", "x2", "lane-after"}));
@@ -363,8 +362,9 @@ class SchedulerStressTest : public ::testing::TestWithParam<StressMix> {};
 /// seq) minimum. Cross-checks the 4-ary heap + fixed-delay lanes + slab +
 /// tombstone machinery under a deterministic interleaving of ScheduleAt /
 /// ScheduleAfter / Cancel (including cancel-after-fire and duplicate
-/// cancel) and self-re-arming events, advanced by RunUntil and by a Step
-/// loop, with NextEventTime and pending() checked before every advance.
+/// cancel) and self-re-arming events, advanced by RunUntil and RunBefore,
+/// with pending() checked before every advance and the dispatch count and
+/// clock after it.
 /// The reference models a re-arm as a ScheduleAt of the same callback
 /// made when the event fires.
 TEST_P(SchedulerStressTest, MatchesNaiveReference) {
@@ -413,8 +413,10 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
     ref.push_back(RefEvent{ref_now + dt, tag, lane, rearms, rearm_dt});
   };
   // Fires the reference's live events with time <= horizon (< when
-  // `strict`), moving its clock like RunUntil / the Step loop move theirs.
+  // `strict`) and moves its clock to the horizon, like RunUntil /
+  // RunBefore. Returns the number fired.
   const auto ref_run = [&](SimTime horizon, bool strict) {
+    std::size_t fired = 0;
     for (;;) {
       std::size_t best = ref.size();
       for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -431,6 +433,7 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
         mixed_ties += last.time == ref[best].time && last.lane != ref[best].lane;
       }
       ref[best].fired = true;
+      ++fired;
       ref_order.push_back(ref[best].tag);
       ref_now = ref[best].time;
       if (ref[best].rearms > 0) {
@@ -440,14 +443,8 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
         ref.push_back(again);
       }
     }
-    if (!strict) ref_now = horizon;
-  };
-  const auto ref_next_time = [&] {
-    SimTime t = std::numeric_limits<SimTime>::infinity();
-    for (const RefEvent& e : ref) {
-      if (!e.cancelled && !e.fired && e.time < t) t = e.time;
-    }
-    return t;
+    ref_now = horizon;
+    return fired;
   };
   const auto ref_pending = [&] {
     std::size_t n = 0;
@@ -509,26 +506,20 @@ TEST_P(SchedulerStressTest, MatchesNaiveReference) {
     }
 
     // Advance both kernels through a shared horizon.
-    ASSERT_EQ(s.NextEventTime(), ref_next_time()) << "round " << round;
     ASSERT_EQ(s.pending(), ref_pending()) << "round " << round;
     const SimTime horizon = s.now() + static_cast<double>(next() % 40);
     const bool strict = next() % 2 == 0;
-    if (strict) {
-      while (s.NextEventTime() < horizon) s.Step();
-    } else {
-      s.RunUntil(horizon);
-    }
-    ref_run(horizon, strict);
+    const std::size_t ran =
+        strict ? s.RunBefore(horizon) : s.RunUntil(horizon);
+    ASSERT_EQ(ran, ref_run(horizon, strict)) << "round " << round;
     ASSERT_EQ(real_order.size(), ref_order.size()) << "round " << round;
     ASSERT_EQ(s.now(), ref_now) << "round " << round;
   }
 
   // Drain everything left.
-  s.RunAll();
-  ref_run(1e18, /*strict=*/false);
+  EXPECT_EQ(s.RunUntil(1e18), ref_run(1e18, /*strict=*/false));
   EXPECT_EQ(real_order, ref_order);
   EXPECT_EQ(s.pending(), 0u);
-  EXPECT_EQ(s.NextEventTime(), std::numeric_limits<SimTime>::infinity());
   // Sanity: the schedule actually exercised all paths.
   EXPECT_GT(real_order.size(), 500u);
   std::size_t cancelled = 0;
@@ -558,7 +549,7 @@ TEST(SchedulerDeathTest, RearmOutsideADispatchAborts) {
   Scheduler s;
   EXPECT_DEATH(s.Rearm(1.0), "outside a dispatch");
   s.ScheduleAt(1.0, [] {});
-  s.RunAll();
+  s.RunUntil(1.0);
   EXPECT_DEATH(s.Rearm(2.0), "outside a dispatch");
 }
 
@@ -568,13 +559,13 @@ TEST(SchedulerDeathTest, SecondRearmInOneDispatchAborts) {
     s.Rearm(2.0);
     s.Rearm(3.0);
   });
-  EXPECT_DEATH(s.RunAll(), "twice in one dispatch");
+  EXPECT_DEATH(s.RunUntil(1.0), "twice in one dispatch");
 }
 
 TEST(SchedulerDeathTest, SchedulingIntoThePastAborts) {
   Scheduler s;
   s.ScheduleAt(5.0, [] {});
-  s.RunAll();
+  s.RunUntil(5.0);
   EXPECT_EQ(s.now(), 5.0);
   EXPECT_DEATH(s.ScheduleAt(1.0, [] {}), "past");
 }
