@@ -128,6 +128,44 @@ inline void MaybeWriteCsv(const TextTable& table, const char* name) {
   }
 }
 
+/// The (ε+, ε−) surface of Figures 10 and 12: runs `base` at every pair
+/// of tolerances from {0, 0.1, ..., 0.5}, prints the maintenance messages
+/// as a table (rows ε+, columns ε−), writes it as `csv_name` (see
+/// MaybeWriteCsv), and prints the pooled oracle verdict.
+inline void PrintEpsGrid(const SystemConfig& base, const char* csv_name) {
+  const std::vector<double> eps{0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
+  std::vector<std::string> header{"eps+ \\ eps-"};
+  for (double em : eps) header.push_back(Fmt("%.1f", em));
+  TextTable table(header);
+
+  std::vector<SystemConfig> configs;
+  for (double ep : eps) {
+    for (double em : eps) {
+      SystemConfig config = base;
+      config.fraction = {ep, em};
+      configs.push_back(config);
+    }
+  }
+  const std::vector<RunResult> results = MustRunAll(configs);
+
+  std::uint64_t violations = 0;
+  std::uint64_t checks = 0;
+  for (std::size_t pi = 0; pi < eps.size(); ++pi) {
+    std::vector<std::string> row{Fmt("%.1f", eps[pi])};
+    for (std::size_t mi = 0; mi < eps.size(); ++mi) {
+      const RunResult& result = results[pi * eps.size() + mi];
+      row.push_back(Msgs(result.MaintenanceMessages()));
+      violations += result.oracle_violations;
+      checks += result.oracle_checks;
+    }
+    table.AddRow(row);
+  }
+  std::printf("%s\n", table.ToString().c_str());
+  MaybeWriteCsv(table, csv_name);
+  std::printf("oracle violations: %s sampled checks\n",
+              OracleCell(violations, checks).c_str());
+}
+
 }  // namespace bench
 }  // namespace asf
 

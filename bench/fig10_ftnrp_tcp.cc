@@ -36,37 +36,7 @@ void Run() {
   base.duration = synth.duration;
   base.oracle.sample_interval = synth.duration / 100;
 
-  const std::vector<double> eps{0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
-  std::vector<std::string> header{"eps+ \\ eps-"};
-  for (double em : eps) header.push_back(Fmt("%.1f", em));
-  TextTable table(header);
-
-  std::vector<SystemConfig> configs;
-  for (double ep : eps) {
-    for (double em : eps) {
-      SystemConfig config = base;
-      config.fraction = {ep, em};
-      configs.push_back(config);
-    }
-  }
-  const std::vector<RunResult> results = bench::MustRunAll(configs);
-
-  std::uint64_t violations = 0;
-  std::uint64_t checks = 0;
-  for (std::size_t pi = 0; pi < eps.size(); ++pi) {
-    std::vector<std::string> row{Fmt("%.1f", eps[pi])};
-    for (std::size_t mi = 0; mi < eps.size(); ++mi) {
-      const RunResult& result = results[pi * eps.size() + mi];
-      row.push_back(bench::Msgs(result.MaintenanceMessages()));
-      violations += result.oracle_violations;
-      checks += result.oracle_checks;
-    }
-    table.AddRow(row);
-  }
-  std::printf("%s\n", table.ToString().c_str());
-  bench::MaybeWriteCsv(table, "fig10");
-  std::printf("oracle violations: %s sampled checks\n",
-              bench::OracleCell(violations, checks).c_str());
+  bench::PrintEpsGrid(base, "fig10");
 }
 
 }  // namespace

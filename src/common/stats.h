@@ -5,8 +5,10 @@
 #include <string>
 
 /// \file
-/// A Welford mean/variance accumulator, used by the run record, the
-/// experiment harnesses and the tests.
+/// A Welford mean/variance accumulator with an O(1) run-length add, used
+/// by the run record and the experiment harnesses. The engine is serial:
+/// each accumulator sees every sample of its quantity, so none is ever
+/// merged from parts.
 
 namespace asf {
 
@@ -17,8 +19,9 @@ class OnlineStats {
 
   /// Adds `k` samples of the same value `x` in O(1) — the run-length form
   /// of Add the engine uses for per-update answer-size accounting, where
-  /// long stretches of updates leave a query's answer unchanged.
-  /// Equivalent to merging an accumulator holding k copies of x.
+  /// long stretches of updates leave a query's answer unchanged. Matches
+  /// k calls of Add(x) up to rounding (Chan et al.'s pairwise update with
+  /// a zero-variance batch); k = 0 is a no-op.
   void AddRepeated(double x, std::uint64_t k);
 
   std::uint64_t count() const { return count_; }
@@ -29,9 +32,6 @@ class OnlineStats {
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double sum() const { return sum_; }
-
-  /// Merges another accumulator into this one (parallel Welford).
-  void Merge(const OnlineStats& other);
 
   /// Calls f(at.Child(part), member) on each member of the exact state,
   /// `self` const or not (engine/record_fields.h): a spilled accumulator

@@ -9,15 +9,23 @@
 #include "engine/protocol_factory.h"
 
 namespace asf {
+namespace {
+
+// Geometry of generated queries: the random walks' value space, with
+// range widths of a tenth to three tenths of it.
+constexpr double kValueLo = 0.0;
+constexpr double kValueHi = 1000.0;
+constexpr double kRangeWidthMin = 100.0;
+constexpr double kRangeWidthMax = 300.0;
+
+}  // namespace
 
 Status ChurnSpec::Validate() const {
   // NaN/inf sail through the ordinary comparisons below (NaN compares
   // false to everything) and would spin the expansion loop forever — the
   // clock never reaches the window end — so insist on finite knobs first.
   if (!std::isfinite(arrival_rate) || !std::isfinite(mean_lifetime) ||
-      !std::isfinite(window_start) || !std::isfinite(window_end) ||
-      !std::isfinite(value_lo) || !std::isfinite(value_hi) ||
-      !std::isfinite(range_width_min) || !std::isfinite(range_width_max)) {
+      !std::isfinite(window_start)) {
     return Status::InvalidArgument("churn spec fields must be finite");
   }
   if (arrival_rate <= 0) {
@@ -28,17 +36,6 @@ Status ChurnSpec::Validate() const {
   }
   if (window_start < 0) {
     return Status::InvalidArgument("churn window_start must be >= 0");
-  }
-  if (window_end > 0 && window_end <= window_start) {
-    return Status::InvalidArgument(
-        "churn window_end must be > window_start (or <= 0 for the horizon)");
-  }
-  if (value_hi <= value_lo) {
-    return Status::InvalidArgument("churn value range must be non-empty");
-  }
-  if (range_width_min <= 0 || range_width_max < range_width_min) {
-    return Status::InvalidArgument("churn range widths must satisfy 0 < "
-                                   "min <= max");
   }
   double total_weight = 0;
   for (const ChurnMixEntry& entry : mix) {
@@ -88,15 +85,12 @@ Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
     cumulative.push_back(total_weight);
   }
 
-  const SimTime window_end = spec.window_end > 0
-                                 ? std::min(spec.window_end, duration)
-                                 : duration;
   Rng rng(spec.seed);
   std::vector<QueryDeployment> deployments;
   SimTime t = spec.window_start;
   while (true) {
     t += rng.Exponential(1.0 / spec.arrival_rate);
-    if (t >= window_end) break;
+    if (t >= duration) break;
     if (spec.max_queries > 0 && deployments.size() >= spec.max_queries) break;
 
     // Which mix entry arrives (weighted draw).
@@ -113,15 +107,13 @@ Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
     if (entry.fixed_shape) {
       dep.query = entry.shape;
     } else if (entry.query_type == QuerySpec::Type::kRange) {
-      const double width =
-          rng.Uniform(spec.range_width_min, spec.range_width_max);
-      const double center = rng.Uniform(spec.value_lo, spec.value_hi);
+      const double width = rng.Uniform(kRangeWidthMin, kRangeWidthMax);
+      const double center = rng.Uniform(kValueLo, kValueHi);
       dep.query = QuerySpec::Range(center - width / 2, center + width / 2);
     } else {
       switch (entry.rank_kind) {
         case RankKind::kNearest:
-          dep.query = QuerySpec::Knn(
-              entry.k, rng.Uniform(spec.value_lo, spec.value_hi));
+          dep.query = QuerySpec::Knn(entry.k, rng.Uniform(kValueLo, kValueHi));
           break;
         case RankKind::kMax:
           dep.query = QuerySpec::TopK(entry.k);

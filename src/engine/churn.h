@@ -56,10 +56,8 @@ struct ChurnSpec {
   /// Mean query lifetime (exponential). Lifetimes extending beyond the
   /// run horizon simply never retire.
   double mean_lifetime = 200.0;
-  /// Arrival window [window_start, window_end); window_end <= 0 means
-  /// "until the run horizon".
+  /// Arrivals fall in [window_start, horizon).
   SimTime window_start = 0;
-  SimTime window_end = 0;
   /// Hard cap on the number of arrivals (0 = unlimited).
   std::size_t max_queries = 0;
   /// Seed of the churn process — independent of the run seed, so the same
@@ -67,15 +65,10 @@ struct ChurnSpec {
   std::uint64_t seed = 1;
 
   /// The protocol/tolerance mix; empty means a default FT-NRP range mix.
+  /// Generated query shapes follow the walks' value space: range centers
+  /// and k-NN query points are drawn uniformly from [0, 1000], range
+  /// widths uniformly from [100, 300] (engine/churn.cc).
   std::vector<ChurnMixEntry> mix;
-
-  /// Value-space geometry for generated queries: range centers and k-NN
-  /// query points are drawn uniformly from [value_lo, value_hi], range
-  /// widths uniformly from [range_width_min, range_width_max].
-  double value_lo = 0.0;
-  double value_hi = 1000.0;
-  double range_width_min = 100.0;
-  double range_width_max = 300.0;
 
   Status Validate() const;
 };

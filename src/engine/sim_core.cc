@@ -56,7 +56,7 @@ SimulationCore::SimulationCore(const Options& options)
       },
       [this](std::size_t slot, StreamId id, const FilterConstraint& constraint,
              SimTime at) { OnNetDeploy(slot, id, constraint, at); });
-  net_->BindReconcile([this](SimTime at) { OnNetReconcile(at); });
+  net_->BindReconcile([this] { OnNetReconcile(); });
 
   // Observability attachment (DESIGN.md §14). All hooks are inert — they
   // record quantities the run already computed and never schedule, draw
@@ -196,7 +196,7 @@ void SimulationCore::InstallSlot(std::size_t index) {
                   arena_.live());
 
   slot.stats.messages.set_phase(MessagePhase::kInit);
-  slot.protocol->Initialize(scheduler_.now());
+  slot.protocol->Initialize();
   slot.stats.messages.set_phase(MessagePhase::kMaintenance);
   for (StreamId id = 0; id < arena_.num_streams(); ++id) {
     const FilterConstraint c = arena_.cell(id, slot.column).constraint();
@@ -261,8 +261,7 @@ void SimulationCore::FlushAnswerSamples(Slot& slot, std::uint64_t upto) {
   }
 }
 
-void SimulationCore::DeliverUpdate(Slot& slot, StreamId id, Value v,
-                                   SimTime t) {
+void SimulationCore::DeliverUpdate(Slot& slot, StreamId id, Value v) {
   slot.stats.messages.Count(MessageType::kValueUpdate);
   ++slot.stats.updates_reported;
   // The answer can only change while this slot handles the payload: close
@@ -273,7 +272,7 @@ void SimulationCore::DeliverUpdate(Slot& slot, StreamId id, Value v,
   // sample clock alone (one sample per generated update, never more).
   FlushAnswerSamples(slot,
                      updates_generated_ > 0 ? updates_generated_ - 1 : 0);
-  slot.protocol->HandleUpdate(id, v, t);
+  slot.protocol->HandleUpdate(id, v);
   slot.answer_cur_size = static_cast<double>(slot.protocol->answer().size());
   if (slot.answer_sampled_upto < updates_generated_) {
     slot.stats.answer_size.AddRepeated(slot.answer_cur_size, 1);
@@ -316,7 +315,7 @@ void SimulationCore::OnNetUpdate(StreamId id,
       }
       slot.update_seq_floor[id] = p.seq;
     }
-    DeliverUpdate(slot, id, p.value, at);
+    DeliverUpdate(slot, id, p.value);
     if (net_delayed_) slot.stats.update_delay.Add(at - p.crossed_at);
     delivered = true;
   }
@@ -350,7 +349,7 @@ void SimulationCore::OnNetDeploy(std::size_t slot_index, StreamId id,
                 streams_->value(id));
 }
 
-void SimulationCore::OnNetReconcile(SimTime at) {
+void SimulationCore::OnNetReconcile() {
   const std::vector<Value>& values = streams_->values();
   net_->stats().reconcile_exchanges += values.size();
   for (auto& slot_ptr : slots_) {
@@ -359,7 +358,7 @@ void SimulationCore::OnNetReconcile(SimTime at) {
     for (StreamId id = 0; id < values.size(); ++id) {
       const Value v = values[id];
       arena_.SyncReference(id, slot.column, v);
-      if (slot.ctx->cached(id) != v) DeliverUpdate(slot, id, v, at);
+      if (slot.ctx->cached(id) != v) DeliverUpdate(slot, id, v);
     }
   }
   if (options_.oracle.check_every_update) JudgeLiveSlots();

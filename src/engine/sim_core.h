@@ -172,7 +172,7 @@ class SimulationCore {
   /// answer-size samples, runs the protocol's Maintenance reaction, and
   /// samples the new answer size. The single accounting sink every
   /// delivery path and the reconnect reconciliation funnel through.
-  void DeliverUpdate(Slot& slot, StreamId id, Value v, SimTime t);
+  void DeliverUpdate(Slot& slot, StreamId id, Value v);
 
   /// Appends the slot's pending run of unchanged answer-size samples (one
   /// per generated update, up to update number `upto`) in O(1).
@@ -195,7 +195,7 @@ class SimulationCore {
   /// cache is stale on are delivered as ordinary (charged) reports so the
   /// protocol repairs its answer. The deploy half (still-unacked
   /// constraint installs) is replayed by the fault pipeline itself.
-  void OnNetReconcile(SimTime at);
+  void OnNetReconcile();
 
   Options options_;
   /// Out-of-core endpoint for retired-query state; null when disabled.

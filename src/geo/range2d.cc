@@ -13,7 +13,7 @@ FtRange2d::PlaneContext::PlaneContext(std::size_t num_streams,
   ASF_CHECK(transport_.deploy != nullptr);
 }
 
-Point2 FtRange2d::PlaneContext::Probe(StreamId id, SimTime) {
+Point2 FtRange2d::PlaneContext::Probe(StreamId id) {
   stats_->Count(MessageType::kProbeRequest);
   const Point2 p = transport_.probe(id);
   stats_->Count(MessageType::kProbeResponse);
@@ -44,7 +44,7 @@ void FtRange2d::Initialize() {
   // FT-NRP's Initialization phase.
   std::size_t answer_size = 0;
   for (StreamId id = 0; id < ctx_.num_streams(); ++id) {
-    answer_size += query_.Contains(ctx_.Probe(id, 0));
+    answer_size += query_.Contains(ctx_.Probe(id));
   }
   core_.InstallFilters(query_,
                        MaxFalsePositiveFilters(answer_size, tolerance_),
@@ -53,7 +53,7 @@ void FtRange2d::Initialize() {
 
 void FtRange2d::OnUpdate(StreamId id, const Point2& p) {
   ctx_.RecordReport(id, p);
-  core_.OnRangeUpdate(id, p, 0);
+  core_.OnRangeUpdate(id, p);
 }
 
 FractionCounts FtRange2d::CountErrors(const std::vector<Point2>& truth,

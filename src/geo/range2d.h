@@ -80,7 +80,7 @@ class FtRange2d {
     std::size_t num_streams() const { return cache_.size(); }
     const Point2& cached(StreamId id) const { return cache_[id]; }
     void RecordReport(StreamId id, const Point2& p) { cache_[id] = p; }
-    Point2 Probe(StreamId id, SimTime t);
+    Point2 Probe(StreamId id);
     void Deploy(StreamId id, const PlaneConstraint& constraint);
     bool delayed_delivery() const { return false; }
 

@@ -302,7 +302,7 @@ void FaultPipeline::OnReconnect(SimTime t) {
       if (ch.pending) pending.emplace_back(ch.slot, ch.id);
     }
   }
-  if (net_.reconcile_sink_) net_.reconcile_sink_(t);
+  if (net_.reconcile_sink_) net_.reconcile_sink_();
   NetStats& s = net_.stats_;
   for (const auto& [slot, id] : pending) {
     Channel& ch = ChannelAt(slot, id);

@@ -15,12 +15,4 @@ void MessageStats::Reset() {
   phase_ = MessagePhase::kInit;
 }
 
-void MessageStats::Merge(const MessageStats& other) {
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      counts_[p][t] += other.counts_[p][t];
-    }
-  }
-}
-
 }  // namespace asf

@@ -48,9 +48,6 @@ class MessageStats {
 
   void Reset();
 
-  /// Accumulates another counter set into this one.
-  void Merge(const MessageStats& other);
-
  private:
   std::array<std::array<std::uint64_t, kNumMessageTypes>, kNumMessagePhases>
       counts_;

@@ -281,8 +281,8 @@ class NetworkModel {
                                         const FilterConstraint& constraint,
                                         SimTime at)>;
   /// Partition-reconnect summary-vector exchange hook the engine binds:
-  /// invoked once per up-edge, at that simulated time.
-  using ReconcileSink = std::function<void(SimTime at)>;
+  /// invoked once per up-edge, from the scheduler event at that time.
+  using ReconcileSink = std::function<void()>;
 
   virtual ~NetworkModel();
   NetworkModel(const NetworkModel&) = delete;

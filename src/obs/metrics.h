@@ -31,9 +31,7 @@ namespace obs {
 /// Base-2 log-bucketed histogram. Bucket 0 collects underflow (values
 /// below `min_value`, including zero and negatives); the last bucket
 /// collects overflow. Bucket i (0 < i < buckets-1) covers
-/// [min_value * 2^(i-1), min_value * 2^i). Merge is elementwise and
-/// therefore associative and commutative — histograms can be combined in
-/// any order with identical results.
+/// [min_value * 2^(i-1), min_value * 2^i).
 class LogHistogram {
  public:
   explicit LogHistogram(double min_value = 1e-6, std::size_t buckets = 64)
@@ -48,19 +46,6 @@ class LogHistogram {
     counts_[BucketOf(v)] += n;
     count_ += n;
     sum_ += v * static_cast<double>(n);
-  }
-
-  /// Elementwise merge; the bucket shapes must match.
-  void Merge(const LogHistogram& other) {
-    ASF_CHECK_MSG(
-        counts_.size() == other.counts_.size() &&
-            min_value_ == other.min_value_,
-        "LogHistogram::Merge requires identical bucket shapes");
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i] += other.counts_[i];
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
   }
 
   std::size_t BucketOf(double v) const {

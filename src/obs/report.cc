@@ -83,8 +83,12 @@ std::string RunReport(const MultiQueryResult& result, const NetConfig& net) {
     }
   }
   add("physical maintenance", Count(result.PhysicalMaintenanceTotal()));
+  // Signed: a wire message whose payloads were all suppressed as stale
+  // (reorder) or dropped for a retired query is physical but not
+  // logical, so the saving can be negative.
   add("sharing saving",
-      Count(result.LogicalUpdates() - result.physical_updates));
+      Fmt("%lld", static_cast<long long>(result.LogicalUpdates()) -
+                      static_cast<long long>(result.physical_updates)));
 
   const NetStats& n = result.net;
   if (delays) {  // an instant net has no delivery cost to report

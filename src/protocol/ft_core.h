@@ -35,7 +35,7 @@
 ///    plane), `Ctx::Region` — the query region, with Contains(Point) and
 ///    DistanceToBoundary(Point), `Ctx::Constraint` — the filter, with
 ///    FalsePositive(), FalseNegative() and Range(Region);
-///  * num_streams(), cached(id), Probe(id, t), Deploy(id, constraint) and
+///  * num_streams(), cached(id), Probe(id), Deploy(id, constraint) and
 ///    delayed_delivery(), as ServerContext has them.
 
 namespace asf {
@@ -63,7 +63,7 @@ class BasicFractionFilterCore {
   /// Handles one reported update from a range-filtered stream (Figure 7
   /// Maintenance): insertion bumps `count`; removal consumes `count` or
   /// triggers Fix_Error.
-  void OnRangeUpdate(StreamId id, Point v, SimTime t);
+  void OnRangeUpdate(StreamId id, Point v);
 
   const AnswerSet& answer() const { return answer_; }
   const Region& range() const { return range_; }
@@ -83,7 +83,7 @@ class BasicFractionFilterCore {
   std::uint64_t fix_error_runs() const { return fix_error_runs_; }
 
  private:
-  void FixError(SimTime t);
+  void FixError();
 
   Ctx* ctx_;
   SelectionHeuristic heuristic_;
@@ -152,8 +152,7 @@ void BasicFractionFilterCore<Ctx>::InstallFilters(const Region& range,
 }
 
 template <typename Ctx>
-void BasicFractionFilterCore<Ctx>::OnRangeUpdate(StreamId id, Point v,
-                                                 SimTime t) {
+void BasicFractionFilterCore<Ctx>::OnRangeUpdate(StreamId id, Point v) {
   if (range_.Contains(v)) {
     // Figure 7 Maintenance case 1: a new stream satisfies the query.
     const bool inserted = answer_.Insert(id);
@@ -172,12 +171,12 @@ void BasicFractionFilterCore<Ctx>::OnRangeUpdate(StreamId id, Point v,
   if (count_ > 0) {
     --count_;
   } else {
-    FixError(t);
+    FixError();
   }
 }
 
 template <typename Ctx>
-void BasicFractionFilterCore<Ctx>::FixError(SimTime t) {
+void BasicFractionFilterCore<Ctx>::FixError() {
   ++fix_error_runs_;
   const Constraint range_filter = Constraint::Range(range_);
 
@@ -185,7 +184,7 @@ void BasicFractionFilterCore<Ctx>::FixError(SimTime t) {
   if (!fp_streams_.empty()) {
     const StreamId y = fp_streams_.back();
     fp_streams_.pop_back();
-    const Point vy = ctx_->Probe(y, t);
+    const Point vy = ctx_->Probe(y);
     // Whether or not S_y is still in range, it stops being a silent filter
     // holder: the range filter is installed and E^max+ is decremented
     // (DESIGN.md §4 — the Figure 7 pseudo-code omits the install in the
@@ -205,7 +204,7 @@ void BasicFractionFilterCore<Ctx>::FixError(SimTime t) {
   if (!fn_streams_.empty()) {
     const StreamId z = fn_streams_.back();
     fn_streams_.pop_back();
-    const Point vz = ctx_->Probe(z, t);
+    const Point vz = ctx_->Probe(z);
     if (range_.Contains(vz)) answer_.Insert(z);
     ctx_->Deploy(z, range_filter);
   }

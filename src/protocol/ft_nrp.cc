@@ -13,8 +13,8 @@ FtNrp::FtNrp(ServerContext* ctx, const RangeQuery& query,
   ASF_CHECK_MSG(tolerance.Validate().ok(), "invalid fraction tolerance");
 }
 
-void FtNrp::RunInitialization(SimTime t) {
-  ctx_->ProbeAll(t);
+void FtNrp::RunInitialization() {
+  ctx_->ProbeAll();
   // Budgets are derived from the fresh answer size (Equations 3-4). A
   // pre-pass over the cache tells us |A(t0)| before filters go out.
   std::size_t answer_size = 0;
@@ -27,11 +27,11 @@ void FtNrp::RunInitialization(SimTime t) {
   core_.InstallFilters(query_.range(), n_plus, n_minus);
 }
 
-void FtNrp::Initialize(SimTime t) { RunInitialization(t); }
+void FtNrp::Initialize() { RunInitialization(); }
 
-void FtNrp::OnUpdate(StreamId id, Value v, SimTime t) {
+void FtNrp::OnUpdate(StreamId id, Value v) {
   const bool was_exhausted = core_.Exhausted();
-  core_.OnRangeUpdate(id, v, t);
+  core_.OnRangeUpdate(id, v);
   // Optional §5.1.1 re-initialization: "when both n+ and n− become zero
   // ... the protocol reduces to ZT-NRP. To exploit tolerance, the
   // Initialization Phase of FT-NRP may be run again." Trigger only on the
@@ -40,7 +40,7 @@ void FtNrp::OnUpdate(StreamId id, Value v, SimTime t) {
   if (options_.reinit == ReinitPolicy::kWhenExhausted && !was_exhausted &&
       core_.Exhausted() && !tolerance_.IsZero()) {
     BumpReinit();
-    RunInitialization(t);
+    RunInitialization();
   }
 }
 

@@ -28,18 +28,18 @@ class FtNrp : public Protocol {
 
   std::string_view name() const override { return "FT-NRP"; }
 
-  void Initialize(SimTime t) override;
+  void Initialize() override;
   const AnswerSet& answer() const override { return core_.answer(); }
 
   const FractionFilterCore& core() const { return core_; }
   const FractionTolerance& tolerance() const { return tolerance_; }
 
  protected:
-  void OnUpdate(StreamId id, Value v, SimTime t) override;
+  void OnUpdate(StreamId id, Value v) override;
 
  private:
   /// Probe-all + filter installation with fresh budgets.
-  void RunInitialization(SimTime t);
+  void RunInitialization();
 
   RangeQuery query_;
   FractionTolerance tolerance_;

@@ -18,8 +18,8 @@ FtRp::FtRp(ServerContext* ctx, const RankQuery& query,
                 "rank requirement k exceeds stream population");
 }
 
-void FtRp::Refresh(SimTime t) {
-  ctx_->ProbeAll(t);
+void FtRp::Refresh() {
+  ctx_->ProbeAll();
   Interval bound;
   if (ctx_->cache().size() <= query_.k()) {
     bound = Interval::Always();
@@ -48,16 +48,16 @@ void FtRp::Refresh(SimTime t) {
   ASF_DCHECK(bounds_.Contains(query_.k()));
 }
 
-void FtRp::Initialize(SimTime t) { Refresh(t); }
+void FtRp::Initialize() { Refresh(); }
 
-void FtRp::OnUpdate(StreamId id, Value v, SimTime t) {
-  core_.OnRangeUpdate(id, v, t);
+void FtRp::OnUpdate(StreamId id, Value v) {
+  core_.OnRangeUpdate(id, v);
   // §5.2.3: R stays put while the answer size remains inside the band;
   // outside it, R is "too tight" or "too loose" and must be recomputed.
   const double size = static_cast<double>(core_.answer().size());
   if (size > bounds_.hi || size < bounds_.lo) {
     BumpReinit();
-    Refresh(t);
+    Refresh();
   }
 }
 

@@ -44,7 +44,7 @@ class FtRp : public Protocol {
 
   std::string_view name() const override { return "FT-RP"; }
 
-  void Initialize(SimTime t) override;
+  void Initialize() override;
   const AnswerSet& answer() const override { return core_.answer(); }
 
   /// The inner FT-NRP tolerances derived via Equation 16.
@@ -61,11 +61,11 @@ class FtRp : public Protocol {
   const Interval& bound() const { return core_.range(); }
 
  protected:
-  void OnUpdate(StreamId id, Value v, SimTime t) override;
+  void OnUpdate(StreamId id, Value v) override;
 
  private:
   /// Probe-all, recompute R around the k nearest, reinstall all filters.
-  void Refresh(SimTime t);
+  void Refresh();
 
   RankQuery query_;
   FractionTolerance tolerance_;

@@ -11,8 +11,8 @@ NoFilterProtocol::NoFilterProtocol(ServerContext* ctx, const RankQuery& query)
                 "rank requirement k exceeds stream population");
 }
 
-void NoFilterProtocol::Initialize(SimTime t) {
-  ctx_->ProbeAll(t);
+void NoFilterProtocol::Initialize() {
+  ctx_->ProbeAll();
   // No constraints are deployed: the default FilterConstraint::NoFilter()
   // makes every stream report every change.
   if (range_query_.has_value()) {
@@ -42,7 +42,7 @@ void NoFilterProtocol::RematerializeTopK() {
   }
 }
 
-void NoFilterProtocol::OnUpdate(StreamId id, Value v, SimTime /*t*/) {
+void NoFilterProtocol::OnUpdate(StreamId id, Value v) {
   if (range_query_.has_value()) {
     if (range_query_->Matches(v)) {
       answer_.Insert(id);

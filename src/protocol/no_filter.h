@@ -28,11 +28,11 @@ class NoFilterProtocol : public Protocol {
 
   std::string_view name() const override { return "NoFilter"; }
 
-  void Initialize(SimTime t) override;
+  void Initialize() override;
   const AnswerSet& answer() const override { return answer_; }
 
  protected:
-  void OnUpdate(StreamId id, Value v, SimTime t) override;
+  void OnUpdate(StreamId id, Value v) override;
 
  private:
   /// Rebuilds answer_ = ids of the k best entries of scored_.

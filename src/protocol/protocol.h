@@ -33,14 +33,14 @@ class Protocol {
 
   /// Runs the Initialization phase at query start (messages are accounted
   /// under whatever phase the engine set — kInit for the first run).
-  virtual void Initialize(SimTime t) = 0;
+  virtual void Initialize() = 0;
 
   /// Delivers a value update that passed the stream's filter. Records the
   /// report in the server cache, then runs the protocol's Maintenance
   /// logic.
-  void HandleUpdate(StreamId id, Value v, SimTime t) {
-    ctx_->RecordReport(id, v, t);
-    OnUpdate(id, v, t);
+  void HandleUpdate(StreamId id, Value v) {
+    ctx_->RecordReport(id, v);
+    OnUpdate(id, v);
   }
 
   /// The current answer set A(t).
@@ -55,7 +55,7 @@ class Protocol {
 
  protected:
   /// Maintenance-phase reaction to one reported update.
-  virtual void OnUpdate(StreamId id, Value v, SimTime t) = 0;
+  virtual void OnUpdate(StreamId id, Value v) = 0;
 
   void BumpReinit() { ++reinits_; }
 

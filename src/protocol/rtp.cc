@@ -24,8 +24,8 @@ void Rtp::DeployBoundFromRanking(const std::vector<ScoredStream>& ranked) {
   ctx_->DeployAll(FilterConstraint::Range(bound_));
 }
 
-void Rtp::FullRefresh(SimTime t) {
-  ctx_->ProbeAll(t);
+void Rtp::FullRefresh() {
+  ctx_->ProbeAll();
   const std::vector<ScoredStream> ranked = RankAll(query_, ctx_->cache());
   const std::size_t eps = max_rank();
   answer_.Clear();
@@ -41,7 +41,7 @@ void Rtp::FullRefresh(SimTime t) {
   DeployBoundFromRanking(ranked);
 }
 
-void Rtp::Initialize(SimTime t) { FullRefresh(t); }
+void Rtp::Initialize() { FullRefresh(); }
 
 StreamId Rtp::BestSpare() const {
   StreamId best = kInvalidStream;
@@ -58,7 +58,7 @@ StreamId Rtp::BestSpare() const {
   return best;
 }
 
-void Rtp::OnUpdate(StreamId id, Value v, SimTime t) {
+void Rtp::OnUpdate(StreamId id, Value v) {
   if (bound_.Contains(v)) {
     // Case 3: the stream entered R. Under instant delivery a stream the
     // server believes is inside can only report a departure, so `id`
@@ -71,7 +71,7 @@ void Rtp::OnUpdate(StreamId id, Value v, SimTime t) {
     if (x_.size() < max_rank()) {
       x_.Insert(id);  // Figure 5 step 6: |X| stays ≤ ε
     } else {
-      ReevaluateBound(id, t);  // step 7
+      ReevaluateBound(id);  // step 7
     }
     return;
   }
@@ -95,10 +95,10 @@ void Rtp::OnUpdate(StreamId id, Value v, SimTime t) {
     return;
   }
   // Step 4: X == A with only k-1 members left; hunt for candidates.
-  ExpandSearch(t);
+  ExpandSearch();
 }
 
-void Rtp::ExpandSearch(SimTime t) {
+void Rtp::ExpandSearch() {
   ++expansions_;
   const std::size_t eps = max_rank();
   const std::size_t n = ctx_->num_streams();
@@ -118,7 +118,7 @@ void Rtp::ExpandSearch(SimTime t) {
       if (answer_.Contains(s) || responded.Contains(s)) continue;
       targets.push_back(s);
     }
-    for (StreamId s : ctx_->RegionProbeGroup(targets, r_prime, t)) {
+    for (StreamId s : ctx_->RegionProbeGroup(targets, r_prime)) {
       responded.Insert(s);
     }
     if (responded.size() < 2) continue;  // Figure 5 step 4(I)(iv)
@@ -149,7 +149,7 @@ void Rtp::ExpandSearch(SimTime t) {
       if (next_score == worst_kept) {
         // Boundary tie: a candidate we meant to exclude sits exactly where
         // the bound would fall. Degenerate and rare; resolve exactly.
-        FullRefresh(t);
+        FullRefresh();
         BumpReinit();
         return;
       }
@@ -163,15 +163,15 @@ void Rtp::ExpandSearch(SimTime t) {
   }
   // Step 5: even the widest region yielded fewer than two candidates.
   BumpReinit();
-  FullRefresh(t);
+  FullRefresh();
 }
 
-void Rtp::ReevaluateBound(StreamId entrant, SimTime t) {
+void Rtp::ReevaluateBound(StreamId entrant) {
   // Figure 5 step 7: refresh exactly the streams inside R (the entrant's
   // value just arrived with its report), probing in ascending id order,
   // then keep the best ε.
   std::vector<StreamId> candidates = x_.ToSortedVector();
-  for (StreamId id : candidates) ctx_->Probe(id, t);
+  for (StreamId id : candidates) ctx_->Probe(id);
   candidates.push_back(entrant);
   const std::vector<ScoredStream> ranked =
       RankSubset(query_, ctx_->cache(), candidates);
@@ -182,7 +182,7 @@ void Rtp::ReevaluateBound(StreamId entrant, SimTime t) {
     // The stream to exclude ties the one to keep; no separating bound
     // exists between them. Resolve exactly.
     BumpReinit();
-    FullRefresh(t);
+    FullRefresh();
     return;
   }
 

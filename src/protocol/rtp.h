@@ -43,7 +43,7 @@ class Rtp : public Protocol {
 
   std::string_view name() const override { return "RTP"; }
 
-  void Initialize(SimTime t) override;
+  void Initialize() override;
   const AnswerSet& answer() const override { return answer_; }
 
   /// ε_k^r = k + r.
@@ -59,12 +59,12 @@ class Rtp : public Protocol {
   std::uint64_t expansions() const { return expansions_; }
 
  protected:
-  void OnUpdate(StreamId id, Value v, SimTime t) override;
+  void OnUpdate(StreamId id, Value v) override;
 
  private:
   /// Probes every stream, rebuilds A/X/R and redeploys (Initialization
   /// phase; also the fallback when expansion fails and the tie fallback).
-  void FullRefresh(SimTime t);
+  void FullRefresh();
 
   /// Figure 5 Deploy_bound over a fresh full ranking: d halfway between
   /// the ε-th and (ε+1)-st scores. With n ≤ ε the bound is [−∞,∞] and no
@@ -73,11 +73,11 @@ class Rtp : public Protocol {
 
   /// Case 2, A-member `id` already removed from A and X, X == A: walk the
   /// stale ranking outward (Figure 5 step 4) probing ever larger regions.
-  void ExpandSearch(SimTime t);
+  void ExpandSearch();
 
   /// Case 3 with X full: probe X, rank X ∪ {entrant}, shrink R to the best
   /// ε and redeploy (Figure 5 step 7).
-  void ReevaluateBound(StreamId entrant, SimTime t);
+  void ReevaluateBound(StreamId entrant);
 
   /// The member of X − A with the best (lowest) cached score; kInvalidStream
   /// if X == A.

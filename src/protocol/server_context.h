@@ -16,7 +16,9 @@
 /// the last value each stream reported, plus the messaging primitives the
 /// constraint-assignment unit uses. Every primitive is accounted in
 /// MessageStats; protocols have NO other way to observe stream values, so
-/// message counts are correct by construction.
+/// message counts are correct by construction. The cache holds values
+/// alone and no primitive takes a time: the protocols react to messages
+/// and never read a clock (DESIGN.md §1).
 
 namespace asf {
 
@@ -65,9 +67,7 @@ class ServerContext {
       : transport_(std::move(transport)),
         stats_(stats),
         broadcast_(broadcast),
-        cache_(num_streams, 0.0),
-        cache_time_(num_streams, -1.0),
-        deployed_(num_streams) {
+        cache_(num_streams, 0.0) {
     ASF_CHECK(stats != nullptr);
     ASF_CHECK(transport_.probe != nullptr);
     ASF_CHECK(transport_.region_probe != nullptr);
@@ -83,21 +83,14 @@ class ServerContext {
     return cache_[id];
   }
 
-  /// Simulated time the cached value was learned; −1 if never.
-  SimTime cached_time(StreamId id) const {
-    ASF_DCHECK(id < cache_time_.size());
-    return cache_time_[id];
-  }
-
   /// The whole cache, indexed by StreamId (for ranking helpers).
   const std::vector<Value>& cache() const { return cache_; }
 
   /// Records a value reported BY the stream (kValueUpdate was already
   /// counted by the engine when the filter fired).
-  void RecordReport(StreamId id, Value v, SimTime t) {
+  void RecordReport(StreamId id, Value v) {
     ASF_DCHECK(id < cache_.size());
     cache_[id] = v;
-    cache_time_[id] = t;
   }
 
   /// Probes one stream: counts a request + response, refreshes the cache.
@@ -105,9 +98,9 @@ class ServerContext {
   /// charged but no response arrives: the stale cached value is served
   /// (the protocol proceeds, possibly conservatively) — this is what keeps
   /// every protocol terminating under arbitrary loss.
-  Value Probe(StreamId id, SimTime t) {
+  Value Probe(StreamId id) {
     stats_->Count(MessageType::kProbeRequest);
-    Receive(id, transport_.probe(id), t);
+    Receive(id, transport_.probe(id));
     return cached(id);
   }
 
@@ -115,19 +108,19 @@ class ServerContext {
   /// the first step of every protocol's Initialization phase). Under the
   /// broadcast model the request side costs one message; the n responses
   /// are always individual.
-  void ProbeAll(SimTime t) {
+  void ProbeAll() {
     ChargeRequests(MessageType::kProbeRequest, cache_.size());
     for (StreamId id = 0; id < cache_.size(); ++id) {
-      Receive(id, transport_.probe(id), t);
+      Receive(id, transport_.probe(id));
     }
   }
 
   /// Region probe of one stream: counts a request; counts a response and
   /// refreshes the cache only when the stream's value lies in `region`.
   /// Returns whether it responded.
-  bool RegionProbe(StreamId id, const Interval& region, SimTime t) {
+  bool RegionProbe(StreamId id, const Interval& region) {
     stats_->Count(MessageType::kRegionProbeRequest);
-    return Receive(id, transport_.region_probe(id, region), t);
+    return Receive(id, transport_.region_probe(id, region));
   }
 
   /// Region probe of a group of streams ("the server queries the clients
@@ -135,11 +128,11 @@ class ServerContext {
   /// responders. Under the broadcast model the request side costs one
   /// message for the whole group.
   std::vector<StreamId> RegionProbeGroup(const std::vector<StreamId>& targets,
-                                         const Interval& region, SimTime t) {
+                                         const Interval& region) {
     ChargeRequests(MessageType::kRegionProbeRequest, targets.size());
     std::vector<StreamId> responders;
     for (StreamId id : targets) {
-      if (Receive(id, transport_.region_probe(id, region), t)) {
+      if (Receive(id, transport_.region_probe(id, region))) {
         responders.push_back(id);
       }
     }
@@ -148,18 +141,16 @@ class ServerContext {
 
   /// Deploys a constraint to one stream (one message).
   void Deploy(StreamId id, const FilterConstraint& constraint) {
-    ASF_DCHECK(id < deployed_.size());
+    ASF_DCHECK(id < cache_.size());
     stats_->Count(MessageType::kFilterDeploy);
-    deployed_[id] = constraint;
     transport_.deploy(id, constraint);
   }
 
   /// Deploys the same constraint to every stream: n messages by default,
   /// one under the broadcast model (DESIGN.md §3).
   void DeployAll(const FilterConstraint& constraint) {
-    ChargeRequests(MessageType::kFilterDeploy, deployed_.size());
-    for (StreamId id = 0; id < deployed_.size(); ++id) {
-      deployed_[id] = constraint;
+    ChargeRequests(MessageType::kFilterDeploy, cache_.size());
+    for (StreamId id = 0; id < cache_.size(); ++id) {
       transport_.deploy(id, constraint);
     }
   }
@@ -174,22 +165,16 @@ class ServerContext {
   bool delayed_delivery() const { return delayed_delivery_; }
   void set_delayed_delivery(bool delayed) { delayed_delivery_ = delayed; }
 
-  /// The constraint the server last deployed to `id`.
-  const FilterConstraint& deployed(StreamId id) const {
-    ASF_DCHECK(id < deployed_.size());
-    return deployed_[id];
-  }
-
   MessageStats* stats() { return stats_; }
 
  private:
   /// The response half of a probe exchange: when the stream answered
   /// with `v`, counts the response and refreshes the cache. Returns
   /// whether it answered.
-  bool Receive(StreamId id, const std::optional<Value>& v, SimTime t) {
+  bool Receive(StreamId id, const std::optional<Value>& v) {
     if (!v.has_value()) return false;
     stats_->Count(MessageType::kProbeResponse);
-    RecordReport(id, *v, t);
+    RecordReport(id, *v);
     return true;
   }
 
@@ -207,8 +192,6 @@ class ServerContext {
   BroadcastCostModel broadcast_;
   bool delayed_delivery_ = false;
   std::vector<Value> cache_;
-  std::vector<SimTime> cache_time_;
-  std::vector<FilterConstraint> deployed_;
 };
 
 }  // namespace asf

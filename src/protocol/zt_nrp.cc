@@ -5,8 +5,8 @@ namespace asf {
 ZtNrp::ZtNrp(ServerContext* ctx, const RangeQuery& query)
     : Protocol(ctx), query_(query) {}
 
-void ZtNrp::Initialize(SimTime t) {
-  ctx_->ProbeAll(t);
+void ZtNrp::Initialize() {
+  ctx_->ProbeAll();
   answer_.Clear();
   for (StreamId id = 0; id < ctx_->num_streams(); ++id) {
     if (query_.Matches(ctx_->cached(id))) answer_.Insert(id);
@@ -14,7 +14,7 @@ void ZtNrp::Initialize(SimTime t) {
   ctx_->DeployAll(FilterConstraint::Range(query_.range()));
 }
 
-void ZtNrp::OnUpdate(StreamId id, Value v, SimTime /*t*/) {
+void ZtNrp::OnUpdate(StreamId id, Value v) {
   // A report means the value crossed [l, u]; membership simply flips.
   // Under instant delivery a member can never report an in-range value
   // (nor a non-member an out-of-range one); while messages are in

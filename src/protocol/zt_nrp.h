@@ -21,11 +21,11 @@ class ZtNrp : public Protocol {
 
   std::string_view name() const override { return "ZT-NRP"; }
 
-  void Initialize(SimTime t) override;
+  void Initialize() override;
   const AnswerSet& answer() const override { return answer_; }
 
  protected:
-  void OnUpdate(StreamId id, Value v, SimTime t) override;
+  void OnUpdate(StreamId id, Value v) override;
 
  private:
   RangeQuery query_;

@@ -8,8 +8,8 @@ ZtRp::ZtRp(ServerContext* ctx, const RankQuery& query)
                 "rank requirement k exceeds stream population");
 }
 
-void ZtRp::Recompute(SimTime t) {
-  ctx_->ProbeAll(t);
+void ZtRp::Recompute() {
+  ctx_->ProbeAll();
   const std::vector<ScoredStream> ranked = RankAll(query_, ctx_->cache());
   answer_.Clear();
   for (std::size_t i = 0; i < std::min(query_.k(), ranked.size()); ++i) {
@@ -25,13 +25,13 @@ void ZtRp::Recompute(SimTime t) {
   ctx_->DeployAll(FilterConstraint::Range(bound_));
 }
 
-void ZtRp::Initialize(SimTime t) { Recompute(t); }
+void ZtRp::Initialize() { Recompute(); }
 
-void ZtRp::OnUpdate(StreamId /*id*/, Value /*v*/, SimTime t) {
+void ZtRp::OnUpdate(StreamId /*id*/, Value /*v*/) {
   // Any crossing of R invalidates the exact k-NN set; recompute and
   // re-broadcast (paper §5.2.1).
   BumpReinit();
-  Recompute(t);
+  Recompute();
 }
 
 }  // namespace asf

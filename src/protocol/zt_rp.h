@@ -23,18 +23,18 @@ class ZtRp : public Protocol {
 
   std::string_view name() const override { return "ZT-RP"; }
 
-  void Initialize(SimTime t) override;
+  void Initialize() override;
   const AnswerSet& answer() const override { return answer_; }
 
   /// The currently deployed bound R.
   const Interval& bound() const { return bound_; }
 
  protected:
-  void OnUpdate(StreamId id, Value v, SimTime t) override;
+  void OnUpdate(StreamId id, Value v) override;
 
  private:
   /// Probes all streams, rebuilds A and R, redeploys everywhere.
-  void Recompute(SimTime t);
+  void Recompute();
 
   RankQuery query_;
   AnswerSet answer_;

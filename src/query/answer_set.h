@@ -20,8 +20,8 @@
 /// words plus a member count. Insert/Erase/Contains are one word op and
 /// allocate nothing once the words cover the largest id; iteration walks
 /// the words and yields ids in ascending order. It costs n/8 bytes per
-/// set — under 1% of the 16 bytes per stream (cached value + cache time)
-/// the ServerContext already holds.
+/// set — a sixty-fourth of the 8 bytes per stream (the cached value) the
+/// ServerContext already holds.
 
 namespace asf {
 

@@ -45,9 +45,6 @@ class StreamSet {
   /// self-perpetuate (or are pre-scheduled) up to `horizon`.
   virtual void Start(Scheduler* scheduler, SimTime horizon) = 0;
 
-  /// Total value changes generated so far.
-  std::uint64_t updates_generated() const { return updates_generated_; }
-
  protected:
   explicit StreamSet(std::size_t num_streams) : values_(num_streams, 0.0) {}
 
@@ -55,7 +52,6 @@ class StreamSet {
   void ApplyUpdate(StreamId id, Value value, SimTime t) {
     ASF_DCHECK(id < values_.size());
     values_[id] = value;
-    ++updates_generated_;
     if (handler_) handler_(id, value, t);
   }
 
@@ -69,7 +65,6 @@ class StreamSet {
  private:
   std::vector<Value> values_;
   UpdateHandler handler_;
-  std::uint64_t updates_generated_ = 0;
 };
 
 }  // namespace asf

@@ -93,7 +93,7 @@ TEST(FtNrpEdgeTest, OnlyFalseNegativeBudget) {
   // n- = floor(5 * 0.5 * 1.0 / 0.5) = 5, clamped to the 5 outsiders.
   EXPECT_EQ(proto.core().n_minus(), 5u);
   // A removal at count==0 consults an FN stream directly.
-  sys.SetValue(&proto, 2, 700, 1.0);
+  sys.SetValue(&proto, 2, 700);
   EXPECT_EQ(proto.core().fix_error_runs(), 1u);
   EXPECT_EQ(proto.core().n_minus(), 4u);
   const auto check = Oracle::CheckRangeFraction(
@@ -110,7 +110,7 @@ TEST(FtNrpEdgeTest, OnlyFalsePositiveBudget) {
   sys.Initialize(&proto);
   EXPECT_EQ(proto.core().n_plus(), 2u);  // floor(5*0.5)
   EXPECT_EQ(proto.core().n_minus(), 0u);
-  sys.SetValue(&proto, 2, 700, 1.0);
+  sys.SetValue(&proto, 2, 700);
   const auto check = Oracle::CheckRangeFraction(
       sys.values(), RangeQuery(400, 600), proto.answer(),
       FractionTolerance{0.5, 0.0});
@@ -125,7 +125,7 @@ TEST(FtNrpEdgeTest, EmptyInitialAnswerDegeneratesGracefully) {
   EXPECT_TRUE(proto.answer().empty());
   EXPECT_TRUE(proto.core().Exhausted());  // |A|=0 funds nothing
   // Streams can still enter and leave correctly.
-  sys.SetValue(&proto, 0, 500, 1.0);
+  sys.SetValue(&proto, 0, 500);
   EXPECT_TRUE(proto.answer().Contains(0));
 }
 
@@ -139,7 +139,7 @@ TEST(ZtRpEdgeTest, SingleNearestNeighbor) {
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0}));
   // Bound halfway between d=5 and d=20: [487.5, 512.5].
   EXPECT_EQ(proto.bound(), Interval(487.5, 512.5));
-  sys.SetValue(&proto, 1, 501, 1.0);  // new nearest enters
+  sys.SetValue(&proto, 1, 501);  // new nearest enters
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{1}));
 }
 

@@ -17,7 +17,7 @@ class FtCoreTest : public ::testing::Test {
         core_(sys_.ctx(), SelectionHeuristic::kBoundaryNearest, nullptr) {}
 
   void Install(std::size_t n_plus, std::size_t n_minus) {
-    sys_.ctx()->ProbeAll(0);
+    sys_.ctx()->ProbeAll();
     core_.InstallFilters(Interval(400, 600), n_plus, n_minus);
   }
 
@@ -25,9 +25,9 @@ class FtCoreTest : public ::testing::Test {
   bool Move(StreamId id, Value v) {
     // Mirror TestSystem::SetValue but routed into the bare core.
     return sys_.SetValueInto(
-        [this](StreamId sid, Value sv, SimTime st) {
-          sys_.ctx()->RecordReport(sid, sv, st);
-          core_.OnRangeUpdate(sid, sv, st);
+        [this](StreamId sid, Value sv) {
+          sys_.ctx()->RecordReport(sid, sv);
+          core_.OnRangeUpdate(sid, sv);
         },
         id, v);
   }

@@ -58,10 +58,10 @@ TEST(FtNrpTest, SilencedStreamsNeverReport) {
               BoundaryNearest(), nullptr);
   sys.Initialize(&proto);
   // FP-filtered stream 0 wanders far outside: silent, stays in the answer.
-  EXPECT_FALSE(sys.SetValue(&proto, 0, 5000, 1.0));
+  EXPECT_FALSE(sys.SetValue(&proto, 0, 5000));
   EXPECT_TRUE(proto.answer().Contains(0));
   // FN-filtered stream 6 wanders into range: silent, stays out.
-  EXPECT_FALSE(sys.SetValue(&proto, 6, 500, 2.0));
+  EXPECT_FALSE(sys.SetValue(&proto, 6, 500));
   EXPECT_FALSE(proto.answer().Contains(6));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 0u);
   // And the tolerance still holds (1 FP of 5 answers, 1 FN of 5 true).
@@ -77,11 +77,11 @@ TEST(FtNrpTest, InsertionsBumpCount) {
               BoundaryNearest(), nullptr);
   sys.Initialize(&proto);
   EXPECT_EQ(proto.core().count(), 0u);
-  EXPECT_TRUE(sys.SetValue(&proto, 9, 500, 1.0));  // enters
+  EXPECT_TRUE(sys.SetValue(&proto, 9, 500));  // enters
   EXPECT_EQ(proto.core().count(), 1u);
   EXPECT_TRUE(proto.answer().Contains(9));
   // A removal while count > 0 just decrements; no Fix_Error probes.
-  EXPECT_TRUE(sys.SetValue(&proto, 9, 700, 2.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 9, 700));
   EXPECT_EQ(proto.core().count(), 0u);
   EXPECT_EQ(proto.core().fix_error_runs(), 0u);
   // update + update = 2 messages only.
@@ -96,7 +96,7 @@ TEST(FtNrpTest, FixErrorConvertsInRangeFalsePositive) {
   const std::size_t n_plus_before = proto.core().n_plus();
   // Removal at count == 0 triggers Fix_Error. The consulted FP stream
   // (still in range) is converted to a range filter and kept in the answer.
-  EXPECT_TRUE(sys.SetValue(&proto, 2, 700, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 2, 700));
   EXPECT_EQ(proto.core().fix_error_runs(), 1u);
   EXPECT_EQ(proto.core().n_plus(), n_plus_before - 1);
   EXPECT_FALSE(proto.answer().Contains(2));
@@ -121,7 +121,7 @@ TEST(FtNrpTest, FixErrorRecruitsFalseNegativeWhenFpIsStale) {
   // Now a range-filtered answer leaves at count == 0: Fix_Error probes an
   // FP holder, finds it out of range, drops it, and consults an FN holder,
   // which is in range and joins the answer.
-  EXPECT_TRUE(sys.SetValue(&proto, 2, 700, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 2, 700));
   EXPECT_EQ(proto.core().fix_error_runs(), 1u);
   EXPECT_FALSE(proto.answer().Contains(2));
   EXPECT_TRUE(proto.answer().Contains(7));
@@ -141,7 +141,7 @@ TEST(FtNrpTest, ZeroToleranceDegeneratesToZtNrp) {
   EXPECT_TRUE(proto.core().Exhausted());
   EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 0u);
   // Every crossing is reported and the answer stays exact.
-  sys.SetValue(&proto, 0, 700, 1.0);
+  sys.SetValue(&proto, 0, 700);
   const auto check =
       Oracle::CheckRangeFraction(sys.values(), RangeQuery(400, 600),
                                  proto.answer(), FractionTolerance{0, 0});
@@ -183,14 +183,14 @@ TEST(FtNrpTest, ReinitWhenExhaustedRestoresBudgets) {
   EXPECT_EQ(proto.core().n_minus(), 1u);
   // Two removals at count==0 burn both budgets; the second burn triggers
   // re-initialization, which probes everyone and re-installs filters.
-  sys.SetValue(&proto, 2, 700, 1.0);
+  sys.SetValue(&proto, 2, 700);
   EXPECT_EQ(proto.core().n_plus(), 0u);
-  sys.SetValue(&proto, 3, 700, 2.0);
+  sys.SetValue(&proto, 3, 700);
   EXPECT_EQ(proto.reinit_count(), 1u);
   // Fresh budgets derived from the new (3-member) answer: floor(3*0.2)=0...
   // so budgets may legitimately be zero; what matters is that exactly one
   // reinit happened and the protocol did not loop.
-  sys.SetValue(&proto, 1, 700, 3.0);
+  sys.SetValue(&proto, 1, 700);
   EXPECT_EQ(proto.reinit_count(), 1u);
 }
 
@@ -199,7 +199,7 @@ TEST(FtNrpTest, NeverReinitByDefault) {
   FtNrp proto(sys.ctx(), RangeQuery(400, 600), FractionTolerance{0.2, 0.2},
               BoundaryNearest(), nullptr);
   sys.Initialize(&proto);
-  for (StreamId id : {2u, 3u, 1u}) sys.SetValue(&proto, id, 700, 1.0);
+  for (StreamId id : {2u, 3u, 1u}) sys.SetValue(&proto, id, 700);
   EXPECT_EQ(proto.reinit_count(), 0u);
   EXPECT_TRUE(proto.core().Exhausted());
 }
@@ -216,7 +216,7 @@ TEST(FtNrpTest, ToleranceHoldsThroughScriptedChurn) {
       {1, 601}, {8, 601}, {9, 599}, {9, 601}, {2, 500},
   };
   for (const auto& [id, v] : script) {
-    sys.SetValue(&proto, id, v, 1.0);
+    sys.SetValue(&proto, id, v);
     const auto check =
         Oracle::CheckRangeFraction(sys.values(), query, proto.answer(), tol);
     EXPECT_TRUE(check.ok) << "after setting " << id << " to " << v

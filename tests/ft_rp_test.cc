@@ -65,7 +65,7 @@ TEST(FtRpTest, CrossingsInsideBandAreCheap) {
   sys.Initialize(&proto);
   // One stream leaves R (|A| 5 -> 4, band is [3, 8.33]): only the update
   // message — R is NOT recomputed (the whole point vs ZT-RP).
-  EXPECT_TRUE(sys.SetValue(&proto, 4, 530, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 4, 530));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 1u);
   EXPECT_EQ(proto.reinit_count(), 0u);
   EXPECT_EQ(proto.answer().size(), 4u);
@@ -74,7 +74,7 @@ TEST(FtRpTest, CrossingsInsideBandAreCheap) {
                                                proto.answer(), tol);
   EXPECT_TRUE(check.ok) << "F+=" << check.f_plus << " F-=" << check.f_minus;
   // One stream enters (back to 5): again one message.
-  EXPECT_TRUE(sys.SetValue(&proto, 5, 510, 2.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 5, 510));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 2u);
   EXPECT_EQ(proto.reinit_count(), 0u);
 }
@@ -86,10 +86,10 @@ TEST(FtRpTest, AnswerShrinkingBelowBandRecomputesR) {
   FtRp proto(sys.ctx(), query, tol, Defaults(), nullptr);
   sys.Initialize(&proto);
   // Band lower edge: 3. Three leaves take |A| to 2 -> refresh.
-  sys.SetValue(&proto, 0, 530, 1.0);
-  sys.SetValue(&proto, 1, 530, 2.0);
+  sys.SetValue(&proto, 0, 530);
+  sys.SetValue(&proto, 1, 530);
   EXPECT_EQ(proto.reinit_count(), 0u);
-  sys.SetValue(&proto, 2, 530, 3.0);
+  sys.SetValue(&proto, 2, 530);
   EXPECT_EQ(proto.reinit_count(), 1u);
   // After refresh the answer is the fresh 5-NN set.
   EXPECT_EQ(proto.answer().size(), 5u);
@@ -106,9 +106,8 @@ TEST(FtRpTest, AnswerGrowingAboveBandRecomputesR) {
   sys.Initialize(&proto);
   // Band upper edge: 8.33, so the 9th member triggers the refresh.
   StreamId outsiders[] = {5, 6, 7, 8};
-  SimTime t = 1;
   for (StreamId id : outsiders) {
-    sys.SetValue(&proto, id, 500, t++);
+    sys.SetValue(&proto, id, 500);
   }
   EXPECT_EQ(proto.reinit_count(), 1u);  // fired at |A| = 9
   const auto check = Oracle::CheckRankFraction(sys.values(), query,
@@ -123,7 +122,7 @@ TEST(FtRpTest, ZeroToleranceBehavesLikeZtRp) {
   sys.Initialize(&proto);
   EXPECT_EQ(proto.rho().rho_plus, 0.0);
   // Band collapses to exactly k: any crossing forces a refresh.
-  sys.SetValue(&proto, 0, 560, 1.0);
+  sys.SetValue(&proto, 0, 560);
   EXPECT_EQ(proto.reinit_count(), 1u);
   const auto check = Oracle::CheckRankFraction(
       sys.values(), query, proto.answer(), FractionTolerance{0, 0});
@@ -147,7 +146,7 @@ TEST(FtRpTest, SilentFiltersSuppressReports) {
     if (sys.filters().at(id).constraint().IsFalsePositiveFilter()) fp = id;
   }
   ASSERT_NE(fp, kInvalidStream);
-  EXPECT_FALSE(sys.SetValue(&proto, fp, 5000, 1.0));
+  EXPECT_FALSE(sys.SetValue(&proto, fp, 5000));
   EXPECT_TRUE(proto.answer().Contains(fp));
   const auto check = Oracle::CheckRankFraction(sys.values(), query,
                                                proto.answer(), tol);
@@ -165,11 +164,10 @@ TEST(FtRpTest, RhoPolicyAblationStillCorrect) {
     FtRp proto(sys.ctx(), query, tol, opts, nullptr);
     sys.Initialize(&proto);
     EXPECT_GE(proto.rho().Eq15Slack(tol), -1e-12);
-    SimTime t = 1;
-    for (const auto& [id, v] :
+      for (const auto& [id, v] :
          std::vector<std::pair<StreamId, Value>>{
              {0, 560}, {5, 505}, {4, 620}, {6, 498}}) {
-      sys.SetValue(&proto, id, v, t++);
+      sys.SetValue(&proto, id, v);
       const auto check = Oracle::CheckRankFraction(sys.values(), query,
                                                    proto.answer(), tol);
       EXPECT_TRUE(check.ok) << "policy " << static_cast<int>(policy);

@@ -36,25 +36,6 @@ TEST(MessageStatsTest, Reset) {
   EXPECT_EQ(stats.phase(), MessagePhase::kInit);
 }
 
-TEST(MessageStatsTest, Merge) {
-  MessageStats a;
-  a.Count(MessageType::kProbeRequest, 2);
-  a.set_phase(MessagePhase::kMaintenance);
-  a.Count(MessageType::kValueUpdate, 5);
-
-  MessageStats b;
-  b.Count(MessageType::kProbeRequest, 1);
-  b.set_phase(MessagePhase::kMaintenance);
-  b.Count(MessageType::kValueUpdate, 7);
-  b.Count(MessageType::kFilterDeploy, 1);
-
-  a.Merge(b);
-  EXPECT_EQ(a.count(MessagePhase::kInit, MessageType::kProbeRequest), 3u);
-  EXPECT_EQ(a.count(MessagePhase::kMaintenance, MessageType::kValueUpdate),
-            12u);
-  EXPECT_EQ(a.MaintenanceTotal(), 13u);
-}
-
 TEST(MessageStatsTest, TypeNamesAreStable) {
   EXPECT_EQ(MessageTypeName(MessageType::kValueUpdate), "update");
   EXPECT_EQ(MessageTypeName(MessageType::kProbeRequest), "probe_req");

@@ -21,11 +21,11 @@ TEST(NoFilterTest, RangeTracksEveryChangeExactly) {
   NoFilterProtocol proto(sys.ctx(), RangeQuery(400, 600));
   sys.Initialize(&proto);
   // Every change is reported, even ones far from the boundary.
-  EXPECT_TRUE(sys.SetValue(&proto, 1, 710, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 1, 710));
   EXPECT_EQ(proto.answer().size(), 1u);
-  EXPECT_TRUE(sys.SetValue(&proto, 1, 550, 2.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 1, 550));
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 1}));
-  EXPECT_TRUE(sys.SetValue(&proto, 0, 300, 3.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 0, 300));
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{1}));
   // 3 maintenance messages = 3 updates (the paper's baseline accounting).
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 3u);
@@ -37,10 +37,10 @@ TEST(NoFilterTest, TopKExactMaintenance) {
   sys.Initialize(&proto);
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{1, 3}));
   // Stream 0 surges to the top.
-  sys.SetValue(&proto, 0, 60, 1.0);
+  sys.SetValue(&proto, 0, 60);
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 1}));
   // Stream 1 collapses.
-  sys.SetValue(&proto, 1, 5, 2.0);
+  sys.SetValue(&proto, 1, 5);
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 3}));
 }
 
@@ -49,7 +49,7 @@ TEST(NoFilterTest, KnnExactMaintenance) {
   NoFilterProtocol proto(sys.ctx(), RankQuery::NearestNeighbors(2, 500));
   sys.Initialize(&proto);
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 3}));
-  sys.SetValue(&proto, 2, 501, 1.0);  // now the nearest
+  sys.SetValue(&proto, 2, 501);  // now the nearest
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 2}));
 }
 
@@ -57,7 +57,7 @@ TEST(NoFilterTest, SameScoreUpdateKeepsAnswerStable) {
   TestSystem sys({10, 50, 30});
   NoFilterProtocol proto(sys.ctx(), RankQuery::TopK(1));
   sys.Initialize(&proto);
-  sys.SetValue(&proto, 1, 50, 1.0);  // unchanged value, still reported
+  sys.SetValue(&proto, 1, 50);  // unchanged value, still reported
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{1}));
 }
 

@@ -196,30 +196,20 @@ TEST(LogHistogramTest, BucketBoundariesWithUnitMin) {
   EXPECT_DOUBLE_EQ(hist.bucket_lo(3), 4.0);
 }
 
-TEST(LogHistogramTest, MergeIsAssociativeAndCommutative) {
-  const double values_a[] = {0.5, 1.0, 7.0, 100.0};
-  const double values_b[] = {2.0, 2.0, 1e9};
-  const double values_c[] = {0.0, 3.5, 64.0, 64.0, 1.25};
-  auto fill = [](const double* vals, std::size_t n) {
-    obs::LogHistogram h(1.0, 16);
-    for (std::size_t i = 0; i < n; ++i) h.Add(vals[i]);
-    return h;
-  };
-
-  // (a + b) + c
-  obs::LogHistogram left = fill(values_a, 4);
-  left.Merge(fill(values_b, 3));
-  left.Merge(fill(values_c, 5));
-  // a + (c + b)
-  obs::LogHistogram inner = fill(values_c, 5);
-  inner.Merge(fill(values_b, 3));
-  obs::LogHistogram right = fill(values_a, 4);
-  right.Merge(inner);
-
-  ASSERT_EQ(left.count(), right.count());
-  EXPECT_DOUBLE_EQ(left.sum(), right.sum());
-  for (std::size_t i = 0; i < left.buckets(); ++i) {
-    EXPECT_EQ(left.bucket_count(i), right.bucket_count(i)) << "bucket " << i;
+TEST(LogHistogramTest, AddFillsBucketsCountAndSum) {
+  obs::LogHistogram hist(1.0, 16);
+  for (const double v : {0.5, 1.0, 7.0, 100.0, 2.0, 2.0, 1e9, 0.0, 3.5, 64.0,
+                         64.0, 1.25}) {
+    hist.Add(v);
+  }
+  EXPECT_EQ(hist.count(), 12u);
+  EXPECT_DOUBLE_EQ(hist.sum(), 1e9 + 245.25);
+  // Underflow {0.5, 0}, [1,2) {1, 1.25}, [2,4) {2, 2, 3.5}, [4,8) {7},
+  // [64,128) {100, 64, 64}, overflow {1e9}.
+  const std::uint64_t expected[16] = {2, 2, 3, 1, 0, 0, 0, 3,
+                                      0, 0, 0, 0, 0, 0, 0, 1};
+  for (std::size_t i = 0; i < hist.buckets(); ++i) {
+    EXPECT_EQ(hist.bucket_count(i), expected[i]) << "bucket " << i;
   }
 }
 
@@ -460,6 +450,42 @@ TEST(RunReportTest, BenchJsonHoldsEveryRecordField) {
   EXPECT_EQ(std::strtod(&report[report.find_first_of("0123456789", row)],
                         nullptr),
             maintenance);
+}
+
+/// Under reorder, a wire message whose payloads were all suppressed as
+/// stale counts as physical but not as logical, so a one-query FT-RP
+/// 20-NN run (the `asf_run --net=reorder:2` defaults: 400 walks, duration
+/// 1000, seed 1) sends more physical than logical updates. The "sharing
+/// saving" row is their signed difference, not an unsigned wrap.
+TEST(RunReportTest, SharingSavingIsSignedUnderReorder) {
+  SystemConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 400;
+  walk.seed = 1;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 1000;
+  config.seed = 1;
+  config.net = ParseNetSpec("reorder:2").value();
+  config.query = QuerySpec::Knn(20, 500);
+  config.protocol = ProtocolKind::kFtRp;
+  config.fraction = {0.2, 0.2};
+  MultiQueryConfig run;
+  static_cast<RunOptions&>(run) = config;
+  run.queries.push_back(config.Deployment());
+  const auto result = RunMultiQuerySystem(run);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->net.suppressed_stale, 0u);
+
+  const std::string report = obs::RunReport(*result, run.net);
+  const auto row = report.find("sharing saving");
+  ASSERT_NE(row, std::string::npos);
+  const long long saving = std::strtoll(
+      &report[report.find_first_of("-0123456789", row)], nullptr, 10);
+  const long long expected =
+      static_cast<long long>(result->LogicalUpdates()) -
+      static_cast<long long>(result->physical_updates);
+  EXPECT_EQ(saving, expected);
+  EXPECT_LT(saving, 0);
 }
 
 // --- Inertness: the acceptance criterion ---

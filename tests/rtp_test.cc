@@ -45,8 +45,8 @@ TEST(RtpTest, MovementInsideBoundIsFree) {
   sys.Initialize(&proto);
   // Rank order flips inside R (stream 3 becomes the nearest) with no
   // messages at all — this is exactly the tolerance being exploited.
-  EXPECT_FALSE(sys.SetValue(&proto, 3, 501, 1.0));
-  EXPECT_FALSE(sys.SetValue(&proto, 0, 549, 2.0));
+  EXPECT_FALSE(sys.SetValue(&proto, 3, 501));
+  EXPECT_FALSE(sys.SetValue(&proto, 0, 549));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 0u);
   // The stale answer {0,1} is still rank-correct: everyone in R ranks <= 4.
   ExpectRankCorrect(sys, proto, query, 2, "in-bound churn");
@@ -57,7 +57,7 @@ TEST(RtpTest, Case1SpareLeavesShrinksX) {
   const RankQuery query = RankQuery::NearestNeighbors(2, 500);
   Rtp proto(sys.ctx(), query, 2);
   sys.Initialize(&proto);
-  EXPECT_TRUE(sys.SetValue(&proto, 2, 600, 1.0));  // X-A member leaves
+  EXPECT_TRUE(sys.SetValue(&proto, 2, 600));  // X-A member leaves
   EXPECT_EQ(proto.inside_set().size(), 3u);
   EXPECT_FALSE(proto.inside_set().Contains(2));
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 1}));
@@ -70,8 +70,8 @@ TEST(RtpTest, Case3EntrantAbsorbedWhileXBelowCapacity) {
   const RankQuery query = RankQuery::NearestNeighbors(2, 500);
   Rtp proto(sys.ctx(), query, 2);
   sys.Initialize(&proto);
-  sys.SetValue(&proto, 2, 600, 1.0);               // make room: |X| = 3
-  EXPECT_TRUE(sys.SetValue(&proto, 4, 540, 2.0));  // enters R
+  sys.SetValue(&proto, 2, 600);               // make room: |X| = 3
+  EXPECT_TRUE(sys.SetValue(&proto, 4, 540));  // enters R
   EXPECT_EQ(proto.inside_set().size(), 4u);
   EXPECT_TRUE(proto.inside_set().Contains(4));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 2u);  // two updates, no deploys
@@ -84,7 +84,7 @@ TEST(RtpTest, Case3FullXShrinksBoundWithLocalProbesOnly) {
   Rtp proto(sys.ctx(), query, 2);
   sys.Initialize(&proto);
   // X is full ({0,1,2,3}); stream 5 enters at distance 45.
-  EXPECT_TRUE(sys.SetValue(&proto, 5, 455, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 5, 455));
   // Step 7: probe the 4 X members (8 msgs), redeploy everywhere (6 msgs);
   // plus the triggering update = 15.
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 15u);
@@ -101,7 +101,7 @@ TEST(RtpTest, Case2AnswerLeaverPromotesBestSpare) {
   const RankQuery query = RankQuery::NearestNeighbors(2, 500);
   Rtp proto(sys.ctx(), query, 2);
   sys.Initialize(&proto);
-  EXPECT_TRUE(sys.SetValue(&proto, 0, 560, 1.0));  // answer member leaves
+  EXPECT_TRUE(sys.SetValue(&proto, 0, 560));  // answer member leaves
   // Replaced by the best cached spare in X - A: stream 2 (d=20).
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{1, 2}));
   EXPECT_EQ(proto.inside_set().size(), 3u);
@@ -116,13 +116,13 @@ TEST(RtpTest, Case2ExpansionRecruitsByRegionProbing) {
   sys.Initialize(&proto);
   // Empty X - A: 2 and 3 leave (case 1), then 0 leaves (case 2, promote 1
   // remains), leaving X == A == {1, ...}. Build the exact state:
-  sys.SetValue(&proto, 2, 600, 1.0);   // X = {0,1,3}
-  sys.SetValue(&proto, 3, 640, 2.0);   // X = {0,1}
+  sys.SetValue(&proto, 2, 600);  // X = {0,1,3}
+  sys.SetValue(&proto, 3, 640);  // X = {0,1}
   EXPECT_EQ(proto.inside_set().size(), 2u);
   sys.stats().Reset();
   sys.stats().set_phase(MessagePhase::kMaintenance);
   // Stream 0 (answer) leaves; no spare exists -> search-region expansion.
-  EXPECT_TRUE(sys.SetValue(&proto, 0, 560, 3.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 0, 560));
   EXPECT_EQ(proto.expansions(), 1u);
   EXPECT_EQ(proto.reinit_count(), 0u);  // expansion succeeded
   // Stale ranking from init: scores 5,10,20,30,70,100; eps=4 so the first
@@ -148,7 +148,7 @@ TEST(RtpTest, Case2ExpansionFailureFallsBackToFullRefresh) {
   sys.SetValueSilently(2, 2000);
   sys.SetValueSilently(3, -1000);
   // Answer member 0 leaves beyond every stale region (max stale d' = 400).
-  EXPECT_TRUE(sys.SetValue(&proto, 0, 1200, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 0, 1200));
   EXPECT_EQ(proto.expansions(), 1u);
   EXPECT_EQ(proto.reinit_count(), 1u);  // fell back to re-initialization
   EXPECT_EQ(proto.answer().size(), 2u);
@@ -164,8 +164,8 @@ TEST(RtpTest, SmallPopulationSilencesEveryone) {
   Rtp proto(sys.ctx(), query, 2);
   sys.Initialize(&proto);
   EXPECT_TRUE(proto.bound().all());
-  EXPECT_FALSE(sys.SetValue(&proto, 0, 1e6, 1.0));
-  EXPECT_FALSE(sys.SetValue(&proto, 2, -1e6, 2.0));
+  EXPECT_FALSE(sys.SetValue(&proto, 0, 1e6));
+  EXPECT_FALSE(sys.SetValue(&proto, 2, -1e6));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 0u);
   ExpectRankCorrect(sys, proto, query, 2, "small population");
 }
@@ -179,7 +179,7 @@ TEST(RtpTest, TopKQueryUsesUpperRayBound) {
   // Bound between the 3rd (80) and 4th (70) values: [75, inf).
   EXPECT_EQ(proto.bound(), Interval(75, kInf));
   // 2 drops below 75: leaves X.
-  EXPECT_TRUE(sys.SetValue(&proto, 2, 60, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 2, 60));
   EXPECT_EQ(proto.inside_set().size(), 2u);
   ExpectRankCorrect(sys, proto, query, 1, "top-k");
 }
@@ -192,7 +192,7 @@ TEST(RtpTest, ZeroSlackStillWorks) {
   EXPECT_EQ(proto.bound(), Interval(485, 515));  // between d=10 and d=20
   ExpectRankCorrect(sys, proto, query, 0, "r=0 init");
   // The second-nearest leaves: expansion or refresh must restore A.
-  sys.SetValue(&proto, 1, 700, 1.0);
+  sys.SetValue(&proto, 1, 700);
   EXPECT_EQ(proto.answer().size(), 2u);
   ExpectRankCorrect(sys, proto, query, 0, "r=0 after leave");
 }
@@ -209,7 +209,7 @@ TEST(RtpTest, ExpansionWalksOutwardThroughStaleRegions) {
   sys.stats().Reset();
   sys.stats().set_phase(MessagePhase::kMaintenance);
 
-  EXPECT_TRUE(sys.SetValue(&proto, 1, 700, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 1, 700));
   EXPECT_EQ(proto.expansions(), 1u);
   EXPECT_EQ(proto.reinit_count(), 0u);
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 2}));
@@ -231,7 +231,7 @@ TEST(RtpTest, BottomKUsesLowerRayBound) {
   // Bound between the 3rd (30) and 4th (40) smallest: (-inf, 35].
   EXPECT_EQ(proto.bound(), Interval(-kInf, 35));
   // Stream 4 dives to the bottom: enters X (|X| = 3 -> full handling).
-  EXPECT_TRUE(sys.SetValue(&proto, 4, 5, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 4, 5));
   ExpectRankCorrect(sys, proto, query, 1, "bottom-k entry");
 }
 
@@ -243,7 +243,7 @@ TEST(RtpTest, MaintenanceReinitsAreAccountedAsMaintenance) {
   const auto init_total = sys.stats().InitTotal();
   sys.SetValueSilently(2, 2000);
   sys.SetValueSilently(3, -1000);
-  sys.SetValue(&proto, 0, 1200, 1.0);  // forces full refresh
+  sys.SetValue(&proto, 0, 1200);  // forces full refresh
   EXPECT_EQ(proto.reinit_count(), 1u);
   // The refresh's probes/deploys all land in the maintenance phase.
   EXPECT_EQ(sys.stats().InitTotal(), init_total);
@@ -266,7 +266,8 @@ TEST(RtpTest, ScriptedChurnNeverViolatesDefinition1) {
   };
   int step = 0;
   for (const auto& [id, v] : script) {
-    sys.SetValue(&proto, id, v, ++step);
+    ++step;
+    sys.SetValue(&proto, id, v);
     ExpectRankCorrect(sys, proto, query, 2,
                       ("script step " + std::to_string(step)).c_str());
   }

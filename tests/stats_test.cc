@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace asf {
 namespace {
@@ -47,33 +49,43 @@ TEST(OnlineStatsTest, NegativeValuesTrackMinMax) {
   EXPECT_EQ(s.max(), 3.0);
 }
 
-TEST(OnlineStatsTest, MergeMatchesSequential) {
-  OnlineStats all;
-  OnlineStats left;
-  OnlineStats right;
-  for (int i = 0; i < 100; ++i) {
+/// AddRepeated(x, k) is the engine's run-length answer-size sampling; it
+/// must equal k calls of Add(x), including k = 0 (a no-op even on an
+/// empty accumulator) and a first batch landing on an empty one.
+TEST(OnlineStatsTest, AddRepeatedMatchesRepeatedAdd) {
+  OnlineStats batched;
+  OnlineStats reference;
+  const auto add_repeated = [&](double x, std::uint64_t k) {
+    batched.AddRepeated(x, k);
+    for (std::uint64_t i = 0; i < k; ++i) reference.Add(x);
+  };
+  const auto add = [&](double x) {
+    batched.Add(x);
+    reference.Add(x);
+  };
+  add_repeated(-1e6, 0);  // must not seed min/max
+  EXPECT_EQ(batched.count(), 0u);
+  add_repeated(3.5, 4);  // the first samples arrive as a batch
+  for (int i = 0; i < 60; ++i) {
     const double x = std::sin(i) * 10 + i * 0.1;
-    all.Add(x);
-    (i < 37 ? left : right).Add(x);
+    if (i % 3 == 0) add(x);
+    add_repeated(x, static_cast<std::uint64_t>(i % 5));
+    if (i % 7 == 0) add_repeated(1e6, 0);
+    if (i == 31) add_repeated(-2.25, 1000);
   }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-10);
-  EXPECT_EQ(left.min(), all.min());
-  EXPECT_EQ(left.max(), all.max());
-}
 
-TEST(OnlineStatsTest, MergeWithEmpty) {
-  OnlineStats a;
-  a.Add(1);
-  a.Add(2);
-  OnlineStats empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.Merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
+  const auto near = [](double got, double want) {
+    return std::abs(got - want) <= 1e-9 * std::max(1.0, std::abs(want));
+  };
+  EXPECT_EQ(batched.count(), reference.count());
+  EXPECT_EQ(batched.min(), reference.min());
+  EXPECT_EQ(batched.max(), reference.max());
+  EXPECT_TRUE(near(batched.mean(), reference.mean()))
+      << batched.mean() << " vs " << reference.mean();
+  EXPECT_TRUE(near(batched.variance(), reference.variance()))
+      << batched.variance() << " vs " << reference.variance();
+  EXPECT_TRUE(near(batched.sum(), reference.sum()))
+      << batched.sum() << " vs " << reference.sum();
 }
 
 TEST(OnlineStatsTest, ToStringContainsFields) {

@@ -32,20 +32,20 @@ class TestSystem {
 
   /// Runs a protocol's initialization under the init accounting phase and
   /// switches to maintenance, as the engine does at query start.
-  void Initialize(Protocol* protocol, SimTime t = 0) {
+  void Initialize(Protocol* protocol) {
     stats_.set_phase(MessagePhase::kInit);
-    protocol->Initialize(t);
+    protocol->Initialize();
     stats_.set_phase(MessagePhase::kMaintenance);
   }
 
   /// Changes a stream's value; if the client filter fires, the update is
   /// counted and delivered to the protocol. Returns whether it was
   /// reported.
-  bool SetValue(Protocol* protocol, StreamId id, Value v, SimTime t) {
+  bool SetValue(Protocol* protocol, StreamId id, Value v) {
     values_[id] = v;
     if (!filters_.at(id).OnValueChange(v)) return false;
     stats_.Count(MessageType::kValueUpdate);
-    protocol->HandleUpdate(id, v, t);
+    protocol->HandleUpdate(id, v);
     return true;
   }
 
@@ -53,11 +53,11 @@ class TestSystem {
   /// instead of a Protocol (for unit tests of protocol internals such as
   /// FractionFilterCore).
   template <typename Handler>
-  bool SetValueInto(Handler&& handler, StreamId id, Value v, SimTime t = 0) {
+  bool SetValueInto(Handler&& handler, StreamId id, Value v) {
     values_[id] = v;
     if (!filters_.at(id).OnValueChange(v)) return false;
     stats_.Count(MessageType::kValueUpdate);
-    handler(id, v, t);
+    handler(id, v);
     return true;
   }
 

@@ -17,7 +17,7 @@ TEST(ZtNrpTest, InitializationDeploysRangeEverywhere) {
   // probe-all (2n) + deploy-all (n) = 3n = 12.
   EXPECT_EQ(sys.stats().InitTotal(), 12u);
   for (StreamId id = 0; id < 4; ++id) {
-    EXPECT_EQ(sys.ctx()->deployed(id),
+    EXPECT_EQ(sys.filters().at(id).constraint(),
               FilterConstraint::Range(Interval(400, 600)));
   }
 }
@@ -27,8 +27,8 @@ TEST(ZtNrpTest, InRangeWiggleIsFree) {
   ZtNrp proto(sys.ctx(), RangeQuery(400, 600));
   sys.Initialize(&proto);
   // Movement that stays on one side of the boundary costs nothing.
-  EXPECT_FALSE(sys.SetValue(&proto, 0, 599, 1.0));
-  EXPECT_FALSE(sys.SetValue(&proto, 1, 1000, 2.0));
+  EXPECT_FALSE(sys.SetValue(&proto, 0, 599));
+  EXPECT_FALSE(sys.SetValue(&proto, 1, 1000));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 0u);
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0}));
 }
@@ -37,9 +37,9 @@ TEST(ZtNrpTest, CrossingsFlipMembership) {
   TestSystem sys({450, 700});
   ZtNrp proto(sys.ctx(), RangeQuery(400, 600));
   sys.Initialize(&proto);
-  EXPECT_TRUE(sys.SetValue(&proto, 0, 650, 1.0));  // leaves
+  EXPECT_TRUE(sys.SetValue(&proto, 0, 650));  // leaves
   EXPECT_TRUE(proto.answer().empty());
-  EXPECT_TRUE(sys.SetValue(&proto, 1, 500, 2.0));  // enters
+  EXPECT_TRUE(sys.SetValue(&proto, 1, 500));  // enters
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{1}));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 2u);
 }
@@ -55,7 +55,7 @@ TEST(ZtNrpTest, AnswerIsAlwaysExact) {
       {0, 400}, {2, 200}, {1, 601}, {3, 500},   {4, 600},
   };
   for (const auto& [id, v] : script) {
-    sys.SetValue(&proto, id, v, 1.0);
+    sys.SetValue(&proto, id, v);
     const auto check = Oracle::CheckRangeFraction(
         sys.values(), query, proto.answer(), FractionTolerance{0, 0});
     EXPECT_TRUE(check.ok) << "after setting " << id << " to " << v;
@@ -66,10 +66,10 @@ TEST(ZtNrpTest, BoundaryValuesAreInside) {
   TestSystem sys({100});
   ZtNrp proto(sys.ctx(), RangeQuery(400, 600));
   sys.Initialize(&proto);
-  EXPECT_TRUE(sys.SetValue(&proto, 0, 400, 1.0));  // closed endpoint enters
+  EXPECT_TRUE(sys.SetValue(&proto, 0, 400));  // closed endpoint enters
   EXPECT_TRUE(proto.answer().Contains(0));
-  EXPECT_FALSE(sys.SetValue(&proto, 0, 600, 2.0));  // still inside
-  EXPECT_TRUE(sys.SetValue(&proto, 0, 600.0001, 3.0));
+  EXPECT_FALSE(sys.SetValue(&proto, 0, 600));  // still inside
+  EXPECT_TRUE(sys.SetValue(&proto, 0, 600.0001));
   EXPECT_FALSE(proto.answer().Contains(0));
 }
 
@@ -78,7 +78,7 @@ TEST(ZtNrpTest, EmptyInitialAnswer) {
   ZtNrp proto(sys.ctx(), RangeQuery(400, 600));
   sys.Initialize(&proto);
   EXPECT_TRUE(proto.answer().empty());
-  sys.SetValue(&proto, 0, 500, 1.0);
+  sys.SetValue(&proto, 0, 500);
   EXPECT_EQ(proto.answer().size(), 1u);
 }
 
@@ -96,8 +96,8 @@ TEST(ZtNrpTest, CheaperThanNoFilterOnNonCrossingWorkload) {
 
   for (int i = 0; i < 100; ++i) {
     const Value v = 500 + (i % 10);
-    zt_sys.SetValue(&zt, 0, v, i);
-    nf_sys.SetValue(&nf, 0, v, i);
+    zt_sys.SetValue(&zt, 0, v);
+    nf_sys.SetValue(&nf, 0, v);
   }
   EXPECT_EQ(zt_sys.stats().MaintenanceTotal(), 0u);
   EXPECT_EQ(nf_sys.stats().MaintenanceTotal(), 100u);

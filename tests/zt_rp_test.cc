@@ -34,8 +34,8 @@ TEST(ZtRpTest, InBoundMovementIsFree) {
   sys.Initialize(&proto);
   // Swapping ranks INSIDE R costs nothing and cannot break exactness: the
   // answer is a set, and the set of the 2 nearest is unchanged.
-  EXPECT_FALSE(sys.SetValue(&proto, 0, 512, 1.0));
-  EXPECT_FALSE(sys.SetValue(&proto, 1, 496, 2.0));
+  EXPECT_FALSE(sys.SetValue(&proto, 0, 512));
+  EXPECT_FALSE(sys.SetValue(&proto, 1, 496));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 0u);
   ExpectExact(sys, proto, query, "in-bound swap");
 }
@@ -46,13 +46,13 @@ TEST(ZtRpTest, EveryCrossingRecomputesEverything) {
   ZtRp proto(sys.ctx(), query);
   sys.Initialize(&proto);
   // One leave: update (1) + probe-all (12) + deploy-all (6) = 19.
-  EXPECT_TRUE(sys.SetValue(&proto, 1, 700, 1.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 1, 700));
   EXPECT_EQ(sys.stats().MaintenanceTotal(), 19u);
   EXPECT_EQ(proto.reinit_count(), 1u);
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 2}));
   ExpectExact(sys, proto, query, "after leave");
   // One enter: same O(n) price (this is the §5.2.1 drawback FT-RP fixes).
-  EXPECT_TRUE(sys.SetValue(&proto, 3, 500, 2.0));
+  EXPECT_TRUE(sys.SetValue(&proto, 3, 500));
   EXPECT_EQ(proto.reinit_count(), 2u);
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 3}));
   ExpectExact(sys, proto, query, "after enter");
@@ -64,7 +64,7 @@ TEST(ZtRpTest, TopKVariant) {
   ZtRp proto(sys.ctx(), query);
   sys.Initialize(&proto);
   EXPECT_EQ(proto.bound(), Interval(85, kInf));
-  sys.SetValue(&proto, 3, 95, 1.0);  // new second place
+  sys.SetValue(&proto, 3, 95);  // new second place
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 3}));
   ExpectExact(sys, proto, query, "top-k churn");
 }
@@ -75,7 +75,7 @@ TEST(ZtRpTest, PopulationEqualsK) {
   ZtRp proto(sys.ctx(), query);
   sys.Initialize(&proto);
   EXPECT_TRUE(proto.bound().all());
-  EXPECT_FALSE(sys.SetValue(&proto, 0, 1e6, 1.0));  // silent: all streams
+  EXPECT_FALSE(sys.SetValue(&proto, 0, 1e6));  // silent: all streams
                                                     // are always the answer
   ExpectExact(sys, proto, query, "n == k");
 }
@@ -90,7 +90,8 @@ TEST(ZtRpTest, ScriptedChurnStaysExact) {
   };
   int step = 0;
   for (const auto& [id, v] : script) {
-    sys.SetValue(&proto, id, v, ++step);
+    ++step;
+    sys.SetValue(&proto, id, v);
     ExpectExact(sys, proto, query,
                 ("script step " + std::to_string(step)).c_str());
   }
