@@ -1,15 +1,17 @@
 #ifndef ASF_GEO_DISTANCE_STREAMS_H_
 #define ASF_GEO_DISTANCE_STREAMS_H_
 
+#include <functional>
+
 #include "geo/plane_walk.h"
 #include "stream/stream_set.h"
 
 /// \file
-/// The dimensionality reduction for rank-based queries (paper §7).
+/// The dimensionality reduction for 2-D queries (paper §7).
 ///
 /// For a 2-D k-NN query at a fixed point q, the bound R the protocols
-/// deploy is always a score ball — in the plane, the disk Disk(q, d). A
-/// stream's membership in Disk(q, d) is exactly the predicate
+/// deploy is always a score ball — in the plane, the disk around q of some
+/// radius d. A stream's membership in that disk is exactly the predicate
 ///     Distance(p_i, q) ≤ d,
 /// so each source can evaluate its filter on the scalar DERIVED stream
 /// s_i = Distance(p_i, q), which it can compute locally (it knows q and
@@ -32,13 +34,23 @@ class DistanceStreamSet : public StreamSet {
   /// on it).
   DistanceStreamSet(PlaneWalkStreams* plane, const Point2& query_point);
 
+  /// The rectangle query's view: value_i(t) = rect.SignedDistance(p_i(t)),
+  /// which is ≤ 0 exactly while p_i lies in `rect` (non-empty). Use with
+  /// QuerySpec::Range(-kInf, 0) and ZT-NRP or FT-NRP.
+  DistanceStreamSet(PlaneWalkStreams* plane, const Rect& rect);
+
   void Start(Scheduler* scheduler, SimTime horizon) override;
 
   const Point2& query_point() const { return q_; }
 
  private:
+  DistanceStreamSet(PlaneWalkStreams* plane,
+                    std::function<Value(const Point2&)> project);
+
   PlaneWalkStreams* plane_;
   Point2 q_;
+  /// Position → derived value.
+  std::function<Value(const Point2&)> project_;
 };
 
 }  // namespace asf

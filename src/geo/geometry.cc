@@ -1,6 +1,7 @@
 #include "geo/geometry.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace asf {
 
@@ -15,6 +16,19 @@ double Rect::DistanceToBoundary(const Point2& p) const {
   const double cx = std::clamp(p.x, x_.lo(), x_.hi());
   const double cy = std::clamp(p.y, y_.lo(), y_.hi());
   return Distance(p, Point2{cx, cy});
+}
+
+double Rect::SignedDistance(const Point2& p) const {
+  if (empty()) return kInf;
+  if (Contains(p)) {
+    return -std::min(x_.DistanceToBoundary(p.x), y_.DistanceToBoundary(p.y));
+  }
+  const Point2 nearest{std::clamp(p.x, x_.lo(), x_.hi()),
+                       std::clamp(p.y, y_.lo(), y_.hi())};
+  const double d = Distance(p, nearest);
+  // An outside point has a nonzero offset, but its square can underflow
+  // to 0; hypot does not.
+  return d > 0 ? d : std::hypot(p.x - nearest.x, p.y - nearest.y);
 }
 
 }  // namespace asf

@@ -69,6 +69,13 @@ class Rect {
   /// the nearest edge; outside, the distance to the rectangle itself.
   double DistanceToBoundary(const Point2& p) const;
 
+  /// Signed distance from p to the rectangle: inside, minus the distance
+  /// to the nearest edge (−0 on an edge); outside, the Euclidean distance
+  /// to the rectangle, > 0 even where squaring the offset underflows; +∞
+  /// for an empty rectangle. So p lies in the rectangle exactly when the
+  /// value is ≤ 0, and its magnitude is DistanceToBoundary(p).
+  double SignedDistance(const Point2& p) const;
+
   bool operator==(const Rect& other) const {
     if (empty() && other.empty()) return true;
     return x_ == other.x_ && y_ == other.y_;

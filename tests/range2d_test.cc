@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/system.h"
+#include "geo/distance_streams.h"
 #include "geo/plane_walk.h"
 #include "sim/scheduler.h"
 
@@ -236,6 +238,108 @@ TEST(FtRange2dTest, ToleranceReducesMessagesOnWalk) {
     messages[i] = stats.MaintenanceTotal();
   }
   EXPECT_LT(messages[1], messages[0]);
+}
+
+// --- The reduction, side by side ---
+//
+// A rectangle query is FT-NRP over each point's signed distance to the
+// rectangle, queried over (−∞, 0]. Run by the engine on one plane walk, it
+// must cost what FtRange2d costs driven by hand on the same walk: every
+// MessageStats cell and the reported updates agree, for both placement
+// heuristics and several tolerances. The hand loop draws its random
+// placements from the RNG the engine gives query slot 0 (the run seed
+// xor the golden-ratio constant, sim_core.cc's QuerySlotSeed).
+
+constexpr std::uint64_t kReductionSeed = 53;
+
+PlaneWalkConfig ReductionWalk() {
+  PlaneWalkConfig config;
+  config.num_streams = 400;
+  config.sigma = 20;
+  config.seed = 53;
+  return config;
+}
+
+Rect ReductionZone() { return Rect(300, 700, 300, 700); }
+
+constexpr SimTime kReductionDuration = 500;
+
+struct PlaneRun {
+  MessageStats messages;
+  std::uint64_t updates_reported = 0;
+};
+
+PlaneRun RunHandLoop(SelectionHeuristic heuristic, double eps) {
+  PlaneWalkStreams walk(ReductionWalk());
+  PlaneFilterBank filters(walk.size());
+  PlaneRun run;
+  Rng rng(kReductionSeed ^ 0x9e3779b97f4a7c15ULL);
+  FtRange2d::Transport transport;
+  transport.probe = [&](StreamId id) {
+    filters.at(id).SyncReference(walk.position(id));
+    return walk.position(id);
+  };
+  transport.deploy = [&](StreamId id, const PlaneConstraint& c) {
+    filters.Deploy(id, c, walk.position(id));
+  };
+  FtRange2d proto(walk.size(), ReductionZone(), FractionTolerance{eps, eps},
+                  heuristic, &rng, transport, &run.messages);
+  run.messages.set_phase(MessagePhase::kInit);
+  proto.Initialize();
+  run.messages.set_phase(MessagePhase::kMaintenance);
+  Scheduler sched;
+  walk.set_move_handler([&](StreamId id, const Point2& p, SimTime) {
+    if (filters.at(id).OnMove(p)) {
+      run.messages.Count(MessageType::kValueUpdate);
+      ++run.updates_reported;
+      proto.OnUpdate(id, p);
+    }
+  });
+  walk.Start(&sched, kReductionDuration);
+  sched.RunUntil(kReductionDuration);
+  return run;
+}
+
+PlaneRun RunOnEngine(SelectionHeuristic heuristic, double eps) {
+  PlaneWalkStreams walk(ReductionWalk());
+  DistanceStreamSet signed_distances(&walk, ReductionZone());
+  SystemConfig config;
+  config.source = SourceSpec::Custom(&signed_distances);
+  config.query = QuerySpec::Range(-kInf, 0);
+  config.protocol = ProtocolKind::kFtNrp;
+  config.fraction = {eps, eps};
+  config.ft.heuristic = heuristic;
+  config.duration = kReductionDuration;
+  config.seed = kReductionSeed;
+  auto result = RunSystem(config);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  PlaneRun run;
+  if (!result.ok()) return run;
+  run.messages = result->messages;
+  run.updates_reported = result->updates_reported;
+  return run;
+}
+
+TEST(SignedDistanceReductionTest, EngineMatchesFtRange2dLoop) {
+  for (const SelectionHeuristic heuristic :
+       {SelectionHeuristic::kRandom, SelectionHeuristic::kBoundaryNearest}) {
+    for (const double eps : {0.0, 0.1, 0.3, 0.5}) {
+      SCOPED_TRACE(std::string(SelectionHeuristicName(heuristic)) +
+                   " eps=" + std::to_string(eps));
+      const PlaneRun loop = RunHandLoop(heuristic, eps);
+      const PlaneRun engine = RunOnEngine(heuristic, eps);
+      for (int phase = 0; phase < kNumMessagePhases; ++phase) {
+        for (int type = 0; type < kNumMessageTypes; ++type) {
+          const auto p = static_cast<MessagePhase>(phase);
+          const auto t = static_cast<MessageType>(type);
+          EXPECT_EQ(engine.messages.count(p, t), loop.messages.count(p, t))
+              << "phase " << phase << " " << MessageTypeName(t);
+        }
+      }
+      EXPECT_EQ(engine.updates_reported, loop.updates_reported);
+      EXPECT_GT(loop.updates_reported, 0u);
+    }
+  }
 }
 
 }  // namespace
