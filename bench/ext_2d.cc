@@ -1,80 +1,60 @@
 /// Extension bench — multi-dimensional queries (paper §7: "The concepts of
 /// our protocols can be extended to multiple dimensions").
 ///
-/// Two 2-D experiments over a population of moving points:
-///  1. Rectangle range query via FtRange2d (the plane analogue of FT-NRP):
-///     messages vs tolerance, with both placement heuristics.
-///  2. k-NN around a fixed post via the distance-stream reduction: the
-///     UNMODIFIED 1-D rank protocols (ZT-RP / FT-RP / RTP) run on the
-///     derived scalar stream s_i = |p_i − q|, whose interval bound is
-///     exactly the disk bound in the plane.
+/// Two 2-D experiments over a population of moving points, both through
+/// the UNMODIFIED 1-D protocols on a derived scalar stream
+/// (geo/distance_streams.h):
+///  1. Rectangle range query: FT-NRP over each point's signed distance to
+///     the rectangle, queried over (−∞, 0] — messages vs tolerance, with
+///     both placement heuristics.
+///  2. k-NN around a fixed post: ZT-RP / FT-RP / RTP over the distance
+///     s_i = |p_i − q|, whose interval bound is exactly the disk bound in
+///     the plane.
+///
+/// The engine rejects custom sources in a sweep (each run needs a freshly
+/// built stream set), so every cell is one bench::MustRun.
 
 #include "bench_common.h"
 #include "geo/distance_streams.h"
-#include "geo/range2d.h"
-#include "sim/scheduler.h"
 
 namespace asf {
 namespace {
 
 void RunRect() {
-  std::printf("--- 2-D rectangle range query (FtRange2d) ---\n");
+  std::printf("--- 2-D rectangle range query (FT-NRP on the signed "
+              "distance) ---\n");
   const Rect zone(300, 700, 300, 700);
   const std::vector<double> eps{0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
 
   TextTable table({"heuristic", "eps=0.0", "eps=0.1", "eps=0.2", "eps=0.3",
                    "eps=0.4", "eps=0.5", "violations"});
-  for (int h = 0; h < 2; ++h) {
-    const SelectionHeuristic heuristic =
-        (h == 0) ? SelectionHeuristic::kRandom
-                 : SelectionHeuristic::kBoundaryNearest;
+  for (const SelectionHeuristic heuristic :
+       {SelectionHeuristic::kRandom, SelectionHeuristic::kBoundaryNearest}) {
     std::vector<std::string> row{
         std::string(SelectionHeuristicName(heuristic))};
     std::uint64_t violations = 0;
     std::uint64_t checks = 0;
     for (double e : eps) {
-      PlaneWalkConfig config;
-      config.num_streams = 2000;
-      config.sigma = 20;
+      PlaneWalkConfig walk_config;
+      walk_config.num_streams = 2000;
+      walk_config.sigma = 20;
+      walk_config.seed = 53;
+      PlaneWalkStreams walk(walk_config);
+      DistanceStreamSet signed_distances(&walk, zone);
+
+      SystemConfig config;
+      config.source = SourceSpec::Custom(&signed_distances);
+      config.query = QuerySpec::Range(-kInf, 0);
+      config.protocol = ProtocolKind::kFtNrp;
+      config.fraction = {e, e};
+      config.ft.heuristic = heuristic;
       config.seed = 53;
-      PlaneWalkStreams walk(config);
-      PlaneFilterBank filters(config.num_streams);
-      MessageStats stats;
-      Rng rng(53);
-
-      FtRange2d::Transport transport;
-      transport.probe = [&](StreamId id) {
-        filters.at(id).SyncReference(walk.position(id));
-        return walk.position(id);
-      };
-      transport.deploy = [&](StreamId id, const PlaneConstraint& c) {
-        filters.Deploy(id, c, walk.position(id));
-      };
-      FtRange2d proto(config.num_streams, zone, FractionTolerance{e, e},
-                      heuristic, &rng, transport, &stats);
-      stats.set_phase(MessagePhase::kInit);
-      proto.Initialize();
-      stats.set_phase(MessagePhase::kMaintenance);
-
-      Scheduler sched;
-      const SimTime duration = 1000 * bench::Scale();
-      std::uint64_t sampled = 0;
-      walk.set_move_handler([&](StreamId id, const Point2& p, SimTime) {
-        if (filters.at(id).OnMove(p)) {
-          stats.Count(MessageType::kValueUpdate);
-          proto.OnUpdate(id, p);
-        }
-        if (++sampled % 997 == 0) {  // cheap periodic oracle
-          ++checks;
-          if (!FtRange2d::CountErrors(walk.positions(), zone, proto.answer())
-                   .Satisfies(FractionTolerance{e, e})) {
-            ++violations;
-          }
-        }
-      });
-      walk.Start(&sched, duration);
-      sched.RunUntil(duration);
-      row.push_back(bench::Msgs(stats.MaintenanceTotal()));
+      config.duration = 1000 * bench::Scale();
+      config.oracle.sample_interval = config.duration / 50;
+      const RunResult result = bench::MustRun(config);
+      row.push_back(bench::Msgs(result.MaintenanceMessages()));
+      violations += result.oracle_violations;
+      checks += result.oracle_checks;
     }
     row.push_back(bench::OracleCell(violations, checks));
     table.AddRow(row);

@@ -197,7 +197,8 @@ double EngineUpdatesPerSec(std::size_t num_streams, std::size_t q_count,
   config.seed = 9;
   for (std::size_t q = 0; q < q_count; ++q) {
     QueryDeployment dep;
-    dep.name = "q" + std::to_string(q);
+    dep.name = "q";
+    dep.name += std::to_string(q);
     const double lo = 100.0 + 50.0 * static_cast<double>(q % 16);
     dep.query = QuerySpec::Range(lo, lo + 100.0);
     dep.protocol = ProtocolKind::kZtNrp;

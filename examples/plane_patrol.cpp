@@ -1,114 +1,92 @@
 /// Plane patrol: the 2-D extension in action (paper §7). A command post
 /// watches 1500 vehicles moving on a 1000×1000 field with two continuous
-/// queries:
-///   * a rectangle geofence (2-D range query, FtRange2d with 20% fraction
-///     tolerance) — which vehicles are inside the restricted sector?
-///   * the 15 vehicles nearest the post (2-D k-NN through the
-///     distance-stream reduction, FT-RP) — who can respond fastest?
+/// queries, each run by the unchanged 1-D protocols on a scalar every
+/// vehicle derives from its own position:
+///   * a rectangle geofence (2-D range query: FT-NRP with 20% fraction
+///     tolerance over each vehicle's signed distance to the sector, ≤ 0
+///     exactly inside) — which vehicles are inside the restricted sector?
+///   * the 15 vehicles nearest the post (2-D k-NN: FT-RP over each
+///     vehicle's distance to the post) — who can respond fastest?
 
 #include <cstdio>
 
 #include "engine/system.h"
 #include "example_common.h"
 #include "geo/distance_streams.h"
-#include "geo/range2d.h"
-#include "sim/scheduler.h"
+
+namespace {
+
+/// Runs `config`'s query over `streams` for the showcase horizon, auditing
+/// the answer every 20 time units. Prints the error and returns false if
+/// the run fails.
+bool Watch(asf::StreamSet* streams, asf::SystemConfig config,
+           asf::RunResult* result) {
+  config.source = asf::SourceSpec::Custom(streams);
+  config.duration = 2000 * asf_examples::Scale();
+  config.oracle.sample_interval = 20;
+  auto run = asf::RunSystem(config);
+  if (!run.ok()) {
+    std::fprintf(stderr, "run failed: %s\n", run.status().ToString().c_str());
+    return false;
+  }
+  *result = std::move(run).value();
+  return true;
+}
+
+}  // namespace
 
 int main() {
   const asf::Rect sector(600, 900, 600, 900);
   const asf::Point2 post{200, 200};
 
-  // --- Query 1: geofence via the 2-D fraction-tolerance range protocol ---
   asf::PlaneWalkConfig walk_config;
   walk_config.num_streams = 1500;
   walk_config.sigma = 25;
   walk_config.seed = 61;
+
+  // --- Query 1: geofence via FT-NRP on the signed distance ---
   {
     asf::PlaneWalkStreams walk(walk_config);
-    asf::PlaneFilterBank filters(walk_config.num_streams);
-    asf::MessageStats stats;
-
-    asf::FtRange2d::Transport transport;
-    transport.probe = [&](asf::StreamId id) {
-      filters.at(id).SyncReference(walk.position(id));
-      return walk.position(id);
-    };
-    transport.deploy = [&](asf::StreamId id, const asf::PlaneConstraint& c) {
-      filters.Deploy(id, c, walk.position(id));
-    };
-    asf::FtRange2d geofence(walk_config.num_streams, sector,
-                            asf::FractionTolerance{0.2, 0.2},
-                            asf::SelectionHeuristic::kBoundaryNearest,
-                            nullptr, transport, &stats);
-    stats.set_phase(asf::MessagePhase::kInit);
-    geofence.Initialize();
-    stats.set_phase(asf::MessagePhase::kMaintenance);
-
-    const double horizon = 2000 * asf_examples::Scale();
-    asf::Scheduler sched;
-    std::uint64_t worst_violations = 0;
-    std::uint64_t checks = 0;
-    walk.set_move_handler(
-        [&](asf::StreamId id, const asf::Point2& p, asf::SimTime) {
-          if (filters.at(id).OnMove(p)) {
-            stats.Count(asf::MessageType::kValueUpdate);
-            geofence.OnUpdate(id, p);
-          }
-        });
-    // Periodic audit.
-    std::function<void()> audit = [&] {
-      ++checks;
-      if (!asf::FtRange2d::CountErrors(walk.positions(), sector,
-                                       geofence.answer())
-               .Satisfies(asf::FractionTolerance{0.2, 0.2})) {
-        ++worst_violations;
-      }
-      if (sched.now() + 20 <= horizon) sched.ScheduleAfter(20, audit);
-    };
-    sched.ScheduleAt(20, audit);
-    walk.Start(&sched, horizon);
-    sched.RunUntil(horizon);
-
+    asf::DistanceStreamSet signed_distances(&walk, sector);
+    asf::SystemConfig config;
+    config.query = asf::QuerySpec::Range(-asf::kInf, 0);
+    config.protocol = asf::ProtocolKind::kFtNrp;
+    config.fraction = {0.2, 0.2};
+    asf::RunResult result;
+    if (!Watch(&signed_distances, config, &result)) return 1;
     std::printf("Geofence %s over %zu vehicles (20%% tolerance):\n",
                 sector.ToString().c_str(), walk.size());
-    std::printf("  %llu maintenance messages for %llu moves; %zu vehicles "
-                "currently flagged; audits %llu/%llu clean\n\n",
-                (unsigned long long)stats.MaintenanceTotal(),
-                (unsigned long long)walk.moves_generated(),
-                geofence.answer().size(),
-                (unsigned long long)(checks - worst_violations),
-                (unsigned long long)checks);
+    std::printf("  %llu maintenance messages for %llu moves; %.1f vehicles "
+                "flagged on average; audits %llu/%llu clean\n\n",
+                (unsigned long long)result.MaintenanceMessages(),
+                (unsigned long long)result.updates_generated,
+                result.answer_size.mean(),
+                (unsigned long long)(result.oracle_checks -
+                                     result.oracle_violations),
+                (unsigned long long)result.oracle_checks);
   }
 
   // --- Query 2: nearest responders via the distance reduction ---
   {
     asf::PlaneWalkStreams walk(walk_config);
     asf::DistanceStreamSet distances(&walk, post);
-
     asf::SystemConfig config;
-    config.source = asf::SourceSpec::Custom(&distances);
     config.query = asf::QuerySpec::BottomK(15);
     config.protocol = asf::ProtocolKind::kFtRp;
     config.fraction = {0.3, 0.3};
-    config.duration = 2000 * asf_examples::Scale();
-    config.oracle.sample_interval = 20;
-    auto result = asf::RunSystem(config);
-    if (!result.ok()) {
-      std::fprintf(stderr, "k-NN run failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
+    asf::RunResult result;
+    if (!Watch(&distances, config, &result)) return 1;
     std::printf("15 nearest vehicles to the post (%g, %g) via FT-RP on the "
                 "derived distance stream:\n",
                 post.x, post.y);
     std::printf("  %llu maintenance messages, %llu bound recomputations, "
                 "answer size %.1f on average, oracle %llu/%llu clean\n",
-                (unsigned long long)result->MaintenanceMessages(),
-                (unsigned long long)result->reinits,
-                result->answer_size.mean(),
-                (unsigned long long)(result->oracle_checks -
-                                     result->oracle_violations),
-                (unsigned long long)result->oracle_checks);
+                (unsigned long long)result.MaintenanceMessages(),
+                (unsigned long long)result.reinits,
+                result.answer_size.mean(),
+                (unsigned long long)(result.oracle_checks -
+                                     result.oracle_violations),
+                (unsigned long long)result.oracle_checks);
   }
   return 0;
 }

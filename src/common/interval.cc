@@ -19,7 +19,14 @@ std::string FormatEndpoint(Value v) {
 
 std::string Interval::ToString() const {
   if (empty_) return "[empty]";
-  return "[" + FormatEndpoint(lo_) + ", " + FormatEndpoint(hi_) + "]";
+  // Appended piecewise: GCC 12 misreads `"[" + std::string` as an
+  // overlapping copy (-Wrestrict).
+  std::string out = "[";
+  out += FormatEndpoint(lo_);
+  out += ", ";
+  out += FormatEndpoint(hi_);
+  out += "]";
+  return out;
 }
 
 }  // namespace asf

@@ -21,9 +21,7 @@ DistanceStreamSet::DistanceStreamSet(PlaneWalkStreams* plane,
                                      const Point2& query_point)
     : DistanceStreamSet(plane, [query_point](const Point2& p) {
         return Distance(p, query_point);
-      }) {
-  q_ = query_point;
-}
+      }) {}
 
 DistanceStreamSet::DistanceStreamSet(PlaneWalkStreams* plane,
                                      const Rect& rect)

@@ -7,49 +7,43 @@
 #include "stream/stream_set.h"
 
 /// \file
-/// The dimensionality reduction for 2-D queries (paper §7).
-///
-/// For a 2-D k-NN query at a fixed point q, the bound R the protocols
-/// deploy is always a score ball — in the plane, the disk around q of some
-/// radius d. A stream's membership in that disk is exactly the predicate
-///     Distance(p_i, q) ≤ d,
-/// so each source can evaluate its filter on the scalar DERIVED stream
-/// s_i = Distance(p_i, q), which it can compute locally (it knows q and
-/// its own position). Consequently every 1-D rank protocol — RTP, ZT-RP,
-/// FT-RP — runs UNCHANGED on the derived stream with a bottom-k query
-/// (smallest distance = best rank), and all their tolerance guarantees
-/// carry over verbatim to the 2-D query.
-///
-/// DistanceStreamSet adapts a PlaneWalkStreams population into that
-/// derived scalar StreamSet.
+/// The dimensionality reduction for 2-D queries (paper §7): both query
+/// classes reduce to a 1-D query over a scalar s_i each source derives
+/// from its own position, so the UNCHANGED 1-D protocols serve them with
+/// all their tolerance guarantees.
+///  * k-NN around a fixed point q: the rank protocols' bound is a score
+///    ball, in the plane a disk of some radius d around q, and p_i lies in
+///    it exactly when s_i = Distance(p_i, q) ≤ d. RTP, ZT-RP and FT-RP run
+///    on s_i with a bottom-k query (smallest distance = best rank).
+///  * A rectangle range query: p_i lies in the rectangle exactly when
+///    s_i = Rect::SignedDistance(p_i) ≤ 0, and |s_i| is its distance to
+///    the boundary. ZT-NRP and FT-NRP run on s_i with the range (−∞, 0];
+///    filters, budgets, Fix_Error and boundary-nearest placement are the
+///    1-D protocol's own.
 
 namespace asf {
 
-/// Scalar view of a 2-D population: value_i(t) = Distance(p_i(t), q).
-/// Borrows the plane streams, which must outlive the adapter. Use with
-/// QuerySpec::BottomK(k) and any rank protocol.
+/// Scalar view of a 2-D population: value_i(t) = project(p_i(t)). Borrows
+/// the plane streams, which must outlive the adapter. Construction wires
+/// the adapter to the plane (replacing any move handler installed on it).
 class DistanceStreamSet : public StreamSet {
  public:
-  /// Wires the adapter to `plane` (replacing any move handler installed
-  /// on it).
+  /// k-NN view: value_i = Distance(p_i, query_point). Use with
+  /// QuerySpec::BottomK(k) and any rank protocol.
   DistanceStreamSet(PlaneWalkStreams* plane, const Point2& query_point);
 
-  /// The rectangle query's view: value_i(t) = rect.SignedDistance(p_i(t)),
-  /// which is ≤ 0 exactly while p_i lies in `rect` (non-empty). Use with
-  /// QuerySpec::Range(-kInf, 0) and ZT-NRP or FT-NRP.
+  /// Rectangle view: value_i = rect.SignedDistance(p_i), ≤ 0 exactly while
+  /// p_i lies in `rect` (non-empty). Use with QuerySpec::Range(-kInf, 0)
+  /// and ZT-NRP or FT-NRP.
   DistanceStreamSet(PlaneWalkStreams* plane, const Rect& rect);
 
   void Start(Scheduler* scheduler, SimTime horizon) override;
-
-  const Point2& query_point() const { return q_; }
 
  private:
   DistanceStreamSet(PlaneWalkStreams* plane,
                     std::function<Value(const Point2&)> project);
 
   PlaneWalkStreams* plane_;
-  Point2 q_;
-  /// Position → derived value.
   std::function<Value(const Point2&)> project_;
 };
 

@@ -1,20 +1,26 @@
 #include "geo/plane_walk.h"
 
 #include <cmath>
+#include <string>
 
 namespace asf {
 
 Status PlaneWalkConfig::Validate() const {
-  if (num_streams == 0) {
-    return Status::InvalidArgument("num_streams must be > 0");
+  if (num_streams == 0 || num_streams > kMaxStreams) {
+    return Status::InvalidArgument("num_streams must lie in [1, " +
+                                   std::to_string(kMaxStreams) + "]");
   }
-  if (!(domain_lo < domain_hi)) {
-    return Status::InvalidArgument("domain_lo must be < domain_hi");
+  if (!(domain_lo < domain_hi && std::isfinite(domain_lo) &&
+        std::isfinite(domain_hi))) {
+    return Status::InvalidArgument(
+        "domain bounds must be finite with domain_lo < domain_hi");
   }
   if (!(mean_interarrival > 0)) {
     return Status::InvalidArgument("mean_interarrival must be > 0");
   }
-  if (sigma < 0) return Status::InvalidArgument("sigma must be >= 0");
+  if (!(sigma >= 0 && std::isfinite(sigma))) {
+    return Status::InvalidArgument("sigma must be finite and >= 0");
+  }
   return Status::OK();
 }
 

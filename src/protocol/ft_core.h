@@ -13,9 +13,9 @@
 
 /// \file
 /// The fraction-tolerance filter machinery shared by FT-NRP (range queries,
-/// paper Figure 7), FT-RP (k-NN transformed to a range query over the
-/// bound R, paper §5.2) and the plane's rectangle queries (geo/range2d.h,
-/// paper §7). Given a region and silent-filter budgets (n+, n−), it:
+/// paper Figure 7) and FT-RP (k-NN transformed to a range query over the
+/// bound R, paper §5.2). Given a region and silent-filter budgets (n+, n−),
+/// it:
 ///
 ///  * installs the always-inside filter on n+ answer streams (false-
 ///    positive filters), the never-inside filter on n− non-answer streams
@@ -29,44 +29,36 @@
 ///    of step 1(III): the consulted FP stream always gets the range filter
 ///    installed and n+ is decremented — see DESIGN.md §4).
 ///
-/// The core probes and deploys only through its server context `Ctx`,
-/// which names the geometry:
-///  * `Ctx::Point` — a stream's value (Value on the line, Point2 in the
-///    plane), `Ctx::Region` — the query region, with Contains(Point) and
-///    DistanceToBoundary(Point), `Ctx::Constraint` — the filter, with
-///    FalsePositive(), FalseNegative() and Range(Region);
-///  * num_streams(), cached(id), Probe(id), Deploy(id, constraint) and
-///    delayed_delivery(), as ServerContext has them.
+/// The core probes and deploys only through the query's ServerContext. It
+/// works on the line alone: both 2-D query classes (paper §7) reduce to a
+/// 1-D query over a derived scalar (geo/distance_streams.h) — a rectangle
+/// query is FT-NRP over each point's signed distance to the rectangle.
 
 namespace asf {
 
 /// Reusable fraction-tolerance range-filter state machine.
-template <typename Ctx>
-class BasicFractionFilterCore {
+class FractionFilterCore {
  public:
-  using Point = typename Ctx::Point;
-  using Region = typename Ctx::Region;
-  using Constraint = typename Ctx::Constraint;
-
   /// `rng` is used by the kRandom heuristic and may be null for
   /// kBoundaryNearest.
-  BasicFractionFilterCore(Ctx* ctx, SelectionHeuristic heuristic, Rng* rng)
+  FractionFilterCore(ServerContext* ctx, SelectionHeuristic heuristic,
+                     Rng* rng)
       : ctx_(ctx), heuristic_(heuristic), rng_(rng) {}
 
   /// (Re)installs all filters for `range` from the server's current value
   /// cache: the answer becomes the cached-inside set, n_plus/n_minus silent
   /// filters are placed per the heuristic, and `count` resets. Deploys one
   /// constraint to every stream.
-  void InstallFilters(const Region& range, std::size_t n_plus,
+  void InstallFilters(const Interval& range, std::size_t n_plus,
                       std::size_t n_minus);
 
   /// Handles one reported update from a range-filtered stream (Figure 7
   /// Maintenance): insertion bumps `count`; removal consumes `count` or
   /// triggers Fix_Error.
-  void OnRangeUpdate(StreamId id, Point v);
+  void OnRangeUpdate(StreamId id, Value v);
 
   const AnswerSet& answer() const { return answer_; }
-  const Region& range() const { return range_; }
+  const Interval& range() const { return range_; }
 
   /// Remaining false-positive / false-negative filter budgets.
   std::size_t n_plus() const { return fp_streams_.size(); }
@@ -85,11 +77,11 @@ class BasicFractionFilterCore {
  private:
   void FixError();
 
-  Ctx* ctx_;
+  ServerContext* ctx_;
   SelectionHeuristic heuristic_;
   Rng* rng_;
 
-  Region range_;  // default-constructed: the empty region
+  Interval range_;  // default-constructed: the empty interval
   AnswerSet answer_;
   std::uint64_t count_ = 0;
   std::uint64_t fix_error_runs_ = 0;
@@ -100,13 +92,9 @@ class BasicFractionFilterCore {
   std::vector<StreamId> fn_streams_;
 };
 
-/// The 1-D core over the engine's server context (FT-NRP, FT-RP).
-using FractionFilterCore = BasicFractionFilterCore<ServerContext>;
-
-template <typename Ctx>
-void BasicFractionFilterCore<Ctx>::InstallFilters(const Region& range,
-                                                  std::size_t n_plus,
-                                                  std::size_t n_minus) {
+inline void FractionFilterCore::InstallFilters(const Interval& range,
+                                               std::size_t n_plus,
+                                               std::size_t n_minus) {
   range_ = range;
   answer_.Clear();
   count_ = 0;
@@ -138,21 +126,20 @@ void BasicFractionFilterCore<Ctx>::InstallFilters(const Region& range,
   // the longest.
   std::vector<bool> silent(ctx_->num_streams(), false);
   for (StreamId id : fp_streams_) {
-    ctx_->Deploy(id, Constraint::FalsePositive());
+    ctx_->Deploy(id, FilterConstraint::FalsePositive());
     silent[id] = true;
   }
   for (StreamId id : fn_streams_) {
-    ctx_->Deploy(id, Constraint::FalseNegative());
+    ctx_->Deploy(id, FilterConstraint::FalseNegative());
     silent[id] = true;
   }
-  const Constraint range_filter = Constraint::Range(range_);
+  const FilterConstraint range_filter = FilterConstraint::Range(range_);
   for (StreamId id = 0; id < ctx_->num_streams(); ++id) {
     if (!silent[id]) ctx_->Deploy(id, range_filter);
   }
 }
 
-template <typename Ctx>
-void BasicFractionFilterCore<Ctx>::OnRangeUpdate(StreamId id, Point v) {
+inline void FractionFilterCore::OnRangeUpdate(StreamId id, Value v) {
   if (range_.Contains(v)) {
     // Figure 7 Maintenance case 1: a new stream satisfies the query.
     const bool inserted = answer_.Insert(id);
@@ -175,16 +162,15 @@ void BasicFractionFilterCore<Ctx>::OnRangeUpdate(StreamId id, Point v) {
   }
 }
 
-template <typename Ctx>
-void BasicFractionFilterCore<Ctx>::FixError() {
+inline void FractionFilterCore::FixError() {
   ++fix_error_runs_;
-  const Constraint range_filter = Constraint::Range(range_);
+  const FilterConstraint range_filter = FilterConstraint::Range(range_);
 
   // Step 1: consult a false-positive-filtered stream, if any remain.
   if (!fp_streams_.empty()) {
     const StreamId y = fp_streams_.back();
     fp_streams_.pop_back();
-    const Point vy = ctx_->Probe(y);
+    const Value vy = ctx_->Probe(y);
     // Whether or not S_y is still in range, it stops being a silent filter
     // holder: the range filter is installed and E^max+ is decremented
     // (DESIGN.md §4 — the Figure 7 pseudo-code omits the install in the
@@ -204,7 +190,7 @@ void BasicFractionFilterCore<Ctx>::FixError() {
   if (!fn_streams_.empty()) {
     const StreamId z = fn_streams_.back();
     fn_streams_.pop_back();
-    const Point vz = ctx_->Probe(z);
+    const Value vz = ctx_->Probe(z);
     if (range_.Contains(vz)) answer_.Insert(z);
     ctx_->Deploy(z, range_filter);
   }

@@ -18,12 +18,15 @@
 /// MessageStats; protocols have NO other way to observe stream values, so
 /// message counts are correct by construction. The cache holds values
 /// alone and no primitive takes a time: the protocols react to messages
-/// and never read a clock (DESIGN.md §1).
+/// and never read a clock (DESIGN.md §1). Values are scalars: both 2-D
+/// query classes (paper §7) reduce to a 1-D query over a derived scalar —
+/// a point's distance to the k-NN query point, or its signed distance to a
+/// query rectangle (geo/distance_streams.h) — so one context serves them.
 
 namespace asf {
 
 /// The wires. Implemented by the engine against the simulated stream set
-/// and filter bank; protocols never see the true values directly.
+/// and its filters; protocols never see the true values directly.
 struct Transport {
   /// Requests the stream's current value (one request + one response). The
   /// implementation must also sync the stream's filter reference, since the
@@ -55,12 +58,6 @@ enum class BroadcastCostModel : int {
 /// Per-query server state: value cache + counted messaging.
 class ServerContext {
  public:
-  /// The geometry the fraction-tolerance core (protocol/ft_core.h) works
-  /// in: scalar values, interval regions, interval filters.
-  using Point = Value;
-  using Region = Interval;
-  using Constraint = FilterConstraint;
-
   ServerContext(std::size_t num_streams, Transport transport,
                 MessageStats* stats,
                 BroadcastCostModel broadcast = BroadcastCostModel::kPerRecipient)

@@ -32,14 +32,6 @@ FractionCounts CountAgainst(std::size_t n, std::size_t satisfied_total,
 
 }  // namespace
 
-FractionCounts Oracle::CountFractions(const std::vector<bool>& satisfies,
-                                      const AnswerSet& answer) {
-  const std::size_t satisfied_total = static_cast<std::size_t>(
-      std::count(satisfies.begin(), satisfies.end(), true));
-  return CountAgainst(satisfies.size(), satisfied_total, answer,
-                      [&satisfies](StreamId id) { return satisfies[id]; });
-}
-
 OracleCheck Oracle::CheckRangeFraction(const std::vector<Value>& truth,
                                        const RangeQuery& query,
                                        const AnswerSet& answer,
@@ -103,7 +95,9 @@ OracleCheck Oracle::CheckRankFraction(const std::vector<Value>& truth,
       ++satisfying;
     }
   }
-  const FractionCounts counts = CountFractions(satisfies, answer);
+  const FractionCounts counts =
+      CountAgainst(truth.size(), satisfying, answer,
+                   [&satisfies](StreamId id) { return satisfies[id]; });
   OracleCheck check;
   check.f_plus = counts.FPlus();
   check.f_minus = counts.FMinus();

@@ -53,11 +53,6 @@ class Oracle {
                                        const RankQuery& query,
                                        const AnswerSet& answer,
                                        const FractionTolerance& tol);
-
-  /// Shared arithmetic: counts E+/E− of `answer` against the predicate
-  /// "id is in `truth_set`" represented as a bool vector indexed by id.
-  static FractionCounts CountFractions(const std::vector<bool>& satisfies,
-                                       const AnswerSet& answer);
 };
 
 }  // namespace asf

@@ -43,6 +43,31 @@ TEST(DistanceStreamsTest, UpdatesTrackMoves) {
   EXPECT_GT(updates, 500u);
 }
 
+TEST(DistanceStreamsTest, RectViewIsTheSignedDistance) {
+  // Membership in the rectangle is exactly "signed distance <= 0".
+  PlaneWalkStreams plane(SmallWalk(29));
+  const Rect zone(300, 700, 300, 700);
+  DistanceStreamSet signed_distances(&plane, zone);
+  for (StreamId id = 0; id < plane.size(); ++id) {
+    EXPECT_EQ(signed_distances.value(id),
+              zone.SignedDistance(plane.position(id)));
+  }
+  Scheduler sched;
+  std::uint64_t updates = 0;
+  std::uint64_t inside = 0;
+  signed_distances.set_update_handler([&](StreamId id, Value v, SimTime) {
+    ++updates;
+    EXPECT_EQ(v, zone.SignedDistance(plane.position(id)));
+    EXPECT_EQ(v <= 0, zone.Contains(plane.position(id)));
+    inside += v <= 0;
+  });
+  signed_distances.Start(&sched, 500);
+  sched.RunUntil(500);
+  EXPECT_EQ(updates, plane.moves_generated());
+  EXPECT_GT(inside, 0u);
+  EXPECT_LT(inside, updates);
+}
+
 TEST(DistanceStreamsTest, BottomKIsTheTrue2dKnn) {
   // The reduction's soundness: the k smallest derived values identify the
   // k nearest points in the plane.
@@ -108,18 +133,18 @@ TEST(DistanceStreamsTest, FtRpServes2dKnnThroughTheEngine) {
 
 TEST(DistanceStreamsTest, DeployedBoundIsADiskPredicate) {
   // The filter interval (-inf, d] on the derived stream is exactly the
-  // disk Disk(q, d) on positions: verify on the live system by checking
-  // that a protocol-deployed bound classifies points like the disk.
+  // disk of radius d around q on positions: verify on the live system by
+  // checking that a protocol-deployed bound classifies points like the
+  // disk.
   PlaneWalkStreams plane(SmallWalk(23));
   const Point2 q{500, 500};
   DistanceStreamSet distances(&plane, q);
   const RankQuery query = RankQuery::BottomK(5);
   // Any threshold: membership agreement is what matters.
   const Interval bound = query.ScoreBall(120.0);
-  const Disk disk{q, 120.0};
   for (StreamId id = 0; id < plane.size(); ++id) {
     EXPECT_EQ(bound.Contains(distances.value(id)),
-              disk.Contains(plane.position(id)))
+              Distance(plane.position(id), q) <= 120.0)
         << id;
   }
 }

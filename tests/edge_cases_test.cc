@@ -193,7 +193,8 @@ TEST(MultiQueryEdgeTest, PhysicalAccountingIdentity) {
   config.duration = 400;
   for (int i = 0; i < 3; ++i) {
     QueryDeployment dep;
-    dep.name = "q" + std::to_string(i);
+    dep.name = "q";
+    dep.name += std::to_string(i);
     dep.query = QuerySpec::Range(300 + 50 * i, 600 + 50 * i);
     dep.protocol = ProtocolKind::kFtNrp;
     dep.fraction = {0.3, 0.3};

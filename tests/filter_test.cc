@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "filter/constraint.h"
-#include "filter/filter_bank.h"
 
 namespace asf {
 namespace {
@@ -154,30 +153,6 @@ TEST(FilterTest, HalfInfiniteConstraint) {
   EXPECT_TRUE(f.OnValueChange(100));   // enters (closed endpoint)
   EXPECT_FALSE(f.OnValueChange(1e9));
   EXPECT_TRUE(f.OnValueChange(99.9));  // leaves
-}
-
-// --- FilterBank ---
-
-TEST(FilterBankTest, DeployAndCount) {
-  FilterBank bank(5);
-  EXPECT_EQ(bank.size(), 5u);
-  EXPECT_EQ(bank.CountInstalled(), 0u);
-  bank.Deploy(0, FilterConstraint::FalsePositive(), 1.0);
-  bank.Deploy(1, FilterConstraint::FalseNegative(), 1.0);
-  bank.Deploy(2, FilterConstraint::Range(Interval(0, 1)), 0.5);
-  EXPECT_EQ(bank.CountInstalled(), 3u);
-  EXPECT_EQ(bank.CountFalsePositiveFilters(), 1u);
-  EXPECT_EQ(bank.CountFalseNegativeFilters(), 1u);
-}
-
-TEST(FilterBankTest, PerStreamIndependence) {
-  FilterBank bank(2);
-  bank.Deploy(0, FilterConstraint::Range(Interval(0, 10)), 5);
-  bank.Deploy(1, FilterConstraint::Range(Interval(0, 10)), 50);
-  EXPECT_TRUE(bank.at(0).reference_inside());
-  EXPECT_FALSE(bank.at(1).reference_inside());
-  EXPECT_TRUE(bank.at(0).OnValueChange(20));
-  EXPECT_FALSE(bank.at(1).OnValueChange(20));
 }
 
 }  // namespace

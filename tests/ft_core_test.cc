@@ -57,8 +57,8 @@ TEST_F(FtCoreTest, BudgetsLargerThanPopulationClamp) {
   EXPECT_EQ(core_.n_plus(), 5u);
   EXPECT_EQ(core_.n_minus(), 5u);
   // Everyone is silent; no range filters at all.
-  EXPECT_EQ(sys_.filters().CountFalsePositiveFilters(), 5u);
-  EXPECT_EQ(sys_.filters().CountFalseNegativeFilters(), 5u);
+  EXPECT_EQ(sys_.CountFalsePositiveFilters(), 5u);
+  EXPECT_EQ(sys_.CountFalseNegativeFilters(), 5u);
 }
 
 TEST_F(FtCoreTest, CountLedger) {

@@ -28,9 +28,9 @@ TEST(FtNrpTest, BudgetsFollowEquations3And4) {
   sys.Initialize(&proto);
   EXPECT_EQ(proto.core().n_plus(), 2u);
   EXPECT_EQ(proto.core().n_minus(), 2u);
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 2u);
-  EXPECT_EQ(sys.filters().CountFalseNegativeFilters(), 2u);
-  EXPECT_EQ(sys.filters().CountInstalled(), 10u);
+  EXPECT_EQ(sys.CountFalsePositiveFilters(), 2u);
+  EXPECT_EQ(sys.CountFalseNegativeFilters(), 2u);
+  EXPECT_EQ(sys.CountInstalled(), 10u);
   // Initial answer is the true in-range set.
   EXPECT_EQ(proto.answer().ToSortedVector(),
             (std::vector<StreamId>{0, 1, 2, 3, 4}));
@@ -42,14 +42,14 @@ TEST(FtNrpTest, BoundaryNearestSilencesBoundaryProneStreams) {
               BoundaryNearest(), nullptr);
   sys.Initialize(&proto);
   // Inside candidates by boundary distance: 0 (10), 4 (10), 1 (50), ...
-  EXPECT_TRUE(sys.filters().at(0).constraint().IsFalsePositiveFilter());
-  EXPECT_TRUE(sys.filters().at(4).constraint().IsFalsePositiveFilter());
+  EXPECT_TRUE(sys.filter(0).constraint().IsFalsePositiveFilter());
+  EXPECT_TRUE(sys.filter(4).constraint().IsFalsePositiveFilter());
   // Outside candidates: 6 (dist 10), 7 (10), then 8/5 far.
-  EXPECT_TRUE(sys.filters().at(6).constraint().IsFalseNegativeFilter());
-  EXPECT_TRUE(sys.filters().at(7).constraint().IsFalseNegativeFilter());
+  EXPECT_TRUE(sys.filter(6).constraint().IsFalseNegativeFilter());
+  EXPECT_TRUE(sys.filter(7).constraint().IsFalseNegativeFilter());
   // The far streams keep the plain range filter.
-  EXPECT_FALSE(sys.filters().at(2).constraint().IsSilent());
-  EXPECT_FALSE(sys.filters().at(9).constraint().IsSilent());
+  EXPECT_FALSE(sys.filter(2).constraint().IsSilent());
+  EXPECT_FALSE(sys.filter(9).constraint().IsSilent());
 }
 
 TEST(FtNrpTest, SilencedStreamsNeverReport) {
@@ -139,7 +139,7 @@ TEST(FtNrpTest, ZeroToleranceDegeneratesToZtNrp) {
   EXPECT_EQ(proto.core().n_plus(), 0u);
   EXPECT_EQ(proto.core().n_minus(), 0u);
   EXPECT_TRUE(proto.core().Exhausted());
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 0u);
+  EXPECT_EQ(sys.CountFalsePositiveFilters(), 0u);
   // Every crossing is reported and the answer stays exact.
   sys.SetValue(&proto, 0, 700);
   const auto check =
@@ -167,8 +167,8 @@ TEST(FtNrpTest, RandomHeuristicSelectsBudgetedCounts) {
   FtNrp proto(sys.ctx(), RangeQuery(400, 600), FractionTolerance{0.4, 0.4},
               opts, &rng);
   sys.Initialize(&proto);
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 2u);
-  EXPECT_EQ(sys.filters().CountFalseNegativeFilters(), 2u);
+  EXPECT_EQ(sys.CountFalsePositiveFilters(), 2u);
+  EXPECT_EQ(sys.CountFalseNegativeFilters(), 2u);
 }
 
 TEST(FtNrpTest, ReinitWhenExhaustedRestoresBudgets) {

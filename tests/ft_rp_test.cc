@@ -52,8 +52,8 @@ TEST(FtRpTest, LargerKGetsSilentFilters) {
   sys.Initialize(&proto);
   EXPECT_EQ(proto.core().n_plus(), 1u);
   EXPECT_EQ(proto.core().n_minus(), 1u);
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 1u);
-  EXPECT_EQ(sys.filters().CountFalseNegativeFilters(), 1u);
+  EXPECT_EQ(sys.CountFalsePositiveFilters(), 1u);
+  EXPECT_EQ(sys.CountFalseNegativeFilters(), 1u);
   EXPECT_EQ(proto.answer().size(), 20u);
 }
 
@@ -142,8 +142,8 @@ TEST(FtRpTest, SilentFiltersSuppressReports) {
   // Find the FP-filtered stream and push it far out: no message, and the
   // fraction guarantee still holds (1 wrong of 20 <= 0.4).
   StreamId fp = kInvalidStream;
-  for (StreamId id = 0; id < sys.filters().size(); ++id) {
-    if (sys.filters().at(id).constraint().IsFalsePositiveFilter()) fp = id;
+  for (StreamId id = 0; id < sys.values().size(); ++id) {
+    if (sys.filter(id).constraint().IsFalsePositiveFilter()) fp = id;
   }
   ASSERT_NE(fp, kInvalidStream);
   EXPECT_FALSE(sys.SetValue(&proto, fp, 5000));

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/stats.h"
-#include "geo/plane_filter.h"
 #include "geo/plane_walk.h"
 #include "sim/scheduler.h"
 
@@ -27,89 +29,46 @@ TEST(RectTest, ContainsClosedEdges) {
   EXPECT_FALSE(r.Contains({10.1, 25}));
 }
 
-TEST(RectTest, DegenerateForms) {
-  EXPECT_TRUE(Rect::Empty().empty());
-  EXPECT_FALSE(Rect::Empty().Contains({0, 0}));
-  EXPECT_TRUE(Rect::All().all());
-  EXPECT_TRUE(Rect::All().Contains({1e308, -1e308}));
-  // One empty axis empties the rect.
-  EXPECT_TRUE(Rect(Interval(0, 1), Interval::Never()).empty());
-}
-
-TEST(RectTest, DistanceToBoundaryInside) {
+TEST(RectTest, SignedDistanceInside) {
   const Rect r(0, 10, 0, 10);
-  EXPECT_EQ(r.DistanceToBoundary({5, 5}), 5.0);   // center
-  EXPECT_EQ(r.DistanceToBoundary({1, 5}), 1.0);   // near left edge
-  EXPECT_EQ(r.DistanceToBoundary({5, 9}), 1.0);   // near top edge
-  EXPECT_EQ(r.DistanceToBoundary({0, 5}), 0.0);   // on the edge
+  EXPECT_EQ(r.SignedDistance({5, 5}), -5.0);  // center
+  EXPECT_EQ(r.SignedDistance({1, 5}), -1.0);  // near left edge
+  EXPECT_EQ(r.SignedDistance({5, 9}), -1.0);  // near top edge
 }
 
-TEST(RectTest, DistanceToBoundaryOutside) {
+TEST(RectTest, SignedDistanceOutside) {
   const Rect r(0, 10, 0, 10);
-  EXPECT_EQ(r.DistanceToBoundary({15, 5}), 5.0);   // straight out the side
-  EXPECT_EQ(r.DistanceToBoundary({13, 14}), 5.0);  // corner: 3-4-5
-  EXPECT_EQ(r.DistanceToBoundary({-6, -8}), 10.0);
+  EXPECT_EQ(r.SignedDistance({15, 5}), 5.0);   // straight out the side
+  EXPECT_EQ(r.SignedDistance({13, 14}), 5.0);  // corner: 3-4-5
+  EXPECT_EQ(r.SignedDistance({-6, -8}), 10.0);
 }
 
-TEST(RectTest, Equality) {
-  EXPECT_EQ(Rect(0, 1, 0, 1), Rect(0, 1, 0, 1));
-  EXPECT_EQ(Rect::Empty(), Rect(Interval(5, 1), Interval(0, 1)));
-  EXPECT_FALSE(Rect(0, 1, 0, 1) == Rect(0, 1, 0, 2));
+TEST(RectTest, SignedDistanceOnAnEdgeIsNegativeZero) {
+  const Rect r(0, 10, 0, 10);
+  for (const Point2 p : {Point2{0, 5}, Point2{10, 10}, Point2{5, 0}}) {
+    const double d = r.SignedDistance(p);
+    EXPECT_EQ(d, 0.0);
+    EXPECT_TRUE(std::signbit(d)) << p.x << "," << p.y;
+  }
 }
 
-TEST(DiskTest, ContainsClosedBoundary) {
-  const Disk d{{0, 0}, 5};
-  EXPECT_TRUE(d.Contains({3, 4}));  // exactly on the boundary
-  EXPECT_TRUE(d.Contains({0, 0}));
-  EXPECT_FALSE(d.Contains({3.1, 4}));
+TEST(RectTest, SignedDistanceOfAnEmptyRectIsInfinite) {
+  const Rect empty(5, 1, 0, 1);  // lo > hi on x
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.SignedDistance({3, 0.5}), kInf);
+  EXPECT_EQ(Rect(0, 1, 1, 0).SignedDistance({0, 0}), kInf);  // empty on y
 }
 
-// --- Plane filter semantics ---
-
-TEST(PlaneFilterTest, NoFilterReportsEverything) {
-  PlaneFilter f;
-  EXPECT_TRUE(f.OnMove({0, 0}));
-  EXPECT_TRUE(f.OnMove({0, 0}));
-}
-
-TEST(PlaneFilterTest, CrossingSemantics) {
-  PlaneFilter f;
-  f.Deploy(PlaneConstraint::Range(Rect(0, 10, 0, 10)), {5, 5});
-  EXPECT_TRUE(f.reference_inside());
-  EXPECT_FALSE(f.OnMove({9, 9}));     // inside -> inside: silent
-  EXPECT_TRUE(f.OnMove({11, 9}));     // leaves
-  EXPECT_FALSE(f.OnMove({20, 20}));   // outside -> outside: silent
-  EXPECT_TRUE(f.OnMove({10, 10}));    // re-enters (closed corner)
-}
-
-TEST(PlaneFilterTest, SilentForms) {
-  PlaneFilter fp;
-  fp.Deploy(PlaneConstraint::FalsePositive(), {0, 0});
-  EXPECT_FALSE(fp.OnMove({1e308, -1e308}));
-
-  PlaneFilter fn;
-  fn.Deploy(PlaneConstraint::FalseNegative(), {0, 0});
-  EXPECT_FALSE(fn.OnMove({5, 5}));
-  EXPECT_TRUE(fn.constraint().IsFalseNegativeFilter());
-  EXPECT_TRUE(fp.constraint().IsFalsePositiveFilter());
-}
-
-TEST(PlaneFilterTest, DeployResetsReference) {
-  PlaneFilter f;
-  f.Deploy(PlaneConstraint::Range(Rect(0, 10, 0, 10)), {5, 5});
-  EXPECT_TRUE(f.OnMove({20, 20}));
-  f.Deploy(PlaneConstraint::Range(Rect(15, 25, 15, 25)), {20, 20});
-  EXPECT_FALSE(f.OnMove({24, 24}));
-  EXPECT_TRUE(f.OnMove({26, 24}));
-}
-
-TEST(PlaneFilterTest, SyncReferenceAfterProbe) {
-  PlaneFilter f;
-  f.Deploy(PlaneConstraint::Range(Rect(0, 10, 0, 10)), {5, 5});
-  EXPECT_TRUE(f.OnMove({20, 20}));
-  f.SyncReference({20, 20});
-  EXPECT_FALSE(f.OnMove({21, 21}));
-  EXPECT_TRUE(f.OnMove({5, 5}));
+TEST(RectTest, SignedDistanceStaysPositiveWhenTheSquareUnderflows) {
+  // (-1e-200)^2 underflows to 0, but the point is outside.
+  const Rect r(0, 100, 0, 100);
+  const Point2 p{-1e-200, 50};
+  EXPECT_FALSE(r.Contains(p));
+  EXPECT_GT(r.SignedDistance(p), 0.0);
+  EXPECT_EQ(r.SignedDistance(p), 1e-200);
+  // The smallest subnormal offset too.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(r.SignedDistance({50, -tiny}), tiny);
 }
 
 // --- Plane walk workload ---
@@ -126,6 +85,18 @@ TEST(PlaneWalkTest, ConfigValidation) {
   bad = ok;
   bad.sigma = -1;
   EXPECT_FALSE(bad.Validate().ok());
+  // Non-finite walks would feed NaN or infinite positions to the engine.
+  bad = ok;
+  bad.sigma = std::nan("");
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = ok;
+  bad.domain_hi = kInf;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = ok;
+  bad.num_streams = kMaxStreams + 1;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad.num_streams = kMaxStreams;
+  EXPECT_TRUE(bad.Validate().ok());
 }
 
 TEST(PlaneWalkTest, InitialPositionsUniformInDomain) {

@@ -8,6 +8,7 @@
 #include "engine/churn.h"
 #include "engine/multi_system.h"
 #include "engine/system.h"
+#include "geo/distance_streams.h"
 #include "result_equality.h"
 #include "trace/tcp_synth.h"
 
@@ -190,6 +191,29 @@ TEST(GoldenDigestTest, AsfRunChurnDefaults) {
   ASSERT_TRUE(queries.ok()) << queries.status().ToString();
   config.queries = std::move(queries).value();
   ExpectGolden(config, 0x35d9cf2590e7b317, "asf_run churn");
+}
+
+/// A rectangle query in the plane: FT-NRP over 300 plane walks' signed
+/// distances to [300, 700]², queried over (−∞, 0]. A custom source serves
+/// one run, so each run builds its own walk.
+TEST(GoldenDigestTest, FtNrpOnPlaneSignedDistance) {
+  SystemConfig config;
+  config.query = QuerySpec::Range(-kInf, 0);
+  config.protocol = ProtocolKind::kFtNrp;
+  config.fraction = {0.2, 0.2};
+  config.duration = 600;
+  config.seed = 7;
+  config.oracle.sample_interval = 60;
+  const auto run = [](SystemConfig c) {
+    PlaneWalkConfig walk_config;
+    walk_config.num_streams = 300;
+    walk_config.seed = 7;
+    PlaneWalkStreams walk(walk_config);
+    DistanceStreamSet signed_distances(&walk, Rect(300, 700, 300, 700));
+    c.source = SourceSpec::Custom(&signed_distances);
+    return RunSystem(c);
+  };
+  ExpectGolden(config, run, 0x24f6d7a4b500c8a4, "ft-nrp plane");
 }
 
 TEST(GoldenDigestTest, FtNrpOnSyntheticTcpTrace) {

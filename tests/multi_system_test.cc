@@ -291,8 +291,10 @@ TEST(MultiSystemTest, RunsOnTraceSource) {
 TEST(MultiSystemTest, TenQueriesScale) {
   MultiQueryConfig config = BaseConfig();
   for (int i = 0; i < 10; ++i) {
+    std::string name = "q";
+    name += std::to_string(i);
     config.queries.push_back(
-        RangeDep("q" + std::to_string(i), 100.0 * i, 100.0 * i + 150, 0.2));
+        RangeDep(name, 100.0 * i, 100.0 * i + 150, 0.2));
   }
   auto result = RunMultiQuerySystem(config);
   ASSERT_TRUE(result.ok());
@@ -321,8 +323,9 @@ TEST(MultiSystemTest, DispatchPoliciesAgreeAcrossAutoCrossover) {
   config.oracle.sample_interval = 150;
   for (int i = 0; i < 400; ++i) {
     const double lo = 100.0 + 1.2 * i;
-    QueryDeployment dep =
-        RangeDep("q" + std::to_string(i), lo, lo + 300.0, 0.2);
+    std::string name = "q";
+    name += std::to_string(i);
+    QueryDeployment dep = RangeDep(name, lo, lo + 300.0, 0.2);
     if (i >= 320) {
       dep.start = 1000.0 + 2.0 * (i - 320);
     } else if (i >= 200) {
@@ -387,7 +390,8 @@ MultiQueryConfig ProtocolConfig(ProtocolKind protocol) {
                     protocol == ProtocolKind::kFtRp;
   for (int i = 0; i < 3; ++i) {
     QueryDeployment dep;
-    dep.name = "q" + std::to_string(i);
+    dep.name = "q";
+    dep.name += std::to_string(i);
     if (rank) {
       dep.query = QuerySpec::Knn(4 + i, 300.0 + 150.0 * i);
     } else {

@@ -13,7 +13,7 @@ TEST(NoFilterTest, RangeInitializationProbesEveryone) {
   sys.Initialize(&proto);
   EXPECT_EQ(sys.stats().InitTotal(), 8u);  // probe-all only, no deploys
   EXPECT_EQ(proto.answer().ToSortedVector(), (std::vector<StreamId>{0, 2}));
-  EXPECT_EQ(sys.filters().CountInstalled(), 0u);  // no filters at all
+  EXPECT_EQ(sys.CountInstalled(), 0u);  // no filters at all
 }
 
 TEST(NoFilterTest, RangeTracksEveryChangeExactly) {

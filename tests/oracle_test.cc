@@ -192,13 +192,5 @@ TEST(OracleRankFractionTest, MissingNeighborIsFalseNegative) {
   EXPECT_TRUE(check.ok);  // inclusive bounds
 }
 
-TEST(OracleCountFractionsTest, DirectArithmetic) {
-  std::vector<bool> satisfies{true, false, true, true, false};
-  const FractionCounts c = Oracle::CountFractions(satisfies, Answer({0, 1}));
-  EXPECT_EQ(c.answer_size, 2u);
-  EXPECT_EQ(c.false_positives, 1u);  // stream 1
-  EXPECT_EQ(c.false_negatives, 2u);  // streams 2, 3
-}
-
 }  // namespace
 }  // namespace asf

@@ -464,7 +464,8 @@ MultiQueryConfig DrawConfig(Rng& rng) {
     const auto n = rng.UniformInt(1, 3);
     for (std::int64_t i = 0; i < n; ++i) {
       QueryDeployment dep = i == 0 ? shape : DrawQuery(rng, protocol);
-      dep.name = "q" + std::to_string(i);
+      dep.name = "q";
+      dep.name += std::to_string(i);
       config.queries.push_back(dep);
     }
   }

@@ -59,8 +59,8 @@ TEST(ServerContextTest, DeployInstallsAndRecords) {
   TestSystem sys({50});
   const FilterConstraint c = FilterConstraint::Range(Interval(0, 100));
   sys.ctx()->Deploy(0, c);
-  EXPECT_TRUE(sys.filters().at(0).constraint() == c);
-  EXPECT_TRUE(sys.filters().at(0).reference_inside());
+  EXPECT_TRUE(sys.filter(0).constraint() == c);
+  EXPECT_TRUE(sys.filter(0).reference_inside());
   EXPECT_EQ(sys.stats().count(MessagePhase::kInit, MessageType::kFilterDeploy),
             1u);
 }
@@ -69,7 +69,7 @@ TEST(ServerContextTest, DeployAllCostsOnePerStream) {
   TestSystem sys({1, 2, 3});
   sys.ctx()->DeployAll(FilterConstraint::FalsePositive());
   EXPECT_EQ(sys.stats().Total(), 3u);
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 3u);
+  EXPECT_EQ(sys.CountFalsePositiveFilters(), 3u);
 }
 
 TEST(ServerContextTest, RecordReportRefreshesCacheWithoutMessages) {
@@ -85,7 +85,7 @@ TEST(ServerContextTest, ProbeSyncsClientFilterReference) {
   // Drift out silently is impossible with a range filter; but a probe after
   // deployment must leave the reference consistent with the probed value.
   sys.ctx()->Probe(0);
-  EXPECT_TRUE(sys.filters().at(0).reference_inside());
+  EXPECT_TRUE(sys.filter(0).reference_inside());
 }
 
 TEST(ServerContextTest, RegionProbeGroupReturnsResponders) {
@@ -102,53 +102,20 @@ TEST(ServerContextTest, RegionProbeGroupReturnsResponders) {
       2u);
 }
 
-class BroadcastTestSystem {
- public:
-  explicit BroadcastTestSystem(std::vector<Value> initial)
-      : values_(std::move(initial)),
-        filters_(values_.size()),
-        ctx_(values_.size(), MakeTransport(), &stats_,
-             BroadcastCostModel::kSingleMessage) {}
-
-  ServerContext* ctx() { return &ctx_; }
-  MessageStats& stats() { return stats_; }
-  FilterBank& filters() { return filters_; }
-
- private:
-  Transport MakeTransport() {
-    Transport t;
-    t.probe = [this](StreamId id) { return values_[id]; };
-    t.region_probe = [this](StreamId id,
-                            const Interval& region) -> std::optional<Value> {
-      if (!region.Contains(values_[id])) return std::nullopt;
-      return values_[id];
-    };
-    t.deploy = [this](StreamId id, const FilterConstraint& constraint) {
-      filters_.Deploy(id, constraint, values_[id]);
-    };
-    return t;
-  }
-
-  std::vector<Value> values_;
-  FilterBank filters_;
-  MessageStats stats_;
-  ServerContext ctx_;
-};
-
 TEST(ServerContextTest, BroadcastModelChargesDeployAllOnce) {
-  BroadcastTestSystem sys({1, 2, 3, 4});
+  TestSystem sys({1, 2, 3, 4}, BroadcastCostModel::kSingleMessage);
   sys.ctx()->DeployAll(FilterConstraint::Range(Interval(0, 10)));
   EXPECT_EQ(sys.stats().count(MessagePhase::kInit, MessageType::kFilterDeploy),
             1u);
   // The constraint still reached every stream.
   for (StreamId id = 0; id < 4; ++id) {
-    EXPECT_EQ(sys.filters().at(id).constraint(),
+    EXPECT_EQ(sys.filter(id).constraint(),
               FilterConstraint::Range(Interval(0, 10)));
   }
 }
 
 TEST(ServerContextTest, BroadcastModelChargesProbeAllRequestOnce) {
-  BroadcastTestSystem sys({1, 2, 3, 4});
+  TestSystem sys({1, 2, 3, 4}, BroadcastCostModel::kSingleMessage);
   sys.ctx()->ProbeAll();
   // 1 broadcast request + 4 responses.
   EXPECT_EQ(sys.stats().count(MessagePhase::kInit, MessageType::kProbeRequest),
@@ -160,7 +127,8 @@ TEST(ServerContextTest, BroadcastModelChargesProbeAllRequestOnce) {
 }
 
 TEST(ServerContextTest, BroadcastModelChargesRegionGroupOnce) {
-  BroadcastTestSystem sys({100, 500, 450, 900});
+  TestSystem sys({100, 500, 450, 900},
+                 BroadcastCostModel::kSingleMessage);
   const auto responders =
       sys.ctx()->RegionProbeGroup({0, 1, 2, 3}, Interval(400, 600));
   EXPECT_EQ(responders.size(), 2u);

@@ -238,7 +238,8 @@ TEST(SimCoreLifecycleTest, DynamicScheduleIsDeterministic) {
     for (int i = 0; i < 8; ++i) {
       QueryDeployment dep =
           RangeDeployment(100.0 * i, 100.0 * i + 250, i % 2 ? 0.2 : 0.0);
-      dep.name = "q" + std::to_string(i);
+      dep.name = "q";
+      dep.name += std::to_string(i);
       dep.start = 10.0 * i;
       if (i % 3 != 0) dep.end = 60.0 + 35.0 * i;
       core.AddQuery(dep);

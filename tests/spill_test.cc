@@ -126,7 +126,8 @@ TEST(SpillerTest, SpillAndFaultManyRecords) {
   std::vector<QueryRunStats> originals;
   for (int i = 0; i < 30; ++i) {
     QueryRunStats stats = SampleStats();
-    stats.name = "q" + std::to_string(i);
+    stats.name = "q";
+    stats.name += std::to_string(i);
     stats.updates_reported = 1000 + i;
     stats.deployed_at = i * 1.5;
     originals.push_back(stats);

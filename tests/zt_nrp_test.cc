@@ -17,7 +17,7 @@ TEST(ZtNrpTest, InitializationDeploysRangeEverywhere) {
   // probe-all (2n) + deploy-all (n) = 3n = 12.
   EXPECT_EQ(sys.stats().InitTotal(), 12u);
   for (StreamId id = 0; id < 4; ++id) {
-    EXPECT_EQ(sys.filters().at(id).constraint(),
+    EXPECT_EQ(sys.filter(id).constraint(),
               FilterConstraint::Range(Interval(400, 600)));
   }
 }
