@@ -18,6 +18,13 @@ constexpr double kValueHi = 1000.0;
 constexpr double kRangeWidthMin = 100.0;
 constexpr double kRangeWidthMax = 300.0;
 
+Status TooManyArrivals() {
+  return Status::InvalidArgument(
+      "churn schedule exceeds the arrival limit of " +
+      std::to_string(kMaxChurnArrivals) +
+      " queries; lower the arrival rate or cap max_queries");
+}
+
 }  // namespace
 
 Status ChurnSpec::Validate() const {
@@ -46,11 +53,11 @@ Status ChurnSpec::Validate() const {
     // Protocol/query-class pairing is checked here, not during expansion:
     // whether a low-weight entry gets drawn depends on the seed, and an
     // invalid spec must fail regardless of the draws.
-    const QuerySpec::Type type =
-        entry.fixed_shape ? entry.shape.type : entry.query_type;
-    ASF_RETURN_IF_ERROR(CheckProtocolServes(entry.protocol, type));
-    if (type == QuerySpec::Type::kRank && !entry.fixed_shape &&
-        entry.k == 0) {
+    const QuerySpec& query = entry.deployment.query;
+    ASF_RETURN_IF_ERROR(
+        CheckProtocolServes(entry.deployment.protocol, query.type));
+    if (query.type == QuerySpec::Type::kRank && !entry.fixed_shape &&
+        query.k == 0) {
       return Status::InvalidArgument("churn rank queries need k >= 1");
     }
     total_weight += entry.weight;
@@ -73,6 +80,14 @@ Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
   if (spec.window_start >= duration) {
     return Status::InvalidArgument("churn window starts after the horizon");
   }
+  // Without a cap inside the limit, the rate bounds the schedule: an
+  // expected count past the limit fails before anything is drawn.
+  const bool capped =
+      spec.max_queries > 0 && spec.max_queries <= kMaxChurnArrivals;
+  if (!capped && spec.arrival_rate * (duration - spec.window_start) >
+                     static_cast<double>(kMaxChurnArrivals)) {
+    return TooManyArrivals();
+  }
 
   // Default mix: the paper's workhorse protocol over range queries.
   std::vector<ChurnMixEntry> mix = spec.mix;
@@ -92,6 +107,8 @@ Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
     t += rng.Exponential(1.0 / spec.arrival_rate);
     if (t >= duration) break;
     if (spec.max_queries > 0 && deployments.size() >= spec.max_queries) break;
+    // Poisson excess over an expected count just inside the limit.
+    if (deployments.size() >= kMaxChurnArrivals) return TooManyArrivals();
 
     // Which mix entry arrives (weighted draw).
     const double pick = rng.Uniform(0, total_weight);
@@ -99,32 +116,29 @@ Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
     while (m + 1 < mix.size() && pick >= cumulative[m]) ++m;
     const ChurnMixEntry& entry = mix[m];
 
-    QueryDeployment dep;
+    QueryDeployment dep = entry.deployment;
     dep.name = "churn" + std::to_string(deployments.size());
-    dep.protocol = entry.protocol;
-    dep.ft = entry.ft;
-    dep.broadcast = entry.broadcast;
-    if (entry.fixed_shape) {
-      dep.query = entry.shape;
-    } else if (entry.query_type == QuerySpec::Type::kRange) {
-      const double width = rng.Uniform(kRangeWidthMin, kRangeWidthMax);
-      const double center = rng.Uniform(kValueLo, kValueHi);
-      dep.query = QuerySpec::Range(center - width / 2, center + width / 2);
-    } else {
-      switch (entry.rank_kind) {
-        case RankKind::kNearest:
-          dep.query = QuerySpec::Knn(entry.k, rng.Uniform(kValueLo, kValueHi));
-          break;
-        case RankKind::kMax:
-          dep.query = QuerySpec::TopK(entry.k);
-          break;
-        case RankKind::kMin:
-          dep.query = QuerySpec::BottomK(entry.k);
-          break;
+    if (!entry.fixed_shape) {
+      const QuerySpec& shape = entry.deployment.query;
+      if (shape.type == QuerySpec::Type::kRange) {
+        const double width = rng.Uniform(kRangeWidthMin, kRangeWidthMax);
+        const double center = rng.Uniform(kValueLo, kValueHi);
+        dep.query = QuerySpec::Range(center - width / 2, center + width / 2);
+      } else {
+        switch (shape.rank_kind) {
+          case RankKind::kNearest:
+            dep.query =
+                QuerySpec::Knn(shape.k, rng.Uniform(kValueLo, kValueHi));
+            break;
+          case RankKind::kMax:
+            dep.query = QuerySpec::TopK(shape.k);
+            break;
+          case RankKind::kMin:
+            dep.query = QuerySpec::BottomK(shape.k);
+            break;
+        }
       }
     }
-    dep.fraction = {entry.eps_plus, entry.eps_minus};
-    dep.rank_r = entry.rank_r;
     dep.start = t;
     // Exponential() can return exactly 0; every query gets a non-empty
     // live window.

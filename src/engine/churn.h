@@ -1,6 +1,7 @@
 #ifndef ASF_ENGINE_CHURN_H_
 #define ASF_ENGINE_CHURN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,32 +23,34 @@
 
 namespace asf {
 
-/// One entry of the protocol/tolerance mix a churn workload draws from.
+/// One entry of the protocol/tolerance mix a churn workload draws from:
+/// a deployment template and its arrival weight.
 struct ChurnMixEntry {
   double weight = 1.0;  ///< relative arrival share (need not sum to 1)
-  ProtocolKind protocol = ProtocolKind::kFtNrp;
-  QuerySpec::Type query_type = QuerySpec::Type::kRange;
-  /// Rank flavor when query_type is kRank: kNearest draws a k-NN query
-  /// point from the value geometry; kMax / kMin are top-k / bottom-k.
-  RankKind rank_kind = RankKind::kNearest;
-  /// Fraction tolerances for the FT protocols (ignored elsewhere).
-  double eps_plus = 0.2;
-  double eps_minus = 0.2;
-  /// Rank slack for RTP (ignored elsewhere).
-  std::size_t rank_r = 2;
-  /// Rank requirement for the rank-query protocols.
-  std::size_t k = 10;
-  FtOptions ft;
-  /// Broadcast cost model of the generated deployments (DESIGN.md §3,
-  /// note 3).
-  BroadcastCostModel broadcast = BroadcastCostModel::kPerRecipient;
-  /// When true, every arrival of this entry uses `shape` verbatim (the
-  /// caller pinned the query) instead of drawing its geometry from the
-  /// spec; query_type/rank_kind/k above are ignored in favor of the
-  /// shape's own.
+  /// What each arrival of this entry deploys: protocol, tolerances, rank
+  /// slack, FT options and broadcast model, copied verbatim. Its query
+  /// gives the class to draw — its type, and for a rank query its rank
+  /// kind (k-NN draws a query point; top-k / bottom-k draw nothing) and
+  /// k — unless fixed_shape pins the query as given. The expansion sets
+  /// the name and the live window. The default: FT-NRP range queries at
+  /// ε+ = ε− = 0.2, with r = 2 and k = 10 should the class be changed.
+  QueryDeployment deployment = [] {
+    QueryDeployment d;
+    d.protocol = ProtocolKind::kFtNrp;
+    d.query.k = 10;
+    d.fraction = {0.2, 0.2};
+    d.rank_r = 2;
+    return d;
+  }();
+  /// When true, every arrival of this entry uses deployment.query verbatim
+  /// (the caller pinned the query) instead of drawing its geometry.
   bool fixed_shape = false;
-  QuerySpec shape;
 };
+
+/// Upper bound on a churn schedule's arrivals: 2^20, ten times the
+/// largest churn run recorded so far. A query costs about 1 KB across its
+/// deployment, slot and record, so this bounds a schedule near 1 GB.
+inline constexpr std::size_t kMaxChurnArrivals = std::size_t{1} << 20;
 
 /// Statistical description of an open query population.
 struct ChurnSpec {
@@ -58,7 +61,9 @@ struct ChurnSpec {
   double mean_lifetime = 200.0;
   /// Arrivals fall in [window_start, horizon).
   SimTime window_start = 0;
-  /// Hard cap on the number of arrivals (0 = unlimited).
+  /// Hard cap on the number of arrivals (0 = none). A cap at or below
+  /// kMaxChurnArrivals truncates the schedule silently; without one, a
+  /// schedule whose expected arrivals exceed that limit is rejected.
   std::size_t max_queries = 0;
   /// Seed of the churn process — independent of the run seed, so the same
   /// schedule can be replayed over different workload randomness.
@@ -78,7 +83,10 @@ struct ChurnSpec {
 /// window, each arrival draws a mix entry by weight, a query shape from
 /// the spec's geometry, and an exponential lifetime. Deployments are
 /// returned in arrival order, named "churn<i>". Deterministic in
-/// (spec, duration); `duration` must be finite and > 0.
+/// (spec, duration); `duration` must be finite and > 0. Unless
+/// max_queries caps the schedule at or below kMaxChurnArrivals, more than
+/// that many arrivals (expected from the rate and the window, or drawn)
+/// is InvalidArgument.
 Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
                                                  SimTime duration);
 

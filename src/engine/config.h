@@ -210,8 +210,8 @@ struct RunOptions {
   /// Disabled by default; results are byte-identical either way.
   SpillConfig spill;
 
-  /// Observability attachment (DESIGN.md §14): tracer, metrics registry,
-  /// profiler. Non-owning; all-null (the default) disables everything.
+  /// Observability attachment (DESIGN.md §14): tracer and profiler.
+  /// Non-owning; all-null (the default) disables everything.
   /// Provably inert — results are byte-identical either way.
   obs::ObsHooks obs;
 

@@ -1,13 +1,11 @@
 #include "engine/sim_core.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "engine/protocol_factory.h"
 #include "engine/query_slot.h"
 #include "engine/spill.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "stream/random_walk.h"
@@ -61,12 +59,7 @@ SimulationCore::SimulationCore(const Options& options)
   // Observability attachment (DESIGN.md §14). All hooks are inert — they
   // record quantities the run already computed and never schedule, draw
   // randomness, or block.
-  if (options_.obs.tracer != nullptr || options_.obs.metrics != nullptr) {
-    net_->set_obs(options_.obs.metrics != nullptr
-                      ? options_.obs.metrics->net_sink()
-                      : nullptr,
-                  options_.obs.tracer);
-  }
+  net_->set_tracer(options_.obs.tracer);
   if (spiller_) {
     spiller_->set_obs(options_.obs.tracer, options_.obs.profiler, &scheduler_);
   }
@@ -383,32 +376,6 @@ void SimulationCore::Run() {
   // run's wall time.
   obs::ScopedPhase obs_root(options_.obs.profiler, obs::Phase::kOther);
 
-  // Gauges read state the run maintains anyway; they are sampled only at
-  // snapshot grid points and cleared before Run returns (the lambdas
-  // capture `this`).
-  obs::MetricsRegistry* const obs_reg = options_.obs.metrics;
-  if (obs_reg != nullptr) {
-    obs_reg->RegisterGauge("updates_generated", [this] {
-      return static_cast<double>(updates_generated_);
-    });
-    obs_reg->RegisterGauge("live_queries", [this] {
-      return static_cast<double>(arena_.live());
-    });
-    obs_reg->RegisterGauge("net_crossings", [this] {
-      return static_cast<double>(net_->stats().crossings);
-    });
-    obs_reg->RegisterGauge("net_wire_updates", [this] {
-      return static_cast<double>(net_->stats().update_messages);
-    });
-    obs_reg->RegisterGauge("net_staleness_mean",
-                           [this] { return net_->stats().delay.mean(); });
-    obs_reg->RegisterGauge("spill_resident_bytes", [this] {
-      return spiller_
-                 ? static_cast<double>(spiller_->Telemetry().pool_resident_bytes)
-                 : 0.0;
-    });
-  }
-
   streams_->set_update_handler([this](StreamId id, Value v, SimTime t) {
     const std::size_t live = arena_.live();
     if (live == 0) return;  // warm-up / lull: no query, no messages
@@ -507,30 +474,14 @@ void SimulationCore::Run() {
 
   streams_->Start(&scheduler_, options_.duration);
 
-  // The drive loop (file comment). Its instants are the lifecycle feed's
-  // and the snapshot grid's; at each, the events due before it run first,
-  // then the snapshot, then the deploys and retirements.
-  constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
-  const SimTime every = obs_reg != nullptr ? options_.obs.metrics_every : 0;
-  SimTime next_snap = every > 0 ? every : kNever;
-  std::size_t next_change = 0;
-  for (;;) {
-    const SimTime t = std::min(
-        next_change < feed.size() ? feed[next_change].t : kNever, next_snap);
-    if (t > options_.duration) break;
-    scheduler_.RunBefore(t);
-    if (t == next_snap) {
-      obs_reg->SnapshotAt(t);
-      next_snap += every;
-    }
-    for (; next_change < feed.size() && feed[next_change].t == t;
-         ++next_change) {
-      const Change& change = feed[next_change];
-      if (change.deploy) {
-        InstallSlot(change.slot);
-      } else {
-        RetireSlot(change.slot);
-      }
+  // The drive loop (file comment): at each change's instant, the events
+  // due before it run first, then the deploy or the retirement.
+  for (const Change& change : feed) {
+    scheduler_.RunBefore(change.t);
+    if (change.deploy) {
+      InstallSlot(change.slot);
+    } else {
+      RetireSlot(change.slot);
     }
   }
   scheduler_.RunUntil(options_.duration);
@@ -550,7 +501,6 @@ void SimulationCore::Run() {
   for (auto& slot : slots_) {
     if (slot->live) CloseBooks(*slot);
   }
-  if (obs_reg != nullptr) obs_reg->ClearGauges();
   wall_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start_)

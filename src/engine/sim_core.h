@@ -41,13 +41,13 @@
 /// engine without the lifecycle machinery (tests/sim_core_test.cc locks
 /// this in).
 ///
-/// Run is one loop over the instants at which something other than an
-/// event happens: a deploy, a retirement or a metrics snapshot. At each
-/// such instant t it runs every event due strictly before t
-/// (Scheduler::RunBefore), takes the snapshot, then runs the deploys
-/// (slot order) and the retirements (slot order) at t — so a snapshot
-/// sees the population as it stood just before t, and the events due at
-/// t see it as it stands after.
+/// Run is one loop over the lifecycle changes: every deploy (slot order),
+/// then every retirement (slot order), stably sorted by time. For each
+/// change at t it runs every event due strictly before t
+/// (Scheduler::RunBefore), then the deploy or the retirement — so the
+/// events due at t see the population as it stands after every change
+/// at t. A second RunBefore(t) dispatches nothing: the events at t stay
+/// pending until the loop moves past t.
 
 namespace asf {
 

@@ -10,10 +10,12 @@ Status PlaneWalkConfig::Validate() const {
     return Status::InvalidArgument("num_streams must lie in [1, " +
                                    std::to_string(kMaxStreams) + "]");
   }
-  if (!(domain_lo < domain_hi && std::isfinite(domain_lo) &&
-        std::isfinite(domain_hi))) {
+  // A span that overflows (an infinite bound, or finite bounds further
+  // apart than the largest double) draws non-finite positions.
+  if (!(domain_lo < domain_hi && std::isfinite(domain_hi - domain_lo))) {
     return Status::InvalidArgument(
-        "domain bounds must be finite with domain_lo < domain_hi");
+        "domain_lo must be < domain_hi, with a finite domain_hi - "
+        "domain_lo");
   }
   if (!(mean_interarrival > 0)) {
     return Status::InvalidArgument("mean_interarrival must be > 0");

@@ -48,8 +48,7 @@ std::string JsonWriter::ToJson() const {
   }
   out += "  }";
   for (const auto& [name, json] : blocks_) {
-    // Plain appends: blocks (time-series, histograms) routinely exceed
-    // Fmt's formatting buffer.
+    // Plain appends: a block can exceed Fmt's formatting buffer.
     out += ",\n  \"";
     out += name;
     out += "\": ";

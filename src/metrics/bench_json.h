@@ -23,8 +23,7 @@ namespace metrics {
 /// builds its document through this writer, which pins the schema —
 /// "bench", then "provenance" (attached automatically from
 /// BuildProvenance(); SetProvenance overrides), then the flat "metrics"
-/// object, then any named extra blocks (time-series, histograms,
-/// profile).
+/// object, then any named extra blocks (asf_run's profile).
 class JsonWriter {
  public:
   explicit JsonWriter(std::string bench);

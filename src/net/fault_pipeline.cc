@@ -237,9 +237,6 @@ void FaultPipeline::OnDeployAck(std::size_t slot, StreamId id,
     if (rto_adaptive_ && !ch.retransmitted) {
       if (ch.id >= rtt_.size()) rtt_.resize(ch.id + 1);
       rtt_[ch.id].AddSample(net_.scheduler_->now() - ch.sent_at);
-      if (net_.obs_sink_ != nullptr) {
-        net_.obs_sink_->rto->Add(rtt_[ch.id].Rto(1.0, rto_cap_));
-      }
     }
     ch.pending = false;
     ++s.deploy_acks;

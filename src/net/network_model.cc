@@ -593,9 +593,6 @@ class BoundedBandwidthNet final : public NetworkModel {
       queued_.resize(id + 1, 0);
     }
     stats_.queue_depth.Add(static_cast<double>(queued_[id]));
-    if (obs_sink_ != nullptr) {
-      obs_sink_->queue_depth->Add(static_cast<double>(queued_[id]));
-    }
     ++queued_[id];
     std::vector<Payload> payloads;
     payloads.reserve(slots.size());

@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "filter/constraint.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/scheduler.h"
 
@@ -338,14 +337,10 @@ class NetworkModel {
   NetStats& stats() { return stats_; }
   const NetStats& stats() const { return stats_; }
 
-  /// Observability endpoints (DESIGN.md §14): histogram sink for
-  /// staleness / queue depth / RTO samples, and the tracer wire drops are
-  /// recorded on. Null (the default) = off; one branch per feed
-  /// site. The engine sets this before Run.
-  void set_obs(obs::NetMetricsSink* sink, obs::Tracer* tracer) {
-    obs_sink_ = sink;
-    obs_tracer_ = tracer;
-  }
+  /// The tracer wire drops are recorded on (DESIGN.md §14). Null (the
+  /// default) = off; one branch per trace point. The engine sets this
+  /// before Run.
+  void set_tracer(obs::Tracer* tracer) { obs_tracer_ = tracer; }
 
  protected:
   NetworkModel() = default;
@@ -401,8 +396,7 @@ class NetworkModel {
   UpdateSink update_sink_;
   DeploySink deploy_sink_;
   NetStats stats_;
-  /// Observability endpoints (see set_obs); null = off.
-  obs::NetMetricsSink* obs_sink_ = nullptr;
+  /// The drop tracer (see set_tracer); null = off.
   obs::Tracer* obs_tracer_ = nullptr;
   /// The wire's one ledger — these two counts and the per-slot payload
   /// counts in in_flight_ — with held messages and control copies
@@ -422,11 +416,6 @@ class NetworkModel {
     stats_.update_payloads += payloads.size();
     if (sample_delay) {
       for (const Payload& p : payloads) stats_.delay.Add(at - p.crossed_at);
-      if (obs_sink_ != nullptr) {
-        for (const Payload& p : payloads) {
-          obs_sink_->staleness->Add(at - p.crossed_at);
-        }
-      }
     }
     update_sink_(id, payloads.data(), payloads.size(), at);
   }

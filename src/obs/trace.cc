@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 namespace asf {
@@ -85,28 +84,32 @@ Result<std::uint32_t> ParseCategoryMask(const std::string& csv) {
   return mask;
 }
 
-// Binary format, version 2 (host-endian):
-//   char[8]  magic "ASFTRC02"
-//   u64      record count
-//   u64      dropped count
-//   TraceRecord[count]   (32 bytes each, verbatim)
-// Version 1 dumps ("ASFTRC01", a ring table) do not read: the event
-// numbering changed with the format.
-Status Tracer::WriteBinary(const std::string& path) const {
-  std::FILE* out = std::fopen(path.c_str(), "wb");
+Status Tracer::WriteChromeJson(const std::string& path) const {
+  std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     return Status::IoError("cannot open trace file for writing: " + path);
   }
-  const std::uint64_t count = records_.size();
-  bool ok = std::fwrite(kTraceMagic, sizeof(kTraceMagic) - 1, 1, out) == 1;
-  ok = ok && std::fwrite(&count, sizeof(count), 1, out) == 1;
-  ok = ok && std::fwrite(&dropped_, sizeof(dropped_), 1, out) == 1;
-  if (count > 0) {
-    ok = ok && std::fwrite(records_.data(), sizeof(TraceRecord), count,
-                           out) == count;
+  // Thread-name metadata so chrome://tracing labels the engine's track;
+  // ts 0 keeps every event's name/ph/ts triple complete.
+  std::fputs(
+      "{\"traceEvents\":[{\"name\":\"thread_name\",\"ph\":\"M\","
+      "\"pid\":0,\"tid\":0,\"ts\":0,\"args\":{\"name\":\"engine\"}}",
+      out);
+  for (const TraceRecord& record : records_) {
+    const auto type = static_cast<TraceEventType>(record.type);
+    std::fprintf(out,
+                 ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
+                 "\"ts\":%.6f,\"pid\":0,\"tid\":0,\"args\":{\"id\":%u,"
+                 "\"value\":%.17g,\"aux\":%llu}}",
+                 TraceEventTypeName(type), TraceCategoryName(CategoryOf(type)),
+                 record.time * 1e6, record.id, record.value,
+                 static_cast<unsigned long long>(record.aux));
   }
-  ok = std::fclose(out) == 0 && ok;
-  if (!ok) return Status::IoError("short write to trace file: " + path);
+  std::fputs("]}\n", out);
+  const bool ok = std::ferror(out) == 0;
+  if (std::fclose(out) != 0 || !ok) {
+    return Status::IoError("short write to trace file: " + path);
+  }
   return Status::OK();
 }
 

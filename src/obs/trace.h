@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -13,9 +12,8 @@
 
 /// \file
 /// Sim-time event tracer (DESIGN.md §14): one bounded buffer of
-/// fixed-size POD records, flushed once to a binary file at the end of a
-/// run and converted offline to Chrome trace_event JSON by
-/// tools/asf_trace.
+/// fixed-size POD records, written once at the end of a run as a Chrome
+/// trace_event JSON document that chrome://tracing and Perfetto load.
 ///
 /// The tracer is *inert by construction*: records carry sim-time and ids
 /// that the engine already computed — emitting one never reads the RNG,
@@ -28,8 +26,7 @@
 namespace asf {
 namespace obs {
 
-/// Every traced event kind. Order is the wire format: changing it bumps
-/// the file magic (trace.cc).
+/// Every traced event kind.
 enum class TraceEventType : std::uint16_t {
   kValueUpdate = 0,  ///< a stream update dispatched; value = new value
   kCrossing,         ///< a filter crossing fired; id = column, aux = count
@@ -77,36 +74,26 @@ constexpr std::uint32_t CategoryOf(TraceEventType type) {
   return 0;
 }
 
-/// Human-readable names, used by the Chrome exporter and --summary.
+/// Human-readable names: each Chrome event's "name" and "cat".
 const char* TraceEventTypeName(TraceEventType type);
 const char* TraceCategoryName(std::uint32_t category_bit);
-
-/// The first eight bytes of a binary trace file; the digits are the
-/// format version.
-inline constexpr char kTraceMagic[] = "ASFTRC02";
 
 /// Parses "update,wire,spill"-style CSVs into a category mask. "all" (or
 /// an empty string) selects every category. Unknown names are an error.
 Result<std::uint32_t> ParseCategoryMask(const std::string& csv);
 
-/// One traced event. 32 bytes, trivially copyable — the binary file is
-/// these structs verbatim (little-endian, host layout; the converter
-/// runs on the same host class).
+/// One traced event, held in memory until the run's trace is written.
 struct TraceRecord {
-  double time = 0;             ///< sim-time of the event
-  std::uint16_t type = 0;      ///< TraceEventType
-  std::uint16_t reserved = 0;  ///< always 0
-  std::uint32_t id = 0;        ///< stream / column / slot id (type-dependent)
-  std::uint64_t aux = 0;       ///< type-dependent extra (count, bytes)
-  double value = 0;            ///< type-dependent value (stream value, etc.)
+  double time = 0;         ///< sim-time of the event
+  std::uint16_t type = 0;  ///< TraceEventType
+  std::uint32_t id = 0;    ///< stream / column / slot id (type-dependent)
+  std::uint64_t aux = 0;   ///< type-dependent extra (count, bytes)
+  double value = 0;        ///< type-dependent value (stream value, etc.)
 };
-static_assert(sizeof(TraceRecord) == 32, "trace record layout is the ABI");
-static_assert(std::is_trivially_copyable_v<TraceRecord>,
-              "records are written to disk verbatim");
 
 /// The per-run tracer: the category mask, the bounded record buffer and
-/// the binary flush. The engine receives a `Tracer*` through ObsHooks
-/// (null = off). Emit never blocks: once `capacity` records are held,
+/// the Chrome JSON writer. The engine receives a `Tracer*` through
+/// ObsHooks (null = off). Emit never blocks: once `capacity` records are held,
 /// further records are dropped and counted (the overflow policy the
 /// inertness contract requires — a tracer that could stall the engine
 /// would perturb wall-clock-sensitive accounting).
@@ -141,8 +128,12 @@ class Tracer {
   /// Records dropped because the buffer was full.
   std::uint64_t dropped() const { return dropped_; }
 
-  /// Writes the binary trace file (format: trace.cc).
-  Status WriteBinary(const std::string& path) const;
+  /// Writes the records as a Chrome trace_event JSON document,
+  /// {"traceEvents": [...]}: a thread-name metadata event, then one
+  /// instant event (ph "i", scope "t") per record on that one thread, with
+  /// `ts` = sim-time × 10^6 µs (1 sim-time unit = 1 s) and id, value and
+  /// aux as `args`.
+  Status WriteChromeJson(const std::string& path) const;
 
  private:
   std::uint32_t mask_;

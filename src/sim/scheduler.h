@@ -56,9 +56,8 @@
 /// Driving from outside: RunUntil(t) and RunBefore(t) are the only ways
 /// to advance the clock. RunBefore(t) runs everything due strictly before
 /// t and stops the clock at t, so a driver can act at instant t ahead of
-/// every event due then. The engine times query deploys, retirements and
-/// metrics snapshots that way, as steps of its own loop rather than as
-/// events.
+/// every event due then. The engine times query deploys and retirements
+/// that way, as steps of its own loop rather than as events.
 
 namespace asf {
 

@@ -10,8 +10,11 @@ Status RandomWalkConfig::Validate() const {
     return Status::InvalidArgument("num_streams must lie in [1, " +
                                    std::to_string(kMaxStreams) + "]");
   }
-  if (!(init_lo < init_hi)) {
-    return Status::InvalidArgument("init_lo must be < init_hi");
+  // A span that overflows (an infinite bound, or finite bounds further
+  // apart than the largest double) draws non-finite initial values.
+  if (!(init_lo < init_hi && std::isfinite(init_hi - init_lo))) {
+    return Status::InvalidArgument(
+        "init_lo must be < init_hi, with a finite init_hi - init_lo");
   }
   if (!(mean_interarrival > 0)) {
     return Status::InvalidArgument("mean_interarrival must be > 0");

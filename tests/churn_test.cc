@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "engine/multi_system.h"
 #include "engine/query_slot.h"
@@ -156,12 +157,9 @@ TEST(ChurnExpansionTest, SchedulesRespectWindowAndLifetimes) {
 TEST(ChurnExpansionTest, RankMixPreservesFlavorAndAsymmetricTolerance) {
   ChurnSpec spec = BaseSpec();
   ChurnMixEntry entry;
-  entry.protocol = ProtocolKind::kFtRp;
-  entry.query_type = QuerySpec::Type::kRank;
-  entry.rank_kind = RankKind::kMax;  // top-k, not k-NN
-  entry.k = 20;
-  entry.eps_plus = 0.1;
-  entry.eps_minus = 0.4;
+  entry.deployment.protocol = ProtocolKind::kFtRp;
+  entry.deployment.query = QuerySpec::TopK(20);  // top-k, not k-NN
+  entry.deployment.fraction = {0.1, 0.4};
   spec.mix.push_back(entry);
   const auto deployments = ExpandChurn(spec, 2000);
   ASSERT_TRUE(deployments.ok());
@@ -178,16 +176,16 @@ TEST(ChurnExpansionTest, RankMixPreservesFlavorAndAsymmetricTolerance) {
 TEST(ChurnExpansionTest, RejectsRankQueryWithRangeProtocol) {
   ChurnSpec spec = BaseSpec();
   ChurnMixEntry entry;
-  entry.protocol = ProtocolKind::kFtNrp;  // range protocol
-  entry.query_type = QuerySpec::Type::kRank;
+  entry.deployment.protocol = ProtocolKind::kFtNrp;  // range protocol
+  entry.deployment.query.type = QuerySpec::Type::kRank;
   spec.mix.push_back(entry);
   EXPECT_FALSE(ExpandChurn(spec, 2000).ok());
 
   // ...and symmetrically, a range query with a rank-only protocol.
   ChurnSpec spec2 = BaseSpec();
   ChurnMixEntry entry2;
-  entry2.protocol = ProtocolKind::kRtp;
-  entry2.query_type = QuerySpec::Type::kRange;
+  entry2.deployment.protocol = ProtocolKind::kRtp;
+  entry2.deployment.query.type = QuerySpec::Type::kRange;
   spec2.mix.push_back(entry2);
   EXPECT_FALSE(ExpandChurn(spec2, 2000).ok());
 }
@@ -199,8 +197,8 @@ TEST(ChurnSpecTest, MixPairingIsValidatedRegardlessOfDraws) {
   spec.mix.push_back(ChurnMixEntry{});  // valid range/FT-NRP, weight 1
   ChurnMixEntry bad;
   bad.weight = 1e-12;
-  bad.protocol = ProtocolKind::kZtNrp;
-  bad.query_type = QuerySpec::Type::kRank;
+  bad.deployment.protocol = ProtocolKind::kZtNrp;
+  bad.deployment.query.type = QuerySpec::Type::kRank;
   spec.mix.push_back(bad);
   EXPECT_FALSE(spec.Validate().ok());
   EXPECT_FALSE(ExpandChurn(spec, 2000).ok());
@@ -209,9 +207,9 @@ TEST(ChurnSpecTest, MixPairingIsValidatedRegardlessOfDraws) {
 TEST(ChurnExpansionTest, FixedShapeEntryPinsEveryArrival) {
   ChurnSpec spec = BaseSpec();
   ChurnMixEntry entry;
-  entry.protocol = ProtocolKind::kFtNrp;
+  entry.deployment.protocol = ProtocolKind::kFtNrp;
+  entry.deployment.query = QuerySpec::Range(123, 456);
   entry.fixed_shape = true;
-  entry.shape = QuerySpec::Range(123, 456);
   spec.mix.push_back(entry);
   const auto deployments = ExpandChurn(spec, 2000);
   ASSERT_TRUE(deployments.ok());
@@ -230,6 +228,35 @@ TEST(ChurnExpansionTest, MaxQueriesCapsArrivals) {
   const auto deployments = ExpandChurn(spec, 5000);
   ASSERT_TRUE(deployments.ok());
   EXPECT_EQ(deployments->size(), 7u);
+}
+
+/// About 10^10 expected arrivals (`asf_run --churn --churn-rate=1e7
+/// --duration=1000`) fail by the limit before any is drawn, uncapped or
+/// under a cap past the limit; a cap inside the limit still truncates.
+TEST(ChurnExpansionTest, ArrivalsPastTheLimitFailBeforeDrawing) {
+  ChurnSpec spec = BaseSpec();
+  spec.arrival_rate = 1e7;
+  for (const std::size_t cap : {std::size_t{0}, kMaxChurnArrivals + 1}) {
+    spec.max_queries = cap;
+    const auto deployments = ExpandChurn(spec, 1000);
+    ASSERT_FALSE(deployments.ok()) << "cap " << cap;
+    EXPECT_EQ(deployments.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(deployments.status().message().find(
+                  std::to_string(kMaxChurnArrivals)),
+              std::string::npos)
+        << deployments.status().ToString();
+  }
+  spec.max_queries = 5;
+  const auto capped = ExpandChurn(spec, 1000);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_EQ(capped->size(), 5u);
+  // The limit bounds the expected count, not the rate: the same rate over
+  // a window of 10^-5 expects about 100 arrivals.
+  spec.max_queries = 0;
+  spec.window_start = 1000 - 1e-5;
+  const auto short_window = ExpandChurn(spec, 1000);
+  ASSERT_TRUE(short_window.ok()) << short_window.status().ToString();
+  EXPECT_GT(short_window->size(), 0u);
 }
 
 TEST(ChurnExpansionTest, ExpandedScheduleValidatesAndRuns) {

@@ -1,9 +1,9 @@
-// The four command-line tools, run as built. Each case spawns the real
+// The three command-line tools, run as built. Each case spawns the real
 // binary, whose path CMake passes as a macro (ASF_RUN_PATH, ...), and
 // checks its exact exit status under RunTool's contract (common/flags.h):
 // 0 for a run, 1 for a rejected config, 2 for an unknown flag. A failing
 // case must also have printed its reason to stderr. Then the outputs a
-// consumer reads: the Chrome trace asf_trace converts, the blocks of
+// consumer reads: the Chrome trace asf_run writes, the blocks of
 // asf_run --bench-json, and a spill directory left empty.
 
 #include <fcntl.h>
@@ -151,17 +151,12 @@ class CliTest : public ::testing::Test {
 /// rejected config, 2 for an unknown flag. An abort (134) fails the case,
 /// as does a hang, through the test's ctest timeout.
 TEST_F(CliTest, MalformedInputFailsWithItsStatus) {
-  // A real (empty) trace, so only the mistyped flag can fail the
-  // asf_trace call.
-  ASSERT_TRUE(obs::Tracer().WriteBinary(Path("smoke.trace")).ok());
   // Stream counts far past kMaxStreams, on the command line and in a trace
   // CSV header (where 2^32 would wrap StreamId): each is rejected before
   // anything is sized by it. The header's one-value initial line fails
   // too, so even a reader that took the count sizes nothing by it.
   // stream_test and trace_test hold the counts just past the limit.
   WriteFile(Path("wide.csv"), "num_streams,4294967296\ninitial,0\n");
-  // A format-1 trace dump: older dumps no longer convert.
-  WriteFile(Path("v1.trace"), std::string("ASFTRC01") + std::string(8, '\0'));
 
   const struct {
     int status;
@@ -213,9 +208,8 @@ TEST_F(CliTest, MalformedInputFailsWithItsStatus) {
        {ASF_SWEEP_PATH, "--values=0.1,O.2", "--streams=50", "--duration=100"},
        "--values expects a number"},
       {2,
-       {ASF_TRACE_PATH, "--in=" + Path("smoke.trace"),
-        "--out=" + Path("smoke.json"), "--ts-scal=5"},
-       "unknown flag --ts-scal"},
+       {ASF_RUN_PATH, "--metrics-every=100", "--streams=10", "--duration=50"},
+       "unknown flag --metrics-every"},
       {2,
        {ASF_TRACEGEN_PATH, "--out=" + Path("smoke.csv"), "--subnet=5"},
        "unknown flag --subnet"},
@@ -223,9 +217,6 @@ TEST_F(CliTest, MalformedInputFailsWithItsStatus) {
        {ASF_RUN_PATH, "--trace=" + Path("epoch.trace"), "--trace-cats=epoch",
         "--streams=10", "--duration=50"},
        "unknown trace category: epoch"},
-      {1,
-       {ASF_TRACE_PATH, "--in=" + Path("v1.trace"), "--summary"},
-       "bad magic"},
       {1,
        {ASF_RUN_PATH, "--streams=9223372036854775807", "--duration=50"},
        "num_streams must lie in"},
@@ -251,6 +242,16 @@ TEST_F(CliTest, MalformedInputFailsWithItsStatus) {
        {ASF_TRACEGEN_PATH, "--out=" + Path("nan_synth.csv"), "--zipf=nan",
         "--connections=1000"},
        "zipf_s"},
+      // An arrival count past kMaxChurnArrivals (about 10^10 here),
+      // rejected before the schedule is drawn, and a sweep grid past its
+      // run limit, rejected before it is reserved: both used to abort.
+      {1,
+       {ASF_RUN_PATH, "--churn", "--churn-rate=1e7", "--duration=1000",
+        "--streams=10"},
+       "1048576"},
+      {1,
+       {ASF_SWEEP_PATH, "--values=0", "--seeds=9223372036854775807"},
+       "--seeds"},
   };
   for (const auto& c : kCases) ExpectStatus(c.status, c.argv, c.reason);
 
@@ -302,35 +303,35 @@ TEST_F(CliTest, DelayedFaultyAndSpillingRunsExitCleanly) {
   EXPECT_TRUE(std::filesystem::is_empty(spill));
 }
 
-/// One observed run: its trace converts to Chrome JSON in which every
-/// event carries ts, ph and name, and its --bench-json carries the
-/// timeseries, histograms and profile blocks after the metrics.
+/// One observed run: its trace file is a Chrome trace_event document in
+/// which every event carries ts, ph and name, one per record the
+/// epilogue counts, and its --bench-json carries the metrics and profile
+/// blocks.
 TEST_F(CliTest, ObservedRunWritesCompleteTraceAndBenchJson) {
   if (!ASF_OBS_TRACE_COMPILED) GTEST_SKIP() << "built with ASF_OBS_TRACE=OFF";
-  ExpectStatus(0, {ASF_RUN_PATH, "--protocol=ft-nrp", "--streams=500",
-                   "--duration=900", "--eps-plus=0.2", "--eps-minus=0.2",
-                   "--net=batch:10", "--oracle-interval=120",
-                   "--trace=" + Path("run.trace"), "--metrics-every=100",
-                   "--profile", "--bench-json=" + Path("run.json")});
+  const Outcome run =
+      Run({ASF_RUN_PATH, "--protocol=ft-nrp", "--streams=500",
+           "--duration=900", "--eps-plus=0.2", "--eps-minus=0.2",
+           "--net=batch:10", "--oracle-interval=120",
+           "--trace=" + Path("trace.json"), "--profile",
+           "--bench-json=" + Path("run.json")});
+  ASSERT_EQ(run.status, 0) << run.err;
   const ObjectKeys bench = ScanObject(ReadFile(Path("run.json")), 0);
   ASSERT_NE(bench.end, std::string::npos);
-  for (const char* block : {"metrics", "timeseries", "histograms", "profile"}) {
-    EXPECT_EQ(bench.keys.count(block), 1u) << block;
-  }
+  std::set<std::string> blocks = bench.keys;
+  blocks.erase("bench");
+  blocks.erase("provenance");
+  EXPECT_EQ(blocks, (std::set<std::string>{"metrics", "profile"}));
 
-  const Outcome converted =
-      Run({ASF_TRACE_PATH, "--in=" + Path("run.trace"),
-           "--out=" + Path("chrome.json"), "--summary"});
-  ASSERT_EQ(converted.status, 0) << converted.err;
   std::size_t records = 0;
-  const auto wrote = converted.out.find("wrote ");
-  ASSERT_NE(wrote, std::string::npos);
-  ASSERT_EQ(std::sscanf(converted.out.c_str() + wrote, "wrote %*s (%zu events)",
+  const auto line = run.out.find("obs trace: ");
+  ASSERT_NE(line, std::string::npos) << run.out;
+  ASSERT_EQ(std::sscanf(run.out.c_str() + line, "obs trace: %zu records",
                         &records),
             1);
   EXPECT_GT(records, 0u);
 
-  const std::string chrome = ReadFile(Path("chrome.json"));
+  const std::string chrome = ReadFile(Path("trace.json"));
   ASSERT_EQ(ScanObject(chrome, 0).keys, std::set<std::string>{"traceEvents"});
   std::size_t events = 0;
   std::size_t at = chrome.find('[', chrome.find("\"traceEvents\"")) + 1;

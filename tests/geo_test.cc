@@ -92,6 +92,11 @@ TEST(PlaneWalkTest, ConfigValidation) {
   bad = ok;
   bad.domain_hi = kInf;
   EXPECT_FALSE(bad.Validate().ok());
+  // Finite bounds whose span overflows draw non-finite positions too.
+  bad = ok;
+  bad.domain_lo = -1e308;
+  bad.domain_hi = 1e308;
+  EXPECT_FALSE(bad.Validate().ok());
   bad = ok;
   bad.num_streams = kMaxStreams + 1;
   EXPECT_FALSE(bad.Validate().ok());

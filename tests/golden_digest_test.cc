@@ -181,11 +181,10 @@ TEST(GoldenDigestTest, AsfRunChurnDefaults) {
   spec.mean_lifetime = 150;
   spec.seed = 5;
   ChurnMixEntry entry;
-  entry.protocol = ProtocolKind::kZtNrp;
-  entry.eps_plus = 0;
-  entry.eps_minus = 0;
-  entry.rank_r = 0;
-  entry.k = 1;
+  entry.deployment.protocol = ProtocolKind::kZtNrp;
+  entry.deployment.fraction = {0, 0};
+  entry.deployment.rank_r = 0;
+  entry.deployment.query.k = 1;
   spec.mix.push_back(entry);
   auto queries = ExpandChurn(spec, config.duration);
   ASSERT_TRUE(queries.ok()) << queries.status().ToString();

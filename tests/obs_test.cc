@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <iterator>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -19,17 +19,14 @@
 #include "metrics/table.h"
 #include "net/network_model.h"
 #include "obs/hooks.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
-#include "obs/trace_convert.h"
 #include "result_equality.h"
 
 // Unified observability layer (DESIGN.md §14): tracer buffer semantics,
-// binary <-> Chrome JSON round trip, histogram bucket math, profiler
-// attribution, snapshot grid — and above all the inertness contract:
-// attaching every observability facility must leave engine results
-// bit-identical.
+// the Chrome JSON it writes, profiler attribution, the run report — and
+// above all the inertness contract: attaching every observability
+// facility must leave engine results bit-identical.
 
 namespace asf {
 namespace {
@@ -72,234 +69,39 @@ TEST(TracerTest, ParseCategoryMask) {
   EXPECT_FALSE(obs::ParseCategoryMask("epoch").ok());
 }
 
-// --- Binary file <-> Chrome JSON round trip ---
-
-TEST(TraceConvertTest, BinaryRoundTripPreservesRecordsAndDrops) {
+/// The written document, pinned byte for byte: the thread-name event,
+/// then one instant event per kept record (the fourth was dropped), ts in
+/// microseconds at 1 sim-time unit = 1 s, value at full precision.
+TEST(TracerTest, WritesTheChromeDocument) {
   obs::Tracer tracer(obs::kCatAll, 3);
-  tracer.Emit(obs::TraceEventType::kValueUpdate, 1.5, 11, 42.0, 0);
+  tracer.Emit(obs::TraceEventType::kValueUpdate, 1.5, 11, 0.1, 0);
   tracer.Emit(obs::TraceEventType::kCrossing, 2.5, 12, 43.0, 3);
   tracer.Emit(obs::TraceEventType::kIndexRebuild, 3.0, 0, 0.0, 9);
   tracer.Emit(obs::TraceEventType::kWireSend, 3.5, 13, 0.0, 1);  // dropped
+  ASSERT_EQ(tracer.dropped(), 1u);
 
-  const std::string path = ::testing::TempDir() + "/obs_roundtrip.trace";
-  ASSERT_TRUE(tracer.WriteBinary(path).ok());
+  const std::string path = ::testing::TempDir() + "/obs_chrome.json";
+  ASSERT_TRUE(tracer.WriteChromeJson(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(
+      written.str(),
+      R"({"traceEvents":[{"name":"thread_name","ph":"M","pid":0,"tid":0,)"
+      R"("ts":0,"args":{"name":"engine"}},)"
+      R"({"name":"value_update","cat":"update","ph":"i","s":"t",)"
+      R"("ts":1500000.000000,"pid":0,"tid":0,)"
+      R"("args":{"id":11,"value":0.10000000000000001,"aux":0}},)"
+      R"({"name":"crossing","cat":"crossing","ph":"i","s":"t",)"
+      R"("ts":2500000.000000,"pid":0,"tid":0,)"
+      R"("args":{"id":12,"value":43,"aux":3}},)"
+      R"({"name":"index_rebuild","cat":"index","ph":"i","s":"t",)"
+      R"("ts":3000000.000000,"pid":0,"tid":0,)"
+      R"("args":{"id":0,"value":0,"aux":9}}]})"
+      "\n");
 
-  const auto data = obs::ReadTraceBinary(path);
-  ASSERT_TRUE(data.ok());
-  ASSERT_EQ(data->records.size(), 3u);
-  EXPECT_EQ(data->dropped, 1u);
-
-  const obs::TraceRecord& first = data->records[0];
-  EXPECT_DOUBLE_EQ(first.time, 1.5);
-  EXPECT_EQ(first.id, 11u);
-  EXPECT_DOUBLE_EQ(first.value, 42.0);
-  const obs::TraceRecord& rebuild = data->records[2];
-  EXPECT_EQ(rebuild.aux, 9u);
-  EXPECT_EQ(rebuild.reserved, 0u);
-
-  const std::string json = obs::ChromeTraceJson(*data);
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"value_update\""), std::string::npos);
-  EXPECT_NE(json.find("\"index_rebuild\""), std::string::npos);
-  // Sim-time 1.5 on the default 1e6 ts axis.
-  EXPECT_NE(json.find("1500000"), std::string::npos);
-}
-
-TEST(TraceConvertTest, RejectsGarbageFile) {
-  const std::string path = ::testing::TempDir() + "/obs_garbage.trace";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a trace", f);
-  std::fclose(f);
-  EXPECT_FALSE(obs::ReadTraceBinary(path).ok());
-}
-
-/// A dump whose header, under `magic`, claims `count` records and holds
-/// none.
-std::string ForgedDump(std::uint64_t count,
-                       const std::string& magic = obs::kTraceMagic) {
-  const std::uint64_t dropped = 0;
-  std::string bytes = magic;
-  bytes.append(reinterpret_cast<const char*>(&count), sizeof count);
-  bytes.append(reinterpret_cast<const char*>(&dropped), sizeof dropped);
-  return bytes;
-}
-
-/// Hostile dumps fail with a Status, never by allocation or a crash: a
-/// forged record count (one beyond memory, one whose byte size overflows),
-/// a format-1 dump, and a real dump cut inside the header and the
-/// records.
-TEST(TraceConvertTest, RejectsForgedCountsAndTruncatedDumps) {
-  obs::Tracer tracer;
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    tracer.Emit(obs::TraceEventType::kValueUpdate, i, i, 0.5 * i);
-  }
-  const std::string path = ::testing::TempDir() + "/obs_hostile.trace";
-  ASSERT_TRUE(tracer.WriteBinary(path).ok());
-  ASSERT_TRUE(obs::ReadTraceBinary(path).ok());
-  std::string dump;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) dump.append(buf, n);
-    std::fclose(f);
-  }
-  ASSERT_GT(dump.size(), 1000u);
-
-  const struct {
-    std::string label;
-    std::string bytes;
-  } kCases[] = {
-      {"count 2^44", ForgedDump(std::uint64_t{1} << 44)},
-      {"count 2^60", ForgedDump(std::uint64_t{1} << 60)},
-      {"format 1", ForgedDump(0, "ASFTRC01")},
-      {"cut at 0", dump.substr(0, 0)},
-      {"cut at 7", dump.substr(0, 7)},
-      {"cut at 8", dump.substr(0, 8)},
-      {"cut at 16", dump.substr(0, 16)},
-      {"cut at 40", dump.substr(0, 40)},
-      {"cut at 100", dump.substr(0, 100)},
-      {"cut at 1000", dump.substr(0, 1000)},
-      {"one byte short", dump.substr(0, dump.size() - 1)},
-  };
-  for (const auto& c : kCases) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(c.bytes.data(), 1, c.bytes.size(), f),
-              c.bytes.size());
-    std::fclose(f);
-    const auto data = obs::ReadTraceBinary(path);
-    ASSERT_FALSE(data.ok()) << c.label;
-    EXPECT_EQ(data.status().code(), StatusCode::kCorruption) << c.label;
-  }
-}
-
-// --- Log-bucketed histogram ---
-
-TEST(LogHistogramTest, BucketBoundariesWithUnitMin) {
-  obs::LogHistogram hist(1.0, 8);  // buckets: under, 6 ranges, over
-  EXPECT_EQ(hist.BucketOf(0.0), 0u);    // underflow
-  EXPECT_EQ(hist.BucketOf(0.999), 0u);  // underflow
-  EXPECT_EQ(hist.BucketOf(-3.0), 0u);
-  EXPECT_EQ(hist.BucketOf(std::nan("")), 0u);
-  EXPECT_EQ(hist.BucketOf(1.0), 1u);   // [1, 2)
-  EXPECT_EQ(hist.BucketOf(1.999), 1u);
-  EXPECT_EQ(hist.BucketOf(2.0), 2u);   // exact power of two: low edge
-  EXPECT_EQ(hist.BucketOf(3.999), 2u);
-  EXPECT_EQ(hist.BucketOf(4.0), 3u);
-  EXPECT_EQ(hist.BucketOf(32.0), 6u);  // [32, 64) is the last range
-  EXPECT_EQ(hist.BucketOf(64.0), 7u);  // overflow
-  EXPECT_EQ(hist.BucketOf(1e30), 7u);
-  EXPECT_DOUBLE_EQ(hist.bucket_lo(1), 1.0);
-  EXPECT_DOUBLE_EQ(hist.bucket_lo(3), 4.0);
-}
-
-TEST(LogHistogramTest, AddFillsBucketsCountAndSum) {
-  obs::LogHistogram hist(1.0, 16);
-  for (const double v : {0.5, 1.0, 7.0, 100.0, 2.0, 2.0, 1e9, 0.0, 3.5, 64.0,
-                         64.0, 1.25}) {
-    hist.Add(v);
-  }
-  EXPECT_EQ(hist.count(), 12u);
-  EXPECT_DOUBLE_EQ(hist.sum(), 1e9 + 245.25);
-  // Underflow {0.5, 0}, [1,2) {1, 1.25}, [2,4) {2, 2, 3.5}, [4,8) {7},
-  // [64,128) {100, 64, 64}, overflow {1e9}.
-  const std::uint64_t expected[16] = {2, 2, 3, 1, 0, 0, 0, 3,
-                                      0, 0, 0, 0, 0, 0, 0, 1};
-  for (std::size_t i = 0; i < hist.buckets(); ++i) {
-    EXPECT_EQ(hist.bucket_count(i), expected[i]) << "bucket " << i;
-  }
-}
-
-// --- Metrics registry ---
-
-TEST(MetricsRegistryTest, SnapshotsSampleGaugesInOrder) {
-  obs::MetricsRegistry registry;
-  double x = 1.0;
-  registry.RegisterGauge("x", [&x] { return x; });
-  registry.RegisterGauge("twice_x", [&x] { return 2 * x; });
-  registry.SnapshotAt(10);
-  x = 5.0;
-  registry.SnapshotAt(20);
-  registry.ClearGauges();
-
-  ASSERT_EQ(registry.series().size(), 2u);
-  EXPECT_EQ(registry.series()[0].time, 10);
-  EXPECT_EQ(registry.series()[0].values[1], 2.0);
-  EXPECT_EQ(registry.series()[1].values[0], 5.0);
-  EXPECT_EQ(registry.series()[1].values[1], 10.0);
-  // Names survive ClearGauges — TimeSeriesJson needs the column header.
-  const std::string json = registry.TimeSeriesJson();
-  EXPECT_NE(json.find("\"twice_x\""), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, NetSinkCreatesHistogramsOnce) {
-  obs::MetricsRegistry registry;
-  obs::NetMetricsSink* sink = registry.net_sink();
-  ASSERT_NE(sink->staleness, nullptr);
-  sink->staleness->Add(3.0);
-  EXPECT_EQ(registry.net_sink(), sink);  // idempotent
-  EXPECT_EQ(registry.FindHistogram("net_staleness")->count(), 1u);
-}
-
-/// A no-filter query on a ten-stream trace with one record at every
-/// integer time, deployed at 100 and retired at 300, snapshotted every
-/// 100. A row at an instant is taken after every event before it and
-/// before the deploys, retirements and records at it: the rows at 100
-/// and 300 see the population as it stood just before the change.
-TEST(MetricsRegistryTest, SnapshotPrecedesSameInstantLifecycle) {
-  constexpr SimTime kDuration = 400;
-  std::vector<TraceRecord> records;
-  for (int t = 1; t <= static_cast<int>(kDuration); ++t) {
-    TraceRecord rec;
-    rec.time = t;
-    rec.stream = static_cast<StreamId>(t % 10);
-    rec.value = t % 7;
-    records.push_back(rec);
-  }
-  auto trace = TraceData::Make(10, {}, std::move(records));
-  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-
-  MultiQueryConfig config;
-  config.source = SourceSpec::Trace(&*trace);
-  config.duration = kDuration;
-  QueryDeployment query;
-  query.name = "no-filter";
-  query.query = QuerySpec::Range(2, 4);
-  query.start = 100;
-  query.end = 300;
-  config.queries.push_back(query);
-  obs::MetricsRegistry registry;
-  config.obs.metrics = &registry;
-  config.obs.metrics_every = 100;
-  const auto result = RunMultiQuerySystem(config);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  const std::vector<std::string>& names = registry.gauge_names();
-  const auto column = [&](const std::string& name) {
-    const auto it = std::find(names.begin(), names.end(), name);
-    EXPECT_NE(it, names.end()) << name;
-    return static_cast<std::size_t>(it - names.begin());
-  };
-  const std::size_t live = column("live_queries");
-  const std::size_t updates = column("updates_generated");
-  // One record per instant: the updates of [100, T) while the query is
-  // live, none before 100 or from 300 on.
-  const struct {
-    SimTime time;
-    double live;
-    double updates;
-  } kRows[] = {{100, 0, 0}, {200, 1, 100}, {300, 1, 200}, {400, 0, 200}};
-  const std::vector<obs::MetricsRow>& series = registry.series();
-  ASSERT_EQ(series.size(), std::size(kRows));
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    EXPECT_EQ(series[i].time, kRows[i].time) << "row " << i;
-    EXPECT_EQ(series[i].values[live], kRows[i].live) << "row " << i;
-    EXPECT_EQ(series[i].values[updates], kRows[i].updates) << "row " << i;
-  }
-  EXPECT_EQ(result->updates_generated, 200u);
+  const Status unwritable = tracer.WriteChromeJson(::testing::TempDir());
+  EXPECT_EQ(unwritable.code(), StatusCode::kIoError) << unwritable.ToString();
 }
 
 // --- Profiler ---
@@ -490,29 +292,22 @@ TEST(RunReportTest, SharingSavingIsSignedUnderReorder) {
 
 // --- Inertness: the acceptance criterion ---
 
-/// Every facility attached: a tracer on all categories, a metrics
-/// registry sampling every 100 time units, and a profiler.
+/// Every facility attached: a tracer on all categories and a profiler.
 struct AllFacilities {
   obs::Tracer tracer{obs::kCatAll};
-  obs::MetricsRegistry registry;
   obs::Profiler profiler;
 
   obs::ObsHooks hooks() {
     obs::ObsHooks hooks;
     hooks.tracer = &tracer;
-    hooks.metrics = &registry;
-    hooks.metrics_every = 100;
     hooks.profiler = &profiler;
     return hooks;
   }
 
-  /// The facilities actually ran: one snapshot per point of the sim-time
-  /// grid, trace records in dispatch (sim-time) order when trace points
-  /// are compiled in, and profiled time.
-  void ExpectEngaged(SimTime duration, const std::string& label) {
+  /// The facilities actually ran: trace records in dispatch (sim-time)
+  /// order when trace points are compiled in, and profiled time.
+  void ExpectEngaged(const std::string& label) {
     SCOPED_TRACE(label);
-    EXPECT_EQ(registry.series().size(),
-              static_cast<std::size_t>(duration / 100));
 #if ASF_OBS_TRACE_COMPILED
     double last = -1e300;
     std::uint64_t updates = 0;
@@ -571,7 +366,7 @@ TEST(ObsInertnessTest, SixProtocolsAreByteIdentical) {
     ASSERT_TRUE(observed.ok())
         << label << ": " << observed.status().ToString();
     ExpectSameResult(*baseline, *observed, label + " obs on vs off");
-    facilities.ExpectEngaged(config.duration, label);
+    facilities.ExpectEngaged(label);
   }
 }
 
@@ -591,9 +386,8 @@ TEST(ObsInertnessTest, ChurnIsByteIdentical) {
   spec.mean_lifetime = 150;
   spec.seed = 5;
   ChurnMixEntry entry;
-  entry.protocol = ProtocolKind::kZtNrp;
-  entry.eps_plus = 0;
-  entry.eps_minus = 0;
+  entry.deployment.protocol = ProtocolKind::kZtNrp;
+  entry.deployment.fraction = {0, 0};
   spec.mix.push_back(entry);
   auto queries = ExpandChurn(spec, config.duration);
   ASSERT_TRUE(queries.ok()) << queries.status().ToString();
@@ -606,7 +400,7 @@ TEST(ObsInertnessTest, ChurnIsByteIdentical) {
   const auto observed = RunMultiQuerySystem(config);
   ASSERT_TRUE(observed.ok()) << observed.status().ToString();
   ExpectSameResult(*baseline, *observed, "churn obs on vs off");
-  facilities.ExpectEngaged(config.duration, "churn");
+  facilities.ExpectEngaged("churn");
 }
 
 }  // namespace

@@ -447,13 +447,7 @@ MultiQueryConfig DrawConfig(Rng& rng) {
     spec.window_start = config.query_start;
     spec.seed = walk.seed + 2;
     ChurnMixEntry entry;
-    entry.protocol = protocol;
-    entry.query_type = shape.query.type;
-    entry.rank_kind = shape.query.rank_kind;
-    entry.k = shape.query.k;
-    entry.eps_plus = shape.fraction.eps_plus;
-    entry.eps_minus = shape.fraction.eps_minus;
-    entry.rank_r = shape.rank_r;
+    entry.deployment = shape;
     spec.mix.push_back(entry);
     auto queries = ExpandChurn(spec, config.duration);
     EXPECT_TRUE(queries.ok());

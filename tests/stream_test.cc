@@ -37,6 +37,20 @@ TEST(RandomWalkTest, ConfigValidation) {
   bad = ok;
   bad.init_lo = bad.init_hi;
   EXPECT_FALSE(bad.Validate().ok());
+  // An infinite bound, or finite bounds whose span overflows, would draw
+  // non-finite initial values.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    double lo;
+    double hi;
+  } kSpans[] = {{0, kInf}, {-kInf, 0}, {-1e308, 1e308}};
+  for (const auto& span : kSpans) {
+    bad = ok;
+    bad.init_lo = span.lo;
+    bad.init_hi = span.hi;
+    EXPECT_FALSE(bad.Validate().ok()) << "[" << span.lo << ", " << span.hi
+                                      << ")";
+  }
   bad = ok;
   bad.mean_interarrival = 0;
   EXPECT_FALSE(bad.Validate().ok());

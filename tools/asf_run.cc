@@ -26,7 +26,6 @@
 #include "filter/dispatch.h"
 #include "metrics/bench_json.h"
 #include "obs/hooks.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -119,14 +118,11 @@ buffer size — spilling only changes where closed books are stored):
 
 Observability (DESIGN.md #14; inert on results — obs-on output is
 byte-identical to obs-off after dropping the "obs "-prefixed lines):
-  --trace=FILE            write a binary sim-time event trace to FILE
-                          (convert with tools/asf_trace; the old replay
-                          meaning of --trace moved to --replay)
+  --trace=FILE            write the sim-time event trace to FILE as
+                          Chrome trace_event JSON (chrome://tracing,
+                          Perfetto; 1 time unit = 1 s)
   --trace-cats=CSV        categories to trace: update,crossing,wire,
                           lifecycle,index,spill, or "all"        [all]
-  --metrics-every=T       sample the gauge time-series every T sim-time
-                          units; emitted as the "timeseries" and
-                          "histograms" blocks of --bench-json
   --profile               print the wall-clock phase profile and add a
                           "profile" block to --bench-json
 
@@ -147,8 +143,8 @@ const std::vector<std::string> kKnownFlags = {
     "eps-plus", "eps-minus", "heuristic", "reinit", "rho",
     "oracle-interval", "oracle-every-update", "dispatch", "net", "churn",
     "churn-rate", "churn-lifetime", "churn-max", "churn-seed", "spill",
-    "buffer-pages", "replacement", "trace", "trace-cats", "metrics-every",
-    "profile", "bench-json",
+    "buffer-pages", "replacement", "trace", "trace-cats", "profile",
+    "bench-json",
 };
 
 /// Parses --spill / --buffer-pages / --replacement into `spill`.
@@ -172,9 +168,9 @@ Status ParseSpillFlags(const Flags& flags, SpillConfig* spill) {
 }
 
 /// Owns the per-run observability objects behind --trace / --trace-cats
-/// / --metrics-every / --profile (DESIGN.md #14) and the epilogue they
-/// print. Every line it prints carries the "obs " prefix, so obs-on
-/// output is obs-off output plus those lines.
+/// / --profile (DESIGN.md #14) and the epilogue they print. Every line
+/// it prints carries the "obs " prefix, so obs-on output is obs-off
+/// output plus those lines.
 class ObsSession {
  public:
   static Result<ObsSession> FromFlags(const Flags& flags) {
@@ -190,14 +186,6 @@ class ObsSession {
           obs::ParseCategoryMask(flags.GetString("trace-cats", "all")));
       session.tracer_ = std::make_unique<obs::Tracer>(mask);
     }
-    ASF_ASSIGN_OR_RETURN(session.metrics_every_,
-                         flags.GetDouble("metrics-every", 0));
-    if (session.metrics_every_ < 0) {
-      return Status::InvalidArgument("--metrics-every must be >= 0");
-    }
-    if (session.metrics_every_ > 0) {
-      session.registry_ = std::make_unique<obs::MetricsRegistry>();
-    }
     ASF_ASSIGN_OR_RETURN(const bool profile, flags.GetBool("profile", false));
     if (profile) session.profiler_ = std::make_unique<obs::Profiler>();
     return session;
@@ -207,29 +195,19 @@ class ObsSession {
   obs::ObsHooks hooks() const {
     obs::ObsHooks hooks;
     hooks.tracer = tracer_.get();
-    hooks.metrics = registry_.get();
-    hooks.metrics_every = metrics_every_;
     hooks.profiler = profiler_.get();
     return hooks;
   }
 
-  /// Prints the "obs " epilogue, writes the binary trace, and attaches
-  /// the timeseries / histograms / profile blocks to `writer` (null when
-  /// --bench-json is off). Call after the report.
+  /// Prints the "obs " epilogue, writes the trace, and attaches the
+  /// profile block to `writer` (null when --bench-json is off). Call after
+  /// the report.
   Status Finish(double wall_seconds, metrics::JsonWriter* writer) const {
     if (tracer_ != nullptr) {
-      ASF_RETURN_IF_ERROR(tracer_->WriteBinary(trace_path_));
+      ASF_RETURN_IF_ERROR(tracer_->WriteChromeJson(trace_path_));
       std::printf("obs trace: %zu records (%llu dropped) -> %s\n",
                   tracer_->records().size(),
                   (unsigned long long)tracer_->dropped(), trace_path_.c_str());
-    }
-    if (registry_ != nullptr) {
-      std::printf("obs metrics: %zu snapshots every %g time units\n",
-                  registry_->series().size(), metrics_every_);
-      if (writer != nullptr) {
-        writer->AddBlock("timeseries", registry_->TimeSeriesJson());
-        writer->AddBlock("histograms", registry_->HistogramsJson());
-      }
     }
     if (profiler_ != nullptr) {
       std::printf("%s", profiler_->FormatTable(wall_seconds).c_str());
@@ -242,10 +220,8 @@ class ObsSession {
 
  private:
   std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::Profiler> profiler_;
   std::string trace_path_;
-  double metrics_every_ = 0;
 };
 
 /// The --churn schedule: the protocol/query/tolerance flags describe the
@@ -270,22 +246,12 @@ Result<ChurnSpec> ParseChurn(const Flags& flags, const SystemConfig& base) {
   spec.window_start = base.query_start;
 
   ChurnMixEntry entry;
-  entry.protocol = base.protocol;
-  entry.query_type = base.query.type;
-  entry.rank_kind = base.query.rank_kind;  // knn vs topk vs bottomk
-  entry.eps_plus = base.fraction.eps_plus;
-  entry.eps_minus = base.fraction.eps_minus;
-  entry.rank_r = base.rank_r;
-  entry.k = base.query.k;
-  entry.ft = base.ft;
-  entry.broadcast = base.Deployment().broadcast;
+  entry.deployment = base.Deployment();
   // An explicitly given query geometry pins every arrival's shape;
   // otherwise shapes are drawn at random over the value space.
-  if ((base.query.type == QuerySpec::Type::kRange && flags.Has("range")) ||
-      (base.query.type == QuerySpec::Type::kRank && flags.Has("q"))) {
-    entry.fixed_shape = true;
-    entry.shape = base.query;
-  }
+  entry.fixed_shape =
+      (base.query.type == QuerySpec::Type::kRange && flags.Has("range")) ||
+      (base.query.type == QuerySpec::Type::kRank && flags.Has("q"));
   spec.mix.push_back(entry);
   return spec;
 }
@@ -337,7 +303,7 @@ Status RunFromFlags(const Flags& flags) {
   ASF_ASSIGN_OR_RETURN(config.oracle.check_every_update,
                        flags.GetBool("oracle-every-update", false));
 
-  // Observability. The session owns the tracer/registry/profiler; the
+  // Observability. The session owns the tracer and the profiler; the
   // engine sees only the non-owning hooks bundle.
   ASF_ASSIGN_OR_RETURN(const ObsSession obs_session,
                        ObsSession::FromFlags(flags));

@@ -8,6 +8,8 @@
 ///             --values=0,2,4,8,16 --csv=rtp.csv
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -30,6 +32,7 @@ constexpr const char* kHelp = R"(asf_sweep -- sweep a tolerance parameter
   --csv=FILE                                        also write CSV
   --bench-json=FILE         write per-point wall time / message totals JSON
   --seeds=N                 average over N seeds    [1]
+                            (at most 65536 runs in all)
   --jobs=N                  parallel workers (0 = all hardware threads) [0]
 plus the workload/query/protocol flags of asf_run:
   --protocol, --query, --range, --k, --q, --streams, --sigma,
@@ -39,6 +42,10 @@ All (value, seed) runs execute through the thread-parallel sweep executor;
 results are aggregated in submission order, so the output is identical for
 any --jobs value.
 )";
+
+/// Upper bound on a sweep's (value, seed) runs: 2^16 runs is already days
+/// of simulation, and the grid is sized before any of them starts.
+constexpr std::size_t kMaxSweepRuns = std::size_t{1} << 16;
 
 Result<std::vector<double>> ParseValues(const std::string& csv) {
   std::vector<double> values;
@@ -112,6 +119,11 @@ Status RunFromFlags(const Flags& flags) {
   const std::string param = flags.GetString("param", "eps");
   ASF_ASSIGN_OR_RETURN(const std::int64_t seeds, flags.GetInt("seeds", 1));
   if (seeds <= 0) return Status::InvalidArgument("--seeds must be positive");
+  if (static_cast<std::uint64_t>(seeds) > kMaxSweepRuns / values.size()) {
+    return Status::InvalidArgument(
+        "--seeds times the number of --values must be at most " +
+        std::to_string(kMaxSweepRuns));
+  }
   ASF_ASSIGN_OR_RETURN(const std::int64_t jobs, flags.GetInt("jobs", 0));
   if (jobs < 0) return Status::InvalidArgument("--jobs must be >= 0");
 
